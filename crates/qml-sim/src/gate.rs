@@ -88,8 +88,10 @@ impl Gate {
         }
     }
 
-    /// Qubits the gate acts on (control first for controlled gates).
-    pub fn qubits(&self) -> Vec<usize> {
+    /// Qubits the gate acts on (control first for controlled gates), as an
+    /// inline value: no heap allocation, so per-gate range checks and the
+    /// transpiler's overlap scans cost nothing beyond the two indices.
+    pub fn qubits(&self) -> Qubits {
         match *self {
             Gate::H(q)
             | Gate::X(q)
@@ -104,20 +106,27 @@ impl Gate {
             | Gate::Ry(q, _)
             | Gate::Rz(q, _)
             | Gate::Phase(q, _)
-            | Gate::U(q, _, _, _) => vec![q],
+            | Gate::U(q, _, _, _) => Qubits {
+                idx: [q, 0],
+                len: 1,
+            },
             Gate::Cx(c, t)
             | Gate::Cz(c, t)
             | Gate::Cp(c, t, _)
             | Gate::Swap(c, t)
-            | Gate::Rzz(c, t, _) => {
-                vec![c, t]
-            }
+            | Gate::Rzz(c, t, _) => Qubits {
+                idx: [c, t],
+                len: 2,
+            },
         }
     }
 
     /// True for two-qubit (entangling) gates.
     pub fn is_two_qubit(&self) -> bool {
-        self.qubits().len() == 2
+        matches!(
+            self,
+            Gate::Cx(..) | Gate::Cz(..) | Gate::Cp(..) | Gate::Swap(..) | Gate::Rzz(..)
+        )
     }
 
     /// True if any angle of the gate still carries unbound symbols.
@@ -315,6 +324,56 @@ impl Gate {
     }
 }
 
+/// The one or two qubit indices of a [`Gate`], held inline. Dereferences to
+/// `[usize]` (so `len`, indexing, `contains` and `iter` work as on the `Vec`
+/// it replaces), iterates by value, and compares with other index lists.
+#[derive(Clone, Copy)]
+pub struct Qubits {
+    idx: [usize; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for Qubits {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        &self.idx[..self.len]
+    }
+}
+
+impl std::fmt::Debug for Qubits {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl IntoIterator for Qubits {
+    type Item = usize;
+    type IntoIter = std::iter::Take<std::array::IntoIter<usize, 2>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.idx.into_iter().take(self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a Qubits {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Qubits {
+    fn eq(&self, other: &Qubits) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Vec<usize>> for Qubits {
+    fn eq(&self, other: &Vec<usize>) -> bool {
+        **self == **other
+    }
+}
+
 /// Multiply two 2×2 matrices stored row-major: `a · b`.
 pub fn matmul2(a: &[Complex64; 4], b: &[Complex64; 4]) -> [Complex64; 4] {
     [
@@ -426,6 +485,22 @@ mod tests {
         assert_eq!(Gate::Cx(2, 5).qubits(), vec![2, 5]);
         assert_eq!(Gate::Rz(3, 0.1.into()).qubits(), vec![3]);
         assert_eq!(Gate::Rzz(0, 1, 0.4.into()).name(), "rzz");
+    }
+
+    #[test]
+    fn qubits_behave_like_the_index_list_they_replace() {
+        let two = Gate::Swap(4, 1).qubits();
+        assert_eq!((two.len(), two[0], two[1]), (2, 4, 1));
+        assert_eq!(two, vec![4, 1]);
+        assert_ne!(two, Gate::Swap(1, 4).qubits());
+        assert_eq!(two.into_iter().collect::<Vec<usize>>(), vec![4, 1]);
+        assert_eq!(format!("{two:?}"), "[4, 1]");
+        let one = Gate::H(7).qubits();
+        // The unused second slot never leaks into length, equality or iteration.
+        assert_eq!(one, vec![7]);
+        assert_ne!(one, Gate::Cx(7, 0).qubits());
+        assert_eq!((&one).into_iter().count(), 1);
+        assert!(one.contains(&7) && !one.contains(&0));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod state;
 
 pub use circuit::{circuit_clone_count, qft_circuit, Circuit, CircuitView};
 pub use complex::Complex64;
-pub use gate::{is_unitary2, matmul2, Gate};
+pub use gate::{is_unitary2, matmul2, Gate, Qubits};
 pub use overlay::BoundCircuit;
 pub use param::{ParamExpr, MAX_PARAM_TERMS};
 pub use simulator::{with_thread_scratch, SimScratch, SimulationResult, Simulator};

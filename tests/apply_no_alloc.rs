@@ -1,0 +1,159 @@
+//! Acceptance test: **the statevector apply path allocates nothing**.
+//!
+//! A counting `#[global_allocator]` wraps the system allocator and counts
+//! every `alloc`/`alloc_zeroed`/`realloc` made while a measurement is open.
+//! This file holds exactly one test, so it runs alone in its own process (as
+//! `tests/bind_no_clone.rs` does) and no concurrent test can disturb the
+//! count. The circuit is the `sweep_warm` benchmark plan: the symbolic
+//! two-layer ring QAOA on 8 qubits, transpiled to `{sx, rz, cx}` on a line at
+//! level 3 — 222 gates, permutations, diagonals and dense 2×2 kernels at
+//! every stride from 1 to 128.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use qml_core::backends::{lower_to_circuit, GatePlan};
+use qml_core::graph::cycle;
+use qml_core::prelude::*;
+use qml_core::sim::{
+    BoundCircuit, Circuit, CircuitView, Complex64, SimScratch, Simulator, StateVector,
+};
+use qml_core::transpile::{transpile, CouplingMap, TranspileTarget};
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static COUNT: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+fn note() {
+    // Relaxed: a flag and a statistic, publishing no other data.
+    if COUNTING.load(Ordering::Relaxed) {
+        COUNT.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: the caller guarantees `ptr` came from this allocator with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Run `f`, returning its result and the allocations made while it ran.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = COUNT.load(Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = f();
+    COUNTING.store(false, Ordering::Relaxed);
+    (out, COUNT.load(Ordering::Relaxed) - before)
+}
+
+const QUBITS: usize = 8;
+
+/// The benchmark's `sweep_warm` plan, built the way the gate backend does.
+fn ring_qaoa_plan() -> GatePlan {
+    let program =
+        qaoa_maxcut_program(&cycle(QUBITS), &QaoaSchedule::Symbolic { layers: 2 }).unwrap();
+    let lowered = lower_to_circuit(&program).unwrap();
+    let target = TranspileTarget::hardware(CouplingMap::linear(QUBITS));
+    let transpiled = transpile(&lowered.circuit, &target, 3).unwrap();
+    GatePlan::new(
+        transpiled.circuit,
+        lowered.symbols,
+        transpiled.metrics,
+        lowered.register,
+        lowered.schema,
+    )
+}
+
+/// `zero_state_in` on a reused buffer plus `apply_view`, counted.
+fn apply_counted<C: CircuitView>(view: &C, buf: Vec<Complex64>) -> (StateVector, u64) {
+    allocations(|| {
+        let mut state = StateVector::zero_state_in(view.width(), buf);
+        state.apply_view(view);
+        state
+    })
+}
+
+#[test]
+fn apply_allocates_nothing() {
+    let plan = ring_qaoa_plan();
+    assert_eq!(plan.circuit.len(), 222, "the sweep_warm plan changed shape");
+    let values = [0.4, 1.1, 0.7, 0.3];
+
+    // An overlay over the shared symbolic plan, and the same gates as an
+    // owned concrete circuit: both walks of `apply_view`.
+    let overlay: BoundCircuit = plan.bind_overlay(&values).unwrap();
+    assert!(!overlay.overrides().is_empty());
+    let circuit: Circuit = overlay.to_circuit();
+
+    let buf = StateVector::zero_state(QUBITS).into_amps();
+    let (state, n) = apply_counted(&circuit, buf);
+    assert_eq!(n, 0, "apply_view over a Circuit allocated {n} times");
+    let from_circuit = state.amplitudes().to_vec();
+
+    let (state, n) = apply_counted(&overlay, state.into_amps());
+    assert_eq!(n, 0, "apply_view over a BoundCircuit allocated {n} times");
+    assert_eq!(state.amplitudes(), from_circuit.as_slice());
+
+    // `run_view_with_scratch` on a warmed scratch: sampling builds the
+    // result (a map of rendered words), so its allocations are counted on
+    // their own — same state, same seed, warmed buffers — and the whole run
+    // must make exactly that many: the apply phase adds none.
+    let concrete = BoundCircuit::concrete(Arc::new(circuit));
+    let (shots, seed) = (256, 11);
+    let sim = Simulator::new();
+    let mut scratch = SimScratch::new();
+    let warm = sim
+        .run_view_with_scratch(&concrete, shots, seed, &mut scratch)
+        .unwrap();
+
+    let (mut cdf, mut draws) = (Vec::new(), Vec::new());
+    let sample = |cdf: &mut Vec<f64>, draws: &mut Vec<f64>| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        state
+            .sample_counts_with(concrete.measurement_map(), shots, &mut rng, cdf, draws)
+            .unwrap()
+    };
+    sample(&mut cdf, &mut draws);
+    let (counts, sampling) = allocations(|| sample(&mut cdf, &mut draws));
+    assert_eq!(counts, warm.counts);
+
+    let (again, whole_run) = allocations(|| {
+        sim.run_view_with_scratch(&concrete, shots, seed, &mut scratch)
+            .unwrap()
+    });
+    assert_eq!(again, warm);
+    assert_eq!(scratch.amp_allocations(), 1);
+    assert_eq!(
+        whole_run, sampling,
+        "run_view_with_scratch allocated {whole_run} times, sampling alone {sampling}"
+    );
+}
