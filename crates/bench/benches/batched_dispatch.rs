@@ -1,7 +1,7 @@
 //! Batched vs sequential dispatch of a cold-cache sweep: the same 16-point
 //! seeded restart grid drained through the streaming service with
 //! micro-batching enabled (`max_batch = 16`, plan-compatible jobs coalesce
-//! into device-level `execute_batch` calls) and disabled (`max_batch = 1`,
+//! into device-level `execute_batch_timed` calls) and disabled (`max_batch = 1`,
 //! every job dispatches solo).
 //!
 //! The program is QAOA p=2 on a 12-node ring routed onto a linear coupling

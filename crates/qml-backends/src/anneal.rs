@@ -193,23 +193,6 @@ impl Backend for AnnealBackend {
         DEFAULT_ANNEAL_ENGINE
     }
 
-    fn execute(&self, bundle: &JobBundle) -> Result<ExecutionResult> {
-        let exec = self.prepare(bundle)?;
-        let plan = Self::build_plan(bundle)?;
-        self.run_plan(bundle, exec, &plan)
-    }
-
-    fn execute_cached(
-        &self,
-        bundle: &JobBundle,
-        cache: &TranspileCache,
-    ) -> Result<ExecutionResult> {
-        let exec = self.prepare(bundle)?;
-        let key = Self::plan_key(bundle, exec.as_ref());
-        let plan = cache.anneal_plan(key, || Self::build_plan(bundle))?;
-        self.run_plan(bundle, exec, &plan)
-    }
-
     /// Device-level batching: group members by plan key (realized program ×
     /// annealer-schedule fingerprint), lower each group's BQM **once**, then
     /// sample per member under its own read policy. A shot ladder — one
@@ -217,20 +200,11 @@ impl Backend for AnnealBackend {
     /// schedule across the whole group even on a cold cache.
     ///
     /// Cache counters stay member-accurate (one lookup per member), so a
-    /// cold group of N reports exactly 1 miss and N−1 hits, identical to the
-    /// sequential path.
-    fn execute_batch(
-        &self,
-        bundles: &[JobBundle],
-        cache: &TranspileCache,
-    ) -> Vec<Result<ExecutionResult>> {
-        self.execute_batch_timed(bundles, cache).0
-    }
-
-    /// The timed batch path: each member's sampling wall-clock is measured
-    /// individually (a 4096-read member reports a correspondingly larger
-    /// duration than a 16-read member of the same group), and the group's
-    /// one BQM lowering counts as shared time.
+    /// cold group of N reports exactly 1 miss and N−1 hits. Each member's
+    /// sampling wall-clock is measured individually (a 4096-read member
+    /// reports a correspondingly larger duration than a 16-read member of
+    /// the same group), and the group's one BQM lowering counts as shared
+    /// time.
     fn execute_batch_timed(
         &self,
         bundles: &[JobBundle],

@@ -200,49 +200,22 @@ impl Backend for GateBackend {
         DEFAULT_GATE_ENGINE
     }
 
-    fn execute(&self, bundle: &JobBundle) -> Result<ExecutionResult> {
-        let (context, exec) = self.prepare(bundle)?;
-        let plan = Self::build_plan(bundle, &exec)?;
-        self.run_plan(bundle, &context, &exec, &plan)
-    }
-
-    fn execute_cached(
-        &self,
-        bundle: &JobBundle,
-        cache: &TranspileCache,
-    ) -> Result<ExecutionResult> {
-        let (context, exec) = self.prepare(bundle)?;
-        // Keyed on the *symbolic* program hash: every binding set of a sweep
-        // — and any re-spelling of its symbols — shares one parametric plan,
-        // so an N-point scan performs exactly one transpilation.
-        let key = Self::plan_key(bundle, &exec);
-        let plan = cache.gate_plan(key, || Self::build_plan(bundle, &exec))?;
-        self.run_plan(bundle, &context, &exec, &plan)
-    }
-
     /// Device-level batching: group members by plan key (symbolic program ×
     /// target × optimization level), realize each group's plan **once**, then
-    /// bind and sample per member. N compatible jobs cost 1 transpilation
-    /// plus N cheap substitutions even on a cold cache — and the single
+    /// bind and sample per member. Keyed on the *symbolic* program hash, so
+    /// every binding set of a sweep — and any re-spelling of its symbols —
+    /// shares one parametric plan: N compatible jobs cost 1 transpilation
+    /// plus N cheap substitutions even on a cold cache, and the single
     /// realization per group holds regardless of cache capacity (an
     /// interleaved multi-plan batch cannot LRU-thrash itself the way
-    /// sequential execution can).
+    /// one-by-one execution can).
     ///
     /// Cache counters stay member-accurate: every member performs one
-    /// lookup, so a cold group of N reports exactly 1 miss and N−1 hits —
-    /// identical to the sequential path.
-    fn execute_batch(
-        &self,
-        bundles: &[JobBundle],
-        cache: &TranspileCache,
-    ) -> Vec<Result<ExecutionResult>> {
-        self.execute_batch_timed(bundles, cache).0
-    }
-
-    /// The timed batch path: per-member bind + sample wall-clock is measured
-    /// individually, and group plan realizations count as shared time — so a
-    /// shot ladder's members report honest, unequal durations instead of an
-    /// even split of the batch's wall-clock.
+    /// lookup, so a cold group of N reports exactly 1 miss and N−1 hits.
+    /// Per-member bind + sample wall-clock is measured individually, and
+    /// group plan realizations count as shared time — so a shot ladder's
+    /// members report honest, unequal durations instead of an even split of
+    /// the batch's wall-clock.
     fn execute_batch_timed(
         &self,
         bundles: &[JobBundle],

@@ -5,9 +5,10 @@
 //! schedule*. [`FaultyBackend`] wraps any real [`Backend`] and injects
 //! [`QmlError::DeviceFault`] errors according to a scriptable [`FaultPlan`]:
 //! fail the nth execution (transient — the device recovers afterwards), fail
-//! every execution from an index onward (permanent — a dead device), or fail
-//! every bundle with a given plan key (a poisoned plan class). Everything
-//! else delegates to the wrapped backend unchanged, so results on the
+//! every execution from an index onward (permanent — a dead device), fail
+//! every bundle with a given plan key (a poisoned plan class), or panic at
+//! the nth execution (a backend bug, not a device fault). Everything else
+//! delegates to the wrapped backend unchanged, so results on the
 //! non-faulting path stay bit-identical to the inner backend's.
 //!
 //! This module is compiled into the library (not `#[cfg(test)]`) so unit
@@ -41,6 +42,10 @@ pub struct FaultPlan {
     /// Fail every bundle whose plan key (per the inner backend's
     /// [`Backend::batch_key`]) is in this set, regardless of index.
     pub fail_plan_keys: BTreeSet<u64>,
+    /// Execution indices at which the wrapper **panics** instead of
+    /// returning an error — a bug inside a backend, which the runtime has to
+    /// contain at its job boundary.
+    pub panic_nth: BTreeSet<u64>,
 }
 
 impl FaultPlan {
@@ -66,6 +71,12 @@ impl FaultPlan {
     /// Fail every bundle with this plan key, builder-style.
     pub fn with_fail_plan_key(mut self, key: u64) -> Self {
         self.fail_plan_keys.insert(key);
+        self
+    }
+
+    /// Panic at the executions with these 0-based indices, builder-style.
+    pub fn with_panic_nth(mut self, indices: impl IntoIterator<Item = u64>) -> Self {
+        self.panic_nth.extend(indices);
         self
     }
 
@@ -131,9 +142,12 @@ impl<B: Backend> FaultyBackend<B> {
     }
 
     /// Claim the next execution index and return the scheduled fault for it,
-    /// if any.
+    /// if any — or panic, if the plan schedules a panic there.
     fn check(&self, bundle: &JobBundle) -> Option<QmlError> {
         let index = self.executions.fetch_add(1, Ordering::Relaxed);
+        if self.plan.panic_nth.contains(&index) {
+            panic!("injected panic (execution #{index})");
+        }
         let fault = self.plan.fault_for(index, self.inner.batch_key(bundle));
         if fault.is_some() {
             self.faults_injected.fetch_add(1, Ordering::Relaxed);
@@ -155,29 +169,12 @@ impl<B: Backend> Backend for FaultyBackend<B> {
         self.inner.default_engine()
     }
 
-    fn execute(&self, bundle: &JobBundle) -> Result<ExecutionResult> {
-        match self.check(bundle) {
-            Some(fault) => Err(fault),
-            None => self.inner.execute(bundle),
-        }
-    }
-
-    fn execute_cached(
-        &self,
-        bundle: &JobBundle,
-        cache: &TranspileCache,
-    ) -> Result<ExecutionResult> {
-        match self.check(bundle) {
-            Some(fault) => Err(fault),
-            None => self.inner.execute_cached(bundle, cache),
-        }
-    }
-
-    /// Per-member sequential execution through the (fault-checked) cached
-    /// path. The [`Backend`] batch contract guarantees per-member results
-    /// are bit-identical to solo execution, so injecting at member
-    /// granularity preserves result fidelity while keeping fault indices
-    /// aligned with submission order.
+    /// Per-member sequential execution: claim the member's fault index, then
+    /// run it as a batch of one on the wrapped backend. The [`Backend`]
+    /// contract guarantees per-member results are bit-identical to solo
+    /// execution, so injecting at member granularity preserves result
+    /// fidelity while keeping fault indices aligned with submission order on
+    /// every entry point.
     fn execute_batch_timed(
         &self,
         bundles: &[JobBundle],
@@ -187,7 +184,10 @@ impl<B: Backend> Backend for FaultyBackend<B> {
         let mut members = Vec::with_capacity(bundles.len());
         for bundle in bundles {
             let started = Instant::now();
-            results.push(self.execute_cached(bundle, cache));
+            results.push(match self.check(bundle) {
+                Some(fault) => Err(fault),
+                None => self.inner.execute_cached(bundle, cache),
+            });
             members.push(started.elapsed());
         }
         let timings = BatchTimings {

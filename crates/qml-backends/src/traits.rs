@@ -88,83 +88,65 @@ pub trait Backend: Send + Sync {
     /// context (late binding to a sensible default).
     fn default_engine(&self) -> &str;
 
-    /// Execute a job bundle and return its decoded result.
-    fn execute(&self, bundle: &JobBundle) -> Result<ExecutionResult>;
-
-    /// Execute a job bundle, reusing (and populating) the given
-    /// transpilation/lowering cache where this backend supports it.
-    ///
-    /// The default implementation ignores the cache, so existing third-party
-    /// backends keep working unchanged; the built-in gate and annealing
-    /// backends override it to skip lowering/transpilation on repeated
-    /// `(program, target)` submissions.
-    fn execute_cached(
-        &self,
-        bundle: &JobBundle,
-        cache: &TranspileCache,
-    ) -> Result<ExecutionResult> {
-        let _ = cache;
-        self.execute(bundle)
-    }
-
-    /// Execute a batch of bundles against this backend, sharing one cache.
+    /// Execute a batch of bundles against this backend through one shared
+    /// cache, reporting the wall-clock breakdown next to the outcomes: shared
+    /// realization time plus each member's own bind + sample time (see
+    /// [`BatchTimings`]). **The one execution method a backend implements**
+    /// — [`Backend::execute_batch`], [`Backend::execute_cached`] and
+    /// [`Backend::execute`] are projections of it, and the runtime's worker
+    /// loop calls nothing else.
     ///
     /// Backends with device-level batching (circuit merging, shared annealer
-    /// schedules, calibration windows) override this to group plan-compatible
-    /// members — same [`Backend::batch_key`] — and realize each group's plan
-    /// **once**, even on a cold cache, before binding/sampling per member.
-    /// The built-in gate and annealing backends do exactly that. Contract,
-    /// regardless of implementation:
+    /// schedules, calibration windows) group plan-compatible members — same
+    /// [`Backend::batch_key`] — and realize each group's plan **once**, even
+    /// on a cold cache, before binding/sampling per member. The built-in gate
+    /// and annealing backends do exactly that. Contract, regardless of
+    /// implementation:
     ///
     /// * outcomes are returned in submission order (`result[i]` belongs to
-    ///   `bundles[i]`);
-    /// * per-member results are bit-identical to what
-    ///   [`Backend::execute_cached`] would produce for that bundle alone;
+    ///   `bundles[i]`), and `timings.members` / `timings.plan_hits` are
+    ///   aligned with them;
+    /// * a member's result is bit-identical whether it runs alone or inside
+    ///   any batch, on a cold or a warm cache;
     /// * a failing member yields `Err` at its own position and never poisons
     ///   the rest of its group.
-    ///
-    /// The default executes sequentially through [`Backend::execute_cached`].
+    fn execute_batch_timed(
+        &self,
+        bundles: &[JobBundle],
+        cache: &TranspileCache,
+    ) -> (Vec<Result<ExecutionResult>>, BatchTimings);
+
+    /// [`Backend::execute_batch_timed`] without the timings.
     fn execute_batch(
         &self,
         bundles: &[JobBundle],
         cache: &TranspileCache,
     ) -> Vec<Result<ExecutionResult>> {
-        bundles
-            .iter()
-            .map(|bundle| self.execute_cached(bundle, cache))
-            .collect()
+        self.execute_batch_timed(bundles, cache).0
     }
 
-    /// Execute a batch like [`Backend::execute_batch`], additionally
-    /// reporting the wall-clock breakdown: shared realization time plus each
-    /// member's own bind + sample time (see [`BatchTimings`]).
-    ///
-    /// The default wraps [`Backend::execute_batch`] — preserving any
-    /// third-party batching override — and, lacking finer information,
-    /// attributes the call evenly across members with no shared component.
-    /// The built-in gate and annealing backends override this with real
-    /// per-member timing; their `execute_batch` is the projection of this
-    /// method onto results.
-    fn execute_batch_timed(
+    /// Execute one bundle, reusing (and populating) the given
+    /// transpilation/lowering cache: a batch of one.
+    fn execute_cached(
         &self,
-        bundles: &[JobBundle],
+        bundle: &JobBundle,
         cache: &TranspileCache,
-    ) -> (Vec<Result<ExecutionResult>>, BatchTimings) {
-        let started = Instant::now();
-        let results = self.execute_batch(bundles, cache);
-        let share = started.elapsed() / bundles.len().max(1) as u32;
-        let timings = BatchTimings {
-            shared: Duration::ZERO,
-            members: vec![share; bundles.len()],
-            plan_hits: vec![None; bundles.len()],
-        };
-        (results, timings)
+    ) -> Result<ExecutionResult> {
+        self.execute_batch(std::slice::from_ref(bundle), cache)
+            .pop()
+            .expect("a batch returns one result per bundle")
+    }
+
+    /// Execute one bundle with nothing shared: a batch of one over a
+    /// throw-away cache.
+    fn execute(&self, bundle: &JobBundle) -> Result<ExecutionResult> {
+        self.execute_cached(bundle, &TranspileCache::new())
     }
 
     /// A stable grouping key for device-level batching: two bundles with the
     /// same key **on the same backend** share one realized plan, so callers
     /// (the service's fair scheduler) may coalesce them into a single
-    /// [`Backend::execute_batch`] call. `None` — the default — means this
+    /// [`Backend::execute_batch_timed`] call. `None` — the default — means this
     /// backend does not batch the bundle (or cannot realize it at all), and
     /// the bundle always dispatches solo.
     ///
@@ -190,8 +172,8 @@ pub trait Backend: Send + Sync {
     }
 }
 
-/// The group-by-key batch driver shared by the built-in backends'
-/// [`Backend::execute_batch`] overrides.
+/// The group-by-key batch driver behind the built-in backends'
+/// [`Backend::execute_batch_timed`].
 ///
 /// * `prepare` validates one member and returns its plan key plus whatever
 ///   per-member state `run` needs; a member that fails to prepare gets `Err`
@@ -282,31 +264,98 @@ mod tests {
     use super::*;
     use qml_algorithms::{qaoa_maxcut_program, QaoaSchedule, RING_P1_ANGLES};
     use qml_graph::cycle;
-    use qml_types::QmlError;
+    use qml_types::{DecodedCounts, QmlError};
+    use std::collections::BTreeMap;
 
-    struct DummyBackend;
+    /// A backend that implements only what the trait requires: each member
+    /// answers with its bundle's name, and bundles named `bad*` fail.
+    struct MinimalBackend;
 
-    impl Backend for DummyBackend {
+    impl Backend for MinimalBackend {
         fn name(&self) -> &str {
-            "dummy"
+            "minimal"
         }
         fn supports_engine(&self, engine: &str) -> bool {
-            engine.starts_with("dummy.")
+            engine.starts_with("minimal.")
         }
         fn default_engine(&self) -> &str {
-            "dummy.null"
+            "minimal.null"
         }
-        fn execute(&self, _bundle: &JobBundle) -> Result<ExecutionResult> {
-            Err(QmlError::Unsupported("dummy backend cannot execute".into()))
+        fn execute_batch_timed(
+            &self,
+            bundles: &[JobBundle],
+            _cache: &TranspileCache,
+        ) -> (Vec<Result<ExecutionResult>>, BatchTimings) {
+            let results = bundles
+                .iter()
+                .map(|bundle| {
+                    if bundle.name.starts_with("bad") {
+                        return Err(QmlError::Unsupported(bundle.name.clone()));
+                    }
+                    Ok(ExecutionResult {
+                        backend: self.name().into(),
+                        engine: self.default_engine().into(),
+                        register: bundle.name.clone(),
+                        shots: 0,
+                        counts: BTreeMap::new(),
+                        decoded: DecodedCounts {
+                            counts: BTreeMap::new(),
+                            decoded: BTreeMap::new(),
+                            total: 0,
+                        },
+                        gate_metrics: None,
+                        energy_stats: None,
+                        qec_estimate: None,
+                    })
+                })
+                .collect();
+            let timings = BatchTimings {
+                shared: Duration::ZERO,
+                members: vec![Duration::ZERO; bundles.len()],
+                plan_hits: vec![None; bundles.len()],
+            };
+            (results, timings)
         }
+    }
+
+    fn named(name: &str) -> JobBundle {
+        let mut bundle =
+            qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES])).unwrap();
+        bundle.name = name.into();
+        bundle
+    }
+
+    #[test]
+    fn provided_methods_project_the_one_required_method() {
+        let backend = MinimalBackend;
+        let cache = TranspileCache::new();
+        let bundles = [named("a"), named("bad-b"), named("c")];
+
+        let batch = backend.execute_batch(&bundles, &cache);
+        assert_eq!(batch.len(), 3);
+        assert_eq!(batch[0].as_ref().unwrap().register, "a");
+        assert!(
+            matches!(&batch[1], Err(QmlError::Unsupported(name)) if name == "bad-b"),
+            "an Err stays at its own slot"
+        );
+        assert_eq!(batch[2].as_ref().unwrap().register, "c");
+
+        // A solo job is a batch of one, cached or not.
+        assert_eq!(
+            backend.execute_cached(&bundles[2], &cache).unwrap(),
+            *batch[2].as_ref().unwrap()
+        );
+        assert_eq!(
+            backend.execute(&bundles[0]).unwrap(),
+            *batch[0].as_ref().unwrap()
+        );
+        assert!(backend.execute(&bundles[1]).is_err());
+        assert!(backend.execute_cached(&bundles[1], &cache).is_err());
     }
 
     #[test]
     fn default_cost_estimate_sums_hints() {
-        let bundle =
-            qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES])).unwrap();
-        let backend = DummyBackend;
-        let cost = backend.estimate_cost(&bundle);
+        let cost = MinimalBackend.estimate_cost(&named("a"));
         assert!(
             cost > 0.0,
             "QAOA descriptors carry cost hints, so the estimate is positive"
@@ -315,9 +364,10 @@ mod tests {
 
     #[test]
     fn engine_matching() {
-        let backend = DummyBackend;
-        assert!(backend.supports_engine("dummy.anything"));
+        let backend = MinimalBackend;
+        assert!(backend.supports_engine("minimal.anything"));
         assert!(!backend.supports_engine("gate.aer_simulator"));
-        assert_eq!(backend.default_engine(), "dummy.null");
+        assert_eq!(backend.default_engine(), "minimal.null");
+        assert_eq!(backend.batch_key(&named("a")), None);
     }
 }

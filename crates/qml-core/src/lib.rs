@@ -16,7 +16,7 @@
 //! | QEC context service | [`qec`] | §4.3.2 |
 //! | Gate + annealing backends | [`backends`] | §5 |
 //! | Registry, scheduler, job runtime, context services | [`runtime`] | §2, §4.3.1 |
-//! | Batch service: sweeps, work stealing, transpile cache | [`service`] | §2 |
+//! | Batch service: sweeps, fair scheduling, transpile cache | [`service`] | §2 |
 //!
 //! ## Quickstart
 //!
@@ -56,7 +56,7 @@ pub use qml_graph as graph;
 pub use qml_qec as qec;
 /// Backend registry, scheduler, job runtime, and context services.
 pub use qml_runtime as runtime;
-/// Multi-tenant batch-execution service: sweeps, work-stealing pool, caches.
+/// Multi-tenant batch-execution service: sweeps, fair scheduler, caches.
 pub use qml_service as service;
 /// Dense state-vector simulator (the Qiskit Aer substitute).
 pub use qml_sim as sim;

@@ -1,26 +1,28 @@
-//! Job lifecycle and parallel execution.
+//! Job lifecycle and execution.
 //!
 //! The runtime accepts packaged job bundles (`job.json` artifacts in the
-//! paper's workflow), schedules each onto a backend, and executes queued jobs
-//! on a **work-stealing worker pool**: queued jobs are ranked by descriptor
-//! cost hints (longest first, the classic LPT heuristic), dealt round-robin
-//! onto per-worker deques, and idle workers steal from the back of busy
-//! workers' deques — so one slow job never stalls the rest of its batch the
-//! way the old fixed-chunk barrier did. Job state is shared behind a
-//! `parking_lot` mutex so callers can poll status from other threads, and all
-//! executions share the runtime's transpilation/lowering cache.
+//! paper's workflow), tracks each job's state behind a `parking_lot` mutex so
+//! callers can poll status from other threads, and executes claimed jobs in
+//! exactly one routine — `Runtime::execute_claimed_batch`, a timed batch
+//! through the runtime's shared transpilation/lowering cache. Every entry
+//! point reaches it the same way: [`Runtime::run_job`] is a batch of one,
+//! and [`Runtime::run_all`] feeds a cost-ranked snapshot of the queue
+//! (longest first, the classic LPT heuristic) to the same worker loop the
+//! streaming [`WorkerPool`](crate::pool::WorkerPool) runs.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use qml_backends::{ExecutionResult, TranspileCache};
+use qml_backends::{BatchTimings, ExecutionResult, TranspileCache};
 use qml_observe::{NoopTracer, Stage, Tracer};
 use qml_types::{JobBundle, QmlError, Result};
 
+use crate::pool::{worker_loop, Feed, JobDispatch, JobSource};
 use crate::registry::{Placement, Scheduler};
 
 /// Identifier of a submitted job.
@@ -53,7 +55,7 @@ pub struct Job {
     pub result: Option<ExecutionResult>,
 }
 
-/// Everything the work-stealing pool records about one executed job.
+/// Everything the worker loop records about one executed job.
 #[derive(Debug)]
 pub struct JobOutcome {
     /// Identifier of the job.
@@ -67,16 +69,14 @@ pub struct JobOutcome {
     /// [`JobDispatch::device`](crate::pool::JobDispatch::device). `None` on
     /// device-blind paths (one-shot drains, manual `run_job`).
     pub device: Option<Arc<str>>,
-    /// Wall-clock execution time of this job.
+    /// Execution time attributed to this job: its own bind + sample time
+    /// plus its share of the batch's plan realization.
     pub duration: Duration,
     /// Index of the pool worker that executed the job.
     pub worker: usize,
-    /// True if the job was stolen from another worker's deque.
-    pub stolen: bool,
 }
 
-/// Record a claimed job's terminal state from its execution outcome — the
-/// single transition shared by the solo and batched execution paths.
+/// Record a claimed job's terminal state from its execution outcome.
 fn record_terminal(job: &mut Job, outcome: &Result<ExecutionResult>) {
     match outcome {
         Ok(result) => {
@@ -197,9 +197,19 @@ impl Runtime {
             .count()
     }
 
-    /// Execute one queued job synchronously.
+    /// Execute one queued job synchronously: claim it, place it, and run it
+    /// as a batch of one.
     pub fn run_job(&self, id: JobId) -> Result<ExecutionResult> {
-        self.run_job_placed(id, None)
+        let Some(bundle) = self.claim(id)? else {
+            return Err(QmlError::Validation(format!(
+                "job {id:?} is not queued (status {:?})",
+                self.status(id).expect("job exists")
+            )));
+        };
+        self.execute_claimed_batch(vec![(id, bundle)], None)
+            .pop()
+            .expect("one outcome per claimed job")
+            .result
     }
 
     /// Atomically claim a queued job for execution (Queued → Running),
@@ -236,50 +246,27 @@ impl Runtime {
         }
     }
 
-    /// Execute one queued job, reusing an already-computed placement when the
-    /// caller has one.
-    fn run_job_placed(&self, id: JobId, placement: Option<&Placement>) -> Result<ExecutionResult> {
-        let Some(bundle) = self.claim(id)? else {
-            return Err(QmlError::Validation(format!(
-                "job {id:?} is not queued (status {:?})",
-                self.status(id).expect("job exists")
-            )));
-        };
-        self.execute_claimed(id, bundle, placement)
-    }
-
-    /// Execute a job already claimed (Running) by the caller and record its
-    /// terminal state.
-    pub(crate) fn execute_claimed(
-        &self,
-        id: JobId,
-        bundle: JobBundle,
-        placement: Option<&Placement>,
-    ) -> Result<ExecutionResult> {
-        let outcome = match placement {
-            Some(placement) => placement.backend.execute_cached(&bundle, &self.cache),
-            None => self.scheduler.execute_cached(&bundle, &self.cache),
-        };
-        let mut jobs = self.jobs.lock();
-        let job = jobs.get_mut(&id).expect("job disappeared while running");
-        record_terminal(job, &outcome);
-        outcome
-    }
-
-    /// Execute a micro-batch of already-claimed jobs through the backend's
-    /// device-level batch path
-    /// ([`qml_backends::Backend::execute_batch_timed`]) and record each
-    /// member's terminal state. Outcomes are returned in input order with an
-    /// **honest per-member duration**: each member's own bind + sample time
-    /// plus a share of the group's one plan realization proportional to that
-    /// time — never an even split of the batch's wall-clock, which is
-    /// fiction whenever members differ (e.g. a shot ladder). One failing
-    /// member never poisons the rest.
+    /// Execute already-claimed jobs as one timed batch through the shared
+    /// cache ([`qml_backends::Backend::execute_batch_timed`]) and record each
+    /// member's terminal state — **the only routine in the runtime that
+    /// calls a backend**; a solo job is a batch of one. Outcomes are returned
+    /// in input order with an **honest per-member duration**: each member's
+    /// own bind + sample time plus a share of the group's one plan
+    /// realization proportional to that time — never an even split of the
+    /// batch's wall-clock, which is fiction whenever members differ (e.g. a
+    /// shot ladder). One failing member never poisons the rest. `device` and
+    /// `worker` are left for the worker loop to stamp.
     ///
-    /// All members are expected to share the (optional) placement — the
+    /// `claimed` is never empty, and all members share one placement — the
     /// service's fair scheduler only coalesces jobs with one batch key, which
-    /// implies one backend. Without a placement the whole batch falls back to
-    /// per-member scheduled execution, timed individually.
+    /// implies one backend. `None` places the head here; if no backend can
+    /// take it, every member fails with the placement error.
+    ///
+    /// This is also the one job boundary for backend bugs: a panic inside
+    /// the backend call is caught, every member of the batch settles as an
+    /// ordinary failure (not a device fault, so nothing is requeued onto the
+    /// same bug), and the calling worker lives on to report it — its jobs
+    /// never strand in `Running`, its in-flight slots are released.
     ///
     /// The gate plane binds each member as a zero-copy overlay over the
     /// shared plan circuit and samples through the worker thread's scratch
@@ -289,60 +276,37 @@ impl Runtime {
     pub(crate) fn execute_claimed_batch(
         &self,
         claimed: Vec<(JobId, JobBundle)>,
-        placement: Option<&Placement>,
-    ) -> Vec<(JobId, Result<ExecutionResult>, Duration)> {
+        placement: Option<Placement>,
+    ) -> Vec<JobOutcome> {
         let (ids, bundles): (Vec<JobId>, Vec<JobBundle>) = claimed.into_iter().unzip();
-        let (results, durations): (Vec<Result<ExecutionResult>>, Vec<Duration>) = match placement {
-            Some(placement) => {
-                let (results, timings) =
-                    placement.backend.execute_batch_timed(&bundles, &self.cache);
-                let durations = timings.attributed();
-                // Per-member plan/bound stage events. Emitted in lifecycle
-                // order (`plan` then `bound`) once the batch call has
-                // resolved — that is when the per-member cache attribution
-                // and realization share are known; the runtime is
-                // tenant-blind, so attribution by job id is what it records.
-                if self.tracer.enabled() {
-                    for (i, id) in ids.iter().enumerate() {
-                        if let Some(cache_hit) = timings.plan_hit(i) {
-                            let own = timings.members.get(i).copied().unwrap_or_default();
-                            let realize = durations
-                                .get(i)
-                                .copied()
-                                .unwrap_or_default()
-                                .saturating_sub(own);
-                            self.tracer.record(
-                                id.0,
-                                None,
-                                None,
-                                Stage::Plan {
-                                    cache_hit,
-                                    realize_us: realize.as_micros() as u64,
-                                },
-                            );
-                        }
-                        if results.get(i).is_some_and(|r| r.is_ok()) {
-                            self.tracer.record(id.0, None, None, Stage::Bound);
-                        }
+        let n = ids.len();
+        let placement = placement.map_or_else(|| self.scheduler.place(&bundles[0]), Ok);
+        let (results, durations) = match &placement {
+            Ok(placement) => {
+                let started = Instant::now();
+                // Unwind-safe: the bundles are only read, and an unwinding
+                // plan build leaves its cache slot empty, like a failed one.
+                let call = catch_unwind(AssertUnwindSafe(|| {
+                    placement.backend.execute_batch_timed(&bundles, &self.cache)
+                }));
+                match call {
+                    Ok((results, timings)) => {
+                        let durations = timings.attributed();
+                        self.trace_members(&ids, &results, &timings, &durations);
+                        (results, durations)
+                    }
+                    Err(panic) => {
+                        let reason = panic
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| panic.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string panic payload".into());
+                        let err = QmlError::Unsupported(format!("backend panicked: {reason}"));
+                        (vec![Err(err); n], vec![started.elapsed() / n as u32; n])
                     }
                 }
-                (results, durations)
             }
-            None => {
-                let trace = self.tracer.enabled();
-                bundles
-                    .iter()
-                    .zip(&ids)
-                    .map(|(bundle, id)| {
-                        let started = Instant::now();
-                        let result = self.scheduler.execute_cached(bundle, &self.cache);
-                        if trace && result.is_ok() {
-                            self.tracer.record(id.0, None, None, Stage::Bound);
-                        }
-                        (result, started.elapsed())
-                    })
-                    .unzip()
-            }
+            Err(err) => (vec![Err(err.clone()); n], vec![Duration::ZERO; n]),
         };
         let mut jobs = self.jobs.lock();
         for (id, outcome) in ids.iter().zip(&results) {
@@ -350,16 +314,64 @@ impl Runtime {
             record_terminal(job, outcome);
         }
         drop(jobs);
+        // Attribute a job to its placed backend even when the execution
+        // itself failed.
+        let backend = placement.ok().map(|p| p.backend.name().to_string());
         ids.into_iter()
             .zip(results.into_iter().zip(durations))
-            .map(|(id, (result, duration))| (id, result, duration))
+            .map(|(id, (result, duration))| JobOutcome {
+                id,
+                result,
+                backend: backend.clone(),
+                device: None,
+                duration,
+                worker: 0,
+            })
             .collect()
     }
 
-    /// Execute every queued job on the work-stealing pool with at most
-    /// `max_parallel` workers. Returns the per-job outcomes in submission
-    /// order. Kept as a thin wrapper over [`Runtime::run_all_detailed`] for
-    /// backward compatibility.
+    /// Per-member `plan`/`bound` stage events of one resolved batch call.
+    /// Emitted in lifecycle order (`plan` then `bound`) once the call has
+    /// returned — that is when the per-member cache attribution and
+    /// realization share are known; the runtime is tenant-blind, so
+    /// attribution by job id is what it records.
+    fn trace_members(
+        &self,
+        ids: &[JobId],
+        results: &[Result<ExecutionResult>],
+        timings: &BatchTimings,
+        durations: &[Duration],
+    ) {
+        if !self.tracer.enabled() {
+            return;
+        }
+        for (i, id) in ids.iter().enumerate() {
+            if let Some(cache_hit) = timings.plan_hit(i) {
+                let own = timings.members.get(i).copied().unwrap_or_default();
+                let realize = durations
+                    .get(i)
+                    .copied()
+                    .unwrap_or_default()
+                    .saturating_sub(own);
+                self.tracer.record(
+                    id.0,
+                    None,
+                    None,
+                    Stage::Plan {
+                        cache_hit,
+                        realize_us: realize.as_micros() as u64,
+                    },
+                );
+            }
+            if results.get(i).is_some_and(|r| r.is_ok()) {
+                self.tracer.record(id.0, None, None, Stage::Bound);
+            }
+        }
+    }
+
+    /// Execute every queued job with at most `max_parallel` workers.
+    /// Returns the per-job outcomes in submission order — a thin wrapper
+    /// over [`Runtime::run_all_detailed`].
     pub fn run_all(&self, max_parallel: usize) -> Vec<(JobId, Result<ExecutionResult>)> {
         let mut outcomes: Vec<(JobId, Result<ExecutionResult>)> = self
             .run_all_detailed(max_parallel)
@@ -370,19 +382,17 @@ impl Runtime {
         outcomes
     }
 
-    /// Execute every queued job on a work-stealing pool of `num_workers`
-    /// threads and report detailed per-job outcomes (in completion order).
+    /// Execute every job queued right now on `num_workers` threads and
+    /// report detailed per-job outcomes (in completion order).
     ///
-    /// Scheduling policy:
-    ///
-    /// 1. Queued jobs are ranked by the scheduler's cost estimate for their
-    ///    placement (descriptor cost hints — the paper's HPC-scheduler
-    ///    analogy), longest first, which minimizes makespan under the LPT
-    ///    heuristic.
-    /// 2. Ranked jobs are dealt round-robin onto one deque per worker.
-    /// 3. Each worker drains its own deque from the front; an idle worker
-    ///    steals from the **back** of the busiest other deque, so a single
-    ///    slow job delays only the worker executing it.
+    /// Queued jobs are ranked by the scheduler's cost estimate for their
+    /// placement (descriptor cost hints — the paper's HPC-scheduler analogy),
+    /// longest first, which minimizes makespan under the LPT heuristic. The
+    /// ranked snapshot is a one-shot [`JobSource`] for the same worker loop
+    /// the streaming pool runs, here borrowed on scoped threads: each idle
+    /// worker takes the next-longest job, so one slow job delays only the
+    /// worker executing it. Jobs submitted after the snapshot wait for the
+    /// next drain.
     pub fn run_all_detailed(&self, num_workers: usize) -> Vec<JobOutcome> {
         // Snapshot queued bundles under the lock, then run the placement /
         // cost-ranking pass outside it so status()/submit() callers never
@@ -395,100 +405,45 @@ impl Runtime {
                 .collect()
         };
         // One placement pass serves both the cost ranking and execution: the
-        // chosen backend is carried to the worker so jobs are not re-placed
-        // on the hot path. Jobs whose placement fails are still dealt out;
-        // they fail (and record their error) at execution time.
-        let mut placements: HashMap<JobId, Placement> = HashMap::new();
-        let mut ranked: Vec<(JobId, f64)> = queued
+        // chosen backend rides the dispatch so jobs are not re-placed on the
+        // hot path. Jobs whose placement fails are still handed out; they
+        // fail (and record their error) at execution time.
+        let mut ranked: Vec<JobDispatch> = queued
             .into_iter()
-            .map(|(id, bundle)| {
-                let cost = match self.scheduler.place(&bundle) {
-                    Ok(placement) => {
-                        let cost = placement.estimated_cost;
-                        placements.insert(id, placement);
-                        cost
-                    }
-                    Err(_) => 0.0,
-                };
-                (id, cost)
+            .map(|(id, bundle)| JobDispatch {
+                placement: self.scheduler.place(&bundle).ok(),
+                ..JobDispatch::new(id)
             })
             .collect();
-        if ranked.is_empty() {
-            return Vec::new();
-        }
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let cost = |d: &JobDispatch| d.placement.as_ref().map_or(0.0, |p| p.estimated_cost);
+        ranked.sort_by(|a, b| {
+            cost(b)
+                .partial_cmp(&cost(a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
 
         let num_workers = num_workers.max(1).min(ranked.len());
-        let deques: Vec<Mutex<VecDeque<JobId>>> = (0..num_workers)
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect();
-        for (slot, (id, _cost)) in ranked.iter().enumerate() {
-            deques[slot % num_workers].lock().push_back(*id);
-        }
-
-        let outcomes: Mutex<Vec<JobOutcome>> = Mutex::new(Vec::with_capacity(ranked.len()));
-        let deques_ref = &deques;
-        let outcomes_ref = &outcomes;
-        let placements_ref = &placements;
-        crossbeam::scope(|scope| {
+        let source = Snapshot(Mutex::new(ranked.into()));
+        let outcomes: Mutex<Vec<JobOutcome>> = Mutex::new(Vec::new());
+        let sink = |outcome: JobOutcome| outcomes.lock().push(outcome);
+        std::thread::scope(|scope| {
             for worker in 0..num_workers {
-                scope.spawn(move |_| loop {
-                    // Own deque first (front); when empty, try to steal from
-                    // the back of *every* other deque, deepest first. Only
-                    // when all deques are seen empty may the worker exit —
-                    // jobs are never re-queued during a drain, so "all empty"
-                    // is a stable termination condition (a victim draining
-                    // between the scan and the steal just moves us to the
-                    // next victim, not to termination).
-                    let mut claimed: Option<(JobId, bool)> =
-                        deques_ref[worker].lock().pop_front().map(|id| (id, false));
-                    if claimed.is_none() {
-                        let mut victims: Vec<(usize, usize)> = (0..deques_ref.len())
-                            .filter(|&v| v != worker)
-                            .map(|v| (deques_ref[v].lock().len(), v))
-                            .collect();
-                        victims.sort_by_key(|&(depth, _)| std::cmp::Reverse(depth));
-                        for (_depth, v) in victims {
-                            if let Some(id) = deques_ref[v].lock().pop_back() {
-                                claimed = Some((id, true));
-                                break;
-                            }
-                        }
-                    }
-                    let Some((id, stolen)) = claimed else {
-                        break;
-                    };
-                    // A concurrent drain may have raced us to this job; a
-                    // lost claim is silently skipped, not a phantom failure.
-                    let Ok(Some(bundle)) = self.claim(id) else {
-                        continue;
-                    };
-                    let placement = placements_ref.get(&id);
-                    let started = Instant::now();
-                    let result = self.execute_claimed(id, bundle, placement);
-                    let duration = started.elapsed();
-                    // Attribute the job to its placed backend even when the
-                    // execution itself failed.
-                    let backend = result
-                        .as_ref()
-                        .ok()
-                        .map(|r| r.backend.clone())
-                        .or_else(|| placement.map(|p| p.backend.name().to_string()));
-                    outcomes_ref.lock().push(JobOutcome {
-                        id,
-                        result,
-                        backend,
-                        device: None,
-                        duration,
-                        worker,
-                        stolen,
-                    });
-                });
+                let (source, sink) = (&source, &sink);
+                scope.spawn(move || worker_loop(worker, self, source, sink));
             }
-        })
-        .expect("job execution thread panicked");
-
+        });
         outcomes.into_inner()
+    }
+}
+
+/// The one-shot [`JobSource`] behind [`Runtime::run_all_detailed`]: a ranked
+/// snapshot handed out front to back. Nothing is ever re-queued into it, so
+/// "empty" is a stable reason to shut a worker down.
+struct Snapshot(Mutex<VecDeque<JobDispatch>>);
+
+impl JobSource for Snapshot {
+    fn next_job(&self, _worker: usize) -> Feed {
+        self.0.lock().pop_front().map_or(Feed::Shutdown, Feed::Job)
     }
 }
 
@@ -599,7 +554,7 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_pool_drains_every_job() {
+    fn shared_loop_drains_every_job() {
         // More jobs than workers: everything must complete exactly once, and
         // the detailed outcomes must cover every submitted id.
         let runtime = Runtime::with_default_backends();
@@ -697,6 +652,62 @@ mod tests {
             .job_ids()
             .iter()
             .all(|id| runtime.status(*id) == Some(JobStatus::Completed)));
+    }
+
+    /// `(job, cache_hit)` of every `plan` event and the job of every `bound`
+    /// event, in publish order.
+    fn plan_and_bound(runtime: &Runtime) -> (Vec<(u64, bool)>, Vec<u64>) {
+        let mut plans = Vec::new();
+        let mut bounds = Vec::new();
+        for event in runtime.tracer().drain() {
+            match event.stage {
+                Stage::Plan { cache_hit, .. } => plans.push((event.job, cache_hit)),
+                Stage::Bound => bounds.push(event.job),
+                _ => {}
+            }
+        }
+        (plans, bounds)
+    }
+
+    #[test]
+    fn one_shot_entry_points_trace_plan_and_bound() {
+        let traced = || {
+            let mut runtime = Runtime::with_default_backends();
+            runtime.set_tracer(Arc::new(qml_observe::RingTracer::new()));
+            let ids = [
+                runtime.submit(gate_bundle(32)).unwrap(),
+                runtime.submit(gate_bundle(32)).unwrap(),
+            ];
+            (runtime, ids)
+        };
+
+        let (runtime, ids) = traced();
+        runtime.run_job(ids[0]).unwrap();
+        runtime.run_job(ids[1]).unwrap();
+        let (plans, bounds) = plan_and_bound(&runtime);
+        assert_eq!(
+            plans,
+            vec![(ids[0].0, false), (ids[1].0, true)],
+            "run_job: one plan event per job, the miss first"
+        );
+        assert_eq!(bounds, vec![ids[0].0, ids[1].0]);
+
+        let (runtime, ids) = traced();
+        assert!(runtime.run_all(2).iter().all(|(_, o)| o.is_ok()));
+        let (mut plans, mut bounds) = plan_and_bound(&runtime);
+        assert_eq!(
+            plans.iter().filter(|(_, hit)| !hit).count(),
+            1,
+            "run_all: exactly one of the two identical jobs realizes the plan"
+        );
+        plans.sort();
+        bounds.sort();
+        assert_eq!(
+            plans.iter().map(|(job, _)| *job).collect::<Vec<_>>(),
+            vec![ids[0].0, ids[1].0],
+            "one plan event per job"
+        );
+        assert_eq!(bounds, vec![ids[0].0, ids[1].0], "one bound event per job");
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //! * [`Scheduler`] — honours an explicit engine request from the context, and
 //!   otherwise ranks family-compatible backends by descriptor cost hints —
 //!   the paper's HPC-scheduler analogy (§2).
-//! * [`Runtime`] — job submission, status tracking, and parallel execution of
-//!   queued jobs on a cost-ranked, work-stealing worker pool that shares one
-//!   transpilation/lowering cache across all executions.
-//! * [`pool`] — the **streaming** executor: a feed-while-running
-//!   [`WorkerPool`] over a shared [`JobSource`] injector, so long-lived
-//!   services accept and execute work continuously instead of draining
-//!   one-shot snapshots ([`Runtime::run_all_detailed`] remains the one-shot
-//!   specialization).
+//! * [`Runtime`] — job submission, status tracking, and the one execution
+//!   routine: claimed jobs run as a timed batch
+//!   ([`qml_backends::Backend::execute_batch_timed`]) through one shared
+//!   transpilation/lowering cache. [`Runtime::run_job`] is a batch of one;
+//!   [`Runtime::run_all`] drains a cost-ranked snapshot of the queue.
+//! * [`pool`] — the one worker loop, fed by a [`JobSource`]: one-shot drains
+//!   borrow it on scoped threads, and the feed-while-running [`WorkerPool`]
+//!   keeps it alive so long-lived services accept and execute work
+//!   continuously.
 //! * [`services`] — orthogonal context services (§4.3.1): the QEC service and
 //!   a communication estimator for partitioned (multi-QPU) execution.
 

@@ -1,25 +1,22 @@
-//! A feed-while-running worker pool over a shared job source.
+//! The worker loop, and a feed-while-running pool of it over a shared job
+//! source.
 //!
-//! [`Runtime::run_all_detailed`](crate::Runtime::run_all_detailed) is a
-//! *one-shot* drain: it snapshots the queue, deals the snapshot onto
-//! per-worker deques, and exits when the snapshot is exhausted — work
-//! submitted mid-drain waits for the next drain. A long-running service needs
-//! the opposite shape: workers that live as long as the service does and ask
-//! a shared **injector** for the next job each time they go idle, so new
-//! submissions are picked up immediately.
+//! Every way of executing jobs is a [`JobSource`] feeding one worker loop:
+//! each worker repeatedly calls [`JobSource::next_job`], which either hands
+//! out queued work ([`Feed::Job`]), asks the worker to back off briefly
+//! ([`Feed::Idle`]), or tells it to exit ([`Feed::Shutdown`]). The policy —
+//! FIFO, cost-ranked, deficit-round-robin across tenants — lives entirely in
+//! the source. [`Runtime::run_all_detailed`](crate::Runtime::run_all_detailed)
+//! feeds the loop a ranked *snapshot* of the queue on scoped threads and
+//! returns when it is exhausted; a long-running service needs workers that
+//! live as long as it does and pick up new submissions immediately, which is
+//! the [`WorkerPool`] here, fed by the serving tier's (`qml-service`) fair
+//! scheduler.
 //!
-//! This module provides that shape without fixing a queueing policy. The
-//! injector is any [`JobSource`]: each worker repeatedly calls
-//! [`JobSource::next_job`], which either hands out a queued [`JobId`]
-//! ([`Feed::Job`]), asks the worker to back off briefly ([`Feed::Idle`]), or
-//! tells it to exit ([`Feed::Shutdown`]). The policy — FIFO, cost-ranked,
-//! deficit-round-robin across tenants — lives entirely in the source; the
-//! serving tier (`qml-service`) implements fairness there.
-//!
-//! Executed jobs flow through the runtime's usual claim/execute path (shared
-//! transpilation cache included) and are reported to an outcome sink as they
-//! finish, so callers can update metrics live rather than waiting for a
-//! drain to return.
+//! Dispatched jobs go through the runtime's atomic claim and its one
+//! execution routine (shared transpilation cache included) and are reported
+//! to an outcome sink as they finish, so callers can update metrics live
+//! rather than waiting for a drain to return.
 
 use std::sync::Arc;
 use std::thread;
@@ -52,8 +49,9 @@ pub struct JobDispatch {
     /// Additional jobs coalesced into this dispatch by the source. All
     /// members share the head's backend and realization-plan key, so the
     /// worker executes `[id, rest...]` through one
-    /// [`Backend::execute_batch`](qml_backends::Backend::execute_batch)
-    /// call; outcomes reach the sink per member, in this order.
+    /// [`Backend::execute_batch_timed`](qml_backends::Backend::execute_batch_timed)
+    /// call (a solo dispatch is the same call with `rest` empty); outcomes
+    /// reach the sink per member, in this order.
     pub rest: Vec<JobId>,
     /// A placement computed at admission time, reused for execution (and
     /// shared by every batched member).
@@ -158,7 +156,7 @@ impl WorkerPool {
                 let sink = Arc::clone(&sink);
                 thread::Builder::new()
                     .name(format!("qml-worker-{worker}"))
-                    .spawn(move || worker_loop(worker, &runtime, &source, &sink))
+                    .spawn(move || worker_loop(worker, &runtime, &*source, &*sink))
                     .expect("failed to spawn pool worker thread")
             })
             .collect();
@@ -181,11 +179,14 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop(
+/// The one job loop: ask `source` for work until it answers
+/// [`Feed::Shutdown`], execute each dispatch on `runtime`, report every
+/// member to `sink`. Returns the number of jobs executed.
+pub(crate) fn worker_loop(
     worker: usize,
-    runtime: &Arc<Runtime>,
-    source: &Arc<dyn JobSource>,
-    sink: &Arc<OutcomeSink>,
+    runtime: &Runtime,
+    source: &dyn JobSource,
+    sink: &(dyn Fn(JobOutcome) + Sync),
 ) -> usize {
     let mut executed = 0usize;
     let mut idle_backoff = IDLE_BACKOFF;
@@ -200,9 +201,9 @@ fn worker_loop(
                 // Solo dispatch or micro-batch — one path: claim every
                 // member in order (a concurrent drain may have raced us to a
                 // job; lost claims release the source's in-flight slot and
-                // are skipped individually), execute the survivors through
-                // the backend's device-level batch path, and stream
-                // per-member outcomes to the sink in dispatch order.
+                // are skipped individually), execute the survivors as one
+                // timed batch, and stream per-member outcomes to the sink in
+                // dispatch order.
                 idle_backoff = IDLE_BACKOFF;
                 let mut claimed = Vec::with_capacity(dispatch.len());
                 for id in dispatch.ids() {
@@ -214,30 +215,12 @@ fn worker_loop(
                 if claimed.is_empty() {
                     continue;
                 }
-                let placement = dispatch
-                    .placement
-                    .or_else(|| runtime.scheduler().place(&claimed[0].1).ok());
-                // The batch executes as one backend call, but each member's
-                // duration is measured individually (bind + sample, plus a
-                // proportional share of the group's one plan realization) —
-                // an even split would misreport per-job cost and per-backend
-                // busy-seconds whenever members differ, e.g. a shot ladder.
-                let outcomes = runtime.execute_claimed_batch(claimed, placement.as_ref());
-                for (id, result, duration) in outcomes {
-                    let backend = result
-                        .as_ref()
-                        .ok()
-                        .map(|r| r.backend.clone())
-                        .or_else(|| placement.as_ref().map(|p| p.backend.name().to_string()));
+                for outcome in runtime.execute_claimed_batch(claimed, dispatch.placement) {
                     executed += 1;
                     sink(JobOutcome {
-                        id,
-                        result,
-                        backend,
                         device: dispatch.device.clone(),
-                        duration,
                         worker,
-                        stolen: false,
+                        ..outcome
                     });
                 }
             }
@@ -456,6 +439,42 @@ mod tests {
         let sink = Arc::new(|_outcome: JobOutcome| {});
         let executed = WorkerPool::spawn(&runtime, 1, source, sink).join();
         assert_eq!(executed, 2, "lost claims are skipped, not re-run");
+    }
+
+    #[test]
+    fn backend_panic_fails_the_whole_batch_and_keeps_the_worker() {
+        use crate::{BackendRegistry, JobStatus, Scheduler};
+        use qml_backends::testing::{faulty, FaultPlan};
+        use qml_backends::GateBackend;
+
+        // The second member of a three-job batch panics inside the backend:
+        // the call never returns, so all three members fail — reported by a
+        // worker that is still alive to be joined.
+        let mut registry = BackendRegistry::new();
+        registry.register(faulty(
+            GateBackend::new(),
+            FaultPlan::none().with_panic_nth([1]),
+        ));
+        let runtime = Arc::new(Runtime::new(Scheduler::new(registry)));
+        let ids: Vec<JobId> = (0..3)
+            .map(|seed| runtime.submit(gate_bundle(seed)).unwrap())
+            .collect();
+        let source = Arc::new(OneBatchSource {
+            ids: Mutex::new(ids.clone()),
+        });
+        let sink = Arc::new(|outcome: JobOutcome| {
+            assert!(!outcome.result.unwrap_err().is_device_fault());
+        });
+        let executed = WorkerPool::spawn(&runtime, 1, source, sink).join();
+        assert_eq!(executed, 3, "every member is reported, none stranded");
+        for id in ids {
+            match runtime.status(id) {
+                Some(JobStatus::Failed(msg)) => {
+                    assert!(msg.contains("backend panicked"), "{msg}")
+                }
+                other => panic!("expected a failed job, got {other:?}"),
+            }
+        }
     }
 
     #[test]

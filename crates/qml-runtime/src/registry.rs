@@ -167,24 +167,6 @@ impl Scheduler {
             QmlError::Unsupported("no registered backend can realize this bundle".into())
         })
     }
-
-    /// Place and immediately execute a bundle.
-    pub fn execute(&self, bundle: &JobBundle) -> Result<qml_backends::ExecutionResult> {
-        let placement = self.place(bundle)?;
-        placement.backend.execute(bundle)
-    }
-
-    /// Place and execute a bundle through a shared transpilation/lowering
-    /// cache: repeated `(program, target)` submissions skip realization on
-    /// cache-aware backends.
-    pub fn execute_cached(
-        &self,
-        bundle: &JobBundle,
-        cache: &qml_backends::TranspileCache,
-    ) -> Result<qml_backends::ExecutionResult> {
-        let placement = self.place(bundle)?;
-        placement.backend.execute_cached(bundle, cache)
-    }
 }
 
 #[cfg(test)]
@@ -249,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_via_scheduler_round_trips() {
+    fn placed_backend_executes_the_bundle() {
         let bundle =
             maxcut_ising_program(&cycle(4))
                 .unwrap()
@@ -257,7 +239,8 @@ mod tests {
                     "anneal.neal_simulator",
                     AnnealConfig::with_reads(100),
                 ));
-        let result = scheduler().execute(&bundle).unwrap();
+        let placement = scheduler().place(&bundle).unwrap();
+        let result = placement.backend.execute(&bundle).unwrap();
         assert_eq!(result.shots, 100);
         assert_eq!(result.backend, "qml-simulated-annealer");
     }

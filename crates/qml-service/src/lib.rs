@@ -14,8 +14,12 @@
 //!   worker pool that accepts `submit`/`submit_sweep` *while running* and is
 //!   shut down through its [`ServiceHandle`] — [`drain`](ServiceHandle::drain)
 //!   finishes admitted work, [`abort`](ServiceHandle::abort) stops at the next
-//!   job boundary. [`QmlService::run_pending`] remains as the one-shot
-//!   submit-then-drain wrapper.
+//!   job boundary. [`QmlService::run_pending`] is `start` followed at once
+//!   by `drain`. Every job reaches its backend the same way: a pool worker
+//!   executes the scheduler's dispatch as one
+//!   [`execute_batch_timed`](qml_backends::Backend::execute_batch_timed) call
+//!   through the shared cache, and a backend that panics fails that
+//!   dispatch's jobs instead of taking the worker down.
 //! * **Per-tenant fair scheduling** — deficit round robin over cost-ranked
 //!   per-tenant queues, with [`TenantPolicy`] weights, in-flight caps, and
 //!   token-bucket [`RateLimit`]s, so one tenant's thousand-point sweep cannot
@@ -29,16 +33,16 @@
 //!   systematically under-estimated workload cannot hog device time.
 //! * **Micro-batched dispatch** — up to [`ServiceConfig::max_batch`]
 //!   plan-compatible jobs of one tenant coalesce into a single device-level
-//!   [`execute_batch`](qml_backends::Backend::execute_batch) call (one
-//!   transpilation/lowering per group even on a cold cache), with deficit,
+//!   [`execute_batch_timed`](qml_backends::Backend::execute_batch_timed) call
+//!   (one transpilation/lowering per group even on a cold cache), with deficit,
 //!   tokens, and in-flight slots still spent per member so fairness
 //!   accounting is unchanged.
 //! * **Service classes** — every job carries a
 //!   [`ServiceClass`](qml_types::ServiceClass) (`Latency`, optionally with a
 //!   deadline, or the default `Throughput`). Within a tenant, latency jobs
 //!   run first (earliest-deadline-first among them) and are dispatched under
-//!   a small fixed micro-batch cap ([`ServiceConfig::latency_max_batch`]),
-//!   while throughput jobs keep the adaptive cap; a latency arrival preempts
+//!   a small fixed micro-batch cap (two members), while throughput jobs
+//!   batch up to [`ServiceConfig::max_batch`]; a latency arrival preempts
 //!   *coalescing* of a throughput batch, never its execution. Cross-tenant
 //!   DRR stays class-blind, so classes never bypass fairness. Per-class
 //!   queue/dispatch/deadline-miss counters surface as [`ClassStats`].
@@ -121,7 +125,6 @@ pub use observe::{
 };
 pub use scheduler::{RateLimit, TenantPolicy};
 pub use service::{
-    BatchId, QmlService, ServiceConfig, ServiceHandle, DEFAULT_CHARGE_BACK_CLAMP,
-    DEFAULT_LATENCY_MAX_BATCH, DEFAULT_MAX_BATCH,
+    BatchId, QmlService, ServiceConfig, ServiceHandle, DEFAULT_CHARGE_BACK_CLAMP, DEFAULT_MAX_BATCH,
 };
 pub use sweep::SweepRequest;

@@ -84,13 +84,6 @@ pub struct RunSummary {
     pub failed: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// Jobs an idle worker stole from a busy worker's deque. Always 0 for
-    /// streaming runs: the streaming pool pulls from one shared fair
-    /// scheduler, so there are no per-worker deques to steal from (kept for
-    /// compatibility with the one-shot [`Runtime::run_all_detailed`] path).
-    ///
-    /// [`Runtime::run_all_detailed`]: qml_runtime::Runtime::run_all_detailed
-    pub stolen: usize,
     /// Wall-clock duration of the run, in seconds.
     pub wall_seconds: f64,
     /// Throughput of the run: jobs per wall-clock second.

@@ -36,8 +36,9 @@ pub use qml_observe::{
 
 /// Schema version stamped into every [`ObservabilitySnapshot`]; bump on any
 /// breaking change to the snapshot layout so stored trajectories stay
-/// diffable.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// diffable. Version 2 dropped `RunSummary::stolen` (always 0: one shared
+/// job source, no per-worker deques to steal from).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Cost-model accuracy gauges, lifted out of
 /// [`SchedulerMetrics`](crate::SchedulerMetrics) so the snapshot exposes the

@@ -81,6 +81,14 @@ pub(crate) const MIN_JOB_COST: f64 = 1.0;
 /// under the scheduler lock every worker contends on.
 const MAX_BATCH_SCAN: usize = 64;
 
+/// Micro-batch cap of a latency-class dispatch
+/// ([`ServiceClass::Latency`]): pairs of plan-compatible latency jobs still
+/// amortize one realization, but a latency dispatch never grows past two
+/// members — a latency job must not wait out a long device-level batch call,
+/// so tail latency stays bounded by roughly one queue-mate even under a
+/// saturating throughput backlog.
+const LATENCY_MAX_BATCH: usize = 2;
+
 /// Upper bound on DRR passes per dispatch attempt. With the quantum equal
 /// to the largest currently queued head cost, any head job becomes
 /// dispatchable within `1 / weight ≤ 1 / MIN_WEIGHT` visits, so this is
@@ -185,7 +193,7 @@ pub struct SchedulerMetrics {
     /// Scans that found nothing dispatchable (the caller backed off).
     pub idle_polls: u64,
     /// Micro-batches formed: dispatches that coalesced ≥ 2 plan-compatible
-    /// jobs into one device-level `execute_batch` call.
+    /// jobs into one device-level `execute_batch_timed` call.
     #[serde(default)]
     pub batches: u64,
     /// Jobs dispatched as members of a micro-batch (heads included).
@@ -464,16 +472,6 @@ pub(crate) struct FairScheduler {
     /// Largest number of plan-compatible **throughput-class** jobs one
     /// dispatch may coalesce (1 disables micro-batching).
     max_batch: usize,
-    /// The latency class's own micro-batch cap (default 2): a latency head
-    /// coalesces at most this many jobs, never the adaptive throughput cap —
-    /// a latency job must not wait out a long device-level batch call.
-    latency_max_batch: usize,
-    /// Scale the per-dispatch batch cap from live queue depth: a deep
-    /// backlog batches to `max_batch` for throughput, a shallow queue keeps
-    /// batches small so a straggler job is not held behind a long device
-    /// call. `false` pins the cap at `max_batch` (the pre-adaptive behavior).
-    /// Throughput class only — the latency cap is always fixed.
-    adaptive_batch: bool,
     tenants: BTreeMap<Arc<str>, TenantQueue>,
     /// Visit order; tenants are appended on first admission and never
     /// removed (an empty queue is skipped in O(1)).
@@ -575,8 +573,6 @@ pub(crate) enum OutcomeDisposition {
 impl FairScheduler {
     pub(crate) fn new(
         max_batch: usize,
-        latency_max_batch: usize,
-        adaptive_batch: bool,
         ewma_alpha: f64,
         charge_back_clamp: f64,
         obs: Arc<MetricsRegistry>,
@@ -584,8 +580,6 @@ impl FairScheduler {
         FairScheduler {
             mode: Mode::Stopped,
             max_batch: max_batch.max(1),
-            latency_max_batch: latency_max_batch.max(1),
-            adaptive_batch,
             tenants: BTreeMap::new(),
             rotation: Vec::new(),
             cursor: 0,
@@ -1348,21 +1342,16 @@ impl FairScheduler {
         SchedPoll::Idle
     }
 
-    /// The batch-size cap of one dispatch, given the head's service class
-    /// and how many jobs are queued behind the already-taken head. A
-    /// latency-class head always uses the fixed `latency_max_batch` cap —
-    /// its whole point is a short device call. A throughput head is capped
-    /// at `max_batch`, scaled to `queued/2 + 1` (clamped to
-    /// `[1, max_batch]`) when adaptive batching is on — deep queue → full
-    /// cap, shallow queue → small batch.
-    fn effective_max_batch(&self, class: ServiceClass, queued_behind_head: usize) -> usize {
+    /// The batch-size cap of one dispatch, given the head's service class: a
+    /// latency-class head always uses the fixed [`LATENCY_MAX_BATCH`] — its
+    /// whole point is a short device call — and a throughput head is capped
+    /// at `max_batch`.
+    fn effective_max_batch(&self, class: ServiceClass) -> usize {
         if class.is_latency() {
-            return self.latency_max_batch;
+            LATENCY_MAX_BATCH
+        } else {
+            self.max_batch
         }
-        if !self.adaptive_batch {
-            return self.max_batch;
-        }
-        (queued_behind_head / 2 + 1).clamp(1, self.max_batch)
     }
 
     /// Opportunistically extend a just-dispatched head job into a
@@ -1371,7 +1360,7 @@ impl FairScheduler {
     /// service class*, spending deficit and rate-limit tokens and taking
     /// in-flight slots **per member**, exactly as solo dispatches would —
     /// fairness accounting is unchanged; the batch merely rides one worker
-    /// round-trip and one device-level `execute_batch` call.
+    /// round-trip and one device-level `execute_batch_timed` call.
     ///
     /// Under contention (any other tenant has queued work) a member is only
     /// taken while the tenant's remaining deficit covers its cost, so DRR
@@ -1402,10 +1391,7 @@ impl FairScheduler {
         // non-empty count exceeds this tenant's own contribution.
         let tenant = self.tenants.get_mut(name).expect("tenant exists");
         let contended = self.nonempty > usize::from(!tenant.queue.is_empty());
-        // Per-class cap, read from the live backlog (queue length and the
-        // non-empty count are both O(1) signals — no scan).
-        let queued_behind_head = tenant.queue.len();
-        let cap = self.effective_max_batch(head.class, queued_behind_head);
+        let cap = self.effective_max_batch(head.class);
         if cap <= 1 {
             return rest;
         }
@@ -1524,7 +1510,7 @@ mod tests {
     }
 
     fn sched_with(policies: &[(&str, TenantPolicy)]) -> (FairScheduler, Vec<Arc<str>>) {
-        let mut sched = FairScheduler::new(8, 2, false, 0.4, 16.0, noop_registry());
+        let mut sched = FairScheduler::new(8, 0.4, 16.0, noop_registry());
         sched.mode = Mode::Running;
         let names = policies
             .iter()
@@ -1802,51 +1788,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_batching_scales_the_cap_with_queue_depth() {
-        let mut sched = FairScheduler::new(8, 2, true, 0.4, 16.0, noop_registry());
-        sched.mode = Mode::Running;
-        let name = sched.intern("solo", &TenantPolicy::default());
-
-        // Deep backlog: 16 compatible jobs → the first dispatch still
-        // batches all the way to the fixed cap.
-        for i in 0..16 {
-            sched.admit(&name, JobId(i), 1.0, None, None, Some(42));
-        }
-        let now = Instant::now();
-        let SchedPoll::Dispatch(first) = sched.next_job(now) else {
-            panic!("expected dispatch");
-        };
-        assert_eq!(first.len(), 8, "deep queue batches to max_batch");
-        first.ids().for_each(|id| sched.release(id));
-
-        // 8 left; head taken → 7 behind → cap 7/2+1 = 4.
-        let SchedPoll::Dispatch(second) = sched.next_job(now) else {
-            panic!("expected dispatch");
-        };
-        assert_eq!(second.len(), 4, "mid-depth queue halves the batch");
-        second.ids().for_each(|id| sched.release(id));
-
-        // 4 left; head taken → 3 behind → cap 2.
-        let SchedPoll::Dispatch(third) = sched.next_job(now) else {
-            panic!("expected dispatch");
-        };
-        assert_eq!(third.len(), 2, "shallow queue ships small batches");
-        third.ids().for_each(|id| sched.release(id));
-    }
-
-    #[test]
-    fn adaptive_batching_off_keeps_the_fixed_cap() {
-        let (mut sched, names) = sched_with(&[("solo", TenantPolicy::default())]);
-        for i in 0..4 {
-            sched.admit(&names[0], JobId(i), 1.0, None, None, Some(42));
-        }
-        let SchedPoll::Dispatch(batch) = sched.next_job(Instant::now()) else {
-            panic!("expected dispatch");
-        };
-        assert_eq!(batch.len(), 4, "fixed cap takes the whole shallow queue");
-    }
-
-    #[test]
     fn contended_batches_stay_within_the_drr_budget() {
         // Under contention a batch may only spend the deficit its tenant was
         // credited: weight 3 affords three equal-cost members per visit,
@@ -1961,7 +1902,7 @@ mod tests {
     }
 
     fn mis_estimated_sched(charge_back_clamp: f64) -> (FairScheduler, Vec<Arc<str>>) {
-        let mut sched = FairScheduler::new(1, 2, false, 0.4, charge_back_clamp, noop_registry());
+        let mut sched = FairScheduler::new(1, 0.4, charge_back_clamp, noop_registry());
         sched.mode = Mode::Running;
         let names: Vec<Arc<str>> = [("under", ()), ("exact", ())]
             .iter()
@@ -2236,7 +2177,7 @@ mod tests {
     fn disabled_model_ignores_duration_hints_too() {
         // alpha <= 0 must restore *pure* estimate-unit admission: hints are
         // part of the measured-cost path and must not reprice either.
-        let mut sched = FairScheduler::new(8, 2, false, 0.0, 16.0, noop_registry());
+        let mut sched = FairScheduler::new(8, 0.0, 16.0, noop_registry());
         sched.mode = Mode::Running;
         let name = sched.intern("t", &TenantPolicy::default());
         sched.admit(&name, JobId(0), 40.0, Some(0.005), None, Some(9));
@@ -2458,7 +2399,7 @@ mod tests {
         assert_eq!(
             sizes,
             vec![(true, 2), (true, 2), (false, 8)],
-            "latency caps at latency_max_batch, throughput at max_batch"
+            "latency caps at LATENCY_MAX_BATCH, throughput at max_batch"
         );
     }
 

@@ -34,27 +34,13 @@ pub struct BatchId(pub u64);
 pub struct ServiceConfig {
     /// Worker threads in the streaming pool (and in `run_pending` drains).
     pub workers: usize,
-    /// Largest number of plan-compatible jobs the fair scheduler may
-    /// coalesce into one device-level dispatch (see the micro-batching notes
-    /// on [`QmlService`]). `1` disables batching; the default is
-    /// [`DEFAULT_MAX_BATCH`].
+    /// Largest number of plan-compatible throughput-class jobs the fair
+    /// scheduler may coalesce into one device-level dispatch (see the
+    /// micro-batching notes on [`QmlService`]). `1` disables batching; the
+    /// default is [`DEFAULT_MAX_BATCH`]. Latency-class dispatches
+    /// ([`ServiceClass::Latency`](qml_types::ServiceClass)) are always capped
+    /// at two members, whatever this says.
     pub max_batch: usize,
-    /// Scale the per-dispatch batch cap from live queue depth instead of
-    /// always batching to [`ServiceConfig::max_batch`]: a deep backlog still
-    /// batches to the cap for throughput, but a shallow queue ships small
-    /// batches so an isolated job is not held behind a long device call.
-    /// Off by default (fixed cap, the pre-adaptive behavior). Applies to
-    /// [`ServiceClass::Throughput`](qml_types::ServiceClass) jobs only;
-    /// latency-class dispatches are always capped by
-    /// [`ServiceConfig::latency_max_batch`].
-    pub adaptive_batch: bool,
-    /// Fixed micro-batch cap for latency-class dispatches
-    /// ([`ServiceClass::Latency`](qml_types::ServiceClass)): a latency job
-    /// never waits for more than this many queue-mates to coalesce,
-    /// regardless of backlog depth or [`ServiceConfig::adaptive_batch`].
-    /// `1` disables latency batching entirely; the default is
-    /// [`DEFAULT_LATENCY_MAX_BATCH`].
-    pub latency_max_batch: usize,
     /// Policy applied to tenants without an explicit entry in
     /// [`ServiceConfig::tenant_policies`].
     pub default_policy: TenantPolicy,
@@ -103,12 +89,6 @@ pub struct ServiceConfig {
 /// does not serialize a whole sweep onto one worker of a small pool.
 pub const DEFAULT_MAX_BATCH: usize = 8;
 
-/// Default [`ServiceConfig::latency_max_batch`]: pairs of plan-compatible
-/// latency jobs still amortize one realization, but a latency dispatch never
-/// grows past two members — tail latency stays bounded by roughly one
-/// queue-mate even under a saturating throughput backlog.
-pub const DEFAULT_LATENCY_MAX_BATCH: usize = 2;
-
 /// Default [`ServiceConfig::charge_back_clamp`]: generous enough that a
 /// genuine 10×-under-estimated job is charged back in full (correction
 /// ≤ 16 × estimate covers it), tight enough that a 1000× outlier is
@@ -132,8 +112,6 @@ impl ServiceConfig {
         ServiceConfig {
             workers,
             max_batch: DEFAULT_MAX_BATCH,
-            adaptive_batch: false,
-            latency_max_batch: DEFAULT_LATENCY_MAX_BATCH,
             default_policy: TenantPolicy::default(),
             tenant_policies: BTreeMap::new(),
             cost_ewma_alpha: crate::cost_model::DEFAULT_COST_EWMA_ALPHA,
@@ -185,21 +163,6 @@ impl ServiceConfig {
     /// are treated as 1.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Enable (or disable) queue-depth-adaptive micro-batching,
-    /// builder-style (see [`ServiceConfig::adaptive_batch`]).
-    pub fn with_adaptive_batch(mut self, adaptive: bool) -> Self {
-        self.adaptive_batch = adaptive;
-        self
-    }
-
-    /// Cap (or disable, with `1`) latency-class micro-batching,
-    /// builder-style (see [`ServiceConfig::latency_max_batch`]). Values of 0
-    /// are treated as 1.
-    pub fn with_latency_max_batch(mut self, max_batch: usize) -> Self {
-        self.latency_max_batch = max_batch.max(1);
         self
     }
 
@@ -454,15 +417,15 @@ impl JobSource for ServiceInner {
 /// * **streaming** — [`QmlService::start`] spawns a long-lived worker pool
 ///   that keeps accepting `submit`/`submit_sweep` *while running* and is shut
 ///   down gracefully through the returned [`ServiceHandle`]; or
-/// * **one-shot** — [`QmlService::run_pending`], a thin submit-then-drain
-///   wrapper over the same machinery.
+/// * **one-shot** — [`QmlService::run_pending`]: `start` followed at once by
+///   [`ServiceHandle::drain`].
 ///
 /// **Micro-batching.** When the scheduler picks a tenant, it opportunistically
 /// coalesces up to [`ServiceConfig::max_batch`] queued jobs of that tenant
 /// that share a device-level batch key — same backend, same realization plan
 /// (see [`qml_backends::Backend::batch_key`]) — into one dispatch, executed
-/// through the backend's `execute_batch`: one transpilation/lowering serves
-/// the whole group even on a cold cache. Fairness accounting is unchanged
+/// through the backend's `execute_batch_timed`: one transpilation/lowering
+/// serves the whole group even on a cold cache. Fairness accounting is unchanged
 /// (deficit, rate-limit tokens, and in-flight slots are spent per member), so
 /// under contention batches stay within the tenant's DRR budget, while an
 /// uncontended tenant batches up to the cap. Formation counts surface in
@@ -550,8 +513,6 @@ impl QmlService {
         runtime.set_tracer(Arc::clone(obs.tracer()));
         let mut sched = FairScheduler::new(
             config.max_batch,
-            config.latency_max_batch,
-            config.adaptive_batch,
             config.cost_ewma_alpha,
             config.charge_back_clamp,
             Arc::clone(&obs),
@@ -988,7 +949,7 @@ impl ServiceHandle {
             // scheduler, but a drain still owes them execution — run_pending
             // drained the whole runtime queue before the streaming loop
             // existed, and that contract is kept. Sweep the leftovers with
-            // the runtime's one-shot pool and fold them into this summary.
+            // the runtime's one-shot drain and fold them into this summary.
             for outcome in self.inner.runtime.run_all_detailed(self.workers) {
                 self.inner.record_outcome(&outcome, &self.counters);
             }
@@ -1000,7 +961,6 @@ impl ServiceHandle {
             completed: self.counters.completed.load(Ordering::Relaxed) as usize,
             failed: self.counters.failed.load(Ordering::Relaxed) as usize,
             workers: self.workers,
-            stolen: 0,
             wall_seconds,
             jobs_per_second: if wall_seconds > 0.0 {
                 jobs as f64 / wall_seconds
@@ -1140,6 +1100,54 @@ mod tests {
         handle.drain();
         // After a shutdown the service can be started again.
         service.start().unwrap().drain();
+    }
+
+    #[test]
+    fn panicking_backend_fails_its_job_and_strands_nothing() {
+        use qml_backends::testing::{faulty, FaultPlan};
+        use qml_backends::GateBackend;
+        use qml_runtime::{BackendRegistry, Scheduler};
+
+        const JOBS: usize = 6;
+        let mut registry = BackendRegistry::new();
+        registry.register(faulty(
+            GateBackend::new(),
+            FaultPlan::none().with_panic_nth([2]),
+        ));
+        // Solo dispatches, so the one scheduled panic takes exactly one job.
+        let service = QmlService::with_runtime(
+            Runtime::new(Scheduler::new(registry)),
+            ServiceConfig::with_workers(2).with_max_batch(1),
+        );
+        let jobs: Vec<JobId> = (0..JOBS as u64)
+            .map(|seed| {
+                let bundle = gate_program().with_context(gate_context(seed));
+                service.submit("alice", bundle).unwrap().1
+            })
+            .collect();
+
+        let report = service.start().unwrap().drain();
+        assert_eq!(report.failed, 1);
+        assert_eq!(report.completed, JOBS - 1);
+        assert_eq!(service.inner.sched.lock().in_flight(), 0);
+        let failures: Vec<String> = jobs
+            .iter()
+            .filter_map(|id| match service.status(*id) {
+                Some(JobStatus::Failed(msg)) => Some(msg),
+                other => {
+                    assert_eq!(other, Some(JobStatus::Completed));
+                    None
+                }
+            })
+            .collect();
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("backend panicked"), "{}", failures[0]);
+
+        // Both workers survived: the pool starts and drains again.
+        service
+            .submit("alice", gate_program().with_context(gate_context(99)))
+            .unwrap();
+        assert_eq!(service.start().unwrap().drain().completed, 1);
     }
 
     #[test]

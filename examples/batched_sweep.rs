@@ -29,7 +29,7 @@ fn main() -> std::result::Result<(), QmlError> {
     let program = qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))?;
 
     // max_batch 8: up to eight plan-compatible jobs ride one dispatch and
-    // one device-level `execute_batch` call.
+    // one device-level `execute_batch_timed` call.
     let service = QmlService::with_config(ServiceConfig::with_workers(2).with_max_batch(8));
 
     // One program, 16 seeded restarts: every job shares a gate-plan key, so

@@ -1,5 +1,5 @@
 //! Batch-service walkthrough: submit a QAOA angle scan and a seeded-restart
-//! sweep for two tenants, drain them on the work-stealing pool, and read the
+//! sweep for two tenants, drain them on the worker pool, and read the
 //! service metrics (throughput, cache hit rate, per-backend utilization).
 //!
 //! Run with: `cargo run --release --example service_sweep`
@@ -75,12 +75,11 @@ fn main() -> std::result::Result<(), QmlError> {
     );
     let report = service.run_pending();
     println!(
-        "drained {} jobs on {} workers in {:.1} ms ({:.0} jobs/s, {} stolen)",
+        "drained {} jobs on {} workers in {:.1} ms ({:.0} jobs/s)",
         report.jobs,
         report.workers,
         report.wall_seconds * 1e3,
         report.jobs_per_second,
-        report.stolen,
     );
 
     // Best angle point of the scan.

@@ -107,6 +107,17 @@ fn gate_batch_is_bit_identical_to_sequential_and_misses_once() {
     assert_eq!(stats.hits, 5);
     assert_eq!(stats.entries, 1);
     assert_eq!(sequential_cache.gate_stats(), stats);
+
+    // A solo job is a batch of one: the uncached entry point and a
+    // one-member batch reproduce what the member got inside the batch, with
+    // the same member-accurate counters.
+    let solo_cache = TranspileCache::new();
+    for (bundle, member) in bundles.iter().zip(&sequential) {
+        assert_eq!(&backend.execute(bundle).unwrap(), member);
+        let solo = backend.execute_batch(std::slice::from_ref(bundle), &solo_cache);
+        assert_eq!(solo[0].as_ref().unwrap(), member);
+    }
+    assert_eq!(solo_cache.gate_stats(), stats);
 }
 
 #[test]
@@ -193,6 +204,16 @@ fn anneal_batch_matches_sequential_and_shares_one_lowering() {
     let stats = batch_cache.anneal_stats();
     assert_eq!(stats.misses, 1, "one BQM lowering for the whole ladder");
     assert_eq!(stats.hits, 3);
+    assert_eq!(sequential_cache.anneal_stats(), stats);
+
+    // Same on the annealer: every entry point is the one batch path.
+    let solo_cache = TranspileCache::new();
+    for (bundle, member) in bundles.iter().zip(&sequential) {
+        assert_eq!(&backend.execute(bundle).unwrap(), member);
+        let solo = backend.execute_batch(std::slice::from_ref(bundle), &solo_cache);
+        assert_eq!(solo[0].as_ref().unwrap(), member);
+    }
+    assert_eq!(solo_cache.anneal_stats(), stats);
 }
 
 #[test]

@@ -149,10 +149,9 @@ fn listing_bundle_executes_on_the_gate_backend() {
     let meas = qml_core::algorithms::qft::qft_measurement(&qdt).unwrap();
     let ctx: ContextDescriptor = serde_json::from_str(LISTING_4).unwrap();
     let bundle = JobBundle::new("listing-exec", vec![qdt], vec![qod, meas]).with_context(ctx);
-    let result = Runtime::with_default_backends()
-        .scheduler()
-        .execute(&bundle)
-        .unwrap();
+    let runtime = Runtime::with_default_backends();
+    let id = runtime.submit(bundle).unwrap();
+    let result = runtime.run_job(id).unwrap();
     assert_eq!(result.shots, 4096);
     assert_eq!(result.engine, "gate.aer_simulator");
 }

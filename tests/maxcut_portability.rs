@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use qml_core::backends::{Backend, GateBackend};
+use qml_core::backends::{Backend, ExecutionResult, GateBackend};
 use qml_core::graph::{cut_value_of_bitstring, cycle};
 use qml_core::prelude::*;
 use qml_core::types::ParamValue;
@@ -24,6 +24,13 @@ fn anneal_context() -> ContextDescriptor {
     let mut cfg = AnnealConfig::with_reads(1000);
     cfg.seed = Some(42);
     ContextDescriptor::for_anneal("anneal.neal_simulator", cfg)
+}
+
+/// Submit one bundle to a fresh default runtime and run it.
+fn run(bundle: JobBundle) -> ExecutionResult {
+    let runtime = Runtime::with_default_backends();
+    let id = runtime.submit(bundle).unwrap();
+    runtime.run_job(id).unwrap()
 }
 
 #[test]
@@ -127,14 +134,9 @@ fn late_bound_angles_reach_the_same_quality() {
 #[test]
 fn anneal_path_expected_cut_is_near_optimal() {
     let graph = cycle(4);
-    let result = Runtime::with_default_backends()
-        .scheduler()
-        .execute(
-            &maxcut_ising_program(&graph)
-                .unwrap()
-                .with_context(anneal_context()),
-        )
-        .unwrap();
+    let result = run(maxcut_ising_program(&graph)
+        .unwrap()
+        .with_context(anneal_context()));
     let expected = result.expectation(|w| cut_value_of_bitstring(&graph, w));
     assert!(expected > 3.5, "annealer expected cut {expected}");
     assert_eq!(result.energy_stats.unwrap().min_energy, -4.0);
@@ -150,14 +152,9 @@ fn larger_instances_still_agree_on_the_winner() {
     let mut cfg = AnnealConfig::with_reads(500);
     cfg.seed = Some(1);
     cfg.num_sweeps = Some(500);
-    let anneal = Runtime::with_default_backends()
-        .scheduler()
-        .execute(
-            &maxcut_ising_program(&graph)
-                .unwrap()
-                .with_context(ContextDescriptor::for_anneal("anneal.neal_simulator", cfg)),
-        )
-        .unwrap();
+    let anneal = run(maxcut_ising_program(&graph)
+        .unwrap()
+        .with_context(ContextDescriptor::for_anneal("anneal.neal_simulator", cfg)));
     let best_word = anneal
         .counts
         .keys()
