@@ -14,11 +14,24 @@
 //! a job, and it is comparable with `sim.ns_per_amp_update` of the benchmark's
 //! layer walk.
 //!
+//! Single gates are not how a circuit runs above `PARALLEL_THRESHOLD`, where
+//! `apply_view` starts threads once per run of gates: the last rows push a
+//! whole plan — the benchmark's two-layer ring QAOA, transpiled to
+//! `{sx, rz, cx}` on a line — through `apply_view` at 12, 14 and 16 qubits
+//! and print nanoseconds per amplitude update (gates × 2ⁿ per pass), the
+//! unit of `sim.ns_per_amp_update`.
+//!
 //! Run with: `cargo bench -p qml-bench --bench kernel_throughput`
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::time::Instant;
 
-use qml_core::sim::{Gate, StateVector};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+
+use qml_core::backends::lower_to_circuit;
+use qml_core::graph::cycle;
+use qml_core::prelude::*;
+use qml_core::sim::{Circuit, Gate, StateVector};
+use qml_core::transpile::{transpile, CouplingMap, TranspileTarget};
 
 const AMPLITUDES_PER_ITER: usize = 1 << 20;
 
@@ -64,5 +77,51 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench);
+/// The `state_serial` / `state_parallel` plan at `n` qubits.
+fn ring_qaoa_plan(n: usize) -> Circuit {
+    let angles = [(0.4, 1.1), (0.9, 0.6)].map(|(gamma, beta)| QaoaAngles { gamma, beta });
+    let program = qaoa_maxcut_program(&cycle(n), &QaoaSchedule::Fixed(angles.to_vec())).unwrap();
+    let lowered = lower_to_circuit(&program).unwrap();
+    let target = TranspileTarget::hardware(CouplingMap::linear(n));
+    transpile(&lowered.circuit, &target, 3).unwrap().circuit
+}
+
+/// Whole plans through `apply_view`: about 2²⁸ amplitude updates per sample,
+/// median and best of ten samples (one short sample under `--quick`/`--test`).
+fn bench_plans(_: &mut Criterion) {
+    let quick = std::env::args().any(|a| a == "--quick" || a == "--test");
+    let (samples, budget) = if quick {
+        (1, 1 << 22)
+    } else {
+        (10, 1usize << 28)
+    };
+    for n in [12usize, 14, 16] {
+        let plan = ring_qaoa_plan(n);
+        let updates = plan.len() << n;
+        let passes = (budget / updates).max(1);
+        let mut buf = Vec::new();
+        let mut ns = Vec::with_capacity(samples);
+        for _ in 0..samples {
+            let start = Instant::now();
+            for _ in 0..passes {
+                let mut sv = StateVector::zero_state_in(n, buf);
+                sv.apply_view(&plan);
+                buf = black_box(sv).into_amps();
+            }
+            ns.push(start.elapsed().as_nanos() as f64 / (passes * updates) as f64);
+        }
+        // The median, not the mean: on a shared box a sample that lost its
+        // core for a few milliseconds would otherwise set the figure.
+        ns.sort_by(f64::total_cmp);
+        println!(
+            "bench: kernel_throughput/{n}q/ring_qaoa_plan ({} gates): {:.3} ns per amplitude \
+             update, best {:.3} (median of {samples} samples of {passes} passes)",
+            plan.len(),
+            ns[samples / 2],
+            ns[0]
+        );
+    }
+}
+
+criterion_group!(benches, bench, bench_plans);
 criterion_main!(benches);

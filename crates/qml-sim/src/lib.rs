@@ -10,8 +10,9 @@
 //!   including the paper's `{sx, rz, cx}` hardware basis. Rotation angles
 //!   are [`ParamExpr`]s, so circuits may stay symbolic through transpilation
 //!   and be bound per execution ([`Circuit::bind`]).
-//! * [`StateVector`] — amplitudes plus gate-application kernels
-//!   (rayon-parallel above [`state::PARALLEL_THRESHOLD`]).
+//! * [`StateVector`] — amplitudes plus gate-application kernels; above
+//!   [`state::PARALLEL_THRESHOLD`] a circuit runs as one rayon region per run
+//!   of gates that stay below the top qubits, not one per gate.
 //! * [`Circuit`] / [`qft_circuit`] — ordered gate lists with explicit
 //!   measurement maps and the textbook QFT construction.
 //! * [`BoundCircuit`] — zero-copy parameter binding: a shared plan circuit

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::circuit::{Circuit, CircuitView};
-use crate::state::{DegenerateStateError, StateVector};
+use crate::state::{DegenerateStateError, StateVector, PARALLEL_THRESHOLD};
 
 /// Reusable per-worker simulation buffers: the 2ⁿ amplitude vector plus the
 /// sampling CDF and draw scratch. A worker draining a 16-member device
@@ -43,11 +43,24 @@ thread_local! {
     static THREAD_SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::new());
 }
 
-/// Run `f` with this worker thread's shared [`SimScratch`]. Executor workers
-/// call this once per claimed batch so every member reuses one amplitude
-/// buffer.
+/// Run `f` with this worker thread's shared [`SimScratch`]. The gate backend
+/// calls this once per batch member, so the members a worker executes reuse
+/// one amplitude buffer — up to [`PARALLEL_THRESHOLD`] amplitudes. A larger
+/// buffer (1 MB at 16 qubits, 256 MB at 24, plus half that of CDF) is
+/// released on the way out instead of staying pinned to a long-lived worker
+/// thread as a high-water mark: at that size the allocation is noise next to
+/// the simulation it serves.
 pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
-    THREAD_SCRATCH.with(|s| f(&mut s.borrow_mut()))
+    THREAD_SCRATCH.with(|s| {
+        let mut scratch = s.borrow_mut();
+        let out = f(&mut scratch);
+        if scratch.amps.capacity() > PARALLEL_THRESHOLD {
+            scratch.amps = Vec::new();
+            scratch.cdf = Vec::new();
+            scratch.draws = Vec::new();
+        }
+        out
+    })
 }
 
 /// Shot-sampled execution result.
@@ -274,6 +287,43 @@ mod tests {
             1,
             "a 16-member batch of same-width circuits should allocate amplitudes once"
         );
+    }
+
+    #[test]
+    fn thread_scratch_keeps_small_buffers_and_releases_large_ones() {
+        let ghz = |n: usize| {
+            let mut qc = Circuit::new(n);
+            qc.push(Gate::H(0));
+            qc.extend(&(1..n).map(|q| Gate::Cx(q - 1, q)).collect::<Vec<_>>());
+            qc.measure_all();
+            qc
+        };
+        let sim = Simulator::new();
+        let run = |qc: &Circuit, seed| {
+            with_thread_scratch(|scratch| sim.run_view_with_scratch(qc, 64, seed, scratch)).unwrap()
+        };
+
+        // A batch of 12-qubit members: one amplitude allocation, retained.
+        let small = ghz(12);
+        for seed in 0..8 {
+            assert_eq!(run(&small, seed), sim.run(&small, 64, seed));
+        }
+        with_thread_scratch(|scratch| {
+            assert_eq!(scratch.amp_allocations(), 1);
+            assert!(scratch.amps.capacity() >= 1 << 12);
+            assert!(scratch.cdf.capacity() >= 1 << 12);
+        });
+
+        // 15 qubits is above PARALLEL_THRESHOLD: nothing stays behind.
+        let big = ghz(15);
+        const { assert!(1usize << 15 > PARALLEL_THRESHOLD) };
+        assert_eq!(run(&big, 3), sim.run(&big, 64, 3));
+        with_thread_scratch(|scratch| {
+            assert_eq!(scratch.amp_allocations(), 2);
+            assert_eq!(scratch.amps.capacity(), 0);
+            assert_eq!(scratch.cdf.capacity(), 0);
+            assert_eq!(scratch.draws.capacity(), 0);
+        });
     }
 
     #[test]

@@ -31,10 +31,24 @@
 //! module's tests holds the kernels to it, and is the guard a rounding-changing
 //! rewrite such as gate fusion has to face.
 //!
-//! Above [`PARALLEL_THRESHOLD`] amplitudes the arithmetic kernels fan out
-//! over the (higher) qubit's blocks with rayon; the maps are pure, so
-//! parallel and serial execution are bit-identical. The permutations stay
-//! serial (see `StateVector::permute`).
+//! # Above the threshold: one parallel region per run of gates
+//!
+//! A state of [`PARALLEL_THRESHOLD`] amplitudes or more is cut into one
+//! contiguous power-of-two *piece* per thread — blocking the state vector by
+//! its high qubits. A gate whose block (2^(highest qubit + 1) amplitudes) fits
+//! in a piece never reads across a piece boundary, so
+//! [`StateVector::apply_view`] and [`StateVector::apply_all`] collect
+//! consecutive such gates into a *run* and walk the **whole run** over each
+//! piece inside a single `par_chunks_mut` — permutations included. Only a gate
+//! on one of the top log2(threads) qubits interrupts a run; it is applied on
+//! its own, its outer blocks fanned out if it is arithmetic and has more than
+//! one, serially otherwise (see `Amps::permute`). Threads therefore start
+//! once per run, not once per gate, and every amplitude still receives the
+//! same arithmetic in the same order: runs, fan-out and serial execution are
+//! bit-identical (the run oracle in this module's tests compares with `==`).
+//! Below the threshold there is one per-gate serial path.
+
+use std::sync::OnceLock;
 
 use rand::Rng;
 use rayon::prelude::*;
@@ -214,156 +228,52 @@ impl StateVector {
     /// inline value and every kernel works on sub-slices of the amplitudes
     /// (the module docs list which ones each gate touches).
     pub fn apply(&mut self, gate: &Gate) {
-        let qubits = gate.qubits();
-        for &q in &qubits {
-            assert!(
-                q < self.num_qubits,
-                "gate {} on qubit {q} out of range",
-                gate.name()
-            );
-        }
-        match *gate {
-            // Pure permutations: exchange the two quarters whose control bit
-            // is set (cx, with the control the higher or the lower qubit) or
-            // whose two bits differ (swap).
-            Gate::Cx(c, t) if c > t => self.permute(c, t, |_, _, a10, a11| {
-                a10.swap_with_slice(a11);
-            }),
-            Gate::Cx(c, t) => self.permute(c, t, |_, a01, _, a11| {
-                a01.swap_with_slice(a11);
-            }),
-            Gate::Swap(a, b) => self.permute(a, b, |_, a01, a10, _| {
-                a01.swap_with_slice(a10);
-            }),
-            // Diagonals: only the quarter with both bits set picks up e^{iλ}.
-            Gate::Cz(c, t) => self.controlled_phase(c, t, std::f64::consts::PI),
-            Gate::Cp(c, t, lambda) => self.controlled_phase(c, t, lambda.value()),
-            // exp(-i θ/2 Z⊗Z): e^{-iθ/2} where the bits agree, e^{iθ/2}
-            // where they differ.
-            Gate::Rzz(a, b, theta) => {
-                let theta = theta.value();
-                let even = Complex64::from_phase(-theta / 2.0);
-                let odd = Complex64::from_phase(theta / 2.0);
-                self.two_qubit(a, b, move |a00, a01, a10, a11| {
-                    scale(a00, even);
-                    scale(a01, odd);
-                    scale(a10, odd);
-                    scale(a11, even);
-                });
-            }
-            ref g => {
-                let m = g
-                    .single_qubit_matrix()
-                    .expect("single-qubit gate must provide a matrix");
-                let q = qubits[0];
-                match g {
-                    Gate::Rz(..) => self.one_qubit(q, move |lo, hi| {
-                        scale(lo, m[0]);
-                        scale(hi, m[3]);
-                    }),
-                    // diag(1, e^{iφ}): the |0⟩ half is left alone.
-                    Gate::Z(_)
-                    | Gate::S(_)
-                    | Gate::Sdg(_)
-                    | Gate::T(_)
-                    | Gate::Tdg(_)
-                    | Gate::Phase(..) => self.one_qubit(q, move |_, hi| scale(hi, m[3])),
-                    _ => self.apply_single_qubit(q, &m),
-                }
-            }
-        }
+        check_qubits(self.num_qubits, gate);
+        self.whole().apply(gate);
     }
 
-    /// Apply every gate of a slice in order.
+    /// Apply every gate of a slice in order, in runs above
+    /// [`PARALLEL_THRESHOLD`] like [`StateVector::apply_view`].
     pub fn apply_all(&mut self, gates: &[Gate]) {
-        for gate in gates {
-            self.apply(gate);
-        }
+        self.apply_each(|f| gates.iter().for_each(f));
     }
 
     /// Apply every effective gate of a [`CircuitView`] in order — the
     /// overlay-aware application path: a [`crate::overlay::BoundCircuit`]
     /// substitutes its bound gates during the walk, without a copied circuit.
+    /// Above [`PARALLEL_THRESHOLD`] threads start once per run of gates (see
+    /// the module docs), not once per gate.
     pub fn apply_view<C: CircuitView + ?Sized>(&mut self, view: &C) {
-        view.for_each_gate(&mut |gate| self.apply(gate));
+        self.apply_each(|f| view.for_each_gate(f));
+    }
+
+    /// The one path every gate sequence takes; `each` visits the gates in
+    /// order. All gates are range-checked before any amplitude is touched, so
+    /// a bad sequence panics on the calling thread and leaves the state as it
+    /// was.
+    fn apply_each(&mut self, each: impl Fn(&mut dyn FnMut(&Gate))) {
+        each(&mut |gate| check_qubits(self.num_qubits, gate));
+        if self.amps.len() < PARALLEL_THRESHOLD {
+            let mut whole = self.whole();
+            each(&mut |gate| whole.apply(gate));
+        } else {
+            let piece = piece_len(self.amps.len());
+            apply_in_runs(&mut self.amps, piece, each);
+        }
     }
 
     /// Apply an arbitrary 2×2 unitary to qubit `q`.
     pub fn apply_single_qubit(&mut self, q: usize, m: &[Complex64; 4]) {
         assert!(q < self.num_qubits, "qubit {q} out of range");
-        let m = *m;
-        self.one_qubit(q, move |lo, hi| {
-            // Indexed over two equal-length halves (the bounds checks fold
-            // away): measured 0.95 ns per amplitude at every stride, where
-            // `lo.iter_mut().zip(hi)` compiled to 1.7 ns above stride 2.
-            let n = lo.len();
-            let hi = &mut hi[..n];
-            for i in 0..n {
-                let (a, b) = (lo[i], hi[i]);
-                lo[i] = m[0] * a + m[1] * b;
-                hi[i] = m[2] * a + m[3] * b;
-            }
-        });
+        self.whole().dense(q, m);
     }
 
-    /// Multiply the amplitudes with both bits set by e^{iλ}.
-    fn controlled_phase(&mut self, control: usize, target: usize, lambda: f64) {
-        let phase = Complex64::from_phase(lambda);
-        self.two_qubit(control, target, move |_, _, _, a11| scale(a11, phase));
-    }
-
-    /// The one-qubit primitive: hand `kernel` the `(|0⟩, |1⟩)` halves of
-    /// every 2^(q+1)-amplitude block, fanning out over blocks above
-    /// [`PARALLEL_THRESHOLD`].
-    fn one_qubit<K>(&mut self, q: usize, kernel: K)
-    where
-        K: Fn(&mut [Complex64], &mut [Complex64]) + Sync,
-    {
-        let stride = 1usize << q;
-        // Strides 1 and 2 get their own copy of the (inlined) walk with the
-        // half length a constant, so the kernel's inner loop unrolls instead
-        // of running a one-iteration loop per pair of amplitudes.
-        let walk = |part: &mut [Complex64]| match stride {
-            1 => halves(part, 1, &kernel),
-            2 => halves(part, 2, &kernel),
-            _ => halves(part, stride, &kernel),
-        };
-        self.fan_out(2 * stride, walk);
-    }
-
-    /// The two-qubit primitive: chunk the state by the higher qubit's block
-    /// and hand `kernel` the four quarter-slices `a00, a01, a10, a11` of each
-    /// pair of lower-qubit blocks, where `a[x][y]` has the **higher** of the
-    /// two qubits in state `x` and the lower in state `y`. Fans out over the
-    /// higher qubit's blocks above [`PARALLEL_THRESHOLD`].
-    fn two_qubit<K: QuarterKernel>(&mut self, a: usize, b: usize, kernel: K) {
-        let (block, walk) = quarter_walk(a, b, kernel);
-        self.fan_out(block, walk);
-    }
-
-    /// [`StateVector::two_qubit`] for a kernel that only moves amplitudes.
-    /// It stays serial at every size: exchanging two quarters is a memory
-    /// copy of half the state — 0.15–0.3 ns per amplitude at 16 qubits — and
-    /// handing that to threads cost more than it returned (1.2–2.4 ns with
-    /// the fan-out on the 2-vCPU reference box; `state_parallel` ran 16–18
-    /// jobs/s with it and 22–24 without).
-    fn permute<K: QuarterKernel>(&mut self, a: usize, b: usize, kernel: K) {
-        let (_, walk) = quarter_walk(a, b, kernel);
-        walk(&mut self.amps);
-    }
-
-    /// Run `walk` — a serial pass over any whole number of `block`-amplitude
-    /// blocks — over the state: in one call below [`PARALLEL_THRESHOLD`] or
-    /// when the state is a single block, else split between threads at block
-    /// boundaries, in pieces of at least [`PARALLEL_GRAIN`] amplitudes so a
-    /// low qubit's tiny blocks do not become one task each.
-    fn fan_out(&mut self, block: usize, walk: impl Fn(&mut [Complex64]) + Sync) {
-        if self.amps.len() >= PARALLEL_THRESHOLD && self.amps.len() / block > 1 {
-            self.amps
-                .par_chunks_mut(block.max(PARALLEL_GRAIN))
-                .for_each(walk);
-        } else {
-            walk(&mut self.amps);
+    /// The whole state as the target of one gate at a time: kernels fan out
+    /// per gate above [`PARALLEL_THRESHOLD`].
+    fn whole(&mut self) -> Amps<'_> {
+        Amps {
+            fan: self.amps.len() >= PARALLEL_THRESHOLD,
+            amps: &mut self.amps,
         }
     }
 
@@ -487,6 +397,247 @@ impl StateVector {
     }
 }
 
+/// Panic unless `gate` acts on distinct qubits below `num_qubits`.
+fn check_qubits(num_qubits: usize, gate: &Gate) {
+    let qubits = gate.qubits();
+    for &q in &qubits {
+        assert!(
+            q < num_qubits,
+            "gate {} on qubit {q} out of range",
+            gate.name()
+        );
+    }
+    if let [a, b] = *qubits {
+        assert_ne!(a, b, "the two qubits of a gate must differ");
+    }
+}
+
+/// Amplitudes a gate is applied to: the whole state, or a piece of it that is
+/// a whole number of the gate's 2^(highest qubit + 1) blocks — which is all
+/// the [`halves`] and [`quarters`] walks ask of a slice.
+struct Amps<'a> {
+    amps: &'a mut [Complex64],
+    /// Whether arithmetic kernels split their outer blocks between threads:
+    /// set for a whole state above [`PARALLEL_THRESHOLD`], clear below it and
+    /// for a piece inside a run, which already has a thread to itself.
+    fan: bool,
+}
+
+impl Amps<'_> {
+    /// Apply `gate`, whose qubits [`check_qubits`] has accepted.
+    fn apply(&mut self, gate: &Gate) {
+        match *gate {
+            // Pure permutations: exchange the two quarters whose control bit
+            // is set (cx, with the control the higher or the lower qubit) or
+            // whose two bits differ (swap).
+            Gate::Cx(c, t) if c > t => self.permute(c, t, |_, _, a10, a11| {
+                a10.swap_with_slice(a11);
+            }),
+            Gate::Cx(c, t) => self.permute(c, t, |_, a01, _, a11| {
+                a01.swap_with_slice(a11);
+            }),
+            Gate::Swap(a, b) => self.permute(a, b, |_, a01, a10, _| {
+                a01.swap_with_slice(a10);
+            }),
+            // Diagonals: only the quarter with both bits set picks up e^{iλ}.
+            Gate::Cz(c, t) => self.controlled_phase(c, t, std::f64::consts::PI),
+            Gate::Cp(c, t, lambda) => self.controlled_phase(c, t, lambda.value()),
+            // exp(-i θ/2 Z⊗Z): e^{-iθ/2} where the bits agree, e^{iθ/2}
+            // where they differ.
+            Gate::Rzz(a, b, theta) => {
+                let theta = theta.value();
+                let even = Complex64::from_phase(-theta / 2.0);
+                let odd = Complex64::from_phase(theta / 2.0);
+                self.two_qubit(a, b, move |a00, a01, a10, a11| {
+                    scale(a00, even);
+                    scale(a01, odd);
+                    scale(a10, odd);
+                    scale(a11, even);
+                });
+            }
+            ref g => {
+                let m = g
+                    .single_qubit_matrix()
+                    .expect("single-qubit gate must provide a matrix");
+                let q = g.qubits()[0];
+                match g {
+                    Gate::Rz(..) => self.one_qubit(q, move |lo, hi| {
+                        scale(lo, m[0]);
+                        scale(hi, m[3]);
+                    }),
+                    // diag(1, e^{iφ}): the |0⟩ half is left alone.
+                    Gate::Z(_)
+                    | Gate::S(_)
+                    | Gate::Sdg(_)
+                    | Gate::T(_)
+                    | Gate::Tdg(_)
+                    | Gate::Phase(..) => self.one_qubit(q, move |_, hi| scale(hi, m[3])),
+                    _ => self.dense(q, &m),
+                }
+            }
+        }
+    }
+
+    /// A dense 2×2 matrix over the paired halves of qubit `q`.
+    fn dense(&mut self, q: usize, m: &[Complex64; 4]) {
+        let m = *m;
+        self.one_qubit(q, move |lo, hi| {
+            // Indexed over two equal-length halves (the bounds checks fold
+            // away): measured 0.95 ns per amplitude at every stride, where
+            // `lo.iter_mut().zip(hi)` compiled to 1.7 ns above stride 2.
+            let n = lo.len();
+            let hi = &mut hi[..n];
+            for i in 0..n {
+                let (a, b) = (lo[i], hi[i]);
+                lo[i] = m[0] * a + m[1] * b;
+                hi[i] = m[2] * a + m[3] * b;
+            }
+        });
+    }
+
+    /// Multiply the amplitudes with both bits set by e^{iλ}.
+    fn controlled_phase(&mut self, control: usize, target: usize, lambda: f64) {
+        let phase = Complex64::from_phase(lambda);
+        self.two_qubit(control, target, move |_, _, _, a11| scale(a11, phase));
+    }
+
+    /// The one-qubit primitive: hand `kernel` the `(|0⟩, |1⟩)` halves of
+    /// every 2^(q+1)-amplitude block.
+    fn one_qubit<K>(&mut self, q: usize, kernel: K)
+    where
+        K: Fn(&mut [Complex64], &mut [Complex64]) + Sync,
+    {
+        let stride = 1usize << q;
+        // Strides 1 and 2 get their own copy of the (inlined) walk with the
+        // half length a constant, so the kernel's inner loop unrolls instead
+        // of running a one-iteration loop per pair of amplitudes.
+        let walk = |part: &mut [Complex64]| match stride {
+            1 => halves(part, 1, &kernel),
+            2 => halves(part, 2, &kernel),
+            _ => halves(part, stride, &kernel),
+        };
+        self.fan_out(2 * stride, walk);
+    }
+
+    /// The two-qubit primitive: chunk the amplitudes by the higher qubit's
+    /// block and hand `kernel` the four quarter-slices `a00, a01, a10, a11`
+    /// of each pair of lower-qubit blocks, where `a[x][y]` has the **higher**
+    /// of the two qubits in state `x` and the lower in state `y`.
+    fn two_qubit<K: QuarterKernel>(&mut self, a: usize, b: usize, kernel: K) {
+        let (block, walk) = quarter_walk(a, b, kernel);
+        self.fan_out(block, walk);
+    }
+
+    /// [`Amps::two_qubit`] for a kernel that only moves amplitudes. It never
+    /// fans out on its own: exchanging two quarters is a memory copy of half
+    /// the state — 0.15–0.3 ns per amplitude at 16 qubits — and starting
+    /// threads for that one copy cost more than it returned (1.2–2.4 ns on
+    /// the 2-vCPU reference box). Inside a run a permutation shares the run's
+    /// threads like any other gate; it is serial over the whole state only
+    /// when it touches a top qubit and so interrupts the run.
+    fn permute<K: QuarterKernel>(&mut self, a: usize, b: usize, kernel: K) {
+        let (_, walk) = quarter_walk(a, b, kernel);
+        walk(self.amps);
+    }
+
+    /// Run `walk` — a serial pass over any whole number of `block`-amplitude
+    /// blocks — over the amplitudes: in one call unless `fan` is set and
+    /// there is more than one block, else split between threads at block
+    /// boundaries, in pieces of at least [`PARALLEL_GRAIN`] amplitudes so a
+    /// low qubit's tiny blocks do not become one task each.
+    fn fan_out(&mut self, block: usize, walk: impl Fn(&mut [Complex64]) + Sync) {
+        if self.fan && self.amps.len() / block > 1 {
+            self.amps
+                .par_chunks_mut(block.max(PARALLEL_GRAIN))
+                .for_each(walk);
+        } else {
+            walk(self.amps);
+        }
+    }
+}
+
+/// Most gates one parallel region carries; a longer run is cut here. 128
+/// gates are 17 KB of stack and hold every run of the 16-qubit benchmark
+/// plan but one.
+const RUN_CAPACITY: usize = 128;
+
+/// A step of the run path over a state cut into `piece`-amplitude pieces.
+enum Segment<'a> {
+    /// Consecutive gates whose blocks each fit in a piece: one parallel
+    /// region walks them all, in order, over every piece.
+    Run(&'a [Gate]),
+    /// A gate on a top qubit, whose block spans pieces: applied on its own.
+    Solo(&'a Gate),
+}
+
+/// A gate's block: the 2^(highest qubit + 1) amplitudes it mixes.
+fn block_len(gate: &Gate) -> usize {
+    2 << gate.qubits().iter().fold(0, |top, &q| top.max(q))
+}
+
+/// Cut the gates `each` visits into [`Segment`]s for pieces of `piece`
+/// amplitudes (a power of two): every gate is emitted exactly once, in
+/// order, runs are as long as [`RUN_CAPACITY`] and the next solo gate allow.
+fn segments(
+    each: impl FnOnce(&mut dyn FnMut(&Gate)),
+    piece: usize,
+    emit: &mut dyn FnMut(Segment<'_>),
+) {
+    let mut run = [Gate::X(0); RUN_CAPACITY];
+    let mut len = 0;
+    each(&mut |gate| {
+        let solo = block_len(gate) > piece;
+        if len > 0 && (solo || len == RUN_CAPACITY) {
+            emit(Segment::Run(&run[..len]));
+            len = 0;
+        }
+        if solo {
+            emit(Segment::Solo(gate));
+        } else {
+            run[len] = *gate;
+            len += 1;
+        }
+    });
+    if len > 0 {
+        emit(Segment::Run(&run[..len]));
+    }
+}
+
+/// The piece of a `len`-amplitude state each thread owns during a run:
+/// `len` over the largest power of two of threads the machine offers (at most
+/// 16, the pool size of the `vendor/rayon` stand-in), never below
+/// [`PARALLEL_GRAIN`]. One thread means one piece: every gate fits, and the
+/// single region runs inline.
+fn piece_len(len: usize) -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    let threads = *THREADS.get_or_init(|| {
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        1 << available.min(16).ilog2()
+    });
+    (len / threads).max(PARALLEL_GRAIN)
+}
+
+/// Apply the (range-checked) gates `each` visits to `amps`, a whole state
+/// cut into `piece`-amplitude pieces: one parallel region per run.
+fn apply_in_runs(amps: &mut [Complex64], piece: usize, each: impl FnOnce(&mut dyn FnMut(&Gate))) {
+    segments(each, piece, &mut |segment| match segment {
+        Segment::Run(gates) => amps.par_chunks_mut(piece).for_each(|part| {
+            let mut part = Amps {
+                amps: part,
+                fan: false,
+            };
+            for gate in gates {
+                part.apply(gate);
+            }
+        }),
+        Segment::Solo(gate) => Amps {
+            amps: &mut *amps,
+            fan: true,
+        }
+        .apply(gate),
+    });
+}
+
 /// A two-qubit kernel over the quarter-slices `a00, a01, a10, a11`.
 trait QuarterKernel:
     Fn(&mut [Complex64], &mut [Complex64], &mut [Complex64], &mut [Complex64]) + Sync
@@ -542,7 +693,6 @@ fn quarter_walk(
     b: usize,
     kernel: impl QuarterKernel,
 ) -> (usize, impl Fn(&mut [Complex64]) + Sync) {
-    assert_ne!(a, b, "the two qubits of a gate must differ");
     let (low, high) = (1usize << a.min(b), 1usize << a.max(b));
     // Same constant-stride copies as `one_qubit`, on the lower qubit.
     let walk = move |part: &mut [Complex64]| match low {
@@ -918,17 +1068,11 @@ mod tests {
         }
     }
 
-    /// 15 qubits is above `PARALLEL_THRESHOLD`: each kernel's fan-out over
-    /// outer blocks (or, for the permutations, its serial walk of a large
-    /// state) must equal the serial reference, for low, middle and top
-    /// qubits in both orders.
-    #[test]
-    fn kernels_above_the_parallel_threshold_equal_the_reference() {
-        let n = 15;
-        assert!(1usize << n >= PARALLEL_THRESHOLD);
-        // A dense, structureless state: a fixed LCG fills both components.
+    /// A dense, structureless normalized state: a fixed LCG fills both
+    /// components of every amplitude.
+    fn dense_state(num_qubits: usize) -> StateVector {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let raw: Vec<(f64, f64)> = (0..1usize << n)
+        let raw: Vec<(f64, f64)> = (0..1usize << num_qubits)
             .map(|_| {
                 let mut next = || {
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -937,7 +1081,18 @@ mod tests {
                 (next(), next())
             })
             .collect();
-        let sv = normalized(n, &raw);
+        normalized(num_qubits, &raw)
+    }
+
+    /// 15 qubits is above `PARALLEL_THRESHOLD`: each kernel's fan-out over
+    /// outer blocks (or, for the permutations, its serial walk of a large
+    /// state) must equal the serial reference, for low, middle and top
+    /// qubits in both orders.
+    #[test]
+    fn kernels_above_the_parallel_threshold_equal_the_reference() {
+        let n = 15;
+        assert!(1usize << n >= PARALLEL_THRESHOLD);
+        let sv = dense_state(n);
         let t = [0.37, -1.9, 2.6];
         for q in [0, 1, 7, 13, 14] {
             for gate in [Gate::Sx(q), Gate::Rz(q, t[2].into()), Gate::T(q)] {
@@ -949,6 +1104,195 @@ mod tests {
                 assert_matches_reference(&sv, &gate);
             }
         }
+    }
+
+    /// `count` seeded random gates over all 19 variants, on qubits below
+    /// `qubits`.
+    fn random_gates(rng: &mut StdRng, qubits: usize, count: usize) -> Vec<Gate> {
+        use rand::Rng;
+        (0..count)
+            .map(|_| {
+                let t = [(); 3].map(|_| rng.gen_range(-6.3..6.3));
+                let a = rng.gen_range(0..qubits);
+                let b = (a + rng.gen_range(1..qubits)) % qubits;
+                match rng.gen_range(0..19) {
+                    k @ 0..=13 => one_qubit_gates(a, t)[k],
+                    k => two_qubit_gates(a, b, t)[k - 14],
+                }
+            })
+            .collect()
+    }
+
+    /// `gates` applied one by one with the naive reference.
+    fn reference_run<'a>(
+        start: &StateVector,
+        gates: impl IntoIterator<Item = &'a Gate>,
+    ) -> Vec<Complex64> {
+        gates
+            .into_iter()
+            .fold(start.amplitudes().to_vec(), |amps, gate| {
+                reference_apply(&amps, gate)
+            })
+    }
+
+    /// The run oracle: above `PARALLEL_THRESHOLD`, `apply_view` and
+    /// `apply_all` — and the run path at every piece size, whatever this
+    /// machine's thread count picks — leave every amplitude `==` to the
+    /// naive reference applied gate by gate.
+    fn assert_runs_match_reference<C: CircuitView>(start: &StateVector, view: &C) {
+        let mut gates = Vec::new();
+        view.for_each_gate(&mut |gate| gates.push(*gate));
+        let expected = reference_run(start, &gates);
+
+        let mut via_view = start.clone();
+        via_view.apply_view(view);
+        assert!(via_view.amplitudes() == expected, "apply_view differs");
+        let mut via_slice = start.clone();
+        via_slice.apply_all(&gates);
+        assert!(via_slice.amplitudes() == expected, "apply_all differs");
+        for pieces in [1, 2, 4, 16] {
+            let mut got = start.clone();
+            let piece = got.dim() / pieces;
+            apply_in_runs(&mut got.amps, piece, |f| view.for_each_gate(f));
+            assert!(
+                got.amplitudes() == expected,
+                "the run path over {pieces} pieces differs"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_above_the_parallel_threshold_equal_the_reference() {
+        use crate::circuit::Circuit;
+        use crate::overlay::BoundCircuit;
+        use crate::param::ParamExpr;
+        use std::sync::Arc;
+
+        let mut rng = StdRng::seed_from_u64(0x51A7E);
+        let mut seen = std::collections::BTreeSet::new();
+        for n in [14, 15, 16] {
+            assert!(1usize << n >= PARALLEL_THRESHOLD);
+            let start = dense_state(n);
+            let (top, low) = (n - 1, n - 4);
+
+            let mut qc = Circuit::new(n);
+            // A run longer than the buffer (these fit a sixteenth of the
+            // state), a top-qubit gate in the middle of a run, two
+            // interrupting gates in a row, then gates on every qubit.
+            qc.extend(&random_gates(&mut rng, low, RUN_CAPACITY + 30));
+            qc.push(Gate::Sx(top));
+            qc.extend(&random_gates(&mut rng, low, 12));
+            qc.extend(&[Gate::Cx(top, 0), Gate::Rzz(1, top, 0.7.into())]);
+            qc.extend(&random_gates(&mut rng, n, 60));
+            seen.extend(qc.gates().iter().map(Gate::name));
+            assert_runs_match_reference(&start, &qc);
+
+            assert_runs_match_reference(&start, &Circuit::new(n));
+            for gate in [Gate::H(2), Gate::Cx(0, top)] {
+                let mut one = Circuit::new(n);
+                one.push(gate);
+                assert_runs_match_reference(&start, &one);
+            }
+
+            // An overlay substitutes its bound gates during the walk.
+            let mut symbolic = Circuit::new(n);
+            symbolic.extend(&random_gates(&mut rng, n, 10));
+            symbolic.push(Gate::Rzz(0, top, ParamExpr::symbol(0).scale(2.0)));
+            symbolic.extend(&random_gates(&mut rng, low, 10));
+            symbolic.push(Gate::Rx(3, ParamExpr::symbol(1)));
+            let base = Arc::new(symbolic);
+            let sites = base.symbolic_gate_indices();
+            let overlay = BoundCircuit::bind_sites(base, &sites, &[0.45, -1.2]);
+            assert_eq!(overlay.overrides().len(), 2);
+            assert_runs_match_reference(&start, &overlay);
+        }
+        assert_eq!(seen.len(), 19, "not every gate variant was drawn: {seen:?}");
+    }
+
+    /// The segments of `gates` for `piece`, copied out: `(is_run, gates)`.
+    fn collect_segments(gates: &[Gate], piece: usize) -> Vec<(bool, Vec<Gate>)> {
+        let mut out = Vec::new();
+        segments(
+            |f| gates.iter().for_each(f),
+            piece,
+            &mut |segment| match segment {
+                Segment::Run(run) => out.push((true, run.to_vec())),
+                Segment::Solo(gate) => out.push((false, vec![*gate])),
+            },
+        );
+        out
+    }
+
+    #[test]
+    fn segments_emit_every_gate_once_in_order_and_runs_fit_the_piece() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let n = 16;
+        for count in [0, 1, RUN_CAPACITY, RUN_CAPACITY + 1, 700] {
+            let gates = random_gates(&mut rng, n, count);
+            for piece in [1usize << n, 1 << (n - 1), 1 << (n - 3), PARALLEL_GRAIN] {
+                let cut = collect_segments(&gates, piece);
+                let emitted: Vec<Gate> = cut.iter().flat_map(|(_, g)| g.clone()).collect();
+                assert_eq!(emitted, gates);
+                for (i, (is_run, members)) in cut.iter().enumerate() {
+                    assert!(!members.is_empty() && members.len() <= RUN_CAPACITY);
+                    for gate in members {
+                        assert_eq!(block_len(gate) <= piece, *is_run, "{gate:?} in {piece}");
+                    }
+                    // Runs are maximal: only a full buffer splits two.
+                    if *is_run && cut.get(i + 1).is_some_and(|next| next.0) {
+                        assert_eq!(members.len(), RUN_CAPACITY);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The gate sequence of the benchmark's `state_parallel` plan: two-layer
+    /// ring QAOA on `n` nodes, transpiled to `{sx, rz, cx}` on a line at
+    /// level 3 — the ring's closing edge bubbles qubit 0 up the line and
+    /// back down. Angles are irrelevant to segmentation.
+    fn ring_qaoa_on_a_line(n: usize) -> Vec<Gate> {
+        let rz = |q| Gate::Rz(q, 0.4.into());
+        let u = |q| vec![rz(q), Gate::Sx(q), rz(q), Gate::Sx(q), rz(q)];
+        let zz = |a, b| vec![Gate::Cx(a, b), rz(b), Gate::Cx(a, b)];
+        let swap = |a, b| vec![Gate::Cx(a, b), Gate::Cx(b, a), Gate::Cx(a, b)];
+        let bubble_up = || {
+            (0..n - 2)
+                .flat_map(|q| swap(q, q + 1))
+                .chain(zz(n - 2, n - 1))
+        };
+        let mut gates = u(0);
+        gates.extend((1..n).flat_map(|q| [u(q), zz(q - 1, q)].concat()));
+        gates.extend(bubble_up());
+        gates.extend(u(n - 2));
+        gates.extend(
+            (1..n - 2)
+                .rev()
+                .flat_map(|q| [u(q), swap(q + 1, q)].concat()),
+        );
+        gates.extend([u(0), zz(1, 0), swap(0, 1)].concat());
+        gates.extend((2..n - 1).flat_map(|q| zz(q - 1, q)));
+        gates.extend([u(n - 1), zz(n - 2, n - 1)].concat());
+        gates.extend(bubble_up());
+        gates.extend((0..n).flat_map(u));
+        gates
+    }
+
+    #[test]
+    fn the_state_parallel_plan_needs_at_most_twelve_regions() {
+        let gates = ring_qaoa_on_a_line(16);
+        assert_eq!(gates.len(), 462);
+        // Two threads: the top qubit alone interrupts.
+        let cut = collect_segments(&gates, 1 << 15);
+        let regions = cut.iter().filter(|(is_run, _)| *is_run).count();
+        let solo = cut.len() - regions;
+        assert_eq!(solo, 27);
+        assert!(regions <= 12, "{regions} parallel regions");
+        // Four threads: qubit 14 interrupts too, and still far fewer regions
+        // than gates.
+        let cut = collect_segments(&gates, 1 << 14);
+        let regions = cut.iter().filter(|(is_run, _)| *is_run).count();
+        assert!(regions <= 24, "{regions} parallel regions over four pieces");
     }
 
     #[test]
