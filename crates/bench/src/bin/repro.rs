@@ -1,5 +1,7 @@
 //! `repro` — regenerate every paper artifact in one run and print a
-//! paper-vs-measured summary (the source of EXPERIMENTS.md).
+//! paper-vs-measured summary (the source of EXPERIMENTS.md). Claims that
+//! are asserted (E2's annealing ground states so far) panic on a miss, so
+//! the run exits non-zero.
 //!
 //! Run with: `cargo run --release -p qml-bench --bin repro`
 
@@ -57,6 +59,19 @@ fn main() {
         gate.counts.contains_key("0101"),
         anneal.counts.contains_key("1010"),
         anneal.counts.contains_key("0101"),
+    );
+    // Fig. 3's claims, asserted: a sampler that misses them fails the run.
+    assert_eq!(stats.min_energy, -4.0, "E2: lowest sampled energy");
+    for ground in ["1010", "0101"] {
+        assert!(
+            anneal.counts.contains_key(ground),
+            "E2: ground state {ground} was never sampled"
+        );
+    }
+    assert!(
+        stats.ground_state_probability > 0.8,
+        "E2: ground-state probability {} is not above 0.8",
+        stats.ground_state_probability
     );
 
     header("E4 (Listing 1) - 10-qubit QFT through the middle layer");

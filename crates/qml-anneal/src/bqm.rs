@@ -133,16 +133,8 @@ impl BinaryQuadraticModel {
             "sample has the wrong length"
         );
         match self.vartype {
-            Vartype::Spin => {
-                self.raw_energy(&spins.iter().map(|&s| f64::from(s)).collect::<Vec<_>>())
-            }
-            Vartype::Binary => {
-                let bits: Vec<f64> = spins
-                    .iter()
-                    .map(|&s| if s == 1 { 0.0 } else { 1.0 })
-                    .collect();
-                self.raw_energy(&bits)
-            }
+            Vartype::Spin => self.raw_energy(|i| f64::from(spins[i])),
+            Vartype::Binary => self.raw_energy(|i| if spins[i] == 1 { 0.0 } else { 1.0 }),
         }
     }
 
@@ -154,26 +146,25 @@ impl BinaryQuadraticModel {
             "sample has the wrong length"
         );
         match self.vartype {
-            Vartype::Binary => self.raw_energy(
-                &bits
-                    .iter()
-                    .map(|&b| if b { 1.0 } else { 0.0 })
-                    .collect::<Vec<_>>(),
-            ),
-            Vartype::Spin => {
-                // x = 1 ⇒ s = −1 (the paper's readout convention).
-                let spins: Vec<f64> = bits.iter().map(|&b| if b { -1.0 } else { 1.0 }).collect();
-                self.raw_energy(&spins)
-            }
+            Vartype::Binary => self.raw_energy(|i| if bits[i] { 1.0 } else { 0.0 }),
+            // x = 1 ⇒ s = −1 (the paper's readout convention).
+            Vartype::Spin => self.raw_energy(|i| if bits[i] { -1.0 } else { 1.0 }),
         }
     }
 
-    fn raw_energy(&self, values: &[f64]) -> f64 {
-        let linear: f64 = self.linear.iter().zip(values).map(|(l, v)| l * v).sum();
+    /// The objective at the assignment `value(i)`, evaluated in place (the
+    /// sampler calls this once per read).
+    fn raw_energy(&self, value: impl Fn(usize) -> f64) -> f64 {
+        let linear: f64 = self
+            .linear
+            .iter()
+            .enumerate()
+            .map(|(i, l)| l * value(i))
+            .sum();
         let quadratic: f64 = self
             .quadratic
             .iter()
-            .map(|(&(i, j), &q)| q * values[i] * values[j])
+            .map(|(&(i, j), &q)| q * value(i) * value(j))
             .sum();
         self.offset + linear + quadratic
     }
@@ -228,8 +219,10 @@ impl BinaryQuadraticModel {
         }
     }
 
-    /// Adjacency list: for each variable, the (neighbor, coupling) pairs.
-    /// Used by the annealer's O(1) energy-delta updates.
+    /// Adjacency list: for each variable, the (neighbor, coupling) pairs, in
+    /// [`interactions`](Self::interactions) order. The annealer keeps its own
+    /// flat copy of this layout; this nested form allocates one `Vec` per
+    /// variable.
     pub fn adjacency(&self) -> Vec<Vec<(usize, f64)>> {
         let mut adj = vec![Vec::new(); self.num_variables()];
         for (&(i, j), &q) in &self.quadratic {
@@ -242,9 +235,17 @@ impl BinaryQuadraticModel {
     /// The largest absolute effective field any single variable can feel
     /// (used to pick default annealing temperature ranges).
     pub fn max_effective_field(&self) -> f64 {
-        let adj = self.adjacency();
-        (0..self.num_variables())
-            .map(|i| self.linear[i].abs() + adj[i].iter().map(|(_, q)| q.abs()).sum::<f64>())
+        // Σ|q| per variable, accumulated in interaction order: the default
+        // schedule, and so every sample, depends on the exact sum.
+        let mut coupled = vec![0.0f64; self.num_variables()];
+        for (&(i, j), &q) in &self.quadratic {
+            coupled[i] += q.abs();
+            coupled[j] += q.abs();
+        }
+        self.linear
+            .iter()
+            .zip(&coupled)
+            .map(|(l, c)| l.abs() + c)
             .fold(0.0, f64::max)
     }
 

@@ -37,6 +37,19 @@ mod proptests {
         })
     }
 
+    /// A random Ising model or its QUBO (Binary) form.
+    fn arb_bqm(max_n: usize) -> impl Strategy<Value = BinaryQuadraticModel> {
+        (arb_ising(max_n), any::<bool>()).prop_map(
+            |(bqm, binary)| {
+                if binary {
+                    bqm.to_binary()
+                } else {
+                    bqm
+                }
+            },
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -65,6 +78,32 @@ mod proptests {
                 prop_assert!((bqm.energy_spin(&record.spins) - record.energy).abs() < 1e-9);
             }
             prop_assert_eq!(set.total_reads(), 20);
+        }
+
+        /// The annealer's oracle: on every model of ≤ 12 variables, in either
+        /// vartype, the best sample reaches the brute-force ground energy,
+        /// the Spin and Binary forms of the model give each sample the same
+        /// energy, and every reported energy is the model's energy of the
+        /// reported spins, recomputed.
+        #[test]
+        fn annealer_reaches_the_brute_force_ground_energy(bqm in arb_bqm(12), seed in 0u64..1000) {
+            let exact = bqm.brute_force_ground_energy();
+            let other_form = match bqm.vartype() {
+                Vartype::Spin => bqm.to_binary(),
+                Vartype::Binary => bqm.to_spin(),
+            };
+            let params = AnnealParams::with_reads(64).with_sweeps(300).with_seed(seed);
+            for model in [&bqm, &other_form] {
+                let set = SimulatedAnnealer::new().sample(model, &params);
+                let best = set.lowest().unwrap().energy;
+                prop_assert!((best - exact).abs() < 1e-9, "best {best} vs exact {exact}");
+                for record in &set.records {
+                    prop_assert_eq!(record.energy, model.energy_spin(&record.spins));
+                    let original = bqm.energy_spin(&record.spins);
+                    let converted = other_form.energy_spin(&record.spins);
+                    prop_assert!((original - converted).abs() < 1e-9, "{original} vs {converted}");
+                }
+            }
         }
     }
 }

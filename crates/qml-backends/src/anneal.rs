@@ -36,8 +36,7 @@ impl AnnealBackend {
     /// Validate the bundle and its annealing policy; returns the exec block.
     fn prepare(&self, bundle: &JobBundle) -> Result<Option<ExecConfig>> {
         bundle.validate()?;
-        let context = bundle.context.clone().unwrap_or_default();
-        let exec = context.exec.clone();
+        let exec = bundle.context.as_ref().and_then(|c| c.exec.clone());
         if let Some(exec) = &exec {
             if !self.supports_engine(&exec.engine) {
                 return Err(QmlError::Unsupported(format!(
@@ -47,7 +46,7 @@ impl AnnealBackend {
             }
             exec.validate()?;
         }
-        if let Some(anneal) = &context.anneal {
+        if let Some(anneal) = Self::anneal_config(bundle) {
             anneal.validate()?;
         }
         Ok(exec)
@@ -55,13 +54,12 @@ impl AnnealBackend {
 
     /// The plan-cache key of a (validated) bundle under its context.
     fn plan_key(bundle: &JobBundle, exec: Option<&ExecConfig>) -> AnnealPlanKey {
-        let context = bundle.context.clone().unwrap_or_default();
         AnnealPlanKey {
             // The realized program: attached bindings participate in
             // `program_hash`, so two binding sets of one symbolic problem
             // lower to (and cache) distinct BQMs.
             program: bundle.program_hash(),
-            schedule: Self::schedule_fingerprint(exec, context.anneal.as_ref()),
+            schedule: Self::schedule_fingerprint(exec, Self::anneal_config(bundle)),
         }
     }
 
@@ -75,6 +73,11 @@ impl AnnealBackend {
         })
     }
 
+    /// The bundle's `anneal` context block, if any.
+    fn anneal_config(bundle: &JobBundle) -> Option<&AnnealConfig> {
+        bundle.context.as_ref().and_then(|c| c.anneal.as_ref())
+    }
+
     /// Sample a lowered plan under the bundle's annealer policy and decode.
     fn run_plan(
         &self,
@@ -82,25 +85,23 @@ impl AnnealBackend {
         exec: Option<ExecConfig>,
         plan: &AnnealPlan,
     ) -> Result<ExecutionResult> {
-        let context = bundle.context.clone().unwrap_or_default();
         let params = Self::params(
             exec.as_ref(),
-            context.anneal.as_ref(),
+            Self::anneal_config(bundle),
             bundle.program_hash(),
         );
         let sample_set = SimulatedAnnealer::new().sample(&plan.bqm, &params);
 
-        // The sample set's bitstrings are in variable order; permute them
-        // into the schema's classical-bit order first.
+        // Read each sample's spins in the schema's classical-bit order, in
+        // the paper's convention (spin +1 ↦ '0', spin −1 ↦ '1').
         let indices = plan.schema.wire_indices(&plan.register)?;
         let counts: std::collections::BTreeMap<String, u64> = sample_set
             .records
             .iter()
             .map(|record| {
-                let full = record.bitstring();
                 let word: String = indices
                     .iter()
-                    .map(|&i| full.as_bytes()[i] as char)
+                    .map(|&i| if record.spins[i] == 1 { '0' } else { '1' })
                     .collect();
                 (word, record.num_occurrences)
             })

@@ -2,9 +2,9 @@
 //! `PARALLEL_THRESHOLD`, and above it **only what starting threads costs, once
 //! per run of gates** — not once per gate.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator and counts
-//! every `alloc`/`alloc_zeroed`/`realloc` made while a measurement is open.
-//! This file holds exactly one test, so it runs alone in its own process (as
+//! The counting `#[global_allocator]` of `tests/counting_alloc` counts every
+//! `alloc`/`alloc_zeroed`/`realloc` made while a measurement is open. This
+//! file holds exactly one test, so it runs alone in its own process (as
 //! `tests/bind_no_clone.rs` does) and no concurrent test can disturb the
 //! count. The circuit is the `sweep_warm` benchmark plan: the symbolic
 //! two-layer ring QAOA on 8 qubits, transpiled to `{sx, rz, cx}` on a line at
@@ -12,8 +12,8 @@
 //! every stride from 1 to 128. The wide half uses 16 qubits: hand-built
 //! circuits whose runs are known, and the `state_parallel` benchmark plan.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+mod counting_alloc;
+
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -28,56 +28,7 @@ use qml_core::sim::{
 };
 use qml_core::transpile::{transpile, CouplingMap, TranspileTarget};
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static COUNT: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-fn note() {
-    // Relaxed: a flag and a statistic, publishing no other data.
-    if COUNTING.load(Ordering::Relaxed) {
-        COUNT.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: the caller guarantees `ptr` came from this allocator with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller guarantees `ptr` came from this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Run `f`, returning its result and the allocations made while it ran.
-fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = COUNT.load(Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let out = f();
-    COUNTING.store(false, Ordering::Relaxed);
-    (out, COUNT.load(Ordering::Relaxed) - before)
-}
+use counting_alloc::allocations;
 
 const QUBITS: usize = 8;
 const WIDE_QUBITS: usize = 16;
