@@ -4,13 +4,13 @@
 //! Pipeline: lower the bundle's single `ISING_PROBLEM` descriptor to a binary
 //! quadratic model, read the annealer policy from the context's `anneal`
 //! block (`num_reads`, sweeps, β range, seed), run the Metropolis simulated
-//! annealer, and decode the aggregated samples through the same explicit
-//! result schema the gate path uses.
+//! annealer, and report the aggregated samples as counts over words in the
+//! same explicit result schema the gate path uses.
 
 use std::sync::Arc;
 
 use qml_anneal::{AnnealParams, SimulatedAnnealer};
-use qml_types::{AnnealConfig, DecodedCounts, ExecConfig, JobBundle, QmlError, Result};
+use qml_types::{AnnealConfig, ExecConfig, JobBundle, QmlError, Result};
 
 use crate::cache::{AnnealPlan, AnnealPlanKey, TranspileCache};
 use crate::lowering::lower_to_bqm;
@@ -78,7 +78,7 @@ impl AnnealBackend {
         bundle.context.as_ref().and_then(|c| c.anneal.as_ref())
     }
 
-    /// Sample a lowered plan under the bundle's annealer policy and decode.
+    /// Sample a lowered plan under the bundle's annealer policy.
     fn run_plan(
         &self,
         bundle: &JobBundle,
@@ -106,7 +106,6 @@ impl AnnealBackend {
                 (word, record.num_occurrences)
             })
             .collect();
-        let decoded = DecodedCounts::decode(&counts, &plan.schema, &plan.register)?;
 
         let energy_stats = sample_set.lowest().map(|best| EnergyStats {
             min_energy: best.energy,
@@ -122,7 +121,6 @@ impl AnnealBackend {
             register: plan.register.id.clone(),
             shots: params.num_reads,
             counts,
-            decoded,
             gate_metrics: None,
             energy_stats,
             qec_estimate: None,

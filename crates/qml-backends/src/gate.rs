@@ -4,8 +4,9 @@
 //! Pipeline: lower the bundle's operator descriptors to a circuit, transpile
 //! it against the context's `target` block (basis gates, coupling map,
 //! optimization level), run the state-vector simulator for the requested
-//! number of shots with the requested seed, and decode the counts through the
-//! measurement descriptor's explicit result schema. If the context carries a
+//! number of shots with the requested seed, and report the counts; callers
+//! decode them on demand through the measurement descriptor's explicit result
+//! schema, which lowering checks once per plan. If the context carries a
 //! `qec` block, the orthogonal QEC service contributes a resource estimate —
 //! without changing the program's semantics.
 
@@ -14,9 +15,7 @@ use std::sync::Arc;
 use qml_qec::QecService;
 use qml_sim::Simulator;
 use qml_transpile::{transpile, CouplingMap, TranspileTarget};
-use qml_types::{
-    ContextDescriptor, CostHint, DecodedCounts, ExecConfig, JobBundle, QmlError, Result, Target,
-};
+use qml_types::{ContextDescriptor, CostHint, ExecConfig, JobBundle, QmlError, Result, Target};
 
 use crate::cache::{GatePlan, GatePlanKey, TranspileCache};
 use crate::lowering::lower_to_circuit;
@@ -131,8 +130,8 @@ impl GateBackend {
     /// The policy-dependent phase: bind the plan's slot table with the
     /// bundle's late parameter values as a zero-copy overlay (O(#sites), no
     /// circuit copy, no re-transpilation), sample the bound view through the
-    /// worker's shared scratch buffers, and decode the counts through the
-    /// plan's explicit result schema.
+    /// worker's shared scratch buffers, and report the counts. Decoding is
+    /// left to callers: the plan's schema was checked when it was built.
     fn run_plan(
         &self,
         bundle: &JobBundle,
@@ -155,7 +154,6 @@ impl GateBackend {
             sim.run_view_with_scratch(&bound, exec.samples, seed, scratch)
         })
         .map_err(|e| QmlError::Validation(format!("cannot sample bound circuit: {e}")))?;
-        let decoded = DecodedCounts::decode(&run.counts, &plan.schema, &plan.register)?;
 
         // Orthogonal QEC service (advisory resource estimate only).
         let qec_estimate = context
@@ -179,7 +177,6 @@ impl GateBackend {
             register: plan.register.id.clone(),
             shots: exec.samples,
             counts: run.counts,
-            decoded,
             gate_metrics: Some(plan.metrics),
             energy_stats: None,
             qec_estimate,

@@ -5,8 +5,9 @@
 //! realized either as a transpiled circuit on the state-vector simulator
 //! ([`GateBackend`], the Qiskit-Aer path of Fig. 2) or as a binary quadratic
 //! model on the Metropolis annealer ([`AnnealBackend`], the Ocean-neal path
-//! of Fig. 3). Both report the same [`ExecutionResult`] shape, decoded
-//! through the bundle's explicit result schema.
+//! of Fig. 3). Both report the same [`ExecutionResult`] shape: counts over
+//! classical words, decoded on demand through the bundle's explicit result
+//! schema.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]

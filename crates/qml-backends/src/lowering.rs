@@ -10,8 +10,8 @@
 use qml_anneal::BinaryQuadraticModel;
 use qml_sim::{qft_circuit, Circuit, Gate, ParamExpr};
 use qml_types::{
-    JobBundle, OperatorDescriptor, ParamValue, QmlError, QuantumDataType, RepKind, Result,
-    ResultSchema,
+    JobBundle, MeasurementSemantics, OperatorDescriptor, ParamValue, QmlError, QuantumDataType,
+    RepKind, Result, ResultSchema,
 };
 
 use qml_algorithms::parse_ising_operator;
@@ -140,6 +140,26 @@ fn parse_edges(op: &OperatorDescriptor, width: usize) -> Result<Vec<(usize, usiz
         .collect()
 }
 
+/// Check that every word a readout can produce decodes under its schema: an
+/// AS_PHASE readout needs the register's `phase_scale`, and the schema must
+/// declare as many classical bits as the backend measures. Lowering runs
+/// this once per plan, so the execute path never decodes to find out.
+fn check_readout(schema: &ResultSchema, register: &QuantumDataType, measured: usize) -> Result<()> {
+    if schema.datatype == MeasurementSemantics::AsPhase && register.phase_scale.is_none() {
+        return Err(QmlError::Decode(format!(
+            "register `{}` has AS_PHASE semantics but no phase_scale",
+            register.id
+        )));
+    }
+    if measured != schema.num_clbits() {
+        return Err(QmlError::Decode(format!(
+            "the backend measures {measured} bits but the result schema declares {} classical bits",
+            schema.num_clbits()
+        )));
+    }
+    Ok(())
+}
+
 /// Lower a job bundle to a gate-model circuit, **keeping symbolic parameters
 /// symbolic**: a QAOA bundle with unbound γ/β lowers to a parametric circuit
 /// whose rotation angles reference the returned slot table. Structural
@@ -234,6 +254,7 @@ pub fn lower_to_circuit(bundle: &JobBundle) -> Result<LoweredCircuit> {
             "bundle has no MEASUREMENT descriptor; implicit measurement is forbidden".into(),
         )
     })?;
+    check_readout(&schema, &register, circuit.num_clbits())?;
     Ok(LoweredCircuit {
         circuit,
         symbols: resolver.names,
@@ -287,6 +308,8 @@ pub fn lower_to_bqm(bundle: &JobBundle) -> Result<LoweredBqm> {
         .clone()
         .unwrap_or_else(|| ResultSchema::for_register(register));
     schema.validate_against(register)?;
+    // The annealer reads one spin per wire the schema lists.
+    check_readout(&schema, register, schema.wire_indices(register)?.len())?;
     Ok(LoweredBqm {
         bqm,
         register: register.clone(),

@@ -1,16 +1,19 @@
 //! Execution results: what a backend hands back to the runtime.
 //!
 //! Both execution paths — gate simulation and annealing — report their
-//! samples in the same shape (counts over classical words) and decode them
-//! through the same explicit result schema, which is exactly what lets the
-//! paper's two workflows share downstream analysis.
+//! samples in the same shape (counts over classical words), which is exactly
+//! what lets the paper's two workflows share downstream analysis. A result
+//! holds one counts map and no decoded copy: a caller that wants typed
+//! values decodes on demand through the explicit result schema, with
+//! [`DecodedCounts::decode`](qml_types::DecodedCounts::decode). The backends
+//! check that schema against the register and the measured width when they
+//! build a plan, so every word of a completed result decodes.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use qml_qec::ResourceEstimate;
 use qml_transpile::CircuitMetrics;
-use qml_types::DecodedCounts;
 
 /// Energy statistics reported by annealing backends.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,8 +39,6 @@ pub struct ExecutionResult {
     pub shots: u64,
     /// Raw counts keyed by classical word (character j = classical bit j).
     pub counts: BTreeMap<String, u64>,
-    /// Counts decoded through the operator's explicit result schema.
-    pub decoded: DecodedCounts,
     /// Transpilation metrics (gate path only).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub gate_metrics: Option<CircuitMetrics>,
@@ -96,23 +97,18 @@ impl ExecutionResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qml_types::{QuantumDataType, ResultSchema};
 
     fn demo_result() -> ExecutionResult {
-        let qdt = QuantumDataType::ising_spins("ising_vars", "s", 4).unwrap();
-        let schema = ResultSchema::for_register(&qdt);
         let mut counts = BTreeMap::new();
         counts.insert("1010".to_string(), 500u64);
         counts.insert("0101".to_string(), 400u64);
         counts.insert("0000".to_string(), 100u64);
-        let decoded = DecodedCounts::decode(&counts, &schema, &qdt).unwrap();
         ExecutionResult {
             backend: "test".into(),
             engine: "gate.test".into(),
             register: "ising_vars".into(),
             shots: 1000,
             counts,
-            decoded,
             gate_metrics: None,
             energy_stats: None,
             qec_estimate: None,

@@ -264,7 +264,7 @@ mod tests {
     use super::*;
     use qml_algorithms::{qaoa_maxcut_program, QaoaSchedule, RING_P1_ANGLES};
     use qml_graph::cycle;
-    use qml_types::{DecodedCounts, QmlError};
+    use qml_types::QmlError;
     use std::collections::BTreeMap;
 
     /// A backend that implements only what the trait requires: each member
@@ -298,11 +298,6 @@ mod tests {
                         register: bundle.name.clone(),
                         shots: 0,
                         counts: BTreeMap::new(),
-                        decoded: DecodedCounts {
-                            counts: BTreeMap::new(),
-                            decoded: BTreeMap::new(),
-                            total: 0,
-                        },
                         gate_metrics: None,
                         energy_stats: None,
                         qec_estimate: None,

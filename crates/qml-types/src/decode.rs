@@ -43,58 +43,33 @@ pub enum DecodedValue {
     Raw(String),
 }
 
-impl DecodedValue {
-    /// The integer value if this is an `Int`.
-    pub fn as_int(&self) -> Option<u64> {
-        match self {
-            DecodedValue::Int(k) => Some(*k),
-            _ => None,
-        }
+/// Check that a measured word is a binary string of the schema's width and
+/// return its bytes, each `b'0'` or `b'1'`. A non-binary character is
+/// reported before a wrong length.
+fn binary_word<'w>(word: &'w str, schema: &ResultSchema) -> Result<&'w [u8]> {
+    let bytes = word.as_bytes();
+    if let Some(at) = bytes.iter().position(|&b| b != b'0' && b != b'1') {
+        // Every byte before `at` is ASCII, so `at` is a character boundary.
+        let other = word[at..].chars().next().unwrap_or_default();
+        return Err(QmlError::Decode(format!(
+            "measured word contains non-binary character `{other}`"
+        )));
     }
-
-    /// The phase fraction if this is a `Phase`.
-    pub fn as_phase_fraction(&self) -> Option<f64> {
-        match self {
-            DecodedValue::Phase { fraction, .. } => Some(*fraction),
-            _ => None,
-        }
+    if bytes.len() != schema.num_clbits() {
+        return Err(QmlError::Decode(format!(
+            "measured word has {} bits but the result schema declares {} classical bits",
+            bytes.len(),
+            schema.num_clbits()
+        )));
     }
-
-    /// The Boolean labels if this is a `Bool`.
-    pub fn as_bools(&self) -> Option<&[bool]> {
-        match self {
-            DecodedValue::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// The spins if this is a `Spins`.
-    pub fn as_spins(&self) -> Option<&[i8]> {
-        match self {
-            DecodedValue::Spins(s) => Some(s),
-            _ => None,
-        }
-    }
+    Ok(bytes)
 }
 
-/// Parse a measured word into per-classical-bit booleans.
-fn parse_bits(word: &str) -> Result<Vec<bool>> {
-    word.chars()
-        .map(|c| match c {
-            '0' => Ok(false),
-            '1' => Ok(true),
-            other => Err(QmlError::Decode(format!(
-                "measured word contains non-binary character `{other}`"
-            ))),
-        })
-        .collect()
-}
-
-/// Integer value of the per-bit outcomes under the given significance order.
-fn word_to_index(bits: &[bool], order: BitOrder) -> u64 {
+/// Integer value of a binary word under the given significance order.
+fn word_to_index(bits: &[u8], order: BitOrder) -> u64 {
     let width = bits.len();
     bits.iter().enumerate().fold(0u64, |acc, (i, &bit)| {
-        if bit {
+        if bit == b'1' {
             acc | (1u64 << order.weight_exponent(i, width))
         } else {
             acc
@@ -109,22 +84,19 @@ pub fn decode_word(
     schema: &ResultSchema,
     qdt: &QuantumDataType,
 ) -> Result<DecodedValue> {
-    let bits = parse_bits(word)?;
-    if bits.len() != schema.num_clbits() {
-        return Err(QmlError::Decode(format!(
-            "measured word has {} bits but the result schema declares {} classical bits",
-            bits.len(),
-            schema.num_clbits()
-        )));
-    }
+    let bits = binary_word(word, schema)?;
     match schema.datatype {
         MeasurementSemantics::AsInt => Ok(DecodedValue::Int(word_to_index(
-            &bits,
+            bits,
             schema.bit_significance,
         ))),
-        MeasurementSemantics::AsBool => Ok(DecodedValue::Bool(bits)),
+        MeasurementSemantics::AsBool => Ok(DecodedValue::Bool(
+            bits.iter().map(|&b| b == b'1').collect(),
+        )),
         MeasurementSemantics::AsSpin => Ok(DecodedValue::Spins(
-            bits.iter().map(|&b| if b { -1 } else { 1 }).collect(),
+            bits.iter()
+                .map(|&b| if b == b'1' { -1 } else { 1 })
+                .collect(),
         )),
         MeasurementSemantics::AsPhase => {
             let scale = qdt.phase_scale.ok_or_else(|| {
@@ -133,7 +105,7 @@ pub fn decode_word(
                     qdt.id
                 ))
             })?;
-            let index = word_to_index(&bits, schema.bit_significance);
+            let index = word_to_index(bits, schema.bit_significance);
             Ok(DecodedValue::Phase {
                 index,
                 fraction: scale.fraction(index),
@@ -141,12 +113,6 @@ pub fn decode_word(
         }
         MeasurementSemantics::AsRaw => Ok(DecodedValue::Raw(word.to_string())),
     }
-}
-
-/// Decode an Ising-spin assignment from a Boolean word using the convention
-/// stated in the paper's §5: Boolean readout `0 ↦ spin +1`, `1 ↦ spin −1`.
-pub fn bools_to_spins(bits: &[bool]) -> Vec<i8> {
-    bits.iter().map(|&b| if b { -1 } else { 1 }).collect()
 }
 
 /// Aggregated, decoded counts: every observed word with its multiplicity and
@@ -181,22 +147,6 @@ impl DecodedCounts {
         })
     }
 
-    /// The most frequently observed word (ties broken lexicographically).
-    pub fn most_frequent(&self) -> Option<(&str, u64)> {
-        self.counts
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(w, &n)| (w.as_str(), n))
-    }
-
-    /// Empirical probability of a word.
-    pub fn probability(&self, word: &str) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        *self.counts.get(word).unwrap_or(&0) as f64 / self.total as f64
-    }
-
     /// Expected value of a user-supplied objective over the observed words,
     /// weighted by how often each word was observed — the statistic the paper
     /// calls the "expected cut".
@@ -215,6 +165,7 @@ impl DecodedCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn int_schema(width: usize, order: BitOrder) -> (ResultSchema, QuantumDataType) {
         let qdt = QuantumDataType::builder("r", width)
@@ -268,11 +219,6 @@ mod tests {
             DecodedValue::Bool(vec![true, false, true, false]),
             "ISING_SPIN registers read out AS_BOOL per the paper's PoC"
         );
-        assert_eq!(
-            bools_to_spins(&[true, false, true, false]),
-            vec![-1, 1, -1, 1]
-        );
-
         let mut spin_schema = schema.clone();
         spin_schema.datatype = MeasurementSemantics::AsSpin;
         let v = decode_word("1010", &spin_schema, &qdt).unwrap();
@@ -323,13 +269,17 @@ mod tests {
         counts.insert("0000".to_string(), 100u64);
         let decoded = DecodedCounts::decode(&counts, &schema, &qdt).unwrap();
         assert_eq!(decoded.total, 1000);
-        assert_eq!(decoded.most_frequent(), Some(("1010", 600)));
-        assert!((decoded.probability("0101") - 0.3).abs() < 1e-12);
-        assert_eq!(decoded.probability("1111"), 0.0);
+        assert_eq!(decoded.counts, counts);
+        assert_eq!(
+            decoded.decoded["0101"],
+            DecodedValue::Bool(vec![false, true, false, true])
+        );
 
         // Count the number of 1-labels as a toy objective.
-        let avg_ones =
-            decoded.expectation(|word, _| word.chars().filter(|&c| c == '1').count() as f64);
+        let avg_ones = decoded.expectation(|_, value| match value {
+            DecodedValue::Bool(bits) => bits.iter().filter(|&&b| b).count() as f64,
+            other => panic!("AS_BOOL readout decoded to {other:?}"),
+        });
         assert!((avg_ones - (0.6 * 2.0 + 0.3 * 2.0 + 0.1 * 0.0)).abs() < 1e-12);
     }
 
@@ -339,7 +289,117 @@ mod tests {
         let schema = ResultSchema::for_register(&qdt);
         let decoded = DecodedCounts::decode(&BTreeMap::new(), &schema, &qdt).unwrap();
         assert_eq!(decoded.total, 0);
-        assert_eq!(decoded.most_frequent(), None);
+        assert!(decoded.decoded.is_empty());
         assert_eq!(decoded.expectation(|_, _| 1.0), 0.0);
+    }
+
+    /// The per-bit `decode_word` this module used before words were parsed
+    /// straight into integers, kept as the oracle for the current one.
+    fn decode_word_reference(
+        word: &str,
+        schema: &ResultSchema,
+        qdt: &QuantumDataType,
+    ) -> Result<DecodedValue> {
+        let bits: Vec<bool> = word
+            .chars()
+            .map(|c| match c {
+                '0' => Ok(false),
+                '1' => Ok(true),
+                other => Err(QmlError::Decode(format!(
+                    "measured word contains non-binary character `{other}`"
+                ))),
+            })
+            .collect::<Result<_>>()?;
+        if bits.len() != schema.num_clbits() {
+            return Err(QmlError::Decode(format!(
+                "measured word has {} bits but the result schema declares {} classical bits",
+                bits.len(),
+                schema.num_clbits()
+            )));
+        }
+        let index = |order: BitOrder| {
+            let width = bits.len();
+            bits.iter().enumerate().fold(0u64, |acc, (i, &bit)| {
+                if bit {
+                    acc | (1u64 << order.weight_exponent(i, width))
+                } else {
+                    acc
+                }
+            })
+        };
+        match schema.datatype {
+            MeasurementSemantics::AsInt => Ok(DecodedValue::Int(index(schema.bit_significance))),
+            MeasurementSemantics::AsBool => Ok(DecodedValue::Bool(bits)),
+            MeasurementSemantics::AsSpin => Ok(DecodedValue::Spins(
+                bits.iter().map(|&b| if b { -1 } else { 1 }).collect(),
+            )),
+            MeasurementSemantics::AsPhase => {
+                let scale = qdt.phase_scale.ok_or_else(|| {
+                    QmlError::Decode(format!(
+                        "register `{}` has AS_PHASE semantics but no phase_scale",
+                        qdt.id
+                    ))
+                })?;
+                let index = index(schema.bit_significance);
+                Ok(DecodedValue::Phase {
+                    index,
+                    fraction: scale.fraction(index),
+                })
+            }
+            MeasurementSemantics::AsRaw => Ok(DecodedValue::Raw(word.to_string())),
+        }
+    }
+
+    const SEMANTICS: [MeasurementSemantics; 5] = [
+        MeasurementSemantics::AsInt,
+        MeasurementSemantics::AsBool,
+        MeasurementSemantics::AsSpin,
+        MeasurementSemantics::AsPhase,
+        MeasurementSemantics::AsRaw,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `decode_word` equals the per-bit reference on every semantics,
+        /// both bit orders and hostile words: non-binary characters
+        /// (multi-byte ones too), wrong lengths, the empty string and
+        /// 64-bit widths — including the error it returns.
+        #[test]
+        fn decode_word_matches_the_per_bit_reference(
+            width in 1usize..=64,
+            semantics in 0usize..5,
+            msb in any::<bool>(),
+            scaled in any::<bool>(),
+            exact in proptest::collection::vec(any::<bool>(), 64),
+            hostile in prop_oneof![
+                "[01]{0,64}",
+                "[01x2 é]{0,12}",
+                Just(String::new()),
+            ],
+            use_exact in any::<bool>(),
+        ) {
+            let order = if msb { BitOrder::Msb0 } else { BitOrder::Lsb0 };
+            let schema = ResultSchema {
+                basis: crate::result_schema::MeasurementBasis::Z,
+                datatype: SEMANTICS[semantics],
+                bit_significance: order,
+                clbit_order: (0..width).map(|i| format!("r[{i}]")).collect(),
+            };
+            let qdt = if scaled {
+                QuantumDataType::phase_register("r", "r", 10).unwrap()
+            } else {
+                QuantumDataType::int_register("r", "r", 4).unwrap()
+            };
+            let word: String = if use_exact {
+                exact[..width].iter().map(|&b| if b { '1' } else { '0' }).collect()
+            } else {
+                hostile.clone()
+            };
+            prop_assert_eq!(
+                decode_word(&word, &schema, &qdt),
+                decode_word_reference(&word, &schema, &qdt)
+            );
+        }
     }
 }

@@ -72,7 +72,7 @@ pub use context::{
     AnnealConfig, ContextDescriptor, ExecConfig, ExecOptions, QecConfig, Target, CTX_SCHEMA,
 };
 pub use cost::{CostHint, MeasuredCost};
-pub use decode::{bools_to_spins, decode_word, DecodedCounts, DecodedValue};
+pub use decode::{decode_word, DecodedCounts, DecodedValue};
 pub use encoding::{BitOrder, EncodingKind, MeasurementSemantics, PhaseScale};
 pub use error::{QmlError, Result};
 pub use fleet::{CapabilityDescriptor, DeviceId, HealthState, JobRequirements};

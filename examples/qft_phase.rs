@@ -26,6 +26,10 @@ fn main() -> Result<()> {
     );
 
     let descriptor_hint = bundle.operators[0].cost_hint.unwrap();
+    // The result carries raw counts: keep the register and the measurement's
+    // result schema (operator 1) to decode them on demand.
+    let register = bundle.data_types[0].clone();
+    let schema = bundle.operators[1].result_schema.clone().unwrap();
 
     // Policy (Listing 4): Aer-like engine, 10 000 shots as in Listing 1,
     // basis [sx, rz, cx], linear coupling 0-1-…-9, optimization level 2.
@@ -63,12 +67,13 @@ fn main() -> Result<()> {
         result.counts.len()
     );
     println!("a few decoded phase readouts (AS_PHASE, phase_scale = 1/1024):");
+    let decoded = DecodedCounts::decode(&result.counts, &schema, &register)?;
     for (word, _) in result.top_k(5) {
-        if let Some(qml_core::types::DecodedValue::Phase { index, fraction }) =
-            result.decoded.decoded.get(&word)
-        {
-            println!("  {word}  ->  index {index:4}  phase {:.4} turns", fraction);
-        }
+        let DecodedValue::Phase { index, fraction } = decoded.decoded[&word] else {
+            panic!("{word} did not decode to a phase");
+        };
+        assert!(index < 1024 && fraction == index as f64 / 1024.0, "{word}");
+        println!("  {word}  ->  index {index:4}  phase {fraction:.4} turns");
     }
     let max_p = result.top_k(1).first().map(|(_, p)| *p).unwrap_or_default();
     println!("\nmost likely single outcome has p = {max_p:.4} (uniform would be ~0.001)");
