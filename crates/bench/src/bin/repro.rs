@@ -1,165 +1,9 @@
-//! `repro` — regenerate every paper artifact in one run and print a
-//! paper-vs-measured summary (the source of EXPERIMENTS.md). Claims that
-//! are asserted (E2's annealing ground states so far) panic on a miss, so
-//! the run exits non-zero.
+//! `repro` — regenerate every paper experiment (E1–E7) and ablation (A1–A4)
+//! in one run and print a paper-vs-measured summary. Every claim is
+//! asserted: a miss panics, so the run exits non-zero.
 //!
 //! Run with: `cargo run --release -p qml-bench --bin repro`
 
-use qml_bench::{
-    anneal_context, expected_cut, fig2_job, fig3_job, gate_context, listing1_job, qaoa_grid_search,
-    run_anneal, run_gate,
-};
-use qml_core::graph::{all_optimal_bitstrings, cycle};
-use qml_core::prelude::*;
-use qml_core::qec::{QecService, RepetitionCode};
-use qml_core::types::QecConfig;
-
-fn header(title: &str) {
-    println!("\n=== {title} ===");
-}
-
 fn main() {
-    let graph = cycle(4);
-    let (optimal_cut, optimal_assignments) = all_optimal_bitstrings(&graph);
-
-    header("E1 (Fig. 2) - Max-Cut QAOA gate path");
-    let gate = run_gate(&fig2_job(4096));
-    let metrics = gate.gate_metrics.unwrap();
-    println!("engine {}, shots {}", gate.engine, gate.shots);
-    println!(
-        "transpiled to [sx, rz, cx] on the 4-qubit ring: {} gates, {} two-qubit, depth {}",
-        metrics.total_gates, metrics.two_qubit_gates, metrics.depth
-    );
-    println!(
-        "fixed ring angles: P(1010) = {:.3}, P(0101) = {:.3}, expected cut = {:.2}",
-        gate.probability("1010"),
-        gate.probability("0101"),
-        expected_cut(&graph, &gate)
-    );
-
-    header("E3 (Section 5 claim) - tuned p=1 expected cut vs paper's 3.0-3.2");
-    let (gamma, beta, tuned) = qaoa_grid_search(&graph, 24, 4096);
-    println!("best grid angles gamma = {gamma:.3}, beta = {beta:.3}");
-    println!("measured expected cut = {tuned:.2}   (paper: approximately 3.0-3.2)");
-
-    header("E2 (Fig. 3) - Max-Cut annealing path");
-    let anneal = run_anneal(&fig3_job(1000));
-    let stats = anneal.energy_stats.unwrap();
-    println!("engine {}, reads {}", anneal.engine, anneal.shots);
-    println!(
-        "lowest energy {}, ground-state probability {:.2}, expected cut = {:.2}",
-        stats.min_energy,
-        stats.ground_state_probability,
-        expected_cut(&graph, &anneal)
-    );
-    println!(
-        "optimal assignments returned by BOTH paths: {:?} (cut = {optimal_cut})  gate: {} / {}  anneal: {} / {}",
-        optimal_assignments,
-        gate.counts.contains_key("1010"),
-        gate.counts.contains_key("0101"),
-        anneal.counts.contains_key("1010"),
-        anneal.counts.contains_key("0101"),
-    );
-    // Fig. 3's claims, asserted: a sampler that misses them fails the run.
-    assert_eq!(stats.min_energy, -4.0, "E2: lowest sampled energy");
-    for ground in ["1010", "0101"] {
-        assert!(
-            anneal.counts.contains_key(ground),
-            "E2: ground state {ground} was never sampled"
-        );
-    }
-    assert!(
-        stats.ground_state_probability > 0.8,
-        "E2: ground-state probability {} is not above 0.8",
-        stats.ground_state_probability
-    );
-
-    header("E4 (Listing 1) - 10-qubit QFT through the middle layer");
-    let qft = run_gate(&listing1_job(10_000));
-    let qft_metrics = qft.gate_metrics.unwrap();
-    println!(
-        "shots {}, distinct outcomes {}, transpiled twoq {}, depth {}, swaps {}",
-        qft.shots,
-        qft.counts.len(),
-        qft_metrics.two_qubit_gates,
-        qft_metrics.depth,
-        qft_metrics.swaps_inserted
-    );
-    println!("descriptor cost hint (Listing 3 style): 45 controlled phases, depth ~100");
-
-    header("E5 (Listings 2-5) - descriptor round trip");
-    let bundle = fig2_job(4096);
-    let json = bundle.to_json().unwrap();
-    let back = JobBundle::from_json(&json).unwrap();
-    println!(
-        "job.json = {} bytes, {} operators, round-trip identical = {}",
-        json.len(),
-        bundle.operators.len(),
-        back == bundle
-    );
-
-    header("E6 (Fig. 1) - context swap through the runtime scheduler");
-    let runtime = Runtime::with_default_backends();
-    let gate_id = runtime
-        .submit(
-            qaoa_maxcut_program(&graph, &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))
-                .unwrap()
-                .with_context(gate_context(2048, 4)),
-        )
-        .unwrap();
-    let anneal_id = runtime
-        .submit(
-            maxcut_ising_program(&graph)
-                .unwrap()
-                .with_context(anneal_context(1000)),
-        )
-        .unwrap();
-    runtime.run_all(2);
-    let g = runtime.result(gate_id).unwrap();
-    let a = runtime.result(anneal_id).unwrap();
-    println!(
-        "same intent family, swapped context: {} -> cut {:.2}   {} -> cut {:.2}",
-        g.backend,
-        expected_cut(&graph, &g),
-        a.backend,
-        expected_cut(&graph, &a)
-    );
-
-    header("E7 (Listing 5) - QEC as context");
-    let with_qec = {
-        let job = fig2_job(2048);
-        let ctx = job.context.clone().unwrap().with_qec(QecConfig::surface(7));
-        run_gate(&job.with_context(ctx))
-    };
-    let plain = run_gate(&fig2_job(2048));
-    let estimate = with_qec.qec_estimate.unwrap();
-    println!(
-        "counts unchanged by QEC context: {}",
-        plain.counts == with_qec.counts
-    );
-    println!(
-        "distance-7 surface code estimate: {} physical qubits, {} syndrome rounds, P(fail) = {:.2e}",
-        estimate.physical_qubits, estimate.syndrome_rounds, estimate.workload_failure_probability
-    );
-    println!("surface-code scaling (p = 1e-3): d -> physical/logical, p_L");
-    for d in [3usize, 5, 7, 9, 11] {
-        let service = QecService::from_config(&QecConfig::surface(d)).unwrap();
-        println!(
-            "  d = {:>2}: {:>4}, {:.3e}",
-            d,
-            service.physical_qubits_per_logical(),
-            service.logical_error_rate()
-        );
-    }
-    println!("repetition-code demonstrator (p = 0.05): d -> analytic, monte carlo");
-    for d in [1usize, 3, 5, 7] {
-        let code = RepetitionCode::new(d);
-        println!(
-            "  d = {d}: {:.5}, {:.5}",
-            code.analytic_logical_error_rate(0.05),
-            code.simulate_logical_error_rate(0.05, 100_000, 7)
-        );
-    }
-
-    println!("\nAll experiments completed.");
+    qml_bench::repro(&mut std::io::stdout().lock()).expect("write to stdout");
 }

@@ -1,12 +1,14 @@
-//! Shared helpers for the benchmark harness.
+//! The paper's proof of concept as checked code.
 //!
-//! Every bench target regenerates one experiment from DESIGN.md §5 (a paper
-//! figure, listing, or claim, or one of the ablations). The helpers here
-//! build the workloads exactly as the examples do, so benches, examples, and
-//! integration tests all measure the same code paths.
+//! [`repro`] regenerates the paper's experiments E1–E7 (its figures,
+//! listings and claims) and the ablations A1–A4, asserting every claim; the
+//! `repro` binary runs it on stdout and this crate's test on a sink. The
+//! helpers build the workloads exactly as the examples do, so the
+//! experiments, examples and integration tests all exercise the same code
+//! paths.
 //!
-//! Printing belongs to the bench/bin targets (they own stdout); the shared
-//! helper library itself must stay silent.
+//! Printing belongs to the binaries (they own stdout); the library writes
+//! only to the [`std::io::Write`] it is handed.
 
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 
@@ -17,9 +19,12 @@ use qml_core::graph::{cut_value_of_bitstring, cycle, Graph};
 use qml_core::prelude::*;
 use qml_core::types::ParamValue;
 
+mod repro;
+pub use repro::repro;
+
 /// The Listing 4 style gate context: Aer-like engine, hardware basis on a
 /// ring, optimization level 2, seeded.
-pub fn gate_context(samples: u64, ring: usize) -> ContextDescriptor {
+pub(crate) fn gate_context(samples: u64, ring: usize) -> ContextDescriptor {
     ContextDescriptor::for_gate(
         ExecConfig::new("gate.aer_simulator")
             .with_samples(samples)
@@ -30,28 +35,28 @@ pub fn gate_context(samples: u64, ring: usize) -> ContextDescriptor {
 }
 
 /// The Fig. 3 anneal context: `num_reads` reads, seeded.
-pub fn anneal_context(reads: u64) -> ContextDescriptor {
+pub(crate) fn anneal_context(reads: u64) -> ContextDescriptor {
     let mut cfg = AnnealConfig::with_reads(reads);
     cfg.seed = Some(42);
     ContextDescriptor::for_anneal("anneal.neal_simulator", cfg)
 }
 
 /// The paper's Max-Cut QAOA job (Fig. 2) at fixed p = 1 angles.
-pub fn fig2_job(samples: u64) -> JobBundle {
+pub(crate) fn fig2_job(samples: u64) -> JobBundle {
     qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))
         .expect("valid QAOA bundle")
         .with_context(gate_context(samples, 4))
 }
 
 /// The paper's Max-Cut annealing job (Fig. 3).
-pub fn fig3_job(reads: u64) -> JobBundle {
+pub(crate) fn fig3_job(reads: u64) -> JobBundle {
     maxcut_ising_program(&cycle(4))
         .expect("valid Ising bundle")
         .with_context(anneal_context(reads))
 }
 
 /// The Listing 1 QFT job: 10-qubit QFT, 10 000 shots, linear coupling map.
-pub fn listing1_job(shots: u64) -> JobBundle {
+pub(crate) fn listing1_job(shots: u64) -> JobBundle {
     qft_program(10, QftParams::default())
         .expect("valid QFT bundle")
         .with_context(ContextDescriptor::for_gate(
@@ -64,13 +69,13 @@ pub fn listing1_job(shots: u64) -> JobBundle {
 }
 
 /// Expected cut of an execution result on a graph.
-pub fn expected_cut(graph: &Graph, result: &ExecutionResult) -> f64 {
+pub(crate) fn expected_cut(graph: &Graph, result: &ExecutionResult) -> f64 {
     result.expectation(|word| cut_value_of_bitstring(graph, word))
 }
 
 /// Grid-search the p = 1 QAOA angles for a graph on the gate backend and
 /// return `(gamma, beta, expected_cut)` of the best grid point.
-pub fn qaoa_grid_search(graph: &Graph, steps: usize, samples: u64) -> (f64, f64, f64) {
+pub(crate) fn qaoa_grid_search(graph: &Graph, steps: usize, samples: u64) -> (f64, f64, f64) {
     let template = qaoa_maxcut_program(graph, &QaoaSchedule::Symbolic { layers: 1 })
         .expect("valid symbolic QAOA bundle");
     let context = ContextDescriptor::for_gate(
@@ -99,31 +104,20 @@ pub fn qaoa_grid_search(graph: &Graph, steps: usize, samples: u64) -> (f64, f64,
 }
 
 /// Run a job on the gate backend.
-pub fn run_gate(job: &JobBundle) -> ExecutionResult {
+pub(crate) fn run_gate(job: &JobBundle) -> ExecutionResult {
     GateBackend::new().execute(job).expect("gate execution")
 }
 
 /// Run a job on the annealing backend.
-pub fn run_anneal(job: &JobBundle) -> ExecutionResult {
+pub(crate) fn run_anneal(job: &JobBundle) -> ExecutionResult {
     AnnealBackend::new().execute(job).expect("anneal execution")
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
+    /// Every assertion of the `repro` binary, under `cargo test`.
     #[test]
-    fn fig2_and_fig3_jobs_execute() {
-        let graph = cycle(4);
-        let gate = run_gate(&fig2_job(512));
-        let anneal = run_anneal(&fig3_job(200));
-        assert!(expected_cut(&graph, &gate) > 2.0);
-        assert!(expected_cut(&graph, &anneal) > 3.0);
-    }
-
-    #[test]
-    fn listing1_job_executes() {
-        let result = run_gate(&listing1_job(256));
-        assert_eq!(result.shots, 256);
+    fn paper_claims_hold() {
+        super::repro(&mut std::io::sink()).unwrap();
     }
 }

@@ -907,6 +907,90 @@ mod tests {
         assert_eq!(simple, again);
     }
 
+    /// The sampler oracle: the pre-vectorization scalar sampler — per shot,
+    /// one draw, one linear walk to the first basis state whose cumulative
+    /// mass exceeds it, one rendered key. O(S · 2ⁿ), kept only as the
+    /// reference [`StateVector::sample_counts_with`] must equal.
+    fn scalar_sample(
+        sv: &StateVector,
+        qubits: &[usize],
+        shots: u64,
+        rng: &mut StdRng,
+    ) -> std::collections::BTreeMap<String, u64> {
+        use rand::Rng;
+        let probs = sv.probabilities();
+        let total: f64 = probs.iter().sum();
+        let mut counts = std::collections::BTreeMap::new();
+        for _ in 0..shots {
+            let r = rng.gen::<f64>() * total;
+            let mut acc = 0.0f64;
+            let mut idx = probs.len() - 1;
+            for (i, p) in probs.iter().enumerate() {
+                acc += p;
+                if acc > r {
+                    idx = i;
+                    break;
+                }
+            }
+            let word: String = qubits
+                .iter()
+                .map(|&q| if idx & (1 << q) != 0 { '1' } else { '0' })
+                .collect();
+            *counts.entry(word).or_insert(0u64) += 1;
+        }
+        counts
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Same seed ⇒ same RNG stream and resolution rule ⇒ the vectorized
+        /// sampler's counts `==` the scalar sampler's, on QFT|0⟩ (uniform:
+        /// every basis state carries mass) and on random non-uniform states,
+        /// for a random subset of the qubits measured in random order.
+        #[test]
+        fn vectorized_sampler_equals_the_scalar_sampler(
+            n in 1usize..=10,
+            shots in 1u64..=4096,
+            seed in proptest::prelude::any::<u64>(),
+            uniform in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let sv = if uniform {
+                let mut sv = StateVector::zero_state(n);
+                sv.apply_view(&crate::circuit::qft_circuit(n, 0, true, false));
+                sv
+            } else {
+                let raw: Vec<(f64, f64)> = (0..1usize << n)
+                    .map(|_| (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                    .collect();
+                normalized(n, &raw)
+            };
+            // A partial Fisher–Yates shuffle: the first `k` of a random
+            // permutation of the qubits.
+            let mut qubits: Vec<usize> = (0..n).collect();
+            let k = rng.gen_range(1..=n);
+            for i in 0..k {
+                let j = rng.gen_range(i..n);
+                qubits.swap(i, j);
+            }
+            qubits.truncate(k);
+
+            let scalar = scalar_sample(&sv, &qubits, shots, &mut StdRng::seed_from_u64(seed));
+            let vectorized = sv
+                .sample_counts_with(
+                    &qubits,
+                    shots,
+                    &mut StdRng::seed_from_u64(seed),
+                    &mut Vec::new(),
+                    &mut Vec::new(),
+                )
+                .unwrap();
+            assert_eq!(scalar, vectorized, "n = {n}, qubits {qubits:?}, {shots} shots");
+        }
+    }
+
     #[test]
     fn marginal_probabilities_sum_to_one() {
         let mut sv = StateVector::zero_state(3);
