@@ -30,8 +30,17 @@ use qml_types::MeasuredCost;
 /// coexist in one deficit ledger while measurements take over.
 pub const COST_UNITS_PER_SECOND: f64 = 1_000.0;
 
-/// Default EWMA smoothing factor (weight of the newest observation).
-pub const DEFAULT_COST_EWMA_ALPHA: f64 = 0.4;
+/// EWMA smoothing factor: the weight of the newest observation. Large
+/// enough that a plan whose true cost shifts converges within a handful of
+/// outcomes, small enough that one outlier moves the estimate by under half.
+pub const COST_EWMA_ALPHA: f64 = 0.4;
+
+/// Per-job bound on the scheduler's deficit charge-back, as a multiple of
+/// the job's charged cost: generous enough that a genuine
+/// 10×-under-estimated job is charged back in full (a correction of
+/// ≤ 16 × the estimate covers it), tight enough that a 1000× outlier is
+/// amortized over the cost model instead of the deficit ledger.
+pub const CHARGE_BACK_CLAMP: f64 = 16.0;
 
 /// One plan key's running estimate.
 #[derive(Debug, Clone, Copy)]
@@ -43,53 +52,25 @@ struct Entry {
     samples: u64,
 }
 
-/// An EWMA-of-busy-seconds cost model keyed by realization-plan identity.
+/// An EWMA-of-busy-seconds cost model keyed by realization-plan identity,
+/// smoothing with [`COST_EWMA_ALPHA`].
 ///
 /// ```
 /// use qml_service::cost_model::CostModel;
 ///
-/// let mut model = CostModel::new(0.5);
+/// let mut model = CostModel::default();
 /// assert_eq!(model.predict_seconds(7), None);
 /// model.observe(7, 0.010);
 /// model.observe(7, 0.020);
-/// // 0.5 × 0.020 + 0.5 × 0.010
-/// assert!((model.predict_seconds(7).unwrap() - 0.015).abs() < 1e-12);
+/// // 0.4 × 0.020 + 0.6 × 0.010
+/// assert!((model.predict_seconds(7).unwrap() - 0.014).abs() < 1e-12);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CostModel {
-    alpha: f64,
     entries: HashMap<u64, Entry>,
 }
 
 impl CostModel {
-    /// A model with the given EWMA smoothing factor, clamped into
-    /// `(0.0, 1.0]`: `alpha` is the weight of the newest observation, so
-    /// `1.0` tracks only the last measurement and small values smooth
-    /// aggressively. `alpha ≤ 0.0` **disables** the model — it learns and
-    /// predicts nothing, restoring pure estimate-unit scheduling — and a
-    /// non-finite alpha falls back to [`DEFAULT_COST_EWMA_ALPHA`].
-    pub fn new(alpha: f64) -> Self {
-        let alpha = if alpha.is_nan() {
-            DEFAULT_COST_EWMA_ALPHA
-        } else {
-            alpha.clamp(0.0, 1.0)
-        };
-        CostModel {
-            alpha,
-            entries: HashMap::new(),
-        }
-    }
-
-    /// The smoothing factor in effect (0.0 = disabled).
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// True when the model is disabled (`alpha ≤ 0`).
-    pub fn is_disabled(&self) -> bool {
-        self.alpha <= 0.0
-    }
-
     /// Predicted busy-seconds for a plan key, if the model knows anything
     /// about it (a measured EWMA, or a hint-seeded prior).
     pub fn predict_seconds(&self, plan_key: u64) -> Option<f64> {
@@ -107,9 +88,6 @@ impl CostModel {
     /// has an entry (seeded or measured) is left untouched: real history
     /// always outranks a hint.
     pub fn seed(&mut self, plan_key: u64, seconds: f64) {
-        if self.is_disabled() {
-            return;
-        }
         if seconds.is_finite() && seconds >= 0.0 {
             self.entries.entry(plan_key).or_insert(Entry {
                 seconds,
@@ -123,13 +101,13 @@ impl CostModel {
     /// otherwise sets the value outright (there is nothing to smooth
     /// against). Non-finite or negative observations are ignored.
     pub fn observe(&mut self, plan_key: u64, seconds: f64) {
-        if self.is_disabled() || !seconds.is_finite() || seconds < 0.0 {
+        if !seconds.is_finite() || seconds < 0.0 {
             return;
         }
         match self.entries.entry(plan_key) {
             std::collections::hash_map::Entry::Occupied(mut slot) => {
                 let entry = slot.get_mut();
-                entry.seconds = self.alpha * seconds + (1.0 - self.alpha) * entry.seconds;
+                entry.seconds = COST_EWMA_ALPHA * seconds + (1.0 - COST_EWMA_ALPHA) * entry.seconds;
                 entry.samples += 1;
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
@@ -159,12 +137,6 @@ impl CostModel {
     }
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::new(DEFAULT_COST_EWMA_ALPHA)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,17 +151,17 @@ mod tests {
 
     #[test]
     fn first_observation_sets_the_value_outright() {
-        let mut model = CostModel::new(0.1);
+        let mut model = CostModel::default();
         model.observe(1, 0.050);
-        // With no prior there is nothing to smooth against: a tiny alpha
-        // must not anchor the estimate at an arbitrary starting point.
+        // With no prior there is nothing to smooth against: the EWMA must
+        // not anchor the estimate at an arbitrary starting point.
         assert!((model.predict_seconds(1).unwrap() - 0.050).abs() < 1e-12);
         assert_eq!(model.samples(1), Some(1));
     }
 
     #[test]
     fn ewma_converges_to_a_shifted_cost() {
-        let mut model = CostModel::new(0.4);
+        let mut model = CostModel::default();
         model.observe(1, 0.001);
         // The workload's true cost shifts 10×; the EWMA must converge.
         for _ in 0..20 {
@@ -205,7 +177,7 @@ mod tests {
 
     #[test]
     fn ewma_smooths_an_outlier() {
-        let mut model = CostModel::new(0.4);
+        let mut model = CostModel::default();
         for _ in 0..10 {
             model.observe(1, 0.010);
         }
@@ -222,7 +194,7 @@ mod tests {
 
     #[test]
     fn seed_is_a_prior_not_a_measurement() {
-        let mut model = CostModel::new(0.5);
+        let mut model = CostModel::default();
         model.seed(1, 0.008);
         assert_eq!(model.samples(1), Some(0));
         assert!((model.predict_seconds(1).unwrap() - 0.008).abs() < 1e-12);
@@ -232,7 +204,7 @@ mod tests {
         assert!((model.predict_seconds(1).unwrap() - 0.008).abs() < 1e-12);
         model.observe(1, 0.016);
         let blended = model.predict_seconds(1).unwrap();
-        assert!((blended - 0.012).abs() < 1e-12, "0.5·16ms + 0.5·8ms");
+        assert!((blended - 0.0112).abs() < 1e-12, "0.4·16ms + 0.6·8ms");
         assert_eq!(model.samples(1), Some(1));
     }
 
@@ -248,24 +220,11 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_are_ignored() {
-        let mut model = CostModel::new(f64::NAN);
-        assert_eq!(model.alpha(), DEFAULT_COST_EWMA_ALPHA);
-        assert_eq!(CostModel::new(7.0).alpha(), 1.0);
+        let mut model = CostModel::default();
         model.observe(1, f64::NAN);
         model.observe(1, -4.0);
         model.seed(2, f64::INFINITY);
         assert!(model.is_empty());
-    }
-
-    #[test]
-    fn non_positive_alpha_disables_the_model() {
-        let mut model = CostModel::new(0.0);
-        assert!(model.is_disabled());
-        assert!(CostModel::new(-1.0).is_disabled());
-        model.observe(1, 0.010);
-        model.seed(2, 0.010);
-        assert!(model.is_empty(), "a disabled model learns nothing");
-        assert_eq!(model.predict_seconds(1), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   wins;
 //! * observed [`DeviceFault`](qml_types::QmlError::DeviceFault) outcomes walk
 //!   a device down the [`HealthState`] ladder (healthy → degraded →
-//!   down at `down_threshold` consecutive faults); any success — including a
+//!   down at [`DOWN_THRESHOLD`] consecutive faults); any success — including a
 //!   recovery probe, routed to a down device once per `probe_interval`
 //!   settled outcomes — restores it to healthy;
 //! * when a device goes down its parked queue is evacuated to live capable
@@ -52,9 +52,8 @@ use qml_types::{CapabilityDescriptor, HealthState, JobRequirements};
 
 use crate::cost_model::CostModel;
 
-/// Consecutive device faults that take a device from degraded to down when
-/// no explicit threshold is configured.
-pub const DEFAULT_DOWN_THRESHOLD: u32 = 2;
+/// Consecutive device faults that take a device from degraded to down.
+pub const DOWN_THRESHOLD: u32 = 2;
 
 /// Relative band around the cheapest capable device's predicted cost within
 /// which devices are considered tied (the least-loaded tied device wins).
@@ -233,10 +232,6 @@ pub struct FleetRouter {
     exclusions: BTreeMap<u64, BTreeSet<usize>>,
     /// Round-robin cursor for history-less routing and tie-breaks.
     rr: usize,
-    /// EWMA smoothing for the per-device cost models.
-    ewma_alpha: f64,
-    /// Consecutive faults that take a device down (≥ 1).
-    down_threshold: u32,
     /// Settled outcomes between recovery probes of a down device
     /// (0 disables probing: down is permanent).
     probe_interval: u64,
@@ -245,16 +240,10 @@ pub struct FleetRouter {
 }
 
 impl FleetRouter {
-    /// A router over `specs`. Device cost models smooth with `ewma_alpha`
-    /// (same semantics as the scheduler's admission model), `down_threshold`
-    /// consecutive faults take a device down, and a down device receives one
-    /// recovery probe every `probe_interval` settled outcomes (0 = never).
-    pub fn new(
-        specs: Vec<DeviceSpec>,
-        ewma_alpha: f64,
-        down_threshold: u32,
-        probe_interval: u64,
-    ) -> Self {
+    /// A router over `specs`. [`DOWN_THRESHOLD`] consecutive faults take a
+    /// device down, and a down device receives one recovery probe every
+    /// `probe_interval` settled outcomes (0 = never).
+    pub fn new(specs: Vec<DeviceSpec>, probe_interval: u64) -> Self {
         let devices = specs
             .into_iter()
             .map(|spec| DeviceState {
@@ -266,7 +255,7 @@ impl FleetRouter {
                 health: HealthState::Healthy,
                 cordoned: false,
                 fail_streak: 0,
-                cost: CostModel::new(ewma_alpha),
+                cost: CostModel::default(),
                 queue: VecDeque::new(),
                 in_flight: 0,
                 dispatched: 0,
@@ -282,8 +271,6 @@ impl FleetRouter {
             devices,
             exclusions: BTreeMap::new(),
             rr: 0,
-            ewma_alpha,
-            down_threshold: down_threshold.max(1),
             probe_interval,
             outcomes_seen: 0,
         }
@@ -292,7 +279,7 @@ impl FleetRouter {
     /// A router with no devices: every plane is un-fleeted and dispatches
     /// exactly as before the fleet layer existed.
     pub fn empty() -> Self {
-        FleetRouter::new(Vec::new(), 0.0, DEFAULT_DOWN_THRESHOLD, 0)
+        FleetRouter::new(Vec::new(), 0)
     }
 
     /// Number of registered devices.
@@ -679,7 +666,6 @@ impl FleetRouter {
         fault: bool,
     ) -> bool {
         self.outcomes_seen += 1;
-        let threshold = self.down_threshold;
         let Some(dev) = self.devices.get_mut(index) else {
             return false;
         };
@@ -699,7 +685,7 @@ impl FleetRouter {
             dev.failed += 1;
             if fault {
                 dev.fail_streak += 1;
-                let next = if dev.fail_streak >= threshold {
+                let next = if dev.fail_streak >= DOWN_THRESHOLD {
                     HealthState::Down
                 } else {
                     HealthState::Degraded
@@ -744,11 +730,6 @@ impl FleetRouter {
         self.devices[from].queue = kept;
     }
 
-    /// The EWMA smoothing the per-device cost models were built with.
-    pub fn ewma_alpha(&self) -> f64 {
-        self.ewma_alpha
-    }
-
     /// Per-device gauges keyed by device id.
     pub fn snapshot(&self) -> BTreeMap<String, DeviceUtilization> {
         self.devices
@@ -791,7 +772,7 @@ mod tests {
         let specs = (0..n)
             .map(|i| spec(&format!("dev-{i}"), CapabilityDescriptor::unlimited()))
             .collect();
-        FleetRouter::new(specs, 0.4, 2, 0)
+        FleetRouter::new(specs, 0)
     }
 
     fn req(qubits: usize) -> JobRequirements {
@@ -819,7 +800,7 @@ mod tests {
             ),
             spec("wide", CapabilityDescriptor::unlimited()),
         ];
-        let mut fleet = FleetRouter::new(specs, 0.4, 2, 0);
+        let mut fleet = FleetRouter::new(specs, 0);
         for job in 0..4 {
             let pick = fleet.select(PLANE, Some(&req(16)), None, job).unwrap();
             assert_eq!(fleet.device_id(pick).unwrap().as_ref(), "wide");
@@ -909,17 +890,18 @@ mod tests {
             (0..2)
                 .map(|i| spec(&format!("dev-{i}"), CapabilityDescriptor::unlimited()))
                 .collect(),
-            0.4,
-            1,
             3,
         );
-        fleet.observe(0, None, 0.01, false, true); // threshold 1: down
+        for _ in 0..DOWN_THRESHOLD {
+            fleet.observe(0, None, 0.01, false, true);
+        }
         assert_eq!(fleet.health(0), Some(HealthState::Down));
         // Not due yet: traffic routes to the live device.
         assert_eq!(fleet.select(PLANE, None, None, 1), Some(1));
         fleet.observe(1, None, 0.01, true, false);
         fleet.observe(1, None, 0.01, true, false);
-        // 3 outcomes since the fault: the down device gets one probe...
+        // 4 settled outcomes, the interval is 3: the down device gets one
+        // probe...
         assert_eq!(fleet.select(PLANE, None, None, 2), Some(0));
         // ...and only one, until the interval elapses again.
         assert_eq!(fleet.select(PLANE, None, None, 3), Some(1));
@@ -959,7 +941,7 @@ mod tests {
                 spec(&format!("dev-{i}"), CapabilityDescriptor::unlimited()).with_concurrency(1)
             })
             .collect();
-        let mut fleet = FleetRouter::new(specs, 0.4, 2, 0);
+        let mut fleet = FleetRouter::new(specs, 0);
         // Saturate device 0 and park two dispatches behind its busy slot.
         fleet.take_slots(0, 1);
         fleet.park(
@@ -1023,7 +1005,7 @@ mod tests {
                 spec(&format!("dev-{i}"), CapabilityDescriptor::unlimited()).with_concurrency(1)
             })
             .collect();
-        let mut fleet = FleetRouter::new(specs, 0.4, 2, 0);
+        let mut fleet = FleetRouter::new(specs, 0);
         // Device 0 is saturated with a dispatch parked behind its busy
         // slot; device 1 — the only possible thief — is cordoned.
         fleet.take_slots(0, 1);

@@ -28,9 +28,10 @@
 //!   busy-seconds, not placement guesses: an online per-plan-key
 //!   [`CostModel`] (EWMA of measured durations) prices admissions and
 //!   lazily reprices queued jobs, and every recorded outcome charges the
-//!   clamped estimate error back to the tenant's deficit
-//!   ([`ServiceConfig::cost_ewma_alpha`] / ·`charge_back_clamp`), so a
-//!   systematically under-estimated workload cannot hog device time.
+//!   estimate error, clamped per job, back to the tenant's deficit
+//!   ([`COST_EWMA_ALPHA`] / [`CHARGE_BACK_CLAMP`]), so a systematically
+//!   under-estimated workload cannot hog device time. The scheduler reads
+//!   no clock: the service passes every policy decision its `now`.
 //! * **Micro-batched dispatch** — up to [`ServiceConfig::max_batch`]
 //!   plan-compatible jobs of one tenant coalesce into a single device-level
 //!   [`execute_batch_timed`](qml_backends::Backend::execute_batch_timed) call
@@ -112,10 +113,8 @@ pub mod scheduler;
 pub mod service;
 pub mod sweep;
 
-pub use cost_model::{CostModel, COST_UNITS_PER_SECOND, DEFAULT_COST_EWMA_ALPHA};
-pub use fleet::{
-    DeviceSpec, DeviceUtilization, FleetRouter, COST_TIE_BAND, DEFAULT_DOWN_THRESHOLD,
-};
+pub use cost_model::{CostModel, CHARGE_BACK_CLAMP, COST_EWMA_ALPHA, COST_UNITS_PER_SECOND};
+pub use fleet::{DeviceSpec, DeviceUtilization, FleetRouter, COST_TIE_BAND, DOWN_THRESHOLD};
 pub use metrics::{
     BackendUtilization, CacheStats, ClassStats, RunSummary, SchedulerMetrics, ServiceMetrics,
     TenantStats,
@@ -124,7 +123,5 @@ pub use observe::{
     CostModelGauges, LatencyBreakdown, MetricsRegistry, ObservabilitySnapshot, SNAPSHOT_VERSION,
 };
 pub use scheduler::{RateLimit, TenantPolicy};
-pub use service::{
-    BatchId, QmlService, ServiceConfig, ServiceHandle, DEFAULT_CHARGE_BACK_CLAMP, DEFAULT_MAX_BATCH,
-};
+pub use service::{BatchId, QmlService, ServiceConfig, ServiceHandle, DEFAULT_MAX_BATCH};
 pub use sweep::SweepRequest;

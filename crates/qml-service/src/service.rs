@@ -16,12 +16,10 @@ use qml_observe::{
 use qml_runtime::{Feed, JobId, JobOutcome, JobSource, JobStatus, Runtime, WorkerPool};
 use qml_types::{CapabilityDescriptor, JobBundle, JobRequirements, QmlError, Result, SealedBundle};
 
-use crate::fleet::{DeviceSpec, DeviceUtilization, FleetRouter, DEFAULT_DOWN_THRESHOLD};
+use crate::fleet::{DeviceSpec, DeviceUtilization, FleetRouter};
 use crate::metrics::{BackendUtilization, RunSummary, ServiceMetrics, TenantStats};
 use crate::observe::{MetricsRegistry, ObservabilitySnapshot};
-use crate::scheduler::{
-    Admission, FairScheduler, Mode, OutcomeDisposition, SchedPoll, TenantPolicy,
-};
+use crate::scheduler::{FairScheduler, Job, Mode, OutcomeDisposition, SchedPoll, TenantPolicy};
 use crate::sweep::SweepRequest;
 
 /// Identifier of a submitted batch (single bundles get one too).
@@ -30,6 +28,11 @@ pub struct BatchId(pub u64);
 
 /// Service construction parameters: pool width plus the per-tenant
 /// scheduling policies the fair scheduler enforces.
+///
+/// The measured-cost loop and the fleet's health ladder run at fixed
+/// constants, not knobs: [`COST_EWMA_ALPHA`](crate::COST_EWMA_ALPHA),
+/// [`CHARGE_BACK_CLAMP`](crate::CHARGE_BACK_CLAMP) and
+/// [`DOWN_THRESHOLD`](crate::DOWN_THRESHOLD).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads in the streaming pool (and in `run_pending` drains).
@@ -46,20 +49,6 @@ pub struct ServiceConfig {
     pub default_policy: TenantPolicy,
     /// Per-tenant policy overrides (weight, in-flight cap, rate limit).
     pub tenant_policies: BTreeMap<String, TenantPolicy>,
-    /// EWMA smoothing factor of the online cost model (weight of the newest
-    /// measured busy-seconds observation per plan key); `≤ 0.0` disables the
-    /// model entirely, restoring pure estimate-unit admission. See
-    /// [`CostModel::new`](crate::cost_model::CostModel::new). Default
-    /// [`DEFAULT_COST_EWMA_ALPHA`](crate::cost_model::DEFAULT_COST_EWMA_ALPHA).
-    pub cost_ewma_alpha: f64,
-    /// Per-job bound on the measured-cost deficit charge-back, as a multiple
-    /// of the job's charged cost: a single outcome may correct the tenant's
-    /// deficit by at most `charge_back_clamp × estimated` cost units in
-    /// either direction, so one wild outlier (page-fault storm, cold cache
-    /// stampede) cannot bankrupt a tenant for many rotations. `≤ 0` disables
-    /// charge-back (estimate-unit fairness, the pre-measured behavior).
-    /// Default [`DEFAULT_CHARGE_BACK_CLAMP`].
-    pub charge_back_clamp: f64,
     /// Retain per-job stage events in a bounded in-memory ring
     /// ([`RingTracer`]); when false (the default) the service observes
     /// through [`NoopTracer`] — latency histograms and the metrics snapshot
@@ -74,10 +63,6 @@ pub struct ServiceConfig {
     /// implicit unlimited device (`"<backend-name>#0"`), so the fleet layer
     /// is always live but single-device planes behave exactly as before.
     pub devices: Vec<DeviceSpec>,
-    /// Consecutive device faults that move a device from degraded to down
-    /// (see [`qml_types::HealthState`]). Default
-    /// [`DEFAULT_DOWN_THRESHOLD`]; values of 0 are treated as 1.
-    pub down_threshold: u32,
     /// Route one recovery probe job to a down device every this many
     /// settled outcomes. `0` (the default) disables probing: a down device
     /// stays down.
@@ -88,12 +73,6 @@ pub struct ServiceConfig {
 /// amortizes dispatch and realization overhead, small enough that a batch
 /// does not serialize a whole sweep onto one worker of a small pool.
 pub const DEFAULT_MAX_BATCH: usize = 8;
-
-/// Default [`ServiceConfig::charge_back_clamp`]: generous enough that a
-/// genuine 10×-under-estimated job is charged back in full (correction
-/// ≤ 16 × estimate covers it), tight enough that a 1000× outlier is
-/// amortized over the cost model instead of the deficit ledger.
-pub const DEFAULT_CHARGE_BACK_CLAMP: f64 = 16.0;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -114,12 +93,9 @@ impl ServiceConfig {
             max_batch: DEFAULT_MAX_BATCH,
             default_policy: TenantPolicy::default(),
             tenant_policies: BTreeMap::new(),
-            cost_ewma_alpha: crate::cost_model::DEFAULT_COST_EWMA_ALPHA,
-            charge_back_clamp: DEFAULT_CHARGE_BACK_CLAMP,
             tracing: false,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             devices: Vec::new(),
-            down_threshold: DEFAULT_DOWN_THRESHOLD,
             probe_interval: 0,
         }
     }
@@ -128,13 +104,6 @@ impl ServiceConfig {
     /// [`ServiceConfig::devices`]).
     pub fn with_device(mut self, spec: DeviceSpec) -> Self {
         self.devices.push(spec);
-        self
-    }
-
-    /// Set the degraded→down fault threshold, builder-style (see
-    /// [`ServiceConfig::down_threshold`]).
-    pub fn with_down_threshold(mut self, threshold: u32) -> Self {
-        self.down_threshold = threshold;
         self
     }
 
@@ -163,20 +132,6 @@ impl ServiceConfig {
     /// are treated as 1.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Set the cost model's EWMA smoothing factor, builder-style (see
-    /// [`ServiceConfig::cost_ewma_alpha`]).
-    pub fn with_cost_ewma_alpha(mut self, alpha: f64) -> Self {
-        self.cost_ewma_alpha = alpha;
-        self
-    }
-
-    /// Set (or, with `0.0`, disable) the per-job charge-back clamp,
-    /// builder-style (see [`ServiceConfig::charge_back_clamp`]).
-    pub fn with_charge_back_clamp(mut self, clamp: f64) -> Self {
-        self.charge_back_clamp = clamp;
         self
     }
 
@@ -254,14 +209,12 @@ impl ServiceInner {
         // try — fail the job over. The runtime requeue inside the closure
         // only flips a *failed* record back to queued, so an outcome that
         // already settled can never be duplicated.
-        let disposition = self.sched.lock().settle_outcome(
-            outcome.id,
-            outcome.device.as_deref(),
-            seconds,
-            ok,
-            fault,
-            || self.runtime.requeue(outcome.id),
-        );
+        let disposition = {
+            let mut sched = self.sched.lock();
+            sched.settle_outcome(outcome.id, seconds, ok, fault, Instant::now(), || {
+                self.runtime.requeue(outcome.id)
+            })
+        };
         if disposition == OutcomeDisposition::Requeued {
             // Not a terminal outcome: only the plane's busy-seconds accrue
             // (the device really ran that long, and per-backend totals must
@@ -331,11 +284,8 @@ impl ServiceInner {
                 },
             );
         }
-        self.sched.lock().record_outcome(
-            outcome.id,
-            outcome.duration.as_secs_f64(),
-            outcome.result.is_ok(),
-        );
+        let mut sched = self.sched.lock();
+        sched.record_outcome(outcome.id, seconds, ok, Instant::now());
     }
 
     /// A point-in-time [`ServiceMetrics`] snapshot (shared by the service
@@ -394,7 +344,8 @@ impl ServiceInner {
 /// Pool workers pull their next job straight from the fair scheduler.
 impl JobSource for ServiceInner {
     fn next_job(&self, _worker: usize) -> Feed {
-        match self.sched.lock().next_job(Instant::now()) {
+        let mut sched = self.sched.lock();
+        match sched.next_job(Instant::now()) {
             SchedPoll::Dispatch(dispatch) => Feed::Job(dispatch),
             SchedPoll::Idle => Feed::Idle,
             SchedPoll::Shutdown => Feed::Shutdown,
@@ -511,12 +462,7 @@ impl QmlService {
         // from workers lands in the same event stream (same clock epoch) as
         // the service's submit/dispatch/outcome stages.
         runtime.set_tracer(Arc::clone(obs.tracer()));
-        let mut sched = FairScheduler::new(
-            config.max_batch,
-            config.cost_ewma_alpha,
-            config.charge_back_clamp,
-            Arc::clone(&obs),
-        );
+        let mut sched = FairScheduler::new(config.max_batch, Arc::clone(&obs));
         // Every registered backend plane fronts a fleet: explicitly
         // configured devices where given, otherwise one implicit unlimited
         // device per plane — the fleet code path is always exercised, and a
@@ -531,12 +477,7 @@ impl QmlService {
                 ));
             }
         }
-        sched.set_fleet(FleetRouter::new(
-            specs,
-            config.cost_ewma_alpha,
-            config.down_threshold,
-            config.probe_interval,
-        ));
+        sched.set_fleet(FleetRouter::new(specs, config.probe_interval));
         QmlService {
             inner: Arc::new(ServiceInner {
                 runtime: Arc::new(runtime),
@@ -605,22 +546,19 @@ impl QmlService {
             // wait counts against it.
             let class = bundle.service_class();
             let deadline = class.deadline().map(|budget| Instant::now() + budget);
-            prepared.push((
-                bundle,
-                Admission {
-                    // Placeholder until the runtime assigns the real id at
-                    // submission below.
-                    id: JobId(0),
-                    cost,
-                    hint_seconds,
-                    placement,
-                    batch_key,
-                    requirements: Some(requirements),
-                    class,
-                    deadline,
-                    retry: false,
-                },
-            ));
+            let job = Job {
+                // Placeholder until the runtime assigns the real id at
+                // submission below.
+                id: JobId(0),
+                cost,
+                placement,
+                batch_key,
+                requirements: Some(requirements),
+                class,
+                deadline,
+                retry: false,
+            };
+            prepared.push((bundle, job, hint_seconds));
         }
         // Fleet feasibility, still before anything is recorded: a job no
         // device on its placed plane could *ever* serve (too wide, wrong
@@ -628,8 +566,8 @@ impl QmlService {
         // of queueing work that can only bounce until it fails.
         {
             let sched = self.inner.sched.lock();
-            for (_, adm) in &prepared {
-                if let (Some(placement), Some(requirements)) = (&adm.placement, &adm.requirements) {
+            for (_, job, _) in &prepared {
+                if let (Some(placement), Some(requirements)) = (&job.placement, &job.requirements) {
                     if !sched.feasible(placement.backend.name(), requirements) {
                         return Err(QmlError::Validation(format!(
                             "no device in the '{}' fleet can serve this job \
@@ -644,9 +582,9 @@ impl QmlService {
         }
         let jobs = {
             let mut submitted = Vec::with_capacity(prepared.len());
-            for (bundle, mut adm) in prepared {
-                adm.id = self.inner.runtime.submit_sealed(bundle);
-                submitted.push(adm);
+            for (bundle, mut job, hint_seconds) in prepared {
+                job.id = self.inner.runtime.submit_sealed(bundle);
+                submitted.push((job, hint_seconds));
             }
             submitted
         };
@@ -654,11 +592,10 @@ impl QmlService {
         // fair scheduler: a running pool may dispatch and finish a job the
         // instant it is admitted, and record_outcome must already find its
         // tenant. Locks are taken sequentially, never nested.
-        let tenant: Arc<str> = self
-            .inner
-            .sched
-            .lock()
-            .intern(tenant, self.inner.config.policy_for(tenant));
+        let tenant: Arc<str> = {
+            let mut sched = self.inner.sched.lock();
+            sched.intern(tenant, self.inner.config.policy_for(tenant), Instant::now())
+        };
         let batch = {
             let mut state = self.inner.state.lock();
             let id = BatchId(state.next_batch);
@@ -666,29 +603,33 @@ impl QmlService {
             state.jobs_submitted += jobs.len() as u64;
             let tenant_stats = state.per_tenant.entry(Arc::clone(&tenant)).or_default();
             tenant_stats.submitted += jobs.len() as u64;
-            for adm in &jobs {
-                state.job_tenant.insert(adm.id, Arc::clone(&tenant));
+            for (job, _) in &jobs {
+                state.job_tenant.insert(job.id, Arc::clone(&tenant));
             }
             state.batches.insert(
                 id,
                 BatchRecord {
                     tenant: Arc::clone(&tenant),
-                    job_ids: jobs.iter().map(|adm| adm.id).collect(),
+                    job_ids: jobs.iter().map(|(job, _)| job.id).collect(),
                 },
             );
             id
         };
         let mut sched = self.inner.sched.lock();
-        for adm in jobs {
+        // Read after taking the lock, like every scheduler clock read: a
+        // worker's dispatch `now` is read under the same lock, so
+        // `submitted ≤ now` holds by construction.
+        let now = Instant::now();
+        for (job, hint_seconds) in jobs {
             // `submitted` lands immediately before the scheduler's own
             // `admitted` event, under the same lock: per-job stage order and
             // timestamp order agree by construction.
             if self.inner.obs.tracing_enabled() {
                 self.inner
                     .obs
-                    .trace(adm.id, Some(&tenant), adm.batch_key, Stage::Submitted);
+                    .trace(job.id, Some(&tenant), job.batch_key, Stage::Submitted);
             }
-            sched.admit_job(&tenant, adm);
+            sched.admit_job(&tenant, job, hint_seconds, now);
         }
         Ok(batch)
     }

@@ -127,14 +127,16 @@ fn mid_sweep_device_death_is_absorbed_bit_for_bit() {
 
 #[test]
 fn transient_fault_heals_through_a_recovery_probe() {
-    // gate-a faults exactly once (its first execution) and a down threshold
-    // of 1 takes it straight down; a probe every 3 settled outcomes then
-    // rehabilitates it.
+    // gate-a faults on its first two executions, which takes it down at
+    // the fleet's down threshold of two consecutive faults; a probe every 3
+    // settled outcomes then rehabilitates it.
     let config = ServiceConfig::with_workers(1)
         .with_max_batch(1)
-        .with_down_threshold(1)
         .with_probe_interval(3)
-        .with_device(gate_device("gate-a", FaultPlan::none().with_fail_nth([0])))
+        .with_device(gate_device(
+            "gate-a",
+            FaultPlan::none().with_fail_nth([0, 1]),
+        ))
         .with_device(gate_device("gate-b", FaultPlan::none()));
     let service = QmlService::with_config(config);
     service
@@ -146,8 +148,8 @@ fn transient_fault_heals_through_a_recovery_probe() {
 
     let metrics = service.metrics();
     assert_eq!(
-        metrics.scheduler.requeued, 1,
-        "one faulted attempt requeued"
+        metrics.scheduler.requeued, 2,
+        "each of the two faulted attempts requeued once"
     );
     let healed = &metrics.per_device["gate-a"];
     assert_eq!(

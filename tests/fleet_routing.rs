@@ -40,7 +40,7 @@ fn unlimited_fleet(n: usize) -> FleetRouter {
             )
         })
         .collect();
-    FleetRouter::new(specs, 0.4, 2, 0)
+    FleetRouter::new(specs, 0)
 }
 
 proptest! {
@@ -65,7 +65,7 @@ proptest! {
                 )
             })
             .collect();
-        let mut fleet = FleetRouter::new(specs, 0.4, 2, 0);
+        let mut fleet = FleetRouter::new(specs, 0);
         for (job, &qubits) in jobs.iter().enumerate() {
             let req = JobRequirements { qubits, opt_level: 1 };
             match fleet.select(PLANE, Some(&req), Some(7), job as u64) {

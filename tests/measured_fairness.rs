@@ -123,25 +123,6 @@ fn under_estimated_tenant_cannot_hog_busy_seconds() {
 }
 
 #[test]
-fn disabling_the_measured_loop_restores_the_old_estimate_unit_monopoly() {
-    // The "before" proof: with the cost model and charge-back disabled (the
-    // pre-measured scheduler), the same workload lets the under-estimated
-    // tenant hog the device: it receives a large multiple of the honest
-    // tenant's busy-seconds at equal weight.
-    let config = ServiceConfig::with_workers(1)
-        .with_max_batch(1)
-        .with_cost_ewma_alpha(0.0)
-        .with_charge_back_clamp(0.0);
-    let ((sand_busy, sand_done), (honest_busy, honest_done)) = run_mis_estimated(config, 200, 150);
-    let ratio = (sand_busy + 1e-9) / (honest_busy + 1e-9);
-    assert!(
-        ratio > 3.0,
-        "without measured-cost fairness the 85× estimate skew must dominate \
-         dispatch; got ratio {ratio:.2} ({sand_done} vs {honest_done} jobs)"
-    );
-}
-
-#[test]
 fn measured_costs_reprice_streaming_resubmissions() {
     // Round 1 submits a plan the scheduler has never measured: admission
     // uses the descriptor estimate and the error gauge records the gap.
