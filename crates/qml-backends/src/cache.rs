@@ -279,6 +279,12 @@ impl<K: std::hash::Hash + Eq + Clone, V> CachePlane<K, V> {
         };
         while self.entries.load(Ordering::Relaxed) > capacity {
             let mut slots = self.slots.write();
+            // Re-check under the write lock (entries only grow under the
+            // read lock): a racing insert may already have evicted down to
+            // capacity while this one waited.
+            if self.entries.load(Ordering::Relaxed) <= capacity {
+                break;
+            }
             let victim = slots
                 .iter()
                 .filter(|(key, slot)| *key != just_inserted && slot.counted.load(Ordering::Relaxed))

@@ -12,6 +12,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,8 +95,10 @@ fn record_terminal(job: &mut Job, outcome: &Result<ExecutionResult>) {
 /// transpilation/lowering cache.
 pub struct Runtime {
     scheduler: Scheduler,
-    jobs: Arc<Mutex<BTreeMap<JobId, Job>>>,
-    next_id: Arc<Mutex<u64>>,
+    jobs: Mutex<BTreeMap<JobId, Job>>,
+    /// The next job id. `Relaxed` suffices: an id publishes no other data
+    /// (the job itself is published under `jobs`' lock).
+    next_id: AtomicU64,
     cache: Arc<TranspileCache>,
     /// Stage-event sink for per-job `plan`/`bound` events from the execution
     /// paths. [`NoopTracer`] by default; a service wanting end-to-end traces
@@ -115,8 +118,8 @@ impl Runtime {
     pub fn with_cache(scheduler: Scheduler, cache: Arc<TranspileCache>) -> Self {
         Runtime {
             scheduler,
-            jobs: Arc::new(Mutex::new(BTreeMap::new())),
-            next_id: Arc::new(Mutex::new(0)),
+            jobs: Mutex::new(BTreeMap::new()),
+            next_id: AtomicU64::new(0),
             cache,
             tracer: Arc::new(NoopTracer),
         }
@@ -163,10 +166,7 @@ impl Runtime {
     /// Submit an already sealed bundle: it was validated when it was
     /// sealed, so submission cannot fail.
     pub fn submit_sealed(&self, bundle: SealedBundle) -> JobId {
-        let mut next = self.next_id.lock();
-        let id = JobId(*next);
-        *next += 1;
-        drop(next);
+        let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.jobs.lock().insert(
             id,
             Job {
@@ -192,15 +192,6 @@ impl Runtime {
     /// Ids of all jobs in submission order.
     pub fn job_ids(&self) -> Vec<JobId> {
         self.jobs.lock().keys().copied().collect()
-    }
-
-    /// Number of jobs still waiting to execute.
-    pub fn queue_depth(&self) -> usize {
-        self.jobs
-            .lock()
-            .values()
-            .filter(|j| j.status == JobStatus::Queued)
-            .count()
     }
 
     /// Execute one queued job synchronously: claim it, place it, and run it
@@ -377,8 +368,7 @@ impl Runtime {
     }
 
     /// Execute every queued job with at most `max_parallel` workers.
-    /// Returns the per-job outcomes in submission order — a thin wrapper
-    /// over [`Runtime::run_all_detailed`].
+    /// Returns the per-job outcomes in submission order.
     pub fn run_all(&self, max_parallel: usize) -> Vec<(JobId, Result<ExecutionResult>)> {
         let mut outcomes: Vec<(JobId, Result<ExecutionResult>)> = self
             .run_all_detailed(max_parallel)
@@ -400,7 +390,7 @@ impl Runtime {
     /// worker takes the next-longest job, so one slow job delays only the
     /// worker executing it. Jobs submitted after the snapshot wait for the
     /// next drain.
-    pub fn run_all_detailed(&self, num_workers: usize) -> Vec<JobOutcome> {
+    fn run_all_detailed(&self, num_workers: usize) -> Vec<JobOutcome> {
         // Snapshot queued bundles under the lock, then run the placement /
         // cost-ranking pass outside it so status()/submit() callers never
         // block behind an O(batch) scheduler scan.
@@ -443,7 +433,7 @@ impl Runtime {
     }
 }
 
-/// The one-shot [`JobSource`] behind [`Runtime::run_all_detailed`]: a ranked
+/// The one-shot [`JobSource`] behind [`Runtime::run_all`]: a ranked
 /// snapshot handed out front to back. Nothing is ever re-queued into it, so
 /// "empty" is a stable reason to shut a worker down.
 struct Snapshot(Mutex<VecDeque<JobDispatch>>);

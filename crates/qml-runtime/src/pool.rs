@@ -6,9 +6,9 @@
 //! out queued work ([`Feed::Job`]), asks the worker to back off briefly
 //! ([`Feed::Idle`]), or tells it to exit ([`Feed::Shutdown`]). The policy —
 //! FIFO, cost-ranked, deficit-round-robin across tenants — lives entirely in
-//! the source. [`Runtime::run_all_detailed`](crate::Runtime::run_all_detailed)
-//! feeds the loop a ranked *snapshot* of the queue on scoped threads and
-//! returns when it is exhausted; a long-running service needs workers that
+//! the source. [`Runtime::run_all`](crate::Runtime::run_all) feeds the loop a
+//! ranked *snapshot* of the queue on scoped threads and returns when it is
+//! exhausted; a long-running service needs workers that
 //! live as long as it does and pick up new submissions immediately, which is
 //! the [`WorkerPool`] here, fed by the serving tier's (`qml-service`) fair
 //! scheduler.
@@ -118,9 +118,12 @@ pub trait JobSource: Send + Sync {
     /// Hand the calling worker its next instruction.
     fn next_job(&self, worker: usize) -> Feed;
 
-    /// Called when a dispatched job could not be claimed (it was already
-    /// executed by another path, e.g. a concurrent one-shot drain). Sources
-    /// tracking in-flight counts use this to release the slot.
+    /// Called when a dispatched job could not be claimed: the runtime does
+    /// not know it, or it is no longer queued because another path (a
+    /// concurrent [`Runtime::run_all`] or [`Runtime::run_job`] on the same
+    /// runtime) ran it first. A safety net for sources that track in-flight
+    /// slots, so a lost claim releases its slot instead of leaking it; a
+    /// source that dispatches only jobs it alone admitted never sees it.
     fn job_skipped(&self, _id: JobId) {}
 }
 
@@ -140,9 +143,10 @@ impl WorkerPool {
     /// Spawn `workers` threads executing jobs from `source` on `runtime`,
     /// reporting each finished job to `sink`.
     ///
-    /// Every dispatched job goes through the runtime's atomic claim, so a
-    /// pool can coexist with one-shot drains and manual
-    /// [`Runtime::run_job`] calls without double-executing anything.
+    /// Every dispatched job goes through the runtime's atomic claim, so no
+    /// job runs twice even if another path ([`Runtime::run_all`],
+    /// [`Runtime::run_job`]) reaches it first; the lost claim is reported
+    /// through [`JobSource::job_skipped`].
     pub fn spawn(
         runtime: &Arc<Runtime>,
         workers: usize,

@@ -564,6 +564,11 @@ impl FleetRouter {
         }
     }
 
+    /// Member jobs parked across every device's queue.
+    pub(crate) fn parked_members(&self) -> usize {
+        self.devices.iter().map(DeviceState::queued_members).sum()
+    }
+
     /// Next parked dispatch ready to run, with the device that will run it.
     ///
     /// A device with a free slot serves its own queue first (FIFO). Failing

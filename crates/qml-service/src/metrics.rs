@@ -30,7 +30,9 @@ pub struct TenantStats {
     pub failed: u64,
     /// Jobs the fair scheduler has handed to workers.
     pub dispatched: u64,
-    /// Jobs currently executing (gauge; nonzero only while a pool runs).
+    /// Jobs dispatched and not yet settled (gauge), members parked on a
+    /// fleet device's queue included: they already hold the tenant's
+    /// in-flight slots.
     pub in_flight: u64,
     /// Scheduler visits skipped because the tenant's token bucket was empty.
     pub throttled: u64,
@@ -99,7 +101,9 @@ pub struct ServiceMetrics {
     pub jobs_completed: u64,
     /// Jobs that finished with an error since the service started.
     pub jobs_failed: u64,
-    /// Jobs currently waiting to execute.
+    /// Jobs currently waiting to execute: admitted but not yet dispatched,
+    /// plus members parked on a fleet device's queue. On a stopped service
+    /// these are exactly the jobs whose status is `Queued`.
     pub queue_depth: usize,
     /// Combined transpilation/lowering cache counters.
     pub cache: CacheStats,
@@ -124,7 +128,7 @@ pub struct ServiceMetrics {
     pub per_class: BTreeMap<String, ClassStats>,
     /// Submission totals per tenant.
     pub per_tenant: BTreeMap<String, TenantStats>,
-    /// Summary of the most recent `run_pending` drain.
+    /// Summary of the most recent pool run (a drain or an abort).
     pub last_run: Option<RunSummary>,
 }
 

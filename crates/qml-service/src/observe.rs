@@ -280,11 +280,9 @@ impl MetricsRegistry {
     }
 
     /// Feed one measured execution latency (microseconds) into the tenant's
-    /// and backend's execute histograms (either attribution may be unknown).
-    pub(crate) fn observe_exec(&self, tenant: Option<&str>, backend: Option<&str>, us: u64) {
-        if let Some(tenant) = tenant {
-            self.tenant_exec.observe(tenant, us);
-        }
+    /// and the placed backend's execute histograms.
+    pub(crate) fn observe_exec(&self, tenant: &str, backend: Option<&str>, us: u64) {
+        self.tenant_exec.observe(tenant, us);
         if let Some(backend) = backend {
             self.backend_exec.observe(backend, us);
         }
@@ -337,7 +335,7 @@ mod tests {
         let registry = MetricsRegistry::new(Arc::new(NoopTracer));
         registry.observe_wait("alice", Some("qml-gate-simulator"), 150);
         registry.observe_wait("alice", Some("qml-gate-simulator"), 900);
-        registry.observe_exec(Some("alice"), Some("qml-gate-simulator"), 4_200);
+        registry.observe_exec("alice", Some("qml-gate-simulator"), 4_200);
         let snapshot = registry.snapshot(ServiceMetrics::default());
         assert_eq!(snapshot.version, SNAPSHOT_VERSION);
         assert_eq!(snapshot.latency.tenant_queue_wait["alice"].count, 2);

@@ -81,7 +81,7 @@ impl FairScheduler {
                         true
                     }
                     Some(Veto::Throttled) => {
-                        tenant.throttled += 1;
+                        tenant.stats.throttled += 1;
                         self.metrics.throttled += 1;
                         true
                     }
@@ -201,13 +201,13 @@ impl FairScheduler {
         if tenant.spends_token(job.retry, drain) {
             tenant.tokens -= 1.0;
         }
-        tenant.in_flight += 1;
-        tenant.dispatched += 1;
+        tenant.stats.in_flight += 1;
+        tenant.stats.dispatched += 1;
         // Saturating: `submitted` stamps are taken under the same lock, but
         // a caller-supplied stale `now` must clamp a "negative" wait to zero
         // rather than corrupt the gauge.
         let wait = now.saturating_duration_since(submitted);
-        tenant.total_wait_seconds += wait.as_secs_f64();
+        tenant.stats.total_wait_seconds += wait.as_secs_f64();
         self.metrics.dispatched += 1;
         self.ledger_mut(job.class).dispatched += 1;
         let wait_us = wait.as_micros() as u64;
@@ -304,7 +304,7 @@ mod tests {
     use std::time::Duration;
 
     use super::super::testing::*;
-    use super::super::{Job, OutcomeDisposition, RateLimit, TenantPolicy};
+    use super::super::{Job, RateLimit, TenantPolicy};
     use super::*;
 
     #[test]
@@ -500,11 +500,10 @@ mod tests {
             panic!("expected dispatch");
         };
         sched.release(d.id);
-        let (_, gauges) = &sched.gauges()[0];
+        let wait = sched.tenant_snapshot()["t"].total_wait_seconds;
         assert!(
-            gauges.total_wait_seconds >= 0.0 && gauges.total_wait_seconds < 1.0,
-            "a stale now must clamp the wait to zero, got {}",
-            gauges.total_wait_seconds
+            (0.0..1.0).contains(&wait),
+            "a stale now must clamp the wait to zero, got {wait}"
         );
     }
 
@@ -667,10 +666,7 @@ mod tests {
                 // One device fault, on the first dispatch of job 3.
                 let fault = !faulted && id == JobId(3);
                 faulted |= fault;
-                let disposition = sched.settle_outcome(id, secs, !fault, fault, base, || true);
-                if disposition == OutcomeDisposition::Final {
-                    sched.record_outcome(id, secs, true, base);
-                }
+                sched.settle_outcome(id, secs, !fault, fault, base, || true);
             }
             settled += 1;
             // Arrivals mid-run: a deadline-free latency job for a, and a

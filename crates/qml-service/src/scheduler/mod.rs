@@ -66,7 +66,7 @@ use qml_types::{JobRequirements, ServiceClass};
 
 use crate::cost_model::CostModel;
 use crate::fleet::{DeviceUtilization, FleetRouter};
-use crate::metrics::ClassStats;
+use crate::metrics::{ClassStats, TenantStats};
 use crate::observe::MetricsRegistry;
 
 mod batch;
@@ -148,17 +148,6 @@ impl SchedulerMetrics {
     }
 }
 
-/// Live per-tenant gauges owned by the scheduler, merged into
-/// [`TenantStats`](crate::TenantStats) snapshots.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct TenantGauges {
-    pub dispatched: u64,
-    pub in_flight: u64,
-    pub throttled: u64,
-    pub total_wait_seconds: f64,
-    pub busy_seconds: f64,
-}
-
 /// Dispatch/outcome counters for one service class, merged into
 /// [`ClassStats`](crate::ClassStats) snapshots.
 #[derive(Debug, Clone, Copy, Default)]
@@ -214,13 +203,14 @@ struct QueuedJob {
 }
 
 /// A dispatched-but-unfinished job: who to release, what was charged
-/// (`job.cost`), and which plan-cost entry to feed.
+/// (`job.cost`), and which plan-cost entry to feed. Settling or releasing
+/// the job removes the record, so no path can free its slots twice.
 #[derive(Debug)]
 struct InFlight {
     tenant: Arc<str>,
     job: Job,
-    /// The fleet device the dispatch was routed to; cleared once that
-    /// device's slot has been settled (so no path can free it twice).
+    /// The fleet device the dispatch was routed to (`None` while parked on
+    /// a device queue, and for device-blind dispatches).
     device: Option<usize>,
 }
 
@@ -246,17 +236,6 @@ pub(crate) enum SchedPoll {
     Dispatch(JobDispatch),
     Idle,
     Shutdown,
-}
-
-/// How [`FairScheduler::settle_outcome`] disposed of one member outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OutcomeDisposition {
-    /// The outcome stands; the caller finishes the terminal bookkeeping
-    /// (service counters, traces, [`FairScheduler::record_outcome`]).
-    Final,
-    /// A device fault was absorbed: the job was re-admitted with the
-    /// faulted device excluded. Nothing about it is terminal yet.
-    Requeued,
 }
 
 /// Deficit-round-robin scheduler state shared by all pool workers.
@@ -365,7 +344,8 @@ impl FairScheduler {
     /// Admit one job into its tenant's queue at `now`: price it (see
     /// [`pricing`]) and insert it in class, EDF and LPT order (see
     /// [`order`]). `hint_seconds` is the bundle's explicit `duration_us`
-    /// cost hint, in seconds.
+    /// cost hint, in seconds. A fresh job counts as one submission of its
+    /// tenant; a failover re-admission (`job.retry`) does not.
     pub(crate) fn admit_job(
         &mut self,
         tenant: &Arc<str>,
@@ -373,6 +353,11 @@ impl FairScheduler {
         hint_seconds: Option<f64>,
         now: Instant,
     ) {
+        if !job.retry {
+            if let Some(queue) = self.tenants.get_mut(tenant) {
+                queue.stats.submitted += 1;
+            }
+        }
         job.cost = self.admission_cost(&job, hint_seconds);
         if self.obs.tracing_enabled() {
             self.obs.trace(
@@ -393,11 +378,11 @@ impl FairScheduler {
 
     /// Release the in-flight slot of a **skipped** job (lost claim): no
     /// measurement exists, so neither the cost model nor the deficit is
-    /// touched. Finished jobs go through [`FairScheduler::record_outcome`].
+    /// touched. Finished jobs go through [`FairScheduler::settle_outcome`].
     pub(crate) fn release(&mut self, id: JobId) {
         if let Some(flight) = self.in_flight.remove(&id) {
             if let Some(tenant) = self.tenants.get_mut(&flight.tenant) {
-                tenant.in_flight = tenant.in_flight.saturating_sub(1);
+                tenant.stats.in_flight = tenant.stats.in_flight.saturating_sub(1);
             }
             if let Some(device) = flight.device {
                 self.fleet.release_slot(device);
@@ -406,26 +391,32 @@ impl FairScheduler {
         }
     }
 
-    /// Settle one member outcome against the fleet device its dispatch was
-    /// routed to, **before** any terminal bookkeeping, deciding whether the
-    /// outcome stands or the job fails over to another device.
+    /// Settle one finished member at `now`: the scheduler's one outcome
+    /// entry point. Returns the job's tenant when the outcome is terminal,
+    /// and `None` when a device fault was absorbed by a failover (or the id
+    /// was not in flight).
     ///
-    /// Always: the device's slot frees, its gauges and health ladder absorb
-    /// the observation (busy-seconds accrue even for faulted attempts — the
-    /// device was genuinely occupied), and a down transition evacuates the
-    /// device's parked queue. A job that was never device-routed settles
-    /// as [`Final`](OutcomeDisposition::Final) right away.
+    /// First the fleet device the dispatch was routed to settles: its slot
+    /// frees, and its gauges and health ladder absorb the observation
+    /// (busy-seconds accrue even for faulted attempts — the device was
+    /// genuinely occupied; a down transition evacuates its parked queue).
     ///
     /// If the outcome was a **device fault** and a capable, not-yet-excluded
-    /// device remains on the job's plane, the job is requeued at `now`:
+    /// device remains on the job's plane, the job fails over:
     /// `runtime_requeue` flips its runtime record back to queued (returning
     /// `false` aborts the failover — e.g. the record already settled), the
     /// faulted device joins the job's exclusion set, and the job re-enters
-    /// its tenant queue through the normal admission path with its original
-    /// plane-level placement. Each failover adds one exclusion over a finite
-    /// device set, so a job completes elsewhere or fails terminally — it
-    /// can never bounce forever, and `runtime_requeue`'s queued-only state
-    /// transition guarantees exactly-once outcomes.
+    /// its tenant queue through [`FairScheduler::admit_job`] with its
+    /// original plane-level placement, class and deadline. Each failover
+    /// adds one exclusion over a finite device set, so a job completes
+    /// elsewhere or fails terminally — it can never bounce forever, and
+    /// `runtime_requeue`'s failed-only state transition guarantees
+    /// exactly-once outcomes.
+    ///
+    /// Otherwise the outcome is terminal: the tenant's and the class's
+    /// completion or failure counts, a deadline miss if `now` is past the
+    /// job's deadline, and the measured-cost reconciliation (see
+    /// [`pricing`]).
     pub(crate) fn settle_outcome(
         &mut self,
         id: JobId,
@@ -434,35 +425,29 @@ impl FairScheduler {
         fault: bool,
         now: Instant,
         runtime_requeue: impl FnOnce() -> bool,
-    ) -> OutcomeDisposition {
-        let routed = self
-            .in_flight
-            .get_mut(&id)
-            .and_then(|flight| Some((flight.device.take()?, flight.job.batch_key)));
-        let Some((device, plan_key)) = routed else {
-            self.fleet.clear_exclusions(id.0);
-            return OutcomeDisposition::Final;
-        };
-        self.fleet.release_slot(device);
-        self.fleet.observe(device, plan_key, seconds, ok, fault);
-        if fault {
-            let can_retry = self.in_flight.get(&id).is_some_and(|flight| {
-                flight.job.placement.as_ref().is_some_and(|placement| {
+    ) -> Option<Arc<str>> {
+        let InFlight {
+            tenant,
+            mut job,
+            device,
+        } = self.in_flight.remove(&id)?;
+        if let Some(queue) = self.tenants.get_mut(&tenant) {
+            queue.stats.in_flight = queue.stats.in_flight.saturating_sub(1);
+        }
+        if let Some(device) = device {
+            self.fleet.release_slot(device);
+            self.fleet
+                .observe(device, job.batch_key, seconds, ok, fault);
+            let can_retry = fault
+                && job.placement.as_ref().is_some_and(|placement| {
                     self.fleet.retry_candidate_exists(
                         placement.backend.name(),
-                        flight.job.requirements.as_ref(),
+                        job.requirements.as_ref(),
                         id.0,
                         device,
                     )
-                })
-            });
+                });
             if can_retry && runtime_requeue() {
-                let InFlight {
-                    tenant, mut job, ..
-                } = self.in_flight.remove(&id).expect("present per can_retry");
-                if let Some(queue) = self.tenants.get_mut(&tenant) {
-                    queue.in_flight = queue.in_flight.saturating_sub(1);
-                }
                 self.fleet.exclude(id.0, device);
                 self.fleet.note_requeued(device);
                 self.metrics.requeued += 1;
@@ -475,16 +460,36 @@ impl FairScheduler {
                         Stage::Requeued { attempt },
                     );
                 }
-                // Class, deadline, and (via `retry`) the already-paid
-                // rate-limit token are preserved: a failover is the same
-                // job, not a fresh submission.
+                // The already-paid rate-limit token is preserved through
+                // `retry`: a failover is the same job, not a fresh
+                // submission.
                 job.retry = true;
                 self.admit_job(&tenant, job, None, now);
-                return OutcomeDisposition::Requeued;
+                return None;
             }
         }
         self.fleet.clear_exclusions(id.0);
-        OutcomeDisposition::Final
+        let missed = job.deadline.is_some_and(|deadline| now > deadline);
+        let ledger = self.ledger_mut(job.class);
+        if ok {
+            ledger.completed += 1;
+        } else {
+            ledger.failed += 1;
+        }
+        if missed {
+            ledger.deadline_miss += 1;
+        }
+        if let Some(queue) = self.tenants.get_mut(&tenant) {
+            if ok {
+                queue.stats.completed += 1;
+            } else {
+                queue.stats.failed += 1;
+            }
+        }
+        self.obs
+            .observe_class_exec(job.class.name(), (seconds * 1e6) as u64);
+        self.reconcile_cost(&tenant, &job, seconds, ok);
+        Some(tenant)
     }
 
     /// Jobs admitted but not yet dispatched.
@@ -504,23 +509,32 @@ impl FairScheduler {
         self.nonempty > usize::from(own)
     }
 
-    /// Snapshot the per-tenant gauges for a metrics merge.
-    pub(crate) fn gauges(&self) -> Vec<(Arc<str>, TenantGauges)> {
+    /// Jobs waiting to execute: admitted but not yet dispatched, plus
+    /// dispatched members parked on a fleet device's queue.
+    pub(crate) fn queue_depth(&self) -> usize {
+        self.queued() + self.fleet.parked_members()
+    }
+
+    /// Per-tenant counts and gauges, keyed by tenant name.
+    pub(crate) fn tenant_snapshot(&self) -> BTreeMap<String, TenantStats> {
         self.tenants
             .iter()
-            .map(|(name, t)| {
-                (
-                    Arc::clone(name),
-                    TenantGauges {
-                        dispatched: t.dispatched,
-                        in_flight: t.in_flight as u64,
-                        throttled: t.throttled,
-                        total_wait_seconds: t.total_wait_seconds,
-                        busy_seconds: t.busy_seconds,
-                    },
-                )
-            })
+            .map(|(name, t)| (name.to_string(), t.stats))
             .collect()
+    }
+
+    /// Service-wide submission and outcome totals: the per-tenant
+    /// `submitted`, `completed` and `failed` counts summed (the other
+    /// fields stay zero).
+    pub(crate) fn totals(&self) -> TenantStats {
+        self.tenants
+            .values()
+            .fold(TenantStats::default(), |mut sum, t| {
+                sum.submitted += t.stats.submitted;
+                sum.completed += t.stats.completed;
+                sum.failed += t.stats.failed;
+                sum
+            })
     }
 
     /// The mutable per-class ledger for `class`.
@@ -665,6 +679,12 @@ pub(crate) mod testing {
         /// The tenant's token-bucket fill.
         pub(crate) fn tokens_of(&self, tenant: &Arc<str>) -> f64 {
             self.tenants[tenant].tokens
+        }
+
+        /// Settle a job's outcome as no device fault: what most scheduler
+        /// tests feed back after a dispatch.
+        pub(crate) fn settle_final(&mut self, id: JobId, seconds: f64, ok: bool, now: Instant) {
+            self.settle_outcome(id, seconds, ok, false, now, || false);
         }
     }
 }

@@ -131,7 +131,7 @@ mod tests {
         assert_eq!(stats["latency"].dispatched, 1);
         assert_eq!(stats["throughput"].queued, 3);
         assert_eq!(stats["throughput"].dispatched, 0);
-        sched.record_outcome(first.id, 1e-3, false, now);
+        sched.settle_final(first.id, 1e-3, false, now);
         assert_eq!(sched.class_snapshot()["latency"].failed, 1);
     }
 

@@ -7,6 +7,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use super::QueuedJob;
+use crate::metrics::TenantStats;
 
 /// A token-bucket rate limit on one tenant's dispatches.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -107,7 +108,7 @@ pub(super) enum Veto {
     Throttled,
 }
 
-/// One tenant's queue plus its DRR/rate-limit state.
+/// One tenant's queue plus its DRR/rate-limit state and its ledger.
 #[derive(Debug)]
 pub(super) struct TenantQueue {
     pub(super) policy: TenantPolicy,
@@ -118,12 +119,10 @@ pub(super) struct TenantQueue {
     /// Token bucket fill (only meaningful with a rate limit).
     pub(super) tokens: f64,
     last_refill: Instant,
-    pub(super) in_flight: usize,
-    pub(super) dispatched: u64,
-    pub(super) throttled: u64,
-    pub(super) total_wait_seconds: f64,
-    /// Measured busy wall-clock attributed to this tenant's finished jobs.
-    pub(super) busy_seconds: f64,
+    /// The tenant's submission, dispatch and outcome counts: the only copy
+    /// the service keeps, snapshotted as is into
+    /// [`ServiceMetrics::per_tenant`](crate::ServiceMetrics).
+    pub(super) stats: TenantStats,
 }
 
 impl TenantQueue {
@@ -138,11 +137,7 @@ impl TenantQueue {
             deficit: 0.0,
             tokens,
             last_refill: now,
-            in_flight: 0,
-            dispatched: 0,
-            throttled: 0,
-            total_wait_seconds: 0.0,
-            busy_seconds: 0.0,
+            stats: TenantStats::default(),
         }
     }
 
@@ -178,7 +173,7 @@ impl TenantQueue {
         if self
             .policy
             .max_in_flight
-            .is_some_and(|cap| self.in_flight >= cap.max(1))
+            .is_some_and(|cap| self.stats.in_flight >= cap.max(1) as u64)
         {
             return Some(Veto::Capped);
         }

@@ -1,9 +1,8 @@
 //! Cost pricing and charge-back: what a job is charged at admission and at
 //! dispatch, and how its measured outcome corrects its tenant's deficit.
 
-use std::time::Instant;
+use std::sync::Arc;
 
-use qml_runtime::JobId;
 use qml_types::MeasuredCost;
 
 use super::{FairScheduler, Job};
@@ -58,11 +57,10 @@ impl FairScheduler {
             .max(MIN_JOB_COST)
     }
 
-    /// Reconcile a finished job's **measured** busy-seconds against what its
-    /// dispatch was charged, then release its in-flight slot. `now` is the
-    /// settlement instant the job's deadline (if any) is checked against.
-    ///
-    /// Three things happen, in order:
+    /// Reconcile a terminal outcome's **measured** busy-seconds against what
+    /// its dispatch was charged (`job.cost`). Called by
+    /// [`settle_outcome`](FairScheduler::settle_outcome); three things
+    /// happen, in order:
     ///
     /// * the measurement feeds the per-plan-key cost model, so future
     ///   admissions of this plan are charged what it actually costs;
@@ -92,37 +90,8 @@ impl FairScheduler {
     /// under-charge every later admission of that key), must not count as
     /// an accuracy sample, and earns no charge-back refund (fail-fast spam
     /// at refunded cost would be a monopoly of its own). Failed jobs still
-    /// release their slot and accrue their measured busy-seconds.
-    pub(crate) fn record_outcome(&mut self, id: JobId, seconds: f64, ok: bool, now: Instant) {
-        if !seconds.is_finite() || seconds < 0.0 {
-            return self.release(id);
-        }
-        let Some(flight) = self.in_flight.remove(&id) else {
-            return;
-        };
-        if let Some(device) = flight.device {
-            // Device-routed outcomes normally settle their slot in
-            // `settle_outcome` first (which clears this field); freeing here
-            // covers direct callers such as the drain sweep.
-            self.fleet.release_slot(device);
-        }
-        self.fleet.clear_exclusions(id.0);
-        let job = flight.job;
-        // Per-class terminal accounting: completion/failure tallies, the
-        // class's execute histogram, and — for deadline-carrying latency
-        // jobs only — whether this outcome settled past its deadline.
-        let missed = job.deadline.is_some_and(|deadline| now > deadline);
-        let ledger = self.ledger_mut(job.class);
-        if ok {
-            ledger.completed += 1;
-        } else {
-            ledger.failed += 1;
-        }
-        if missed {
-            ledger.deadline_miss += 1;
-        }
-        self.obs
-            .observe_class_exec(job.class.name(), (seconds * 1e6) as u64);
+    /// accrue their measured busy-seconds.
+    pub(super) fn reconcile_cost(&mut self, tenant: &Arc<str>, job: &Job, seconds: f64, ok: bool) {
         if ok {
             if let Some(key) = job.batch_key {
                 self.cost_model.observe(key, seconds);
@@ -148,17 +117,16 @@ impl FairScheduler {
             self.metrics.cost_samples += 1;
             self.metrics.estimate_error_units += error.abs();
         }
-        let contended = self.contended(&flight.tenant);
-        let Some(tenant) = self.tenants.get_mut(&flight.tenant) else {
+        let contended = self.contended(tenant);
+        let Some(queue) = self.tenants.get_mut(tenant) else {
             return;
         };
-        tenant.in_flight = tenant.in_flight.saturating_sub(1);
-        tenant.busy_seconds += seconds;
+        queue.stats.busy_seconds += seconds;
         if ok && contended {
             let clamp = CHARGE_BACK_CLAMP * job.cost;
             let delta = error.clamp(-clamp, clamp);
             if delta != 0.0 {
-                tenant.deficit -= delta;
+                queue.deficit -= delta;
                 self.metrics.charge_back_units += delta.abs();
             }
         }
@@ -168,8 +136,9 @@ impl FairScheduler {
 #[cfg(test)]
 mod tests {
     use std::collections::VecDeque;
-    use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
+
+    use qml_runtime::JobId;
 
     use super::super::testing::*;
     use super::super::{Mode, SchedPoll, TenantPolicy};
@@ -198,7 +167,7 @@ mod tests {
             pending.push_back(dispatch.id);
             while pending.len() > feedback_lag {
                 let id = pending.pop_front().expect("non-empty");
-                sched.record_outcome(id, real_seconds, true, now);
+                sched.settle_final(id, real_seconds, true, now);
             }
         }
         (busy[0], busy[1])
@@ -259,7 +228,7 @@ mod tests {
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        sched.record_outcome(first.id, 0.020, true, now);
+        sched.settle_final(first.id, 0.020, true, now);
         // The model learned 20 ms for plan key 5: the next admission of the
         // same plan is charged 20 cost units no matter what it estimates.
         assert_eq!(sched.predicted_cost(5), Some(20.0));
@@ -296,7 +265,7 @@ mod tests {
         assert_eq!(first.len(), 1, "no deficit left for 80-unit members");
         // The measurement says 2 ms (= 2 units): every queued job of the
         // plan is repriced at once, quantum included.
-        sched.record_outcome(first.id, 0.002, true, now);
+        sched.settle_final(first.id, 0.002, true, now);
         let quantum = sched.quantum();
         assert!(
             (quantum - 2.0).abs() < 1e-9,
@@ -329,7 +298,7 @@ mod tests {
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        sched.record_outcome(first.id, 0.015, true, now);
+        sched.settle_final(first.id, 0.015, true, now);
         let repriced = sched.predicted_cost(9).expect("model has the key");
         assert!(
             repriced > 5.0 && repriced < 15.0,
@@ -356,7 +325,7 @@ mod tests {
         let before = sched.deficit_of(&names[0]);
         // A pathological 1-second (1000 cost units) outlier against a 1-unit
         // estimate: the correction is clamped at 16 × 1 = 16 units, not 999.
-        sched.record_outcome(first.id, 1.0, true, now);
+        sched.settle_final(first.id, 1.0, true, now);
         let after = sched.deficit_of(&names[0]);
         assert!(
             (before - after - 16.0).abs() < 1e-9,
@@ -385,7 +354,7 @@ mod tests {
             };
             // Massively over-estimated: measured 1 ms against a 50-unit
             // charge would refund ~49 units per job if banked.
-            sched.record_outcome(d.id, 0.001, true, now);
+            sched.settle_final(d.id, 0.001, true, now);
         }
         assert!(
             sched.deficit_of(&names[0]) <= 50.0 + 1e-9,
@@ -411,7 +380,7 @@ mod tests {
             panic!("expected dispatch");
         };
         assert_eq!(first.id, JobId(0));
-        sched.record_outcome(first.id, 0.010, true, now);
+        sched.settle_final(first.id, 0.010, true, now);
         let debt = sched.deficit_of(&names[0]);
         assert!(debt < -8.0, "expected ~-9 debt, got {debt}");
         // The debtor's queue is now empty: its next visit vetoes it. The
@@ -442,7 +411,7 @@ mod tests {
         assert_eq!(first.id, JobId(0));
         let before = sched.deficit_of(&names[0]);
         // The job dies at bind time after 1 µs: failure latency, not cost.
-        sched.record_outcome(first.id, 1e-6, false, now);
+        sched.settle_final(first.id, 1e-6, false, now);
         assert_eq!(
             sched.predicted_cost(4),
             None,
@@ -454,11 +423,12 @@ mod tests {
             before,
             "a fast failure earns no charge-back refund"
         );
-        let (_, gauges) = &sched.gauges()[0];
+        let flaky = &sched.tenant_snapshot()["flaky"];
         assert!(
-            gauges.busy_seconds > 0.0,
+            flaky.busy_seconds > 0.0,
             "the slot and wall-clock were real"
         );
+        assert_eq!(flaky.failed, 1);
         assert_eq!(sched.in_flight(), 0, "the slot is released");
     }
 
@@ -481,9 +451,9 @@ mod tests {
         };
         assert_eq!(first.id, JobId(0));
         let settled = now + Duration::from_millis(1);
-        sched.record_outcome(first.id, 1e-3, true, settled);
+        sched.settle_final(first.id, 1e-3, true, settled);
         while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
-            sched.record_outcome(dispatch.id, 1e-3, true, settled);
+            sched.settle_final(dispatch.id, 1e-3, true, settled);
         }
         let stats = sched.class_snapshot();
         assert_eq!(stats["latency"].deadline_miss, 1, "only the expired one");
@@ -509,7 +479,7 @@ mod tests {
             let SchedPoll::Dispatch(d) = sched.next_job(base) else {
                 panic!("expected dispatch");
             };
-            sched.record_outcome(d.id, 1e-4, true, base + settle_after);
+            sched.settle_final(d.id, 1e-4, true, base + settle_after);
             let stats = sched.class_snapshot();
             assert_eq!(
                 stats["latency"].deadline_miss, misses,

@@ -1,7 +1,6 @@
 //! The submission queue, the streaming service loop, and graceful shutdown.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -19,7 +18,7 @@ use qml_types::{CapabilityDescriptor, JobBundle, JobRequirements, QmlError, Resu
 use crate::fleet::{DeviceSpec, DeviceUtilization, FleetRouter};
 use crate::metrics::{BackendUtilization, RunSummary, ServiceMetrics, TenantStats};
 use crate::observe::{MetricsRegistry, ObservabilitySnapshot};
-use crate::scheduler::{FairScheduler, Job, Mode, OutcomeDisposition, SchedPoll, TenantPolicy};
+use crate::scheduler::{FairScheduler, Job, Mode, SchedPoll, TenantPolicy};
 use crate::sweep::SweepRequest;
 
 /// Identifier of a submitted batch (single bundles get one too).
@@ -149,34 +148,18 @@ impl ServiceConfig {
     }
 }
 
-/// One tracked batch: its jobs and owner.
-#[derive(Debug, Clone)]
-struct BatchRecord {
-    tenant: Arc<str>,
-    job_ids: Vec<JobId>,
-}
-
-#[derive(Default)]
+/// Everything the service counts, under its one lock: the fair scheduler
+/// (queues, in-flight records, fleet, per-tenant and per-class ledgers)
+/// and the few facts only the service layer knows.
 struct ServiceState {
+    sched: FairScheduler,
     next_batch: u64,
-    batches: BTreeMap<BatchId, BatchRecord>,
-    job_tenant: BTreeMap<JobId, Arc<str>>,
-    jobs_submitted: u64,
-    jobs_completed: u64,
-    jobs_failed: u64,
+    /// Jobs of each batch, in expansion order.
+    batches: BTreeMap<BatchId, Vec<JobId>>,
     /// Fleet device that produced each job's terminal outcome.
     job_device: BTreeMap<JobId, Arc<str>>,
     per_backend: BTreeMap<String, BackendUtilization>,
-    per_tenant: BTreeMap<Arc<str>, TenantStats>,
     last_run: Option<RunSummary>,
-}
-
-/// Jobs executed by one pool run, for its [`RunSummary`].
-#[derive(Default)]
-struct PoolCounters {
-    jobs: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
 }
 
 /// The shared core behind every [`QmlService`] clone and every pool worker.
@@ -184,7 +167,6 @@ struct ServiceInner {
     runtime: Arc<Runtime>,
     config: ServiceConfig,
     state: Mutex<ServiceState>,
-    sched: Mutex<FairScheduler>,
     /// Shared observability sink (stage-event tracer + latency histograms);
     /// the same registry the scheduler and — tracer only — the runtime
     /// report through, so every layer's events share one clock epoch.
@@ -192,144 +174,89 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    /// Fold one finished job into the service metrics, then reconcile its
-    /// measured duration with the fair scheduler
-    /// ([`FairScheduler::record_outcome`]: cost-model update + deficit
-    /// charge-back) and release its in-flight slot. Called from pool workers
-    /// as jobs complete (the locks are taken sequentially, never nested).
-    /// Order matters: the state fold happens *before* the scheduler release,
-    /// so once `wait_idle` observes quiescence every finished job is already
-    /// visible in `metrics()`.
-    fn record_outcome(&self, outcome: &JobOutcome, counters: &PoolCounters) {
+    /// Settle one finished job in one critical section, at one clock read:
+    /// [`FairScheduler::settle_outcome`] frees its fleet slot and either
+    /// fails a device fault over to another device or books the terminal
+    /// outcome (tenant and class counts, cost model, deficit charge-back);
+    /// then the per-backend and per-device attribution and the
+    /// `executed`/`outcome` observations land. All of it happens before the
+    /// lock is released, so once `wait_idle` observes quiescence every
+    /// finished job is visible in `metrics()` and in the trace. Called from
+    /// pool workers as jobs complete.
+    fn record_outcome(&self, outcome: &JobOutcome) {
         let seconds = outcome.duration.as_secs_f64();
-        let ok = outcome.result.is_ok();
         let fault = matches!(&outcome.result, Err(e) if e.is_device_fault());
-        // Settle the fleet device first: free its slot, walk the health
-        // ladder, and — for a device fault with a capable device left to
-        // try — fail the job over. The runtime requeue inside the closure
-        // only flips a *failed* record back to queued, so an outcome that
-        // already settled can never be duplicated.
-        let disposition = {
-            let mut sched = self.sched.lock();
-            sched.settle_outcome(outcome.id, seconds, ok, fault, Instant::now(), || {
-                self.runtime.requeue(outcome.id)
-            })
-        };
-        if disposition == OutcomeDisposition::Requeued {
-            // Not a terminal outcome: only the plane's busy-seconds accrue
-            // (the device really ran that long, and per-backend totals must
-            // keep folding over the per-device gauges, which count faulted
-            // attempts). Completion counters, traces, and the run summary
-            // wait for the terminal attempt.
-            if let Some(backend) = &outcome.backend {
-                let mut state = self.state.lock();
-                state
-                    .per_backend
-                    .entry(backend.clone())
-                    .or_default()
-                    .busy_seconds += seconds;
-            }
-            return;
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        // The runtime requeue inside the closure only flips a *failed*
+        // record back to queued, so an outcome that already settled can
+        // never be duplicated.
+        let tenant = state.sched.settle_outcome(
+            outcome.id,
+            seconds,
+            outcome.result.is_ok(),
+            fault,
+            Instant::now(),
+            || self.runtime.requeue(outcome.id),
+        );
+        // Backend attribution covers failed executions too (the pool reports
+        // the placed backend even when the run errored), and busy-seconds
+        // cover requeued attempts: the device really ran that long, and
+        // per-backend totals fold over the per-device gauges.
+        if let Some(backend) = &outcome.backend {
+            let util = state.per_backend.entry(backend.clone()).or_default();
+            util.jobs += u64::from(tenant.is_some());
+            util.busy_seconds += seconds;
         }
-        counters.jobs.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.state.lock();
-        let tenant = state.job_tenant.get(&outcome.id).cloned();
+        // A requeued job is not terminal yet: its device, traces and latency
+        // samples wait for the attempt that settles it.
+        let Some(tenant) = tenant else {
+            return;
+        };
         if let Some(device) = &outcome.device {
             state.job_device.insert(outcome.id, Arc::clone(device));
         }
-        // Backend attribution covers failed executions too: the pool reports
-        // the placed backend even when the run errored.
-        if let Some(backend) = &outcome.backend {
-            let util = state.per_backend.entry(backend.clone()).or_default();
-            util.jobs += 1;
-            util.busy_seconds += outcome.duration.as_secs_f64();
-        }
-        match &outcome.result {
-            Ok(_) => {
-                counters.completed.fetch_add(1, Ordering::Relaxed);
-                state.jobs_completed += 1;
-                if let Some(tenant) = tenant.clone() {
-                    state.per_tenant.entry(tenant).or_default().completed += 1;
-                }
-            }
-            Err(_) => {
-                counters.failed.fetch_add(1, Ordering::Relaxed);
-                state.jobs_failed += 1;
-                if let Some(tenant) = tenant.clone() {
-                    state.per_tenant.entry(tenant).or_default().failed += 1;
-                }
-            }
-        }
-        drop(state);
-        // Observability is fed *before* the scheduler releases the job's
-        // in-flight slot: once `wait_idle` observes quiescence, every
-        // finished job's `executed`/`outcome` events and latency samples are
-        // already visible.
         let measured_us = outcome.duration.as_micros() as u64;
         self.obs
-            .observe_exec(tenant.as_deref(), outcome.backend.as_deref(), measured_us);
+            .observe_exec(&tenant, outcome.backend.as_deref(), measured_us);
         if self.obs.tracing_enabled() {
             self.obs.trace(
                 outcome.id,
-                tenant.as_ref(),
+                Some(&tenant),
                 None,
                 Stage::Executed { measured_us },
             );
             self.obs.trace(
                 outcome.id,
-                tenant.as_ref(),
+                Some(&tenant),
                 None,
                 Stage::Outcome {
                     ok: outcome.result.is_ok(),
                 },
             );
         }
-        let mut sched = self.sched.lock();
-        sched.record_outcome(outcome.id, seconds, ok, Instant::now());
     }
 
     /// A point-in-time [`ServiceMetrics`] snapshot (shared by the service
     /// and its streaming handle).
     fn metrics(&self) -> ServiceMetrics {
         let cache = self.runtime.cache();
-        // Locks are taken one at a time (scheduler gauges first, then the
-        // submission/outcome state), never nested.
-        let (scheduler, gauges, per_device, per_class) = {
-            let sched = self.sched.lock();
-            (
-                sched.metrics,
-                sched.gauges(),
-                sched.device_snapshot(),
-                sched.class_snapshot(),
-            )
-        };
+        let (all, gate, anneal) = (cache.stats(), cache.gate_stats(), cache.anneal_stats());
         let state = self.state.lock();
-        let mut per_tenant: BTreeMap<String, TenantStats> = state
-            .per_tenant
-            .iter()
-            .map(|(name, stats)| (name.to_string(), *stats))
-            .collect();
-        for (name, gauge) in gauges {
-            let stats = per_tenant.entry(name.to_string()).or_default();
-            stats.dispatched = gauge.dispatched;
-            stats.in_flight = gauge.in_flight;
-            stats.throttled = gauge.throttled;
-            stats.total_wait_seconds = gauge.total_wait_seconds;
-            stats.busy_seconds = gauge.busy_seconds;
-        }
+        let totals = state.sched.totals();
         ServiceMetrics {
-            jobs_submitted: state.jobs_submitted,
-            jobs_completed: state.jobs_completed,
-            jobs_failed: state.jobs_failed,
-            queue_depth: self.runtime.queue_depth(),
-            cache: cache.stats(),
-            gate_cache: cache.gate_stats(),
-            anneal_cache: cache.anneal_stats(),
-            scheduler,
+            jobs_submitted: totals.submitted,
+            jobs_completed: totals.completed,
+            jobs_failed: totals.failed,
+            queue_depth: state.sched.queue_depth(),
+            cache: all,
+            gate_cache: gate,
+            anneal_cache: anneal,
+            scheduler: state.sched.metrics,
             per_backend: state.per_backend.clone(),
-            per_device,
-            per_class,
-            per_tenant,
+            per_device: state.sched.device_snapshot(),
+            per_class: state.sched.class_snapshot(),
+            per_tenant: state.sched.tenant_snapshot(),
             last_run: state.last_run,
         }
     }
@@ -344,8 +271,8 @@ impl ServiceInner {
 /// Pool workers pull their next job straight from the fair scheduler.
 impl JobSource for ServiceInner {
     fn next_job(&self, _worker: usize) -> Feed {
-        let mut sched = self.sched.lock();
-        match sched.next_job(Instant::now()) {
+        let mut state = self.state.lock();
+        match state.sched.next_job(Instant::now()) {
             SchedPoll::Dispatch(dispatch) => Feed::Job(dispatch),
             SchedPoll::Idle => Feed::Idle,
             SchedPoll::Shutdown => Feed::Shutdown,
@@ -353,7 +280,7 @@ impl JobSource for ServiceInner {
     }
 
     fn job_skipped(&self, id: JobId) {
-        self.sched.lock().release(id);
+        self.state.lock().sched.release(id);
     }
 }
 
@@ -478,29 +405,30 @@ impl QmlService {
             }
         }
         sched.set_fleet(FleetRouter::new(specs, config.probe_interval));
+        let state = ServiceState {
+            sched,
+            next_batch: 0,
+            batches: BTreeMap::new(),
+            job_device: BTreeMap::new(),
+            per_backend: BTreeMap::new(),
+            last_run: None,
+        };
         QmlService {
             inner: Arc::new(ServiceInner {
                 runtime: Arc::new(runtime),
                 config,
-                state: Mutex::new(ServiceState::default()),
-                sched: Mutex::new(sched),
+                state: Mutex::new(state),
                 obs,
             }),
         }
-    }
-
-    /// The underlying runtime.
-    pub fn runtime(&self) -> &Runtime {
-        &self.inner.runtime
     }
 
     /// Submit one bundle for a tenant. Returns the batch (of size one) and
     /// the job id. Accepted while a streaming pool is running: the job is
     /// picked up by the fair scheduler without any drain/restart.
     pub fn submit(&self, tenant: &str, bundle: JobBundle) -> Result<(BatchId, JobId)> {
-        let batch = self.submit_jobs(tenant, vec![SealedBundle::seal(bundle)?])?;
-        let job = self.inner.state.lock().batches[&batch].job_ids[0];
-        Ok((batch, job))
+        let (batch, first) = self.submit_jobs(tenant, vec![SealedBundle::seal(bundle)?])?;
+        Ok((batch, first.expect("a batch of one has a job")))
     }
 
     /// Expand and submit a parameter sweep for a tenant. The whole sweep is
@@ -509,13 +437,18 @@ impl QmlService {
     /// the service is running.
     pub fn submit_sweep(&self, tenant: &str, sweep: SweepRequest) -> Result<BatchId> {
         let jobs = sweep.expand_sealed()?;
-        self.submit_jobs(tenant, jobs)
+        Ok(self.submit_jobs(tenant, jobs)?.0)
     }
 
-    /// Admit sealed bundles as one batch. Sealing is the one validation
-    /// boundary: every bundle here is already validated, and its program
-    /// hashes are memoized for the batch key and the workers' plan lookup.
-    fn submit_jobs(&self, tenant: &str, bundles: Vec<SealedBundle>) -> Result<BatchId> {
+    /// Admit sealed bundles as one batch; returns it with its first job.
+    /// Sealing is the one validation boundary: every bundle here is already
+    /// validated, and its program hashes are memoized for the batch key and
+    /// the workers' plan lookup.
+    fn submit_jobs(
+        &self,
+        tenant: &str,
+        bundles: Vec<SealedBundle>,
+    ) -> Result<(BatchId, Option<JobId>)> {
         // Place each job once, before taking any lock: the fair scheduler
         // spends DRR deficit in estimated-cost units, and the placement is
         // carried to the worker so the bundle is never placed twice. The
@@ -541,86 +474,55 @@ impl QmlService {
             // job, so routing — and re-routing after a device fault — never
             // re-parses descriptors.
             let requirements = JobRequirements::of(&bundle);
-            // The service class (and any relative deadline) rides the bundle;
-            // the deadline clock starts at submission, not dispatch, so queue
-            // wait counts against it.
-            let class = bundle.service_class();
-            let deadline = class.deadline().map(|budget| Instant::now() + budget);
             let job = Job {
-                // Placeholder until the runtime assigns the real id at
-                // submission below.
+                // Placeholders until the runtime assigns the real id and the
+                // deadline is stamped, both at admission below.
                 id: JobId(0),
                 cost,
                 placement,
                 batch_key,
                 requirements: Some(requirements),
-                class,
-                deadline,
+                class: bundle.service_class(),
+                deadline: None,
                 retry: false,
             };
             prepared.push((bundle, job, hint_seconds));
         }
-        // Fleet feasibility, still before anything is recorded: a job no
-        // device on its placed plane could *ever* serve (too wide, wrong
-        // optimization level) rejects the whole batch atomically, instead
-        // of queueing work that can only bounce until it fails.
-        {
-            let sched = self.inner.sched.lock();
-            for (_, job, _) in &prepared {
-                if let (Some(placement), Some(requirements)) = (&job.placement, &job.requirements) {
-                    if !sched.feasible(placement.backend.name(), requirements) {
-                        return Err(QmlError::Validation(format!(
-                            "no device in the '{}' fleet can serve this job \
-                             (width {}, optimization level {})",
-                            placement.backend.name(),
-                            requirements.qubits,
-                            requirements.opt_level
-                        )));
-                    }
+        // One critical section and one clock read for the whole batch: a
+        // worker's dispatch `now` is read under the same lock, so
+        // `submitted ≤ now` holds by construction, and each deadline is
+        // exactly its class budget after submission (queue wait counts
+        // against it).
+        let mut guard = self.inner.state.lock();
+        let state = &mut *guard;
+        let now = Instant::now();
+        // Fleet feasibility, before anything is recorded: a job no device on
+        // its placed plane could *ever* serve (too wide, wrong optimization
+        // level) rejects the whole batch atomically, instead of queueing
+        // work that can only bounce until it fails.
+        for (_, job, _) in &prepared {
+            if let (Some(placement), Some(requirements)) = (&job.placement, &job.requirements) {
+                if !state.sched.feasible(placement.backend.name(), requirements) {
+                    return Err(QmlError::Validation(format!(
+                        "no device in the '{}' fleet can serve this job \
+                         (width {}, optimization level {})",
+                        placement.backend.name(),
+                        requirements.qubits,
+                        requirements.opt_level
+                    )));
                 }
             }
         }
-        let jobs = {
-            let mut submitted = Vec::with_capacity(prepared.len());
-            for (bundle, mut job, hint_seconds) in prepared {
-                job.id = self.inner.runtime.submit_sealed(bundle);
-                submitted.push((job, hint_seconds));
-            }
-            submitted
-        };
-        // Record batch/tenant bookkeeping *before* admitting anything to the
-        // fair scheduler: a running pool may dispatch and finish a job the
-        // instant it is admitted, and record_outcome must already find its
-        // tenant. Locks are taken sequentially, never nested.
-        let tenant: Arc<str> = {
-            let mut sched = self.inner.sched.lock();
-            sched.intern(tenant, self.inner.config.policy_for(tenant), Instant::now())
-        };
-        let batch = {
-            let mut state = self.inner.state.lock();
-            let id = BatchId(state.next_batch);
-            state.next_batch += 1;
-            state.jobs_submitted += jobs.len() as u64;
-            let tenant_stats = state.per_tenant.entry(Arc::clone(&tenant)).or_default();
-            tenant_stats.submitted += jobs.len() as u64;
-            for (job, _) in &jobs {
-                state.job_tenant.insert(job.id, Arc::clone(&tenant));
-            }
-            state.batches.insert(
-                id,
-                BatchRecord {
-                    tenant: Arc::clone(&tenant),
-                    job_ids: jobs.iter().map(|(job, _)| job.id).collect(),
-                },
-            );
-            id
-        };
-        let mut sched = self.inner.sched.lock();
-        // Read after taking the lock, like every scheduler clock read: a
-        // worker's dispatch `now` is read under the same lock, so
-        // `submitted ≤ now` holds by construction.
-        let now = Instant::now();
-        for (job, hint_seconds) in jobs {
+        let tenant = state
+            .sched
+            .intern(tenant, self.inner.config.policy_for(tenant), now);
+        let batch = BatchId(state.next_batch);
+        state.next_batch += 1;
+        let mut job_ids = Vec::with_capacity(prepared.len());
+        for (bundle, mut job, hint_seconds) in prepared {
+            job.id = self.inner.runtime.submit_sealed(bundle);
+            job.deadline = job.class.deadline().map(|budget| now + budget);
+            job_ids.push(job.id);
             // `submitted` lands immediately before the scheduler's own
             // `admitted` event, under the same lock: per-job stage order and
             // timestamp order agree by construction.
@@ -629,9 +531,11 @@ impl QmlService {
                     .obs
                     .trace(job.id, Some(&tenant), job.batch_key, Stage::Submitted);
             }
-            sched.admit_job(&tenant, job, hint_seconds, now);
+            state.sched.admit_job(&tenant, job, hint_seconds, now);
         }
-        Ok(batch)
+        let first = job_ids.first().copied();
+        state.batches.insert(batch, job_ids);
+        Ok((batch, first))
     }
 
     /// Jobs of a batch, in expansion order (empty for unknown batches).
@@ -641,7 +545,7 @@ impl QmlService {
             .lock()
             .batches
             .get(&batch)
-            .map(|b| b.job_ids.clone())
+            .cloned()
             .unwrap_or_default()
     }
 
@@ -664,20 +568,19 @@ impl QmlService {
     /// [`abort`](ServiceHandle::abort) shut the loop down gracefully. At
     /// most one pool may run at a time; starting a second is an error.
     pub fn start(&self) -> Result<ServiceHandle> {
-        {
-            let mut sched = self.inner.sched.lock();
-            if sched.mode != Mode::Stopped {
+        let at_start = {
+            let mut state = self.inner.state.lock();
+            if state.sched.mode != Mode::Stopped {
                 return Err(QmlError::Validation(
                     "service is already running a streaming pool".into(),
                 ));
             }
-            sched.mode = Mode::Running;
-        }
-        let counters = Arc::new(PoolCounters::default());
+            state.sched.mode = Mode::Running;
+            state.sched.totals()
+        };
         let sink = {
             let inner = Arc::clone(&self.inner);
-            let counters = Arc::clone(&counters);
-            Arc::new(move |outcome: JobOutcome| inner.record_outcome(&outcome, &counters))
+            Arc::new(move |outcome: JobOutcome| inner.record_outcome(&outcome))
         };
         let source: Arc<dyn JobSource> = Arc::clone(&self.inner) as Arc<dyn JobSource>;
         let pool = WorkerPool::spawn(&self.inner.runtime, self.inner.config.workers, source, sink);
@@ -685,7 +588,7 @@ impl QmlService {
             inner: Arc::clone(&self.inner),
             workers: pool.workers(),
             pool: Some(pool),
-            counters,
+            at_start,
             started: Instant::now(),
         })
     }
@@ -728,8 +631,8 @@ impl QmlService {
         let deadline = Instant::now() + timeout;
         loop {
             {
-                let sched = self.inner.sched.lock();
-                if sched.queued() == 0 && sched.in_flight() == 0 {
+                let state = self.inner.state.lock();
+                if state.sched.queued() == 0 && state.sched.in_flight() == 0 {
                     return true;
                 }
             }
@@ -768,12 +671,6 @@ impl QmlService {
         self.inner.obs.tracer().stats()
     }
 
-    /// Tenant that submitted a job (if known). The returned id is shared
-    /// with the service's own tenant table — no per-call allocation.
-    pub fn tenant_of(&self, id: JobId) -> Option<Arc<str>> {
-        self.inner.state.lock().job_tenant.get(&id).cloned()
-    }
-
     /// The fleet device that produced a job's **terminal** outcome, if the
     /// job was device-routed. Requeued attempts are not recorded: by the
     /// time this returns a device, the result is final.
@@ -786,7 +683,7 @@ impl QmlService {
     /// `busy_seconds` folds: summing one plane's devices reproduces that
     /// plane's [`BackendUtilization`] busy-seconds.
     pub fn device_metrics(&self) -> BTreeMap<String, DeviceUtilization> {
-        self.inner.sched.lock().device_snapshot()
+        self.inner.state.lock().sched.device_snapshot()
     }
 
     /// Cordon a fleet device for maintenance: it accepts no new routes,
@@ -795,24 +692,13 @@ impl QmlService {
     /// untouched — [`QmlService::uncordon_device`] restores routing exactly
     /// as it was. Returns false for unknown device ids.
     pub fn cordon_device(&self, device: &str) -> bool {
-        self.inner.sched.lock().cordon(device)
+        self.inner.state.lock().sched.cordon(device)
     }
 
     /// Lift a cordon placed by [`QmlService::cordon_device`]. Returns false
     /// for unknown device ids.
     pub fn uncordon_device(&self, device: &str) -> bool {
-        self.inner.sched.lock().uncordon(device)
-    }
-
-    /// Tenant that owns a batch (if known). Shared id, no per-call
-    /// allocation.
-    pub fn batch_tenant(&self, batch: BatchId) -> Option<Arc<str>> {
-        self.inner
-            .state
-            .lock()
-            .batches
-            .get(&batch)
-            .map(|b| Arc::clone(&b.tenant))
+        self.inner.state.lock().sched.uncordon(device)
     }
 }
 
@@ -842,7 +728,9 @@ fn hint_seconds(bundle: &JobBundle) -> Option<f64> {
 pub struct ServiceHandle {
     inner: Arc<ServiceInner>,
     pool: Option<WorkerPool>,
-    counters: Arc<PoolCounters>,
+    /// The service totals when the pool started: a run's summary is the
+    /// difference at shutdown.
+    at_start: TenantStats,
     started: Instant,
     workers: usize,
 }
@@ -851,9 +739,7 @@ impl ServiceHandle {
     /// Graceful shutdown: execute everything admitted (rate limits are
     /// waived so throttled tenants cannot stall shutdown; weights and
     /// in-flight caps still apply), wait for in-flight work, stop the pool.
-    /// Jobs submitted directly to the underlying [`Runtime`] — bypassing the
-    /// fair scheduler — are swept by a one-shot drain at the end, so nothing
-    /// queued anywhere is left behind. Returns the summary of the whole run.
+    /// Returns the summary of the whole run.
     pub fn drain(mut self) -> RunSummary {
         self.shutdown(Mode::Draining)
     }
@@ -880,26 +766,20 @@ impl ServiceHandle {
     }
 
     fn shutdown(&mut self, mode: Mode) -> RunSummary {
-        self.inner.sched.lock().mode = mode;
+        self.inner.state.lock().sched.mode = mode;
         if let Some(pool) = self.pool.take() {
             pool.join();
         }
-        if mode == Mode::Draining && self.inner.runtime.queue_depth() > 0 {
-            // Jobs submitted directly to `service.runtime()` bypass the fair
-            // scheduler, but a drain still owes them execution — run_pending
-            // drained the whole runtime queue before the streaming loop
-            // existed, and that contract is kept. Sweep the leftovers with
-            // the runtime's one-shot drain and fold them into this summary.
-            for outcome in self.inner.runtime.run_all_detailed(self.workers) {
-                self.inner.record_outcome(&outcome, &self.counters);
-            }
-        }
         let wall_seconds = self.started.elapsed().as_secs_f64();
-        let jobs = self.counters.jobs.load(Ordering::Relaxed) as usize;
+        let mut state = self.inner.state.lock();
+        let totals = state.sched.totals();
+        let completed = (totals.completed - self.at_start.completed) as usize;
+        let failed = (totals.failed - self.at_start.failed) as usize;
+        let jobs = completed + failed;
         let summary = RunSummary {
             jobs,
-            completed: self.counters.completed.load(Ordering::Relaxed) as usize,
-            failed: self.counters.failed.load(Ordering::Relaxed) as usize,
+            completed,
+            failed,
             workers: self.workers,
             wall_seconds,
             jobs_per_second: if wall_seconds > 0.0 {
@@ -908,8 +788,8 @@ impl ServiceHandle {
                 0.0
             },
         };
-        self.inner.state.lock().last_run = Some(summary);
-        self.inner.sched.lock().mode = Mode::Stopped;
+        state.last_run = Some(summary);
+        state.sched.mode = Mode::Stopped;
         summary
     }
 }
@@ -954,7 +834,6 @@ mod tests {
         assert_eq!(report.completed, 1);
         assert_eq!(service.result(job).unwrap().shots, 64);
         assert_eq!(service.batch_jobs(batch), vec![job]);
-        assert_eq!(service.tenant_of(job).as_deref(), Some("alice"));
         assert_eq!(service.metrics().queue_depth, 0);
     }
 
@@ -1017,22 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn tenant_ids_are_interned_not_cloned() {
-        let service = QmlService::with_config(ServiceConfig::with_workers(1));
-        let (batch_a, job_a) = service
-            .submit("alice", gate_program().with_context(gate_context(1)))
-            .unwrap();
-        let (_, job_b) = service
-            .submit("alice", gate_program().with_context(gate_context(2)))
-            .unwrap();
-        let a = service.tenant_of(job_a).unwrap();
-        let b = service.tenant_of(job_b).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "one shared allocation per tenant");
-        let batch = service.batch_tenant(batch_a).unwrap();
-        assert!(Arc::ptr_eq(&a, &batch));
-    }
-
-    #[test]
     fn start_twice_is_rejected() {
         let service = QmlService::with_config(ServiceConfig::with_workers(1));
         let handle = service.start().unwrap();
@@ -1069,7 +932,7 @@ mod tests {
         let report = service.start().unwrap().drain();
         assert_eq!(report.failed, 1);
         assert_eq!(report.completed, JOBS - 1);
-        assert_eq!(service.inner.sched.lock().in_flight(), 0);
+        assert_eq!(service.inner.state.lock().sched.in_flight(), 0);
         let failures: Vec<String> = jobs
             .iter()
             .filter_map(|id| match service.status(*id) {
@@ -1088,25 +951,6 @@ mod tests {
             .submit("alice", gate_program().with_context(gate_context(99)))
             .unwrap();
         assert_eq!(service.start().unwrap().drain().completed, 1);
-    }
-
-    #[test]
-    fn runtime_direct_submissions_still_drain() {
-        // Jobs handed straight to the runtime bypass the fair scheduler;
-        // run_pending (and any drain) must still execute them.
-        let service = QmlService::with_config(ServiceConfig::with_workers(2));
-        let direct = service
-            .runtime()
-            .submit(gate_program().with_context(gate_context(7)))
-            .unwrap();
-        service
-            .submit("alice", gate_program().with_context(gate_context(8)))
-            .unwrap();
-        let report = service.run_pending();
-        assert_eq!(report.jobs, 2);
-        assert_eq!(report.completed, 2);
-        assert_eq!(service.status(direct), Some(JobStatus::Completed));
-        assert_eq!(service.metrics().queue_depth, 0);
     }
 
     #[test]
