@@ -100,10 +100,17 @@ impl FairScheduler {
                 continue;
             }
             consecutive_vetoes = 0;
+            let weight = tenant.policy.weight.max(MIN_WEIGHT);
             if !self.credited {
-                tenant.deficit += tenant.policy.weight.max(MIN_WEIGHT) * quantum;
+                tenant.deficit += weight * quantum;
                 self.credited = true;
             }
+            // Credit is denominated in the current quantum. Classic DRR never
+            // holds more than one grant plus one head job, `(weight + 1) ×
+            // quantum`; a reprice that deflates the quantum, or the refund of
+            // a job charged at its pre-measurement guess, must not mint more,
+            // or banked guess units buy a burst of cheap measured jobs.
+            tenant.deficit = tenant.deficit.min((weight + 1.0) * quantum);
             let head = &tenant.queue.front().expect("non-empty queue").job;
             let head_cost = effective_cost(&self.cost_model, head);
             // Blocked by deficit: keep it and move on; the next arrival
@@ -535,6 +542,42 @@ mod tests {
             assert_eq!(sched.quantum(), brute_force(&sched), "after a pop");
         }
         assert_eq!(sched.quantum(), 1.0, "empty queues fall back to 1.0");
+    }
+
+    #[test]
+    fn a_first_measurement_mints_no_head_start() {
+        // Two equal tenants × 150 jobs of one plan, admitted at a guess far
+        // above the 3 ms each really takes; one worker, no batching. The
+        // first tenant's first job is charged the guess and refunded the
+        // difference once measured — which used to buy a burst of cheap
+        // measured jobs (50 : 0 after 50 dispatches at a 200-unit guess).
+        // Now the refund is capped at one grant plus one head of the
+        // measured quantum: the guessed job and two measured ones at most.
+        for guess in [20.0, 200.0, 2000.0] {
+            let mut sched = FairScheduler::new(1, noop_registry());
+            sched.mode = Mode::Running;
+            let now = Instant::now();
+            let a = sched.intern("a", &TenantPolicy::default(), now);
+            let b = sched.intern("b", &TenantPolicy::default(), now);
+            for i in 0..150 {
+                sched.admit(&a, JobId(i), guess, None, Some(7));
+                sched.admit(&b, JobId(1000 + i), guess, None, Some(7));
+            }
+            let mut served = [0i64; 2];
+            for n in 1..=200 {
+                let SchedPoll::Dispatch(dispatch) = sched.next_job(now) else {
+                    panic!("both tenants are backlogged");
+                };
+                served[usize::from(dispatch.id.0 >= 1000)] += 1;
+                sched.settle_final(dispatch.id, 0.003, true, now);
+                assert!(
+                    (served[0] - served[1]).abs() <= 3,
+                    "guess {guess}: {} : {} after {n} dispatches",
+                    served[0],
+                    served[1]
+                );
+            }
+        }
     }
 
     /// The dispatch sequence of one fixed, single-threaded script, pinned as

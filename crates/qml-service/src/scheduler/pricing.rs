@@ -271,16 +271,18 @@ mod tests {
             (quantum - 2.0).abs() < 1e-9,
             "queued heads must be repriced by the model, quantum {quantum}"
         );
-        // The next dispatch spends measured units: the charge-back refund
-        // (~78) now covers tenant a's three remaining jobs at 2 units each —
-        // at the stale 80-unit guess it would not cover even one member.
+        // The next dispatch spends measured units. The charge-back refund
+        // (~78) is capped at one grant plus one head of the deflated quantum,
+        // (1 + 1) × 2 = 4 units: two members at 2 units each — at the stale
+        // 80-unit guess it would not cover even one, and the uncapped refund
+        // would buy all three of tenant a's remaining jobs.
         let SchedPoll::Dispatch(second) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
         assert_eq!(
             second.len(),
-            3,
-            "repriced members coalesce within the refunded deficit"
+            2,
+            "repriced members coalesce within the capped refund"
         );
     }
 

@@ -8,6 +8,7 @@ use std::time::Duration;
 use qml_core::graph::cycle;
 use qml_core::prelude::*;
 use qml_core::runtime::JobStatus;
+use qml_core::service::observe::{Stage, TraceEvent};
 use qml_core::service::{QmlService, RateLimit, ServiceConfig, SweepRequest, TenantPolicy};
 
 fn gate_context(seed: u64, samples: u64) -> ContextDescriptor {
@@ -24,6 +25,22 @@ fn fixed_qaoa() -> JobBundle {
 }
 
 const WAIT: Duration = Duration::from_secs(60);
+
+/// Tenants of the traced outcomes, in the order the service settled them.
+/// Read from the trace rather than by polling `status`, so "what had
+/// finished when X finished" does not depend on how soon the test thread
+/// wakes up.
+fn outcome_order(events: &[TraceEvent]) -> Vec<String> {
+    let mut outcomes: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| matches!(e.stage, Stage::Outcome { .. }))
+        .collect();
+    outcomes.sort_by_key(|e| e.seq);
+    outcomes
+        .iter()
+        .map(|e| e.tenant.as_deref().unwrap_or_default().to_string())
+        .collect()
+}
 
 #[test]
 fn jobs_submitted_while_running_complete_without_restart() {
@@ -76,7 +93,11 @@ fn small_tenant_is_not_starved_by_a_big_sweep() {
     // (nobody else was queued when the batches formed) but a race against
     // the assertions below; micro-batch fairness has its own tests in
     // `tests/batched_execution.rs` and the scheduler unit tests.
-    let service = QmlService::with_config(ServiceConfig::with_workers(2).with_max_batch(1));
+    let service = QmlService::with_config(
+        ServiceConfig::with_workers(2)
+            .with_max_batch(1)
+            .with_tracing(true),
+    );
 
     // Tenant "whale": a 48-point seeded sweep, admitted before the pool
     // starts so its queue is deep from the first dispatch.
@@ -100,21 +121,23 @@ fn small_tenant_is_not_starved_by_a_big_sweep() {
         "minnow job should complete, got {status:?}"
     );
 
+    let summary = handle.drain();
+    assert_eq!(summary.completed, 49, "everything still completes");
+    assert_eq!(service.batch_jobs(whale_batch).len(), 48);
+
     // Fairness: at the moment the minnow's job completed, the whale's sweep
     // must not have finished — deficit round robin interleaved the minnow
     // instead of queueing it behind all 48 whale jobs.
-    let whale_done = service
-        .batch_jobs(whale_batch)
+    let order = outcome_order(&service.trace_events());
+    let whale_done = order
         .iter()
-        .filter(|id| matches!(service.status(**id), Some(JobStatus::Completed)))
+        .take_while(|tenant| *tenant != "minnow")
+        .filter(|tenant| *tenant == "whale")
         .count();
     assert!(
         whale_done < 48,
         "minnow waited for the whole whale sweep (whale_done = {whale_done})"
     );
-
-    let summary = handle.drain();
-    assert_eq!(summary.completed, 49, "everything still completes");
 
     // The small tenant's submit→dispatch wait is bounded and recorded.
     let metrics = service.metrics();
@@ -308,6 +331,7 @@ fn weighted_tenants_split_throughput_unevenly() {
     // ordering* — among the first half of dispatches, the weight-3 tenant
     // must own a clear majority.
     let config = ServiceConfig::with_workers(1)
+        .with_tracing(true)
         .with_tenant_policy("heavy", TenantPolicy::default().with_weight(3.0));
     let service = QmlService::with_config(config);
     let mut heavy = SweepRequest::new("heavy", fixed_qaoa());
@@ -316,29 +340,21 @@ fn weighted_tenants_split_throughput_unevenly() {
         heavy = heavy.with_context(gate_context(seed, 64));
         light = light.with_context(gate_context(100 + seed, 64));
     }
-    let heavy_batch = service.submit_sweep("heavy", heavy).unwrap();
+    service.submit_sweep("heavy", heavy).unwrap();
     service.submit_sweep("light", light).unwrap();
 
-    // Drive the scheduler deterministically through the one-shot wrapper
-    // with a single worker: dispatch order == completion order.
-    let light_done_when_heavy_finished = {
-        let handle = service.start().unwrap();
-        let heavy_jobs = service.batch_jobs(heavy_batch);
-        let deadline = std::time::Instant::now() + WAIT;
-        loop {
-            let done = heavy_jobs
-                .iter()
-                .filter(|id| matches!(service.status(**id), Some(JobStatus::Completed)))
-                .count();
-            if done == 16 || std::time::Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let light_done = service.metrics().per_tenant["light"].completed;
-        handle.drain();
-        light_done
-    };
+    // A single worker: dispatch order == completion order, and the trace
+    // records the completions in that order.
+    service.start().unwrap().drain();
+    let order = outcome_order(&service.trace_events());
+    let heavy_last = order
+        .iter()
+        .rposition(|tenant| tenant == "heavy")
+        .expect("heavy completed");
+    let light_done_when_heavy_finished = order[..heavy_last]
+        .iter()
+        .filter(|tenant| *tenant == "light")
+        .count();
     // With 3:1 weights the heavy tenant finishes its 16 jobs after roughly
     // 16/3 ≈ 5-6 light completions; equal weights would give ~16.
     assert!(
