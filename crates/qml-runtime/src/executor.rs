@@ -1,14 +1,17 @@
 //! Job lifecycle and execution.
 //!
 //! The runtime accepts packaged job bundles (`job.json` artifacts in the
-//! paper's workflow), tracks each job's state behind a `parking_lot` mutex so
-//! callers can poll status from other threads, and executes claimed jobs in
-//! exactly one routine — `Runtime::execute_claimed_batch`, a timed batch
-//! through the runtime's shared transpilation/lowering cache. Every entry
-//! point reaches it the same way: [`Runtime::run_job`] is a batch of one,
-//! and [`Runtime::run_all`] feeds a cost-ranked snapshot of the queue
-//! (longest first, the classic LPT heuristic) to the same worker loop the
-//! streaming [`WorkerPool`](crate::pool::WorkerPool) runs.
+//! paper's workflow) through [`Runtime::submit`], tracks each submitted job's
+//! state behind a `parking_lot` mutex so callers can poll status from other
+//! threads, and executes jobs in exactly one routine —
+//! `Runtime::execute_claimed_batch`, a timed batch through the runtime's
+//! shared transpilation/lowering cache. Every entry point reaches it the same
+//! way: [`Runtime::run_job`] is a batch of one, and [`Runtime::run_all`]
+//! feeds a cost-ranked snapshot of the queue (longest first, the classic LPT
+//! heuristic) to the same worker loop the streaming
+//! [`WorkerPool`](crate::pool::WorkerPool) runs. The job table belongs to
+//! those three entry points: a pool's source owns the jobs it dispatches,
+//! and execution writes no table, so the two never overlap.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,18 +46,15 @@ pub enum JobStatus {
     Failed(String),
 }
 
-/// A submitted job: the bundle, its status, and (eventually) its result.
-#[derive(Debug, Clone)]
-pub struct Job {
-    /// Identifier assigned at submission.
-    pub id: JobId,
+/// A job submitted through [`Runtime::submit`]: the bundle, its status,
+/// and (eventually) its result.
+#[derive(Debug)]
+pub(crate) struct Job {
     /// The submitted bundle, sealed at submission: claiming the job shares
     /// it instead of copying it.
-    pub bundle: SealedBundle,
-    /// Current lifecycle state.
-    pub status: JobStatus,
-    /// The execution result once completed.
-    pub result: Option<ExecutionResult>,
+    bundle: SealedBundle,
+    status: JobStatus,
+    result: Option<ExecutionResult>,
 }
 
 /// Everything the worker loop records about one executed job.
@@ -76,19 +76,6 @@ pub struct JobOutcome {
     pub duration: Duration,
     /// Index of the pool worker that executed the job.
     pub worker: usize,
-}
-
-/// Record a claimed job's terminal state from its execution outcome.
-fn record_terminal(job: &mut Job, outcome: &Result<ExecutionResult>) {
-    match outcome {
-        Ok(result) => {
-            job.status = JobStatus::Completed;
-            job.result = Some(result.clone());
-        }
-        Err(err) => {
-            job.status = JobStatus::Failed(err.to_string());
-        }
-    }
 }
 
 /// The middle-layer runtime: a scheduler, a job store, and a shared
@@ -160,23 +147,15 @@ impl Runtime {
     /// Submit a bundle for execution. Validation failures are rejected at
     /// submission time, not at run time.
     pub fn submit(&self, bundle: JobBundle) -> Result<JobId> {
-        Ok(self.submit_sealed(SealedBundle::seal(bundle)?))
-    }
-
-    /// Submit an already sealed bundle: it was validated when it was
-    /// sealed, so submission cannot fail.
-    pub fn submit_sealed(&self, bundle: SealedBundle) -> JobId {
+        let bundle = SealedBundle::seal(bundle)?;
         let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.jobs.lock().insert(
-            id,
-            Job {
-                id,
-                bundle,
-                status: JobStatus::Queued,
-                result: None,
-            },
-        );
-        id
+        let job = Job {
+            bundle,
+            status: JobStatus::Queued,
+            result: None,
+        };
+        self.jobs.lock().insert(id, job);
+        Ok(id)
     }
 
     /// Status of a job.
@@ -194,60 +173,54 @@ impl Runtime {
         self.jobs.lock().keys().copied().collect()
     }
 
-    /// Execute one queued job synchronously: claim it, place it, and run it
-    /// as a batch of one.
+    /// Execute one queued job synchronously: claim it (Queued → Running,
+    /// sharing its sealed bundle), place it, and run it as a batch of one.
+    /// A job that is not queued — already run, or claimed by a concurrent
+    /// drain — is rejected, never run twice.
     pub fn run_job(&self, id: JobId) -> Result<ExecutionResult> {
-        let Some(bundle) = self.claim(id)? else {
-            return Err(QmlError::Validation(format!(
-                "job {id:?} is not queued (status {:?})",
-                self.status(id).expect("job exists")
-            )));
+        let bundle = {
+            let mut jobs = self.jobs.lock();
+            let job = jobs
+                .get_mut(&id)
+                .ok_or_else(|| QmlError::Validation(format!("unknown job id {id:?}")))?;
+            if job.status != JobStatus::Queued {
+                return Err(QmlError::Validation(format!(
+                    "job {id:?} is not queued (status {:?})",
+                    job.status
+                )));
+            }
+            job.status = JobStatus::Running;
+            job.bundle.clone()
         };
-        self.execute_claimed_batch(vec![(id, bundle)], None)
+        let outcome = self
+            .execute_claimed_batch(vec![(id, bundle)], None)
             .pop()
-            .expect("one outcome per claimed job")
-            .result
+            .expect("one outcome per claimed job");
+        self.record_terminal(&outcome);
+        outcome.result
     }
 
-    /// Atomically claim a queued job for execution (Queued → Running),
-    /// returning a share of its sealed bundle (a reference-count bump, not a
-    /// copy). `Err` if the id is unknown, `Ok(None)` if the job was already
-    /// claimed — the signal concurrent drains use to skip a job another
-    /// drain owns rather than report a phantom failure.
-    pub(crate) fn claim(&self, id: JobId) -> Result<Option<SealedBundle>> {
+    /// Record a claimed job's terminal state from its execution outcome.
+    fn record_terminal(&self, outcome: &JobOutcome) {
         let mut jobs = self.jobs.lock();
         let job = jobs
-            .get_mut(&id)
-            .ok_or_else(|| QmlError::Validation(format!("unknown job id {id:?}")))?;
-        if job.status != JobStatus::Queued {
-            return Ok(None);
-        }
-        job.status = JobStatus::Running;
-        Ok(Some(job.bundle.clone()))
-    }
-
-    /// Return a *failed* job to the queue for another execution attempt
-    /// (Failed → Queued, clearing any stale result). Used by fleet
-    /// schedulers to retry a job whose device — not the job itself — faulted.
-    /// Returns false if the id is unknown or the job is not in the Failed
-    /// state (completed, running, and queued jobs are left untouched), so a
-    /// requeue can never duplicate an outcome that already settled.
-    pub fn requeue(&self, id: JobId) -> bool {
-        let mut jobs = self.jobs.lock();
-        match jobs.get_mut(&id) {
-            Some(job) if matches!(job.status, JobStatus::Failed(_)) => {
-                job.status = JobStatus::Queued;
-                job.result = None;
-                true
+            .get_mut(&outcome.id)
+            .expect("claimed jobs stay in the table");
+        match &outcome.result {
+            Ok(result) => {
+                job.status = JobStatus::Completed;
+                job.result = Some(result.clone());
             }
-            _ => false,
+            Err(err) => job.status = JobStatus::Failed(err.to_string()),
         }
     }
 
-    /// Execute already-claimed jobs as one timed batch through the shared
-    /// cache ([`qml_backends::Backend::execute_batch_timed`]) and record each
-    /// member's terminal state — **the only routine in the runtime that
-    /// calls a backend**; a solo job is a batch of one. Outcomes are returned
+    /// Execute claimed jobs as one timed batch through the shared cache
+    /// ([`qml_backends::Backend::execute_batch_timed`]) — **the only routine
+    /// in the runtime that calls a backend**; a solo job is a batch of one.
+    /// It writes no job table: whoever handed the jobs out records their
+    /// outcomes (the one-shot entry points into the runtime's table, a
+    /// pool's sink into its source's). Outcomes are returned
     /// in input order with an **honest per-member duration**: each member's
     /// own bind + sample time plus a share of the group's one plan
     /// realization proportional to that time — never an even split of the
@@ -306,12 +279,6 @@ impl Runtime {
             }
             Err(err) => (vec![Err(err.clone()); n], vec![Duration::ZERO; n]),
         };
-        let mut jobs = self.jobs.lock();
-        for (id, outcome) in ids.iter().zip(&results) {
-            let job = jobs.get_mut(id).expect("job disappeared while running");
-            record_terminal(job, outcome);
-        }
-        drop(jobs);
         // Attribute a job to its placed backend even when the execution
         // itself failed.
         let backend = placement.ok().map(|p| p.backend.name().to_string());
@@ -391,14 +358,18 @@ impl Runtime {
     /// worker executing it. Jobs submitted after the snapshot wait for the
     /// next drain.
     fn run_all_detailed(&self, num_workers: usize) -> Vec<JobOutcome> {
-        // Snapshot queued bundles under the lock, then run the placement /
-        // cost-ranking pass outside it so status()/submit() callers never
-        // block behind an O(batch) scheduler scan.
+        // Claim the whole snapshot under one lock (Queued → Running), so
+        // concurrent drains split the queue by construction; then run the
+        // placement / cost-ranking pass outside it so status()/submit()
+        // callers never block behind an O(batch) scheduler scan.
         let queued: Vec<(JobId, SealedBundle)> = {
-            let jobs = self.jobs.lock();
-            jobs.values()
-                .filter(|j| j.status == JobStatus::Queued)
-                .map(|j| (j.id, j.bundle.clone()))
+            let mut jobs = self.jobs.lock();
+            jobs.iter_mut()
+                .filter(|(_, job)| job.status == JobStatus::Queued)
+                .map(|(id, job)| {
+                    job.status = JobStatus::Running;
+                    (*id, job.bundle.clone())
+                })
                 .collect()
         };
         // One placement pass serves both the cost ranking and execution: the
@@ -409,7 +380,7 @@ impl Runtime {
             .into_iter()
             .map(|(id, bundle)| JobDispatch {
                 placement: self.scheduler.place(&bundle).ok(),
-                ..JobDispatch::new(id)
+                ..JobDispatch::new(id, bundle)
             })
             .collect();
         let cost = |d: &JobDispatch| d.placement.as_ref().map_or(0.0, |p| p.estimated_cost);
@@ -422,7 +393,10 @@ impl Runtime {
         let num_workers = num_workers.max(1).min(ranked.len());
         let source = Snapshot(Mutex::new(ranked.into()));
         let outcomes: Mutex<Vec<JobOutcome>> = Mutex::new(Vec::new());
-        let sink = |outcome: JobOutcome| outcomes.lock().push(outcome);
+        let sink = |outcome: JobOutcome| {
+            self.record_terminal(&outcome);
+            outcomes.lock().push(outcome);
+        };
         std::thread::scope(|scope| {
             for worker in 0..num_workers {
                 let (source, sink) = (&source, &sink);
@@ -631,12 +605,11 @@ mod tests {
             };
             runtime.submit(bundle).unwrap();
         }
-        let (a, b) = crossbeam::scope(|scope| {
-            let h1 = scope.spawn(|_| runtime.run_all_detailed(2));
-            let h2 = scope.spawn(|_| runtime.run_all_detailed(2));
+        let (a, b) = std::thread::scope(|scope| {
+            let h1 = scope.spawn(|| runtime.run_all_detailed(2));
+            let h2 = scope.spawn(|| runtime.run_all_detailed(2));
             (h1.join().unwrap(), h2.join().unwrap())
-        })
-        .unwrap();
+        });
         assert_eq!(a.len() + b.len(), 10, "each job reported exactly once");
         let mut seen: Vec<JobId> = a.iter().chain(b.iter()).map(|o| o.id).collect();
         seen.sort();

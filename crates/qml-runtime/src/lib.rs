@@ -8,14 +8,16 @@
 //!   otherwise ranks family-compatible backends by descriptor cost hints —
 //!   the paper's HPC-scheduler analogy (§2).
 //! * [`Runtime`] — job submission, status tracking, and the one execution
-//!   routine: claimed jobs run as a timed batch
+//!   routine: jobs run as a timed batch
 //!   ([`qml_backends::Backend::execute_batch_timed`]) through one shared
 //!   transpilation/lowering cache. [`Runtime::run_job`] is a batch of one;
 //!   [`Runtime::run_all`] drains a cost-ranked snapshot of the queue.
 //! * [`pool`] — the one worker loop, fed by a [`JobSource`]: one-shot drains
 //!   borrow it on scoped threads, and the feed-while-running [`WorkerPool`]
 //!   keeps it alive so long-lived services accept and execute work
-//!   continuously.
+//!   continuously. A [`JobDispatch`] carries the sealed bundles it runs, so
+//!   a serving tier keeps its own job table and the runtime's serves only
+//!   [`Runtime::submit`], `run_job` and `run_all`.
 //! * [`services`] — orthogonal context services (§4.3.1): the QEC service and
 //!   a communication estimator for partitioned (multi-QPU) execution.
 
@@ -28,7 +30,7 @@ pub mod pool;
 pub mod registry;
 pub mod services;
 
-pub use executor::{Job, JobId, JobOutcome, JobStatus, Runtime};
+pub use executor::{JobId, JobOutcome, JobStatus, Runtime};
 pub use pool::{Feed, JobDispatch, JobSource, OutcomeSink, WorkerPool};
 pub use registry::{BackendRegistry, Placement, Scheduler};
 pub use services::{

@@ -13,16 +13,17 @@
 //! the [`WorkerPool`] here, fed by the serving tier's (`qml-service`) fair
 //! scheduler.
 //!
-//! Dispatched jobs go through the runtime's atomic claim and its one
-//! execution routine (shared transpilation cache included) and are reported
-//! to an outcome sink as they finish, so callers can update metrics live
-//! rather than waiting for a drain to return.
+//! A dispatch carries the sealed bundles it runs; a worker executes exactly
+//! that through the runtime's one execution routine (shared transpilation
+//! cache included) and reports each member to an outcome sink as it
+//! finishes, so callers can update metrics live rather than waiting for a
+//! drain to return.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use qml_types::ServiceClass;
+use qml_types::{SealedBundle, ServiceClass};
 
 use crate::executor::{JobId, JobOutcome, Runtime};
 use crate::registry::Placement;
@@ -44,15 +45,14 @@ const MAX_IDLE_BACKOFF: Duration = Duration::from_millis(10);
 /// second time).
 #[derive(Debug, Clone)]
 pub struct JobDispatch {
-    /// The (head) job to execute.
-    pub id: JobId,
-    /// Additional jobs coalesced into this dispatch by the source. All
-    /// members share the head's backend and realization-plan key, so the
-    /// worker executes `[id, rest...]` through one
+    /// The jobs to execute, head first, each with its sealed bundle (a
+    /// reference-count bump, not a copy). Never empty. All members share
+    /// the head's backend and realization-plan key, so the worker executes
+    /// them through one
     /// [`Backend::execute_batch_timed`](qml_backends::Backend::execute_batch_timed)
-    /// call (a solo dispatch is the same call with `rest` empty); outcomes
+    /// call (a solo dispatch is the same call with one member); outcomes
     /// reach the sink per member, in this order.
-    pub rest: Vec<JobId>,
+    pub members: Vec<(JobId, SealedBundle)>,
     /// A placement computed at admission time, reused for execution (and
     /// shared by every batched member).
     pub placement: Option<Placement>,
@@ -70,30 +70,34 @@ pub struct JobDispatch {
 
 impl JobDispatch {
     /// A solo dispatch with no precomputed placement (the worker places).
-    pub fn new(id: JobId) -> Self {
+    pub fn new(id: JobId, bundle: SealedBundle) -> Self {
         JobDispatch {
-            id,
-            rest: Vec::new(),
+            members: vec![(id, bundle)],
             placement: None,
             device: None,
             class: ServiceClass::Throughput,
         }
     }
 
+    /// The head job.
+    pub fn id(&self) -> JobId {
+        self.members[0].0
+    }
+
     /// Every job in this dispatch: the head, then the coalesced members.
     pub fn ids(&self) -> impl Iterator<Item = JobId> + '_ {
-        std::iter::once(self.id).chain(self.rest.iter().copied())
+        self.members.iter().map(|(id, _)| *id)
     }
 
     /// Number of jobs in this dispatch (head + coalesced members).
     pub fn len(&self) -> usize {
-        1 + self.rest.len()
+        self.members.len()
     }
 
-    /// Always false: a dispatch carries at least its head job. Provided for
-    /// `len`/`is_empty` symmetry.
+    /// Whether the dispatch has no members; a source never hands out such a
+    /// dispatch.
     pub fn is_empty(&self) -> bool {
-        false
+        self.members.is_empty()
     }
 }
 
@@ -117,14 +121,6 @@ pub enum Feed {
 pub trait JobSource: Send + Sync {
     /// Hand the calling worker its next instruction.
     fn next_job(&self, worker: usize) -> Feed;
-
-    /// Called when a dispatched job could not be claimed: the runtime does
-    /// not know it, or it is no longer queued because another path (a
-    /// concurrent [`Runtime::run_all`] or [`Runtime::run_job`] on the same
-    /// runtime) ran it first. A safety net for sources that track in-flight
-    /// slots, so a lost claim releases its slot instead of leaking it; a
-    /// source that dispatches only jobs it alone admitted never sees it.
-    fn job_skipped(&self, _id: JobId) {}
 }
 
 /// The outcome sink a pool reports finished jobs to, in completion order.
@@ -141,12 +137,9 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `workers` threads executing jobs from `source` on `runtime`,
-    /// reporting each finished job to `sink`.
-    ///
-    /// Every dispatched job goes through the runtime's atomic claim, so no
-    /// job runs twice even if another path ([`Runtime::run_all`],
-    /// [`Runtime::run_job`]) reaches it first; the lost claim is reported
-    /// through [`JobSource::job_skipped`].
+    /// reporting each finished job to `sink`. The workers execute what the
+    /// source dispatches and never touch the runtime's own job table, which
+    /// serves [`Runtime::submit`] and its one-shot drains alone.
     pub fn spawn(
         runtime: &Arc<Runtime>,
         workers: usize,
@@ -202,24 +195,12 @@ pub(crate) fn worker_loop(
                 idle_backoff = (idle_backoff * 2).min(MAX_IDLE_BACKOFF);
             }
             Feed::Job(dispatch) => {
-                // Solo dispatch or micro-batch — one path: claim every
-                // member in order (a concurrent drain may have raced us to a
-                // job; lost claims release the source's in-flight slot and
-                // are skipped individually), execute the survivors as one
-                // timed batch, and stream per-member outcomes to the sink in
-                // dispatch order.
+                // Solo dispatch or micro-batch — one path: execute the
+                // members as one timed batch and stream per-member outcomes
+                // to the sink in dispatch order.
                 idle_backoff = IDLE_BACKOFF;
-                let mut claimed = Vec::with_capacity(dispatch.len());
-                for id in dispatch.ids() {
-                    match runtime.claim(id) {
-                        Ok(Some(bundle)) => claimed.push((id, bundle)),
-                        _ => source.job_skipped(id),
-                    }
-                }
-                if claimed.is_empty() {
-                    continue;
-                }
-                for outcome in runtime.execute_claimed_batch(claimed, dispatch.placement) {
+                let members = dispatch.members;
+                for outcome in runtime.execute_claimed_batch(members, dispatch.placement) {
                     executed += 1;
                     sink(JobOutcome {
                         device: dispatch.device.clone(),
@@ -253,10 +234,18 @@ mod tests {
             ))
     }
 
+    /// Sealed gate bundles numbered `0..n`: the source owns the ids, the
+    /// runtime's job table is never involved.
+    fn gate_members(n: u64) -> Vec<(JobId, SealedBundle)> {
+        (0..n)
+            .map(|seed| (JobId(seed), SealedBundle::seal(gate_bundle(seed)).unwrap()))
+            .collect()
+    }
+
     /// A FIFO source that keeps feeding until told to stop, then shuts the
     /// pool down once its queue is empty.
     struct FifoSource {
-        queue: Mutex<VecDeque<JobId>>,
+        queue: Mutex<VecDeque<(JobId, SealedBundle)>>,
         stopping: AtomicBool,
     }
 
@@ -268,15 +257,15 @@ mod tests {
             }
         }
 
-        fn push(&self, id: JobId) {
-            self.queue.lock().push_back(id);
+        fn push(&self, member: (JobId, SealedBundle)) {
+            self.queue.lock().push_back(member);
         }
     }
 
     impl JobSource for FifoSource {
         fn next_job(&self, _worker: usize) -> Feed {
-            if let Some(id) = self.queue.lock().pop_front() {
-                return Feed::Job(JobDispatch::new(id));
+            if let Some((id, bundle)) = self.queue.lock().pop_front() {
+                return Feed::Job(JobDispatch::new(id, bundle));
             }
             if self.stopping.load(Ordering::SeqCst) {
                 Feed::Shutdown
@@ -300,11 +289,10 @@ mod tests {
         let pool = WorkerPool::spawn(&runtime, 2, source.clone(), sink);
 
         // Feed jobs *after* the pool is already running.
-        let mut ids = Vec::new();
-        for seed in 0..6 {
-            let id = runtime.submit(gate_bundle(seed)).unwrap();
-            source.push(id);
-            ids.push(id);
+        let members = gate_members(6);
+        let ids: Vec<JobId> = members.iter().map(|(id, _)| *id).collect();
+        for member in members {
+            source.push(member);
         }
         source.stopping.store(true, Ordering::SeqCst);
         let executed = pool.join();
@@ -316,36 +304,27 @@ mod tests {
         assert!(completed.lock().iter().all(|(_, ok)| *ok));
     }
 
-    #[test]
-    fn already_executed_jobs_are_skipped_not_failed() {
-        let runtime = Arc::new(Runtime::with_default_backends());
-        let source = Arc::new(FifoSource::new());
-        let id = runtime.submit(gate_bundle(1)).unwrap();
-        // Execute through the one-shot path first; the pool must then skip.
-        runtime.run_job(id).unwrap();
-        source.push(id);
-        source.stopping.store(true, Ordering::SeqCst);
-        let sink = Arc::new(|_outcome: JobOutcome| {});
-        let executed = WorkerPool::spawn(&runtime, 1, source, sink).join();
-        assert_eq!(executed, 0, "stale dispatch is skipped, not re-run");
-    }
-
     /// A source that hands out its whole queue as one micro-batch.
     struct OneBatchSource {
-        ids: Mutex<Vec<JobId>>,
+        members: Mutex<Vec<(JobId, SealedBundle)>>,
+    }
+
+    impl OneBatchSource {
+        fn new(members: Vec<(JobId, SealedBundle)>) -> Arc<Self> {
+            Arc::new(OneBatchSource {
+                members: Mutex::new(members),
+            })
+        }
     }
 
     impl JobSource for OneBatchSource {
         fn next_job(&self, _worker: usize) -> Feed {
-            let mut ids = self.ids.lock();
-            if ids.is_empty() {
+            let mut members = self.members.lock();
+            if members.is_empty() {
                 return Feed::Shutdown;
             }
-            let id = ids.remove(0);
-            let rest = ids.drain(..).collect();
             Feed::Job(JobDispatch {
-                id,
-                rest,
+                members: std::mem::take(&mut *members),
                 placement: None,
                 device: None,
                 class: ServiceClass::Throughput,
@@ -356,12 +335,8 @@ mod tests {
     #[test]
     fn batched_dispatch_streams_every_member_in_order() {
         let runtime = Arc::new(Runtime::with_default_backends());
-        let ids: Vec<JobId> = (0..4)
-            .map(|seed| runtime.submit(gate_bundle(seed)).unwrap())
-            .collect();
-        let source = Arc::new(OneBatchSource {
-            ids: Mutex::new(ids.clone()),
-        });
+        let members = gate_members(4);
+        let ids: Vec<JobId> = members.iter().map(|(id, _)| *id).collect();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = {
             let seen = Arc::clone(&seen);
@@ -369,7 +344,7 @@ mod tests {
                 seen.lock().push((outcome.id, outcome.result.is_ok()));
             })
         };
-        let executed = WorkerPool::spawn(&runtime, 1, source, sink).join();
+        let executed = WorkerPool::spawn(&runtime, 1, OneBatchSource::new(members), sink).join();
         assert_eq!(executed, 4);
         let seen = seen.lock();
         assert_eq!(
@@ -392,18 +367,16 @@ mod tests {
         // member does ~256× the sampling work.
         let runtime = Arc::new(Runtime::with_default_backends());
         let ladder = |reads: u64| {
-            maxcut_ising_program(&cycle(4))
-                .unwrap()
-                .with_context(ContextDescriptor::for_anneal(
+            let bundle = maxcut_ising_program(&cycle(4)).unwrap().with_context(
+                ContextDescriptor::for_anneal(
                     "anneal.neal_simulator",
                     AnnealConfig::with_reads(reads),
-                ))
+                ),
+            );
+            SealedBundle::seal(bundle).unwrap()
         };
-        let small = runtime.submit(ladder(16)).unwrap();
-        let large = runtime.submit(ladder(4096)).unwrap();
-        let source = Arc::new(OneBatchSource {
-            ids: Mutex::new(vec![small, large]),
-        });
+        let (small, large) = (JobId(0), JobId(1));
+        let source = OneBatchSource::new(vec![(small, ladder(16)), (large, ladder(4096))]);
         let durations = Arc::new(Mutex::new(Vec::new()));
         let sink = {
             let durations = Arc::clone(&durations);
@@ -429,25 +402,8 @@ mod tests {
     }
 
     #[test]
-    fn batched_dispatch_skips_already_executed_members() {
-        let runtime = Arc::new(Runtime::with_default_backends());
-        let ids: Vec<JobId> = (0..3)
-            .map(|seed| runtime.submit(gate_bundle(seed)).unwrap())
-            .collect();
-        // The middle member races a one-shot execution and loses its claim;
-        // the rest of the batch is unaffected.
-        runtime.run_job(ids[1]).unwrap();
-        let source = Arc::new(OneBatchSource {
-            ids: Mutex::new(ids.clone()),
-        });
-        let sink = Arc::new(|_outcome: JobOutcome| {});
-        let executed = WorkerPool::spawn(&runtime, 1, source, sink).join();
-        assert_eq!(executed, 2, "lost claims are skipped, not re-run");
-    }
-
-    #[test]
     fn backend_panic_fails_the_whole_batch_and_keeps_the_worker() {
-        use crate::{BackendRegistry, JobStatus, Scheduler};
+        use crate::{BackendRegistry, Scheduler};
         use qml_backends::testing::{faulty, FaultPlan};
         use qml_backends::GateBackend;
 
@@ -460,24 +416,22 @@ mod tests {
             FaultPlan::none().with_panic_nth([1]),
         ));
         let runtime = Arc::new(Runtime::new(Scheduler::new(registry)));
-        let ids: Vec<JobId> = (0..3)
-            .map(|seed| runtime.submit(gate_bundle(seed)).unwrap())
-            .collect();
-        let source = Arc::new(OneBatchSource {
-            ids: Mutex::new(ids.clone()),
-        });
-        let sink = Arc::new(|outcome: JobOutcome| {
-            assert!(!outcome.result.unwrap_err().is_device_fault());
-        });
-        let executed = WorkerPool::spawn(&runtime, 1, source, sink).join();
+        let failures = Arc::new(Mutex::new(Vec::new()));
+        let sink = {
+            let failures = Arc::clone(&failures);
+            Arc::new(move |outcome: JobOutcome| {
+                let err = outcome.result.unwrap_err();
+                assert!(!err.is_device_fault());
+                failures.lock().push(err.to_string());
+            })
+        };
+        let executed =
+            WorkerPool::spawn(&runtime, 1, OneBatchSource::new(gate_members(3)), sink).join();
         assert_eq!(executed, 3, "every member is reported, none stranded");
-        for id in ids {
-            match runtime.status(id) {
-                Some(JobStatus::Failed(msg)) => {
-                    assert!(msg.contains("backend panicked"), "{msg}")
-                }
-                other => panic!("expected a failed job, got {other:?}"),
-            }
+        let failures = failures.lock();
+        assert_eq!(failures.len(), 3);
+        for msg in failures.iter() {
+            assert!(msg.contains("backend panicked"), "{msg}");
         }
     }
 

@@ -764,6 +764,7 @@ impl FleetRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::testing::sealed_bundle;
     use qml_backends::GateBackend;
     use qml_runtime::JobId;
 
@@ -919,14 +920,14 @@ mod tests {
     fn down_transition_evacuates_the_parked_queue_to_live_siblings() {
         let mut fleet = fleet(3);
         let parked = ParkedDispatch {
-            dispatch: JobDispatch::new(JobId(9)),
+            dispatch: JobDispatch::new(JobId(9), sealed_bundle()),
             requirements: Some(req(4)),
         };
         fleet.park(0, parked.clone());
         fleet.park(
             0,
             ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(10)),
+                dispatch: JobDispatch::new(JobId(10), sealed_bundle()),
                 requirements: Some(req(4)),
             },
         );
@@ -952,27 +953,27 @@ mod tests {
         fleet.park(
             0,
             ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(1)),
+                dispatch: JobDispatch::new(JobId(1), sealed_bundle()),
                 requirements: None,
             },
         );
         fleet.park(
             0,
             ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(2)),
+                dispatch: JobDispatch::new(JobId(2), sealed_bundle()),
                 requirements: None,
             },
         );
         // Device 1 is idle: it steals the newest parked dispatch.
         let (thief, entry) = fleet.pop_parked().unwrap();
         assert_eq!(thief, 1);
-        assert_eq!(entry.dispatch.id, JobId(2), "steals from the back");
+        assert_eq!(entry.dispatch.id(), JobId(2), "steals from the back");
         assert_eq!(fleet.snapshot()["dev-0"].stolen_from, 1);
         // Free device 0's slot: it serves its own queue head first.
         fleet.release_slot(0);
         let (owner, entry) = fleet.pop_parked().unwrap();
         assert_eq!(owner, 0);
-        assert_eq!(entry.dispatch.id, JobId(1));
+        assert_eq!(entry.dispatch.id(), JobId(1));
         assert!(fleet.pop_parked().is_none());
     }
 
@@ -985,7 +986,7 @@ mod tests {
             fleet.park(
                 0,
                 ParkedDispatch {
-                    dispatch: JobDispatch::new(JobId(id)),
+                    dispatch: JobDispatch::new(JobId(id), sealed_bundle()),
                     requirements: Some(req(4)),
                 },
             );
@@ -1017,7 +1018,7 @@ mod tests {
         fleet.park(
             0,
             ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(7)),
+                dispatch: JobDispatch::new(JobId(7), sealed_bundle()),
                 requirements: None,
             },
         );
@@ -1030,7 +1031,7 @@ mod tests {
         assert!(fleet.uncordon("dev-1"));
         let (thief, entry) = fleet.pop_parked().expect("idle sibling steals");
         assert_eq!(thief, 1);
-        assert_eq!(entry.dispatch.id, JobId(7));
+        assert_eq!(entry.dispatch.id(), JobId(7));
     }
 
     #[test]

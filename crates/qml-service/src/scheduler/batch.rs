@@ -200,7 +200,7 @@ mod tests {
             panic!("expected dispatch");
         };
         assert_eq!(light.len(), 1, "weight-1 tenant dispatches solo");
-        sched.release(light.id);
+        sched.release(light.id());
     }
 
     #[test]
@@ -351,7 +351,7 @@ mod tests {
                 assert!(!dispatch.class.is_latency(), "DRR stays class-blind");
                 first = false;
             }
-            if dispatch.id == JobId(100) {
+            if dispatch.id() == JobId(100) {
                 saw_latency = true;
             } else if !saw_latency {
                 assert_eq!(

@@ -135,11 +135,14 @@ impl FairScheduler {
             if tenant.queue.is_empty() {
                 tenant.forfeit_credit();
             }
+            let members = batch
+                .iter()
+                .map(|m| (m.id, self.in_flight[&m.id].job.bundle.clone()))
+                .collect();
             let head = &self.in_flight[&batch[0].id].job;
             let requirements = head.requirements;
             let dispatch = JobDispatch {
-                id: head.id,
-                rest: batch[1..].iter().map(|m| m.id).collect(),
+                members,
                 placement: head.placement.clone(),
                 device: None,
                 class: head.class,
@@ -328,8 +331,8 @@ mod tests {
         let now = Instant::now();
         let mut order = Vec::new();
         while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
-            sched.release(dispatch.id);
-            order.push(dispatch.id.0 / 10); // 0 = tenant a, 1 = tenant b
+            sched.release(dispatch.id());
+            order.push(dispatch.id().0 / 10); // 0 = tenant a, 1 = tenant b
         }
         // Strict alternation: no tenant dispatches twice in a row while the
         // other has work.
@@ -353,11 +356,9 @@ mod tests {
         let mut dispatched_before_minnow = 0;
         loop {
             match sched.next_job(now) {
-                SchedPoll::Dispatch(JobDispatch {
-                    id: JobId(1000), ..
-                }) => break,
+                SchedPoll::Dispatch(dispatch) if dispatch.id() == JobId(1000) => break,
                 SchedPoll::Dispatch(dispatch) => {
-                    sched.release(dispatch.id);
+                    sched.release(dispatch.id());
                     dispatched_before_minnow += 1;
                 }
                 other => panic!("unexpected poll {other:?}"),
@@ -384,8 +385,8 @@ mod tests {
         for _ in 0..40 {
             match sched.next_job(now) {
                 SchedPoll::Dispatch(dispatch) => {
-                    sched.release(dispatch.id);
-                    if dispatch.id.0 < 100 {
+                    sched.release(dispatch.id());
+                    if dispatch.id().0 < 100 {
                         heavy_in_first_40 += 1;
                     }
                 }
@@ -410,7 +411,7 @@ mod tests {
         };
         // Still in flight: other workers idle rather than exit.
         assert!(matches!(sched.next_job(now), SchedPoll::Idle));
-        sched.release(dispatch.id);
+        sched.release(dispatch.id());
         assert!(matches!(sched.next_job(now), SchedPoll::Shutdown));
     }
 
@@ -443,7 +444,7 @@ mod tests {
         let SchedPoll::Dispatch(big) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        sched.release(big.id);
+        sched.release(big.id());
 
         for i in 0..300 {
             sched.admit(&names[0], JobId(i), 1.0, None, None);
@@ -452,11 +453,9 @@ mod tests {
         let mut whale_before_minnow = 0;
         loop {
             match sched.next_job(now) {
-                SchedPoll::Dispatch(JobDispatch {
-                    id: JobId(1000), ..
-                }) => break,
+                SchedPoll::Dispatch(dispatch) if dispatch.id() == JobId(1000) => break,
                 SchedPoll::Dispatch(dispatch) => {
-                    sched.release(dispatch.id);
+                    sched.release(dispatch.id());
                     whale_before_minnow += 1;
                 }
                 other => panic!("unexpected poll {other:?}"),
@@ -486,8 +485,8 @@ mod tests {
         let now = Instant::now();
         let mut order = Vec::new();
         while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
-            sched.release(dispatch.id);
-            order.push(dispatch.id.0 / 100); // 0 = hintless, 1 = normal
+            sched.release(dispatch.id());
+            order.push(dispatch.id().0 / 100); // 0 = hintless, 1 = normal
         }
         assert_eq!(order.len(), 12);
         for pair in order.windows(2) {
@@ -506,7 +505,7 @@ mod tests {
         let SchedPoll::Dispatch(d) = sched.next_job(past) else {
             panic!("expected dispatch");
         };
-        sched.release(d.id);
+        sched.release(d.id());
         let wait = sched.tenant_snapshot()["t"].total_wait_seconds;
         assert!(
             (0.0..1.0).contains(&wait),
@@ -538,7 +537,7 @@ mod tests {
         // 250-cost head leaving must deflate the quantum, not linger as a
         // high-water mark).
         while let SchedPoll::Dispatch(d) = sched.next_job(now) {
-            sched.release(d.id);
+            sched.release(d.id());
             assert_eq!(sched.quantum(), brute_force(&sched), "after a pop");
         }
         assert_eq!(sched.quantum(), 1.0, "empty queues fall back to 1.0");
@@ -568,8 +567,8 @@ mod tests {
                 let SchedPoll::Dispatch(dispatch) = sched.next_job(now) else {
                     panic!("both tenants are backlogged");
                 };
-                served[usize::from(dispatch.id.0 >= 1000)] += 1;
-                sched.settle_final(dispatch.id, 0.003, true, now);
+                served[usize::from(dispatch.id().0 >= 1000)] += 1;
+                sched.settle_final(dispatch.id(), 0.003, true, now);
                 assert!(
                     (served[0] - served[1]).abs() <= 3,
                     "guess {guess}: {} : {} after {n} dispatches",
@@ -679,10 +678,10 @@ mod tests {
                 match sched.next_job(base) {
                     SchedPoll::Dispatch(d) => {
                         let members: Vec<String> =
-                            d.rest.iter().map(|id| id.0.to_string()).collect();
+                            d.ids().skip(1).map(|id| id.0.to_string()).collect();
                         log.push(format!(
                             "{}+{}@{}",
-                            d.id.0,
+                            d.id().0,
                             members.join(","),
                             d.device.as_deref().unwrap_or("-")
                         ));
@@ -709,7 +708,7 @@ mod tests {
                 // One device fault, on the first dispatch of job 3.
                 let fault = !faulted && id == JobId(3);
                 faulted |= fault;
-                sched.settle_outcome(id, secs, !fault, fault, base, || true);
+                sched.settle_outcome(id, secs, !fault, fault, base);
             }
             settled += 1;
             // Arrivals mid-run: a deadline-free latency job for a, and a

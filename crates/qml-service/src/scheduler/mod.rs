@@ -62,7 +62,7 @@ use serde::{Deserialize, Serialize};
 
 use qml_observe::Stage;
 use qml_runtime::{JobDispatch, JobId, Placement};
-use qml_types::{JobRequirements, ServiceClass};
+use qml_types::{JobRequirements, SealedBundle, ServiceClass};
 
 use crate::cost_model::CostModel;
 use crate::fleet::{DeviceUtilization, FleetRouter};
@@ -166,6 +166,10 @@ struct ClassLedger {
 #[derive(Debug)]
 pub(crate) struct Job {
     pub id: JobId,
+    /// The sealed bundle the job executes. It rides the record through the
+    /// queue, the in-flight table and any failover; a dispatch shares it (a
+    /// reference-count bump), and a terminal settlement hands it back.
+    pub bundle: SealedBundle,
     /// Admitted: the static placement estimate (placement failures estimate
     /// 0.0; such jobs still dispatch and fail at execution). Queued: the
     /// priced admission cost (see [`FairScheduler::admit_job`]). In flight:
@@ -376,25 +380,13 @@ impl FairScheduler {
         );
     }
 
-    /// Release the in-flight slot of a **skipped** job (lost claim): no
-    /// measurement exists, so neither the cost model nor the deficit is
-    /// touched. Finished jobs go through [`FairScheduler::settle_outcome`].
-    pub(crate) fn release(&mut self, id: JobId) {
-        if let Some(flight) = self.in_flight.remove(&id) {
-            if let Some(tenant) = self.tenants.get_mut(&flight.tenant) {
-                tenant.stats.in_flight = tenant.stats.in_flight.saturating_sub(1);
-            }
-            if let Some(device) = flight.device {
-                self.fleet.release_slot(device);
-            }
-            self.fleet.clear_exclusions(id.0);
-        }
-    }
-
     /// Settle one finished member at `now`: the scheduler's one outcome
-    /// entry point. Returns the job's tenant when the outcome is terminal,
-    /// and `None` when a device fault was absorbed by a failover (or the id
-    /// was not in flight).
+    /// entry point. Returns the job's tenant and its bundle when the outcome
+    /// is terminal — nothing reads the bundle again, and handing it back
+    /// lets the caller choose the thread that frees it — and `None` when a
+    /// device fault was absorbed by a failover (or the id was not in
+    /// flight). Removing the in-flight record is the exactly-once guard: a
+    /// second outcome for the same dispatch finds nothing to settle.
     ///
     /// First the fleet device the dispatch was routed to settles: its slot
     /// frees, and its gauges and health ladder absorb the observation
@@ -402,16 +394,12 @@ impl FairScheduler {
     /// genuinely occupied; a down transition evacuates its parked queue).
     ///
     /// If the outcome was a **device fault** and a capable, not-yet-excluded
-    /// device remains on the job's plane, the job fails over:
-    /// `runtime_requeue` flips its runtime record back to queued (returning
-    /// `false` aborts the failover — e.g. the record already settled), the
-    /// faulted device joins the job's exclusion set, and the job re-enters
-    /// its tenant queue through [`FairScheduler::admit_job`] with its
-    /// original plane-level placement, class and deadline. Each failover
+    /// device remains on the job's plane, the job fails over: the faulted
+    /// device joins the job's exclusion set, and the job — bundle included —
+    /// re-enters its tenant queue through [`FairScheduler::admit_job`] with
+    /// its original plane-level placement, class and deadline. Each failover
     /// adds one exclusion over a finite device set, so a job completes
-    /// elsewhere or fails terminally — it can never bounce forever, and
-    /// `runtime_requeue`'s failed-only state transition guarantees
-    /// exactly-once outcomes.
+    /// elsewhere or fails terminally — it can never bounce forever.
     ///
     /// Otherwise the outcome is terminal: the tenant's and the class's
     /// completion or failure counts, a deadline miss if `now` is past the
@@ -424,8 +412,7 @@ impl FairScheduler {
         ok: bool,
         fault: bool,
         now: Instant,
-        runtime_requeue: impl FnOnce() -> bool,
-    ) -> Option<Arc<str>> {
+    ) -> Option<(Arc<str>, SealedBundle)> {
         let InFlight {
             tenant,
             mut job,
@@ -447,7 +434,7 @@ impl FairScheduler {
                         device,
                     )
                 });
-            if can_retry && runtime_requeue() {
+            if can_retry {
                 self.fleet.exclude(id.0, device);
                 self.fleet.note_requeued(device);
                 self.metrics.requeued += 1;
@@ -489,7 +476,7 @@ impl FairScheduler {
         self.obs
             .observe_class_exec(job.class.name(), (seconds * 1e6) as u64);
         self.reconcile_cost(&tenant, &job, seconds, ok);
-        Some(tenant)
+        Some((tenant, job.bundle))
     }
 
     /// Jobs admitted but not yet dispatched.
@@ -593,6 +580,24 @@ pub(crate) mod testing {
         Arc::new(MetricsRegistry::new(Arc::new(qml_observe::NoopTracer)))
     }
 
+    /// One tiny sealed bundle, shared by every test job: the scheduler only
+    /// carries a bundle, it never reads one.
+    pub(crate) fn sealed_bundle() -> SealedBundle {
+        use qml_types::{JobBundle, OperatorDescriptor, QuantumDataType, RepKind};
+        use std::sync::OnceLock;
+
+        static BUNDLE: OnceLock<SealedBundle> = OnceLock::new();
+        BUNDLE
+            .get_or_init(|| {
+                let qdt = QuantumDataType::ising_spins("s", "s", 2).unwrap();
+                let prep = OperatorDescriptor::builder("prep", RepKind::PrepUniform, "s")
+                    .build()
+                    .unwrap();
+                SealedBundle::seal(JobBundle::new("test", vec![qdt], vec![prep])).unwrap()
+            })
+            .clone()
+    }
+
     /// A running scheduler (micro-batching at 8) with one tenant per entry,
     /// interned at `Instant::now()`.
     pub(crate) fn sched_with(policies: &[(&str, TenantPolicy)]) -> (FairScheduler, Vec<Arc<str>>) {
@@ -611,6 +616,7 @@ pub(crate) mod testing {
         pub(crate) fn new(id: JobId, cost: f64) -> Self {
             Job {
                 id,
+                bundle: sealed_bundle(),
                 cost,
                 placement: None,
                 batch_key: None,
@@ -684,7 +690,22 @@ pub(crate) mod testing {
         /// Settle a job's outcome as no device fault: what most scheduler
         /// tests feed back after a dispatch.
         pub(crate) fn settle_final(&mut self, id: JobId, seconds: f64, ok: bool, now: Instant) {
-            self.settle_outcome(id, seconds, ok, false, now, || false);
+            self.settle_outcome(id, seconds, ok, false, now);
+        }
+
+        /// Free a dispatched job's in-flight slot without an outcome: no
+        /// measurement exists, so neither the cost model nor the deficit is
+        /// touched. What tests that only check dispatch order feed back.
+        pub(crate) fn release(&mut self, id: JobId) {
+            if let Some(flight) = self.in_flight.remove(&id) {
+                if let Some(tenant) = self.tenants.get_mut(&flight.tenant) {
+                    tenant.stats.in_flight = tenant.stats.in_flight.saturating_sub(1);
+                }
+                if let Some(device) = flight.device {
+                    self.fleet.release_slot(device);
+                }
+                self.fleet.clear_exclusions(id.0);
+            }
         }
     }
 }

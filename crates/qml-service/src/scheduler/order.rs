@@ -79,8 +79,8 @@ mod tests {
         let now = Instant::now();
         let mut order = Vec::new();
         while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
-            sched.release(dispatch.id);
-            order.push(dispatch.id.0);
+            sched.release(dispatch.id());
+            order.push(dispatch.id().0);
         }
         assert_eq!(order, vec![1, 2, 0], "longest-first within the tenant");
     }
@@ -102,8 +102,8 @@ mod tests {
         let now = Instant::now();
         let mut order = Vec::new();
         while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
-            sched.release(dispatch.id);
-            order.push(dispatch.id.0);
+            sched.release(dispatch.id());
+            order.push(dispatch.id().0);
         }
         // Latency first: EDF (1s, then the 5s pair FIFO), deadline-free
         // last; then throughput longest-first.
@@ -131,7 +131,7 @@ mod tests {
         assert_eq!(stats["latency"].dispatched, 1);
         assert_eq!(stats["throughput"].queued, 3);
         assert_eq!(stats["throughput"].dispatched, 0);
-        sched.settle_final(first.id, 1e-3, false, now);
+        sched.settle_final(first.id(), 1e-3, false, now);
         assert_eq!(sched.class_snapshot()["latency"].failed, 1);
     }
 
@@ -164,7 +164,7 @@ mod tests {
                 let now = Instant::now();
                 let (mut lat, mut thr) = (0usize, 0usize);
                 while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
-                    sched.release(dispatch.id);
+                    sched.release(dispatch.id());
                     if dispatch.class.is_latency() {
                         lat += 1;
                     } else {

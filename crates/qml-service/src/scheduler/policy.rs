@@ -226,7 +226,7 @@ mod tests {
             let SchedPoll::Dispatch(dispatch) = sched.next_job(now) else {
                 panic!("burst tokens should dispatch");
             };
-            sched.release(dispatch.id);
+            sched.release(dispatch.id());
         }
         assert!(matches!(sched.next_job(now), SchedPoll::Idle));
         assert!(sched.metrics.throttled > 0);
@@ -259,7 +259,7 @@ mod tests {
                 let SchedPoll::Dispatch(d) = sched.next_job(later) else {
                     panic!("rate {rate}: the burst must still dispatch");
                 };
-                sched.release(d.id);
+                sched.release(d.id());
             }
             // Burst only: more virtual time refills nothing.
             let much_later = later + Duration::from_secs(60);
@@ -286,7 +286,7 @@ mod tests {
         for tick in 0..=1000u64 {
             let now = base + Duration::from_millis(10 * tick);
             while let SchedPoll::Dispatch(d) = sched.next_job(now) {
-                sched.release(d.id);
+                sched.release(d.id());
                 dispatched += 1;
             }
         }
@@ -311,13 +311,13 @@ mod tests {
             let SchedPoll::Dispatch(d) = sched.next_job(t0) else {
                 panic!("burst tokens should dispatch");
             };
-            sched.release(d.id);
+            sched.release(d.id());
         }
         let t1 = t0 + Duration::from_millis(2);
         let SchedPoll::Dispatch(d) = sched.next_job(t1) else {
             panic!("one refilled token at t0+2ms");
         };
-        sched.release(d.id);
+        sched.release(d.id());
         // A stale clock read (a worker that captured `now` before the t1
         // refill was serialized ahead of it) must be a no-op: it must not
         // rewind `last_refill` to t0 and double-credit the 0..2 ms interval.
@@ -326,7 +326,7 @@ mod tests {
         let SchedPoll::Dispatch(d) = sched.next_job(t2) else {
             panic!("exactly one more token by t0+4ms");
         };
-        sched.release(d.id);
+        sched.release(d.id());
         assert!(
             matches!(sched.next_job(t2), SchedPoll::Idle),
             "double-refill: the 0..2ms interval was credited twice"
@@ -349,7 +349,7 @@ mod tests {
         let SchedPoll::Dispatch(paid) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        sched.release(paid.id);
+        sched.release(paid.id());
         // Bucket empty: a fresh submission throttles...
         sched.admit(&name, JobId(1), 1.0, None, None);
         assert!(matches!(sched.next_job(now), SchedPoll::Idle));
@@ -365,8 +365,8 @@ mod tests {
         let SchedPoll::Dispatch(retried) = sched.next_job(now) else {
             panic!("retry must bypass the empty bucket");
         };
-        assert_eq!(retried.id, JobId(2));
-        sched.release(retried.id);
+        assert_eq!(retried.id(), JobId(2));
+        sched.release(retried.id());
         assert_eq!(
             sched.tokens_of(&name),
             tokens_before,
@@ -391,7 +391,7 @@ mod tests {
             "cap of 1 respected"
         );
         assert!(sched.metrics.capped > 0);
-        sched.release(first.id);
+        sched.release(first.id());
         assert!(matches!(sched.next_job(now), SchedPoll::Dispatch(_)));
     }
 }

@@ -163,8 +163,8 @@ mod tests {
                 panic!("queues are deep enough to keep dispatching");
             };
             assert_eq!(dispatch.len(), 1, "keyless jobs dispatch solo");
-            busy[(dispatch.id.0 / 1000) as usize] += real_seconds;
-            pending.push_back(dispatch.id);
+            busy[(dispatch.id().0 / 1000) as usize] += real_seconds;
+            pending.push_back(dispatch.id());
             while pending.len() > feedback_lag {
                 let id = pending.pop_front().expect("non-empty");
                 sched.settle_final(id, real_seconds, true, now);
@@ -228,7 +228,7 @@ mod tests {
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        sched.settle_final(first.id, 0.020, true, now);
+        sched.settle_final(first.id(), 0.020, true, now);
         // The model learned 20 ms for plan key 5: the next admission of the
         // same plan is charged 20 cost units no matter what it estimates.
         assert_eq!(sched.predicted_cost(5), Some(20.0));
@@ -265,7 +265,7 @@ mod tests {
         assert_eq!(first.len(), 1, "no deficit left for 80-unit members");
         // The measurement says 2 ms (= 2 units): every queued job of the
         // plan is repriced at once, quantum included.
-        sched.settle_final(first.id, 0.002, true, now);
+        sched.settle_final(first.id(), 0.002, true, now);
         let quantum = sched.quantum();
         assert!(
             (quantum - 2.0).abs() < 1e-9,
@@ -300,7 +300,7 @@ mod tests {
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        sched.settle_final(first.id, 0.015, true, now);
+        sched.settle_final(first.id(), 0.015, true, now);
         let repriced = sched.predicted_cost(9).expect("model has the key");
         assert!(
             repriced > 5.0 && repriced < 15.0,
@@ -327,7 +327,7 @@ mod tests {
         let before = sched.deficit_of(&names[0]);
         // A pathological 1-second (1000 cost units) outlier against a 1-unit
         // estimate: the correction is clamped at 16 × 1 = 16 units, not 999.
-        sched.settle_final(first.id, 1.0, true, now);
+        sched.settle_final(first.id(), 1.0, true, now);
         let after = sched.deficit_of(&names[0]);
         assert!(
             (before - after - 16.0).abs() < 1e-9,
@@ -356,7 +356,7 @@ mod tests {
             };
             // Massively over-estimated: measured 1 ms against a 50-unit
             // charge would refund ~49 units per job if banked.
-            sched.settle_final(d.id, 0.001, true, now);
+            sched.settle_final(d.id(), 0.001, true, now);
         }
         assert!(
             sched.deficit_of(&names[0]) <= 50.0 + 1e-9,
@@ -381,14 +381,14 @@ mod tests {
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        assert_eq!(first.id, JobId(0));
-        sched.settle_final(first.id, 0.010, true, now);
+        assert_eq!(first.id(), JobId(0));
+        sched.settle_final(first.id(), 0.010, true, now);
         let debt = sched.deficit_of(&names[0]);
         assert!(debt < -8.0, "expected ~-9 debt, got {debt}");
         // The debtor's queue is now empty: its next visit vetoes it. The
         // veto must forfeit credit only — the debt stays on the books.
         while let SchedPoll::Dispatch(d) = sched.next_job(now) {
-            sched.release(d.id);
+            sched.release(d.id());
         }
         assert!(
             sched.deficit_of(&names[0]) < -8.0,
@@ -410,10 +410,10 @@ mod tests {
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        assert_eq!(first.id, JobId(0));
+        assert_eq!(first.id(), JobId(0));
         let before = sched.deficit_of(&names[0]);
         // The job dies at bind time after 1 µs: failure latency, not cost.
-        sched.settle_final(first.id, 1e-6, false, now);
+        sched.settle_final(first.id(), 1e-6, false, now);
         assert_eq!(
             sched.predicted_cost(4),
             None,
@@ -451,11 +451,11 @@ mod tests {
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        assert_eq!(first.id, JobId(0));
+        assert_eq!(first.id(), JobId(0));
         let settled = now + Duration::from_millis(1);
-        sched.settle_final(first.id, 1e-3, true, settled);
+        sched.settle_final(first.id(), 1e-3, true, settled);
         while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
-            sched.settle_final(dispatch.id, 1e-3, true, settled);
+            sched.settle_final(dispatch.id(), 1e-3, true, settled);
         }
         let stats = sched.class_snapshot();
         assert_eq!(stats["latency"].deadline_miss, 1, "only the expired one");
@@ -481,7 +481,7 @@ mod tests {
             let SchedPoll::Dispatch(d) = sched.next_job(base) else {
                 panic!("expected dispatch");
             };
-            sched.settle_final(d.id, 1e-4, true, base + settle_after);
+            sched.settle_final(d.id(), 1e-4, true, base + settle_after);
             let stats = sched.class_snapshot();
             assert_eq!(
                 stats["latency"].deadline_miss, misses,

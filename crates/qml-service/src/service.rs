@@ -154,19 +154,39 @@ impl ServiceConfig {
 struct ServiceState {
     sched: FairScheduler,
     next_batch: u64,
+    next_job: u64,
     /// Jobs of each batch, in expansion order.
     batches: BTreeMap<BatchId, Vec<JobId>>,
-    /// Fleet device that produced each job's terminal outcome.
-    job_device: BTreeMap<JobId, Arc<str>>,
+    /// Every admitted job's status, result and terminal device.
+    jobs: BTreeMap<JobId, JobRecord>,
+    /// Bundles of settled jobs, freed by the next submission on its own
+    /// thread: freeing them on the workers cost `compile_cold` about a
+    /// quarter of its throughput.
+    retired: Vec<SealedBundle>,
     per_backend: BTreeMap<String, BackendUtilization>,
     last_run: Option<RunSummary>,
 }
 
+/// What the service reports about one job. Its status is written at three
+/// points, each under the service lock: `Queued` at admission, `Running`
+/// when a worker takes its dispatch, and terminal — or `Queued` again after
+/// a failover — in the critical section that settles its outcome.
+#[derive(Debug)]
+struct JobRecord {
+    status: JobStatus,
+    result: Option<ExecutionResult>,
+    /// The fleet device that produced the terminal outcome.
+    device: Option<Arc<str>>,
+}
+
 /// The shared core behind every [`QmlService`] clone and every pool worker.
 struct ServiceInner {
+    /// Dropped first, so the plan cache's large frees come after the job
+    /// table's small ones and make the allocator merge them then, not in
+    /// the next allocation-heavy call (measured: 15–25 ms stalls).
+    state: Mutex<ServiceState>,
     runtime: Arc<Runtime>,
     config: ServiceConfig,
-    state: Mutex<ServiceState>,
     /// Shared observability sink (stage-event tracer + latency histograms);
     /// the same registry the scheduler and — tracer only — the runtime
     /// report through, so every layer's events share one clock epoch.
@@ -181,23 +201,19 @@ impl ServiceInner {
     /// then the per-backend and per-device attribution and the
     /// `executed`/`outcome` observations land. All of it happens before the
     /// lock is released, so once `wait_idle` observes quiescence every
-    /// finished job is visible in `metrics()` and in the trace. Called from
-    /// pool workers as jobs complete.
+    /// finished job is visible in `metrics()` and in the trace, with its
+    /// status. Called from pool workers as jobs complete.
     fn record_outcome(&self, outcome: &JobOutcome) {
         let seconds = outcome.duration.as_secs_f64();
         let fault = matches!(&outcome.result, Err(e) if e.is_device_fault());
         let mut guard = self.state.lock();
         let state = &mut *guard;
-        // The runtime requeue inside the closure only flips a *failed*
-        // record back to queued, so an outcome that already settled can
-        // never be duplicated.
-        let tenant = state.sched.settle_outcome(
+        let settled = state.sched.settle_outcome(
             outcome.id,
             seconds,
             outcome.result.is_ok(),
             fault,
             Instant::now(),
-            || self.runtime.requeue(outcome.id),
         );
         // Backend attribution covers failed executions too (the pool reports
         // the placed backend even when the run errored), and busy-seconds
@@ -205,17 +221,20 @@ impl ServiceInner {
         // per-backend totals fold over the per-device gauges.
         if let Some(backend) = &outcome.backend {
             let util = state.per_backend.entry(backend.clone()).or_default();
-            util.jobs += u64::from(tenant.is_some());
+            util.jobs += u64::from(settled.is_some());
             util.busy_seconds += seconds;
         }
-        // A requeued job is not terminal yet: its device, traces and latency
-        // samples wait for the attempt that settles it.
-        let Some(tenant) = tenant else {
+        // A failed-over job is queued again: its result, device, traces and
+        // latency samples wait for the attempt that settles it.
+        let record = state
+            .jobs
+            .get_mut(&outcome.id)
+            .expect("admitted at submission");
+        let Some((tenant, bundle)) = settled else {
+            record.status = JobStatus::Queued;
             return;
         };
-        if let Some(device) = &outcome.device {
-            state.job_device.insert(outcome.id, Arc::clone(device));
-        }
+        state.retired.push(bundle);
         let measured_us = outcome.duration.as_micros() as u64;
         self.obs
             .observe_exec(&tenant, outcome.backend.as_deref(), measured_us);
@@ -234,6 +253,17 @@ impl ServiceInner {
                     ok: outcome.result.is_ok(),
                 },
             );
+        }
+        record.device = outcome.device.clone();
+        match &outcome.result {
+            Ok(result) => {
+                record.status = JobStatus::Completed;
+                // The worker frees the original, grown piecemeal while
+                // sampling; keeping it stalled the next service's first jobs
+                // for 10–30 ms (perfbench `mixed_latency` setup).
+                record.result = Some(result.clone());
+            }
+            Err(err) => record.status = JobStatus::Failed(err.to_string()),
         }
     }
 
@@ -271,23 +301,26 @@ impl ServiceInner {
 /// Pool workers pull their next job straight from the fair scheduler.
 impl JobSource for ServiceInner {
     fn next_job(&self, _worker: usize) -> Feed {
-        let mut state = self.state.lock();
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
         match state.sched.next_job(Instant::now()) {
-            SchedPoll::Dispatch(dispatch) => Feed::Job(dispatch),
+            SchedPoll::Dispatch(dispatch) => {
+                for id in dispatch.ids() {
+                    let record = state.jobs.get_mut(&id).expect("admitted at submission");
+                    record.status = JobStatus::Running;
+                }
+                Feed::Job(dispatch)
+            }
             SchedPoll::Idle => Feed::Idle,
             SchedPoll::Shutdown => Feed::Shutdown,
         }
-    }
-
-    fn job_skipped(&self, id: JobId) {
-        self.state.lock().sched.release(id);
     }
 }
 
 /// The multi-tenant execution service.
 ///
 /// Submissions (single bundles or [`SweepRequest`]s) are validated and
-/// expanded eagerly, recorded on the underlying [`Runtime`], and admitted to
+/// expanded eagerly, recorded in the service's job table, and admitted to
 /// a **per-tenant fair scheduler** (deficit round robin over cost-ranked
 /// queues, with optional weights, in-flight caps, and token-bucket rate
 /// limits — see [`TenantPolicy`]). Execution happens either
@@ -408,8 +441,10 @@ impl QmlService {
         let state = ServiceState {
             sched,
             next_batch: 0,
+            next_job: 0,
             batches: BTreeMap::new(),
-            job_device: BTreeMap::new(),
+            jobs: BTreeMap::new(),
+            retired: Vec::new(),
             per_backend: BTreeMap::new(),
             last_run: None,
         };
@@ -475,18 +510,19 @@ impl QmlService {
             // re-parses descriptors.
             let requirements = JobRequirements::of(&bundle);
             let job = Job {
-                // Placeholders until the runtime assigns the real id and the
-                // deadline is stamped, both at admission below.
+                // Placeholders until the id is assigned and the deadline is
+                // stamped, both at admission below.
                 id: JobId(0),
+                class: bundle.service_class(),
+                bundle,
                 cost,
                 placement,
                 batch_key,
                 requirements: Some(requirements),
-                class: bundle.service_class(),
                 deadline: None,
                 retry: false,
             };
-            prepared.push((bundle, job, hint_seconds));
+            prepared.push((job, hint_seconds));
         }
         // One critical section and one clock read for the whole batch: a
         // worker's dispatch `now` is read under the same lock, so
@@ -500,7 +536,7 @@ impl QmlService {
         // its placed plane could *ever* serve (too wide, wrong optimization
         // level) rejects the whole batch atomically, instead of queueing
         // work that can only bounce until it fails.
-        for (_, job, _) in &prepared {
+        for (job, _) in &prepared {
             if let (Some(placement), Some(requirements)) = (&job.placement, &job.requirements) {
                 if !state.sched.feasible(placement.backend.name(), requirements) {
                     return Err(QmlError::Validation(format!(
@@ -519,8 +555,17 @@ impl QmlService {
         let batch = BatchId(state.next_batch);
         state.next_batch += 1;
         let mut job_ids = Vec::with_capacity(prepared.len());
-        for (bundle, mut job, hint_seconds) in prepared {
-            job.id = self.inner.runtime.submit_sealed(bundle);
+        for (mut job, hint_seconds) in prepared {
+            job.id = JobId(state.next_job);
+            state.next_job += 1;
+            state.jobs.insert(
+                job.id,
+                JobRecord {
+                    status: JobStatus::Queued,
+                    result: None,
+                    device: None,
+                },
+            );
             job.deadline = job.class.deadline().map(|budget| now + budget);
             job_ids.push(job.id);
             // `submitted` lands immediately before the scheduler's own
@@ -535,6 +580,9 @@ impl QmlService {
         }
         let first = job_ids.first().copied();
         state.batches.insert(batch, job_ids);
+        let retired = std::mem::take(&mut state.retired);
+        drop(guard);
+        drop(retired);
         Ok((batch, first))
     }
 
@@ -551,12 +599,12 @@ impl QmlService {
 
     /// Status of a job.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        self.inner.runtime.status(id)
+        Some(self.inner.state.lock().jobs.get(&id)?.status.clone())
     }
 
     /// Result of a completed job.
     pub fn result(&self, id: JobId) -> Option<ExecutionResult> {
-        self.inner.runtime.result(id)
+        self.inner.state.lock().jobs.get(&id)?.result.clone()
     }
 
     /// Start the streaming service loop: a long-lived pool of
@@ -611,7 +659,8 @@ impl QmlService {
     /// Block until `job` reaches a terminal state ([`JobStatus::Completed`]
     /// or [`JobStatus::Failed`]) or `timeout` elapses, returning the last
     /// observed status (`None` for unknown ids). Intended for callers of a
-    /// *running* service; without a pool this only times out.
+    /// *running* service; without a pool this only times out. A job being
+    /// failed over to another device reads `Queued`, never `Failed`.
     pub fn wait_for(&self, job: JobId, timeout: Duration) -> Option<JobStatus> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -675,7 +724,7 @@ impl QmlService {
     /// job was device-routed. Requeued attempts are not recorded: by the
     /// time this returns a device, the result is final.
     pub fn device_of(&self, id: JobId) -> Option<Arc<str>> {
-        self.inner.state.lock().job_device.get(&id).cloned()
+        self.inner.state.lock().jobs.get(&id)?.device.clone()
     }
 
     /// Per-device fleet gauges keyed by device id: health, dispatch /
@@ -893,6 +942,22 @@ mod tests {
         assert_eq!(metrics.last_run, Some(report));
         assert_eq!(metrics.gate_cache.misses, 1);
         assert_eq!(metrics.gate_cache.hits, 5);
+    }
+
+    #[test]
+    fn settled_bundles_are_freed_by_the_next_submission() {
+        let service = QmlService::with_config(ServiceConfig::with_workers(2));
+        for seed in 0..3 {
+            let bundle = gate_program().with_context(gate_context(seed));
+            service.submit("alice", bundle).unwrap();
+        }
+        service.run_pending();
+        assert_eq!(service.inner.state.lock().retired.len(), 3);
+        let (_, job) = service
+            .submit("alice", gate_program().with_context(gate_context(9)))
+            .unwrap();
+        assert!(service.inner.state.lock().retired.is_empty());
+        assert_eq!(service.status(job), Some(JobStatus::Queued));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! and measured-cost fairness bands hold with the fleet enabled.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,6 +17,7 @@ use qml_core::backends::testing::{FaultPlan, FaultyBackend};
 use qml_core::backends::{Backend, ExecutionResult, GateBackend};
 use qml_core::graph::cycle;
 use qml_core::prelude::*;
+use qml_core::runtime::JobStatus;
 use qml_core::service::{BatchId, DeviceSpec, QmlService, ServiceConfig, SweepRequest};
 
 const PLANE: &str = "qml-gate-simulator";
@@ -191,6 +193,59 @@ fn per_job_device_attribution_points_at_the_executing_device() {
         per_device.len() >= 2,
         "history-less routing explores both devices: {per_device:?}"
     );
+}
+
+#[test]
+fn a_job_being_failed_over_never_reads_failed() {
+    // gate-a faults every other execution and gate-b is healthy, so with
+    // solo dispatches on two workers a steady share of jobs fails over from
+    // gate-a to gate-b. A poller reads every job's status for the whole
+    // run: a job between its faulted attempt and its rescue is queued
+    // again, and must never read as failed, even for an instant.
+    const JOBS: u64 = 48;
+    const ROUNDS: usize = 4;
+    for round in 0..ROUNDS {
+        let config = ServiceConfig::with_workers(2)
+            .with_max_batch(1)
+            .with_probe_interval(2)
+            .with_device(gate_device(
+                "gate-a",
+                FaultPlan::none().with_fail_nth((0..4 * JOBS).step_by(2)),
+            ))
+            .with_device(gate_device("gate-b", FaultPlan::none()));
+        let service = QmlService::with_config(config);
+        let batch = service
+            .submit_sweep("tenant", qaoa_sweep("flap", 0..JOBS))
+            .unwrap();
+        let jobs = service.batch_jobs(batch);
+        let running = AtomicBool::new(true);
+        let (summary, failed_reads) = std::thread::scope(|scope| {
+            let poller = scope.spawn(|| {
+                let mut failed_reads = 0usize;
+                while running.load(Ordering::Acquire) {
+                    for &id in &jobs {
+                        if let Some(JobStatus::Failed(_)) = service.status(id) {
+                            failed_reads += 1;
+                        }
+                    }
+                }
+                failed_reads
+            });
+            let summary = service.start().unwrap().drain();
+            running.store(false, Ordering::Release);
+            (summary, poller.join().unwrap())
+        });
+        assert_eq!(
+            failed_reads, 0,
+            "round {round}: a job being failed over was read as failed"
+        );
+        assert_eq!(summary.completed, JOBS as usize, "round {round}");
+        assert_eq!(summary.failed, 0, "round {round}");
+        assert!(service.metrics().scheduler.requeued > 0, "round {round}");
+        for id in jobs {
+            assert_eq!(service.status(id), Some(JobStatus::Completed));
+        }
+    }
 }
 
 /// The same with-fleet workload as `tests/measured_fairness.rs`: two tenants

@@ -2,9 +2,11 @@
 //! two-tenant fairness under a large sweep, token-bucket rate limiting, and
 //! drain-vs-abort shutdown semantics.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use qml_core::backends::{Backend, BatchTimings, ExecutionResult, GateBackend, TranspileCache};
 use qml_core::graph::cycle;
 use qml_core::prelude::*;
 use qml_core::runtime::JobStatus;
@@ -85,6 +87,84 @@ fn jobs_submitted_while_running_complete_without_restart() {
     assert_eq!(service.metrics().jobs_completed, 12);
 }
 
+/// A one-way gate the test opens once it has set the stage.
+#[derive(Default)]
+struct Latch {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Latch {
+    fn wait(&self) {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+/// The gate backend, holding every execution after the first `free` ones
+/// until its latch opens.
+struct LatchedGate {
+    inner: GateBackend,
+    latch: Arc<Latch>,
+    free: AtomicU64,
+}
+
+/// A service whose only backend is a [`LatchedGate`], and the gate's latch.
+fn latched_service(free: u64, config: ServiceConfig) -> (QmlService, Arc<Latch>) {
+    let latch = Arc::new(Latch::default());
+    let mut registry = BackendRegistry::new();
+    registry.register(Arc::new(LatchedGate {
+        inner: GateBackend::new(),
+        latch: Arc::clone(&latch),
+        free: AtomicU64::new(free),
+    }));
+    let runtime = Runtime::new(Scheduler::new(registry));
+    (QmlService::with_runtime(runtime, config), latch)
+}
+
+impl Backend for LatchedGate {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn supports_engine(&self, engine: &str) -> bool {
+        self.inner.supports_engine(engine)
+    }
+
+    fn default_engine(&self) -> &str {
+        self.inner.default_engine()
+    }
+
+    fn execute_batch_timed(
+        &self,
+        bundles: &[SealedBundle],
+        cache: &TranspileCache,
+    ) -> (Vec<Result<ExecutionResult>>, BatchTimings) {
+        let spent = self
+            .free
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if spent.is_err() {
+            self.latch.wait();
+        }
+        self.inner.execute_batch_timed(bundles, cache)
+    }
+
+    fn batch_key(&self, bundle: &SealedBundle) -> Option<u64> {
+        self.inner.batch_key(bundle)
+    }
+
+    fn estimate_cost(&self, bundle: &JobBundle) -> f64 {
+        self.inner.estimate_cost(bundle)
+    }
+}
+
 #[test]
 fn small_tenant_is_not_starved_by_a_big_sweep() {
     // max_batch 1: this test proves per-job DRR interleaving. With batching
@@ -93,7 +173,12 @@ fn small_tenant_is_not_starved_by_a_big_sweep() {
     // (nobody else was queued when the batches formed) but a race against
     // the assertions below; micro-batch fairness has its own tests in
     // `tests/batched_execution.rs` and the scheduler unit tests.
-    let service = QmlService::with_config(
+    //
+    // The gate backend sits behind a latch that holds the whale's first
+    // executions until the minnow is admitted: otherwise a fast build can
+    // finish all 48 whale jobs before the minnow's submission lands.
+    let (service, latch) = latched_service(
+        0,
         ServiceConfig::with_workers(2)
             .with_max_batch(1)
             .with_tracing(true),
@@ -111,9 +196,9 @@ fn small_tenant_is_not_starved_by_a_big_sweep() {
 
     // Tenant "minnow": one small job submitted *while* the whale's sweep is
     // being executed.
-    let (_, minnow_job) = service
-        .submit("minnow", fixed_qaoa().with_context(gate_context(99, 64)))
-        .unwrap();
+    let minnow = service.submit("minnow", fixed_qaoa().with_context(gate_context(99, 64)));
+    latch.open();
+    let (_, minnow_job) = minnow.unwrap();
 
     let status = service.wait_for(minnow_job, WAIT);
     assert!(
@@ -232,11 +317,14 @@ fn abort_stops_at_the_next_job_boundary_and_restart_resumes() {
     // jobs in two batches, racing the queue-depth assertion below. Solo
     // dispatches make the boundary a single job, which is what this test is
     // about.
-    let service = QmlService::with_config(ServiceConfig::with_workers(1).with_max_batch(1));
+    //
+    // The gate lets the first job through and holds the rest on a latch, so
+    // the abort lands while the second job is in flight and ten are queued:
+    // otherwise a fast build can drain all twelve within one oversleep of
+    // the polling thread below. A helper opens the latch well after the
+    // abort is requested.
+    let (service, latch) = latched_service(1, ServiceConfig::with_workers(1).with_max_batch(1));
     let mut jobs = Vec::new();
-    // 8192-sample jobs: each takes long enough that the polling thread below
-    // reliably lands its abort before the single worker drains all twelve (a
-    // 512-sample queue could empty inside one oversleep of the 200µs poll).
     for seed in 0..12 {
         let (_, job) = service
             .submit(
@@ -253,7 +341,12 @@ fn abort_stops_at_the_next_job_boundary_and_restart_resumes() {
     while service.metrics().jobs_completed < 1 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_micros(200));
     }
+    let opener = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(50));
+        latch.open();
+    });
     let summary = handle.abort();
+    opener.join().unwrap();
 
     // In-flight work finished (abort is a job-boundary stop, not a kill):
     // every job is either untouched (Queued) or fully Completed — never torn.
