@@ -9,9 +9,10 @@
 //! way: [`Runtime::run_job`] is a batch of one, and [`Runtime::run_all`]
 //! feeds a cost-ranked snapshot of the queue (longest first, the classic LPT
 //! heuristic) to the same worker loop the streaming
-//! [`WorkerPool`](crate::pool::WorkerPool) runs. The job table belongs to
-//! those three entry points: a pool's source owns the jobs it dispatches,
-//! and execution writes no table, so the two never overlap.
+//! [`WorkerPool`](crate::pool::WorkerPool) runs; the snapshot never blocks,
+//! it answers `None` once empty. The job table belongs to those three entry
+//! points: a pool's source owns the jobs it dispatches, and execution writes
+//! no table, so the two never overlap.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,7 +27,7 @@ use qml_backends::{BatchTimings, ExecutionResult, TranspileCache};
 use qml_observe::{NoopTracer, Stage, Tracer};
 use qml_types::{JobBundle, QmlError, Result, SealedBundle};
 
-use crate::pool::{worker_loop, Feed, JobDispatch, JobSource};
+use crate::pool::{worker_loop, JobDispatch, JobSource};
 use crate::registry::{Placement, Scheduler};
 
 /// Identifier of a submitted job.
@@ -413,8 +414,8 @@ impl Runtime {
 struct Snapshot(Mutex<VecDeque<JobDispatch>>);
 
 impl JobSource for Snapshot {
-    fn next_job(&self, _worker: usize) -> Feed {
-        self.0.lock().pop_front().map_or(Feed::Shutdown, Feed::Job)
+    fn next_job(&self, _worker: usize) -> Option<JobDispatch> {
+        self.0.lock().pop_front()
     }
 }
 

@@ -31,7 +31,7 @@ pub mod registry;
 pub mod services;
 
 pub use executor::{JobId, JobOutcome, JobStatus, Runtime};
-pub use pool::{Feed, JobDispatch, JobSource, OutcomeSink, WorkerPool};
+pub use pool::{JobDispatch, JobSource, OutcomeSink, WorkerPool};
 pub use registry::{BackendRegistry, Placement, Scheduler};
 pub use services::{
     estimate_communication, with_communication, CommunicationEstimate, ContextServices,

@@ -2,15 +2,16 @@
 //! source.
 //!
 //! Every way of executing jobs is a [`JobSource`] feeding one worker loop:
-//! each worker repeatedly calls [`JobSource::next_job`], which either hands
-//! out queued work ([`Feed::Job`]), asks the worker to back off briefly
-//! ([`Feed::Idle`]), or tells it to exit ([`Feed::Shutdown`]). The policy —
-//! FIFO, cost-ranked, deficit-round-robin across tenants — lives entirely in
-//! the source. [`Runtime::run_all`](crate::Runtime::run_all) feeds the loop a
+//! each worker repeatedly calls [`JobSource::next_job`], which hands out
+//! queued work or `None` to make the worker exit. A source with nothing to
+//! hand out right now blocks inside `next_job` until it has — a worker never
+//! sleeps or spins on its own. The policy — FIFO, cost-ranked,
+//! deficit-round-robin across tenants — and the waiting live entirely in the
+//! source. [`Runtime::run_all`](crate::Runtime::run_all) feeds the loop a
 //! ranked *snapshot* of the queue on scoped threads and returns when it is
-//! exhausted; a long-running service needs workers that
-//! live as long as it does and pick up new submissions immediately, which is
-//! the [`WorkerPool`] here, fed by the serving tier's (`qml-service`) fair
+//! exhausted; a long-running service needs workers that live as long as it
+//! does and pick up new submissions immediately, which is the
+//! [`WorkerPool`] here, fed by the serving tier's (`qml-service`) fair
 //! scheduler.
 //!
 //! A dispatch carries the sealed bundles it runs; a worker executes exactly
@@ -21,22 +22,11 @@
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use qml_types::{SealedBundle, ServiceClass};
 
 use crate::executor::{JobId, JobOutcome, Runtime};
 use crate::registry::Placement;
-
-/// Shortest idle back-off; doubles per consecutive idle poll up to
-/// [`MAX_IDLE_BACKOFF`], so a service with no queued work converges to a
-/// few source polls per worker per hundred milliseconds instead of a
-/// sustained busy-spin on the source's lock.
-const IDLE_BACKOFF: Duration = Duration::from_micros(500);
-
-/// Longest idle back-off (also the worst-case extra dispatch latency a
-/// long-idle service adds to the next submission).
-const MAX_IDLE_BACKOFF: Duration = Duration::from_millis(10);
 
 /// One dispatched unit of work: a head job, optionally coalesced with
 /// further plan-compatible jobs (a **micro-batch**), plus the placement the
@@ -101,17 +91,6 @@ impl JobDispatch {
     }
 }
 
-/// What a [`JobSource`] hands a worker that asked for work.
-#[derive(Debug, Clone)]
-pub enum Feed {
-    /// Execute this queued job next.
-    Job(JobDispatch),
-    /// Nothing dispatchable right now; back off briefly and ask again.
-    Idle,
-    /// No more work will ever be dispatched; the worker should exit.
-    Shutdown,
-}
-
 /// A shared injector feeding a [`WorkerPool`].
 ///
 /// Implementations own the queueing policy: which job runs next, which
@@ -119,8 +98,9 @@ pub enum Feed {
 /// should shut down. `next_job` is called concurrently from every worker
 /// thread, so implementations synchronize internally.
 pub trait JobSource: Send + Sync {
-    /// Hand the calling worker its next instruction.
-    fn next_job(&self, worker: usize) -> Feed;
+    /// Hand the calling worker its next dispatch, blocking while nothing is
+    /// dispatchable; `None` tells the worker to exit.
+    fn next_job(&self, worker: usize) -> Option<JobDispatch>;
 }
 
 /// The outcome sink a pool reports finished jobs to, in completion order.
@@ -128,9 +108,9 @@ pub type OutcomeSink = dyn Fn(JobOutcome) + Send + Sync;
 
 /// A long-lived pool of worker threads draining a shared [`JobSource`].
 ///
-/// Workers run until the source answers [`Feed::Shutdown`]; dropping the
-/// pool without [`WorkerPool::join`] detaches the threads (they still exit
-/// on the next `Shutdown` answer).
+/// Workers run until the source answers `None`; dropping the pool without
+/// [`WorkerPool::join`] detaches the threads (they still exit on the next
+/// `None` answer).
 pub struct WorkerPool {
     handles: Vec<thread::JoinHandle<usize>>,
 }
@@ -165,9 +145,8 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Wait for every worker to exit (the source must answer
-    /// [`Feed::Shutdown`] eventually). Returns the total number of jobs the
-    /// pool executed.
+    /// Wait for every worker to exit (the source must answer `None`
+    /// eventually). Returns the total number of jobs the pool executed.
     pub fn join(self) -> usize {
         self.handles
             .into_iter()
@@ -176,9 +155,10 @@ impl WorkerPool {
     }
 }
 
-/// The one job loop: ask `source` for work until it answers
-/// [`Feed::Shutdown`], execute each dispatch on `runtime`, report every
-/// member to `sink`. Returns the number of jobs executed.
+/// The one job loop: ask `source` for work until it answers `None`,
+/// execute each dispatch on `runtime` — a solo dispatch or a micro-batch,
+/// one timed batch either way — and report every member to `sink` in
+/// dispatch order. Returns the number of jobs executed.
 pub(crate) fn worker_loop(
     worker: usize,
     runtime: &Runtime,
@@ -186,29 +166,14 @@ pub(crate) fn worker_loop(
     sink: &(dyn Fn(JobOutcome) + Sync),
 ) -> usize {
     let mut executed = 0usize;
-    let mut idle_backoff = IDLE_BACKOFF;
-    loop {
-        match source.next_job(worker) {
-            Feed::Shutdown => break,
-            Feed::Idle => {
-                thread::sleep(idle_backoff);
-                idle_backoff = (idle_backoff * 2).min(MAX_IDLE_BACKOFF);
-            }
-            Feed::Job(dispatch) => {
-                // Solo dispatch or micro-batch — one path: execute the
-                // members as one timed batch and stream per-member outcomes
-                // to the sink in dispatch order.
-                idle_backoff = IDLE_BACKOFF;
-                let members = dispatch.members;
-                for outcome in runtime.execute_claimed_batch(members, dispatch.placement) {
-                    executed += 1;
-                    sink(JobOutcome {
-                        device: dispatch.device.clone(),
-                        worker,
-                        ..outcome
-                    });
-                }
-            }
+    while let Some(dispatch) = source.next_job(worker) {
+        for outcome in runtime.execute_claimed_batch(dispatch.members, dispatch.placement) {
+            executed += 1;
+            sink(JobOutcome {
+                device: dispatch.device.clone(),
+                worker,
+                ..outcome
+            });
         }
     }
     executed
@@ -222,7 +187,7 @@ mod tests {
     use qml_graph::cycle;
     use qml_types::{ContextDescriptor, ExecConfig, JobBundle};
     use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Condvar;
 
     fn gate_bundle(seed: u64) -> JobBundle {
         qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))
@@ -242,35 +207,49 @@ mod tests {
             .collect()
     }
 
-    /// A FIFO source that keeps feeding until told to stop, then shuts the
-    /// pool down once its queue is empty.
+    /// A FIFO source that blocks while its queue is empty, and shuts the
+    /// pool down once told to stop and drained.
     struct FifoSource {
-        queue: Mutex<VecDeque<(JobId, SealedBundle)>>,
-        stopping: AtomicBool,
+        state: Mutex<Fifo>,
+        wake: Condvar,
+    }
+
+    #[derive(Default)]
+    struct Fifo {
+        queue: VecDeque<(JobId, SealedBundle)>,
+        stopping: bool,
     }
 
     impl FifoSource {
         fn new() -> Self {
             FifoSource {
-                queue: Mutex::new(VecDeque::new()),
-                stopping: AtomicBool::new(false),
+                state: Mutex::new(Fifo::default()),
+                wake: Condvar::new(),
             }
         }
 
         fn push(&self, member: (JobId, SealedBundle)) {
-            self.queue.lock().push_back(member);
+            self.state.lock().queue.push_back(member);
+            self.wake.notify_all();
+        }
+
+        fn stop(&self) {
+            self.state.lock().stopping = true;
+            self.wake.notify_all();
         }
     }
 
     impl JobSource for FifoSource {
-        fn next_job(&self, _worker: usize) -> Feed {
-            if let Some((id, bundle)) = self.queue.lock().pop_front() {
-                return Feed::Job(JobDispatch::new(id, bundle));
-            }
-            if self.stopping.load(Ordering::SeqCst) {
-                Feed::Shutdown
-            } else {
-                Feed::Idle
+        fn next_job(&self, _worker: usize) -> Option<JobDispatch> {
+            let mut state = self.state.lock();
+            loop {
+                if let Some((id, bundle)) = state.queue.pop_front() {
+                    return Some(JobDispatch::new(id, bundle));
+                }
+                if state.stopping {
+                    return None;
+                }
+                state = self.wake.wait(state).unwrap();
             }
         }
     }
@@ -294,7 +273,7 @@ mod tests {
         for member in members {
             source.push(member);
         }
-        source.stopping.store(true, Ordering::SeqCst);
+        source.stop();
         let executed = pool.join();
 
         assert_eq!(executed, 6);
@@ -318,12 +297,12 @@ mod tests {
     }
 
     impl JobSource for OneBatchSource {
-        fn next_job(&self, _worker: usize) -> Feed {
+        fn next_job(&self, _worker: usize) -> Option<JobDispatch> {
             let mut members = self.members.lock();
             if members.is_empty() {
-                return Feed::Shutdown;
+                return None;
             }
-            Feed::Job(JobDispatch {
+            Some(JobDispatch {
                 members: std::mem::take(&mut *members),
                 placement: None,
                 device: None,
@@ -439,7 +418,7 @@ mod tests {
     fn shutdown_with_empty_source_exits_immediately() {
         let runtime = Arc::new(Runtime::with_default_backends());
         let source = Arc::new(FifoSource::new());
-        source.stopping.store(true, Ordering::SeqCst);
+        source.stop();
         let pool = WorkerPool::spawn(&runtime, 3, source, Arc::new(|_| {}));
         assert_eq!(pool.workers(), 3);
         assert_eq!(pool.join(), 0);

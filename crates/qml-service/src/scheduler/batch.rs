@@ -240,7 +240,7 @@ mod tests {
             panic!("expected dispatch");
         };
         assert_eq!(burst.len(), 3, "the batch stops at the token budget");
-        assert!(matches!(sched.next_job(now), SchedPoll::Idle));
+        assert!(matches!(sched.next_job(now), SchedPoll::Idle(_)));
     }
 
     #[test]
@@ -255,7 +255,7 @@ mod tests {
             panic!("expected dispatch");
         };
         assert_eq!(first.len(), 2, "cap of 2 bounds the batch");
-        assert!(matches!(sched.next_job(now), SchedPoll::Idle));
+        assert!(matches!(sched.next_job(now), SchedPoll::Idle(_)));
         first.ids().for_each(|id| sched.release(id));
         assert!(matches!(sched.next_job(now), SchedPoll::Dispatch(_)));
     }

@@ -69,6 +69,7 @@ impl FairScheduler {
         let n = self.rotation.len();
         let quantum = self.quantum();
         let mut consecutive_vetoes = 0usize;
+        let mut wake: Option<Instant> = None;
         for _visit in 0..n.saturating_mul(MAX_PASSES) {
             let name = Arc::clone(&self.rotation[self.cursor]);
             let tenant = self.tenants.get_mut(&name).expect("rotation entry exists");
@@ -83,6 +84,7 @@ impl FairScheduler {
                     Some(Veto::Throttled) => {
                         tenant.stats.throttled += 1;
                         self.metrics.throttled += 1;
+                        wake = wake.into_iter().chain(tenant.token_at()).min();
                         true
                     }
                     None => false,
@@ -182,7 +184,7 @@ impl FairScheduler {
             return SchedPoll::Shutdown;
         }
         self.metrics.idle_polls += 1;
-        SchedPoll::Idle
+        SchedPoll::Idle(wake)
     }
 
     /// Dispatch the job at `index` of `name`'s queue at `cost`: the single
@@ -274,9 +276,7 @@ impl FairScheduler {
     ///
     /// Memoized: removals, head admissions and cost-model observations
     /// (which can reprice any queued head) invalidate it. Only the first
-    /// dispatch attempt after either pays the O(tenants) rescan — every idle
-    /// poll (the hot path all workers execute whenever nothing is
-    /// dispatchable) is O(1).
+    /// dispatch attempt after either pays the O(tenants) rescan.
     pub(super) fn quantum(&mut self) -> f64 {
         if let Some(quantum) = self.cached_quantum {
             return quantum;
@@ -410,7 +410,7 @@ mod tests {
             panic!("drain dispatches pending work");
         };
         // Still in flight: other workers idle rather than exit.
-        assert!(matches!(sched.next_job(now), SchedPoll::Idle));
+        assert!(matches!(sched.next_job(now), SchedPoll::Idle(_)));
         sched.release(dispatch.id());
         assert!(matches!(sched.next_job(now), SchedPoll::Shutdown));
     }
@@ -687,7 +687,7 @@ mod tests {
                         ));
                         running.push_back(d);
                     }
-                    SchedPoll::Idle => break,
+                    SchedPoll::Idle(_) => break,
                     SchedPoll::Shutdown => {
                         shutdown = true;
                         break;

@@ -90,7 +90,7 @@ pub struct SchedulerMetrics {
     pub throttled: u64,
     /// Tenant visits skipped because the tenant was at its in-flight cap.
     pub capped: u64,
-    /// Scans that found nothing dispatchable (the caller backed off).
+    /// Scans that found nothing dispatchable (the caller then blocked).
     pub idle_polls: u64,
     /// Micro-batches formed: dispatches that coalesced ≥ 2 plan-compatible
     /// jobs into one device-level `execute_batch_timed` call.
@@ -233,12 +233,14 @@ pub(crate) enum Mode {
     Aborting,
 }
 
-/// The scheduler's answer to a worker asking for work (the service adapts
-/// this to [`qml_runtime::Feed`]).
+/// The scheduler's answer to a worker asking for work.
 #[derive(Debug, Clone)]
 pub(crate) enum SchedPoll {
     Dispatch(JobDispatch),
-    Idle,
+    /// Nothing is dispatchable at `now`. `Some(at)`: a throttled tenant's
+    /// bucket holds a whole token at `at`; every other idle cause clears only
+    /// on an admission, a settlement, a mode change or a cordon change.
+    Idle(Option<Instant>),
     Shutdown,
 }
 
@@ -265,8 +267,8 @@ pub(crate) struct FairScheduler {
     /// Online EWMA of measured busy-seconds per plan key, consulted at
     /// admission (see [`FairScheduler::admit_job`]).
     cost_model: CostModel,
-    /// Number of tenants whose queues are currently non-empty, so the hot
-    /// poll path's contention checks are O(1) instead of O(tenants).
+    /// Number of tenants whose queues are currently non-empty, so a
+    /// dispatch scan's contention checks are O(1) instead of O(tenants).
     nonempty: usize,
     /// Queued latency-class jobs across **all** tenants: the O(1) signal
     /// that stops a forming throughput batch from growing (preempt
@@ -275,8 +277,8 @@ pub(crate) struct FairScheduler {
     /// Memoized [`FairScheduler::quantum`], invalidated (set to `None`) by
     /// every queue removal and by any admission that lands at a queue head
     /// (class ordering means a new head can *lower* that tenant's head
-    /// cost, so raising in place is no longer sound) — an idle poll storm
-    /// still recomputes nothing.
+    /// cost, so raising in place is no longer sound) — repeated scans of
+    /// unchanged queues recompute nothing.
     cached_quantum: Option<f64>,
     /// Shared observability sink: `admitted`/`dispatched` stage events plus
     /// the per-tenant / per-backend queue-wait histograms.

@@ -2,7 +2,7 @@
 //! one more job, independent of its DRR budget.
 
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -159,6 +159,14 @@ impl TenantQueue {
         }
     }
 
+    /// When the bucket next holds a whole token, rounded up so a wake there
+    /// never finds 0.999… tokens; `None` if it never refills (burst only).
+    pub(super) fn token_at(&self) -> Option<Instant> {
+        let rate = self.policy.rate_limit?.effective_rate();
+        let nanos = ((1.0 - self.tokens) / rate * 1e9).ceil() + 1.0;
+        (rate > 0.0).then(|| self.last_refill + Duration::from_nanos(nanos as u64))
+    }
+
     /// True when dispatching a job spends a token: the tenant is rate
     /// limited, the service is not draining (a drain waives rate limits),
     /// and the job is not a fault requeue (its original dispatch paid).
@@ -197,9 +205,8 @@ impl TenantQueue {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
     use std::sync::Arc;
+    use std::time::Duration;
 
     use super::super::testing::*;
     use super::super::{FairScheduler, Job, Mode, SchedPoll};
@@ -228,11 +235,61 @@ mod tests {
             };
             sched.release(dispatch.id());
         }
-        assert!(matches!(sched.next_job(now), SchedPoll::Idle));
+        assert!(matches!(sched.next_job(now), SchedPoll::Idle(_)));
         assert!(sched.metrics.throttled > 0);
         // A drain waives the rate limit so shutdown terminates.
         sched.mode = Mode::Draining;
         assert!(matches!(sched.next_job(now), SchedPoll::Dispatch(_)));
+    }
+
+    #[test]
+    fn idle_names_the_instant_a_throttled_bucket_holds_a_token() {
+        // Burst 1 at 200/s and at 50/s: after both burst tokens go at `t`,
+        // the earlier refill is the faster tenant's, 5 ms later. The
+        // scheduler names that instant, rounded up so it is never early, and
+        // a poll there dispatches.
+        let t = Instant::now();
+        let mut sched = FairScheduler::new(8, noop_registry());
+        sched.mode = Mode::Running;
+        for (first, name, rate) in [(0, "fast", 200.0), (10, "slow", 50.0)] {
+            let limit = RateLimit::per_second(rate).with_burst(1.0);
+            let name = sched.intern(name, &TenantPolicy::default().with_rate_limit(limit), t);
+            for id in first..first + 2 {
+                sched.admit_job(&name, Job::new(JobId(id), 1.0), None, t);
+            }
+        }
+        for _ in 0..2 {
+            let SchedPoll::Dispatch(d) = sched.next_job(t) else {
+                panic!("burst tokens should dispatch");
+            };
+            sched.release(d.id());
+        }
+        let SchedPoll::Idle(Some(wake)) = sched.next_job(t) else {
+            panic!("both tenants are throttled until a refill");
+        };
+        let refill = Duration::from_millis(5);
+        assert!(
+            wake - t >= refill && wake - t <= refill + Duration::from_nanos(2),
+            "wake {:?} after t, expected 5 ms rounded up",
+            wake - t
+        );
+        let SchedPoll::Dispatch(d) = sched.next_job(wake) else {
+            panic!("the fast tenant holds a whole token at the wake");
+        };
+        assert_eq!(d.id(), JobId(1));
+
+        // A burst-only bucket never refills: nothing to wake for.
+        let (mut sched, name) = limited(RateLimit {
+            jobs_per_second: 0.0,
+            burst: 1.0,
+        });
+        sched.admit(&name, JobId(0), 1.0, None, None);
+        sched.admit(&name, JobId(1), 1.0, None, None);
+        let SchedPoll::Dispatch(d) = sched.next_job(t) else {
+            panic!("the burst token dispatches");
+        };
+        sched.release(d.id());
+        assert!(matches!(sched.next_job(t), SchedPoll::Idle(None)));
     }
 
     #[test]
@@ -263,7 +320,7 @@ mod tests {
             }
             // Burst only: more virtual time refills nothing.
             let much_later = later + Duration::from_secs(60);
-            assert!(matches!(sched.next_job(much_later), SchedPoll::Idle));
+            assert!(matches!(sched.next_job(much_later), SchedPoll::Idle(_)));
             assert_eq!(sched.tokens_of(&name), 0.0, "rate {rate}: no refill");
         }
     }
@@ -321,14 +378,14 @@ mod tests {
         // A stale clock read (a worker that captured `now` before the t1
         // refill was serialized ahead of it) must be a no-op: it must not
         // rewind `last_refill` to t0 and double-credit the 0..2 ms interval.
-        assert!(matches!(sched.next_job(t0), SchedPoll::Idle));
+        assert!(matches!(sched.next_job(t0), SchedPoll::Idle(_)));
         let t2 = t0 + Duration::from_millis(4);
         let SchedPoll::Dispatch(d) = sched.next_job(t2) else {
             panic!("exactly one more token by t0+4ms");
         };
         sched.release(d.id());
         assert!(
-            matches!(sched.next_job(t2), SchedPoll::Idle),
+            matches!(sched.next_job(t2), SchedPoll::Idle(_)),
             "double-refill: the 0..2ms interval was credited twice"
         );
     }
@@ -352,7 +409,7 @@ mod tests {
         sched.release(paid.id());
         // Bucket empty: a fresh submission throttles...
         sched.admit(&name, JobId(1), 1.0, None, None);
-        assert!(matches!(sched.next_job(now), SchedPoll::Idle));
+        assert!(matches!(sched.next_job(now), SchedPoll::Idle(_)));
         assert_eq!(sched.metrics.throttled, 1);
         // ...but a requeued job (higher cost, so it outranks the queued
         // fresh one) dispatches straight through and spends nothing.
@@ -373,7 +430,7 @@ mod tests {
             "the retry spends no token"
         );
         // The fresh job is still throttled — the retry bought it nothing.
-        assert!(matches!(sched.next_job(now), SchedPoll::Idle));
+        assert!(matches!(sched.next_job(now), SchedPoll::Idle(_)));
     }
 
     #[test]
@@ -387,7 +444,7 @@ mod tests {
             panic!("expected dispatch");
         };
         assert!(
-            matches!(sched.next_job(now), SchedPoll::Idle),
+            matches!(sched.next_job(now), SchedPoll::Idle(_)),
             "cap of 1 respected"
         );
         assert!(sched.metrics.capped > 0);

@@ -1,8 +1,7 @@
 //! The submission queue, the streaming service loop, and graceful shutdown.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -12,7 +11,7 @@ use qml_backends::ExecutionResult;
 use qml_observe::{
     NoopTracer, RingTracer, Stage, TraceEvent, TraceStats, Tracer, DEFAULT_TRACE_CAPACITY,
 };
-use qml_runtime::{Feed, JobId, JobOutcome, JobSource, JobStatus, Runtime, WorkerPool};
+use qml_runtime::{JobDispatch, JobId, JobOutcome, JobSource, JobStatus, Runtime, WorkerPool};
 use qml_types::{CapabilityDescriptor, JobBundle, JobRequirements, QmlError, Result, SealedBundle};
 
 use crate::fleet::{DeviceSpec, DeviceUtilization, FleetRouter};
@@ -163,7 +162,6 @@ struct ServiceState {
     /// thread: freeing them on the workers cost `compile_cold` about a
     /// quarter of its throughput.
     retired: Vec<SealedBundle>,
-    per_backend: BTreeMap<String, BackendUtilization>,
     last_run: Option<RunSummary>,
 }
 
@@ -185,6 +183,10 @@ struct ServiceInner {
     /// table's small ones and make the allocator merge them then, not in
     /// the next allocation-heavy call (measured: 15–25 ms stalls).
     state: Mutex<ServiceState>,
+    /// Notified by [`ServiceInner::change`] after every state change that
+    /// can make work dispatchable or a waiter's condition true; idle workers,
+    /// `wait_for` and `wait_idle` block on it in [`ServiceInner::wait_until`].
+    wake: Condvar,
     runtime: Arc<Runtime>,
     config: ServiceConfig,
     /// Shared observability sink (stage-event tracer + latency histograms);
@@ -197,73 +199,88 @@ impl ServiceInner {
     /// Settle one finished job in one critical section, at one clock read:
     /// [`FairScheduler::settle_outcome`] frees its fleet slot and either
     /// fails a device fault over to another device or books the terminal
-    /// outcome (tenant and class counts, cost model, deficit charge-back);
-    /// then the per-backend and per-device attribution and the
-    /// `executed`/`outcome` observations land. All of it happens before the
-    /// lock is released, so once `wait_idle` observes quiescence every
-    /// finished job is visible in `metrics()` and in the trace, with its
-    /// status. Called from pool workers as jobs complete.
+    /// outcome (tenant, class and device counts, cost model, deficit
+    /// charge-back); then the `executed`/`outcome` observations land. All
+    /// of it happens before the lock is released, so once `wait_idle`
+    /// observes quiescence every finished job is visible in `metrics()` and
+    /// in the trace, with its status. Called from pool workers as jobs
+    /// complete.
     fn record_outcome(&self, outcome: &JobOutcome) {
         let seconds = outcome.duration.as_secs_f64();
         let fault = matches!(&outcome.result, Err(e) if e.is_device_fault());
-        let mut guard = self.state.lock();
-        let state = &mut *guard;
-        let settled = state.sched.settle_outcome(
-            outcome.id,
-            seconds,
-            outcome.result.is_ok(),
-            fault,
-            Instant::now(),
-        );
-        // Backend attribution covers failed executions too (the pool reports
-        // the placed backend even when the run errored), and busy-seconds
-        // cover requeued attempts: the device really ran that long, and
-        // per-backend totals fold over the per-device gauges.
-        if let Some(backend) = &outcome.backend {
-            let util = state.per_backend.entry(backend.clone()).or_default();
-            util.jobs += u64::from(settled.is_some());
-            util.busy_seconds += seconds;
-        }
-        // A failed-over job is queued again: its result, device, traces and
-        // latency samples wait for the attempt that settles it.
-        let record = state
-            .jobs
-            .get_mut(&outcome.id)
-            .expect("admitted at submission");
-        let Some((tenant, bundle)) = settled else {
-            record.status = JobStatus::Queued;
-            return;
-        };
-        state.retired.push(bundle);
-        let measured_us = outcome.duration.as_micros() as u64;
-        self.obs
-            .observe_exec(&tenant, outcome.backend.as_deref(), measured_us);
-        if self.obs.tracing_enabled() {
-            self.obs.trace(
+        self.change(|state| {
+            let settled = state.sched.settle_outcome(
                 outcome.id,
-                Some(&tenant),
-                None,
-                Stage::Executed { measured_us },
+                seconds,
+                outcome.result.is_ok(),
+                fault,
+                Instant::now(),
             );
-            self.obs.trace(
-                outcome.id,
-                Some(&tenant),
-                None,
-                Stage::Outcome {
-                    ok: outcome.result.is_ok(),
-                },
-            );
-        }
-        record.device = outcome.device.clone();
-        match &outcome.result {
-            Ok(result) => {
-                record.status = JobStatus::Completed;
-                // The worker frees the original, grown piecemeal while
-                // sampling; keeping it stalled the next service's first jobs
-                // for 10–30 ms (perfbench `mixed_latency` setup).
-                record.result = Some(result.clone());
+            // A failed-over job is queued again: its result, device, traces and
+            // latency samples wait for the attempt that settles it.
+            let record = state
+                .jobs
+                .get_mut(&outcome.id)
+                .expect("admitted at submission");
+            let Some((tenant, bundle)) = settled else {
+                record.status = JobStatus::Queued;
+                return;
+            };
+            state.retired.push(bundle);
+            let measured_us = outcome.duration.as_micros() as u64;
+            self.obs
+                .observe_exec(&tenant, outcome.backend.as_deref(), measured_us);
+            if self.obs.tracing_enabled() {
+                let ok = outcome.result.is_ok();
+                for stage in [Stage::Executed { measured_us }, Stage::Outcome { ok }] {
+                    self.obs.trace(outcome.id, Some(&tenant), None, stage);
+                }
             }
-            Err(err) => record.status = JobStatus::Failed(err.to_string()),
+            record.device = outcome.device.clone();
+            match &outcome.result {
+                Ok(result) => {
+                    record.status = JobStatus::Completed;
+                    // The worker frees the original, grown piecemeal while
+                    // sampling; keeping it stalled the next service's first jobs
+                    // for 10–30 ms (perfbench `mixed_latency` setup).
+                    record.result = Some(result.clone());
+                }
+                Err(err) => record.status = JobStatus::Failed(err.to_string()),
+            }
+        });
+    }
+
+    /// Apply `apply` to the state under the lock, then wake every waiter
+    /// to re-check: the one way a state change reaches blocked threads.
+    fn change<T>(&self, apply: impl FnOnce(&mut ServiceState) -> T) -> T {
+        let answer = apply(&mut self.state.lock());
+        self.wake.notify_all();
+        answer
+    }
+
+    /// The one way the service waits: `poll` the state under the lock
+    /// until it answers `Ok`, blocking on [`ServiceInner::wake`] after each
+    /// `Err` until notified or until the instant the `Err` names. A spurious
+    /// or early wake costs one more poll. Poisoning is recovered from, as
+    /// the mutex itself does.
+    fn wait_until<T>(
+        &self,
+        mut poll: impl FnMut(&mut ServiceState) -> std::result::Result<T, Option<Instant>>,
+    ) -> T {
+        let mut guard = self.state.lock();
+        loop {
+            guard = match poll(&mut guard) {
+                Ok(answer) => return answer,
+                Err(None) => self
+                    .wake
+                    .wait(guard)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Err(Some(at)) => {
+                    let timeout = at.saturating_duration_since(Instant::now());
+                    let woken = self.wake.wait_timeout(guard, timeout);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
     }
 
@@ -274,6 +291,14 @@ impl ServiceInner {
         let (all, gate, anneal) = (cache.stats(), cache.gate_stats(), cache.anneal_stats());
         let state = self.state.lock();
         let totals = state.sched.totals();
+        let per_device = state.sched.device_snapshot();
+        // A plane's totals fold its devices' gauges; a requeued attempt is no job.
+        let mut per_backend = BTreeMap::<String, BackendUtilization>::new();
+        for device in per_device.values().filter(|d| d.dispatched > 0) {
+            let util = per_backend.entry(device.plane.clone()).or_default();
+            util.jobs += device.completed + device.failed - device.requeued;
+            util.busy_seconds += device.busy_seconds;
+        }
         ServiceMetrics {
             jobs_submitted: totals.submitted,
             jobs_completed: totals.completed,
@@ -283,8 +308,8 @@ impl ServiceInner {
             gate_cache: gate,
             anneal_cache: anneal,
             scheduler: state.sched.metrics,
-            per_backend: state.per_backend.clone(),
-            per_device: state.sched.device_snapshot(),
+            per_backend,
+            per_device,
             per_class: state.sched.class_snapshot(),
             per_tenant: state.sched.tenant_snapshot(),
             last_run: state.last_run,
@@ -298,22 +323,22 @@ impl ServiceInner {
     }
 }
 
-/// Pool workers pull their next job straight from the fair scheduler.
+/// Pool workers pull their next job straight from the fair scheduler, and
+/// wait while it has nothing to dispatch: until notified, or until a
+/// throttled tenant's bucket holds a token.
 impl JobSource for ServiceInner {
-    fn next_job(&self, _worker: usize) -> Feed {
-        let mut guard = self.state.lock();
-        let state = &mut *guard;
-        match state.sched.next_job(Instant::now()) {
+    fn next_job(&self, _worker: usize) -> Option<JobDispatch> {
+        self.wait_until(|state| match state.sched.next_job(Instant::now()) {
             SchedPoll::Dispatch(dispatch) => {
                 for id in dispatch.ids() {
                     let record = state.jobs.get_mut(&id).expect("admitted at submission");
                     record.status = JobStatus::Running;
                 }
-                Feed::Job(dispatch)
+                Ok(Some(dispatch))
             }
-            SchedPoll::Idle => Feed::Idle,
-            SchedPoll::Shutdown => Feed::Shutdown,
-        }
+            SchedPoll::Idle(wake) => Err(wake),
+            SchedPoll::Shutdown => Ok(None),
+        })
     }
 }
 
@@ -445,7 +470,6 @@ impl QmlService {
             batches: BTreeMap::new(),
             jobs: BTreeMap::new(),
             retired: Vec::new(),
-            per_backend: BTreeMap::new(),
             last_run: None,
         };
         QmlService {
@@ -453,6 +477,7 @@ impl QmlService {
                 runtime: Arc::new(runtime),
                 config,
                 state: Mutex::new(state),
+                wake: Condvar::new(),
                 obs,
             }),
         }
@@ -529,59 +554,58 @@ impl QmlService {
         // `submitted ≤ now` holds by construction, and each deadline is
         // exactly its class budget after submission (queue wait counts
         // against it).
-        let mut guard = self.inner.state.lock();
-        let state = &mut *guard;
-        let now = Instant::now();
-        // Fleet feasibility, before anything is recorded: a job no device on
-        // its placed plane could *ever* serve (too wide, wrong optimization
-        // level) rejects the whole batch atomically, instead of queueing
-        // work that can only bounce until it fails.
-        for (job, _) in &prepared {
-            if let (Some(placement), Some(requirements)) = (&job.placement, &job.requirements) {
-                if !state.sched.feasible(placement.backend.name(), requirements) {
-                    return Err(QmlError::Validation(format!(
-                        "no device in the '{}' fleet can serve this job \
-                         (width {}, optimization level {})",
-                        placement.backend.name(),
-                        requirements.qubits,
-                        requirements.opt_level
-                    )));
+        let (batch, first, retired) = self.inner.change(|state| {
+            let now = Instant::now();
+            // Fleet feasibility, before anything is recorded: a job no device on
+            // its placed plane could *ever* serve (too wide, wrong optimization
+            // level) rejects the whole batch atomically, instead of queueing
+            // work that can only bounce until it fails.
+            for (job, _) in &prepared {
+                if let (Some(placement), Some(requirements)) = (&job.placement, &job.requirements) {
+                    if !state.sched.feasible(placement.backend.name(), requirements) {
+                        return Err(QmlError::Validation(format!(
+                            "no device in the '{}' fleet can serve this job \
+                             (width {}, optimization level {})",
+                            placement.backend.name(),
+                            requirements.qubits,
+                            requirements.opt_level
+                        )));
+                    }
                 }
             }
-        }
-        let tenant = state
-            .sched
-            .intern(tenant, self.inner.config.policy_for(tenant), now);
-        let batch = BatchId(state.next_batch);
-        state.next_batch += 1;
-        let mut job_ids = Vec::with_capacity(prepared.len());
-        for (mut job, hint_seconds) in prepared {
-            job.id = JobId(state.next_job);
-            state.next_job += 1;
-            state.jobs.insert(
-                job.id,
-                JobRecord {
-                    status: JobStatus::Queued,
-                    result: None,
-                    device: None,
-                },
-            );
-            job.deadline = job.class.deadline().map(|budget| now + budget);
-            job_ids.push(job.id);
-            // `submitted` lands immediately before the scheduler's own
-            // `admitted` event, under the same lock: per-job stage order and
-            // timestamp order agree by construction.
-            if self.inner.obs.tracing_enabled() {
-                self.inner
-                    .obs
-                    .trace(job.id, Some(&tenant), job.batch_key, Stage::Submitted);
+            let tenant = state
+                .sched
+                .intern(tenant, self.inner.config.policy_for(tenant), now);
+            let batch = BatchId(state.next_batch);
+            state.next_batch += 1;
+            let mut job_ids = Vec::with_capacity(prepared.len());
+            for (mut job, hint_seconds) in prepared {
+                job.id = JobId(state.next_job);
+                state.next_job += 1;
+                state.jobs.insert(
+                    job.id,
+                    JobRecord {
+                        status: JobStatus::Queued,
+                        result: None,
+                        device: None,
+                    },
+                );
+                job.deadline = job.class.deadline().map(|budget| now + budget);
+                job_ids.push(job.id);
+                // `submitted` lands immediately before the scheduler's own
+                // `admitted` event, under the same lock: per-job stage order and
+                // timestamp order agree by construction.
+                if self.inner.obs.tracing_enabled() {
+                    self.inner
+                        .obs
+                        .trace(job.id, Some(&tenant), job.batch_key, Stage::Submitted);
+                }
+                state.sched.admit_job(&tenant, job, hint_seconds, now);
             }
-            state.sched.admit_job(&tenant, job, hint_seconds, now);
-        }
-        let first = job_ids.first().copied();
-        state.batches.insert(batch, job_ids);
-        let retired = std::mem::take(&mut state.retired);
-        drop(guard);
+            let first = job_ids.first().copied();
+            state.batches.insert(batch, job_ids);
+            Ok((batch, first, std::mem::take(&mut state.retired)))
+        })?;
         drop(retired);
         Ok((batch, first))
     }
@@ -634,7 +658,6 @@ impl QmlService {
         let pool = WorkerPool::spawn(&self.inner.runtime, self.inner.config.workers, source, sink);
         Ok(ServiceHandle {
             inner: Arc::clone(&self.inner),
-            workers: pool.workers(),
             pool: Some(pool),
             at_start,
             started: Instant::now(),
@@ -663,14 +686,15 @@ impl QmlService {
     /// failed over to another device reads `Queued`, never `Failed`.
     pub fn wait_for(&self, job: JobId, timeout: Duration) -> Option<JobStatus> {
         let deadline = Instant::now() + timeout;
-        loop {
-            let status = self.status(job);
-            match status {
-                Some(JobStatus::Completed) | Some(JobStatus::Failed(_)) | None => return status,
-                _ if Instant::now() >= deadline => return status,
-                _ => thread::sleep(Duration::from_micros(500)),
+        self.inner.wait_until(|state| match state.jobs.get(&job) {
+            Some(record)
+                if matches!(record.status, JobStatus::Queued | JobStatus::Running)
+                    && Instant::now() < deadline =>
+            {
+                Err(Some(deadline))
             }
-        }
+            record => Ok(record.map(|record| record.status.clone())),
+        })
     }
 
     /// Block until the service is quiescent — no job admitted to the fair
@@ -678,18 +702,14 @@ impl QmlService {
     /// true if quiescence was reached.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let state = self.inner.state.lock();
-                if state.sched.queued() == 0 && state.sched.in_flight() == 0 {
-                    return true;
-                }
+        self.inner.wait_until(|state| {
+            let idle = state.sched.queued() == 0 && state.sched.in_flight() == 0;
+            if idle || Instant::now() >= deadline {
+                Ok(idle)
+            } else {
+                Err(Some(deadline))
             }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_micros(500));
-        }
+        })
     }
 
     /// A point-in-time snapshot of service health.
@@ -741,13 +761,13 @@ impl QmlService {
     /// untouched — [`QmlService::uncordon_device`] restores routing exactly
     /// as it was. Returns false for unknown device ids.
     pub fn cordon_device(&self, device: &str) -> bool {
-        self.inner.state.lock().sched.cordon(device)
+        self.inner.change(|state| state.sched.cordon(device))
     }
 
     /// Lift a cordon placed by [`QmlService::cordon_device`]. Returns false
     /// for unknown device ids.
     pub fn uncordon_device(&self, device: &str) -> bool {
-        self.inner.state.lock().sched.uncordon(device)
+        self.inner.change(|state| state.sched.uncordon(device))
     }
 }
 
@@ -781,7 +801,6 @@ pub struct ServiceHandle {
     /// difference at shutdown.
     at_start: TenantStats,
     started: Instant,
-    workers: usize,
 }
 
 impl ServiceHandle {
@@ -815,10 +834,10 @@ impl ServiceHandle {
     }
 
     fn shutdown(&mut self, mode: Mode) -> RunSummary {
-        self.inner.state.lock().sched.mode = mode;
-        if let Some(pool) = self.pool.take() {
-            pool.join();
-        }
+        self.inner.change(|state| state.sched.mode = mode);
+        let pool = self.pool.take().expect("shut down once");
+        let workers = pool.workers();
+        pool.join();
         let wall_seconds = self.started.elapsed().as_secs_f64();
         let mut state = self.inner.state.lock();
         let totals = state.sched.totals();
@@ -829,7 +848,7 @@ impl ServiceHandle {
             jobs,
             completed,
             failed,
-            workers: self.workers,
+            workers,
             wall_seconds,
             jobs_per_second: if wall_seconds > 0.0 {
                 jobs as f64 / wall_seconds

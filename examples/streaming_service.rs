@@ -39,14 +39,17 @@ fn main() -> std::result::Result<(), QmlError> {
     println!("service started: streaming pool of 2 workers is live");
 
     // Tenant "whale" feeds a 32-point sweep from its own thread while the
-    // pool is already running.
+    // pool is already running. Workers start the moment the sweep is
+    // admitted, so each point samples 32 768 shots: the sweep (~35 ms on 2
+    // vCPUs) must outlast the scheduling of the minnow's submitter thread,
+    // which 32 points of 4 096 shots (~5 ms) often do not.
     let whale = {
         let service = service.clone();
         let program = program.clone();
         std::thread::spawn(move || {
             let mut sweep = SweepRequest::new("whale-scan", program);
             for seed in 0..32 {
-                sweep = sweep.with_context(gate_context(seed, 4096));
+                sweep = sweep.with_context(gate_context(seed, 32768));
             }
             service.submit_sweep("whale", sweep).unwrap()
         })

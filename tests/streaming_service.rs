@@ -87,6 +87,27 @@ fn jobs_submitted_while_running_complete_without_restart() {
     assert_eq!(service.metrics().jobs_completed, 12);
 }
 
+#[test]
+fn an_idle_service_blocks_instead_of_polling() {
+    // Workers with nothing to dispatch block until a submission wakes them:
+    // one empty scan each (a spurious wake-up may add one), not a poll
+    // every few milliseconds.
+    const WORKERS: usize = 2;
+    let service = QmlService::with_config(ServiceConfig::with_workers(WORKERS));
+    let handle = service.start().unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    let rounds = service.metrics().scheduler.rounds;
+    assert!(
+        rounds <= 2 * WORKERS as u64,
+        "{rounds} scheduler rounds in 200 ms of idling"
+    );
+    let (_, job) = service
+        .submit("late", fixed_qaoa().with_context(gate_context(1, 32)))
+        .unwrap();
+    assert_eq!(service.wait_for(job, WAIT), Some(JobStatus::Completed));
+    assert_eq!(handle.drain().completed, 1);
+}
+
 /// A one-way gate the test opens once it has set the stage.
 #[derive(Default)]
 struct Latch {
