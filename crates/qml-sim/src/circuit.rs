@@ -102,6 +102,32 @@ impl Circuit {
         }
     }
 
+    /// A circuit over a finished gate vector, kept as it is (capacity
+    /// included), with the measurement map `measured`. One range check
+    /// covers the whole vector, instead of one per [`Circuit::push`].
+    ///
+    /// # Panics
+    /// As [`Circuit::push`] and [`Circuit::measure`].
+    pub fn from_gates(num_qubits: usize, gates: Vec<Gate>, measured: &[usize]) -> Self {
+        if let Some(gate) = gates
+            .iter()
+            .find(|g| g.qubits().iter().any(|&q| q >= num_qubits))
+        {
+            panic!(
+                "gate {} on qubits {:?} exceeds circuit width {num_qubits}",
+                gate.name(),
+                gate.qubits()
+            );
+        }
+        let mut circuit = Circuit {
+            num_qubits,
+            gates,
+            measured: Vec::with_capacity(measured.len()),
+        };
+        circuit.measure(measured);
+        circuit
+    }
+
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
@@ -379,6 +405,22 @@ mod tests {
     #[should_panic(expected = "exceeds circuit width")]
     fn gate_out_of_range_panics() {
         Circuit::new(2).push(Gate::H(2));
+    }
+
+    #[test]
+    fn from_gates_keeps_the_vector() {
+        let mut gates = Vec::with_capacity(3);
+        gates.extend([Gate::H(0), Gate::Cx(0, 1)]);
+        let qc = Circuit::from_gates(2, gates, &[1, 0]);
+        assert_eq!(qc.gates(), [Gate::H(0), Gate::Cx(0, 1)]);
+        assert_eq!(qc.gates.capacity(), 3);
+        assert_eq!(qc.measured(), [1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds circuit width")]
+    fn from_gates_checks_the_width() {
+        Circuit::from_gates(2, vec![Gate::Cx(0, 2)], &[]);
     }
 
     #[test]

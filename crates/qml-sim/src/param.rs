@@ -157,7 +157,13 @@ impl ParamExpr {
     /// than [`MAX_PARAM_TERMS`] distinct symbols (the caller then keeps the
     /// operands separate instead of merging).
     pub fn try_add(&self, other: &ParamExpr) -> Option<ParamExpr> {
-        let mut merged: Vec<(u32, f64)> = Vec::with_capacity(MAX_PARAM_TERMS * 2);
+        // Up to `2 × MAX_PARAM_TERMS` merged terms, held inline.
+        let mut merged = [(NO_SYM, 0.0); MAX_PARAM_TERMS * 2];
+        let mut len = 0usize;
+        let mut push = |term: (u32, f64)| {
+            merged[len] = term;
+            len += 1;
+        };
         let (a, b) = (self.terms(), other.terms());
         let (mut i, mut j) = (0usize, 0usize);
         while i < a.len() || j < b.len() {
@@ -166,25 +172,23 @@ impl ParamExpr {
             if take_a && take_b {
                 let c = a[i].1 + b[j].1;
                 if c != 0.0 {
-                    merged.push((a[i].0, c));
+                    push((a[i].0, c));
                 }
                 i += 1;
                 j += 1;
             } else if take_a {
-                merged.push(a[i]);
+                push(a[i]);
                 i += 1;
             } else {
-                merged.push(b[j]);
+                push(b[j]);
                 j += 1;
             }
         }
-        if merged.len() > MAX_PARAM_TERMS {
+        if len > MAX_PARAM_TERMS {
             return None;
         }
         let mut out = ParamExpr::constant(self.offset + other.offset);
-        for (n, term) in merged.into_iter().enumerate() {
-            out.terms[n] = term;
-        }
+        out.terms[..len].copy_from_slice(&merged[..len]);
         Some(out)
     }
 }

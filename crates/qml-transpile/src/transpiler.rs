@@ -11,9 +11,9 @@ use serde::{Deserialize, Serialize};
 
 use qml_sim::Circuit;
 
-use crate::basis::decompose_to_basis;
+use crate::basis::lower_gates;
 use crate::error::TranspileError;
-use crate::passes::optimize;
+use crate::passes::optimize_gates;
 use crate::routing::route;
 use crate::target::TranspileTarget;
 
@@ -61,45 +61,45 @@ pub struct TranspileResult {
 }
 
 /// Transpile a circuit for a target at the given optimization level (0–3).
+///
+/// Fails with [`TranspileError::UnsupportedBasis`] when the target's basis
+/// cannot express a gate of the routed circuit: a two-qubit gate without
+/// `cx` or `cz` in the basis, a single-qubit gate without `rz` or `sx`.
 pub fn transpile(
     circuit: &Circuit,
     target: &TranspileTarget,
     optimization_level: u8,
 ) -> Result<TranspileResult, TranspileError> {
-    // A basis without an entangling gate cannot express two-qubit circuits.
-    if !target.any_basis()
-        && circuit.count_two_qubit() > 0
-        && !["cx", "cz"].iter().any(|g| target.allows(g))
-    {
+    // 1. Routing (identity when no coupling map is given).
+    let routed = match &target.coupling_map {
+        Some(cm) => Some(route(circuit, cm)?),
+        None => None,
+    };
+    let physical = routed.as_ref().map_or(circuit, |r| &r.circuit);
+
+    // 2. Basis translation, into one buffer.
+    let (lowered, unexpressed) = lower_gates(physical.gates(), target);
+    if let Some(gate) = unexpressed {
         return Err(TranspileError::UnsupportedBasis(format!(
-            "basis {:?} has no entangling gate",
-            target.basis_gates
+            "basis {:?} cannot express `{}`",
+            target.basis_gates,
+            gate.name()
         )));
     }
 
-    // 1. Routing (identity when no coupling map is given).
-    let (routed, initial_layout, final_layout, swaps) = match &target.coupling_map {
-        Some(cm) => {
-            let r = route(circuit, cm)?;
-            (
-                r.circuit,
-                r.initial_layout,
-                r.final_layout,
-                r.swaps_inserted,
-            )
-        }
+    // 3. Peephole optimization over that buffer; the plan keeps exactly
+    //    the gates it holds.
+    let width = physical.num_qubits();
+    let gates = optimize_gates(lowered, width, optimization_level);
+    let optimized = Circuit::from_gates(width, gates, physical.measured());
+
+    let (initial_layout, final_layout, swaps) = match routed {
+        Some(r) => (r.initial_layout, r.final_layout, r.swaps_inserted),
         None => {
             let layout: Vec<usize> = (0..circuit.num_qubits()).collect();
-            (circuit.clone(), layout.clone(), layout, 0)
+            (layout.clone(), layout, 0)
         }
     };
-
-    // 2. Basis translation.
-    let lowered = decompose_to_basis(&routed, target);
-
-    // 3. Peephole optimization.
-    let optimized = optimize(&lowered, optimization_level);
-
     let metrics = CircuitMetrics::of(&optimized, swaps);
     Ok(TranspileResult {
         circuit: optimized,

@@ -6,7 +6,9 @@
 //! a backend. [`ParamValue::Symbol`] represents such an unbound parameter;
 //! [`Params::bind`] substitutes concrete values.
 
-use serde::{Deserialize, Serialize};
+use serde::de::Error as _;
+use serde::value::Value;
+use serde::{Deserialize, Deserializer, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -26,7 +28,10 @@ pub struct SymbolRef {
 
 /// A JSON-compatible parameter value carried by an operator or context
 /// descriptor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Untagged: a value is the first variant, in declaration order, that its
+/// JSON accepts (see the `Deserialize` impl).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[serde(untagged)]
 pub enum ParamValue {
     /// Boolean flag (e.g. `do_swaps`).
@@ -45,7 +50,56 @@ pub enum ParamValue {
     Map(BTreeMap<String, ParamValue>),
 }
 
+/// The untagged decode, dispatched on the JSON value's kind: each value is
+/// moved into its variant, where trying the variants in turn would copy the
+/// whole tree once per variant at every level of nesting. The result is the
+/// first variant that accepts the value — an integer is `Int` unless it
+/// exceeds `i64` (then `Float`); `{"$param": "<name>"}` and nothing else is
+/// a `Symbol`; any other object is a `Map` — and a `null` anywhere in the
+/// tree is an error.
+impl<'de> Deserialize<'de> for ParamValue {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
+        ParamValue::from_value(deserializer.take_value()?).ok_or_else(|| {
+            D::Error::custom("data did not match any variant of untagged enum ParamValue")
+        })
+    }
+}
+
 impl ParamValue {
+    fn from_value(value: Value) -> Option<ParamValue> {
+        Some(match value {
+            Value::Null => return None,
+            Value::Bool(b) => ParamValue::Bool(b),
+            Value::I64(x) => ParamValue::Int(x),
+            Value::U64(x) => match i64::try_from(x) {
+                Ok(x) => ParamValue::Int(x),
+                Err(_) => ParamValue::Float(x as f64),
+            },
+            Value::F64(x) => ParamValue::Float(x),
+            Value::String(s) => ParamValue::Str(s),
+            Value::Array(items) => ParamValue::List(
+                items
+                    .into_iter()
+                    .map(ParamValue::from_value)
+                    .collect::<Option<_>>()?,
+            ),
+            Value::Object(mut members) => {
+                if let [(key, Value::String(name))] = members.as_mut_slice() {
+                    if key == "$param" {
+                        let name = std::mem::take(name);
+                        return Some(ParamValue::Symbol(SymbolRef { name }));
+                    }
+                }
+                ParamValue::Map(
+                    members
+                        .into_iter()
+                        .map(|(key, value)| Some((key, ParamValue::from_value(value)?)))
+                        .collect::<Option<_>>()?,
+                )
+            }
+        })
+    }
+
     /// Construct a symbolic (unbound) parameter.
     pub fn symbol(name: impl Into<String>) -> Self {
         ParamValue::Symbol(SymbolRef { name: name.into() })
@@ -327,9 +381,146 @@ impl FromIterator<(String, ParamValue)> for Params {
     }
 }
 
+/// The decode `#[derive(Deserialize)] #[serde(untagged)]` generates, kept
+/// as the oracle the hand-written one is held to: it tries each variant on
+/// a copy of the value, in declaration order.
+#[cfg(test)]
+mod derived {
+    use super::SymbolRef;
+    use serde::Deserialize;
+    use std::collections::BTreeMap;
+
+    #[derive(Deserialize)]
+    #[serde(untagged)]
+    pub enum ParamValue {
+        Bool(bool),
+        Int(i64),
+        Float(f64),
+        Symbol(SymbolRef),
+        Str(String),
+        List(Vec<ParamValue>),
+        Map(BTreeMap<String, ParamValue>),
+    }
+
+    impl From<ParamValue> for super::ParamValue {
+        fn from(value: ParamValue) -> Self {
+            match value {
+                ParamValue::Bool(b) => super::ParamValue::Bool(b),
+                ParamValue::Int(x) => super::ParamValue::Int(x),
+                ParamValue::Float(x) => super::ParamValue::Float(x),
+                ParamValue::Symbol(s) => super::ParamValue::Symbol(s),
+                ParamValue::Str(s) => super::ParamValue::Str(s),
+                ParamValue::List(items) => {
+                    super::ParamValue::List(items.into_iter().map(Into::into).collect())
+                }
+                ParamValue::Map(map) => {
+                    super::ParamValue::Map(map.into_iter().map(|(k, v)| (k, v.into())).collect())
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+    use rand::Rng;
+    use serde::value::{from_value_any, ValueError};
+
+    /// Value trees of every kind, nested up to `depth` levels: `null`,
+    /// integers past `i64`, symbol-shaped objects with a non-string name or
+    /// an extra member, duplicate keys, nested lists.
+    struct Trees {
+        depth: u32,
+    }
+
+    fn tree(rng: &mut TestRng, depth: u32) -> Value {
+        const KEYS: [&str; 4] = ["$param", "x", "extra", "edges"];
+        let kinds = if depth == 0 { 7 } else { 12 };
+        match rng.gen_range(0..kinds) {
+            0 => {
+                if rng.gen_range(0..3) == 0 {
+                    Value::Null
+                } else {
+                    Value::Bool(rng.gen())
+                }
+            }
+            1 => Value::I64(rng.gen_range(-5i64..5)),
+            2 => Value::I64(rng.gen()),
+            3 => Value::U64(
+                [0, 7, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX][rng.gen_range(0usize..5)],
+            ),
+            4 => Value::F64(rng.gen_range(-1e3f64..1e3)),
+            5 | 6 => Value::String(KEYS[rng.gen_range(0usize..4)].to_string()),
+            7 | 8 => Value::Array(
+                (0..rng.gen_range(0..4))
+                    .map(|_| tree(rng, depth - 1))
+                    .collect(),
+            ),
+            9 => Value::Object(
+                (0..rng.gen_range(0..4))
+                    .map(|_| {
+                        (
+                            KEYS[rng.gen_range(0usize..4)].to_string(),
+                            tree(rng, depth - 1),
+                        )
+                    })
+                    .collect(),
+            ),
+            10 => Value::Object(vec![("$param".to_string(), tree(rng, depth - 1))]),
+            _ => {
+                let mut members = vec![("$param".to_string(), Value::String("x".into()))];
+                let other = KEYS[rng.gen_range(0usize..4)].to_string();
+                members.insert(rng.gen_range(0..2), (other, Value::I64(1)));
+                Value::Object(members)
+            }
+        }
+    }
+
+    impl Strategy for Trees {
+        type Value = Value;
+
+        fn sample(&self, rng: &mut TestRng) -> Value {
+            tree(rng, self.depth)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The kind-dispatched decode returns what the derived untagged
+        /// decode returns, `Ok` and `Err` alike.
+        #[test]
+        fn decode_agrees_with_the_derived_untagged_decode(value in Trees { depth: 4 }) {
+            let ours = from_value_any::<ParamValue, ValueError>(value.clone()).map_err(|e| e.0);
+            let theirs = from_value_any::<derived::ParamValue, ValueError>(value.clone())
+                .map(ParamValue::from)
+                .map_err(|e| e.0);
+            prop_assert!(ours == theirs, "{} decodes as {:?}, derived {:?}", value, ours, theirs);
+        }
+    }
+
+    #[test]
+    fn symbol_shaped_objects_that_are_not_symbols() {
+        for (json, expected) in [
+            (r#"{"$param": 3}"#, Some("Map")),
+            (r#"{"$param": "x", "extra": 1}"#, Some("Map")),
+            (r#"{"$param": "x", "$param": "y"}"#, Some("Map")),
+            (r#"{"$param": null}"#, None),
+            (r#"[1, null]"#, None),
+            (r#"18446744073709551615"#, Some("Float")),
+        ] {
+            let decoded: std::result::Result<ParamValue, _> = serde_json::from_str(json);
+            let kind = decoded.ok().map(|v| match v {
+                ParamValue::Map(_) => "Map",
+                ParamValue::Float(_) => "Float",
+                _ => "other",
+            });
+            assert_eq!(kind, expected, "{json}");
+        }
+    }
 
     #[test]
     fn untagged_round_trip_scalars() {

@@ -1,14 +1,16 @@
 //! A counting `#[global_allocator]` for the allocation acceptance tests: it
 //! wraps the system allocator and counts every `alloc`/`alloc_zeroed`/
-//! `realloc` made while a measurement is open. A test file that includes
+//! `realloc` made while a measurement is open, and the size of the largest
+//! block freed. A test file that includes
 //! this module should hold exactly one test, so it runs alone in its own
 //! process and no concurrent test can disturb the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static COUNT: AtomicU64 = AtomicU64::new(0);
+static LARGEST_FREE: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -41,6 +43,9 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if COUNTING.load(Ordering::Relaxed) {
+            LARGEST_FREE.fetch_max(layout.size(), Ordering::Relaxed);
+        }
         // SAFETY: the caller guarantees `ptr` came from this allocator with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -56,4 +61,15 @@ pub fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let out = f();
     COUNTING.store(false, Ordering::Relaxed);
     (out, COUNT.load(Ordering::Relaxed) - before)
+}
+
+/// Run `f`, returning its result and the size in bytes of the largest block
+/// freed while it ran: dropping a `Vec` inside `f` frees its whole capacity.
+#[allow(dead_code)] // only the files that pin a footprint call it
+pub fn largest_free<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LARGEST_FREE.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = f();
+    COUNTING.store(false, Ordering::Relaxed);
+    (out, LARGEST_FREE.load(Ordering::Relaxed))
 }
