@@ -201,9 +201,8 @@ pub fn repro(out: &mut impl Write) -> io::Result<()> {
                 .with_context(anneal_context(1000)),
         )
         .unwrap();
-    runtime.run_all(2);
-    let g = runtime.result(gate_id).unwrap();
-    let a = runtime.result(anneal_id).unwrap();
+    let g = runtime.run_job(gate_id).unwrap();
+    let a = runtime.run_job(anneal_id).unwrap();
     let anneal_cut = expected_cut(&graph, &a);
     writeln!(
         out,

@@ -5,16 +5,14 @@
 //! state behind a `parking_lot` mutex so callers can poll status from other
 //! threads, and executes jobs in exactly one routine —
 //! `Runtime::execute_claimed_batch`, a timed batch through the runtime's
-//! shared transpilation/lowering cache. Every entry point reaches it the same
-//! way: [`Runtime::run_job`] is a batch of one, and [`Runtime::run_all`]
-//! feeds a cost-ranked snapshot of the queue (longest first, the classic LPT
-//! heuristic) to the same worker loop the streaming
-//! [`WorkerPool`](crate::pool::WorkerPool) runs; the snapshot never blocks,
-//! it answers `None` once empty. The job table belongs to those three entry
-//! points: a pool's source owns the jobs it dispatches, and execution writes
-//! no table, so the two never overlap.
+//! shared transpilation/lowering cache, on a placement its caller already
+//! chose. [`Runtime::run_job`] places a queued job and runs it as a batch of
+//! one; a [`WorkerPool`](crate::pool::WorkerPool) runs whatever its source
+//! dispatches, each dispatch carrying its placement. The job table belongs
+//! to `submit` and `run_job`: a pool's source owns the jobs it dispatches,
+//! and execution writes no table, so the two never overlap.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,7 +25,6 @@ use qml_backends::{BatchTimings, ExecutionResult, TranspileCache};
 use qml_observe::{NoopTracer, Stage, Tracer};
 use qml_types::{JobBundle, QmlError, Result, SealedBundle};
 
-use crate::pool::{worker_loop, JobDispatch, JobSource};
 use crate::registry::{Placement, Scheduler};
 
 /// Identifier of a submitted job.
@@ -65,12 +62,13 @@ pub struct JobOutcome {
     pub id: JobId,
     /// The execution result or the error that failed the job.
     pub result: Result<ExecutionResult>,
-    /// Name of the backend the job was placed on (present for failed
-    /// executions too; `None` only when placement itself failed).
-    pub backend: Option<String>,
+    /// Name of the backend the job was placed on (failed executions
+    /// included).
+    pub backend: String,
     /// The fleet device the dispatch was routed to, echoed from
-    /// [`JobDispatch::device`](crate::pool::JobDispatch::device). `None` on
-    /// device-blind paths (one-shot drains, manual `run_job`).
+    /// [`JobDispatch::device`](crate::pool::JobDispatch::device): set on
+    /// every dispatch of a fleet-routing source such as the serving tier,
+    /// `None` from a source without a fleet.
     pub device: Option<Arc<str>>,
     /// Execution time attributed to this job: its own bind + sample time
     /// plus its share of the batch's plan realization.
@@ -169,15 +167,12 @@ impl Runtime {
         self.jobs.lock().get(&id).and_then(|j| j.result.clone())
     }
 
-    /// Ids of all jobs in submission order.
-    pub fn job_ids(&self) -> Vec<JobId> {
-        self.jobs.lock().keys().copied().collect()
-    }
-
     /// Execute one queued job synchronously: claim it (Queued → Running,
     /// sharing its sealed bundle), place it, and run it as a batch of one.
     /// A job that is not queued — already run, or claimed by a concurrent
-    /// drain — is rejected, never run twice.
+    /// caller — is rejected, never run twice. A job no registered backend
+    /// can take records `Failed` with the placement error, and no backend is
+    /// called.
     pub fn run_job(&self, id: JobId) -> Result<ExecutionResult> {
         let bundle = {
             let mut jobs = self.jobs.lock();
@@ -193,35 +188,31 @@ impl Runtime {
             job.status = JobStatus::Running;
             job.bundle.clone()
         };
-        let outcome = self
-            .execute_claimed_batch(vec![(id, bundle)], None)
-            .pop()
-            .expect("one outcome per claimed job");
-        self.record_terminal(&outcome);
-        outcome.result
-    }
-
-    /// Record a claimed job's terminal state from its execution outcome.
-    fn record_terminal(&self, outcome: &JobOutcome) {
+        let result = self.scheduler.place(&bundle).and_then(|placement| {
+            self.execute_claimed_batch(vec![(id, bundle)], placement)
+                .pop()
+                .expect("one outcome per claimed job")
+                .result
+        });
         let mut jobs = self.jobs.lock();
-        let job = jobs
-            .get_mut(&outcome.id)
-            .expect("claimed jobs stay in the table");
-        match &outcome.result {
+        let job = jobs.get_mut(&id).expect("claimed jobs stay in the table");
+        match &result {
             Ok(result) => {
                 job.status = JobStatus::Completed;
                 job.result = Some(result.clone());
             }
             Err(err) => job.status = JobStatus::Failed(err.to_string()),
         }
+        result
     }
 
-    /// Execute claimed jobs as one timed batch through the shared cache
+    /// Execute claimed jobs as one timed batch on `placement`'s backend,
+    /// through the shared cache
     /// ([`qml_backends::Backend::execute_batch_timed`]) — **the only routine
     /// in the runtime that calls a backend**; a solo job is a batch of one.
-    /// It writes no job table: whoever handed the jobs out records their
-    /// outcomes (the one-shot entry points into the runtime's table, a
-    /// pool's sink into its source's). Outcomes are returned
+    /// It neither places nor writes a job table: whoever handed the jobs out
+    /// placed them and records their outcomes (`run_job` into the runtime's
+    /// table, a pool's sink into its source's). Outcomes are returned
     /// in input order with an **honest per-member duration**: each member's
     /// own bind + sample time plus a share of the group's one plan
     /// realization proportional to that time — never an even split of the
@@ -231,8 +222,7 @@ impl Runtime {
     ///
     /// `claimed` is never empty, and all members share one placement — the
     /// service's fair scheduler only coalesces jobs with one batch key, which
-    /// implies one backend. `None` places the head here; if no backend can
-    /// take it, every member fails with the placement error.
+    /// implies one backend.
     ///
     /// This is also the one job boundary for backend bugs: a panic inside
     /// the backend call is caught, every member of the batch settles as an
@@ -248,47 +238,41 @@ impl Runtime {
     pub(crate) fn execute_claimed_batch(
         &self,
         claimed: Vec<(JobId, SealedBundle)>,
-        placement: Option<Placement>,
+        placement: Placement,
     ) -> Vec<JobOutcome> {
         let (ids, bundles): (Vec<JobId>, Vec<SealedBundle>) = claimed.into_iter().unzip();
         let n = ids.len();
-        let placement = placement.map_or_else(|| self.scheduler.place(&bundles[0]), Ok);
-        let (results, durations) = match &placement {
-            Ok(placement) => {
-                let started = Instant::now();
-                // Unwind-safe: the bundles are only read, and an unwinding
-                // plan build leaves its cache slot empty, like a failed one.
-                let call = catch_unwind(AssertUnwindSafe(|| {
-                    placement.backend.execute_batch_timed(&bundles, &self.cache)
-                }));
-                match call {
-                    Ok((results, timings)) => {
-                        let durations = timings.attributed();
-                        self.trace_members(&ids, &results, &timings, &durations);
-                        (results, durations)
-                    }
-                    Err(panic) => {
-                        let reason = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        let err = QmlError::Unsupported(format!("backend panicked: {reason}"));
-                        (vec![Err(err); n], vec![started.elapsed() / n as u32; n])
-                    }
-                }
+        let started = Instant::now();
+        // Unwind-safe: the bundles are only read, and an unwinding plan build
+        // leaves its cache slot empty, like a failed one.
+        let call = catch_unwind(AssertUnwindSafe(|| {
+            placement.backend.execute_batch_timed(&bundles, &self.cache)
+        }));
+        let (results, durations) = match call {
+            Ok((results, timings)) => {
+                let durations = timings.attributed();
+                self.trace_members(&ids, &results, &timings, &durations);
+                (results, durations)
             }
-            Err(err) => (vec![Err(err.clone()); n], vec![Duration::ZERO; n]),
+            Err(panic) => {
+                let reason = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                let err = QmlError::Unsupported(format!("backend panicked: {reason}"));
+                (vec![Err(err); n], vec![started.elapsed() / n as u32; n])
+            }
         };
         // Attribute a job to its placed backend even when the execution
         // itself failed.
-        let backend = placement.ok().map(|p| p.backend.name().to_string());
+        let backend = placement.backend.name();
         ids.into_iter()
             .zip(results.into_iter().zip(durations))
             .map(|(id, (result, duration))| JobOutcome {
                 id,
                 result,
-                backend: backend.clone(),
+                backend: backend.to_string(),
                 device: None,
                 duration,
                 worker: 0,
@@ -334,89 +318,6 @@ impl Runtime {
             }
         }
     }
-
-    /// Execute every queued job with at most `max_parallel` workers.
-    /// Returns the per-job outcomes in submission order.
-    pub fn run_all(&self, max_parallel: usize) -> Vec<(JobId, Result<ExecutionResult>)> {
-        let mut outcomes: Vec<(JobId, Result<ExecutionResult>)> = self
-            .run_all_detailed(max_parallel)
-            .into_iter()
-            .map(|o| (o.id, o.result))
-            .collect();
-        outcomes.sort_by_key(|(id, _)| *id);
-        outcomes
-    }
-
-    /// Execute every job queued right now on `num_workers` threads and
-    /// report detailed per-job outcomes (in completion order).
-    ///
-    /// Queued jobs are ranked by the scheduler's cost estimate for their
-    /// placement (descriptor cost hints — the paper's HPC-scheduler analogy),
-    /// longest first, which minimizes makespan under the LPT heuristic. The
-    /// ranked snapshot is a one-shot [`JobSource`] for the same worker loop
-    /// the streaming pool runs, here borrowed on scoped threads: each idle
-    /// worker takes the next-longest job, so one slow job delays only the
-    /// worker executing it. Jobs submitted after the snapshot wait for the
-    /// next drain.
-    fn run_all_detailed(&self, num_workers: usize) -> Vec<JobOutcome> {
-        // Claim the whole snapshot under one lock (Queued → Running), so
-        // concurrent drains split the queue by construction; then run the
-        // placement / cost-ranking pass outside it so status()/submit()
-        // callers never block behind an O(batch) scheduler scan.
-        let queued: Vec<(JobId, SealedBundle)> = {
-            let mut jobs = self.jobs.lock();
-            jobs.iter_mut()
-                .filter(|(_, job)| job.status == JobStatus::Queued)
-                .map(|(id, job)| {
-                    job.status = JobStatus::Running;
-                    (*id, job.bundle.clone())
-                })
-                .collect()
-        };
-        // One placement pass serves both the cost ranking and execution: the
-        // chosen backend rides the dispatch so jobs are not re-placed on the
-        // hot path. Jobs whose placement fails are still handed out; they
-        // fail (and record their error) at execution time.
-        let mut ranked: Vec<JobDispatch> = queued
-            .into_iter()
-            .map(|(id, bundle)| JobDispatch {
-                placement: self.scheduler.place(&bundle).ok(),
-                ..JobDispatch::new(id, bundle)
-            })
-            .collect();
-        let cost = |d: &JobDispatch| d.placement.as_ref().map_or(0.0, |p| p.estimated_cost);
-        ranked.sort_by(|a, b| {
-            cost(b)
-                .partial_cmp(&cost(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-
-        let num_workers = num_workers.max(1).min(ranked.len());
-        let source = Snapshot(Mutex::new(ranked.into()));
-        let outcomes: Mutex<Vec<JobOutcome>> = Mutex::new(Vec::new());
-        let sink = |outcome: JobOutcome| {
-            self.record_terminal(&outcome);
-            outcomes.lock().push(outcome);
-        };
-        std::thread::scope(|scope| {
-            for worker in 0..num_workers {
-                let (source, sink) = (&source, &sink);
-                scope.spawn(move || worker_loop(worker, self, source, sink));
-            }
-        });
-        outcomes.into_inner()
-    }
-}
-
-/// The one-shot [`JobSource`] behind [`Runtime::run_all`]: a ranked
-/// snapshot handed out front to back. Nothing is ever re-queued into it, so
-/// "empty" is a stable reason to shut a worker down.
-struct Snapshot(Mutex<VecDeque<JobDispatch>>);
-
-impl JobSource for Snapshot {
-    fn next_job(&self, _worker: usize) -> Option<JobDispatch> {
-        self.0.lock().pop_front()
-    }
 }
 
 #[cfg(test)]
@@ -461,7 +362,7 @@ mod tests {
         let runtime = Runtime::with_default_backends();
         let bundle = JobBundle::new("empty", vec![], vec![]);
         assert!(runtime.submit(bundle).is_err());
-        assert!(runtime.job_ids().is_empty());
+        assert_eq!(runtime.status(JobId(0)), None, "nothing was queued");
     }
 
     #[test]
@@ -491,78 +392,87 @@ mod tests {
     }
 
     #[test]
-    fn run_all_executes_mixed_workloads_in_parallel() {
+    fn unplaceable_job_fails_without_reaching_a_backend() {
         let runtime = Runtime::with_default_backends();
-        let ids = [
-            runtime.submit(gate_bundle(64)).unwrap(),
-            runtime.submit(anneal_bundle(64)).unwrap(),
-            runtime.submit(gate_bundle(32)).unwrap(),
-            runtime.submit(anneal_bundle(32)).unwrap(),
-        ];
-        let outcomes = runtime.run_all(4);
-        assert_eq!(outcomes.len(), 4);
-        for (id, outcome) in &outcomes {
-            assert!(outcome.is_ok(), "job {id:?} failed: {outcome:?}");
-            assert_eq!(runtime.status(*id), Some(JobStatus::Completed));
-        }
-        // Gate jobs went to the gate backend, anneal jobs to the annealer.
+        let bundle = qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))
+            .unwrap()
+            .with_context(ContextDescriptor::for_gate(ExecConfig::new(
+                "pulse.qblox_cluster",
+            )));
+        let id = runtime.submit(bundle).unwrap();
+        let err = runtime.run_job(id).unwrap_err();
+        assert!(matches!(err, QmlError::Unsupported(_)), "{err}");
+        assert!(err.to_string().contains("pulse.qblox_cluster"), "{err}");
+        assert_eq!(runtime.status(id), Some(JobStatus::Failed(err.to_string())));
+        assert!(runtime.result(id).is_none());
+        let stats = runtime.cache().stats();
         assert_eq!(
-            runtime.result(ids[0]).unwrap().backend,
-            "qml-gate-simulator"
+            (stats.hits, stats.misses),
+            (0, 0),
+            "no backend looked up a plan"
         );
-        assert_eq!(
-            runtime.result(ids[1]).unwrap().backend,
-            "qml-simulated-annealer"
-        );
-    }
-
-    #[test]
-    fn run_all_with_single_thread_budget() {
-        let runtime = Runtime::with_default_backends();
-        runtime.submit(gate_bundle(16)).unwrap();
-        runtime.submit(anneal_bundle(16)).unwrap();
-        let outcomes = runtime.run_all(1);
-        assert!(outcomes.iter().all(|(_, o)| o.is_ok()));
+        assert!(runtime.run_job(id).is_err(), "a failed job stays failed");
     }
 
     #[test]
     fn shared_loop_drains_every_job() {
-        // More jobs than workers: everything must complete exactly once, and
-        // the detailed outcomes must cover every submitted id.
-        let runtime = Runtime::with_default_backends();
-        let mut ids = Vec::new();
+        // More jobs than workers, fed to the pool's worker loop one solo
+        // dispatch at a time: everything completes exactly once, and the
+        // outcomes cover every dispatched id.
+        use crate::pool::{JobDispatch, JobSource, WorkerPool};
+
+        struct Queue(Mutex<Vec<JobDispatch>>);
+        impl JobSource for Queue {
+            fn next_job(&self, _worker: usize) -> Option<JobDispatch> {
+                self.0.lock().pop()
+            }
+        }
+
+        let runtime = Arc::new(Runtime::with_default_backends());
+        let mut dispatches = Vec::new();
         for i in 0..12 {
             let bundle = if i % 2 == 0 {
                 gate_bundle(32)
             } else {
                 anneal_bundle(32)
             };
-            ids.push(runtime.submit(bundle).unwrap());
+            let bundle = SealedBundle::seal(bundle).unwrap();
+            let placement = runtime.scheduler().place(&bundle).unwrap();
+            dispatches.push(JobDispatch::new(JobId(i), bundle, placement));
         }
-        let outcomes = runtime.run_all_detailed(3);
-        assert_eq!(outcomes.len(), 12);
+        let outcomes = Arc::new(Mutex::new(Vec::new()));
+        let sink = {
+            let outcomes = Arc::clone(&outcomes);
+            Arc::new(move |outcome: JobOutcome| outcomes.lock().push(outcome))
+        };
+        let source = Arc::new(Queue(Mutex::new(dispatches)));
+        let executed = WorkerPool::spawn(&runtime, 3, source, sink).join();
+        assert_eq!(executed, 12);
+        let outcomes = outcomes.lock();
         let mut seen: Vec<JobId> = outcomes.iter().map(|o| o.id).collect();
         seen.sort();
-        assert_eq!(seen, ids);
-        for outcome in &outcomes {
+        assert_eq!(seen, (0..12).map(JobId).collect::<Vec<_>>());
+        for outcome in outcomes.iter() {
             assert!(outcome.result.is_ok(), "{:?}", outcome.result);
             assert!(outcome.worker < 3);
-            assert!(outcome.backend.is_some());
+            let expected = if outcome.id.0 % 2 == 0 {
+                "qml-gate-simulator"
+            } else {
+                "qml-simulated-annealer"
+            };
+            assert_eq!(outcome.backend, expected);
         }
-        assert!(runtime
-            .job_ids()
-            .iter()
-            .all(|id| runtime.status(*id) == Some(JobStatus::Completed)));
     }
 
     #[test]
     fn repeated_intents_hit_the_runtime_cache() {
         let runtime = Runtime::with_default_backends();
-        for _ in 0..4 {
-            runtime.submit(gate_bundle(32)).unwrap();
+        let ids: Vec<JobId> = (0..4)
+            .map(|_| runtime.submit(gate_bundle(32)).unwrap())
+            .collect();
+        for id in ids {
+            runtime.run_job(id).unwrap();
         }
-        let outcomes = runtime.run_all(4);
-        assert!(outcomes.iter().all(|(_, o)| o.is_ok()));
         let stats = runtime.cache().gate_stats();
         assert_eq!(
             stats.misses, 1,
@@ -573,54 +483,63 @@ mod tests {
 
     #[test]
     fn failed_job_does_not_poison_the_batch() {
+        // One anneal batch whose middle member is a QAOA program forced onto
+        // the annealing engine: it fails at its own position, the others
+        // complete.
         let runtime = Runtime::with_default_backends();
-        let good = runtime.submit(gate_bundle(16)).unwrap();
-        // A QAOA bundle forced onto the annealing engine fails at run time.
-        let bad_bundle = qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))
+        let bad = qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))
             .unwrap()
             .with_context(ContextDescriptor::for_anneal(
                 "anneal.neal_simulator",
                 AnnealConfig::with_reads(10),
             ));
-        let bad = runtime.submit(bad_bundle).unwrap();
-        let good2 = runtime.submit(anneal_bundle(16)).unwrap();
-
-        let outcomes = runtime.run_all(2);
+        let members: Vec<(JobId, SealedBundle)> = [anneal_bundle(16), bad, anneal_bundle(16)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, bundle)| (JobId(i as u64), SealedBundle::seal(bundle).unwrap()))
+            .collect();
+        let placement = runtime.scheduler().place(&members[0].1).unwrap();
+        let outcomes = runtime.execute_claimed_batch(members, placement);
         assert_eq!(outcomes.len(), 3);
-        assert_eq!(runtime.status(good), Some(JobStatus::Completed));
-        assert_eq!(runtime.status(good2), Some(JobStatus::Completed));
-        assert!(matches!(runtime.status(bad), Some(JobStatus::Failed(_))));
+        assert!(outcomes[0].result.is_ok(), "{:?}", outcomes[0].result);
+        assert!(outcomes[1].result.is_err());
+        assert!(outcomes[2].result.is_ok(), "{:?}", outcomes[2].result);
+        for outcome in &outcomes {
+            assert_eq!(outcome.backend, "qml-simulated-annealer");
+        }
     }
 
     #[test]
     fn concurrent_drains_never_double_run_or_phantom_fail() {
-        // Two simultaneous drains over one queue: every job executes exactly
-        // once, the combined outcome count equals the job count, and no job
-        // ends Failed from a lost claim race.
+        // Two threads race to run every queued job: each job executes
+        // exactly once, and no job ends Failed from a lost claim race.
         let runtime = Runtime::with_default_backends();
-        for i in 0..10 {
-            let bundle = if i % 2 == 0 {
-                gate_bundle(16)
-            } else {
-                anneal_bundle(16)
-            };
-            runtime.submit(bundle).unwrap();
-        }
+        let ids: Vec<JobId> = (0..10)
+            .map(|i| {
+                let bundle = if i % 2 == 0 {
+                    gate_bundle(16)
+                } else {
+                    anneal_bundle(16)
+                };
+                runtime.submit(bundle).unwrap()
+            })
+            .collect();
+        let drain = || {
+            ids.iter()
+                .filter_map(|id| runtime.run_job(*id).ok().map(|_| *id))
+                .collect::<Vec<JobId>>()
+        };
         let (a, b) = std::thread::scope(|scope| {
-            let h1 = scope.spawn(|| runtime.run_all_detailed(2));
-            let h2 = scope.spawn(|| runtime.run_all_detailed(2));
+            let h1 = scope.spawn(drain);
+            let h2 = scope.spawn(drain);
             (h1.join().unwrap(), h2.join().unwrap())
         });
-        assert_eq!(a.len() + b.len(), 10, "each job reported exactly once");
-        let mut seen: Vec<JobId> = a.iter().chain(b.iter()).map(|o| o.id).collect();
+        assert_eq!(a.len() + b.len(), 10, "each job ran exactly once");
+        let mut seen: Vec<JobId> = a.iter().chain(b.iter()).copied().collect();
         seen.sort();
         seen.dedup();
         assert_eq!(seen.len(), 10);
-        for outcome in a.iter().chain(b.iter()) {
-            assert!(outcome.result.is_ok(), "{:?}", outcome.result);
-        }
-        assert!(runtime
-            .job_ids()
+        assert!(ids
             .iter()
             .all(|id| runtime.status(*id) == Some(JobStatus::Completed)));
     }
@@ -642,17 +561,12 @@ mod tests {
 
     #[test]
     fn one_shot_entry_points_trace_plan_and_bound() {
-        let traced = || {
-            let mut runtime = Runtime::with_default_backends();
-            runtime.set_tracer(Arc::new(qml_observe::RingTracer::new()));
-            let ids = [
-                runtime.submit(gate_bundle(32)).unwrap(),
-                runtime.submit(gate_bundle(32)).unwrap(),
-            ];
-            (runtime, ids)
-        };
-
-        let (runtime, ids) = traced();
+        let mut runtime = Runtime::with_default_backends();
+        runtime.set_tracer(Arc::new(qml_observe::RingTracer::new()));
+        let ids = [
+            runtime.submit(gate_bundle(32)).unwrap(),
+            runtime.submit(gate_bundle(32)).unwrap(),
+        ];
         runtime.run_job(ids[0]).unwrap();
         runtime.run_job(ids[1]).unwrap();
         let (plans, bounds) = plan_and_bound(&runtime);
@@ -662,35 +576,5 @@ mod tests {
             "run_job: one plan event per job, the miss first"
         );
         assert_eq!(bounds, vec![ids[0].0, ids[1].0]);
-
-        let (runtime, ids) = traced();
-        assert!(runtime.run_all(2).iter().all(|(_, o)| o.is_ok()));
-        let (mut plans, mut bounds) = plan_and_bound(&runtime);
-        assert_eq!(
-            plans.iter().filter(|(_, hit)| !hit).count(),
-            1,
-            "run_all: exactly one of the two identical jobs realizes the plan"
-        );
-        plans.sort();
-        bounds.sort();
-        assert_eq!(
-            plans.iter().map(|(job, _)| *job).collect::<Vec<_>>(),
-            vec![ids[0].0, ids[1].0],
-            "one plan event per job"
-        );
-        assert_eq!(bounds, vec![ids[0].0, ids[1].0], "one bound event per job");
-    }
-
-    #[test]
-    fn run_all_reports_submission_order() {
-        let runtime = Runtime::with_default_backends();
-        let ids = vec![
-            runtime.submit(gate_bundle(16)).unwrap(),
-            runtime.submit(anneal_bundle(16)).unwrap(),
-            runtime.submit(gate_bundle(8)).unwrap(),
-        ];
-        let outcomes = runtime.run_all(2);
-        let reported: Vec<JobId> = outcomes.iter().map(|(id, _)| *id).collect();
-        assert_eq!(reported, ids);
     }
 }

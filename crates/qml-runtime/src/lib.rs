@@ -9,15 +9,16 @@
 //!   the paper's HPC-scheduler analogy (§2).
 //! * [`Runtime`] — job submission, status tracking, and the one execution
 //!   routine: jobs run as a timed batch
-//!   ([`qml_backends::Backend::execute_batch_timed`]) through one shared
-//!   transpilation/lowering cache. [`Runtime::run_job`] is a batch of one;
-//!   [`Runtime::run_all`] drains a cost-ranked snapshot of the queue.
-//! * [`pool`] — the one worker loop, fed by a [`JobSource`]: one-shot drains
-//!   borrow it on scoped threads, and the feed-while-running [`WorkerPool`]
-//!   keeps it alive so long-lived services accept and execute work
-//!   continuously. A [`JobDispatch`] carries the sealed bundles it runs, so
-//!   a serving tier keeps its own job table and the runtime's serves only
-//!   [`Runtime::submit`], `run_job` and `run_all`.
+//!   ([`qml_backends::Backend::execute_batch_timed`]) on a placement chosen
+//!   before the call, through one shared transpilation/lowering cache.
+//!   [`Runtime::run_job`] places one queued job and runs it as a batch of
+//!   one.
+//! * [`pool`] — the one worker loop, fed by a [`JobSource`]: the
+//!   feed-while-running [`WorkerPool`] keeps it alive so long-lived services
+//!   accept and execute work continuously. A [`JobDispatch`] carries the
+//!   sealed bundles it runs and their placement, so a serving tier places
+//!   each job once and keeps its own job table; the runtime's serves only
+//!   [`Runtime::submit`] and `run_job`.
 //! * [`services`] — orthogonal context services (§4.3.1): the QEC service and
 //!   a communication estimator for partitioned (multi-QPU) execution.
 

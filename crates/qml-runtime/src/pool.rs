@@ -1,24 +1,19 @@
 //! The worker loop, and a feed-while-running pool of it over a shared job
 //! source.
 //!
-//! Every way of executing jobs is a [`JobSource`] feeding one worker loop:
-//! each worker repeatedly calls [`JobSource::next_job`], which hands out
-//! queued work or `None` to make the worker exit. A source with nothing to
-//! hand out right now blocks inside `next_job` until it has — a worker never
-//! sleeps or spins on its own. The policy — FIFO, cost-ranked,
-//! deficit-round-robin across tenants — and the waiting live entirely in the
-//! source. [`Runtime::run_all`](crate::Runtime::run_all) feeds the loop a
-//! ranked *snapshot* of the queue on scoped threads and returns when it is
-//! exhausted; a long-running service needs workers that live as long as it
-//! does and pick up new submissions immediately, which is the
-//! [`WorkerPool`] here, fed by the serving tier's (`qml-service`) fair
-//! scheduler.
+//! A [`WorkerPool`] runs one loop per worker: each repeatedly calls
+//! [`JobSource::next_job`], which hands out placed work or `None` to make
+//! the worker exit. A source with nothing to hand out right now blocks
+//! inside `next_job` until it has — a worker never sleeps or spins on its
+//! own. The policy — which job runs next, on which backend and device, and
+//! the waiting — lives entirely in the source; the serving tier
+//! (`qml-service`) feeds the pool from its fair scheduler.
 //!
-//! A dispatch carries the sealed bundles it runs; a worker executes exactly
-//! that through the runtime's one execution routine (shared transpilation
-//! cache included) and reports each member to an outcome sink as it
-//! finishes, so callers can update metrics live rather than waiting for a
-//! drain to return.
+//! A dispatch carries the sealed bundles it runs and the placement it runs
+//! them on; a worker executes exactly that through the runtime's one
+//! execution routine (shared transpilation cache included) and reports each
+//! member to an outcome sink as it finishes, so callers can update metrics
+//! live rather than waiting for a drain to return.
 
 use std::sync::Arc;
 use std::thread;
@@ -30,9 +25,7 @@ use crate::registry::Placement;
 
 /// One dispatched unit of work: a head job, optionally coalesced with
 /// further plan-compatible jobs (a **micro-batch**), plus the placement the
-/// source already computed for it, if any (sources that rank jobs by
-/// placement cost pass it along so the worker does not place the bundle a
-/// second time).
+/// source computed for it, so a worker never places a bundle.
 #[derive(Debug, Clone)]
 pub struct JobDispatch {
     /// The jobs to execute, head first, each with its sealed bundle (a
@@ -43,13 +36,14 @@ pub struct JobDispatch {
     /// call (a solo dispatch is the same call with one member); outcomes
     /// reach the sink per member, in this order.
     pub members: Vec<(JobId, SealedBundle)>,
-    /// A placement computed at admission time, reused for execution (and
-    /// shared by every batched member).
-    pub placement: Option<Placement>,
-    /// The fleet device this dispatch was routed to, if the source routes at
-    /// device granularity. Echoed back on every member's [`JobOutcome`] so
-    /// the source can settle the right device's health and gauges; the
-    /// runtime itself is device-blind.
+    /// The placement every member executes on: the backend instance the
+    /// worker calls, and the engine and cost estimate it was chosen by.
+    pub placement: Placement,
+    /// The fleet device this dispatch was routed to. Echoed back on every
+    /// member's [`JobOutcome`] so the source can settle the right device's
+    /// health and gauges; the runtime itself never reads it. Every
+    /// dispatch of the serving tier names one; a source without a fleet
+    /// leaves it `None`.
     pub device: Option<Arc<str>>,
     /// The service class the source dispatched this batch under. The batch
     /// was already formed under that class's cap — the field lets workers
@@ -59,11 +53,11 @@ pub struct JobDispatch {
 }
 
 impl JobDispatch {
-    /// A solo dispatch with no precomputed placement (the worker places).
-    pub fn new(id: JobId, bundle: SealedBundle) -> Self {
+    /// A solo throughput-class dispatch on `placement`, routed to no device.
+    pub fn new(id: JobId, bundle: SealedBundle, placement: Placement) -> Self {
         JobDispatch {
             members: vec![(id, bundle)],
-            placement: None,
+            placement,
             device: None,
             class: ServiceClass::Throughput,
         }
@@ -119,7 +113,7 @@ impl WorkerPool {
     /// Spawn `workers` threads executing jobs from `source` on `runtime`,
     /// reporting each finished job to `sink`. The workers execute what the
     /// source dispatches and never touch the runtime's own job table, which
-    /// serves [`Runtime::submit`] and its one-shot drains alone.
+    /// serves [`Runtime::submit`] and [`Runtime::run_job`] alone.
     pub fn spawn(
         runtime: &Arc<Runtime>,
         workers: usize,
@@ -159,7 +153,7 @@ impl WorkerPool {
 /// execute each dispatch on `runtime` — a solo dispatch or a micro-batch,
 /// one timed batch either way — and report every member to `sink` in
 /// dispatch order. Returns the number of jobs executed.
-pub(crate) fn worker_loop(
+fn worker_loop(
     worker: usize,
     runtime: &Runtime,
     source: &dyn JobSource,
@@ -207,11 +201,18 @@ mod tests {
             .collect()
     }
 
-    /// A FIFO source that blocks while its queue is empty, and shuts the
-    /// pool down once told to stop and drained.
+    /// The placement a runtime's scheduler gives the head member.
+    fn place_head(runtime: &Runtime, members: &[(JobId, SealedBundle)]) -> Placement {
+        runtime.scheduler().place(&members[0].1).unwrap()
+    }
+
+    /// A FIFO source of solo dispatches on one placement that blocks while
+    /// its queue is empty, and shuts the pool down once told to stop and
+    /// drained.
     struct FifoSource {
         state: Mutex<Fifo>,
         wake: Condvar,
+        placement: Placement,
     }
 
     #[derive(Default)]
@@ -221,10 +222,11 @@ mod tests {
     }
 
     impl FifoSource {
-        fn new() -> Self {
+        fn new(placement: Placement) -> Self {
             FifoSource {
                 state: Mutex::new(Fifo::default()),
                 wake: Condvar::new(),
+                placement,
             }
         }
 
@@ -244,7 +246,7 @@ mod tests {
             let mut state = self.state.lock();
             loop {
                 if let Some((id, bundle)) = state.queue.pop_front() {
-                    return Some(JobDispatch::new(id, bundle));
+                    return Some(JobDispatch::new(id, bundle, self.placement.clone()));
                 }
                 if state.stopping {
                     return None;
@@ -257,7 +259,8 @@ mod tests {
     #[test]
     fn pool_executes_jobs_fed_while_running() {
         let runtime = Arc::new(Runtime::with_default_backends());
-        let source = Arc::new(FifoSource::new());
+        let members = gate_members(6);
+        let source = Arc::new(FifoSource::new(place_head(&runtime, &members)));
         let completed = Arc::new(Mutex::new(Vec::new()));
         let sink = {
             let completed = Arc::clone(&completed);
@@ -268,7 +271,6 @@ mod tests {
         let pool = WorkerPool::spawn(&runtime, 2, source.clone(), sink);
 
         // Feed jobs *after* the pool is already running.
-        let members = gate_members(6);
         let ids: Vec<JobId> = members.iter().map(|(id, _)| *id).collect();
         for member in members {
             source.push(member);
@@ -283,14 +285,17 @@ mod tests {
         assert!(completed.lock().iter().all(|(_, ok)| *ok));
     }
 
-    /// A source that hands out its whole queue as one micro-batch.
+    /// A source that hands out its whole queue as one micro-batch, placed
+    /// by the runtime's scheduler.
     struct OneBatchSource {
         members: Mutex<Vec<(JobId, SealedBundle)>>,
+        placement: Placement,
     }
 
     impl OneBatchSource {
-        fn new(members: Vec<(JobId, SealedBundle)>) -> Arc<Self> {
+        fn new(runtime: &Runtime, members: Vec<(JobId, SealedBundle)>) -> Arc<Self> {
             Arc::new(OneBatchSource {
+                placement: place_head(runtime, &members),
                 members: Mutex::new(members),
             })
         }
@@ -304,7 +309,7 @@ mod tests {
             }
             Some(JobDispatch {
                 members: std::mem::take(&mut *members),
-                placement: None,
+                placement: self.placement.clone(),
                 device: None,
                 class: ServiceClass::Throughput,
             })
@@ -323,7 +328,8 @@ mod tests {
                 seen.lock().push((outcome.id, outcome.result.is_ok()));
             })
         };
-        let executed = WorkerPool::spawn(&runtime, 1, OneBatchSource::new(members), sink).join();
+        let executed =
+            WorkerPool::spawn(&runtime, 1, OneBatchSource::new(&runtime, members), sink).join();
         assert_eq!(executed, 4);
         let seen = seen.lock();
         assert_eq!(
@@ -355,7 +361,8 @@ mod tests {
             SealedBundle::seal(bundle).unwrap()
         };
         let (small, large) = (JobId(0), JobId(1));
-        let source = OneBatchSource::new(vec![(small, ladder(16)), (large, ladder(4096))]);
+        let source =
+            OneBatchSource::new(&runtime, vec![(small, ladder(16)), (large, ladder(4096))]);
         let durations = Arc::new(Mutex::new(Vec::new()));
         let sink = {
             let durations = Arc::clone(&durations);
@@ -404,8 +411,13 @@ mod tests {
                 failures.lock().push(err.to_string());
             })
         };
-        let executed =
-            WorkerPool::spawn(&runtime, 1, OneBatchSource::new(gate_members(3)), sink).join();
+        let executed = WorkerPool::spawn(
+            &runtime,
+            1,
+            OneBatchSource::new(&runtime, gate_members(3)),
+            sink,
+        )
+        .join();
         assert_eq!(executed, 3, "every member is reported, none stranded");
         let failures = failures.lock();
         assert_eq!(failures.len(), 3);
@@ -417,7 +429,8 @@ mod tests {
     #[test]
     fn shutdown_with_empty_source_exits_immediately() {
         let runtime = Arc::new(Runtime::with_default_backends());
-        let source = Arc::new(FifoSource::new());
+        let placement = place_head(&runtime, &gate_members(1));
+        let source = Arc::new(FifoSource::new(placement));
         source.stop();
         let pool = WorkerPool::spawn(&runtime, 3, source, Arc::new(|_| {}));
         assert_eq!(pool.workers(), 3);

@@ -7,6 +7,7 @@
 //! when present, and otherwise ranking candidate backends by the bundle's
 //! aggregated cost hints (the HPC-scheduler analogy).
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use qml_backends::Backend;
@@ -134,7 +135,8 @@ impl Scheduler {
     ///   (the user's policy is explicit; the scheduler does not second-guess).
     /// * Otherwise every family-compatible backend is ranked by
     ///   [`Backend::estimate_cost`] — the descriptor cost hints — and the
-    ///   cheapest placement wins.
+    ///   cheapest placement wins (the first registered among equals; a NaN
+    ///   estimate ranks behind every number).
     pub fn place(&self, bundle: &JobBundle) -> Result<Placement> {
         if self.registry.is_empty() {
             return Err(QmlError::Unsupported("no backends registered".into()));
@@ -151,8 +153,16 @@ impl Scheduler {
             });
         }
 
-        let mut candidates: Vec<Placement> = self
-            .registry
+        // The first cheapest candidate wins; a NaN estimate ranks last
+        // rather than aborting the ranking.
+        let rank = |p: &Placement| {
+            if p.estimated_cost.is_nan() {
+                f64::INFINITY
+            } else {
+                p.estimated_cost
+            }
+        };
+        self.registry
             .backends()
             .iter()
             .filter(|b| Self::family_matches(bundle, b))
@@ -161,11 +171,10 @@ impl Scheduler {
                 engine: b.default_engine().to_string(),
                 estimated_cost: b.estimate_cost(bundle),
             })
-            .collect();
-        candidates.sort_by(|a, b| a.estimated_cost.partial_cmp(&b.estimated_cost).unwrap());
-        candidates.into_iter().next().ok_or_else(|| {
-            QmlError::Unsupported("no registered backend can realize this bundle".into())
-        })
+            .min_by(|a, b| rank(a).partial_cmp(&rank(b)).unwrap_or(Ordering::Equal))
+            .ok_or_else(|| {
+                QmlError::Unsupported("no registered backend can realize this bundle".into())
+            })
     }
 }
 
@@ -243,6 +252,77 @@ mod tests {
         let result = placement.backend.execute(&bundle).unwrap();
         assert_eq!(result.shots, 100);
         assert_eq!(result.backend, "qml-simulated-annealer");
+    }
+
+    /// The gate backend under another name, estimating every bundle at
+    /// `cost`.
+    struct Priced {
+        name: &'static str,
+        cost: f64,
+        inner: qml_backends::GateBackend,
+    }
+
+    impl Backend for Priced {
+        fn name(&self) -> &str {
+            self.name
+        }
+
+        fn supports_engine(&self, engine: &str) -> bool {
+            self.inner.supports_engine(engine)
+        }
+
+        fn default_engine(&self) -> &str {
+            self.inner.default_engine()
+        }
+
+        fn execute_batch_timed(
+            &self,
+            bundles: &[qml_types::SealedBundle],
+            cache: &qml_backends::TranspileCache,
+        ) -> (
+            Vec<Result<qml_backends::ExecutionResult>>,
+            qml_backends::BatchTimings,
+        ) {
+            self.inner.execute_batch_timed(bundles, cache)
+        }
+
+        fn estimate_cost(&self, _bundle: &JobBundle) -> f64 {
+            self.cost
+        }
+    }
+
+    fn priced(name: &'static str, cost: f64) -> Arc<dyn Backend> {
+        Arc::new(Priced {
+            name,
+            cost,
+            inner: qml_backends::GateBackend::new(),
+        })
+    }
+
+    #[test]
+    fn a_nan_estimate_ranks_last_instead_of_panicking() {
+        let bundle =
+            qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES])).unwrap();
+        let place = |backends: &[(&'static str, f64)]| {
+            let mut registry = BackendRegistry::new();
+            for &(name, cost) in backends {
+                registry.register(priced(name, cost));
+            }
+            let placement = Scheduler::new(registry).place(&bundle).unwrap();
+            placement.backend.name().to_string()
+        };
+        assert_eq!(place(&[("nan", f64::NAN), ("finite", 5.0)]), "finite");
+        assert_eq!(place(&[("finite", 5.0), ("nan", f64::NAN)]), "finite");
+        assert_eq!(
+            place(&[("nan", f64::NAN)]),
+            "nan",
+            "a lone NaN still places"
+        );
+        // Finite estimates rank as before: cheapest first, ties to the
+        // first registered.
+        assert_eq!(place(&[("dear", 9.0), ("cheap", 2.0)]), "cheap");
+        assert_eq!(place(&[("first", 3.0), ("second", 3.0)]), "first");
+        assert_eq!(place(&[("inf", f64::INFINITY), ("nan", f64::NAN)]), "inf");
     }
 
     #[test]

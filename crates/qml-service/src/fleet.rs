@@ -119,7 +119,7 @@ impl fmt::Debug for DeviceSpec {
 #[derive(Debug, Clone)]
 pub(crate) struct ParkedDispatch {
     pub dispatch: JobDispatch,
-    pub requirements: Option<JobRequirements>,
+    pub requirements: JobRequirements,
 }
 
 /// Serializable per-device gauges, surfaced through
@@ -218,8 +218,8 @@ impl DeviceState {
         self.queue.iter().map(|p| p.dispatch.len()).sum()
     }
 
-    fn supports(&self, req: Option<&JobRequirements>) -> bool {
-        req.is_none_or(|r| self.caps.supports(r))
+    fn supports(&self, req: &JobRequirements) -> bool {
+        self.caps.supports(req)
     }
 }
 
@@ -276,12 +276,6 @@ impl FleetRouter {
         }
     }
 
-    /// A router with no devices: every plane is un-fleeted and dispatches
-    /// exactly as before the fleet layer existed.
-    pub fn empty() -> Self {
-        FleetRouter::new(Vec::new(), 0)
-    }
-
     /// Number of registered devices.
     pub fn device_count(&self) -> usize {
         self.devices.len()
@@ -300,11 +294,6 @@ impl FleetRouter {
     /// The current health of the device at `index`.
     pub fn health(&self, index: usize) -> Option<HealthState> {
         self.devices.get(index).map(|d| d.health)
-    }
-
-    /// True when any device serves `plane`.
-    pub fn has_plane(&self, plane: &str) -> bool {
-        self.devices.iter().any(|d| d.plane == plane)
     }
 
     fn is_excluded(&self, job: u64, device: usize) -> bool {
@@ -345,14 +334,10 @@ impl FleetRouter {
     }
 
     /// True when some device on `plane` can serve `req` at all, regardless
-    /// of health or exclusions. Un-fleeted planes (no devices) return `true`
-    /// — they dispatch device-blind. This is the admission feasibility
-    /// check: a job no device could ever serve is rejected at submission
-    /// instead of bouncing through the queue forever.
-    pub fn capable_exists(&self, plane: &str, req: Option<&JobRequirements>) -> bool {
-        if !self.has_plane(plane) {
-            return true;
-        }
+    /// of health or exclusions. This is the admission feasibility check: a
+    /// job no device could ever serve is rejected at submission instead of
+    /// bouncing through the queue forever.
+    pub fn capable_exists(&self, plane: &str, req: &JobRequirements) -> bool {
         self.devices
             .iter()
             .any(|d| d.plane == plane && d.supports(req))
@@ -366,7 +351,7 @@ impl FleetRouter {
     pub fn retry_candidate_exists(
         &self,
         plane: &str,
-        req: Option<&JobRequirements>,
+        req: &JobRequirements,
         job: u64,
         failed: usize,
     ) -> bool {
@@ -376,14 +361,11 @@ impl FleetRouter {
     }
 
     /// True when the plane can take this job *now*: some capable,
-    /// non-excluded device has a free slot or parking headroom. Un-fleeted
-    /// planes always accept. The scheduler calls this before spending a
-    /// tenant's deficit so a saturated fleet defers the job (keeping the
-    /// deficit) instead of over-committing a device.
-    pub(crate) fn can_accept(&self, plane: &str, req: Option<&JobRequirements>, job: u64) -> bool {
-        if !self.has_plane(plane) {
-            return true;
-        }
+    /// non-excluded device has a free slot or parking headroom. The
+    /// scheduler calls this before spending a tenant's deficit so a
+    /// saturated fleet defers the job (keeping the deficit) instead of
+    /// over-committing a device.
+    pub(crate) fn can_accept(&self, plane: &str, req: &JobRequirements, job: u64) -> bool {
         self.devices.iter().enumerate().any(|(i, d)| {
             d.plane == plane
                 && !d.cordoned
@@ -408,14 +390,14 @@ impl FleetRouter {
     }
 
     /// Route one job: the cheapest capable healthy device on `plane`, per
-    /// the policy in the module docs. Returns `None` for un-fleeted planes
-    /// (dispatch device-blind) and when every capable device is excluded for
-    /// this job. Selecting a down device (probe or last resort) stamps its
-    /// probe clock.
+    /// the policy in the module docs. Returns `None` when no uncordoned,
+    /// capable device is left for this job — every one is excluded, or the
+    /// plane has none. Selecting a down device (probe or last resort) stamps
+    /// its probe clock.
     pub fn select(
         &mut self,
         plane: &str,
-        req: Option<&JobRequirements>,
+        req: &JobRequirements,
         plan_key: Option<u64>,
         job: u64,
     ) -> Option<usize> {
@@ -606,7 +588,7 @@ impl FleetRouter {
                 for pos in (0..self.devices[victim].queue.len()).rev() {
                     let compatible = {
                         let entry = &self.devices[victim].queue[pos];
-                        self.devices[thief].supports(entry.requirements.as_ref())
+                        self.devices[thief].supports(&entry.requirements)
                             && entry
                                 .dispatch
                                 .ids()
@@ -723,7 +705,7 @@ impl FleetRouter {
                         && self.devices[i].plane == self.devices[from].plane
                         && self.devices[i].health != HealthState::Down
                         && !self.devices[i].cordoned
-                        && self.devices[i].supports(entry.requirements.as_ref())
+                        && self.devices[i].supports(&entry.requirements)
                         && entry.dispatch.ids().all(|id| !self.is_excluded(id.0, i))
                 })
                 .min_by_key(|&i| self.devices[i].load());
@@ -764,7 +746,7 @@ impl FleetRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::testing::sealed_bundle;
+    use crate::scheduler::testing::{placement, sealed_bundle};
     use qml_backends::GateBackend;
     use qml_runtime::JobId;
 
@@ -792,7 +774,7 @@ mod tests {
     fn history_less_routing_round_robins_over_capable_devices() {
         let mut fleet = fleet(3);
         let picks: Vec<usize> = (0..6)
-            .map(|job| fleet.select(PLANE, Some(&req(4)), Some(7), job).unwrap())
+            .map(|job| fleet.select(PLANE, &req(4), Some(7), job).unwrap())
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -808,13 +790,13 @@ mod tests {
         ];
         let mut fleet = FleetRouter::new(specs, 0);
         for job in 0..4 {
-            let pick = fleet.select(PLANE, Some(&req(16)), None, job).unwrap();
+            let pick = fleet.select(PLANE, &req(16), None, job).unwrap();
             assert_eq!(fleet.device_id(pick).unwrap().as_ref(), "wide");
         }
-        assert!(fleet.capable_exists(PLANE, Some(&req(16))));
+        assert!(fleet.capable_exists(PLANE, &req(16)));
         // A 4-qubit job fits both devices, so routing alternates again.
         let picks: BTreeSet<usize> = (10..14)
-            .filter_map(|job| fleet.select(PLANE, Some(&req(4)), None, job))
+            .filter_map(|job| fleet.select(PLANE, &req(4), None, job))
             .collect();
         assert_eq!(picks.len(), 2, "narrow device rejoins for jobs that fit");
     }
@@ -827,7 +809,7 @@ mod tests {
         fleet.observe(0, key, 1.0, true, false);
         fleet.observe(1, key, 0.1, true, false);
         for job in 10..16 {
-            let pick = fleet.select(PLANE, None, key, job).unwrap();
+            let pick = fleet.select(PLANE, &req(4), key, job).unwrap();
             assert_eq!(pick, 1, "the cheap device wins outside the tie band");
         }
     }
@@ -839,7 +821,7 @@ mod tests {
         fleet.observe(0, key, 0.100, true, false);
         fleet.observe(1, key, 0.105, true, false); // within 10% of device 0
         fleet.take_slots(0, 3);
-        let pick = fleet.select(PLANE, None, key, 1).unwrap();
+        let pick = fleet.select(PLANE, &req(4), key, 1).unwrap();
         assert_eq!(pick, 1, "tied on cost, device 1 carries less load");
     }
 
@@ -848,14 +830,14 @@ mod tests {
         let mut fleet = fleet(2);
         fleet.exclude(42, 0);
         for _ in 0..4 {
-            assert_eq!(fleet.select(PLANE, None, None, 42), Some(1));
+            assert_eq!(fleet.select(PLANE, &req(4), None, 42), Some(1));
         }
         assert_eq!(fleet.exclusion_count(42), 1);
         fleet.exclude(42, 1);
-        assert_eq!(fleet.select(PLANE, None, None, 42), None, "all excluded");
-        assert!(!fleet.retry_candidate_exists(PLANE, None, 42, 0));
+        assert_eq!(fleet.select(PLANE, &req(4), None, 42), None, "all excluded");
+        assert!(!fleet.retry_candidate_exists(PLANE, &req(4), 42, 0));
         fleet.clear_exclusions(42);
-        assert!(fleet.select(PLANE, None, None, 42).is_some());
+        assert!(fleet.select(PLANE, &req(4), None, 42).is_some());
     }
 
     #[test]
@@ -881,13 +863,13 @@ mod tests {
         fleet.observe(0, None, 0.01, false, true);
         assert_eq!(fleet.health(0), Some(HealthState::Down));
         for job in 0..8 {
-            assert_eq!(fleet.select(PLANE, None, None, job), Some(1));
+            assert_eq!(fleet.select(PLANE, &req(4), None, job), Some(1));
         }
         // All down: last resort still routes (the exclusion walk terminates
         // the job) rather than wedging.
         fleet.observe(1, None, 0.01, false, true);
         fleet.observe(1, None, 0.01, false, true);
-        assert!(fleet.select(PLANE, None, None, 100).is_some());
+        assert!(fleet.select(PLANE, &req(4), None, 100).is_some());
     }
 
     #[test]
@@ -903,14 +885,14 @@ mod tests {
         }
         assert_eq!(fleet.health(0), Some(HealthState::Down));
         // Not due yet: traffic routes to the live device.
-        assert_eq!(fleet.select(PLANE, None, None, 1), Some(1));
+        assert_eq!(fleet.select(PLANE, &req(4), None, 1), Some(1));
         fleet.observe(1, None, 0.01, true, false);
         fleet.observe(1, None, 0.01, true, false);
         // 4 settled outcomes, the interval is 3: the down device gets one
         // probe...
-        assert_eq!(fleet.select(PLANE, None, None, 2), Some(0));
+        assert_eq!(fleet.select(PLANE, &req(4), None, 2), Some(0));
         // ...and only one, until the interval elapses again.
-        assert_eq!(fleet.select(PLANE, None, None, 3), Some(1));
+        assert_eq!(fleet.select(PLANE, &req(4), None, 3), Some(1));
         // The probe succeeds: the device rejoins as healthy.
         fleet.observe(0, None, 0.01, true, false);
         assert_eq!(fleet.health(0), Some(HealthState::Healthy));
@@ -920,15 +902,15 @@ mod tests {
     fn down_transition_evacuates_the_parked_queue_to_live_siblings() {
         let mut fleet = fleet(3);
         let parked = ParkedDispatch {
-            dispatch: JobDispatch::new(JobId(9), sealed_bundle()),
-            requirements: Some(req(4)),
+            dispatch: JobDispatch::new(JobId(9), sealed_bundle(), placement()),
+            requirements: req(4),
         };
         fleet.park(0, parked.clone());
         fleet.park(
             0,
             ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(10), sealed_bundle()),
-                requirements: Some(req(4)),
+                dispatch: JobDispatch::new(JobId(10), sealed_bundle(), placement()),
+                requirements: req(4),
             },
         );
         fleet.observe(0, None, 0.01, false, true);
@@ -953,15 +935,15 @@ mod tests {
         fleet.park(
             0,
             ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(1), sealed_bundle()),
-                requirements: None,
+                dispatch: JobDispatch::new(JobId(1), sealed_bundle(), placement()),
+                requirements: req(4),
             },
         );
         fleet.park(
             0,
             ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(2), sealed_bundle()),
-                requirements: None,
+                dispatch: JobDispatch::new(JobId(2), sealed_bundle(), placement()),
+                requirements: req(4),
             },
         );
         // Device 1 is idle: it steals the newest parked dispatch.
@@ -986,8 +968,8 @@ mod tests {
             fleet.park(
                 0,
                 ParkedDispatch {
-                    dispatch: JobDispatch::new(JobId(id), sealed_bundle()),
-                    requirements: Some(req(4)),
+                    dispatch: JobDispatch::new(JobId(id), sealed_bundle(), placement()),
+                    requirements: req(4),
                 },
             );
         }
@@ -1018,8 +1000,8 @@ mod tests {
         fleet.park(
             0,
             ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(7), sealed_bundle()),
-                requirements: None,
+                dispatch: JobDispatch::new(JobId(7), sealed_bundle(), placement()),
+                requirements: req(4),
             },
         );
         assert!(fleet.cordon("dev-1"));

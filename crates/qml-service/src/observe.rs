@@ -272,20 +272,16 @@ impl MetricsRegistry {
 
     /// Feed one submit→dispatch wait observation (microseconds) into the
     /// tenant's and the placed backend's queue-wait histograms.
-    pub(crate) fn observe_wait(&self, tenant: &str, backend: Option<&str>, wait_us: u64) {
+    pub(crate) fn observe_wait(&self, tenant: &str, backend: &str, wait_us: u64) {
         self.tenant_wait.observe(tenant, wait_us);
-        if let Some(backend) = backend {
-            self.backend_wait.observe(backend, wait_us);
-        }
+        self.backend_wait.observe(backend, wait_us);
     }
 
     /// Feed one measured execution latency (microseconds) into the tenant's
     /// and the placed backend's execute histograms.
-    pub(crate) fn observe_exec(&self, tenant: &str, backend: Option<&str>, us: u64) {
+    pub(crate) fn observe_exec(&self, tenant: &str, backend: &str, us: u64) {
         self.tenant_exec.observe(tenant, us);
-        if let Some(backend) = backend {
-            self.backend_exec.observe(backend, us);
-        }
+        self.backend_exec.observe(backend, us);
     }
 
     /// Feed one submit→dispatch wait observation (microseconds) into the
@@ -333,9 +329,9 @@ mod tests {
     #[test]
     fn snapshot_round_trips_and_dumps() {
         let registry = MetricsRegistry::new(Arc::new(NoopTracer));
-        registry.observe_wait("alice", Some("qml-gate-simulator"), 150);
-        registry.observe_wait("alice", Some("qml-gate-simulator"), 900);
-        registry.observe_exec("alice", Some("qml-gate-simulator"), 4_200);
+        registry.observe_wait("alice", "qml-gate-simulator", 150);
+        registry.observe_wait("alice", "qml-gate-simulator", 900);
+        registry.observe_exec("alice", "qml-gate-simulator", 4_200);
         let snapshot = registry.snapshot(ServiceMetrics::default());
         assert_eq!(snapshot.version, SNAPSHOT_VERSION);
         assert_eq!(snapshot.latency.tenant_queue_wait["alice"].count, 2);

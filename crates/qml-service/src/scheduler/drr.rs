@@ -118,20 +118,23 @@ impl FairScheduler {
             // Blocked by deficit: keep it and move on; the next arrival
             // credits more. Fleet backpressure — no capable device on the
             // head's plane can take the job right now (every slot busy,
-            // every queue full) — defers it the same way, so the tenant
-            // loses no budget to a saturated or failing fleet.
-            let blocked = tenant.deficit < head_cost
-                || head.placement.as_ref().is_some_and(|placement| {
-                    !self.fleet.can_accept(
-                        placement.backend.name(),
-                        head.requirements.as_ref(),
-                        head.id.0,
-                    )
-                });
-            if blocked {
+            // every queue full, every device cordoned or excluded) — defers
+            // it the same way, so the tenant loses no budget to a saturated
+            // or failing fleet. The route is chosen before anything is
+            // spent; routing touches nothing the batch formation reads.
+            let plane = head.placement.backend.name();
+            let route = if tenant.deficit < head_cost
+                || !self.fleet.can_accept(plane, &head.requirements, head.id.0)
+            {
+                None
+            } else {
+                self.fleet
+                    .select(plane, &head.requirements, head.batch_key, head.id.0)
+            };
+            let Some(device) = route else {
                 self.advance();
                 continue;
-            }
+            };
             let batch = self.dispatch_batch(&name, head_cost, drain, now);
             let tenant = self.tenants.get_mut(&name).expect("rotation entry exists");
             if tenant.queue.is_empty() {
@@ -149,36 +152,19 @@ impl FairScheduler {
                 device: None,
                 class: head.class,
             };
-            let route = dispatch.placement.as_ref().and_then(|placement| {
-                self.fleet.select(
-                    placement.backend.name(),
-                    requirements.as_ref(),
-                    head.batch_key,
-                    head.id.0,
-                )
-            });
-            return match route {
-                Some(device) if self.fleet.has_free_slot(device) => {
-                    SchedPoll::Dispatch(self.route_to_device(device, dispatch))
-                }
-                Some(device) => {
-                    // Routed, but every slot on the chosen device is busy:
-                    // park the whole dispatch on its queue. A freed slot —
-                    // or an idle sibling stealing it — serves it ahead of
-                    // the rotation on a later poll.
-                    self.fleet.park(
-                        device,
-                        ParkedDispatch {
-                            dispatch,
-                            requirements,
-                        },
-                    );
-                    continue;
-                }
-                // Un-fleeted plane (or placement-less job): dispatch
-                // device-blind, the pre-fleet behavior.
-                None => SchedPoll::Dispatch(dispatch),
-            };
+            if self.fleet.has_free_slot(device) {
+                return SchedPoll::Dispatch(self.route_to_device(device, dispatch));
+            }
+            // Routed, but every slot on the chosen device is busy: park the
+            // whole dispatch on its queue. A freed slot — or an idle sibling
+            // stealing it — serves it ahead of the rotation on a later poll.
+            self.fleet.park(
+                device,
+                ParkedDispatch {
+                    dispatch,
+                    requirements,
+                },
+            );
         }
         if drain && self.queued() == 0 && self.in_flight.is_empty() {
             return SchedPoll::Shutdown;
@@ -223,8 +209,8 @@ impl FairScheduler {
         self.metrics.dispatched += 1;
         self.ledger_mut(job.class).dispatched += 1;
         let wait_us = wait.as_micros() as u64;
-        let plane = job.placement.as_ref().map(|p| p.backend.name());
-        self.obs.observe_wait(name, plane, wait_us);
+        self.obs
+            .observe_wait(name, job.placement.backend.name(), wait_us);
         self.obs.observe_class_wait(job.class.name(), wait_us);
         job.cost = cost;
         let id = job.id;
@@ -251,9 +237,7 @@ impl FairScheduler {
             }
         }
         if let Some(backend) = self.fleet.backend(device) {
-            if let Some(placement) = dispatch.placement.as_mut() {
-                placement.backend = backend;
-            }
+            dispatch.placement.backend = backend;
         }
         dispatch.device = self.fleet.device_id(device);
         dispatch
@@ -469,11 +453,11 @@ mod tests {
 
     #[test]
     fn zero_cost_jobs_still_spend_deficit_no_monopoly() {
-        // Regression: hint-less bundles (and failed placements) admit with a
-        // 0.0 cost estimate. Before the MIN_JOB_COST floor such jobs spent
-        // zero deficit, so the first-visited tenant's queue drained entirely
-        // in one parked visit — the exact monopoly DRR exists to prevent.
-        // With the floor, dispatch order interleaves strictly.
+        // Regression: hint-less bundles admit with a 0.0 cost estimate.
+        // Before the MIN_JOB_COST floor such jobs spent zero deficit, so
+        // the first-visited tenant's queue drained entirely in one parked
+        // visit — the exact monopoly DRR exists to prevent. With the floor,
+        // dispatch order interleaves strictly.
         let (mut sched, names) = sched_with(&[
             ("hintless", TenantPolicy::default()),
             ("normal", TenantPolicy::default()),
@@ -553,7 +537,7 @@ mod tests {
         // Now the refund is capped at one grant plus one head of the
         // measured quantum: the guessed job and two measured ones at most.
         for guess in [20.0, 200.0, 2000.0] {
-            let mut sched = FairScheduler::new(1, noop_registry());
+            let mut sched = FairScheduler::new(1, noop_registry(), unlimited_fleet());
             sched.mode = Mode::Running;
             let now = Instant::now();
             let a = sched.intern("a", &TenantPolicy::default(), now);
@@ -608,8 +592,7 @@ mod tests {
             })
             .collect();
         let base = Instant::now();
-        let mut sched = FairScheduler::new(4, noop_registry());
-        sched.set_fleet(FleetRouter::new(specs, 0));
+        let mut sched = FairScheduler::new(4, noop_registry(), FleetRouter::new(specs, 0));
         sched.mode = Mode::Running;
         let a = sched.intern("a", &TenantPolicy::default().with_max_in_flight(2), base);
         let b = sched.intern("b", &TenantPolicy::default().with_weight(2.0), base);
@@ -627,12 +610,12 @@ mod tests {
             estimated_cost: 0.0,
         };
         let job = |id: u64, cost: f64, key: u64| Job {
-            placement: Some(placement.clone()),
+            placement: placement.clone(),
             batch_key: Some(key),
-            requirements: Some(JobRequirements {
+            requirements: JobRequirements {
                 qubits: 4,
                 opt_level: 1,
-            }),
+            },
             ..Job::new(JobId(id), cost)
         };
         // Tenants a and c share plan 1; b runs plans 2 and 3, plus plan 4

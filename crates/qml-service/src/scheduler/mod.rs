@@ -26,11 +26,11 @@
 //! throughput-class job. Inside the latency class the order is earliest
 //! deadline first (EDF; deadline-free latency jobs rank behind any
 //! deadline, FIFO among themselves). Inside the throughput class jobs stay
-//! cost-ranked (longest first) — the same LPT heuristic the one-shot pool
-//! used, now applied per tenant so it can no longer leak across tenant
-//! boundaries. Classes reorder work *within* a tenant only; the DRR
-//! rotation, weights, deficits and rate limits across tenants are
-//! class-blind, so the fairness bands weights promise are untouched.
+//! cost-ranked (longest first), the classic LPT heuristic, applied per
+//! tenant so it cannot leak across tenant boundaries. Classes reorder work
+//! *within* a tenant only; the DRR rotation, weights, deficits and rate
+//! limits across tenants are class-blind, so the fairness bands weights
+//! promise are untouched.
 //!
 //! **Measured-cost fairness.** Deficit used to be spent purely in
 //! placement-estimate units fixed at admission — so a tenant whose jobs were
@@ -170,23 +170,23 @@ pub(crate) struct Job {
     /// queue, the in-flight table and any failover; a dispatch shares it (a
     /// reference-count bump), and a terminal settlement hands it back.
     pub bundle: SealedBundle,
-    /// Admitted: the static placement estimate (placement failures estimate
-    /// 0.0; such jobs still dispatch and fail at execution). Queued: the
-    /// priced admission cost (see [`FairScheduler::admit_job`]). In flight:
-    /// the cost charged against the tenant's deficit at dispatch.
+    /// Admitted: the static placement estimate. Queued: the priced
+    /// admission cost (see [`FairScheduler::admit_job`]). In flight: the
+    /// cost charged against the tenant's deficit at dispatch.
     pub cost: f64,
-    /// The **plane-level** placement computed at admission, handed to the
-    /// worker so the bundle is not placed a second time, and kept through a
-    /// device swap so a faulted job re-admits as if fresh.
-    pub placement: Option<Placement>,
+    /// The **plane-level** placement computed once, at admission: its plane
+    /// is what the fleet routes within, its backend is swapped for the
+    /// routed device's own instance on the dispatch, and the record keeps
+    /// the plane-level original so a faulted job re-admits as if fresh.
+    pub placement: Placement,
     /// Device-level batching key ([`qml_backends::Backend::batch_key`] folded
     /// with the backend identity): queued jobs of one tenant sharing a key
     /// may be coalesced into a single dispatch, and the key indexes the cost
     /// model. `None` never coalesces.
     pub batch_key: Option<u64>,
     /// What the job demands of a fleet device (register width, opt level),
-    /// derived once at submission. `None` routes capability-blind.
-    pub requirements: Option<JobRequirements>,
+    /// derived once at submission.
+    pub requirements: JobRequirements,
     /// The job's service class; orders the queue ahead of any cost rank.
     pub class: ServiceClass,
     /// Absolute completion deadline (submission + the class's relative
@@ -214,7 +214,7 @@ struct InFlight {
     tenant: Arc<str>,
     job: Job,
     /// The fleet device the dispatch was routed to (`None` while parked on
-    /// a device queue, and for device-blind dispatches).
+    /// a device queue).
     device: Option<usize>,
 }
 
@@ -284,9 +284,8 @@ pub(crate) struct FairScheduler {
     /// the per-tenant / per-backend queue-wait histograms.
     obs: Arc<MetricsRegistry>,
     /// Device-level router: which fleet device within a placement's plane
-    /// runs each dispatch, plus per-device health / queues / gauges. An
-    /// [`empty`](FleetRouter::empty) fleet leaves every plane un-fleeted
-    /// (dispatches are device-blind, exactly the pre-fleet behavior).
+    /// runs each dispatch, plus per-device health / queues / gauges. Every
+    /// dispatch is routed to one of its devices.
     fleet: FleetRouter,
     /// Per-class dispatch/outcome counters (latency, throughput).
     latency_ledger: ClassLedger,
@@ -295,7 +294,8 @@ pub(crate) struct FairScheduler {
 }
 
 impl FairScheduler {
-    pub(crate) fn new(max_batch: usize, obs: Arc<MetricsRegistry>) -> Self {
+    /// A stopped scheduler routing over `fleet`.
+    pub(crate) fn new(max_batch: usize, obs: Arc<MetricsRegistry>, fleet: FleetRouter) -> Self {
         FairScheduler {
             mode: Mode::Stopped,
             max_batch: max_batch.max(1),
@@ -309,16 +309,11 @@ impl FairScheduler {
             queued_latency: 0,
             cached_quantum: Some(1.0),
             obs,
-            fleet: FleetRouter::empty(),
+            fleet,
             latency_ledger: ClassLedger::default(),
             throughput_ledger: ClassLedger::default(),
             metrics: SchedulerMetrics::default(),
         }
-    }
-
-    /// Install the device fleet (built by the service from its config).
-    pub(crate) fn set_fleet(&mut self, fleet: FleetRouter) {
-        self.fleet = fleet;
     }
 
     /// Per-device gauges for metrics merges.
@@ -328,9 +323,8 @@ impl FairScheduler {
 
     /// Admission feasibility: true when some fleet device on `plane`
     /// (healthy or not) could ever serve a job with these requirements.
-    /// Un-fleeted planes accept everything.
     pub(crate) fn feasible(&self, plane: &str, req: &JobRequirements) -> bool {
-        self.fleet.capable_exists(plane, Some(req))
+        self.fleet.capable_exists(plane, req)
     }
 
     /// Intern a tenant name, creating its queue (under `policy`, its token
@@ -428,14 +422,12 @@ impl FairScheduler {
             self.fleet
                 .observe(device, job.batch_key, seconds, ok, fault);
             let can_retry = fault
-                && job.placement.as_ref().is_some_and(|placement| {
-                    self.fleet.retry_candidate_exists(
-                        placement.backend.name(),
-                        job.requirements.as_ref(),
-                        id.0,
-                        device,
-                    )
-                });
+                && self.fleet.retry_candidate_exists(
+                    job.placement.backend.name(),
+                    &job.requirements,
+                    id.0,
+                    device,
+                );
             if can_retry {
                 self.fleet.exclude(id.0, device);
                 self.fleet.note_requeued(device);
@@ -600,10 +592,31 @@ pub(crate) mod testing {
             .clone()
     }
 
-    /// A running scheduler (micro-batching at 8) with one tenant per entry,
-    /// interned at `Instant::now()`.
+    /// The placement every test job carries: the gate plane.
+    pub(crate) fn placement() -> Placement {
+        Placement {
+            backend: Arc::new(qml_backends::GateBackend::new()),
+            engine: "gate.aer_simulator".into(),
+            estimated_cost: 0.0,
+        }
+    }
+
+    /// A fleet of one unlimited device on the gate plane: it takes every
+    /// test job at once, so routing never holds a dispatch back.
+    pub(crate) fn unlimited_fleet() -> FleetRouter {
+        let device = crate::fleet::DeviceSpec::new(
+            "gate#0",
+            placement().backend,
+            qml_types::CapabilityDescriptor::unlimited(),
+        );
+        FleetRouter::new(vec![device], 0)
+    }
+
+    /// A running scheduler (micro-batching at 8) over the
+    /// [`unlimited_fleet`] with one tenant per entry, interned at
+    /// `Instant::now()`.
     pub(crate) fn sched_with(policies: &[(&str, TenantPolicy)]) -> (FairScheduler, Vec<Arc<str>>) {
-        let mut sched = FairScheduler::new(8, noop_registry());
+        let mut sched = FairScheduler::new(8, noop_registry(), unlimited_fleet());
         sched.mode = Mode::Running;
         let now = Instant::now();
         let names = policies
@@ -620,9 +633,12 @@ pub(crate) mod testing {
                 id,
                 bundle: sealed_bundle(),
                 cost,
-                placement: None,
+                placement: placement(),
                 batch_key: None,
-                requirements: None,
+                requirements: JobRequirements {
+                    qubits: 2,
+                    opt_level: 1,
+                },
                 class: ServiceClass::Throughput,
                 deadline: None,
                 retry: false,

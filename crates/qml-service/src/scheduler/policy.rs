@@ -249,7 +249,7 @@ mod tests {
         // scheduler names that instant, rounded up so it is never early, and
         // a poll there dispatches.
         let t = Instant::now();
-        let mut sched = FairScheduler::new(8, noop_registry());
+        let mut sched = FairScheduler::new(8, noop_registry(), unlimited_fleet());
         sched.mode = Mode::Running;
         for (first, name, rate) in [(0, "fast", 200.0), (10, "slow", 50.0)] {
             let limit = RateLimit::per_second(rate).with_burst(1.0);
@@ -301,7 +301,7 @@ mod tests {
         // exactly as documented for burst-only.
         for rate in [-5.0, f64::NAN] {
             let base = Instant::now();
-            let mut sched = FairScheduler::new(8, noop_registry());
+            let mut sched = FairScheduler::new(8, noop_registry(), unlimited_fleet());
             sched.mode = Mode::Running;
             let policy = TenantPolicy::default().with_rate_limit(RateLimit {
                 jobs_per_second: rate,
@@ -331,7 +331,7 @@ mod tests {
         // time: one job at t = 0, then one per 200 ms — 51 dispatches, the
         // same count on every run, and no sleeping.
         let base = Instant::now();
-        let mut sched = FairScheduler::new(8, noop_registry());
+        let mut sched = FairScheduler::new(8, noop_registry(), unlimited_fleet());
         sched.mode = Mode::Running;
         let policy =
             TenantPolicy::default().with_rate_limit(RateLimit::per_second(5.0).with_burst(1.0));

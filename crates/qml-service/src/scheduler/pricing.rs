@@ -9,8 +9,7 @@ use super::{FairScheduler, Job};
 use crate::cost_model::{CostModel, CHARGE_BACK_CLAMP, COST_UNITS_PER_SECOND};
 
 /// Floor applied to every admitted job's cost estimate. A job whose
-/// placement failed (or whose descriptors carry no cost hints) estimates
-/// 0.0 — and a zero-cost job spends **zero deficit**, so one tenant's
+/// descriptors carry no cost hints estimates 0.0 — and a zero-cost job spends **zero deficit**, so one tenant's
 /// hint-less queue would drain entirely in a single parked visit, the exact
 /// monopoly DRR exists to prevent. Flooring at the quantum's own base unit
 /// (1.0, see [`FairScheduler::quantum`]) makes a hint-less job cost exactly
@@ -41,8 +40,8 @@ impl FairScheduler {
     /// 3. the static **placement estimate** (`job.cost`).
     ///
     /// Whatever wins is floored at [`MIN_JOB_COST`] so zero-cost estimates
-    /// (failed placements, hint-less descriptors) still spend DRR deficit —
-    /// a zero-cost queue must not drain in a single parked visit.
+    /// (hint-less descriptors) still spend DRR deficit — a zero-cost queue
+    /// must not drain in a single parked visit.
     pub(super) fn admission_cost(&mut self, job: &Job, hint_seconds: Option<f64>) -> f64 {
         let model = &mut self.cost_model;
         let seconds = job.batch_key.and_then(|key| {
@@ -174,7 +173,7 @@ mod tests {
     }
 
     fn mis_estimated_sched() -> FairScheduler {
-        let mut sched = FairScheduler::new(1, noop_registry());
+        let mut sched = FairScheduler::new(1, noop_registry(), unlimited_fleet());
         sched.mode = Mode::Running;
         let now = Instant::now();
         let names: Vec<Arc<str>> = ["under", "exact"]

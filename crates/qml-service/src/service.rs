@@ -57,9 +57,9 @@ pub struct ServiceConfig {
     /// exceeded the oldest undrained events are overwritten and counted in
     /// [`TraceStats::dropped`]. Default [`DEFAULT_TRACE_CAPACITY`].
     pub trace_capacity: usize,
-    /// Explicit fleet devices. A backend plane with no entry here gets one
-    /// implicit unlimited device (`"<backend-name>#0"`), so the fleet layer
-    /// is always live but single-device planes behave exactly as before.
+    /// Explicit fleet devices. A registered backend plane with no entry
+    /// here gets one implicit unlimited device (`"<backend-name>#0"`), so
+    /// every plane a job can be placed on has a device to route to.
     pub devices: Vec<DeviceSpec>,
     /// Route one recovery probe job to a down device every this many
     /// settled outcomes. `0` (the default) disables probing: a down device
@@ -229,7 +229,7 @@ impl ServiceInner {
             state.retired.push(bundle);
             let measured_us = outcome.duration.as_micros() as u64;
             self.obs
-                .observe_exec(&tenant, outcome.backend.as_deref(), measured_us);
+                .observe_exec(&tenant, &outcome.backend, measured_us);
             if self.obs.tracing_enabled() {
                 let ok = outcome.result.is_ok();
                 for stage in [Stage::Executed { measured_us }, Stage::Outcome { ok }] {
@@ -447,11 +447,9 @@ impl QmlService {
         // from workers lands in the same event stream (same clock epoch) as
         // the service's submit/dispatch/outcome stages.
         runtime.set_tracer(Arc::clone(obs.tracer()));
-        let mut sched = FairScheduler::new(config.max_batch, Arc::clone(&obs));
         // Every registered backend plane fronts a fleet: explicitly
         // configured devices where given, otherwise one implicit unlimited
-        // device per plane — the fleet code path is always exercised, and a
-        // single-device plane behaves exactly like the pre-fleet service.
+        // device per plane, so every dispatch is routed to a device.
         let mut specs = config.devices.clone();
         for backend in runtime.scheduler().registry().backends() {
             if specs.iter().all(|s| s.backend.name() != backend.name()) {
@@ -462,9 +460,9 @@ impl QmlService {
                 ));
             }
         }
-        sched.set_fleet(FleetRouter::new(specs, config.probe_interval));
+        let fleet = FleetRouter::new(specs, config.probe_interval);
         let state = ServiceState {
-            sched,
+            sched: FairScheduler::new(config.max_batch, Arc::clone(&obs), fleet),
             next_batch: 0,
             next_job: 0,
             batches: BTreeMap::new(),
@@ -485,16 +483,20 @@ impl QmlService {
 
     /// Submit one bundle for a tenant. Returns the batch (of size one) and
     /// the job id. Accepted while a streaming pool is running: the job is
-    /// picked up by the fair scheduler without any drain/restart.
+    /// picked up by the fair scheduler without any drain/restart. A bundle
+    /// that fails validation, that no registered backend can take, or that
+    /// no device of its backend's fleet could ever serve is rejected here,
+    /// before it is given an id.
     pub fn submit(&self, tenant: &str, bundle: JobBundle) -> Result<(BatchId, JobId)> {
         let (batch, first) = self.submit_jobs(tenant, vec![SealedBundle::seal(bundle)?])?;
         Ok((batch, first.expect("a batch of one has a job")))
     }
 
     /// Expand and submit a parameter sweep for a tenant. The whole sweep is
-    /// validated before any job is queued: a malformed sweep is rejected
-    /// atomically. Like [`QmlService::submit`], sweeps are accepted while
-    /// the service is running.
+    /// validated and placed before any job is queued: a malformed sweep, or
+    /// one with a member [`QmlService::submit`] would reject, is rejected
+    /// atomically. Like `submit`, sweeps are accepted while the service is
+    /// running.
     pub fn submit_sweep(&self, tenant: &str, sweep: SweepRequest) -> Result<BatchId> {
         let jobs = sweep.expand_sealed()?;
         Ok(self.submit_jobs(tenant, jobs)?.0)
@@ -509,22 +511,20 @@ impl QmlService {
         tenant: &str,
         bundles: Vec<SealedBundle>,
     ) -> Result<(BatchId, Option<JobId>)> {
-        // Place each job once, before taking any lock: the fair scheduler
-        // spends DRR deficit in estimated-cost units, and the placement is
-        // carried to the worker so the bundle is never placed twice. The
-        // placed backend also stamps its device-level batch key (plan
+        // Place each job once, before taking any lock: an unplaceable job
+        // rejects the whole batch before any id is assigned. The fair
+        // scheduler spends DRR deficit in estimated-cost units, and the
+        // placement rides every dispatch to the worker, which never places.
+        // The placed backend also stamps its device-level batch key (plan
         // identity folded with the backend name) so the scheduler can
         // coalesce plan-compatible jobs into micro-batches.
         let mut prepared = Vec::with_capacity(bundles.len());
         for bundle in bundles {
-            let placement = self.inner.runtime.scheduler().place(&bundle).ok();
-            let cost = placement.as_ref().map(|p| p.estimated_cost).unwrap_or(0.0);
-            let batch_key = placement.as_ref().and_then(|p| {
+            let placement = self.inner.runtime.scheduler().place(&bundle)?;
+            let batch_key = placement.backend.batch_key(&bundle).map(|key| {
                 use qml_types::bundle::{fnv1a64_init, fnv1a64_update};
-                let key = p.backend.batch_key(&bundle)?;
-                let mut hash = fnv1a64_update(fnv1a64_init(), p.backend.name().as_bytes());
-                hash = fnv1a64_update(hash, &key.to_le_bytes());
-                Some(hash)
+                let hash = fnv1a64_update(fnv1a64_init(), placement.backend.name().as_bytes());
+                fnv1a64_update(hash, &key.to_le_bytes())
             });
             // An explicit `duration_us` cost hint is the submitter's own
             // wall-clock claim: it seeds the measured-cost model (and prices
@@ -540,10 +540,10 @@ impl QmlService {
                 id: JobId(0),
                 class: bundle.service_class(),
                 bundle,
-                cost,
+                cost: placement.estimated_cost,
                 placement,
                 batch_key,
-                requirements: Some(requirements),
+                requirements,
                 deadline: None,
                 retry: false,
             };
@@ -561,16 +561,13 @@ impl QmlService {
             // level) rejects the whole batch atomically, instead of queueing
             // work that can only bounce until it fails.
             for (job, _) in &prepared {
-                if let (Some(placement), Some(requirements)) = (&job.placement, &job.requirements) {
-                    if !state.sched.feasible(placement.backend.name(), requirements) {
-                        return Err(QmlError::Validation(format!(
-                            "no device in the '{}' fleet can serve this job \
-                             (width {}, optimization level {})",
-                            placement.backend.name(),
-                            requirements.qubits,
-                            requirements.opt_level
-                        )));
-                    }
+                let plane = job.placement.backend.name();
+                if !state.sched.feasible(plane, &job.requirements) {
+                    return Err(QmlError::Validation(format!(
+                        "no device in the '{plane}' fleet can serve this job \
+                         (width {}, optimization level {})",
+                        job.requirements.qubits, job.requirements.opt_level
+                    )));
                 }
             }
             let tenant = state
@@ -740,8 +737,8 @@ impl QmlService {
         self.inner.obs.tracer().stats()
     }
 
-    /// The fleet device that produced a job's **terminal** outcome, if the
-    /// job was device-routed. Requeued attempts are not recorded: by the
+    /// The fleet device that produced a job's **terminal** outcome (`None`
+    /// until the job settles). Requeued attempts are not recorded: by the
     /// time this returns a device, the result is final.
     pub fn device_of(&self, id: JobId) -> Option<Arc<str>> {
         self.inner.state.lock().jobs.get(&id)?.device.clone()
@@ -775,7 +772,9 @@ impl QmlService {
 /// hints folded with [`CostHint::saturating_add`], whose duration survives
 /// only when **every** operator carries one — the aggregate never
 /// over-claims precision, so a lone hinted operator among unhinted ones
-/// cannot price (and seed the cost model for) the whole bundle.
+/// cannot price (and seed the cost model for) the whole bundle. Each
+/// operator's duration is finite and non-negative (the seal checks it), but
+/// a sum of them can still overflow to infinity: such a claim is no claim.
 ///
 /// [`CostHint::saturating_add`]: qml_types::CostHint::saturating_add
 fn hint_seconds(bundle: &JobBundle) -> Option<f64> {
@@ -784,7 +783,10 @@ fn hint_seconds(bundle: &JobBundle) -> Option<f64> {
         .iter()
         .map(|op| op.cost_hint.unwrap_or_default())
         .reduce(|a, b| a.saturating_add(&b))?;
-    total.duration_us.map(|us| us / 1e6)
+    total
+        .duration_us
+        .filter(|us| us.is_finite())
+        .map(|us| us / 1e6)
 }
 
 /// Control handle for a running streaming pool (returned by
@@ -944,6 +946,61 @@ mod tests {
         assert!(service.submit_sweep("alice", sweep).is_err());
         assert_eq!(service.metrics().jobs_submitted, 0);
         assert_eq!(service.metrics().queue_depth, 0);
+    }
+
+    #[test]
+    fn unplaceable_bundles_are_rejected_before_admission() {
+        // No backend serves the engine: `submit` rejects the bundle, and a
+        // sweep with one such member is rejected whole, before any id is
+        // assigned — nothing is counted as submitted or queued.
+        let service = QmlService::with_config(ServiceConfig::with_workers(1));
+        let pulse = ContextDescriptor::for_gate(ExecConfig::new("pulse.qblox_cluster"));
+        let err = service
+            .submit("alice", gate_program().with_context(pulse.clone()))
+            .unwrap_err();
+        assert!(matches!(err, QmlError::Unsupported(_)), "{err}");
+        let sweep = SweepRequest::new("mixed", gate_program())
+            .with_context(gate_context(1))
+            .with_context(pulse);
+        assert!(service.submit_sweep("alice", sweep).is_err());
+        let metrics = service.metrics();
+        assert_eq!(metrics.jobs_submitted, 0);
+        assert_eq!(metrics.queue_depth, 0);
+        assert!(metrics.per_tenant.is_empty(), "no tenant was admitted");
+
+        // The next admitted job is the service's first.
+        let (batch, job) = service
+            .submit("alice", gate_program().with_context(gate_context(2)))
+            .unwrap();
+        assert_eq!((batch, job), (BatchId(0), JobId(0)));
+        assert_eq!(service.run_pending().completed, 1);
+    }
+
+    #[test]
+    fn an_overflowing_duration_hint_admits_at_a_finite_cost() {
+        // Every operator claims 1e308 µs, each finite; their sum is +inf.
+        // Priced at +inf, the job would make the DRR quantum infinite while
+        // it heads a queue, and the deficits NaN.
+        use qml_types::CostHint;
+
+        let service = QmlService::with_config(ServiceConfig::with_workers(1).with_tracing(true));
+        let mut bundle = gate_program().with_context(gate_context(1));
+        assert!(bundle.operators.len() >= 2);
+        for op in &mut bundle.operators {
+            op.cost_hint = Some(CostHint::unknown().with_duration_us(1e308));
+        }
+        let (_, job) = service.submit("alice", bundle).unwrap();
+        let admitted: Vec<f64> = service
+            .trace_events()
+            .into_iter()
+            .filter_map(|event| match event.stage {
+                Stage::Admitted { cost } if event.job == job.0 => Some(cost),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(admitted.len(), 1);
+        assert!(admitted[0].is_finite(), "admitted at {}", admitted[0]);
+        assert_eq!(service.run_pending().completed, 1);
     }
 
     #[test]

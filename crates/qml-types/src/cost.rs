@@ -134,7 +134,7 @@ pub struct MeasuredCost {
     /// Grouping key of the realization plan the job executed under — the
     /// same device-level batch key used for micro-batching — so repeated
     /// submissions of one plan share a cost model entry. `None` when the
-    /// job had no plan identity (failed placement, non-batching backend).
+    /// job had no plan identity (a non-batching backend).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub plan_key: Option<u64>,
     /// The cost charged at dispatch, in abstract scheduler cost units.

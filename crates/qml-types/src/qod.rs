@@ -240,6 +240,15 @@ impl OperatorDescriptor {
                 self.name, self.schema
             )));
         }
+        if let Some(us) = self.cost_hint.and_then(|hint| hint.duration_us) {
+            if !us.is_finite() || us < 0.0 {
+                return Err(QmlError::Validation(format!(
+                    "operator `{}` claims a cost_hint duration_us of {us}; \
+                     a duration is a finite, non-negative number of microseconds",
+                    self.name
+                )));
+            }
+        }
         if self.rep_kind.is_measurement() && self.result_schema.is_none() {
             return Err(QmlError::Validation(format!(
                 "measurement operator `{}` must attach an explicit result_schema \
@@ -437,6 +446,26 @@ mod tests {
     fn empty_rep_kind_rejected() {
         let parsed: std::result::Result<RepKind, _> = serde_json::from_str("\"\"");
         assert!(parsed.is_err());
+    }
+
+    #[test]
+    fn a_duration_hint_must_be_finite_and_non_negative() {
+        let build = |us: f64| {
+            OperatorDescriptor::builder("QFT", RepKind::QftTemplate, "reg_phase")
+                .cost_hint(CostHint::unknown().with_duration_us(us))
+                .build()
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let err = build(bad).unwrap_err();
+            assert!(err.to_string().contains("duration_us"), "{err}");
+        }
+        for good in [0.0, 250.0, 1e308] {
+            assert!(build(good).is_ok(), "{good}");
+        }
+        // A descriptor that skipped the builder is caught by `validate`.
+        let mut qod = build(1.0).unwrap();
+        qod.cost_hint = Some(CostHint::unknown().with_duration_us(-5.0));
+        assert!(qod.validate().is_err());
     }
 
     #[test]

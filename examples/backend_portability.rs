@@ -41,11 +41,8 @@ fn main() -> Result<()> {
     let runtime = Runtime::with_default_backends();
     let gate_id = runtime.submit(qaoa.with_context(gate_ctx))?;
     let anneal_id = runtime.submit(ising.with_context(anneal_ctx))?;
-    let outcomes = runtime.run_all(2);
-    assert!(outcomes.iter().all(|(_, o)| o.is_ok()));
-
-    let gate = runtime.result(gate_id).unwrap();
-    let anneal = runtime.result(anneal_id).unwrap();
+    let gate = runtime.run_job(gate_id)?;
+    let anneal = runtime.run_job(anneal_id)?;
 
     println!(
         "\n{:<28} {:>18} {:>22}",

@@ -27,9 +27,8 @@ fn main() -> Result<()> {
     let runtime = Runtime::with_default_backends();
     let plain_id = runtime.submit(bundle.clone().with_context(base_ctx.clone()))?;
     let qec_id = runtime.submit(bundle.with_context(base_ctx.with_qec(QecConfig::surface(7))))?;
-    runtime.run_all(2);
-    let plain = runtime.result(plain_id).unwrap();
-    let protected = runtime.result(qec_id).unwrap();
+    let plain = runtime.run_job(plain_id)?;
+    let protected = runtime.run_job(qec_id)?;
 
     println!("semantics are untouched by the QEC context:");
     println!(

@@ -30,6 +30,13 @@ use qml_core::service::{
 
 const PLANE: &str = "qml-gate-simulator";
 
+/// A 4-qubit job at the default optimization level: every unlimited device
+/// serves it.
+const JOB: JobRequirements = JobRequirements {
+    qubits: 4,
+    opt_level: 1,
+};
+
 fn unlimited_fleet(n: usize) -> FleetRouter {
     let specs = (0..n)
         .map(|i| {
@@ -68,7 +75,7 @@ proptest! {
         let mut fleet = FleetRouter::new(specs, 0);
         for (job, &qubits) in jobs.iter().enumerate() {
             let req = JobRequirements { qubits, opt_level: 1 };
-            match fleet.select(PLANE, Some(&req), Some(7), job as u64) {
+            match fleet.select(PLANE, &req, Some(7), job as u64) {
                 Some(pick) => prop_assert!(
                     qubits <= widths[pick],
                     "job of width {qubits} routed to device of width {}",
@@ -96,7 +103,7 @@ proptest! {
         for (i, &seconds) in costs.iter().enumerate() {
             fleet.observe(i, Some(key), seconds, true, false);
         }
-        let pick = fleet.select(PLANE, None, Some(key), job).unwrap();
+        let pick = fleet.select(PLANE, &JOB, Some(key), job).unwrap();
         let cheapest = costs.iter().copied().fold(f64::INFINITY, f64::min);
         prop_assert!(
             costs[pick] <= cheapest * (1.0 + COST_TIE_BAND) + 1e-12,
@@ -117,7 +124,7 @@ proptest! {
         let mut fleet = unlimited_fleet(n);
         let mut excluded = BTreeSet::new();
         loop {
-            match fleet.select(PLANE, None, None, job) {
+            match fleet.select(PLANE, &JOB, None, job) {
                 Some(pick) => {
                     prop_assert!(
                         !excluded.contains(&pick),
@@ -143,28 +150,18 @@ fn cordoned_devices_accept_no_new_routes_until_uncordoned() {
     assert!(fleet.cordon("dev-1"));
     assert!(!fleet.cordon("dev-9"), "unknown ids are rejected");
     let picked: BTreeSet<usize> = (0..9)
-        .filter_map(|job| {
-            fleet.select(
-                PLANE,
-                Some(&JobRequirements {
-                    qubits: 4,
-                    opt_level: 1,
-                }),
-                None,
-                job,
-            )
-        })
+        .filter_map(|job| fleet.select(PLANE, &JOB, None, job))
         .collect();
     assert_eq!(picked, BTreeSet::from([0, 2]), "dev-1 is out of rotation");
     // A cordon is administrative, not a capability change: admission-time
     // feasibility still sees the device, so queued jobs wait out the
     // maintenance window instead of failing.
-    assert!(fleet.capable_exists(PLANE, None));
+    assert!(fleet.capable_exists(PLANE, &JOB));
     assert!(fleet.snapshot()["dev-1"].cordoned);
     assert!(fleet.uncordon("dev-1"));
     assert!(!fleet.snapshot()["dev-1"].cordoned);
     let rejoined: BTreeSet<usize> = (100..109)
-        .filter_map(|job| fleet.select(PLANE, None, None, job))
+        .filter_map(|job| fleet.select(PLANE, &JOB, None, job))
         .collect();
     assert_eq!(rejoined, BTreeSet::from([0, 1, 2]), "dev-1 rejoined");
 }
@@ -221,7 +218,7 @@ proptest! {
             prop_assert!(fleet.is_cordoned(i));
         }
         for &job in &jobs {
-            match fleet.select(PLANE, None, None, job) {
+            match fleet.select(PLANE, &JOB, None, job) {
                 Some(pick) => prop_assert!(
                     !cordoned.contains(&pick),
                     "job {job} routed to cordoned device {pick}"
@@ -237,7 +234,7 @@ proptest! {
             prop_assert!(fleet.uncordon(&id));
         }
         for &job in &jobs {
-            prop_assert!(fleet.select(PLANE, None, None, job).is_some());
+            prop_assert!(fleet.select(PLANE, &JOB, None, job).is_some());
         }
     }
 }

@@ -52,11 +52,8 @@ fn both_backends_return_the_optimal_cuts() {
                 .with_context(anneal_context()),
         )
         .unwrap();
-    let outcomes = runtime.run_all(2);
-    assert!(outcomes.iter().all(|(_, o)| o.is_ok()));
-
-    let gate = runtime.result(gate_id).unwrap();
-    let anneal = runtime.result(anneal_id).unwrap();
+    let gate = runtime.run_job(gate_id).unwrap();
+    let anneal = runtime.run_job(anneal_id).unwrap();
 
     for result in [&gate, &anneal] {
         assert!(

@@ -4,6 +4,7 @@
 use qml_core::graph::cycle;
 use qml_core::prelude::*;
 use qml_core::runtime::{estimate_communication, JobStatus};
+use qml_core::service::{QmlService, ServiceConfig};
 
 fn gate_ctx(samples: u64) -> ContextDescriptor {
     ContextDescriptor::for_gate(
@@ -38,13 +39,12 @@ fn explicit_engines_route_to_the_right_backends() {
                 .with_context(anneal_ctx(128)),
         )
         .unwrap();
-    runtime.run_all(2);
     assert_eq!(
-        runtime.result(gate_id).unwrap().backend,
+        runtime.run_job(gate_id).unwrap().backend,
         "qml-gate-simulator"
     );
     assert_eq!(
-        runtime.result(anneal_id).unwrap().backend,
+        runtime.run_job(anneal_id).unwrap().backend,
         "qml-simulated-annealer"
     );
 }
@@ -79,35 +79,25 @@ fn unknown_engines_are_rejected_with_a_clear_error() {
 }
 
 #[test]
-fn parallel_run_all_completes_a_mixed_batch() {
+fn parallel_drain_completes_a_mixed_batch() {
     let graph = cycle(4);
-    let runtime = Runtime::with_default_backends();
+    let service = QmlService::with_config(ServiceConfig::with_workers(4));
     let mut ids = Vec::new();
     for _ in 0..3 {
-        ids.push(
-            runtime
-                .submit(
-                    qaoa_maxcut_program(&graph, &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))
-                        .unwrap()
-                        .with_context(gate_ctx(64)),
-                )
-                .unwrap(),
-        );
-        ids.push(
-            runtime
-                .submit(
-                    maxcut_ising_program(&graph)
-                        .unwrap()
-                        .with_context(anneal_ctx(64)),
-                )
-                .unwrap(),
-        );
+        let qaoa = qaoa_maxcut_program(&graph, &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))
+            .unwrap()
+            .with_context(gate_ctx(64));
+        ids.push(service.submit("e6", qaoa).unwrap().1);
+        let ising = maxcut_ising_program(&graph)
+            .unwrap()
+            .with_context(anneal_ctx(64));
+        ids.push(service.submit("e6", ising).unwrap().1);
     }
-    let outcomes = runtime.run_all(4);
-    assert_eq!(outcomes.len(), 6);
+    let summary = service.run_pending();
+    assert_eq!(summary.completed, 6);
     for id in ids {
-        assert_eq!(runtime.status(id), Some(JobStatus::Completed));
-        assert!(runtime.result(id).is_some());
+        assert_eq!(service.status(id), Some(JobStatus::Completed));
+        assert!(service.result(id).is_some());
     }
 }
 
@@ -131,7 +121,8 @@ fn mismatched_engine_and_intent_fails_cleanly() {
                 .with_context(anneal_ctx(32)),
         )
         .unwrap();
-    runtime.run_all(2);
+    assert!(runtime.run_job(bad).is_err());
+    runtime.run_job(good).unwrap();
     assert!(matches!(runtime.status(bad), Some(JobStatus::Failed(_))));
     assert_eq!(runtime.status(good), Some(JobStatus::Completed));
 }
