@@ -6,26 +6,24 @@
 //! simulators of different register widths, annealers with different
 //! schedule support — and devices fail. [`FleetRouter`] owns that layer:
 //!
-//! * each device carries a [`CapabilityDescriptor`], a bounded concurrency,
-//!   its own parked-work queue, and a per-device [`CostModel`] (EWMA of
-//!   measured busy-seconds per plan key);
+//! * each device carries a [`CapabilityDescriptor`], a bounded concurrency
+//!   and a per-device [`CostModel`] (EWMA of measured busy-seconds per plan
+//!   key);
 //! * [`select`](FleetRouter::select) routes a job to the **cheapest capable
-//!   healthy device**: devices with no cost history for the plan are
-//!   explored first (capability-feasible round robin, which seeds their
-//!   history); once every candidate has a prediction, any device within
-//!   [`COST_TIE_BAND`] of the cheapest is eligible and the least-loaded one
-//!   wins;
+//!   healthy device with a free slot**: devices with no cost history for the
+//!   plan are explored first (capability-feasible round robin, which seeds
+//!   their history); once every candidate has a prediction, any device
+//!   within [`COST_TIE_BAND`] of the cheapest is eligible and the
+//!   least-loaded one wins. A device never queues work: when no candidate
+//!   has a free slot, `select` returns `None` and the job waits at the head
+//!   of its tenant's queue until a slot frees;
 //! * observed [`DeviceFault`](qml_types::QmlError::DeviceFault) outcomes walk
 //!   a device down the [`HealthState`] ladder (healthy → degraded →
 //!   down at [`DOWN_THRESHOLD`] consecutive faults); any success — including a
 //!   recovery probe, routed to a down device once per `probe_interval`
 //!   settled outcomes — restores it to healthy;
-//! * when a device goes down its parked queue is evacuated to live capable
-//!   siblings, and idle devices steal compatible parked work across the
-//!   fleet (`FleetRouter::pop_parked`);
 //! * operators can [`cordon`](FleetRouter::cordon) a device for maintenance:
-//!   it accepts no new routes, in-flight work finishes normally, parked work
-//!   is evacuated to (or stolen by) capable siblings, and
+//!   it accepts no new routes, in-flight work finishes normally, and
 //!   [`uncordon`](FleetRouter::uncordon) restores routing exactly as it was.
 //!   A cordon is administrative, orthogonal to health: it never moves the
 //!   health ladder, and feasibility checks ignore it (jobs for an
@@ -40,14 +38,13 @@
 //! deterministic given the outcome sequence, which is what makes the fleet
 //! invariants property-testable.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use qml_backends::Backend;
-use qml_runtime::JobDispatch;
 use qml_types::{CapabilityDescriptor, HealthState, JobRequirements};
 
 use crate::cost_model::CostModel;
@@ -73,9 +70,9 @@ pub struct DeviceSpec {
     pub backend: Arc<dyn Backend>,
     /// What the device can realize.
     pub caps: CapabilityDescriptor,
-    /// Concurrent member-job slots. Jobs routed to a device with no free
-    /// slot park on its queue (up to the same headroom) until a slot frees
-    /// or a sibling steals them.
+    /// Concurrent member-job slots, the device's hardware bound. A device
+    /// with no free slot is not routed to: the job waits in its tenant's
+    /// queue until a slot frees.
     pub concurrency: usize,
 }
 
@@ -113,15 +110,6 @@ impl fmt::Debug for DeviceSpec {
     }
 }
 
-/// A whole micro-batch parked on a device's queue: the dispatch as the
-/// scheduler assembled it (plane-level placement, device not yet stamped)
-/// plus what re-routing it needs.
-#[derive(Debug, Clone)]
-pub(crate) struct ParkedDispatch {
-    pub dispatch: JobDispatch,
-    pub requirements: JobRequirements,
-}
-
 /// Serializable per-device gauges, surfaced through
 /// [`ServiceMetrics::per_device`](crate::ServiceMetrics) and the
 /// observability dump. Device gauges fold up to the per-backend totals:
@@ -142,12 +130,8 @@ pub struct DeviceUtilization {
     pub failed: u64,
     /// Faulted member jobs requeued away from this device.
     pub requeued: u64,
-    /// Parked dispatches another device stole from this device's queue.
-    pub stolen_from: u64,
     /// Measured busy wall-clock on this device, faulted attempts included.
     pub busy_seconds: f64,
-    /// Member jobs currently parked on the device's queue.
-    pub queue_depth: u64,
     /// Member jobs currently executing on the device.
     pub in_flight: u64,
     /// True while the device is administratively cordoned (no new routes).
@@ -165,22 +149,19 @@ struct DeviceState {
     concurrency: usize,
     health: HealthState,
     /// Administrative maintenance flag: a cordoned device accepts no new
-    /// routes and serves nothing from its parked queue, but in-flight work
-    /// finishes and settles normally. Orthogonal to `health`.
+    /// routes, but in-flight work finishes and settles normally. Orthogonal
+    /// to `health`.
     cordoned: bool,
     /// Consecutive device faults since the last success.
     fail_streak: u32,
     /// Per-device measured cost: the EWMA this device's own outcomes feed,
     /// so a slow device prices itself out of tie-bands it doesn't deserve.
     cost: CostModel,
-    /// Dispatches routed here while every slot was busy.
-    queue: VecDeque<ParkedDispatch>,
     in_flight: usize,
     dispatched: u64,
     completed: u64,
     failed: u64,
     requeued: u64,
-    stolen_from: u64,
     busy_seconds: f64,
     /// `outcomes_seen` stamp of the last recovery probe routed here.
     last_probe_at: u64,
@@ -194,7 +175,6 @@ impl fmt::Debug for DeviceState {
             .field("health", &self.health)
             .field("cordoned", &self.cordoned)
             .field("in_flight", &self.in_flight)
-            .field("queue", &self.queue.len())
             .finish()
     }
 }
@@ -202,20 +182,6 @@ impl fmt::Debug for DeviceState {
 impl DeviceState {
     fn has_free_slot(&self) -> bool {
         self.in_flight < self.concurrency
-    }
-
-    fn has_headroom(&self) -> bool {
-        self.queue.len() < self.concurrency
-    }
-
-    /// Queue pressure used for least-loaded tie-breaks and evacuation
-    /// targets.
-    fn load(&self) -> usize {
-        self.in_flight + self.queued_members()
-    }
-
-    fn queued_members(&self) -> usize {
-        self.queue.iter().map(|p| p.dispatch.len()).sum()
     }
 
     fn supports(&self, req: &JobRequirements) -> bool {
@@ -256,13 +222,11 @@ impl FleetRouter {
                 cordoned: false,
                 fail_streak: 0,
                 cost: CostModel::default(),
-                queue: VecDeque::new(),
                 in_flight: 0,
                 dispatched: 0,
                 completed: 0,
                 failed: 0,
                 requeued: 0,
-                stolen_from: 0,
                 busy_seconds: 0.0,
                 last_probe_at: 0,
             })
@@ -276,24 +240,14 @@ impl FleetRouter {
         }
     }
 
-    /// Number of registered devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
     /// The index of the device with this id.
-    pub fn device_index(&self, id: &str) -> Option<usize> {
+    fn device_index(&self, id: &str) -> Option<usize> {
         self.devices.iter().position(|d| &*d.id == id)
     }
 
     /// The id of the device at `index`.
-    pub fn device_id(&self, index: usize) -> Option<Arc<str>> {
+    pub(crate) fn device_id(&self, index: usize) -> Option<Arc<str>> {
         self.devices.get(index).map(|d| Arc::clone(&d.id))
-    }
-
-    /// The current health of the device at `index`.
-    pub fn health(&self, index: usize) -> Option<HealthState> {
-        self.devices.get(index).map(|d| d.health)
     }
 
     fn is_excluded(&self, job: u64, device: usize) -> bool {
@@ -310,12 +264,12 @@ impl FleetRouter {
 
     /// How many devices `job` is excluded from — equivalently, how many
     /// faulted attempts it has survived.
-    pub fn exclusion_count(&self, job: u64) -> usize {
+    pub(crate) fn exclusion_count(&self, job: u64) -> usize {
         self.exclusions.get(&job).map_or(0, BTreeSet::len)
     }
 
     /// Drop `job`'s exclusion set (its outcome is terminal).
-    pub fn clear_exclusions(&mut self, job: u64) {
+    pub(crate) fn clear_exclusions(&mut self, job: u64) {
         self.exclusions.remove(&job);
     }
 
@@ -348,7 +302,7 @@ impl FleetRouter {
     /// already excluded. Deliberately health-agnostic — health changes, the
     /// exclusion set only grows, so checking capability alone guarantees a
     /// requeue loop terminates.
-    pub fn retry_candidate_exists(
+    pub(crate) fn retry_candidate_exists(
         &self,
         plane: &str,
         req: &JobRequirements,
@@ -357,21 +311,6 @@ impl FleetRouter {
     ) -> bool {
         self.devices.iter().enumerate().any(|(i, d)| {
             i != failed && d.plane == plane && d.supports(req) && !self.is_excluded(job, i)
-        })
-    }
-
-    /// True when the plane can take this job *now*: some capable,
-    /// non-excluded device has a free slot or parking headroom. The
-    /// scheduler calls this before spending a tenant's deficit so a
-    /// saturated fleet defers the job (keeping the deficit) instead of
-    /// over-committing a device.
-    pub(crate) fn can_accept(&self, plane: &str, req: &JobRequirements, job: u64) -> bool {
-        self.devices.iter().enumerate().any(|(i, d)| {
-            d.plane == plane
-                && !d.cordoned
-                && d.supports(req)
-                && !self.is_excluded(job, i)
-                && (d.has_free_slot() || d.has_headroom())
         })
     }
 
@@ -389,11 +328,13 @@ impl FleetRouter {
         pick
     }
 
-    /// Route one job: the cheapest capable healthy device on `plane`, per
-    /// the policy in the module docs. Returns `None` when no uncordoned,
-    /// capable device is left for this job — every one is excluded, or the
-    /// plane has none. Selecting a down device (probe or last resort) stamps
-    /// its probe clock.
+    /// Route one job: the cheapest capable healthy device on `plane` with a
+    /// free slot, per the policy in the module docs. Returns `None`, with no
+    /// side effects, when the job must wait: no uncordoned, capable,
+    /// non-excluded device is left for it; live candidates exist but none
+    /// has a free slot; or every candidate is down and none has a free slot.
+    /// Selecting a down device (probe or last resort) stamps its probe
+    /// clock.
     pub fn select(
         &mut self,
         plane: &str,
@@ -414,15 +355,13 @@ impl FleetRouter {
             })
             .map(|(i, _)| i)
             .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        // Recovery probe: a down device that has waited out the probe
+        // Recovery probe: a free down device that has waited out the probe
         // interval receives this job; its outcome decides whether it
         // rejoins the rotation.
         if self.probe_interval > 0 {
             let due = candidates.iter().copied().find(|&i| {
                 self.devices[i].health == HealthState::Down
+                    && self.devices[i].has_free_slot()
                     && self.outcomes_seen - self.devices[i].last_probe_at >= self.probe_interval
             });
             if let Some(i) = due {
@@ -431,27 +370,30 @@ impl FleetRouter {
                 return Some(i);
             }
         }
-        let live: Vec<usize> = candidates
+        // Only a device with a free slot takes work. A busy live device
+        // means wait: a down device is eligible only when every candidate
+        // is down, never as a spill that would just burn an exclusion.
+        let all_down = candidates
             .iter()
-            .copied()
-            .filter(|&i| self.devices[i].health != HealthState::Down)
+            .all(|&i| self.devices[i].health == HealthState::Down);
+        let live: Vec<usize> = candidates
+            .into_iter()
+            .filter(|&i| {
+                let dev = &self.devices[i];
+                dev.has_free_slot() && (all_down || dev.health != HealthState::Down)
+            })
             .collect();
         if live.is_empty() {
+            return None;
+        }
+        if all_down {
             // Every capable device is down: last resort, round robin over
-            // them — failing fast (and walking the exclusion set) beats
-            // wedging the queue forever.
-            let pick = self.rr_pick(&candidates);
+            // the free ones — failing fast (and walking the exclusion set)
+            // beats wedging the queue forever.
+            let pick = self.rr_pick(&live);
             self.devices[pick].last_probe_at = self.outcomes_seen;
             return Some(pick);
         }
-        // Prefer devices that can take the work now; fall back to the full
-        // live set when everything is saturated (the job will park).
-        let open: Vec<usize> = live
-            .iter()
-            .copied()
-            .filter(|&i| self.devices[i].has_free_slot() || self.devices[i].has_headroom())
-            .collect();
-        let live = if open.is_empty() { live } else { open };
         // Explore first: a device with no measurement for this plan routes
         // by round robin (healthy before degraded), seeding its history so
         // the cost comparison below becomes meaningful.
@@ -497,18 +439,11 @@ impl FleetRouter {
                     HealthState::Degraded => 1,
                     HealthState::Down => 2,
                 };
-                (health_rank, self.devices[i].load(), (i + n - cursor) % n)
+                (health_rank, self.devices[i].in_flight, (i + n - cursor) % n)
             })
             .expect("band contains the cheapest device");
         self.rr = pick + 1;
         Some(pick)
-    }
-
-    /// True when the device at `index` has a free execution slot.
-    pub fn has_free_slot(&self, index: usize) -> bool {
-        self.devices
-            .get(index)
-            .is_some_and(DeviceState::has_free_slot)
     }
 
     /// Occupy `members` execution slots on a device (one per batch member).
@@ -538,88 +473,14 @@ impl FleetRouter {
         self.devices.get(index).map(|d| Arc::clone(&d.backend))
     }
 
-    /// Park a dispatch on a device's queue until a slot frees (or a sibling
-    /// steals it).
-    pub(crate) fn park(&mut self, index: usize, parked: ParkedDispatch) {
-        if let Some(dev) = self.devices.get_mut(index) {
-            dev.queue.push_back(parked);
-        }
-    }
-
-    /// Member jobs parked across every device's queue.
-    pub(crate) fn parked_members(&self) -> usize {
-        self.devices.iter().map(DeviceState::queued_members).sum()
-    }
-
-    /// Next parked dispatch ready to run, with the device that will run it.
-    ///
-    /// A device with a free slot serves its own queue first (FIFO). Failing
-    /// that, an **idle** device (free slot, empty queue, not down) steals
-    /// the newest compatible dispatch from a same-plane sibling's queue —
-    /// newest because the victim will reach its oldest work first, so
-    /// stealing from the back minimizes double-handling.
-    pub(crate) fn pop_parked(&mut self) -> Option<(usize, ParkedDispatch)> {
-        for i in 0..self.devices.len() {
-            if self.devices[i].has_free_slot()
-                && !self.devices[i].cordoned
-                && !self.devices[i].queue.is_empty()
-            {
-                let entry = self.devices[i]
-                    .queue
-                    .pop_front()
-                    .expect("checked non-empty");
-                return Some((i, entry));
-            }
-        }
-        // Cordoned devices never thieve, but they make fine victims: that is
-        // how work still parked on a freshly cordoned device drains.
-        for thief in 0..self.devices.len() {
-            let idle = self.devices[thief].has_free_slot()
-                && self.devices[thief].queue.is_empty()
-                && self.devices[thief].health != HealthState::Down
-                && !self.devices[thief].cordoned;
-            if !idle {
-                continue;
-            }
-            for victim in 0..self.devices.len() {
-                if victim == thief || self.devices[victim].plane != self.devices[thief].plane {
-                    continue;
-                }
-                for pos in (0..self.devices[victim].queue.len()).rev() {
-                    let compatible = {
-                        let entry = &self.devices[victim].queue[pos];
-                        self.devices[thief].supports(&entry.requirements)
-                            && entry
-                                .dispatch
-                                .ids()
-                                .all(|id| !self.is_excluded(id.0, thief))
-                    };
-                    if compatible {
-                        let entry = self.devices[victim]
-                            .queue
-                            .remove(pos)
-                            .expect("position in bounds");
-                        self.devices[victim].stolen_from += 1;
-                        return Some((thief, entry));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Cordon the device with this id for maintenance: no new routes, no
-    /// own-queue service, no thieving — in-flight work finishes and settles
-    /// normally, and the parked queue is immediately evacuated to capable
-    /// uncordoned same-plane siblings (entries with nowhere to go stay
-    /// parked, draining through sibling steals or the eventual uncordon).
-    /// Idempotent; returns false for unknown device ids.
+    /// Cordon the device with this id for maintenance: no new routes —
+    /// in-flight work finishes and settles normally. Idempotent; returns
+    /// false for unknown device ids.
     pub fn cordon(&mut self, id: &str) -> bool {
         let Some(index) = self.device_index(id) else {
             return false;
         };
         self.devices[index].cordoned = true;
-        self.evacuate(index);
         true
     }
 
@@ -641,9 +502,7 @@ impl FleetRouter {
 
     /// Settle one member outcome on a device: accrue busy-seconds (faulted
     /// attempts included — the device was genuinely occupied), feed the
-    /// per-device cost model on success, and walk the health ladder. A
-    /// device that transitions to down has its parked queue evacuated to
-    /// live capable siblings. Returns `true` on a down transition.
+    /// per-device cost model on success, and walk the health ladder.
     pub fn observe(
         &mut self,
         index: usize,
@@ -651,16 +510,15 @@ impl FleetRouter {
         seconds: f64,
         ok: bool,
         fault: bool,
-    ) -> bool {
+    ) {
         self.outcomes_seen += 1;
         let Some(dev) = self.devices.get_mut(index) else {
-            return false;
+            return;
         };
         let measured = seconds.is_finite() && seconds >= 0.0;
         if measured {
             dev.busy_seconds += seconds;
         }
-        let mut went_down = false;
         if ok {
             dev.completed += 1;
             dev.fail_streak = 0;
@@ -672,49 +530,13 @@ impl FleetRouter {
             dev.failed += 1;
             if fault {
                 dev.fail_streak += 1;
-                let next = if dev.fail_streak >= DOWN_THRESHOLD {
+                dev.health = if dev.fail_streak >= DOWN_THRESHOLD {
                     HealthState::Down
                 } else {
                     HealthState::Degraded
                 };
-                went_down = next == HealthState::Down && dev.health != HealthState::Down;
-                dev.health = next;
             }
         }
-        if went_down {
-            self.evacuate(index);
-        }
-        went_down
-    }
-
-    /// Move a down (or freshly cordoned) device's parked queue to live
-    /// uncordoned capable same-plane siblings (least-loaded first, headroom
-    /// waived — absorbing a dead device's backlog beats bouncing it).
-    /// Entries with no live capable alternative stay parked on the source
-    /// device: a down device runs them as a last resort and fails them
-    /// terminally through the exclusion walk, while a cordoned device holds
-    /// them for sibling steals or the eventual uncordon — either beats
-    /// wedging a drain forever.
-    fn evacuate(&mut self, from: usize) {
-        let parked = std::mem::take(&mut self.devices[from].queue);
-        let mut kept = VecDeque::new();
-        for entry in parked {
-            let target = (0..self.devices.len())
-                .filter(|&i| {
-                    i != from
-                        && self.devices[i].plane == self.devices[from].plane
-                        && self.devices[i].health != HealthState::Down
-                        && !self.devices[i].cordoned
-                        && self.devices[i].supports(&entry.requirements)
-                        && entry.dispatch.ids().all(|id| !self.is_excluded(id.0, i))
-                })
-                .min_by_key(|&i| self.devices[i].load());
-            match target {
-                Some(i) => self.devices[i].queue.push_back(entry),
-                None => kept.push_back(entry),
-            }
-        }
-        self.devices[from].queue = kept;
     }
 
     /// Per-device gauges keyed by device id.
@@ -731,9 +553,7 @@ impl FleetRouter {
                         completed: d.completed,
                         failed: d.failed,
                         requeued: d.requeued,
-                        stolen_from: d.stolen_from,
                         busy_seconds: d.busy_seconds,
-                        queue_depth: d.queued_members() as u64,
                         in_flight: d.in_flight as u64,
                         cordoned: d.cordoned,
                     },
@@ -746,11 +566,16 @@ impl FleetRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::testing::{placement, sealed_bundle};
     use qml_backends::GateBackend;
-    use qml_runtime::JobId;
 
     const PLANE: &str = "qml-gate-simulator";
+
+    impl FleetRouter {
+        /// The current health of the device at `index`.
+        fn health(&self, index: usize) -> Option<HealthState> {
+            self.devices.get(index).map(|d| d.health)
+        }
+    }
 
     fn spec(id: &str, caps: CapabilityDescriptor) -> DeviceSpec {
         DeviceSpec::new(id, Arc::new(GateBackend::new()), caps)
@@ -848,9 +673,12 @@ mod tests {
         fleet.observe(0, None, 0.01, true, false);
         assert_eq!(fleet.health(0), Some(HealthState::Healthy), "success heals");
         fleet.observe(0, None, 0.01, false, true);
-        let went_down = fleet.observe(0, None, 0.01, false, true);
-        assert!(went_down, "threshold reached");
-        assert_eq!(fleet.health(0), Some(HealthState::Down));
+        fleet.observe(0, None, 0.01, false, true);
+        assert_eq!(
+            fleet.health(0),
+            Some(HealthState::Down),
+            "threshold reached"
+        );
         // Non-fault failures (user errors) never move the ladder.
         fleet.observe(1, None, 0.01, false, false);
         assert_eq!(fleet.health(1), Some(HealthState::Healthy));
@@ -898,122 +726,45 @@ mod tests {
         assert_eq!(fleet.health(0), Some(HealthState::Healthy));
     }
 
-    #[test]
-    fn down_transition_evacuates_the_parked_queue_to_live_siblings() {
-        let mut fleet = fleet(3);
-        let parked = ParkedDispatch {
-            dispatch: JobDispatch::new(JobId(9), sealed_bundle(), placement()),
-            requirements: req(4),
-        };
-        fleet.park(0, parked.clone());
-        fleet.park(
-            0,
-            ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(10), sealed_bundle(), placement()),
-                requirements: req(4),
-            },
-        );
-        fleet.observe(0, None, 0.01, false, true);
-        fleet.observe(0, None, 0.01, false, true);
-        assert_eq!(fleet.health(0), Some(HealthState::Down));
-        let snap = fleet.snapshot();
-        assert_eq!(snap["dev-0"].queue_depth, 0, "queue evacuated");
-        let elsewhere: u64 = snap["dev-1"].queue_depth + snap["dev-2"].queue_depth;
-        assert_eq!(elsewhere, 2, "both dispatches moved to live siblings");
-    }
-
-    #[test]
-    fn idle_devices_steal_compatible_parked_work() {
+    /// Two concurrency-1 devices on the gate plane, never probed.
+    fn one_slot_fleet() -> FleetRouter {
         let specs = (0..2)
             .map(|i| {
                 spec(&format!("dev-{i}"), CapabilityDescriptor::unlimited()).with_concurrency(1)
             })
             .collect();
-        let mut fleet = FleetRouter::new(specs, 0);
-        // Saturate device 0 and park two dispatches behind its busy slot.
+        FleetRouter::new(specs, 0)
+    }
+
+    fn take_down(fleet: &mut FleetRouter, index: usize) {
+        for _ in 0..DOWN_THRESHOLD {
+            fleet.observe(index, None, 0.01, false, true);
+        }
+        assert_eq!(fleet.health(index), Some(HealthState::Down));
+    }
+
+    #[test]
+    fn a_busy_live_device_means_wait_never_a_spill_onto_a_free_down_one() {
+        let mut fleet = one_slot_fleet();
+        take_down(&mut fleet, 0);
+        fleet.take_slots(1, 1);
+        assert_eq!(fleet.select(PLANE, &req(4), None, 7), None, "wait");
+        assert_eq!(fleet.snapshot()["dev-0"].dispatched, 0);
+        // The freed slot takes the job.
+        fleet.release_slot(1);
+        assert_eq!(fleet.select(PLANE, &req(4), None, 7), Some(1));
+    }
+
+    #[test]
+    fn the_all_down_last_resort_takes_only_a_free_slot() {
+        let mut fleet = one_slot_fleet();
+        take_down(&mut fleet, 0);
+        take_down(&mut fleet, 1);
         fleet.take_slots(0, 1);
-        fleet.park(
-            0,
-            ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(1), sealed_bundle(), placement()),
-                requirements: req(4),
-            },
-        );
-        fleet.park(
-            0,
-            ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(2), sealed_bundle(), placement()),
-                requirements: req(4),
-            },
-        );
-        // Device 1 is idle: it steals the newest parked dispatch.
-        let (thief, entry) = fleet.pop_parked().unwrap();
-        assert_eq!(thief, 1);
-        assert_eq!(entry.dispatch.id(), JobId(2), "steals from the back");
-        assert_eq!(fleet.snapshot()["dev-0"].stolen_from, 1);
-        // Free device 0's slot: it serves its own queue head first.
+        fleet.take_slots(1, 1);
+        assert_eq!(fleet.select(PLANE, &req(4), None, 7), None, "all busy");
         fleet.release_slot(0);
-        let (owner, entry) = fleet.pop_parked().unwrap();
-        assert_eq!(owner, 0);
-        assert_eq!(entry.dispatch.id(), JobId(1));
-        assert!(fleet.pop_parked().is_none());
-    }
-
-    #[test]
-    fn cordon_evacuates_parked_work_to_uncordoned_siblings() {
-        let mut fleet = fleet(3);
-        // Busy slots force the dispatches to park rather than run.
-        fleet.take_slots(0, 2);
-        for id in [1, 2] {
-            fleet.park(
-                0,
-                ParkedDispatch {
-                    dispatch: JobDispatch::new(JobId(id), sealed_bundle(), placement()),
-                    requirements: req(4),
-                },
-            );
-        }
-        assert!(fleet.cordon("dev-0"));
-        let snap = fleet.snapshot();
-        assert!(snap["dev-0"].cordoned);
-        assert_eq!(snap["dev-0"].queue_depth, 0, "parked work evacuated");
-        assert_eq!(snap["dev-1"].queue_depth + snap["dev-2"].queue_depth, 2);
-        // Both dispatches now run on uncordoned devices.
-        for _ in 0..2 {
-            let (device, _) = fleet.pop_parked().expect("parked work drains");
-            assert_ne!(device, 0, "cordoned device serves nothing");
-        }
-        assert!(fleet.pop_parked().is_none());
-    }
-
-    #[test]
-    fn cordoned_devices_never_thieve_parked_work() {
-        let specs = (0..2)
-            .map(|i| {
-                spec(&format!("dev-{i}"), CapabilityDescriptor::unlimited()).with_concurrency(1)
-            })
-            .collect();
-        let mut fleet = FleetRouter::new(specs, 0);
-        // Device 0 is saturated with a dispatch parked behind its busy
-        // slot; device 1 — the only possible thief — is cordoned.
-        fleet.take_slots(0, 1);
-        fleet.park(
-            0,
-            ParkedDispatch {
-                dispatch: JobDispatch::new(JobId(7), sealed_bundle(), placement()),
-                requirements: req(4),
-            },
-        );
-        assert!(fleet.cordon("dev-1"));
-        assert!(
-            fleet.pop_parked().is_none(),
-            "a cordoned device cannot steal"
-        );
-        // Lifting the cordon restores the steal path.
-        assert!(fleet.uncordon("dev-1"));
-        let (thief, entry) = fleet.pop_parked().expect("idle sibling steals");
-        assert_eq!(thief, 1);
-        assert_eq!(entry.dispatch.id(), JobId(7));
+        assert_eq!(fleet.select(PLANE, &req(4), None, 7), Some(0));
     }
 
     #[test]

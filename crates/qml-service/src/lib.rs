@@ -49,10 +49,10 @@
 //!   queue/dispatch/deadline-miss counters surface as [`ClassStats`].
 //! * **Fleet routing & failure domains** — each backend plane can front a
 //!   fleet of heterogeneous devices ([`DeviceSpec`]: capability descriptor,
-//!   bounded concurrency, its own queue). Dispatch routes every job to the
-//!   cheapest *capable healthy* device by per-device measured cost
-//!   (capability-feasible round robin before history exists), idle devices
-//!   steal compatible parked work, and a device fault walks the health
+//!   bounded concurrency). Dispatch routes every job to the cheapest
+//!   *capable healthy* device with a free slot by per-device measured cost
+//!   (capability-feasible round robin before history exists); a job with no
+//!   such device waits in its tenant's queue. A device fault walks the health
 //!   ladder (healthy → degraded → down) while the faulted job is requeued —
 //!   exactly once per attempt, never back onto a device that failed it —
 //!   with outcomes preserved bit-for-bit (see [`fleet`]).

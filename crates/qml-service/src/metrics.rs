@@ -30,9 +30,9 @@ pub struct TenantStats {
     pub failed: u64,
     /// Jobs the fair scheduler has handed to workers.
     pub dispatched: u64,
-    /// Jobs dispatched and not yet settled (gauge), members parked on a
-    /// fleet device's queue included: they already hold the tenant's
-    /// in-flight slots.
+    /// Jobs dispatched and not yet settled (gauge): each is executing on a
+    /// fleet device and holds one of that device's slots, so the sum over
+    /// tenants equals the sum of the per-device `in_flight` gauges.
     pub in_flight: u64,
     /// Scheduler visits skipped because the tenant's token bucket was empty.
     pub throttled: u64,
@@ -102,8 +102,8 @@ pub struct ServiceMetrics {
     /// Jobs that finished with an error since the service started.
     pub jobs_failed: u64,
     /// Jobs currently waiting to execute: admitted but not yet dispatched,
-    /// plus members parked on a fleet device's queue. On a stopped service
-    /// these are exactly the jobs whose status is `Queued`.
+    /// each in its tenant's queue. On a stopped service these are exactly
+    /// the jobs whose status is `Queued`.
     pub queue_depth: usize,
     /// Combined transpilation/lowering cache counters.
     pub cache: CacheStats,

@@ -37,8 +37,10 @@ pub use qml_observe::{
 /// Schema version stamped into every [`ObservabilitySnapshot`]; bump on any
 /// breaking change to the snapshot layout so stored trajectories stay
 /// diffable. Version 2 dropped `RunSummary::stolen` (always 0: one shared
-/// job source, no per-worker deques to steal from).
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// job source, no per-worker deques to steal from). Version 3 dropped
+/// `DeviceUtilization::stolen_from` and `queue_depth` (a device queues no
+/// work: a job waits in its tenant's queue until a device slot frees).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Cost-model accuracy gauges, lifted out of
 /// [`SchedulerMetrics`](crate::SchedulerMetrics) so the snapshot exposes the
@@ -190,8 +192,7 @@ impl ObservabilitySnapshot {
             let _ = writeln!(
                 out,
                 "device={device} plane={} health={} cordoned={} dispatched={} completed={} \
-                 failed={} requeued={} stolen_from={} busy_seconds={:.6} queue_depth={} \
-                 in_flight={}",
+                 failed={} requeued={} busy_seconds={:.6} in_flight={}",
                 util.plane,
                 util.health,
                 util.cordoned,
@@ -199,9 +200,7 @@ impl ObservabilitySnapshot {
                 util.completed,
                 util.failed,
                 util.requeued,
-                util.stolen_from,
                 util.busy_seconds,
-                util.queue_depth,
                 util.in_flight,
             );
         }

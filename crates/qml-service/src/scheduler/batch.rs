@@ -46,7 +46,7 @@ impl FairScheduler {
     /// [`dispatch_member`](FairScheduler::dispatch_member) — deficit, tokens
     /// and in-flight slots are spent per member, exactly as solo dispatches
     /// would; the batch merely rides one worker round-trip and one
-    /// device-level `execute_batch_timed` call.
+    /// device-level `execute_batch_timed` call on `device`.
     ///
     /// Under contention (any other tenant has queued work) a member is only
     /// taken while the tenant's remaining deficit covers its cost, so DRR
@@ -64,10 +64,11 @@ impl FairScheduler {
         &mut self,
         name: &Arc<str>,
         head_cost: f64,
+        device: usize,
         drain: bool,
         now: Instant,
     ) -> Vec<BatchMember> {
-        let head = self.dispatch_member(name, 0, head_cost, drain, now);
+        let head = self.dispatch_member(name, 0, head_cost, device, drain, now);
         let mut batch = vec![head];
         let (key, class) = {
             let job = &self.in_flight[&head.id].job;
@@ -110,7 +111,7 @@ impl FairScheduler {
                 {
                     break;
                 }
-                batch.push(self.dispatch_member(name, idx, cost, drain, now));
+                batch.push(self.dispatch_member(name, idx, cost, device, drain, now));
             }
         }
         if batch.len() > 1 {

@@ -9,7 +9,6 @@ use qml_runtime::{JobDispatch, JobId};
 use super::policy::Veto;
 use super::pricing::effective_cost;
 use super::{FairScheduler, InFlight, Mode, QueuedJob, SchedPoll};
-use crate::fleet::ParkedDispatch;
 
 /// Smallest effective DRR weight; keeps the pass bound finite for
 /// pathological configurations (weight ≤ 0).
@@ -47,28 +46,23 @@ impl FairScheduler {
     /// *reset*: a non-competing tenant must not bank budget for later
     /// bursts).
     ///
-    /// A full cycle of vetoes means nothing is dispatchable:
-    /// [`SchedPoll::Idle`] — or [`SchedPoll::Shutdown`] once a drain has
-    /// emptied every queue with nothing left in flight. Cycles containing a
-    /// deficit-blocked tenant repeat (each arrival strictly grows that
-    /// deficit, so the loop terminates within `1/weight` cycles).
+    /// A full cycle of stalls — vetoes, and heads no fleet device can take
+    /// now (the fleet changes only between calls) — means nothing is
+    /// dispatchable: [`SchedPoll::Idle`] — or [`SchedPoll::Shutdown`] once a
+    /// drain has emptied every queue with nothing left in flight. Cycles
+    /// containing a deficit-blocked tenant repeat (each arrival strictly
+    /// grows that deficit, so the loop terminates within `1/weight`
+    /// cycles).
     pub(crate) fn next_job(&mut self, now: Instant) -> SchedPoll {
         self.metrics.rounds += 1;
         match self.mode {
             Mode::Stopped | Mode::Aborting => return SchedPoll::Shutdown,
             Mode::Running | Mode::Draining => {}
         }
-        // Parked fleet work is served ahead of the rotation: its fairness
-        // accounting (deficit, tokens, in-flight slots) was already charged
-        // when the DRR loop dispatched it — only a device slot was missing,
-        // and one just freed (or an idle sibling is stealing the work).
-        if let Some((device, parked)) = self.fleet.pop_parked() {
-            return SchedPoll::Dispatch(self.route_to_device(device, parked.dispatch));
-        }
         let drain = self.mode == Mode::Draining;
         let n = self.rotation.len();
         let quantum = self.quantum();
-        let mut consecutive_vetoes = 0usize;
+        let mut stalls = 0usize;
         let mut wake: Option<Instant> = None;
         for _visit in 0..n.saturating_mul(MAX_PASSES) {
             let name = Arc::clone(&self.rotation[self.cursor]);
@@ -94,14 +88,13 @@ impl FairScheduler {
                 // A vetoed tenant is not competing: forfeit banked credit
                 // (debt from measured-cost charge-back survives).
                 tenant.forfeit_credit();
-                consecutive_vetoes += 1;
-                if consecutive_vetoes >= n {
+                stalls += 1;
+                if stalls >= n {
                     break;
                 }
                 self.advance();
                 continue;
             }
-            consecutive_vetoes = 0;
             let weight = tenant.policy.weight.max(MIN_WEIGHT);
             if !self.credited {
                 tenant.deficit += weight * quantum;
@@ -117,54 +110,38 @@ impl FairScheduler {
             let head_cost = effective_cost(&self.cost_model, head);
             // Blocked by deficit: keep it and move on; the next arrival
             // credits more. Fleet backpressure — no capable device on the
-            // head's plane can take the job right now (every slot busy,
-            // every queue full, every device cordoned or excluded) — defers
-            // it the same way, so the tenant loses no budget to a saturated
-            // or failing fleet. The route is chosen before anything is
-            // spent; routing touches nothing the batch formation reads.
-            let plane = head.placement.backend.name();
-            let route = if tenant.deficit < head_cost
-                || !self.fleet.can_accept(plane, &head.requirements, head.id.0)
-            {
-                None
-            } else {
+            // head's plane has a free slot for the job right now (every slot
+            // busy, every device cordoned or excluded) — defers it the same
+            // way: the job waits at the head of its queue and the tenant
+            // loses no budget to a saturated or failing fleet. The route is
+            // chosen before anything is spent; routing touches nothing the
+            // batch formation reads.
+            let covered = tenant.deficit >= head_cost;
+            let route = if covered {
+                let plane = head.placement.backend.name();
                 self.fleet
                     .select(plane, &head.requirements, head.batch_key, head.id.0)
+            } else {
+                None
             };
             let Some(device) = route else {
+                if covered {
+                    stalls += 1;
+                    if stalls >= n {
+                        break;
+                    }
+                } else {
+                    stalls = 0;
+                }
                 self.advance();
                 continue;
             };
-            let batch = self.dispatch_batch(&name, head_cost, drain, now);
+            let batch = self.dispatch_batch(&name, head_cost, device, drain, now);
             let tenant = self.tenants.get_mut(&name).expect("rotation entry exists");
             if tenant.queue.is_empty() {
                 tenant.forfeit_credit();
             }
-            let members = batch
-                .iter()
-                .map(|m| (m.id, self.in_flight[&m.id].job.bundle.clone()))
-                .collect();
-            let head = &self.in_flight[&batch[0].id].job;
-            let requirements = head.requirements;
-            let dispatch = JobDispatch {
-                members,
-                placement: head.placement.clone(),
-                device: None,
-                class: head.class,
-            };
-            if self.fleet.has_free_slot(device) {
-                return SchedPoll::Dispatch(self.route_to_device(device, dispatch));
-            }
-            // Routed, but every slot on the chosen device is busy: park the
-            // whole dispatch on its queue. A freed slot — or an idle sibling
-            // stealing it — serves it ahead of the rotation on a later poll.
-            self.fleet.park(
-                device,
-                ParkedDispatch {
-                    dispatch,
-                    requirements,
-                },
-            );
+            return SchedPoll::Dispatch(self.route_to_device(device, &batch));
         }
         if drain && self.queued() == 0 && self.in_flight.is_empty() {
             return SchedPoll::Shutdown;
@@ -179,13 +156,15 @@ impl FairScheduler {
     /// into the next contended period — a head never goes negative anyway,
     /// it dispatches only once covered), spends a token, takes an in-flight
     /// slot, records the wait and the dispatch counters, and moves the job
-    /// into the in-flight table charged at `cost`. The caller has already
-    /// passed the tenant's [`veto`](super::policy::TenantQueue::veto).
+    /// into the in-flight table charged at `cost` and bound to `device`. The
+    /// caller has already passed the tenant's
+    /// [`veto`](super::policy::TenantQueue::veto).
     pub(super) fn dispatch_member(
         &mut self,
         name: &Arc<str>,
         index: usize,
         cost: f64,
+        device: usize,
         drain: bool,
         now: Instant,
     ) -> BatchMember {
@@ -219,28 +198,33 @@ impl FairScheduler {
             InFlight {
                 tenant: Arc::clone(name),
                 job,
-                device: None,
+                device,
             },
         );
         BatchMember { id, wait_us, cost }
     }
 
-    /// Stamp a dispatch with its routed device: take one slot per member,
-    /// remember the device on every member's in-flight record, and swap the
-    /// placement's backend for the device's own instance (in-flight records
-    /// keep the plane-level placement for any post-fault re-admit).
-    fn route_to_device(&mut self, device: usize, mut dispatch: JobDispatch) -> JobDispatch {
-        self.fleet.take_slots(device, dispatch.len());
-        for id in dispatch.ids() {
-            if let Some(flight) = self.in_flight.get_mut(&id) {
-                flight.device = Some(device);
-            }
-        }
+    /// The dispatch of a batch routed to `device`: take one slot per member
+    /// and swap the head's placement backend for the device's own instance
+    /// (in-flight records keep the plane-level placement for any post-fault
+    /// re-admit).
+    fn route_to_device(&mut self, device: usize, batch: &[BatchMember]) -> JobDispatch {
+        self.fleet.take_slots(device, batch.len());
+        let members = batch
+            .iter()
+            .map(|m| (m.id, self.in_flight[&m.id].job.bundle.clone()))
+            .collect();
+        let head = &self.in_flight[&batch[0].id].job;
+        let mut placement = head.placement.clone();
         if let Some(backend) = self.fleet.backend(device) {
-            dispatch.placement.backend = backend;
+            placement.backend = backend;
         }
-        dispatch.device = self.fleet.device_id(device);
-        dispatch
+        JobDispatch {
+            members,
+            placement,
+            device: self.fleet.device_id(device),
+            class: head.class,
+        }
     }
 
     /// Advance the rotation pointer, clearing the arrival credit.
@@ -563,12 +547,50 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_saturated_fleet_idles_after_one_cycle_and_keeps_the_deficit() {
+        // One one-slot device: once it runs a's job, a is capped and b's
+        // head has no device. Both stall, so the poll idles after a single
+        // cycle (one capped visit, not one per pass) and b keeps the credit
+        // it was granted for the head that waits.
+        let device = crate::fleet::DeviceSpec::new(
+            "gate#0",
+            placement().backend,
+            qml_types::CapabilityDescriptor::unlimited(),
+        )
+        .with_concurrency(1);
+        let fleet = crate::fleet::FleetRouter::new(vec![device], 0);
+        let mut sched = FairScheduler::new(1, noop_registry(), fleet);
+        sched.mode = Mode::Running;
+        let now = Instant::now();
+        let a = sched.intern("a", &TenantPolicy::default().with_max_in_flight(1), now);
+        let b = sched.intern("b", &TenantPolicy::default(), now);
+        sched.admit(&a, JobId(0), 1.0, None, None);
+        sched.admit(&a, JobId(1), 1.0, None, None);
+        sched.admit(&b, JobId(10), 1.0, None, None);
+        let SchedPoll::Dispatch(first) = sched.next_job(now) else {
+            panic!("the free slot takes a's head");
+        };
+        assert_eq!(first.id(), JobId(0));
+        assert!(matches!(sched.next_job(now), SchedPoll::Idle(None)));
+        assert_eq!(sched.metrics.capped, 1, "one cycle, not one per pass");
+        assert!(sched.deficit_of(&b) >= 1.0, "b waits with its deficit");
+        assert_eq!(sched.queued(), 2);
+        sched.release(first.id());
+        let SchedPoll::Dispatch(next) = sched.next_job(now) else {
+            panic!("the freed slot takes b's waiting head");
+        };
+        assert_eq!(next.id(), JobId(10));
+    }
+
     /// The dispatch sequence of one fixed, single-threaded script, pinned as
     /// a literal: `head+members@device` per dispatch. Three tenants (weights
     /// 1, 2, 1; an in-flight cap of 2; a burst-only rate limit), a
     /// deadline-free latency job, micro-batching at 4, a two-device fleet of
     /// concurrency 1, scripted measured durations (so the cost model and
     /// charge-back engage), one device-fault requeue, and a final drain.
+    /// A dispatch only goes to a device with a free slot, so with two
+    /// workers the log alternates strictly between the two devices.
     /// Burst-only limits and deadline-free jobs keep the log independent of
     /// every clock read, so any change to it is a change of policy.
     #[test]
@@ -715,28 +737,27 @@ mod tests {
         let expected: &[&str] = &[
             "0+@dev-0",
             "108+109@dev-1",
-            "1+2@dev-0",
-            "200+201@dev-1",
+            "200+201@dev-0",
+            "1+2@dev-1",
             "110+@dev-0",
             "202+@dev-1",
-            "203+@dev-0",
-            "300+@dev-1",
-            "3+@dev-0",
-            "4+@dev-1",
-            "100+101,102,103@dev-0",
-            "111+@dev-1",
-            "5+@dev-0",
-            "104+105,106@dev-1",
-            "112+@dev-0",
-            "107+@dev-1",
-            "6+@dev-0",
-            "204+@dev-1",
-            "7+@dev-0",
-            "8+@dev-1",
-            "9+@dev-1",
+            "300+@dev-0",
             "3+@dev-1",
+            "111+@dev-0",
+            "100+101,102,103@dev-1",
+            "104+@dev-0",
+            "105+106,107@dev-1",
+            "203+204@dev-0",
+            "4+@dev-1",
+            "112+@dev-0",
+            "5+@dev-1",
+            "6+@dev-0",
+            "7+@dev-1",
+            "8+@dev-0",
+            "9+@dev-1",
+            "3+@dev-0",
             "205+206,207,208@dev-1",
-            "209+210,211@dev-1",
+            "209+210,211@dev-0",
         ];
         assert_eq!(log, expected, "golden dispatch log changed");
     }

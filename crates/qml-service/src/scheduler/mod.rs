@@ -213,9 +213,9 @@ struct QueuedJob {
 struct InFlight {
     tenant: Arc<str>,
     job: Job,
-    /// The fleet device the dispatch was routed to (`None` while parked on
-    /// a device queue).
-    device: Option<usize>,
+    /// The fleet device executing the job, chosen before the record was
+    /// created: a job is in flight only while it holds a slot there.
+    device: usize,
 }
 
 /// Lifecycle phase of the streaming loop.
@@ -284,7 +284,7 @@ pub(crate) struct FairScheduler {
     /// the per-tenant / per-backend queue-wait histograms.
     obs: Arc<MetricsRegistry>,
     /// Device-level router: which fleet device within a placement's plane
-    /// runs each dispatch, plus per-device health / queues / gauges. Every
+    /// runs each dispatch, plus per-device health, slots and gauges. Every
     /// dispatch is routed to one of its devices.
     fleet: FleetRouter,
     /// Per-class dispatch/outcome counters (latency, throughput).
@@ -387,7 +387,7 @@ impl FairScheduler {
     /// First the fleet device the dispatch was routed to settles: its slot
     /// frees, and its gauges and health ladder absorb the observation
     /// (busy-seconds accrue even for faulted attempts — the device was
-    /// genuinely occupied; a down transition evacuates its parked queue).
+    /// genuinely occupied).
     ///
     /// If the outcome was a **device fault** and a capable, not-yet-excluded
     /// device remains on the job's plane, the job fails over: the faulted
@@ -417,37 +417,34 @@ impl FairScheduler {
         if let Some(queue) = self.tenants.get_mut(&tenant) {
             queue.stats.in_flight = queue.stats.in_flight.saturating_sub(1);
         }
-        if let Some(device) = device {
-            self.fleet.release_slot(device);
-            self.fleet
-                .observe(device, job.batch_key, seconds, ok, fault);
-            let can_retry = fault
-                && self.fleet.retry_candidate_exists(
-                    job.placement.backend.name(),
-                    &job.requirements,
-                    id.0,
-                    device,
+        self.fleet.release_slot(device);
+        self.fleet
+            .observe(device, job.batch_key, seconds, ok, fault);
+        let can_retry = fault
+            && self.fleet.retry_candidate_exists(
+                job.placement.backend.name(),
+                &job.requirements,
+                id.0,
+                device,
+            );
+        if can_retry {
+            self.fleet.exclude(id.0, device);
+            self.fleet.note_requeued(device);
+            self.metrics.requeued += 1;
+            if self.obs.tracing_enabled() {
+                let attempt = self.fleet.exclusion_count(id.0) as u32;
+                self.obs.trace(
+                    id,
+                    Some(&tenant),
+                    job.batch_key,
+                    Stage::Requeued { attempt },
                 );
-            if can_retry {
-                self.fleet.exclude(id.0, device);
-                self.fleet.note_requeued(device);
-                self.metrics.requeued += 1;
-                if self.obs.tracing_enabled() {
-                    let attempt = self.fleet.exclusion_count(id.0) as u32;
-                    self.obs.trace(
-                        id,
-                        Some(&tenant),
-                        job.batch_key,
-                        Stage::Requeued { attempt },
-                    );
-                }
-                // The already-paid rate-limit token is preserved through
-                // `retry`: a failover is the same job, not a fresh
-                // submission.
-                job.retry = true;
-                self.admit_job(&tenant, job, None, now);
-                return None;
             }
+            // The already-paid rate-limit token is preserved through
+            // `retry`: a failover is the same job, not a fresh submission.
+            job.retry = true;
+            self.admit_job(&tenant, job, None, now);
+            return None;
         }
         self.fleet.clear_exclusions(id.0);
         let missed = job.deadline.is_some_and(|deadline| now > deadline);
@@ -488,12 +485,6 @@ impl FairScheduler {
     fn contended(&self, name: &Arc<str>) -> bool {
         let own = self.tenants.get(name).is_some_and(|t| !t.queue.is_empty());
         self.nonempty > usize::from(own)
-    }
-
-    /// Jobs waiting to execute: admitted but not yet dispatched, plus
-    /// dispatched members parked on a fleet device's queue.
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.queued() + self.fleet.parked_members()
     }
 
     /// Per-tenant counts and gauges, keyed by tenant name.
@@ -552,8 +543,8 @@ impl FairScheduler {
         .collect()
     }
 
-    /// Cordon a fleet device for maintenance (no new routes; parked work is
-    /// stolen by siblings). See [`FleetRouter::cordon`].
+    /// Cordon a fleet device for maintenance (no new routes). See
+    /// [`FleetRouter::cordon`].
     pub(crate) fn cordon(&mut self, device: &str) -> bool {
         self.fleet.cordon(device)
     }
@@ -719,9 +710,7 @@ pub(crate) mod testing {
                 if let Some(tenant) = self.tenants.get_mut(&flight.tenant) {
                     tenant.stats.in_flight = tenant.stats.in_flight.saturating_sub(1);
                 }
-                if let Some(device) = flight.device {
-                    self.fleet.release_slot(device);
-                }
+                self.fleet.release_slot(flight.device);
                 self.fleet.clear_exclusions(id.0);
             }
         }

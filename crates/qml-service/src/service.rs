@@ -303,7 +303,7 @@ impl ServiceInner {
             jobs_submitted: totals.submitted,
             jobs_completed: totals.completed,
             jobs_failed: totals.failed,
-            queue_depth: state.sched.queue_depth(),
+            queue_depth: state.sched.queued(),
             cache: all,
             gate_cache: gate,
             anneal_cache: anneal,
@@ -745,18 +745,19 @@ impl QmlService {
     }
 
     /// Per-device fleet gauges keyed by device id: health, dispatch /
-    /// completion / failover counters, busy-seconds, queue depth.
+    /// completion / failover counters, busy-seconds, in-flight members.
     /// `busy_seconds` folds: summing one plane's devices reproduces that
     /// plane's [`BackendUtilization`] busy-seconds.
     pub fn device_metrics(&self) -> BTreeMap<String, DeviceUtilization> {
         self.inner.state.lock().sched.device_snapshot()
     }
 
-    /// Cordon a fleet device for maintenance: it accepts no new routes,
-    /// in-flight work finishes normally, and anything parked on its queue is
-    /// released for siblings to steal. Healthy state and fault counters are
-    /// untouched — [`QmlService::uncordon_device`] restores routing exactly
-    /// as it was. Returns false for unknown device ids.
+    /// Cordon a fleet device for maintenance: it accepts no new routes and
+    /// in-flight work finishes normally. A job that only this device could
+    /// take waits in its tenant's queue until the cordon lifts. Health
+    /// state and fault counters are untouched —
+    /// [`QmlService::uncordon_device`] restores routing exactly as it was.
+    /// Returns false for unknown device ids.
     pub fn cordon_device(&self, device: &str) -> bool {
         self.inner.change(|state| state.sched.cordon(device))
     }

@@ -68,7 +68,7 @@ fn wait_until(service: &QmlService, done: impl Fn(&ServiceMetrics) -> bool) {
 /// Check the conservation laws on a stopped service and return the metrics.
 fn assert_conserves(service: &QmlService, at: &str) -> ServiceMetrics {
     let m = service.metrics();
-    // Executing members hold device slots; parked ones count as queued.
+    // A job in flight holds a device slot; a job waiting for one is queued.
     let executing: u64 = m.per_device.values().map(|d| d.in_flight).sum();
     assert_eq!(
         m.jobs_submitted,
@@ -76,6 +76,11 @@ fn assert_conserves(service: &QmlService, at: &str) -> ServiceMetrics {
         "{at}: submitted = queued + in flight + completed + failed ({m:?})"
     );
     let tenants = m.per_tenant.values();
+    assert_eq!(
+        tenants.clone().map(|t| t.in_flight).sum::<u64>(),
+        executing,
+        "{at}: per-tenant in flight = per-device in flight"
+    );
     assert_eq!(
         tenants.clone().map(|t| t.submitted).sum::<u64>(),
         m.jobs_submitted,
@@ -204,11 +209,11 @@ fn the_ledger_conserves_through_faults_abort_and_restart() {
 }
 
 #[test]
-fn queue_depth_counts_parked_members_exactly() {
+fn a_job_waits_in_its_tenant_queue_until_a_device_slot_frees() {
     // One concurrency-1 device fed by two workers, solo dispatches: while
-    // one worker runs a long job, the other's dispatch parks on the device
-    // queue, so `queue_depth` must count parked members, not just the
-    // scheduler's queues.
+    // one worker runs a long job, the other finds no free slot and the next
+    // job waits in its tenant's queue, so the device never runs more than
+    // one member and the tenant's in-flight count is the device's.
     let config = ServiceConfig::with_workers(2)
         .with_max_batch(1)
         .with_device(gate_device("dev", FaultPlan::none()));
@@ -226,15 +231,18 @@ fn queue_depth_counts_parked_members_exactly() {
     assert_eq!(service.metrics().queue_depth, 12);
     assert_eq!(queued_statuses(&service, &jobs), 12, "before start");
 
-    // Abort as soon as a dispatch parks behind the long job.
+    // Run until two jobs settled, checking the slot bound on every poll.
     let handle = service.start().unwrap();
-    wait_until(&service, |m| m.per_device["dev"].queue_depth > 0);
+    wait_until(&service, |m| {
+        let device = m.per_device["dev"].in_flight;
+        assert!(device <= 1, "a one-slot device runs {device} members");
+        assert_eq!(m.per_tenant["tenant"].in_flight, device);
+        m.jobs_completed >= 2
+    });
     handle.abort();
-    let after_abort = service.metrics();
-    assert!(
-        after_abort.per_device["dev"].queue_depth > 0,
-        "still parked"
-    );
+    let after_abort = assert_conserves(&service, "after abort");
+    assert_eq!(after_abort.per_device["dev"].in_flight, 0);
+    assert_eq!(after_abort.per_tenant["tenant"].in_flight, 0);
     assert_eq!(
         after_abort.queue_depth,
         queued_statuses(&service, &jobs),
@@ -242,6 +250,9 @@ fn queue_depth_counts_parked_members_exactly() {
     );
 
     service.start().unwrap().drain();
-    assert_eq!(service.metrics().queue_depth, 0);
+    let after_drain = assert_conserves(&service, "after drain");
+    assert_eq!(after_drain.queue_depth, 0);
+    assert_eq!(after_drain.jobs_completed, 12);
+    assert_eq!(after_drain.per_device["dev"].dispatched, 12);
     assert_eq!(queued_statuses(&service, &jobs), 0, "after drain");
 }
