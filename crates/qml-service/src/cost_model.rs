@@ -20,15 +20,14 @@
 
 use std::collections::HashMap;
 
-use qml_types::MeasuredCost;
-
 /// Conversion between scheduler cost units and busy-seconds: one cost unit
-/// per millisecond of measured execution. Chosen so that a realistic
-/// simulator job (tenths of a millisecond to tens of milliseconds) lands in
-/// the same numeric range as descriptor-hint estimates and above the
-/// scheduler's minimum-cost floor, letting measured and estimated costs
-/// coexist in one deficit ledger while measurements take over.
-pub const COST_UNITS_PER_SECOND: f64 = 1_000.0;
+/// per 10 µs of measured execution. Chosen so that the cheapest simulator
+/// job of a release build (0.15–0.25 ms) measures 15–25 units, well above
+/// the scheduler's one-unit minimum-cost floor: at one unit per millisecond
+/// every such job clamped to the floor, and measurement could not correct
+/// an admission-time misestimate. Measured and estimated costs coexist in
+/// one deficit ledger while measurements take over.
+pub const COST_UNITS_PER_SECOND: f64 = 100_000.0;
 
 /// EWMA smoothing factor: the weight of the newest observation. Large
 /// enough that a plan whose true cost shifts converges within a handful of
@@ -41,16 +40,6 @@ pub const COST_EWMA_ALPHA: f64 = 0.4;
 /// ≤ 16 × the estimate covers it), tight enough that a 1000× outlier is
 /// amortized over the cost model instead of the deficit ledger.
 pub const CHARGE_BACK_CLAMP: f64 = 16.0;
-
-/// One plan key's running estimate.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// EWMA of observed busy-seconds (or the seeded prior before the first
-    /// observation).
-    seconds: f64,
-    /// Number of *measured* observations folded in (0 = seed only).
-    samples: u64,
-}
 
 /// An EWMA-of-busy-seconds cost model keyed by realization-plan identity,
 /// smoothing with [`COST_EWMA_ALPHA`].
@@ -67,20 +56,16 @@ struct Entry {
 /// ```
 #[derive(Debug, Default)]
 pub struct CostModel {
-    entries: HashMap<u64, Entry>,
+    /// Per plan key: the EWMA of observed busy-seconds, or the seeded prior
+    /// before the first observation.
+    entries: HashMap<u64, f64>,
 }
 
 impl CostModel {
     /// Predicted busy-seconds for a plan key, if the model knows anything
     /// about it (a measured EWMA, or a hint-seeded prior).
     pub fn predict_seconds(&self, plan_key: u64) -> Option<f64> {
-        self.entries.get(&plan_key).map(|e| e.seconds)
-    }
-
-    /// Number of measured observations folded into a key's entry
-    /// (`None` if the key is unknown, `Some(0)` if only seeded).
-    pub fn samples(&self, plan_key: u64) -> Option<u64> {
-        self.entries.get(&plan_key).map(|e| e.samples)
+        self.entries.get(&plan_key).copied()
     }
 
     /// Seed a prior for a plan key — e.g. from an explicit `duration_us`
@@ -89,10 +74,7 @@ impl CostModel {
     /// always outranks a hint.
     pub fn seed(&mut self, plan_key: u64, seconds: f64) {
         if seconds.is_finite() && seconds >= 0.0 {
-            self.entries.entry(plan_key).or_insert(Entry {
-                seconds,
-                samples: 0,
-            });
+            self.entries.entry(plan_key).or_insert(seconds);
         }
     }
 
@@ -104,36 +86,10 @@ impl CostModel {
         if !seconds.is_finite() || seconds < 0.0 {
             return;
         }
-        match self.entries.entry(plan_key) {
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                let entry = slot.get_mut();
-                entry.seconds = COST_EWMA_ALPHA * seconds + (1.0 - COST_EWMA_ALPHA) * entry.seconds;
-                entry.samples += 1;
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Entry {
-                    seconds,
-                    samples: 1,
-                });
-            }
-        }
-    }
-
-    /// Fold a full [`MeasuredCost`] record (ignored without a plan key).
-    pub fn record(&mut self, measured: &MeasuredCost) {
-        if let Some(key) = measured.plan_key {
-            self.observe(key, measured.seconds);
-        }
-    }
-
-    /// Number of plan keys the model tracks.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the model has no entries at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries
+            .entry(plan_key)
+            .and_modify(|ewma| *ewma = COST_EWMA_ALPHA * seconds + (1.0 - COST_EWMA_ALPHA) * *ewma)
+            .or_insert(seconds);
     }
 }
 
@@ -145,8 +101,6 @@ mod tests {
     fn unknown_key_predicts_nothing() {
         let model = CostModel::default();
         assert_eq!(model.predict_seconds(1), None);
-        assert_eq!(model.samples(1), None);
-        assert!(model.is_empty());
     }
 
     #[test]
@@ -156,7 +110,6 @@ mod tests {
         // With no prior there is nothing to smooth against: the EWMA must
         // not anchor the estimate at an arbitrary starting point.
         assert!((model.predict_seconds(1).unwrap() - 0.050).abs() < 1e-12);
-        assert_eq!(model.samples(1), Some(1));
     }
 
     #[test]
@@ -172,7 +125,6 @@ mod tests {
             (predicted - 0.010).abs() < 1e-4,
             "EWMA should converge to 10 ms, got {predicted}"
         );
-        assert_eq!(model.samples(1), Some(21));
     }
 
     #[test]
@@ -196,7 +148,6 @@ mod tests {
     fn seed_is_a_prior_not_a_measurement() {
         let mut model = CostModel::default();
         model.seed(1, 0.008);
-        assert_eq!(model.samples(1), Some(0));
         assert!((model.predict_seconds(1).unwrap() - 0.008).abs() < 1e-12);
         // A second seed never overwrites; a measurement blends with the
         // prior rather than discarding it.
@@ -205,7 +156,6 @@ mod tests {
         model.observe(1, 0.016);
         let blended = model.predict_seconds(1).unwrap();
         assert!((blended - 0.0112).abs() < 1e-12, "0.4·16ms + 0.6·8ms");
-        assert_eq!(model.samples(1), Some(1));
     }
 
     #[test]
@@ -215,7 +165,7 @@ mod tests {
         model.observe(2, 0.100);
         assert!(model.predict_seconds(1).unwrap() < 0.01);
         assert!(model.predict_seconds(2).unwrap() > 0.01);
-        assert_eq!(model.len(), 2);
+        assert_eq!(model.predict_seconds(3), None);
     }
 
     #[test]
@@ -224,16 +174,7 @@ mod tests {
         model.observe(1, f64::NAN);
         model.observe(1, -4.0);
         model.seed(2, f64::INFINITY);
-        assert!(model.is_empty());
-    }
-
-    #[test]
-    fn record_requires_a_plan_key() {
-        use qml_types::MeasuredCost;
-        let mut model = CostModel::default();
-        model.record(&MeasuredCost::new(None, 1.0, 0.010));
-        assert!(model.is_empty());
-        model.record(&MeasuredCost::new(Some(9), 1.0, 0.010));
-        assert!((model.predict_seconds(9).unwrap() - 0.010).abs() < 1e-12);
+        assert_eq!(model.predict_seconds(1), None);
+        assert_eq!(model.predict_seconds(2), None);
     }
 }

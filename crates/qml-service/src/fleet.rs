@@ -446,6 +446,13 @@ impl FleetRouter {
         Some(pick)
     }
 
+    /// Free execution slots on the device at `index`: a batch routed there
+    /// takes at most this many members.
+    pub(crate) fn free_slots(&self, index: usize) -> usize {
+        let dev = self.devices.get(index);
+        dev.map_or(0, |d| d.concurrency.saturating_sub(d.in_flight))
+    }
+
     /// Occupy `members` execution slots on a device (one per batch member).
     pub(crate) fn take_slots(&mut self, index: usize, members: usize) {
         if let Some(dev) = self.devices.get_mut(index) {

@@ -105,6 +105,7 @@
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
+mod core;
 pub mod cost_model;
 pub mod fleet;
 pub mod metrics;

@@ -57,7 +57,8 @@ impl FairScheduler {
     /// tenant's in-flight cap and token bucket, like the head did.
     ///
     /// The cap is per class (see
-    /// [`effective_max_batch`](FairScheduler::effective_max_batch)), and a
+    /// [`effective_max_batch`](FairScheduler::effective_max_batch)) and at
+    /// most the routed device's free slots, and a
     /// queued latency job — any tenant's — stops a throughput batch from
     /// growing past its head (preempt coalescing, never execution).
     pub(super) fn dispatch_batch(
@@ -74,7 +75,11 @@ impl FairScheduler {
             let job = &self.in_flight[&head.id].job;
             (job.batch_key, job.class)
         };
-        let cap = self.effective_max_batch(class);
+        // The routed device takes one slot per member: never more members
+        // than it has slots free (the head's included).
+        let cap = self
+            .effective_max_batch(class)
+            .min(self.fleet.free_slots(device));
         // Preempt **coalescing**, never execution: a queued latency-class
         // job — any tenant's — stops a throughput batch from growing past
         // its head, so the latency job's dispatch is at most one short
@@ -143,6 +148,34 @@ mod tests {
     use super::super::{Job, SchedPoll, TenantPolicy};
     use super::*;
     use qml_runtime::JobId;
+
+    #[test]
+    fn a_batch_never_outgrows_its_devices_free_slots() {
+        use crate::fleet::{DeviceSpec, FleetRouter};
+        use qml_types::CapabilityDescriptor;
+
+        // One three-slot device under an eight-member cap: each member
+        // takes a slot, so a batch takes at most the slots left free.
+        let caps = CapabilityDescriptor::unlimited();
+        let device = DeviceSpec::new("gate#0", placement().backend, caps).with_concurrency(3);
+        let mut sched = FairScheduler::new(8, noop_registry(), FleetRouter::new(vec![device], 0));
+        sched.mode = super::super::Mode::Running;
+        let now = Instant::now();
+        let tenant = sched.intern("t", &TenantPolicy::default(), now);
+        for i in 0..6 {
+            sched.admit(&tenant, JobId(i), 1.0, None, Some(7));
+        }
+        let SchedPoll::Dispatch(first) = sched.next_job(now) else {
+            panic!("expected a dispatch");
+        };
+        assert_eq!(first.len(), 3, "three free slots, three members");
+        assert!(matches!(sched.next_job(now), SchedPoll::Idle(None)));
+        sched.settle_final(first.id(), 0.0001, true, now);
+        let SchedPoll::Dispatch(second) = sched.next_job(now) else {
+            panic!("a slot freed");
+        };
+        assert_eq!(second.len(), 1, "one free slot, one member");
+    }
 
     #[test]
     fn uncontended_tenant_coalesces_up_to_max_batch() {

@@ -514,11 +514,11 @@ mod tests {
     #[test]
     fn a_first_measurement_mints_no_head_start() {
         // Two equal tenants × 150 jobs of one plan, admitted at a guess far
-        // above the 3 ms each really takes; one worker, no batching. The
-        // first tenant's first job is charged the guess and refunded the
-        // difference once measured — which used to buy a burst of cheap
-        // measured jobs (50 : 0 after 50 dispatches at a 200-unit guess).
-        // Now the refund is capped at one grant plus one head of the
+        // above the 30 µs (3 units) each really takes; one worker, no
+        // batching. The first tenant's first job is charged the guess and
+        // refunded the difference once measured — which used to buy a burst
+        // of cheap measured jobs (50 : 0 after 50 dispatches at a 200-unit
+        // guess). Now the refund is capped at one grant plus one head of the
         // measured quantum: the guessed job and two measured ones at most.
         for guess in [20.0, 200.0, 2000.0] {
             let mut sched = FairScheduler::new(1, noop_registry(), unlimited_fleet());
@@ -536,7 +536,7 @@ mod tests {
                     panic!("both tenants are backlogged");
                 };
                 served[usize::from(dispatch.id().0 >= 1000)] += 1;
-                sched.settle_final(dispatch.id(), 0.003, true, now);
+                sched.settle_final(dispatch.id(), 0.00003, true, now);
                 assert!(
                     (served[0] - served[1]).abs() <= 3,
                     "guess {guess}: {} : {} after {n} dispatches",
@@ -651,17 +651,17 @@ mod tests {
         for i in 8..12 {
             sched.admit_job(&b, job(100 + i, 6.0, 3), None, base);
         }
-        sched.admit_job(&b, job(112, 9.0, 4), Some(0.002), base);
+        sched.admit_job(&b, job(112, 9.0, 4), Some(0.00002), base);
         for i in 0..8 {
             sched.admit_job(&c, job(200 + i, 4.0, 1), None, base);
         }
         // Measured busy-seconds per plan, varied per job.
         let seconds = |id: u64, key: u64| {
             let base = match key {
-                1 => 0.003,
-                2 => 0.001,
-                3 => 0.008,
-                _ => 0.002,
+                1 => 0.00003,
+                2 => 0.00001,
+                3 => 0.00008,
+                _ => 0.00002,
             };
             base * (1.0 + (id % 3) as f64 * 0.25)
         };
@@ -734,30 +734,46 @@ mod tests {
         assert!(faulted, "the script exercises one fault requeue");
         assert_eq!(sched.metrics.requeued, 1);
         assert_eq!(sched.queued() + sched.in_flight(), 0, "everything settled");
+        // Both devices have one slot, so every dispatch is solo: a batch
+        // takes one slot per member and never more than its device has free.
         let expected: &[&str] = &[
             "0+@dev-0",
-            "108+109@dev-1",
-            "200+201@dev-0",
-            "1+2@dev-1",
+            "108+@dev-1",
+            "109+@dev-0",
+            "200+@dev-1",
+            "201+@dev-0",
+            "300+@dev-1",
+            "1+@dev-0",
+            "2+@dev-1",
             "110+@dev-0",
             "202+@dev-1",
-            "300+@dev-0",
+            "203+@dev-0",
             "3+@dev-1",
-            "111+@dev-0",
-            "100+101,102,103@dev-1",
+            "4+@dev-0",
+            "111+@dev-1",
+            "100+@dev-0",
+            "101+@dev-1",
+            "102+@dev-0",
+            "103+@dev-1",
             "104+@dev-0",
-            "105+106,107@dev-1",
-            "203+204@dev-0",
-            "4+@dev-1",
-            "112+@dev-0",
+            "105+@dev-1",
+            "106+@dev-0",
+            "107+@dev-1",
+            "204+@dev-0",
+            "112+@dev-1",
+            "3+@dev-0",
             "5+@dev-1",
             "6+@dev-0",
             "7+@dev-1",
             "8+@dev-0",
             "9+@dev-1",
-            "3+@dev-0",
-            "205+206,207,208@dev-1",
-            "209+210,211@dev-0",
+            "205+@dev-0",
+            "206+@dev-1",
+            "207+@dev-0",
+            "208+@dev-1",
+            "209+@dev-0",
+            "210+@dev-1",
+            "211+@dev-0",
         ];
         assert_eq!(log, expected, "golden dispatch log changed");
     }

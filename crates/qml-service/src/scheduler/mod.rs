@@ -62,6 +62,7 @@ use serde::{Deserialize, Serialize};
 
 use qml_observe::Stage;
 use qml_runtime::{JobDispatch, JobId, Placement};
+use qml_types::bundle::{fnv1a64_init, fnv1a64_update};
 use qml_types::{JobRequirements, SealedBundle, ServiceClass};
 
 use crate::cost_model::CostModel;
@@ -197,6 +198,35 @@ pub(crate) struct Job {
     /// spent a rate-limit token, so the retry is exempt from the token
     /// bucket — retrying must not double-charge.
     pub retry: bool,
+}
+
+impl Job {
+    /// The record of a sealed bundle placed on `placement`, with its
+    /// `duration_us` cost hint in seconds, which seeds the cost model and
+    /// prices the admission (see [`pricing::hint_seconds`]). The batch key
+    /// folds the plan identity with the backend name, and the fleet
+    /// requirements are derived once, so re-routing after a device fault
+    /// never re-parses descriptors. Admission assigns the id and deadline.
+    pub(crate) fn placed(bundle: SealedBundle, placement: Placement) -> (Job, Option<f64>) {
+        let backend = &placement.backend;
+        let batch_key = backend.batch_key(&bundle).map(|key| {
+            let hash = fnv1a64_update(fnv1a64_init(), backend.name().as_bytes());
+            fnv1a64_update(hash, &key.to_le_bytes())
+        });
+        let hint_seconds = pricing::hint_seconds(&bundle);
+        let job = Job {
+            id: JobId(0),
+            class: bundle.service_class(),
+            requirements: JobRequirements::of(&bundle),
+            bundle,
+            cost: placement.estimated_cost,
+            placement,
+            batch_key,
+            deadline: None,
+            retry: false,
+        };
+        (job, hint_seconds)
+    }
 }
 
 /// One admitted, not-yet-dispatched job.
@@ -480,6 +510,11 @@ impl FairScheduler {
         self.in_flight.len()
     }
 
+    /// True while `id` is dispatched and not yet settled.
+    pub(crate) fn is_in_flight(&self, id: JobId) -> bool {
+        self.in_flight.contains_key(&id)
+    }
+
     /// True when some tenant other than `name` has queued work — the O(1)
     /// form: the non-empty count exceeds this tenant's own contribution.
     fn contended(&self, name: &Arc<str>) -> bool {
@@ -700,6 +735,22 @@ pub(crate) mod testing {
         /// tests feed back after a dispatch.
         pub(crate) fn settle_final(&mut self, id: JobId, seconds: f64, ok: bool, now: Instant) {
             self.settle_outcome(id, seconds, ok, false, now);
+        }
+
+        /// Every queued job with its tenant, in queue order.
+        pub(crate) fn queued_ids(&self) -> Vec<(Arc<str>, JobId)> {
+            let queues = self.tenants.iter();
+            queues
+                .flat_map(|(name, t)| t.queue.iter().map(move |q| (Arc::clone(name), q.job.id)))
+                .collect()
+        }
+
+        /// Every in-flight job with its tenant and the index of its device.
+        pub(crate) fn in_flight_ids(&self) -> Vec<(Arc<str>, JobId, usize)> {
+            let flights = self.in_flight.iter();
+            flights
+                .map(|(id, f)| (Arc::clone(&f.tenant), *id, f.device))
+                .collect()
         }
 
         /// Free a dispatched job's in-flight slot without an outcome: no

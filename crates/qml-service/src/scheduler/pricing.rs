@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use qml_types::MeasuredCost;
+use qml_types::JobBundle;
 
 use super::{FairScheduler, Job};
 use crate::cost_model::{CostModel, CHARGE_BACK_CLAMP, COST_UNITS_PER_SECOND};
@@ -29,6 +29,27 @@ pub(super) fn effective_cost(model: &CostModel, job: &Job) -> f64 {
         .unwrap_or(job.cost)
 }
 
+/// The bundle's explicit wall-clock claim, if any: its operators' cost
+/// hints folded with [`CostHint::saturating_add`], whose duration survives
+/// only when **every** operator carries one — the aggregate never
+/// over-claims precision, so a lone hinted operator among unhinted ones
+/// cannot price (and seed the cost model for) the whole bundle. Each
+/// operator's duration is finite and non-negative (the seal checks it), but
+/// a sum of them can still overflow to infinity: such a claim is no claim.
+///
+/// [`CostHint::saturating_add`]: qml_types::CostHint::saturating_add
+pub(super) fn hint_seconds(bundle: &JobBundle) -> Option<f64> {
+    let total = bundle
+        .operators
+        .iter()
+        .map(|op| op.cost_hint.unwrap_or_default())
+        .reduce(|a, b| a.saturating_add(&b))?;
+    total
+        .duration_us
+        .filter(|us| us.is_finite())
+        .map(|us| us / 1e6)
+}
+
 impl FairScheduler {
     /// The cost an admitted job is queued at, resolved in order of trust:
     ///
@@ -44,13 +65,21 @@ impl FairScheduler {
     /// must not drain in a single parked visit.
     pub(super) fn admission_cost(&mut self, job: &Job, hint_seconds: Option<f64>) -> f64 {
         let model = &mut self.cost_model;
+        let mut seeded = false;
         let seconds = job.batch_key.and_then(|key| {
             model.predict_seconds(key).or_else(|| {
                 let hint = hint_seconds?;
                 model.seed(key, hint);
+                seeded = true;
                 Some(hint)
             })
         });
+        // A seed reprices every queued job of the plan, heads included, so
+        // the memoized quantum is stale: kept, it could sit below a head's
+        // cost and cap every deficit under it for good.
+        if seeded {
+            self.cached_quantum = None;
+        }
         seconds
             .map_or(job.cost, |seconds| seconds * COST_UNITS_PER_SECOND)
             .max(MIN_JOB_COST)
@@ -105,13 +134,10 @@ impl FairScheduler {
         // exactly as admission floors every charge: without it, sub-floor
         // jobs would be partially refunded and a fast queue could again
         // drain in one parked visit — the monopoly the floor exists to
-        // prevent.
-        let measured = MeasuredCost::new(
-            job.batch_key,
-            job.cost,
-            seconds.max(MIN_JOB_COST / COST_UNITS_PER_SECOND),
-        );
-        let error = measured.error_units(COST_UNITS_PER_SECOND);
+        // prevent. The error is positive when the job cost more than it was
+        // charged.
+        let measured = seconds.max(MIN_JOB_COST / COST_UNITS_PER_SECOND);
+        let error = measured * COST_UNITS_PER_SECOND - job.cost;
         if ok {
             self.metrics.cost_samples += 1;
             self.metrics.estimate_error_units += error.abs();
@@ -180,7 +206,7 @@ mod tests {
             .iter()
             .map(|name| sched.intern(name, &TenantPolicy::default(), now))
             .collect();
-        // Every job really costs 10 ms (= 10 cost units). `under`'s jobs are
+        // Every job really costs 100 µs (= 10 cost units). `under`'s jobs are
         // hint-less (floored at MIN_JOB_COST = 1.0, a 10× under-estimate);
         // `exact`'s are admitted at their true cost.
         for i in 0..400 {
@@ -196,7 +222,7 @@ mod tests {
         // busy-seconds even though one tenant's estimates are 10× too low:
         // the ratio must land within 25% of the 1:1 weight ratio.
         let mut sched = mis_estimated_sched();
-        let (under, exact) = drive_mis_estimated(&mut sched, 0.010, 0, 220);
+        let (under, exact) = drive_mis_estimated(&mut sched, 0.0001, 0, 220);
         let ratio = under / exact;
         assert!(
             (0.75..=1.25).contains(&ratio),
@@ -210,7 +236,7 @@ mod tests {
         // Outcomes land 4 dispatches late (workers execute while the
         // scheduler keeps dispatching); the correction still converges.
         let mut sched = mis_estimated_sched();
-        let (under, exact) = drive_mis_estimated(&mut sched, 0.010, 4, 220);
+        let (under, exact) = drive_mis_estimated(&mut sched, 0.0001, 4, 220);
         let ratio = under / exact;
         assert!(
             (0.75..=1.25).contains(&ratio),
@@ -227,8 +253,8 @@ mod tests {
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        sched.settle_final(first.id(), 0.020, true, now);
-        // The model learned 20 ms for plan key 5: the next admission of the
+        sched.settle_final(first.id(), 0.0002, true, now);
+        // The model learned 200 µs for plan key 5: the next admission of the
         // same plan is charged 20 cost units no matter what it estimates.
         assert_eq!(sched.predicted_cost(5), Some(20.0));
         sched.admit(&names[0], JobId(1), 1.0, None, Some(5));
@@ -262,9 +288,9 @@ mod tests {
             panic!("expected dispatch");
         };
         assert_eq!(first.len(), 1, "no deficit left for 80-unit members");
-        // The measurement says 2 ms (= 2 units): every queued job of the
+        // The measurement says 20 µs (= 2 units): every queued job of the
         // plan is repriced at once, quantum included.
-        sched.settle_final(first.id(), 0.002, true, now);
+        sched.settle_final(first.id(), 0.00002, true, now);
         let quantum = sched.quantum();
         assert!(
             (quantum - 2.0).abs() < 1e-9,
@@ -288,9 +314,9 @@ mod tests {
     #[test]
     fn duration_hints_seed_the_model_and_price_admission() {
         let (mut sched, names) = sched_with(&[("t", TenantPolicy::default())]);
-        // An explicit 5 ms duration hint prices the job at 5 cost units and
+        // An explicit 50 µs duration hint prices the job at 5 cost units and
         // seeds the model (samples = 0: a prior, not a measurement).
-        sched.admit(&names[0], JobId(0), 80.0, Some(0.005), Some(9));
+        sched.admit(&names[0], JobId(0), 80.0, Some(0.00005), Some(9));
         assert_eq!(sched.head_cost_of(&names[0]), Some(5.0));
         assert_eq!(sched.predicted_cost(9), Some(5.0));
         // Once a real measurement lands it blends with (not replaces) the
@@ -299,14 +325,36 @@ mod tests {
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        sched.settle_final(first.id(), 0.015, true, now);
+        sched.settle_final(first.id(), 0.00015, true, now);
         let repriced = sched.predicted_cost(9).expect("model has the key");
         assert!(
             repriced > 5.0 && repriced < 15.0,
             "EWMA blends prior and measurement, got {repriced}"
         );
-        sched.admit(&names[0], JobId(1), 80.0, Some(0.005), Some(9));
+        sched.admit(&names[0], JobId(1), 80.0, Some(0.00005), Some(9));
         assert_eq!(sched.head_cost_of(&names[0]), Some(repriced));
+    }
+
+    #[test]
+    fn a_hint_seed_reprices_queued_heads_and_the_quantum() {
+        let (mut sched, names) = sched_with(&[
+            ("a", TenantPolicy::default()),
+            ("b", TenantPolicy::default()),
+        ]);
+        // b's head runs plan 7, priced at 1 unit; a's head is a latency job.
+        sched.admit(&names[1], JobId(0), 1.0, None, Some(7));
+        sched.admit_latency(&names[0], JobId(1), 1.0, None);
+        assert_eq!(sched.quantum(), 1.0);
+        // A hinted job of plan 7 queues behind a's head and seeds the model
+        // at 50 units, which reprices b's head: the quantum must follow, or
+        // it caps b's deficit below its head's cost for good.
+        sched.admit(&names[0], JobId(2), 1.0, Some(0.0005), Some(7));
+        assert_eq!(
+            sched.head_cost_of(&names[0]),
+            Some(1.0),
+            "a's head is unchanged"
+        );
+        assert_eq!(sched.quantum(), 50.0);
     }
 
     #[test]
@@ -324,9 +372,9 @@ mod tests {
             panic!("expected dispatch");
         };
         let before = sched.deficit_of(&names[0]);
-        // A pathological 1-second (1000 cost units) outlier against a 1-unit
+        // A pathological 10 ms (1000 cost units) outlier against a 1-unit
         // estimate: the correction is clamped at 16 × 1 = 16 units, not 999.
-        sched.settle_final(first.id(), 1.0, true, now);
+        sched.settle_final(first.id(), 0.01, true, now);
         let after = sched.deficit_of(&names[0]);
         assert!(
             (before - after - 16.0).abs() < 1e-9,
@@ -353,9 +401,9 @@ mod tests {
             let SchedPoll::Dispatch(d) = sched.next_job(now) else {
                 panic!("expected dispatch");
             };
-            // Massively over-estimated: measured 1 ms against a 50-unit
-            // charge would refund ~49 units per job if banked.
-            sched.settle_final(d.id(), 0.001, true, now);
+            // Massively over-estimated: measured 10 µs (1 unit) against a
+            // 50-unit charge would refund ~49 units per job if banked.
+            sched.settle_final(d.id(), 0.00001, true, now);
         }
         assert!(
             sched.deficit_of(&names[0]) <= 50.0 + 1e-9,
@@ -381,7 +429,7 @@ mod tests {
             panic!("expected dispatch");
         };
         assert_eq!(first.id(), JobId(0));
-        sched.settle_final(first.id(), 0.010, true, now);
+        sched.settle_final(first.id(), 0.0001, true, now);
         let debt = sched.deficit_of(&names[0]);
         assert!(debt < -8.0, "expected ~-9 debt, got {debt}");
         // The debtor's queue is now empty: its next visit vetoes it. The

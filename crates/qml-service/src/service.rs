@@ -8,14 +8,13 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use qml_backends::ExecutionResult;
-use qml_observe::{
-    NoopTracer, RingTracer, Stage, TraceEvent, TraceStats, Tracer, DEFAULT_TRACE_CAPACITY,
-};
+use qml_observe::{NoopTracer, RingTracer, TraceEvent, TraceStats, Tracer, DEFAULT_TRACE_CAPACITY};
 use qml_runtime::{JobDispatch, JobId, JobOutcome, JobSource, JobStatus, Runtime, WorkerPool};
-use qml_types::{CapabilityDescriptor, JobBundle, JobRequirements, QmlError, Result, SealedBundle};
+use qml_types::{CapabilityDescriptor, JobBundle, Result, SealedBundle};
 
+use crate::core::ServiceCore;
 use crate::fleet::{DeviceSpec, DeviceUtilization, FleetRouter};
-use crate::metrics::{BackendUtilization, RunSummary, ServiceMetrics, TenantStats};
+use crate::metrics::{RunSummary, ServiceMetrics};
 use crate::observe::{MetricsRegistry, ObservabilitySnapshot};
 use crate::scheduler::{FairScheduler, Job, Mode, SchedPoll, TenantPolicy};
 use crate::sweep::SweepRequest;
@@ -147,195 +146,65 @@ impl ServiceConfig {
     }
 }
 
-/// Everything the service counts, under its one lock: the fair scheduler
-/// (queues, in-flight records, fleet, per-tenant and per-class ledgers)
-/// and the few facts only the service layer knows.
-struct ServiceState {
-    sched: FairScheduler,
-    next_batch: u64,
-    next_job: u64,
-    /// Jobs of each batch, in expansion order.
-    batches: BTreeMap<BatchId, Vec<JobId>>,
-    /// Every admitted job's status, result and terminal device.
-    jobs: BTreeMap<JobId, JobRecord>,
-    /// Bundles of settled jobs, freed by the next submission on its own
-    /// thread: freeing them on the workers cost `compile_cold` about a
-    /// quarter of its throughput.
-    retired: Vec<SealedBundle>,
-    last_run: Option<RunSummary>,
-}
-
-/// What the service reports about one job. Its status is written at three
-/// points, each under the service lock: `Queued` at admission, `Running`
-/// when a worker takes its dispatch, and terminal — or `Queued` again after
-/// a failover — in the critical section that settles its outcome.
-#[derive(Debug)]
-struct JobRecord {
-    status: JobStatus,
-    result: Option<ExecutionResult>,
-    /// The fleet device that produced the terminal outcome.
-    device: Option<Arc<str>>,
-}
-
-/// The shared core behind every [`QmlService`] clone and every pool worker.
+/// The shared shell behind every [`QmlService`] clone and every pool
+/// worker: the [`ServiceCore`] under one lock, and the condition variable
+/// its waiters block on.
 struct ServiceInner {
     /// Dropped first, so the plan cache's large frees come after the job
     /// table's small ones and make the allocator merge them then, not in
     /// the next allocation-heavy call (measured: 15–25 ms stalls).
-    state: Mutex<ServiceState>,
-    /// Notified by [`ServiceInner::change`] after every state change that
-    /// can make work dispatchable or a waiter's condition true; idle workers,
-    /// `wait_for` and `wait_idle` block on it in [`ServiceInner::wait_until`].
+    core: Mutex<ServiceCore>,
+    /// Notified by [`ServiceInner::change`] after every event, so idle
+    /// workers, `wait_for` and `wait_idle` re-check in
+    /// [`ServiceInner::wait_until`].
     wake: Condvar,
     runtime: Arc<Runtime>,
     config: ServiceConfig,
     /// Shared observability sink (stage-event tracer + latency histograms);
-    /// the same registry the scheduler and — tracer only — the runtime
-    /// report through, so every layer's events share one clock epoch.
+    /// the same registry the core and — tracer only — the runtime report
+    /// through, so every layer's events share one clock epoch.
     obs: Arc<MetricsRegistry>,
 }
 
 impl ServiceInner {
-    /// Settle one finished job in one critical section, at one clock read:
-    /// [`FairScheduler::settle_outcome`] frees its fleet slot and either
-    /// fails a device fault over to another device or books the terminal
-    /// outcome (tenant, class and device counts, cost model, deficit
-    /// charge-back); then the `executed`/`outcome` observations land. All
-    /// of it happens before the lock is released, so once `wait_idle`
-    /// observes quiescence every finished job is visible in `metrics()` and
-    /// in the trace, with its status. Called from pool workers as jobs
-    /// complete.
-    fn record_outcome(&self, outcome: &JobOutcome) {
-        let seconds = outcome.duration.as_secs_f64();
-        let fault = matches!(&outcome.result, Err(e) if e.is_device_fault());
-        self.change(|state| {
-            let settled = state.sched.settle_outcome(
-                outcome.id,
-                seconds,
-                outcome.result.is_ok(),
-                fault,
-                Instant::now(),
-            );
-            // A failed-over job is queued again: its result, device, traces and
-            // latency samples wait for the attempt that settles it.
-            let record = state
-                .jobs
-                .get_mut(&outcome.id)
-                .expect("admitted at submission");
-            let Some((tenant, bundle)) = settled else {
-                record.status = JobStatus::Queued;
-                return;
-            };
-            state.retired.push(bundle);
-            let measured_us = outcome.duration.as_micros() as u64;
-            self.obs
-                .observe_exec(&tenant, &outcome.backend, measured_us);
-            if self.obs.tracing_enabled() {
-                let ok = outcome.result.is_ok();
-                for stage in [Stage::Executed { measured_us }, Stage::Outcome { ok }] {
-                    self.obs.trace(outcome.id, Some(&tenant), None, stage);
-                }
-            }
-            record.device = outcome.device.clone();
-            match &outcome.result {
-                Ok(result) => {
-                    record.status = JobStatus::Completed;
-                    // The worker frees the original, grown piecemeal while
-                    // sampling; keeping it stalled the next service's first jobs
-                    // for 10–30 ms (perfbench `mixed_latency` setup).
-                    record.result = Some(result.clone());
-                }
-                Err(err) => record.status = JobStatus::Failed(err.to_string()),
-            }
-        });
-    }
-
-    /// Apply `apply` to the state under the lock, then wake every waiter
-    /// to re-check: the one way a state change reaches blocked threads.
-    fn change<T>(&self, apply: impl FnOnce(&mut ServiceState) -> T) -> T {
-        let answer = apply(&mut self.state.lock());
+    /// The one way an event reaches the core: lock, read the clock once,
+    /// apply `event`, then wake every waiter to re-check.
+    fn change<T>(&self, event: impl FnOnce(&mut ServiceCore, Instant) -> T) -> T {
+        let answer = event(&mut self.core.lock(), Instant::now());
         self.wake.notify_all();
         answer
     }
 
-    /// The one way the service waits: `poll` the state under the lock
-    /// until it answers `Ok`, blocking on [`ServiceInner::wake`] after each
-    /// `Err` until notified or until the instant the `Err` names. A spurious
-    /// or early wake costs one more poll. Poisoning is recovered from, as
-    /// the mutex itself does.
+    /// The one way the service waits: `poll` the core under the lock at a
+    /// fresh clock read until it answers `Ok`, blocking on
+    /// [`ServiceInner::wake`] after each `Err` until notified or until the
+    /// instant the `Err` names. A spurious or early wake costs one more
+    /// poll. Poisoning is recovered from, as the mutex itself does.
     fn wait_until<T>(
         &self,
-        mut poll: impl FnMut(&mut ServiceState) -> std::result::Result<T, Option<Instant>>,
+        mut poll: impl FnMut(&mut ServiceCore, Instant) -> std::result::Result<T, Option<Instant>>,
     ) -> T {
-        let mut guard = self.state.lock();
+        let mut guard = self.core.lock();
         loop {
-            guard = match poll(&mut guard) {
+            let now = Instant::now();
+            let at = match poll(&mut guard, now) {
                 Ok(answer) => return answer,
-                Err(None) => self
-                    .wake
-                    .wait(guard)
-                    .unwrap_or_else(PoisonError::into_inner),
-                Err(Some(at)) => {
-                    let timeout = at.saturating_duration_since(Instant::now());
-                    let woken = self.wake.wait_timeout(guard, timeout);
-                    woken.unwrap_or_else(PoisonError::into_inner).0
-                }
+                Err(at) => at,
             };
+            let timeout = at.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
+            let woken = self.wake.wait_timeout(guard, timeout);
+            guard = woken.unwrap_or_else(PoisonError::into_inner).0;
         }
-    }
-
-    /// A point-in-time [`ServiceMetrics`] snapshot (shared by the service
-    /// and its streaming handle).
-    fn metrics(&self) -> ServiceMetrics {
-        let cache = self.runtime.cache();
-        let (all, gate, anneal) = (cache.stats(), cache.gate_stats(), cache.anneal_stats());
-        let state = self.state.lock();
-        let totals = state.sched.totals();
-        let per_device = state.sched.device_snapshot();
-        // A plane's totals fold its devices' gauges; a requeued attempt is no job.
-        let mut per_backend = BTreeMap::<String, BackendUtilization>::new();
-        for device in per_device.values().filter(|d| d.dispatched > 0) {
-            let util = per_backend.entry(device.plane.clone()).or_default();
-            util.jobs += device.completed + device.failed - device.requeued;
-            util.busy_seconds += device.busy_seconds;
-        }
-        ServiceMetrics {
-            jobs_submitted: totals.submitted,
-            jobs_completed: totals.completed,
-            jobs_failed: totals.failed,
-            queue_depth: state.sched.queued(),
-            cache: all,
-            gate_cache: gate,
-            anneal_cache: anneal,
-            scheduler: state.sched.metrics,
-            per_backend,
-            per_device,
-            per_class: state.sched.class_snapshot(),
-            per_tenant: state.sched.tenant_snapshot(),
-            last_run: state.last_run,
-        }
-    }
-
-    /// The unified observability snapshot: [`ServiceInner::metrics`] plus
-    /// latency percentiles, cost gauges, and tracer health.
-    fn snapshot(&self) -> ObservabilitySnapshot {
-        self.obs.snapshot(self.metrics())
     }
 }
 
-/// Pool workers pull their next job straight from the fair scheduler, and
-/// wait while it has nothing to dispatch: until notified, or until a
-/// throttled tenant's bucket holds a token.
+/// Pool workers take their next job from the core, and wait while it has
+/// nothing to dispatch: until notified, or until a throttled tenant's
+/// bucket holds a token.
 impl JobSource for ServiceInner {
     fn next_job(&self, _worker: usize) -> Option<JobDispatch> {
-        self.wait_until(|state| match state.sched.next_job(Instant::now()) {
-            SchedPoll::Dispatch(dispatch) => {
-                for id in dispatch.ids() {
-                    let record = state.jobs.get_mut(&id).expect("admitted at submission");
-                    record.status = JobStatus::Running;
-                }
-                Ok(Some(dispatch))
-            }
+        self.wait_until(|core, now| match core.take(now) {
+            SchedPoll::Dispatch(dispatch) => Ok(Some(dispatch)),
             SchedPoll::Idle(wake) => Err(wake),
             SchedPoll::Shutdown => Ok(None),
         })
@@ -405,16 +274,9 @@ impl JobSource for ServiceInner {
 /// assert_eq!(service.result(job).unwrap().shots, 64);
 /// # Ok::<(), qml_types::QmlError>(())
 /// ```
+#[derive(Clone)]
 pub struct QmlService {
     inner: Arc<ServiceInner>,
-}
-
-impl Clone for QmlService {
-    fn clone(&self) -> Self {
-        QmlService {
-            inner: Arc::clone(&self.inner),
-        }
-    }
 }
 
 impl Default for QmlService {
@@ -443,13 +305,10 @@ impl QmlService {
             Arc::new(NoopTracer)
         };
         let obs = Arc::new(MetricsRegistry::new(tracer));
-        // The runtime shares the service's tracer so plan/bind attribution
-        // from workers lands in the same event stream (same clock epoch) as
-        // the service's submit/dispatch/outcome stages.
+        // Workers' plan/bind events land in the service's event stream.
         runtime.set_tracer(Arc::clone(obs.tracer()));
-        // Every registered backend plane fronts a fleet: explicitly
-        // configured devices where given, otherwise one implicit unlimited
-        // device per plane, so every dispatch is routed to a device.
+        // Every registered plane fronts a fleet: the configured devices, or
+        // one implicit unlimited device, so every dispatch has a device.
         let mut specs = config.devices.clone();
         for backend in runtime.scheduler().registry().backends() {
             if specs.iter().all(|s| s.backend.name() != backend.name()) {
@@ -461,21 +320,13 @@ impl QmlService {
             }
         }
         let fleet = FleetRouter::new(specs, config.probe_interval);
-        let state = ServiceState {
-            sched: FairScheduler::new(config.max_batch, Arc::clone(&obs), fleet),
-            next_batch: 0,
-            next_job: 0,
-            batches: BTreeMap::new(),
-            jobs: BTreeMap::new(),
-            retired: Vec::new(),
-            last_run: None,
-        };
+        let sched = FairScheduler::new(config.max_batch, Arc::clone(&obs), fleet);
         QmlService {
             inner: Arc::new(ServiceInner {
+                core: Mutex::new(ServiceCore::new(sched, Arc::clone(&obs))),
+                wake: Condvar::new(),
                 runtime: Arc::new(runtime),
                 config,
-                state: Mutex::new(state),
-                wake: Condvar::new(),
                 obs,
             }),
         }
@@ -511,121 +362,38 @@ impl QmlService {
         tenant: &str,
         bundles: Vec<SealedBundle>,
     ) -> Result<(BatchId, Option<JobId>)> {
-        // Place each job once, before taking any lock: an unplaceable job
-        // rejects the whole batch before any id is assigned. The fair
-        // scheduler spends DRR deficit in estimated-cost units, and the
-        // placement rides every dispatch to the worker, which never places.
-        // The placed backend also stamps its device-level batch key (plan
-        // identity folded with the backend name) so the scheduler can
-        // coalesce plan-compatible jobs into micro-batches.
-        let mut prepared = Vec::with_capacity(bundles.len());
-        for bundle in bundles {
-            let placement = self.inner.runtime.scheduler().place(&bundle)?;
-            let batch_key = placement.backend.batch_key(&bundle).map(|key| {
-                use qml_types::bundle::{fnv1a64_init, fnv1a64_update};
-                let hash = fnv1a64_update(fnv1a64_init(), placement.backend.name().as_bytes());
-                fnv1a64_update(hash, &key.to_le_bytes())
-            });
-            // An explicit `duration_us` cost hint is the submitter's own
-            // wall-clock claim: it seeds the measured-cost model (and prices
-            // this admission) until real measurements take over.
-            let hint_seconds = hint_seconds(&bundle);
-            // Fleet requirements are derived once here and carried with the
-            // job, so routing — and re-routing after a device fault — never
-            // re-parses descriptors.
-            let requirements = JobRequirements::of(&bundle);
-            let job = Job {
-                // Placeholders until the id is assigned and the deadline is
-                // stamped, both at admission below.
-                id: JobId(0),
-                class: bundle.service_class(),
-                bundle,
-                cost: placement.estimated_cost,
-                placement,
-                batch_key,
-                requirements,
-                deadline: None,
-                retry: false,
-            };
-            prepared.push((job, hint_seconds));
-        }
-        // One critical section and one clock read for the whole batch: a
-        // worker's dispatch `now` is read under the same lock, so
-        // `submitted ≤ now` holds by construction, and each deadline is
-        // exactly its class budget after submission (queue wait counts
-        // against it).
-        let (batch, first, retired) = self.inner.change(|state| {
-            let now = Instant::now();
-            // Fleet feasibility, before anything is recorded: a job no device on
-            // its placed plane could *ever* serve (too wide, wrong optimization
-            // level) rejects the whole batch atomically, instead of queueing
-            // work that can only bounce until it fails.
-            for (job, _) in &prepared {
-                let plane = job.placement.backend.name();
-                if !state.sched.feasible(plane, &job.requirements) {
-                    return Err(QmlError::Validation(format!(
-                        "no device in the '{plane}' fleet can serve this job \
-                         (width {}, optimization level {})",
-                        job.requirements.qubits, job.requirements.opt_level
-                    )));
-                }
-            }
-            let tenant = state
-                .sched
-                .intern(tenant, self.inner.config.policy_for(tenant), now);
-            let batch = BatchId(state.next_batch);
-            state.next_batch += 1;
-            let mut job_ids = Vec::with_capacity(prepared.len());
-            for (mut job, hint_seconds) in prepared {
-                job.id = JobId(state.next_job);
-                state.next_job += 1;
-                state.jobs.insert(
-                    job.id,
-                    JobRecord {
-                        status: JobStatus::Queued,
-                        result: None,
-                        device: None,
-                    },
-                );
-                job.deadline = job.class.deadline().map(|budget| now + budget);
-                job_ids.push(job.id);
-                // `submitted` lands immediately before the scheduler's own
-                // `admitted` event, under the same lock: per-job stage order and
-                // timestamp order agree by construction.
-                if self.inner.obs.tracing_enabled() {
-                    self.inner
-                        .obs
-                        .trace(job.id, Some(&tenant), job.batch_key, Stage::Submitted);
-                }
-                state.sched.admit_job(&tenant, job, hint_seconds, now);
-            }
-            let first = job_ids.first().copied();
-            state.batches.insert(batch, job_ids);
-            Ok((batch, first, std::mem::take(&mut state.retired)))
-        })?;
-        drop(retired);
+        // Place each job once, before taking the lock: an unplaceable job
+        // rejects the whole batch before any id is assigned, and the
+        // placement rides every dispatch to the worker.
+        let prepared = bundles
+            .into_iter()
+            .map(|bundle| {
+                let placement = self.inner.runtime.scheduler().place(&bundle)?;
+                Ok(Job::placed(bundle, placement))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        // One critical section and one clock read for the whole batch, so
+        // `submitted ≤ now` holds for every dispatch; the retired bundles
+        // are freed here, after the lock.
+        let policy = self.inner.config.policy_for(tenant);
+        let (batch, first, _retired) =
+            (self.inner).change(|core, now| core.admit(tenant, policy, prepared, now))?;
         Ok((batch, first))
     }
 
     /// Jobs of a batch, in expansion order (empty for unknown batches).
     pub fn batch_jobs(&self, batch: BatchId) -> Vec<JobId> {
-        self.inner
-            .state
-            .lock()
-            .batches
-            .get(&batch)
-            .cloned()
-            .unwrap_or_default()
+        self.inner.core.lock().batch_jobs(batch)
     }
 
     /// Status of a job.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        Some(self.inner.state.lock().jobs.get(&id)?.status.clone())
+        self.inner.core.lock().status(id)
     }
 
     /// Result of a completed job.
     pub fn result(&self, id: JobId) -> Option<ExecutionResult> {
-        self.inner.state.lock().jobs.get(&id)?.result.clone()
+        self.inner.core.lock().result(id)
     }
 
     /// Start the streaming service loop: a long-lived pool of
@@ -637,27 +405,18 @@ impl QmlService {
     /// [`abort`](ServiceHandle::abort) shut the loop down gracefully. At
     /// most one pool may run at a time; starting a second is an error.
     pub fn start(&self) -> Result<ServiceHandle> {
-        let at_start = {
-            let mut state = self.inner.state.lock();
-            if state.sched.mode != Mode::Stopped {
-                return Err(QmlError::Validation(
-                    "service is already running a streaming pool".into(),
-                ));
-            }
-            state.sched.mode = Mode::Running;
-            state.sched.totals()
-        };
+        self.inner.change(|core, now| core.start(now))?;
         let sink = {
             let inner = Arc::clone(&self.inner);
-            Arc::new(move |outcome: JobOutcome| inner.record_outcome(&outcome))
+            Arc::new(move |outcome: JobOutcome| {
+                inner.change(|core, now| core.settle(&outcome, now))
+            })
         };
         let source: Arc<dyn JobSource> = Arc::clone(&self.inner) as Arc<dyn JobSource>;
         let pool = WorkerPool::spawn(&self.inner.runtime, self.inner.config.workers, source, sink);
         Ok(ServiceHandle {
-            inner: Arc::clone(&self.inner),
+            service: self.clone(),
             pool: Some(pool),
-            at_start,
-            started: Instant::now(),
         })
     }
 
@@ -682,15 +441,13 @@ impl QmlService {
     /// *running* service; without a pool this only times out. A job being
     /// failed over to another device reads `Queued`, never `Failed`.
     pub fn wait_for(&self, job: JobId, timeout: Duration) -> Option<JobStatus> {
-        let deadline = Instant::now() + timeout;
-        self.inner.wait_until(|state| match state.jobs.get(&job) {
-            Some(record)
-                if matches!(record.status, JobStatus::Queued | JobStatus::Running)
-                    && Instant::now() < deadline =>
-            {
-                Err(Some(deadline))
+        // A timeout past the clock's range is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
+        self.inner.wait_until(|core, now| match core.status(job) {
+            Some(JobStatus::Queued | JobStatus::Running) if deadline.is_none_or(|d| now < d) => {
+                Err(deadline)
             }
-            record => Ok(record.map(|record| record.status.clone())),
+            status => Ok(status),
         })
     }
 
@@ -698,20 +455,18 @@ impl QmlService {
     /// scheduler is queued or in flight — or `timeout` elapses. Returns
     /// true if quiescence was reached.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        self.inner.wait_until(|state| {
-            let idle = state.sched.queued() == 0 && state.sched.in_flight() == 0;
-            if idle || Instant::now() >= deadline {
-                Ok(idle)
-            } else {
-                Err(Some(deadline))
-            }
+        let deadline = Instant::now().checked_add(timeout);
+        self.inner.wait_until(|core, now| match core.is_idle() {
+            false if deadline.is_none_or(|d| now < d) => Err(deadline),
+            idle => Ok(idle),
         })
     }
 
     /// A point-in-time snapshot of service health.
     pub fn metrics(&self) -> ServiceMetrics {
-        self.inner.metrics()
+        let cache = self.inner.runtime.cache();
+        let stats = [cache.stats(), cache.gate_stats(), cache.anneal_stats()];
+        self.inner.core.lock().metrics(stats)
     }
 
     /// The unified observability snapshot: [`QmlService::metrics`] folded
@@ -721,7 +476,7 @@ impl QmlService {
     /// [`to_jsonl`](ObservabilitySnapshot::to_jsonl), or grep it via
     /// [`dump_kv`](ObservabilitySnapshot::dump_kv).
     pub fn snapshot(&self) -> ObservabilitySnapshot {
-        self.inner.snapshot()
+        self.inner.obs.snapshot(self.metrics())
     }
 
     /// Drain the retained per-job stage events (oldest first). Empty unless
@@ -741,15 +496,15 @@ impl QmlService {
     /// until the job settles). Requeued attempts are not recorded: by the
     /// time this returns a device, the result is final.
     pub fn device_of(&self, id: JobId) -> Option<Arc<str>> {
-        self.inner.state.lock().jobs.get(&id)?.device.clone()
+        self.inner.core.lock().device_of(id)
     }
 
     /// Per-device fleet gauges keyed by device id: health, dispatch /
     /// completion / failover counters, busy-seconds, in-flight members.
     /// `busy_seconds` folds: summing one plane's devices reproduces that
-    /// plane's [`BackendUtilization`] busy-seconds.
+    /// plane's [`BackendUtilization`](crate::BackendUtilization) busy-seconds.
     pub fn device_metrics(&self) -> BTreeMap<String, DeviceUtilization> {
-        self.inner.state.lock().sched.device_snapshot()
+        self.inner.core.lock().devices()
     }
 
     /// Cordon a fleet device for maintenance: it accepts no new routes and
@@ -759,35 +514,14 @@ impl QmlService {
     /// [`QmlService::uncordon_device`] restores routing exactly as it was.
     /// Returns false for unknown device ids.
     pub fn cordon_device(&self, device: &str) -> bool {
-        self.inner.change(|state| state.sched.cordon(device))
+        self.inner.change(|core, _| core.cordon(device))
     }
 
     /// Lift a cordon placed by [`QmlService::cordon_device`]. Returns false
     /// for unknown device ids.
     pub fn uncordon_device(&self, device: &str) -> bool {
-        self.inner.change(|state| state.sched.uncordon(device))
+        self.inner.change(|core, _| core.uncordon(device))
     }
-}
-
-/// The bundle's explicit wall-clock claim, if any: its operators' cost
-/// hints folded with [`CostHint::saturating_add`], whose duration survives
-/// only when **every** operator carries one — the aggregate never
-/// over-claims precision, so a lone hinted operator among unhinted ones
-/// cannot price (and seed the cost model for) the whole bundle. Each
-/// operator's duration is finite and non-negative (the seal checks it), but
-/// a sum of them can still overflow to infinity: such a claim is no claim.
-///
-/// [`CostHint::saturating_add`]: qml_types::CostHint::saturating_add
-fn hint_seconds(bundle: &JobBundle) -> Option<f64> {
-    let total = bundle
-        .operators
-        .iter()
-        .map(|op| op.cost_hint.unwrap_or_default())
-        .reduce(|a, b| a.saturating_add(&b))?;
-    total
-        .duration_us
-        .filter(|us| us.is_finite())
-        .map(|us| us / 1e6)
 }
 
 /// Control handle for a running streaming pool (returned by
@@ -798,12 +532,8 @@ fn hint_seconds(bundle: &JobBundle) -> Option<f64> {
 /// without either aborts the pool (current jobs finish, the rest stay
 /// queued) so worker threads are never leaked.
 pub struct ServiceHandle {
-    inner: Arc<ServiceInner>,
+    service: QmlService,
     pool: Option<WorkerPool>,
-    /// The service totals when the pool started: a run's summary is the
-    /// difference at shutdown.
-    at_start: TenantStats,
-    started: Instant,
 }
 
 impl ServiceHandle {
@@ -827,41 +557,24 @@ impl ServiceHandle {
     /// [`QmlService::snapshot`], offered on the handle so operators holding
     /// only the handle can poll health mid-run.
     pub fn snapshot(&self) -> ObservabilitySnapshot {
-        self.inner.snapshot()
+        self.service.snapshot()
     }
 
     /// One JSON line of the current [`ObservabilitySnapshot`] — append to a
     /// `.jsonl` log to record a performance trajectory over a run's life.
     pub fn dump_jsonl(&self) -> String {
-        self.inner.snapshot().to_jsonl()
+        self.snapshot().to_jsonl()
     }
 
+    /// Shut the pool down in `mode`: wake the workers to it, wait for them
+    /// to exit, then close the run.
     fn shutdown(&mut self, mode: Mode) -> RunSummary {
-        self.inner.change(|state| state.sched.mode = mode);
+        let inner = &self.service.inner;
+        inner.change(|core, _| core.shut(mode));
         let pool = self.pool.take().expect("shut down once");
         let workers = pool.workers();
         pool.join();
-        let wall_seconds = self.started.elapsed().as_secs_f64();
-        let mut state = self.inner.state.lock();
-        let totals = state.sched.totals();
-        let completed = (totals.completed - self.at_start.completed) as usize;
-        let failed = (totals.failed - self.at_start.failed) as usize;
-        let jobs = completed + failed;
-        let summary = RunSummary {
-            jobs,
-            completed,
-            failed,
-            workers,
-            wall_seconds,
-            jobs_per_second: if wall_seconds > 0.0 {
-                jobs as f64 / wall_seconds
-            } else {
-                0.0
-            },
-        };
-        state.last_run = Some(summary);
-        state.sched.mode = Mode::Stopped;
-        summary
+        inner.change(|core, now| core.stop(workers, now))
     }
 }
 
@@ -878,6 +591,8 @@ mod tests {
     use super::*;
     use qml_algorithms::{maxcut_ising_program, qaoa_maxcut_program, QaoaSchedule, RING_P1_ANGLES};
     use qml_graph::cycle;
+    use qml_observe::Stage;
+    use qml_types::QmlError;
     use qml_types::{AnnealConfig, ContextDescriptor, ExecConfig, Target};
 
     fn gate_program() -> JobBundle {
@@ -1029,12 +744,28 @@ mod tests {
             service.submit("alice", bundle).unwrap();
         }
         service.run_pending();
-        assert_eq!(service.inner.state.lock().retired.len(), 3);
+        assert_eq!(service.inner.core.lock().retired().len(), 3);
         let (_, job) = service
             .submit("alice", gate_program().with_context(gate_context(9)))
             .unwrap();
-        assert!(service.inner.state.lock().retired.is_empty());
+        assert!(service.inner.core.lock().retired().is_empty());
         assert_eq!(service.status(job), Some(JobStatus::Queued));
+    }
+
+    #[test]
+    fn a_timeout_past_the_clocks_range_waits_without_a_deadline() {
+        // `Instant::now() + Duration::MAX` overflows: such a timeout is no
+        // deadline, and the wait ends when the job settles.
+        let service = QmlService::with_config(ServiceConfig::with_workers(1));
+        let bundle = gate_program().with_context(gate_context(1));
+        let (_, job) = service.submit("alice", bundle).unwrap();
+        let handle = service.start().unwrap();
+        assert_eq!(
+            service.wait_for(job, Duration::MAX),
+            Some(JobStatus::Completed)
+        );
+        assert!(service.wait_idle(Duration::MAX));
+        assert_eq!(handle.drain().completed, 1);
     }
 
     #[test]
@@ -1074,7 +805,7 @@ mod tests {
         let report = service.start().unwrap().drain();
         assert_eq!(report.failed, 1);
         assert_eq!(report.completed, JOBS - 1);
-        assert_eq!(service.inner.state.lock().sched.in_flight(), 0);
+        assert_eq!(service.inner.core.lock().sched().in_flight(), 0);
         let failures: Vec<String> = jobs
             .iter()
             .filter_map(|id| match service.status(*id) {

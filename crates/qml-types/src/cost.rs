@@ -120,65 +120,9 @@ impl CostHint {
     }
 }
 
-/// One **observed** execution cost, paired with the estimate a scheduler
-/// charged for it at dispatch time.
-///
-/// [`CostHint`] is the a-priori side of the paper's HPC-scheduler analogy;
-/// `MeasuredCost` is the a-posteriori side: what the job actually cost once
-/// a backend ran it. Feedback-driven schedulers (the serving tier's
-/// measured-cost fairness loop) reconcile the two — correcting a tenant's
-/// budget by the estimate error and folding the measurement into an online
-/// cost model keyed by `plan_key`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MeasuredCost {
-    /// Grouping key of the realization plan the job executed under — the
-    /// same device-level batch key used for micro-batching — so repeated
-    /// submissions of one plan share a cost model entry. `None` when the
-    /// job had no plan identity (a non-batching backend).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub plan_key: Option<u64>,
-    /// The cost charged at dispatch, in abstract scheduler cost units.
-    pub estimated: f64,
-    /// Observed busy wall-clock, in seconds.
-    pub seconds: f64,
-}
-
-impl MeasuredCost {
-    /// A measurement reconciling `estimated` cost units against `seconds`
-    /// of observed busy time under plan `plan_key`.
-    pub fn new(plan_key: Option<u64>, estimated: f64, seconds: f64) -> Self {
-        MeasuredCost {
-            plan_key,
-            estimated,
-            seconds,
-        }
-    }
-
-    /// The signed estimate error in cost units, under a conversion of
-    /// `units_per_second` cost units per busy-second: positive means the
-    /// job was under-estimated (it cost more than it was charged).
-    pub fn error_units(&self, units_per_second: f64) -> f64 {
-        self.seconds * units_per_second - self.estimated
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn measured_cost_error_sign() {
-        // Charged 2 units, actually ran 10 ms at 1000 units/s = 10 units:
-        // under-estimated by 8.
-        let m = MeasuredCost::new(Some(7), 2.0, 0.010);
-        assert!((m.error_units(1000.0) - 8.0).abs() < 1e-12);
-        // Over-estimated jobs report a negative error.
-        let m = MeasuredCost::new(None, 20.0, 0.010);
-        assert!((m.error_units(1000.0) + 10.0).abs() < 1e-12);
-        let json = serde_json::to_string(&m).unwrap();
-        let back: MeasuredCost = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, m);
-    }
 
     #[test]
     fn listing3_form_serializes_without_unknowns() {

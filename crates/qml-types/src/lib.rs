@@ -73,7 +73,7 @@ pub use class::ServiceClass;
 pub use context::{
     AnnealConfig, ContextDescriptor, ExecConfig, ExecOptions, QecConfig, Target, CTX_SCHEMA,
 };
-pub use cost::{CostHint, MeasuredCost};
+pub use cost::CostHint;
 pub use decode::{decode_word, DecodedCounts, DecodedValue};
 pub use encoding::{BitOrder, EncodingKind, MeasurementSemantics, PhaseScale};
 pub use error::{QmlError, Result};
