@@ -11,6 +11,7 @@
 //! only to the [`std::io::Write`] it is handed.
 
 #![warn(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 

@@ -19,8 +19,8 @@
 //!   sealed bundles it runs and their placement, so a serving tier places
 //!   each job once and keeps its own job table; the runtime's serves only
 //!   [`Runtime::submit`] and `run_job`.
-//! * [`services`] — orthogonal context services (§4.3.1): the QEC service and
-//!   a communication estimator for partitioned (multi-QPU) execution.
+//! * [`services`] — orthogonal context services (§4.3.1): a communication
+//!   estimator for partitioned (multi-QPU) execution.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
@@ -34,6 +34,4 @@ pub mod services;
 pub use executor::{JobId, JobOutcome, JobStatus, Runtime};
 pub use pool::{JobDispatch, JobSource, OutcomeSink, WorkerPool};
 pub use registry::{BackendRegistry, Placement, Scheduler};
-pub use services::{
-    estimate_communication, with_communication, CommunicationEstimate, ContextServices,
-};
+pub use services::{estimate_communication, CommunicationEstimate};

@@ -3,14 +3,13 @@
 //! §4.3.1 of the paper: "Orthogonal Context Services are system-level
 //! capabilities that are separate from an operator's mathematical meaning but
 //! necessary to run programs on real hardware ... quantum communication with
-//! teleportation ..., error correction ..., and annealing submission." The
-//! runtime offers these as explicit service handles derived from the context
-//! descriptor — libraries consult them, they never seize global state.
+//! teleportation ..., error correction ..., and annealing submission." This
+//! module holds the communication estimate for partitioned execution; the
+//! gate backend consults the QEC service (`qml_qec::QecService`) directly.
 
 use serde::{Deserialize, Serialize};
 
-use qml_qec::QecService;
-use qml_types::{ContextDescriptor, CostHint, JobBundle, QmlError, Result};
+use qml_types::{JobBundle, QmlError, Result};
 
 /// Estimate of the inter-device communication a partitioned execution would
 /// require — the middle layer's analogue of an HPC communication-volume
@@ -24,39 +23,6 @@ pub struct CommunicationEstimate {
     pub cross_partition_operations: u64,
     /// Bell pairs required (one per cross-partition operation).
     pub bell_pairs_required: u64,
-}
-
-/// The bundle of orthogonal services the runtime derives from a context.
-#[derive(Debug, Clone)]
-pub struct ContextServices {
-    /// The QEC service, when the context carries a `qec` block.
-    pub qec: Option<QecService>,
-}
-
-impl ContextServices {
-    /// Derive services from a context descriptor. Unknown policies are
-    /// reported as errors rather than silently ignored.
-    pub fn from_context(context: &ContextDescriptor) -> Result<Self> {
-        let qec = context
-            .qec
-            .as_ref()
-            .map(QecService::from_config)
-            .transpose()?;
-        Ok(ContextServices { qec })
-    }
-
-    /// Services for a bundle (empty when the bundle has no context).
-    pub fn for_bundle(bundle: &JobBundle) -> Result<Self> {
-        match &bundle.context {
-            Some(ctx) => ContextServices::from_context(ctx),
-            None => Ok(ContextServices { qec: None }),
-        }
-    }
-
-    /// True if an error-correction policy is active.
-    pub fn has_qec(&self) -> bool {
-        self.qec.is_some()
-    }
 }
 
 /// Estimate the communication cost of splitting a bundle's register space
@@ -109,45 +75,15 @@ pub fn estimate_communication(
     })
 }
 
-/// Attach a communication estimate to a cost hint (communication is the
-/// dominant term in the scheduler's ranking, mirroring how HPC schedulers
-/// weigh network volume).
-pub fn with_communication(hint: CostHint, estimate: &CommunicationEstimate) -> CostHint {
-    hint.with_communication(estimate.bell_pairs_required)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qml_algorithms::{maxcut_ising_program, qaoa_maxcut_program, QaoaSchedule, RING_P1_ANGLES};
     use qml_graph::cycle;
-    use qml_types::{ExecConfig, QecConfig};
+    use qml_types::CostHint;
 
     fn qaoa_bundle() -> JobBundle {
         qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES])).unwrap()
-    }
-
-    #[test]
-    fn services_from_context_with_qec() {
-        let ctx = ContextDescriptor::for_gate(ExecConfig::new("gate.aer_simulator"))
-            .with_qec(QecConfig::surface(7));
-        let services = ContextServices::from_context(&ctx).unwrap();
-        assert!(services.has_qec());
-        assert_eq!(services.qec.unwrap().distance, 7);
-    }
-
-    #[test]
-    fn services_without_context_are_empty() {
-        let services = ContextServices::for_bundle(&qaoa_bundle()).unwrap();
-        assert!(!services.has_qec());
-    }
-
-    #[test]
-    fn unknown_qec_family_propagates() {
-        let mut qec = QecConfig::surface(5);
-        qec.code_family = "mystery".into();
-        let ctx = ContextDescriptor::for_gate(ExecConfig::new("gate.aer_simulator")).with_qec(qec);
-        assert!(ContextServices::from_context(&ctx).is_err());
     }
 
     #[test]
@@ -176,7 +112,7 @@ mod tests {
     fn communication_feeds_into_cost_hints() {
         let bundle = qaoa_bundle();
         let estimate = estimate_communication(&bundle, 2).unwrap();
-        let hint = with_communication(CostHint::gates(8, 10), &estimate);
+        let hint = CostHint::gates(8, 10).with_communication(estimate.bell_pairs_required);
         assert_eq!(hint.communication, Some(2));
         assert!(hint.scheduling_weight() > CostHint::gates(8, 10).scheduling_weight());
     }

@@ -95,7 +95,11 @@ impl ServiceCore {
             job.id = JobId(self.next_job);
             self.next_job += 1;
             self.jobs.insert(job.id, None);
-            job.deadline = job.class.deadline().map(|budget| now + budget);
+            // A budget past the clock's range is no deadline.
+            job.deadline = job
+                .class
+                .deadline()
+                .and_then(|budget| now.checked_add(budget));
             ids.push(job.id);
             // Immediately before the scheduler's `admitted`, so stage order
             // and timestamp order agree.
@@ -502,7 +506,14 @@ mod tests {
             let n = self.rng.range(1, 3);
             let jobs = (0..n).map(|_| self.job()).collect();
             let now = self.now();
-            let (batch, first, _retired) = self.core.admit(&name, &policy, jobs, now).unwrap();
+            // The caller of a panicking admission survives it (`submit`
+            // unwinds out of the lock), so the core must have kept nothing:
+            // the ledger laws see whatever it did keep.
+            let admit = || self.core.admit(&name, &policy, jobs, now);
+            let Ok(admitted) = catch_unwind(AssertUnwindSafe(admit)) else {
+                return;
+            };
+            let (batch, first, _retired) = admitted.unwrap();
             assert_eq!(first, Some(JobId(self.admitted as u64)), "ids are dense");
             assert_eq!(self.core.batch_jobs(batch).len(), n);
             assert!(
@@ -513,10 +524,12 @@ mod tests {
         }
 
         /// A job of either class, on one of two plan keys or none, priced
-        /// 0–4, with a duration hint one time in five.
+        /// 0–4, with a duration hint one time in five. One deadline in ten
+        /// lies past the clock's range.
         fn job(&mut self) -> (Job, Option<f64>) {
             let class = match self.rng.range(0, 3) {
                 0 => ServiceClass::latency(),
+                1 if self.rng.percent(10) => ServiceClass::latency_within(Duration::MAX),
                 1 => ServiceClass::latency_within(Duration::from_millis(
                     self.rng.range(1, 20) as u64
                 )),

@@ -17,8 +17,7 @@
 //! [`ObservabilitySnapshot`], exportable as JSON
 //! ([`ObservabilitySnapshot::to_json`] / [`to_jsonl`](ObservabilitySnapshot::to_jsonl))
 //! or as greppable `key=value` text ([`ObservabilitySnapshot::dump_kv`]) —
-//! the format CI asserts against, and the one a future fleet front-end will
-//! diff across PRs.
+//! the format a future fleet front-end will diff across PRs.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -109,8 +108,8 @@ impl ObservabilitySnapshot {
         serde_json::to_string(self).unwrap_or_default()
     }
 
-    /// Greppable `key=value` rendering, one subject per line — the format
-    /// CI asserts against (`p99_wait_us=`, `dropped=`, ...).
+    /// Greppable `key=value` rendering, one subject per line
+    /// (`p99_wait_us=`, `dropped=`, ...).
     pub fn dump_kv(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

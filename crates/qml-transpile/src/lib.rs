@@ -25,8 +25,6 @@
 pub mod basis;
 pub mod error;
 pub mod passes;
-#[cfg(test)]
-mod reference;
 pub mod routing;
 pub mod target;
 pub mod transpiler;
@@ -37,6 +35,9 @@ pub use passes::optimize;
 pub use routing::{route, RoutedCircuit};
 pub use target::{CouplingMap, TranspileTarget};
 pub use transpiler::{transpile, CircuitMetrics, TranspileResult};
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod proptests {

@@ -5,9 +5,8 @@
 //!
 //! Run with: `cargo run --release --example batched_sweep`
 //!
-//! CI greps this example's output: the cold-cache batched sweep must report
-//! exactly one gate-plan miss (and the ladder one anneal-plan miss) or the
-//! build fails.
+//! The example asserts that the cold-cache batched sweep reports exactly one
+//! gate-plan miss and the ladder one anneal-plan miss.
 
 use qml_core::graph::cycle;
 use qml_core::prelude::*;

@@ -125,8 +125,7 @@ fn main() -> std::result::Result<(), QmlError> {
         "latency class: dispatched={} completed={} | throughput class: dispatched={} completed={}",
         latency.dispatched, latency.completed, throughput.dispatched, throughput.completed,
     );
-    // Deadline-free latency jobs can never miss; the greppable line below is
-    // what CI pins.
+    // Deadline-free latency jobs can never miss.
     println!("deadline_miss={}", latency.deadline_miss);
     assert_eq!(latency.deadline_miss, 0);
     println!(

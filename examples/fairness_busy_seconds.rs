@@ -8,7 +8,6 @@
 //! so device time converges to the 1:1 weight ratio.
 //!
 //! Run with: `cargo run --release --example fairness_busy_seconds`
-//! (CI greps the `band=ok` line.)
 
 use std::time::{Duration, Instant};
 

@@ -77,6 +77,8 @@ fn main() -> std::result::Result<(), QmlError> {
         "fleet_failover requeued={} excluded={} lost={lost}",
         metrics.scheduler.requeued, dead.requeued,
     );
+    assert!(metrics.scheduler.requeued >= 1, "the death requeued work");
+    assert!(dead.requeued >= 1, "the dead device's jobs were requeued");
     assert_eq!(lost, 0, "every job settled exactly once");
     assert_eq!(summary.completed, submitted, "siblings absorbed the queue");
     println!("fleet failover example: OK");

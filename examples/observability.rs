@@ -53,15 +53,31 @@ fn main() -> std::result::Result<(), QmlError> {
         println!("{event}");
     }
 
+    for stage in [
+        "submitted",
+        "admitted",
+        "dispatched",
+        "plan",
+        "bound",
+        "executed",
+        "outcome",
+    ] {
+        let traced = events.iter().any(|e| e.stage.name() == stage);
+        assert!(traced, "no `{stage}` event in the trace");
+    }
+
     let stats = service.trace_stats();
     println!(
         "trace stats: recorded={} dropped={} capacity={}",
         stats.recorded, stats.dropped, stats.capacity
     );
+    assert_eq!(stats.dropped, 0, "the default ring holds the whole run");
 
     // The unified snapshot: service totals + cost gauges + latency
     // percentiles + trace health, one versioned document.
     let snapshot = service.snapshot();
+    let waits = &snapshot.latency.tenant_queue_wait;
+    assert!(waits.values().any(|w| w.count > 0), "wait percentiles");
     print!("{}", snapshot.dump_kv());
     println!("snapshot jsonl: {}", snapshot.to_jsonl());
     println!("observability example: OK");

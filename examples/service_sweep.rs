@@ -50,6 +50,7 @@ fn main() -> std::result::Result<(), QmlError> {
         "angle-scan gate-plan cache: misses={} hits={} entries={} evictions={}",
         scan_stats.misses, scan_stats.hits, scan_stats.entries, scan_stats.evictions
     );
+    assert_eq!(scan_stats.misses, 1, "the angle scan shares one plan");
     println!(
         "angle-scan drain: {} jobs ({:.0} jobs/s)",
         scan_report.jobs, scan_report.jobs_per_second

@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 use qml_core::algorithms::PatternSearch;
 use qml_core::graph::{cut_value_of_bitstring, cycle, Graph};
 use qml_core::prelude::*;
+use qml_core::runtime::JobStatus;
 use qml_core::service::{QmlService, ServiceConfig, SweepRequest};
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -197,6 +198,22 @@ fn deadlines_are_tracked_per_class_and_generous_ones_are_met() {
     );
     assert_eq!(throughput.dispatched, 4);
     assert_eq!(throughput.deadline_miss, 0, "throughput never carries one");
+}
+
+#[test]
+fn a_deadline_past_the_clocks_range_is_no_deadline() {
+    // `now + Duration::MAX` overflows the clock: such a budget must admit a
+    // deadline-free latency job, not panic `submit` halfway through.
+    let service = QmlService::with_config(ServiceConfig::with_workers(2));
+    let endless = ServiceClass::latency_within(Duration::MAX);
+    let bundle = fixed_qaoa()
+        .with_service_class(endless)
+        .with_context(gate_context(1, 64));
+    let (_, job) = service.submit("interactive", bundle).unwrap();
+    assert_eq!(service.run_pending().completed, 1);
+    assert_eq!(service.status(job), Some(JobStatus::Completed));
+    let latency = &service.metrics().per_class["latency"];
+    assert_eq!((latency.completed, latency.deadline_miss), (1, 0));
 }
 
 #[test]
