@@ -15,12 +15,14 @@
 //! a job, and it is comparable with `sim.ns_per_amp_update` of the
 //! benchmark's layer walk.
 //!
-//! Single gates are not how a circuit runs above `PARALLEL_THRESHOLD`, where
-//! `apply_view` starts threads once per run of gates: the second table
-//! pushes a whole plan — the benchmark's two-layer ring QAOA, transpiled to
-//! `{sx, rz, cx}` on a line — through `apply_view` at 12, 14 and 16 qubits
-//! and prints nanoseconds per amplitude update (gates × 2ⁿ per pass), the
-//! unit of `sim.ns_per_amp_update`.
+//! Single gates are not how a circuit runs: below `PARALLEL_THRESHOLD`
+//! `apply_view` fuses the gates into fewer kernel passes, above it it starts
+//! threads once per run of gates. The second table pushes a whole plan — the
+//! benchmark's two-layer ring QAOA, transpiled to `{sx, rz, cx}` on a line —
+//! through `apply_view` at 8, 12, 14 and 16 qubits and prints nanoseconds
+//! per amplitude update (gates × 2ⁿ per pass), the unit of
+//! `sim.ns_per_amp_update`; below the threshold it also prints how many
+//! kernel passes the fused program makes of the plan's gates.
 //!
 //! Both tables report the median and the best of ten samples.
 //!
@@ -32,7 +34,7 @@ use std::time::Instant;
 use qml_core::backends::lower_to_circuit;
 use qml_core::graph::cycle;
 use qml_core::prelude::*;
-use qml_core::sim::{Circuit, Gate, StateVector};
+use qml_core::sim::{fused_op_count, Circuit, Gate, StateVector, PARALLEL_THRESHOLD};
 use qml_core::transpile::{transpile, CouplingMap, TranspileTarget};
 
 /// Amplitudes one pass of the gate table sweeps.
@@ -111,7 +113,7 @@ fn ring_qaoa_plan(n: usize) -> Circuit {
 
 /// Whole plans through `apply_view`, about 2²⁸ amplitude updates per sample.
 fn plan_table() {
-    for n in [12usize, 14, 16] {
+    for n in [8usize, 12, 14, 16] {
         let plan = ring_qaoa_plan(n);
         let updates = plan.len() << n;
         let passes = ((1usize << 28) / updates).max(1);
@@ -121,9 +123,14 @@ fn plan_table() {
             sv.apply_view(&plan);
             buf = black_box(sv).into_amps();
         });
+        let fused = if 1usize << n < PARALLEL_THRESHOLD {
+            format!(", fused to {} kernel passes", fused_op_count(&plan))
+        } else {
+            String::new()
+        };
         println!(
-            "kernel_throughput/{n}q/ring_qaoa_plan ({} gates): {median:.3} ns per amplitude \
-             update, best {best:.3} ({passes} passes per sample)",
+            "kernel_throughput/{n}q/ring_qaoa_plan ({} gates{fused}): {median:.3} ns per \
+             amplitude update, best {best:.3} ({passes} passes per sample)",
             plan.len()
         );
     }

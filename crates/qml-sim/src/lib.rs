@@ -28,6 +28,7 @@
 
 pub mod circuit;
 pub mod complex;
+mod fusion;
 pub mod gate;
 pub mod overlay;
 pub mod param;
@@ -36,6 +37,7 @@ pub mod state;
 
 pub use circuit::{circuit_clone_count, qft_circuit, Circuit, CircuitView};
 pub use complex::Complex64;
+pub use fusion::fused_op_count;
 pub use gate::{is_unitary2, matmul2, Gate, Qubits};
 pub use overlay::BoundCircuit;
 pub use param::{ParamExpr, MAX_PARAM_TERMS};

@@ -25,11 +25,27 @@
 //!
 //! No kernel builds an index list or tests a bit per amplitude, and
 //! [`StateVector::apply`] allocates nothing — `tests/apply_no_alloc.rs`
-//! counts. Each amplitude gets the same arithmetic a full pass with bit tests
-//! would give it (a diagonal only drops the `+ 0·b` term), so amplitudes are
-//! equal under `==` to that naive formulation; the oracle proptest in this
-//! module's tests holds the kernels to it, and is the guard a rounding-changing
-//! rewrite such as gate fusion has to face.
+//! counts. Per gate, and on the run path above the threshold, each amplitude
+//! gets the same arithmetic a full pass with bit tests would give it (a
+//! diagonal only drops the `+ 0·b` term), so amplitudes are equal under `==`
+//! to that naive formulation; the oracle proptest in this module's tests holds
+//! the kernels to it.
+//!
+//! # Below the threshold: one fused program
+//!
+//! Below [`PARALLEL_THRESHOLD`], [`StateVector::apply_view`] and
+//! [`StateVector::apply_all`] do not make one pass per gate: the gates stream
+//! through an allocation-free fusion stage (`fusion.rs`) into a short program
+//! of kernel ops. Consecutive one-qubit gates on a qubit become one 2×2, run
+//! by the diagonal kernel when its off-diagonals are exactly zero and by the
+//! dense one otherwise; `cx(a,b)·D(b)·cx(a,b)` with `D` diagonal becomes one
+//! pass of four phases over the quarters; `cx(a,b)·cx(b,a)·cx(a,b)` becomes
+//! one `swap`. The last two do the multiplications of the passes they
+//! replace; the first changes rounding at ~1e-16. Three oracles in this
+//! module's tests guard it: fused execution within 1e-12 of gate-by-gate
+//! [`StateVector::apply`] over all 19 variants, `==` to it for circuits the
+//! first rule leaves alone, and a bound overlay within 1e-12 of the dense
+//! matrix product of its gates. [`crate::fused_op_count`] counts the passes.
 //!
 //! # Above the threshold: one parallel region per run of gates
 //!
@@ -46,7 +62,6 @@
 //! once per run, not once per gate, and every amplitude still receives the
 //! same arithmetic in the same order: runs, fan-out and serial execution are
 //! bit-identical (the run oracle in this module's tests compares with `==`).
-//! Below the threshold there is one per-gate serial path.
 
 use std::sync::OnceLock;
 
@@ -55,6 +70,7 @@ use rayon::prelude::*;
 
 use crate::circuit::CircuitView;
 use crate::complex::Complex64;
+use crate::fusion::{is_diagonal, Fusion, Op};
 use crate::gate::Gate;
 
 /// Number of amplitudes above which kernels use rayon.
@@ -236,8 +252,9 @@ impl StateVector {
         self.whole().apply(gate);
     }
 
-    /// Apply every gate of a slice in order, in runs above
-    /// [`PARALLEL_THRESHOLD`] like [`StateVector::apply_view`].
+    /// Apply every gate of a slice in order: as one fused program below
+    /// [`PARALLEL_THRESHOLD`], in runs above it, like
+    /// [`StateVector::apply_view`].
     pub fn apply_all(&mut self, gates: &[Gate]) {
         self.apply_each(|f| gates.iter().for_each(f));
     }
@@ -245,8 +262,9 @@ impl StateVector {
     /// Apply every effective gate of a [`CircuitView`] in order — the
     /// overlay-aware application path: a [`crate::overlay::BoundCircuit`]
     /// substitutes its bound gates during the walk, without a copied circuit.
-    /// Above [`PARALLEL_THRESHOLD`] threads start once per run of gates (see
-    /// the module docs), not once per gate.
+    /// Below [`PARALLEL_THRESHOLD`] the gates run as one fused program, above
+    /// it threads start once per run of gates (see the module docs), not once
+    /// per gate.
     pub fn apply_view<C: CircuitView + ?Sized>(&mut self, view: &C) {
         self.apply_each(|f| view.for_each_gate(f));
     }
@@ -259,7 +277,9 @@ impl StateVector {
         each(&mut |gate| check_qubits(self.num_qubits, gate));
         if self.amps.len() < PARALLEL_THRESHOLD {
             let mut whole = self.whole();
-            each(&mut |gate| whole.apply(gate));
+            let mut fusion = Fusion::new(|op| whole.run(op));
+            each(&mut |gate| fusion.push(gate));
+            fusion.finish();
         } else {
             let piece = piece_len(self.amps.len());
             apply_in_runs(&mut self.amps, piece, each);
@@ -452,12 +472,7 @@ impl Amps<'_> {
                 let theta = theta.value();
                 let even = Complex64::from_phase(-theta / 2.0);
                 let odd = Complex64::from_phase(theta / 2.0);
-                self.two_qubit(a, b, move |a00, a01, a10, a11| {
-                    scale(a00, even);
-                    scale(a01, odd);
-                    scale(a10, odd);
-                    scale(a11, even);
-                });
+                self.parity_phase(a, b, even, odd);
             }
             ref g => {
                 let m = g
@@ -480,6 +495,39 @@ impl Amps<'_> {
                 }
             }
         }
+    }
+
+    /// Run one op of a fused program: a one-qubit product by the diagonal
+    /// kernel when its off-diagonals are exactly zero, else by `dense`.
+    fn run(&mut self, op: &Op) {
+        match *op {
+            Op::Gate(ref gate) => self.apply(gate),
+            Op::Matrix(q, m) if is_diagonal(&m) => {
+                let (m00, m11) = (m[0], m[3]);
+                // diag(1, e^{iφ}) leaves the |0⟩ half alone, as `apply` does.
+                if m00 == Complex64::ONE {
+                    self.one_qubit(q, move |_, hi| scale(hi, m11));
+                } else {
+                    self.one_qubit(q, move |lo, hi| {
+                        scale(lo, m00);
+                        scale(hi, m11);
+                    });
+                }
+            }
+            Op::Matrix(q, m) => self.dense(q, &m),
+            Op::Parity(a, b, even, odd) => self.parity_phase(a, b, even, odd),
+        }
+    }
+
+    /// Multiply the amplitudes where the bits of `a` and `b` agree by `even`,
+    /// the others by `odd`.
+    fn parity_phase(&mut self, a: usize, b: usize, even: Complex64, odd: Complex64) {
+        self.two_qubit(a, b, move |a00, a01, a10, a11| {
+            scale(a00, even);
+            scale(a01, odd);
+            scale(a10, odd);
+            scale(a11, even);
+        });
     }
 
     /// A dense 2×2 matrix over the paired halves of qubit `q`.
@@ -1400,6 +1448,409 @@ mod tests {
         let expected_p1 = (0.1f64 * 8.0 / 2.0).sin().powi(2);
         let marg = sv.marginal_probabilities(&[7]);
         assert!((marg.get("1").copied().unwrap_or(0.0) - expected_p1).abs() < 1e-9);
+    }
+
+    /// The diagonal one-qubit variants on `q`.
+    fn diagonal_gates(q: usize, t: f64) -> [Gate; 7] {
+        [
+            Gate::Z(q),
+            Gate::S(q),
+            Gate::Sdg(q),
+            Gate::T(q),
+            Gate::Tdg(q),
+            Gate::Rz(q, t.into()),
+            Gate::Phase(q, t.into()),
+        ]
+    }
+
+    /// `pieces` seeded pieces of a circuit on `n` qubits that give every
+    /// fusion rule work, in about equal shares: one gate of any of the 19
+    /// variants, a run of one-qubit gates on one qubit (rule 1),
+    /// `cx(a, b)·D(b)·cx(a, b)` with one or two diagonals (rule 2), and
+    /// `cx(a, b)·cx(b, a)·cx(a, b)` (rule 3). One qubit draws only the first
+    /// two.
+    fn fusable_gates(rng: &mut StdRng, n: usize, pieces: usize) -> Vec<Gate> {
+        use rand::Rng;
+        let mut gates = Vec::new();
+        for _ in 0..pieces {
+            let mut t = || [(); 3].map(|_| rng.gen_range(-6.3..6.3));
+            let (t0, t1) = (t(), t());
+            let a = rng.gen_range(0..n);
+            let b = (a + rng.gen_range(1..n.max(2))) % n;
+            match rng.gen_range(0..if n == 1 { 2 } else { 4 }) {
+                0 => gates.push(match rng.gen_range(0..if n == 1 { 14 } else { 19 }) {
+                    k @ 0..=13 => one_qubit_gates(a, t0)[k],
+                    k => two_qubit_gates(a, b, t0)[k - 14],
+                }),
+                1 => {
+                    let len = rng.gen_range(2..=4);
+                    gates.extend(
+                        (0..len).map(|_| one_qubit_gates(a, t1)[rng.gen_range(0..14usize)]),
+                    );
+                }
+                2 => {
+                    gates.push(Gate::Cx(a, b));
+                    for t in &t1[..rng.gen_range(1..=2)] {
+                        gates.push(diagonal_gates(b, *t)[rng.gen_range(0..7usize)]);
+                    }
+                    gates.push(Gate::Cx(a, b));
+                }
+                _ => gates.extend([Gate::Cx(a, b), Gate::Cx(b, a), Gate::Cx(a, b)]),
+            }
+        }
+        gates
+    }
+
+    /// `pieces` seeded pieces on `n ≥ 2` qubits made of `cx`, `swap`,
+    /// diagonal one-qubit gates and the rule-2 and rule-3 patterns only. A
+    /// diagonal is always followed at once by a two-qubit gate on its qubit,
+    /// so rule 1 never multiplies two gates: the program these fuse to does
+    /// the multiplications of gate-by-gate application.
+    fn exactly_fusable_gates(rng: &mut StdRng, n: usize, pieces: usize) -> Vec<Gate> {
+        use rand::Rng;
+        let mut gates = Vec::new();
+        for _ in 0..pieces {
+            let t = rng.gen_range(-6.3..6.3);
+            let a = rng.gen_range(0..n);
+            let b = (a + rng.gen_range(1..n)) % n;
+            let pair = [Gate::Cx(a, b), Gate::Cx(b, a), Gate::Swap(a, b)][rng.gen_range(0..3usize)];
+            let k = rng.gen_range(0..7usize);
+            let diagonal = |q| diagonal_gates(q, t)[k];
+            match rng.gen_range(0..4) {
+                0 => gates.push(pair),
+                1 => gates.extend([diagonal(a), pair]),
+                2 => gates.extend([Gate::Cx(a, b), diagonal(b), Gate::Cx(a, b)]),
+                _ => gates.extend([Gate::Cx(a, b), Gate::Cx(b, a), Gate::Cx(a, b)]),
+            }
+        }
+        gates
+    }
+
+    /// `gates` as a symbolic circuit bound through a [`BoundCircuit`]
+    /// overlay: every third gate that carries an angle takes its first angle
+    /// from a slot, bound to the angle it had.
+    fn as_overlay(n: usize, gates: &[Gate]) -> crate::overlay::BoundCircuit {
+        use crate::param::ParamExpr;
+        let mut values = Vec::new();
+        let mut symbolic = crate::circuit::Circuit::new(n);
+        for (i, gate) in gates.iter().enumerate() {
+            let mut slot = |t: ParamExpr| {
+                values.push(t.value());
+                ParamExpr::symbol(values.len() as u32 - 1)
+            };
+            symbolic.push(match *gate {
+                _ if i % 3 != 0 => *gate,
+                Gate::Rx(q, t) => Gate::Rx(q, slot(t)),
+                Gate::Ry(q, t) => Gate::Ry(q, slot(t)),
+                Gate::Rz(q, t) => Gate::Rz(q, slot(t)),
+                Gate::Phase(q, t) => Gate::Phase(q, slot(t)),
+                Gate::U(q, theta, phi, lambda) => Gate::U(q, slot(theta), phi, lambda),
+                Gate::Cp(c, t, lambda) => Gate::Cp(c, t, slot(lambda)),
+                Gate::Rzz(a, b, theta) => Gate::Rzz(a, b, slot(theta)),
+                other => other,
+            });
+        }
+        let base = std::sync::Arc::new(symbolic);
+        let sites = base.symbolic_gate_indices();
+        crate::overlay::BoundCircuit::bind_sites(base, &sites, &values)
+    }
+
+    /// `view`'s gates applied one at a time with [`StateVector::apply`].
+    fn gate_by_gate<C: CircuitView + ?Sized>(start: &StateVector, view: &C) -> StateVector {
+        let mut state = start.clone();
+        view.for_each_gate(&mut |gate| state.apply(gate));
+        state
+    }
+
+    /// The largest |Δ| between two states' amplitudes.
+    fn max_drift(a: &StateVector, b: &StateVector) -> f64 {
+        a.amplitudes()
+            .iter()
+            .zip(b.amplitudes())
+            .map(|(x, y)| (*x - *y).abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// The three serial entry points for `gates` on `start`: `apply_all`,
+    /// `apply_view` over the concrete circuit, and `apply_view` over a bound
+    /// overlay — each paired with gate-by-gate application of what it walks.
+    fn fused_and_by_gate(start: &StateVector, gates: &[Gate]) -> [(StateVector, StateVector); 3] {
+        let n = start.num_qubits();
+        let mut circuit = crate::circuit::Circuit::new(n);
+        circuit.extend(gates);
+        let overlay = as_overlay(n, gates);
+        let mut via_slice = start.clone();
+        via_slice.apply_all(gates);
+        let mut via_circuit = start.clone();
+        via_circuit.apply_view(&circuit);
+        let mut via_overlay = start.clone();
+        via_overlay.apply_view(&overlay);
+        let by_gate = gate_by_gate(start, &circuit);
+        [
+            (via_slice, by_gate.clone()),
+            (via_circuit, by_gate),
+            (via_overlay, gate_by_gate(start, &overlay)),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The fusion oracle: below `PARALLEL_THRESHOLD`, the fused program
+        /// of any circuit — all 19 variants, every rule's pattern — leaves
+        /// every amplitude within 1e-12 of gate-by-gate `apply`, through
+        /// `apply_all` and through `apply_view` over a concrete circuit and
+        /// over an overlay.
+        #[test]
+        fn the_fused_serial_path_stays_within_1e_12_of_gate_by_gate(
+            n in 1usize..=13,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::Rng;
+            assert!(1usize << n < PARALLEL_THRESHOLD);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pieces = rng.gen_range(1..=60);
+            let gates = fusable_gates(&mut rng, n, pieces);
+            let start = dense_state(n);
+            for (fused, by_gate) in fused_and_by_gate(&start, &gates) {
+                let drift = max_drift(&fused, &by_gate);
+                assert!(drift <= 1e-12, "n = {n}, seed {seed}: max |Δamp| {drift:e}");
+            }
+        }
+
+        /// Rules 2 and 3 do the multiplications of the gates they replace:
+        /// circuits of `cx`, `swap`, diagonals and the two patterns fuse to
+        /// programs `==` to gate-by-gate `apply`.
+        #[test]
+        fn rules_two_and_three_are_bit_identical(
+            n in 2usize..=13,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pieces = rng.gen_range(1..=60);
+            let gates = exactly_fusable_gates(&mut rng, n, pieces);
+            let start = dense_state(n);
+            for (fused, by_gate) in fused_and_by_gate(&start, &gates) {
+                assert!(fused == by_gate, "n = {n}, seed {seed}: {gates:?}");
+            }
+        }
+    }
+
+    /// The ops a gate sequence fuses to, in program order.
+    fn fused_program(gates: &[Gate]) -> Vec<Op> {
+        let mut ops = Vec::new();
+        let mut fusion = Fusion::new(|op: &Op| ops.push(*op));
+        for gate in gates {
+            fusion.push(gate);
+        }
+        fusion.finish();
+        ops
+    }
+
+    #[test]
+    fn each_fusion_rule_emits_its_op_and_near_misses_do_not() {
+        let matrix = |gate: Gate| gate.single_qubit_matrix().unwrap();
+        let rz = matrix(Gate::Rz(1, 0.3.into()));
+        let program = fused_program(&[
+            Gate::H(0),
+            Gate::T(0),
+            Gate::Cx(0, 1),
+            Gate::Rz(1, 0.3.into()),
+            Gate::Cx(0, 1),
+            Gate::Cx(1, 2),
+            Gate::Cx(2, 1),
+            Gate::Cx(1, 2),
+            Gate::Sx(2),
+        ]);
+        assert_eq!(
+            program,
+            [
+                Op::Matrix(
+                    0,
+                    crate::gate::matmul2(&matrix(Gate::T(0)), &matrix(Gate::H(0)))
+                ),
+                Op::Parity(0, 1, rz[0], rz[3]),
+                Op::Gate(Gate::Swap(1, 2)),
+                Op::Matrix(2, matrix(Gate::Sx(2))),
+            ]
+        );
+
+        // A gate on the control, a non-diagonal on the target, a `cx` the
+        // other way round, or a one-qubit gate between the three `cx`: no
+        // rule applies, and every gate keeps its place.
+        let h = matrix(Gate::H(0));
+        let near_misses: [(&[Gate], Vec<Op>); 4] = [
+            (
+                &[Gate::Cx(0, 1), Gate::H(0), Gate::T(1), Gate::Cx(0, 1)],
+                vec![
+                    Op::Gate(Gate::Cx(0, 1)),
+                    Op::Matrix(0, h),
+                    Op::Matrix(1, matrix(Gate::T(1))),
+                    Op::Gate(Gate::Cx(0, 1)),
+                ],
+            ),
+            (
+                &[Gate::Cx(0, 1), Gate::H(1), Gate::Cx(0, 1)],
+                vec![
+                    Op::Gate(Gate::Cx(0, 1)),
+                    Op::Matrix(1, h),
+                    Op::Gate(Gate::Cx(0, 1)),
+                ],
+            ),
+            (
+                &[Gate::Cx(0, 1), Gate::T(1), Gate::Cx(1, 0)],
+                vec![
+                    Op::Gate(Gate::Cx(0, 1)),
+                    Op::Matrix(1, matrix(Gate::T(1))),
+                    Op::Gate(Gate::Cx(1, 0)),
+                ],
+            ),
+            (
+                &[Gate::Cx(0, 1), Gate::Cx(1, 0), Gate::H(0), Gate::Cx(0, 1)],
+                vec![
+                    Op::Gate(Gate::Cx(0, 1)),
+                    Op::Gate(Gate::Cx(1, 0)),
+                    Op::Matrix(0, h),
+                    Op::Gate(Gate::Cx(0, 1)),
+                ],
+            ),
+        ];
+        for (gates, expected) in near_misses {
+            assert_eq!(fused_program(gates), expected, "{gates:?}");
+        }
+    }
+
+    /// The 2×2 of a one-qubit gate, written out from its textbook definition
+    /// (not [`Gate::single_qubit_matrix`]), for the dense reference.
+    fn textbook_matrix(gate: &Gate) -> [Complex64; 4] {
+        let c = Complex64::new;
+        let e = |phi: f64| c(phi.cos(), phi.sin());
+        let r = std::f64::consts::FRAC_1_SQRT_2;
+        let (one, zero, i) = (c(1.0, 0.0), c(0.0, 0.0), c(0.0, 1.0));
+        let half = |t: crate::param::ParamExpr| t.value() / 2.0;
+        match *gate {
+            Gate::H(_) => [c(r, 0.0), c(r, 0.0), c(r, 0.0), c(-r, 0.0)],
+            Gate::X(_) => [zero, one, one, zero],
+            Gate::Y(_) => [zero, c(0.0, -1.0), i, zero],
+            Gate::Z(_) => [one, zero, zero, c(-1.0, 0.0)],
+            Gate::S(_) => [one, zero, zero, i],
+            Gate::Sdg(_) => [one, zero, zero, c(0.0, -1.0)],
+            Gate::T(_) => [one, zero, zero, e(PI / 4.0)],
+            Gate::Tdg(_) => [one, zero, zero, e(-PI / 4.0)],
+            Gate::Sx(_) => [c(0.5, 0.5), c(0.5, -0.5), c(0.5, -0.5), c(0.5, 0.5)],
+            Gate::Rx(_, t) => {
+                let (cos, sin) = (half(t).cos(), half(t).sin());
+                [c(cos, 0.0), c(0.0, -sin), c(0.0, -sin), c(cos, 0.0)]
+            }
+            Gate::Ry(_, t) => {
+                let (cos, sin) = (half(t).cos(), half(t).sin());
+                [c(cos, 0.0), c(-sin, 0.0), c(sin, 0.0), c(cos, 0.0)]
+            }
+            Gate::Rz(_, t) => [e(-half(t)), zero, zero, e(half(t))],
+            Gate::Phase(_, lambda) => [one, zero, zero, e(lambda.value())],
+            Gate::U(_, theta, phi, lambda) => {
+                let (cos, sin) = (half(theta).cos(), half(theta).sin());
+                let (phi, lambda) = (phi.value(), lambda.value());
+                [
+                    c(cos, 0.0),
+                    e(lambda) * c(-sin, 0.0),
+                    e(phi) * c(sin, 0.0),
+                    e(phi + lambda) * c(cos, 0.0),
+                ]
+            }
+            _ => panic!("{gate:?} is not a one-qubit gate"),
+        }
+    }
+
+    /// Entry `(row, col)` of `gate`'s full 2ⁿ×2ⁿ matrix, from its
+    /// definition on basis states.
+    fn full_entry(gate: &Gate, row: usize, col: usize) -> Complex64 {
+        let bit = |i: usize, q: usize| i >> q & 1;
+        let one = |yes: bool| Complex64::real(if yes { 1.0 } else { 0.0 });
+        let diagonal = |phase: Complex64| if row == col { phase } else { Complex64::ZERO };
+        match *gate {
+            Gate::Cx(c, t) => one(row == col ^ bit(col, c) << t),
+            Gate::Swap(a, b) => {
+                let differ = bit(col, a) ^ bit(col, b);
+                one(row == col ^ (differ << a | differ << b))
+            }
+            Gate::Cz(c, t) => diagonal(Complex64::real(if bit(col, c) & bit(col, t) == 1 {
+                -1.0
+            } else {
+                1.0
+            })),
+            Gate::Cp(c, t, lambda) => diagonal(if bit(col, c) & bit(col, t) == 1 {
+                Complex64::from_phase(lambda.value())
+            } else {
+                Complex64::ONE
+            }),
+            Gate::Rzz(a, b, theta) => {
+                let sign = if bit(col, a) == bit(col, b) {
+                    -1.0
+                } else {
+                    1.0
+                };
+                diagonal(Complex64::from_phase(sign * theta.value() / 2.0))
+            }
+            ref g => {
+                let q = g.qubits()[0];
+                if row & !(1 << q) != col & !(1 << q) {
+                    Complex64::ZERO
+                } else {
+                    textbook_matrix(g)[2 * bit(row, q) + bit(col, q)]
+                }
+            }
+        }
+    }
+
+    /// `start` times the full matrix of each of `view`'s gates in turn: a
+    /// 2ⁿ×2ⁿ matrix-vector product per gate, with no kernel, stride or
+    /// fusion in it.
+    fn dense_reference<C: CircuitView + ?Sized>(start: &[Complex64], view: &C) -> Vec<Complex64> {
+        let mut state = start.to_vec();
+        view.for_each_gate(&mut |gate| {
+            state = (0..state.len())
+                .map(|row| {
+                    state
+                        .iter()
+                        .enumerate()
+                        .fold(Complex64::ZERO, |acc, (col, amp)| {
+                            acc + full_entry(gate, row, col) * *amp
+                        })
+                })
+                .collect();
+        });
+        state
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// An oracle that shares no code with the kernels or the fusion: a
+        /// bound overlay run through `apply_view` stays within 1e-12 of the
+        /// dense matrix product of its gates, at every width up to 6.
+        #[test]
+        fn overlays_through_apply_view_equal_the_dense_matrix_product(
+            n in 1usize..=6,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pieces = rng.gen_range(1..=24);
+            let overlay = as_overlay(n, &fusable_gates(&mut rng, n, pieces));
+            let start = dense_state(n);
+            let expected = dense_reference(start.amplitudes(), &overlay);
+            let mut got = start.clone();
+            got.apply_view(&overlay);
+            let drift = got
+                .amplitudes()
+                .iter()
+                .zip(&expected)
+                .map(|(g, e)| (*g - *e).abs())
+                .fold(0.0, f64::max);
+            assert!(drift <= 1e-12, "n = {n}, seed {seed}: max |Δamp| {drift:e}");
+        }
     }
 
     #[test]
