@@ -45,7 +45,9 @@ pub enum Stage {
     Submitted,
     /// The fair scheduler admitted the job to its tenant queue.
     Admitted {
-        /// Cost charged against the tenant's DRR deficit, in cost units.
+        /// The job's price at admission, in cost units: its rank in its
+        /// tenant's cost-ranked queue. What its dispatch actually spends is
+        /// [`Stage::Dispatched`]'s `deficit_spent`.
         cost: f64,
     },
     /// The scheduler handed the job to a pool worker.

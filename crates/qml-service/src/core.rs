@@ -66,18 +66,18 @@ impl ServiceCore {
         }
     }
 
-    /// Admit placed jobs (each with its `duration_us` hint in seconds) as one
-    /// batch of `tenant`'s at `now`; returns the batch, its first job and
-    /// the retired bundles for the caller to free. A job no device could
-    /// *ever* serve rejects the whole batch before anything is recorded.
+    /// Admit placed jobs as one batch of `tenant`'s at `now`; returns the
+    /// batch, its first job and the retired bundles for the caller to free.
+    /// A job no device could *ever* serve rejects the whole batch before
+    /// anything is recorded.
     pub(crate) fn admit(
         &mut self,
         tenant: &str,
         policy: &TenantPolicy,
-        jobs: Vec<(Job, Option<f64>)>,
+        jobs: Vec<Job>,
         now: Instant,
     ) -> Result<(BatchId, Option<JobId>, Vec<SealedBundle>)> {
-        for (job, _) in &jobs {
+        for job in &jobs {
             let plane = job.placement.backend.name();
             if !self.sched.feasible(plane, &job.requirements) {
                 return Err(QmlError::Validation(format!(
@@ -91,7 +91,7 @@ impl ServiceCore {
         let batch = BatchId(self.next_batch);
         self.next_batch += 1;
         let mut ids = Vec::with_capacity(jobs.len());
-        for (mut job, hint_seconds) in jobs {
+        for mut job in jobs {
             job.id = JobId(self.next_job);
             self.next_job += 1;
             self.jobs.insert(job.id, None);
@@ -106,7 +106,7 @@ impl ServiceCore {
             if self.obs.tracing_enabled() {
                 (self.obs).trace(job.id, Some(&tenant), job.batch_key, Stage::Submitted);
             }
-            self.sched.admit_job(&tenant, job, hint_seconds, now);
+            self.sched.admit_job(&tenant, job, now);
         }
         let first = ids.first().copied();
         self.batches.insert(batch, ids);
@@ -302,6 +302,7 @@ mod tests {
     use qml_types::{CapabilityDescriptor, ServiceClass};
 
     use super::*;
+    use crate::cost_model::COST_UNITS_PER_SECOND;
     use crate::fleet::{DeviceSpec, FleetRouter};
     use crate::scheduler::testing::placement;
     use crate::scheduler::RateLimit;
@@ -524,9 +525,9 @@ mod tests {
         }
 
         /// A job of either class, on one of two plan keys or none, priced
-        /// 0–4, with a duration hint one time in five. One deadline in ten
+        /// 0–4, or at a duration hint one time in five. One deadline in ten
         /// lies past the clock's range.
-        fn job(&mut self) -> (Job, Option<f64>) {
+        fn job(&mut self) -> Job {
             let class = match self.rng.range(0, 3) {
                 0 => ServiceClass::latency(),
                 1 if self.rng.percent(10) => ServiceClass::latency_within(Duration::MAX),
@@ -541,12 +542,12 @@ mod tests {
                 .rng
                 .percent(20)
                 .then(|| self.rng.range(1, 500) as f64 * 1e-6);
-            let job = Job {
+            let cost = hint.map_or(cost, |seconds| seconds * COST_UNITS_PER_SECOND);
+            Job {
                 class,
                 batch_key,
                 ..Job::new(JobId(0), cost)
-            };
-            (job, hint)
+            }
         }
 
         /// A worker asks for work; true when it must wait for an event.

@@ -13,10 +13,11 @@
 //! (EWMA) of observed busy-seconds, keyed by the same device-level plan key
 //! ([`qml_backends::Backend::batch_key`] folded with the backend identity)
 //! that micro-batching uses — two jobs that would share a realized plan
-//! share a cost entry. The scheduler consults it at admission (a key with
-//! history admits at its *measured* cost, not its placement guess) and feeds
-//! it from every [`JobOutcome`](qml_runtime::JobOutcome); explicit
-//! `duration_us` cost hints seed an entry before any measurement exists.
+//! share a cost entry. It holds measurements only, fed from every
+//! successful [`JobOutcome`](qml_runtime::JobOutcome): the scheduler prices a
+//! job of a measured plan at the plan's EWMA, and any other job at its own
+//! prior (its `duration_us` hint, else its placement estimate), which never
+//! enters the model.
 
 use std::collections::HashMap;
 
@@ -56,31 +57,18 @@ pub const CHARGE_BACK_CLAMP: f64 = 16.0;
 /// ```
 #[derive(Debug, Default)]
 pub struct CostModel {
-    /// Per plan key: the EWMA of observed busy-seconds, or the seeded prior
-    /// before the first observation.
+    /// Per plan key: the EWMA of observed busy-seconds.
     entries: HashMap<u64, f64>,
 }
 
 impl CostModel {
-    /// Predicted busy-seconds for a plan key, if the model knows anything
-    /// about it (a measured EWMA, or a hint-seeded prior).
+    /// Predicted busy-seconds for a plan key, if it has been measured.
     pub fn predict_seconds(&self, plan_key: u64) -> Option<f64> {
         self.entries.get(&plan_key).copied()
     }
 
-    /// Seed a prior for a plan key — e.g. from an explicit `duration_us`
-    /// cost hint — without counting it as a measurement. A key that already
-    /// has an entry (seeded or measured) is left untouched: real history
-    /// always outranks a hint.
-    pub fn seed(&mut self, plan_key: u64, seconds: f64) {
-        if seconds.is_finite() && seconds >= 0.0 {
-            self.entries.entry(plan_key).or_insert(seconds);
-        }
-    }
-
     /// Fold one measured busy-seconds observation into a key's EWMA. The
-    /// first measurement blends with a seeded prior if one exists and
-    /// otherwise sets the value outright (there is nothing to smooth
+    /// first measurement sets the value outright (there is nothing to smooth
     /// against). Non-finite or negative observations are ignored.
     pub fn observe(&mut self, plan_key: u64, seconds: f64) {
         if !seconds.is_finite() || seconds < 0.0 {
@@ -145,20 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_is_a_prior_not_a_measurement() {
-        let mut model = CostModel::default();
-        model.seed(1, 0.008);
-        assert!((model.predict_seconds(1).unwrap() - 0.008).abs() < 1e-12);
-        // A second seed never overwrites; a measurement blends with the
-        // prior rather than discarding it.
-        model.seed(1, 0.999);
-        assert!((model.predict_seconds(1).unwrap() - 0.008).abs() < 1e-12);
-        model.observe(1, 0.016);
-        let blended = model.predict_seconds(1).unwrap();
-        assert!((blended - 0.0112).abs() < 1e-12, "0.4·16ms + 0.6·8ms");
-    }
-
-    #[test]
     fn keys_are_independent() {
         let mut model = CostModel::default();
         model.observe(1, 0.001);
@@ -173,7 +147,7 @@ mod tests {
         let mut model = CostModel::default();
         model.observe(1, f64::NAN);
         model.observe(1, -4.0);
-        model.seed(2, f64::INFINITY);
+        model.observe(2, f64::INFINITY);
         assert_eq!(model.predict_seconds(1), None);
         assert_eq!(model.predict_seconds(2), None);
     }

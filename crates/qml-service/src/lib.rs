@@ -25,9 +25,9 @@
 //!   token-bucket [`RateLimit`]s, so one tenant's thousand-point sweep cannot
 //!   starve another tenant's single job.
 //! * **Measured-cost fairness** — deficit is reconciled against *observed*
-//!   busy-seconds, not placement guesses: an online per-plan-key
-//!   [`CostModel`] (EWMA of measured durations) prices admissions and
-//!   lazily reprices queued jobs, and every recorded outcome charges the
+//!   busy-seconds, not placement guesses: a job is priced at its plan's
+//!   measured EWMA in an online per-plan-key [`CostModel`] once the plan
+//!   has one, else at its own prior, and every recorded outcome charges the
 //!   estimate error, clamped per job, back to the tenant's deficit
 //!   ([`COST_EWMA_ALPHA`] / [`CHARGE_BACK_CLAMP`]), so a systematically
 //!   under-estimated workload cannot hog device time. The scheduler reads
@@ -120,9 +120,7 @@ pub use metrics::{
     BackendUtilization, CacheStats, ClassStats, RunSummary, SchedulerMetrics, ServiceMetrics,
     TenantStats,
 };
-pub use observe::{
-    CostModelGauges, LatencyBreakdown, MetricsRegistry, ObservabilitySnapshot, SNAPSHOT_VERSION,
-};
+pub use observe::{LatencyBreakdown, MetricsRegistry, ObservabilitySnapshot, SNAPSHOT_VERSION};
 pub use scheduler::{RateLimit, TenantPolicy};
 pub use service::{BatchId, QmlService, ServiceConfig, ServiceHandle, DEFAULT_MAX_BATCH};
 pub use sweep::SweepRequest;

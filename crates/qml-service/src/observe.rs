@@ -12,9 +12,9 @@
 //!   tenant and per backend.
 //!
 //! [`MetricsRegistry::snapshot`] folds all of it — the three legacy metric
-//! surfaces, the cost-model gauges, the latency percentiles, and the
-//! tracer's buffer health — into one versioned, serde-serializable
-//! [`ObservabilitySnapshot`], exportable as JSON
+//! surfaces (the cost-model gauges live in the scheduler's), the latency
+//! percentiles, and the tracer's buffer health — into one versioned,
+//! serde-serializable [`ObservabilitySnapshot`], exportable as JSON
 //! ([`ObservabilitySnapshot::to_json`] / [`to_jsonl`](ObservabilitySnapshot::to_jsonl))
 //! or as greppable `key=value` text ([`ObservabilitySnapshot::dump_kv`]) —
 //! the format a future fleet front-end will diff across PRs.
@@ -39,23 +39,11 @@ pub use qml_observe::{
 /// job source, no per-worker deques to steal from). Version 3 dropped
 /// `DeviceUtilization::stolen_from` and `queue_depth` (a device queues no
 /// work: a job waits in its tenant's queue until a device slot frees).
-pub const SNAPSHOT_VERSION: u32 = 3;
-
-/// Cost-model accuracy gauges, lifted out of
-/// [`SchedulerMetrics`](crate::SchedulerMetrics) so the snapshot exposes the
-/// measured-cost fairness health in one place.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct CostModelGauges {
-    /// Measured outcomes folded into the model and the error gauges.
-    pub cost_samples: u64,
-    /// Total absolute estimate error across measured outcomes, in cost
-    /// units.
-    pub estimate_error_units: f64,
-    /// Total magnitude of applied deficit charge-backs, in cost units.
-    pub charge_back_units: f64,
-    /// Mean absolute estimate error per measured outcome, in cost units.
-    pub mean_abs_estimate_error: f64,
-}
+/// Version 4 dropped `cost` (`CostModelGauges`), a copy of
+/// `service.scheduler`'s `cost_samples`, `estimate_error_units` and
+/// `charge_back_units` (whose mean is
+/// [`SchedulerMetrics::mean_abs_estimate_error`](crate::SchedulerMetrics::mean_abs_estimate_error)).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Queue-wait and execute-latency percentiles, keyed per tenant and per
 /// backend. All values in microseconds.
@@ -79,8 +67,8 @@ pub struct LatencyBreakdown {
 }
 
 /// The one versioned snapshot folding every metric surface of the stack:
-/// service totals (with scheduler and cache counters inside), cost-model
-/// gauges, latency percentiles, and tracer buffer health.
+/// service totals (with scheduler, cost-model and cache counters inside),
+/// latency percentiles, and tracer buffer health.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObservabilitySnapshot {
     /// Schema version ([`SNAPSHOT_VERSION`]).
@@ -88,8 +76,6 @@ pub struct ObservabilitySnapshot {
     /// The classic service surface: job totals, queue depth, cache planes,
     /// scheduler counters, per-backend / per-tenant utilization.
     pub service: ServiceMetrics,
-    /// Cost-model accuracy gauges.
-    pub cost: CostModelGauges,
     /// Latency percentiles per tenant and per backend.
     pub latency: LatencyBreakdown,
     /// Tracer buffer health (all-zero when tracing is disabled).
@@ -127,13 +113,14 @@ impl ObservabilitySnapshot {
             "trace recorded={} dropped={} capacity={}",
             self.trace.recorded, self.trace.dropped, self.trace.capacity,
         );
+        let cost = &self.service.scheduler;
         let _ = writeln!(
             out,
             "cost samples={} estimate_error_units={:.3} charge_back_units={:.3} mean_abs_estimate_error={:.3}",
-            self.cost.cost_samples,
-            self.cost.estimate_error_units,
-            self.cost.charge_back_units,
-            self.cost.mean_abs_estimate_error,
+            cost.cost_samples,
+            cost.estimate_error_units,
+            cost.charge_back_units,
+            cost.mean_abs_estimate_error(),
         );
         for (plane, stats) in [
             ("gate", &self.service.gate_cache),
@@ -294,18 +281,11 @@ impl MetricsRegistry {
         self.class_exec.observe(class, us);
     }
 
-    /// Fold the given service surface, the latency histograms, the
-    /// cost-model gauges, and the tracer health into one versioned snapshot.
+    /// Fold the given service surface, the latency histograms and the
+    /// tracer health into one versioned snapshot.
     pub fn snapshot(&self, service: ServiceMetrics) -> ObservabilitySnapshot {
-        let cost = CostModelGauges {
-            cost_samples: service.scheduler.cost_samples,
-            estimate_error_units: service.scheduler.estimate_error_units,
-            charge_back_units: service.scheduler.charge_back_units,
-            mean_abs_estimate_error: service.scheduler.mean_abs_estimate_error(),
-        };
         ObservabilitySnapshot {
             version: SNAPSHOT_VERSION,
-            cost,
             latency: LatencyBreakdown {
                 tenant_queue_wait: self.tenant_wait.snapshots(),
                 tenant_execute: self.tenant_exec.snapshots(),

@@ -8,7 +8,7 @@ use qml_observe::Stage;
 use qml_types::ServiceClass;
 
 use super::drr::BatchMember;
-use super::pricing::effective_cost;
+use super::pricing::price;
 use super::FairScheduler;
 
 /// How many queued jobs (beyond the head) one dispatch may inspect while
@@ -110,7 +110,7 @@ impl FairScheduler {
                     idx += 1;
                     continue;
                 }
-                let cost = effective_cost(&self.cost_model, job);
+                let cost = price(&self.cost_model, job);
                 let retry = job.retry;
                 if (contended && tenant.deficit < cost) || tenant.veto(retry, drain, now).is_some()
                 {
@@ -163,7 +163,7 @@ mod tests {
         let now = Instant::now();
         let tenant = sched.intern("t", &TenantPolicy::default(), now);
         for i in 0..6 {
-            sched.admit(&tenant, JobId(i), 1.0, None, Some(7));
+            sched.admit(&tenant, JobId(i), 1.0, Some(7));
         }
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected a dispatch");
@@ -183,7 +183,7 @@ mod tests {
         // coalesce into micro-batches of max_batch regardless of deficit.
         let (mut sched, names) = sched_with(&[("solo", TenantPolicy::default())]);
         for i in 0..10 {
-            sched.admit(&names[0], JobId(i), 1.0, None, Some(42));
+            sched.admit(&names[0], JobId(i), 1.0, Some(42));
         }
         let now = Instant::now();
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
@@ -219,10 +219,10 @@ mod tests {
             ("light", TenantPolicy::default()),
         ]);
         for i in 0..9 {
-            sched.admit(&names[0], JobId(i), 1.0, None, Some(1));
+            sched.admit(&names[0], JobId(i), 1.0, Some(1));
         }
         for i in 0..3 {
-            sched.admit(&names[1], JobId(100 + i), 1.0, None, Some(2));
+            sched.admit(&names[1], JobId(100 + i), 1.0, Some(2));
         }
         let now = Instant::now();
         let SchedPoll::Dispatch(heavy) = sched.next_job(now) else {
@@ -240,9 +240,9 @@ mod tests {
     #[test]
     fn different_batch_keys_never_coalesce() {
         let (mut sched, names) = sched_with(&[("t", TenantPolicy::default())]);
-        sched.admit(&names[0], JobId(0), 1.0, None, Some(7));
-        sched.admit(&names[0], JobId(1), 1.0, None, Some(8));
-        sched.admit(&names[0], JobId(2), 1.0, None, Some(7));
+        sched.admit(&names[0], JobId(0), 1.0, Some(7));
+        sched.admit(&names[0], JobId(1), 1.0, Some(8));
+        sched.admit(&names[0], JobId(2), 1.0, Some(7));
         let now = Instant::now();
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
@@ -267,7 +267,7 @@ mod tests {
             }),
         )]);
         for i in 0..6 {
-            sched.admit(&names[0], JobId(i), 1.0, None, Some(5));
+            sched.admit(&names[0], JobId(i), 1.0, Some(5));
         }
         let now = Instant::now();
         let SchedPoll::Dispatch(burst) = sched.next_job(now) else {
@@ -282,7 +282,7 @@ mod tests {
         let (mut sched, names) =
             sched_with(&[("capped", TenantPolicy::default().with_max_in_flight(2))]);
         for i in 0..6 {
-            sched.admit(&names[0], JobId(i), 1.0, None, Some(5));
+            sched.admit(&names[0], JobId(i), 1.0, Some(5));
         }
         let now = Instant::now();
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
@@ -304,7 +304,7 @@ mod tests {
             ("idle", TenantPolicy::default()),
         ]);
         for i in 0..8 {
-            sched.admit(&names[0], JobId(i), 1.0, None, Some(3));
+            sched.admit(&names[0], JobId(i), 1.0, Some(3));
         }
         let SchedPoll::Dispatch(first) = sched.next_job(Instant::now()) else {
             panic!("expected dispatch");
@@ -325,10 +325,10 @@ mod tests {
                 batch_key: Some(7),
                 ..Job::new(JobId(i), 1.0)
             };
-            sched.admit_job(&names[0], job, None, now);
+            sched.admit_job(&names[0], job, now);
         }
         for i in 10..18 {
-            sched.admit(&names[0], JobId(i), 1.0, None, Some(7));
+            sched.admit(&names[0], JobId(i), 1.0, Some(7));
         }
         let mut sizes = Vec::new();
         while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
@@ -355,8 +355,8 @@ mod tests {
             batch_key: Some(3),
             ..Job::new(JobId(0), 1.0)
         };
-        sched.admit_job(&names[0], latency, None, now);
-        sched.admit(&names[0], JobId(1), 1.0, None, Some(3));
+        sched.admit_job(&names[0], latency, now);
+        sched.admit(&names[0], JobId(1), 1.0, Some(3));
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
@@ -371,7 +371,7 @@ mod tests {
             ("interactive", TenantPolicy::default()),
         ]);
         for i in 0..8 {
-            sched.admit(&names[0], JobId(i), 1.0, None, Some(42));
+            sched.admit(&names[0], JobId(i), 1.0, Some(42));
         }
         sched.admit_latency(&names[1], JobId(100), 1.0, None);
         let now = Instant::now();

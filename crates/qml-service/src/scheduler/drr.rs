@@ -7,7 +7,7 @@ use std::time::Instant;
 use qml_runtime::{JobDispatch, JobId};
 
 use super::policy::Veto;
-use super::pricing::effective_cost;
+use super::pricing::price;
 use super::{FairScheduler, InFlight, Mode, QueuedJob, SchedPoll};
 
 /// Smallest effective DRR weight; keeps the pass bound finite for
@@ -37,14 +37,14 @@ impl FairScheduler {
     /// The pointer parks on one tenant at a time. On *arrival* the tenant is
     /// credited `weight × quantum` of deficit, once; the pointer then stays
     /// parked while successive calls dispatch that tenant's jobs, each
-    /// spending its estimated cost from the deficit — so a weight-3 tenant
-    /// serves three times the cost of a weight-1 tenant per rotation. The
-    /// pointer advances when the tenant's remaining deficit no longer covers
-    /// its head job (the deficit is *kept*, classic DRR, so heavy jobs
-    /// eventually accumulate enough turns) or when the tenant is vetoed —
-    /// empty queue, in-flight cap, or an empty token bucket (the deficit is
-    /// *reset*: a non-competing tenant must not bank budget for later
-    /// bursts).
+    /// spending its price (`pricing::price`) from the deficit — so a
+    /// weight-3 tenant serves three times the cost of a weight-1 tenant per
+    /// rotation. The pointer advances when the tenant's remaining deficit no
+    /// longer covers its head job (the deficit is *kept*, classic DRR, so
+    /// heavy jobs eventually accumulate enough turns) or when the tenant is
+    /// vetoed — empty queue, in-flight cap, or an empty token bucket (the
+    /// deficit is *reset*: a non-competing tenant must not bank budget for
+    /// later bursts).
     ///
     /// A full cycle of stalls — vetoes, and heads no fleet device can take
     /// now (the fleet changes only between calls) — means nothing is
@@ -107,7 +107,7 @@ impl FairScheduler {
             // or banked guess units buy a burst of cheap measured jobs.
             tenant.deficit = tenant.deficit.min((weight + 1.0) * quantum);
             let head = &tenant.queue.front().expect("non-empty queue").job;
-            let head_cost = effective_cost(&self.cost_model, head);
+            let head_cost = price(&self.cost_model, head);
             // Blocked by deficit: keep it and move on; the next arrival
             // credits more. Fleet backpressure — no capable device on the
             // head's plane has a free slot for the job right now (every slot
@@ -234,7 +234,7 @@ impl FairScheduler {
         self.credited = false;
     }
 
-    /// The DRR quantum: the largest *currently queued* head cost (each
+    /// The DRR quantum: the largest *currently queued* head price (each
     /// tenant's head is its most expensive pending job, so this is the max
     /// over all queued jobs). Reflects the current queues rather than a
     /// high-water mark: a historically expensive job must not permanently
@@ -242,27 +242,17 @@ impl FairScheduler {
     /// jobs could serve `old_max_cost` jobs per visit and starve small
     /// tenants — the exact failure mode this module exists to prevent.
     ///
-    /// Memoized: removals, head admissions and cost-model observations
-    /// (which can reprice any queued head) invalidate it. Only the first
-    /// dispatch attempt after either pays the O(tenants) rescan.
-    pub(super) fn quantum(&mut self) -> f64 {
-        if let Some(quantum) = self.cached_quantum {
-            return quantum;
-        }
+    /// Folded from the heads' prices on every call, O(tenants): nothing is
+    /// cached, so no admission, removal or measurement can leave it stale.
+    pub(super) fn quantum(&self) -> f64 {
         let model = &self.cost_model;
-        let quantum = self
-            .tenants
-            .values()
-            .filter_map(|t| t.queue.front())
-            .map(|q| effective_cost(model, &q.job))
-            .fold(1.0, f64::max);
-        self.cached_quantum = Some(quantum);
-        quantum
+        let heads = self.tenants.values().filter_map(|t| t.queue.front());
+        heads.map(|q| price(model, &q.job)).fold(1.0, f64::max)
     }
 
     /// Remove and return the job at `index` of `name`'s queue, maintaining
-    /// the non-empty-tenant counter and invalidating the memoized quantum —
-    /// the single mutation path for queue removals.
+    /// the non-empty-tenant counter — the single mutation path for queue
+    /// removals.
     fn take_job(&mut self, name: &Arc<str>, index: usize) -> QueuedJob {
         let tenant = self.tenants.get_mut(name).expect("tenant exists");
         let queued = tenant.queue.remove(index).expect("index in bounds");
@@ -272,7 +262,6 @@ impl FairScheduler {
         if queued.job.class.is_latency() {
             self.queued_latency -= 1;
         }
-        self.cached_quantum = None;
         queued
     }
 }
@@ -293,8 +282,8 @@ mod tests {
         ]);
         // a gets jobs 0..4, b gets 10..14, all equal cost.
         for i in 0..4 {
-            sched.admit(&names[0], JobId(i), 1.0, None, None);
-            sched.admit(&names[1], JobId(10 + i), 1.0, None, None);
+            sched.admit(&names[0], JobId(i), 1.0, None);
+            sched.admit(&names[1], JobId(10 + i), 1.0, None);
         }
         let now = Instant::now();
         let mut order = Vec::new();
@@ -317,9 +306,9 @@ mod tests {
             ("minnow", TenantPolicy::default()),
         ]);
         for i in 0..100 {
-            sched.admit(&names[0], JobId(i), 5.0, None, None);
+            sched.admit(&names[0], JobId(i), 5.0, None);
         }
-        sched.admit(&names[1], JobId(1000), 5.0, None, None);
+        sched.admit(&names[1], JobId(1000), 5.0, None);
         let now = Instant::now();
         let mut dispatched_before_minnow = 0;
         loop {
@@ -345,8 +334,8 @@ mod tests {
             ("light", TenantPolicy::default()),
         ]);
         for i in 0..60 {
-            sched.admit(&names[0], JobId(i), 1.0, None, None);
-            sched.admit(&names[1], JobId(100 + i), 1.0, None, None);
+            sched.admit(&names[0], JobId(i), 1.0, None);
+            sched.admit(&names[1], JobId(100 + i), 1.0, None);
         }
         let now = Instant::now();
         let mut heavy_in_first_40 = 0;
@@ -369,9 +358,44 @@ mod tests {
     }
 
     #[test]
+    fn weighted_tenants_split_a_shared_plan_three_to_one() {
+        // The service's weighted-tenant run on scripted seconds instead of a
+        // clock: one worker, batches of up to 8, two tenants × 16 jobs of one
+        // plan admitted at a 40-unit guess and measured at 100 µs (10 units)
+        // each. With 3:1 weights light completes 3 jobs before heavy
+        // finishes; with the weight forced to 1.0 it completes 13.
+        let (mut sched, names) = sched_with(&[
+            ("heavy", TenantPolicy::default().with_weight(3.0)),
+            ("light", TenantPolicy::default()),
+        ]);
+        for i in 0..16 {
+            sched.admit(&names[0], JobId(i), 40.0, Some(1));
+            sched.admit(&names[1], JobId(100 + i), 40.0, Some(1));
+        }
+        let now = Instant::now();
+        // One worker settles each dispatch before the next one forms, so the
+        // dispatch order is the completion order.
+        let mut heavy_order = Vec::new();
+        while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
+            for id in dispatch.ids() {
+                sched.settle_final(id, 0.0001, true, now);
+                heavy_order.push(id.0 < 100);
+            }
+        }
+        assert_eq!(heavy_order.len(), 32);
+        let heavy_last = heavy_order.iter().rposition(|&heavy| heavy);
+        let before = &heavy_order[..heavy_last.expect("heavy completed")];
+        let light = before.iter().filter(|&&heavy| !heavy).count();
+        assert!(
+            light <= 10,
+            "3:1 weighting not visible: light completed {light} of 16 before heavy finished"
+        );
+    }
+
+    #[test]
     fn drain_shuts_down_only_when_empty_and_nothing_in_flight() {
         let (mut sched, names) = sched_with(&[("t", TenantPolicy::default())]);
-        sched.admit(&names[0], JobId(0), 1.0, None, None);
+        sched.admit(&names[0], JobId(0), 1.0, None);
         sched.mode = Mode::Draining;
         let now = Instant::now();
         let SchedPoll::Dispatch(dispatch) = sched.next_job(now) else {
@@ -386,7 +410,7 @@ mod tests {
     #[test]
     fn abort_stops_dispatching_immediately() {
         let (mut sched, names) = sched_with(&[("t", TenantPolicy::default())]);
-        sched.admit(&names[0], JobId(0), 1.0, None, None);
+        sched.admit(&names[0], JobId(0), 1.0, None);
         sched.mode = Mode::Aborting;
         assert!(matches!(
             sched.next_job(Instant::now()),
@@ -408,16 +432,16 @@ mod tests {
             ("minnow", TenantPolicy::default()),
         ]);
         let now = Instant::now();
-        sched.admit(&names[0], JobId(9999), 500.0, None, None);
+        sched.admit(&names[0], JobId(9999), 500.0, None);
         let SchedPoll::Dispatch(big) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
         sched.release(big.id());
 
         for i in 0..300 {
-            sched.admit(&names[0], JobId(i), 1.0, None, None);
+            sched.admit(&names[0], JobId(i), 1.0, None);
         }
-        sched.admit(&names[1], JobId(1000), 1.0, None, None);
+        sched.admit(&names[1], JobId(1000), 1.0, None);
         let mut whale_before_minnow = 0;
         loop {
             match sched.next_job(now) {
@@ -447,8 +471,8 @@ mod tests {
             ("normal", TenantPolicy::default()),
         ]);
         for i in 0..6 {
-            sched.admit(&names[0], JobId(i), 0.0, None, None);
-            sched.admit(&names[1], JobId(100 + i), 1.0, None, None);
+            sched.admit(&names[0], JobId(i), 0.0, None);
+            sched.admit(&names[1], JobId(100 + i), 1.0, None);
         }
         let now = Instant::now();
         let mut order = Vec::new();
@@ -469,7 +493,7 @@ mod tests {
     fn stale_now_clamps_wait_accounting_to_zero() {
         let (mut sched, names) = sched_with(&[("t", TenantPolicy::default())]);
         let past = Instant::now() - Duration::from_secs(5);
-        sched.admit(&names[0], JobId(0), 1.0, None, None);
+        sched.admit(&names[0], JobId(0), 1.0, None);
         let SchedPoll::Dispatch(d) = sched.next_job(past) else {
             panic!("expected dispatch");
         };
@@ -482,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn memoized_quantum_matches_a_brute_force_rescan() {
+    fn quantum_matches_a_brute_force_rescan() {
         fn brute_force(sched: &FairScheduler) -> f64 {
             sched
                 .tenants
@@ -498,12 +522,12 @@ mod tests {
         let now = Instant::now();
         let costs = [5.0, 120.0, 1.0, 60.0, 3.0, 250.0, 9.0];
         for (i, cost) in costs.iter().enumerate() {
-            sched.admit(&names[i % 2], JobId(i as u64), *cost, None, None);
+            sched.admit(&names[i % 2], JobId(i as u64), *cost, None);
             assert_eq!(sched.quantum(), brute_force(&sched), "after admit {i}");
         }
-        // Drain, checking the memo against the rescan after every pop (the
-        // 250-cost head leaving must deflate the quantum, not linger as a
-        // high-water mark).
+        // Drain, checking the quantum against the rescan after every pop (the
+        // 250-cost head leaving must deflate it, not linger as a high-water
+        // mark).
         while let SchedPoll::Dispatch(d) = sched.next_job(now) {
             sched.release(d.id());
             assert_eq!(sched.quantum(), brute_force(&sched), "after a pop");
@@ -527,8 +551,8 @@ mod tests {
             let a = sched.intern("a", &TenantPolicy::default(), now);
             let b = sched.intern("b", &TenantPolicy::default(), now);
             for i in 0..150 {
-                sched.admit(&a, JobId(i), guess, None, Some(7));
-                sched.admit(&b, JobId(1000 + i), guess, None, Some(7));
+                sched.admit(&a, JobId(i), guess, Some(7));
+                sched.admit(&b, JobId(1000 + i), guess, Some(7));
             }
             let mut served = [0i64; 2];
             for n in 1..=200 {
@@ -565,9 +589,9 @@ mod tests {
         let now = Instant::now();
         let a = sched.intern("a", &TenantPolicy::default().with_max_in_flight(1), now);
         let b = sched.intern("b", &TenantPolicy::default(), now);
-        sched.admit(&a, JobId(0), 1.0, None, None);
-        sched.admit(&a, JobId(1), 1.0, None, None);
-        sched.admit(&b, JobId(10), 1.0, None, None);
+        sched.admit(&a, JobId(0), 1.0, None);
+        sched.admit(&a, JobId(1), 1.0, None);
+        sched.admit(&b, JobId(10), 1.0, None);
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("the free slot takes a's head");
         };
@@ -640,20 +664,20 @@ mod tests {
             },
             ..Job::new(JobId(id), cost)
         };
-        // Tenants a and c share plan 1; b runs plans 2 and 3, plus plan 4
-        // priced by a duration hint.
+        // Tenants a and c share plan 1; b runs plans 2 and 3, plus plan 4,
+        // whose 20 µs duration hint is its prior: 2 units.
         for i in 0..10 {
-            sched.admit_job(&a, job(i, 4.0, 1), None, base);
+            sched.admit_job(&a, job(i, 4.0, 1), base);
         }
         for i in 0..8 {
-            sched.admit_job(&b, job(100 + i, 2.0, 2), None, base);
+            sched.admit_job(&b, job(100 + i, 2.0, 2), base);
         }
         for i in 8..12 {
-            sched.admit_job(&b, job(100 + i, 6.0, 3), None, base);
+            sched.admit_job(&b, job(100 + i, 6.0, 3), base);
         }
-        sched.admit_job(&b, job(112, 9.0, 4), Some(0.00002), base);
+        sched.admit_job(&b, job(112, 2.0, 4), base);
         for i in 0..8 {
-            sched.admit_job(&c, job(200 + i, 4.0, 1), None, base);
+            sched.admit_job(&c, job(200 + i, 4.0, 1), base);
         }
         // Measured busy-seconds per plan, varied per job.
         let seconds = |id: u64, key: u64| {
@@ -723,11 +747,11 @@ mod tests {
                     class: ServiceClass::latency(),
                     ..job(300, 1.0, 1)
                 };
-                sched.admit_job(&a, latency, None, base);
+                sched.admit_job(&a, latency, base);
             }
             if settled == 6 {
                 for i in 8..12 {
-                    sched.admit_job(&c, job(200 + i, 4.0, 1), None, base);
+                    sched.admit_job(&c, job(200 + i, 4.0, 1), base);
                 }
             }
         }

@@ -37,10 +37,13 @@
 //! systematically under-estimated silently received a multiple of its fair
 //! share of device time. Two feedback loops close that gap:
 //!
-//! * an online [`CostModel`](crate::cost_model) (EWMA of measured
-//!   busy-seconds per plan key) consulted at admission — and lazily
-//!   repricing queued jobs at dispatch — so a plan with history is charged
-//!   its *measured* cost; and
+//! * **one price per job**, read where it is spent: the online
+//!   [`CostModel`](crate::cost_model)'s measured EWMA of busy-seconds for
+//!   the job's plan key once the plan has one, else the job's prior (its
+//!   `duration_us` hint, else its placement estimate). Admission, the
+//!   quantum, the deficit check and every debit call the one function
+//!   (`pricing::price`), so a measurement reprices every queued job of its
+//!   plan at once and nothing is cached to go stale; and
 //! * **deficit charge-back** on every recorded outcome: the tenant's deficit
 //!   is corrected by `(measured − charged)` cost units (clamped per job),
 //!   so misestimates cannot compound across rotations — weighted fairness
@@ -51,7 +54,7 @@
 //! `now` argument, so a run is a deterministic function of its inputs. One
 //! file per idea: `drr` (rotation, quantum and the one dispatch path),
 //! `order` (class, EDF and LPT queue order), `policy` (tenant policy and
-//! token buckets), `pricing` (admission cost and charge-back) and `batch`
+//! token buckets), `pricing` (the price and charge-back) and `batch`
 //! (micro-batch coalescing).
 
 use std::collections::BTreeMap;
@@ -171,9 +174,10 @@ pub(crate) struct Job {
     /// queue, the in-flight table and any failover; a dispatch shares it (a
     /// reference-count bump), and a terminal settlement hands it back.
     pub bundle: SealedBundle,
-    /// Admitted: the static placement estimate. Queued: the priced
-    /// admission cost (see [`FairScheduler::admit_job`]). In flight: the
-    /// cost charged against the tenant's deficit at dispatch.
+    /// Placed: the job's prior (its `duration_us` hint, else the placement
+    /// estimate; see [`Job::placed`]). Queued: its price at admission, the
+    /// LPT rank (see [`FairScheduler::admit_job`]). In flight: the cost
+    /// charged against the tenant's deficit at dispatch.
     pub cost: f64,
     /// The **plane-level** placement computed once, at admission: its plane
     /// is what the fleet routes within, its backend is swapped for the
@@ -201,31 +205,28 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    /// The record of a sealed bundle placed on `placement`, with its
-    /// `duration_us` cost hint in seconds, which seeds the cost model and
-    /// prices the admission (see [`pricing::hint_seconds`]). The batch key
-    /// folds the plan identity with the backend name, and the fleet
+    /// The record of a sealed bundle placed on `placement`, priced at its
+    /// prior (see [`pricing::prior`]) until its plan is measured. The batch
+    /// key folds the plan identity with the backend name, and the fleet
     /// requirements are derived once, so re-routing after a device fault
     /// never re-parses descriptors. Admission assigns the id and deadline.
-    pub(crate) fn placed(bundle: SealedBundle, placement: Placement) -> (Job, Option<f64>) {
+    pub(crate) fn placed(bundle: SealedBundle, placement: Placement) -> Job {
         let backend = &placement.backend;
         let batch_key = backend.batch_key(&bundle).map(|key| {
             let hash = fnv1a64_update(fnv1a64_init(), backend.name().as_bytes());
             fnv1a64_update(hash, &key.to_le_bytes())
         });
-        let hint_seconds = pricing::hint_seconds(&bundle);
-        let job = Job {
+        Job {
             id: JobId(0),
             class: bundle.service_class(),
             requirements: JobRequirements::of(&bundle),
+            cost: pricing::prior(&bundle, placement.estimated_cost),
             bundle,
-            cost: placement.estimated_cost,
             placement,
             batch_key,
             deadline: None,
             retry: false,
-        };
-        (job, hint_seconds)
+        }
     }
 }
 
@@ -294,8 +295,8 @@ pub(crate) struct FairScheduler {
     /// Dispatched-but-unfinished jobs: in-flight accounting plus the charged
     /// cost and plan key needed to reconcile the outcome's measured cost.
     in_flight: BTreeMap<JobId, InFlight>,
-    /// Online EWMA of measured busy-seconds per plan key, consulted at
-    /// admission (see [`FairScheduler::admit_job`]).
+    /// Online EWMA of measured busy-seconds per plan key: what a measured
+    /// plan's jobs are priced at (see `pricing::price`).
     cost_model: CostModel,
     /// Number of tenants whose queues are currently non-empty, so a
     /// dispatch scan's contention checks are O(1) instead of O(tenants).
@@ -304,12 +305,6 @@ pub(crate) struct FairScheduler {
     /// that stops a forming throughput batch from growing (preempt
     /// coalescing, never execution).
     queued_latency: usize,
-    /// Memoized [`FairScheduler::quantum`], invalidated (set to `None`) by
-    /// every queue removal and by any admission that lands at a queue head
-    /// (class ordering means a new head can *lower* that tenant's head
-    /// cost, so raising in place is no longer sound) — repeated scans of
-    /// unchanged queues recompute nothing.
-    cached_quantum: Option<f64>,
     /// Shared observability sink: `admitted`/`dispatched` stage events plus
     /// the per-tenant / per-backend queue-wait histograms.
     obs: Arc<MetricsRegistry>,
@@ -337,7 +332,6 @@ impl FairScheduler {
             cost_model: CostModel::default(),
             nonempty: 0,
             queued_latency: 0,
-            cached_quantum: Some(1.0),
             obs,
             fleet,
             latency_ledger: ClassLedger::default(),
@@ -373,22 +367,15 @@ impl FairScheduler {
 
     /// Admit one job into its tenant's queue at `now`: price it (see
     /// [`pricing`]) and insert it in class, EDF and LPT order (see
-    /// [`order`]). `hint_seconds` is the bundle's explicit `duration_us`
-    /// cost hint, in seconds. A fresh job counts as one submission of its
-    /// tenant; a failover re-admission (`job.retry`) does not.
-    pub(crate) fn admit_job(
-        &mut self,
-        tenant: &Arc<str>,
-        mut job: Job,
-        hint_seconds: Option<f64>,
-        now: Instant,
-    ) {
+    /// [`order`]). A fresh job counts as one submission of its tenant; a
+    /// failover re-admission (`job.retry`) does not.
+    pub(crate) fn admit_job(&mut self, tenant: &Arc<str>, mut job: Job, now: Instant) {
         if !job.retry {
             if let Some(queue) = self.tenants.get_mut(tenant) {
                 queue.stats.submitted += 1;
             }
         }
-        job.cost = self.admission_cost(&job, hint_seconds);
+        job.cost = pricing::price(&self.cost_model, &job);
         if self.obs.tracing_enabled() {
             self.obs.trace(
                 job.id,
@@ -473,7 +460,7 @@ impl FairScheduler {
             // The already-paid rate-limit token is preserved through
             // `retry`: a failover is the same job, not a fresh submission.
             job.retry = true;
-            self.admit_job(&tenant, job, None, now);
+            self.admit_job(&tenant, job, now);
             return None;
         }
         self.fleet.clear_exclusions(id.0);
@@ -680,14 +667,13 @@ pub(crate) mod testing {
             tenant: &Arc<str>,
             id: JobId,
             cost: f64,
-            hint_seconds: Option<f64>,
             batch_key: Option<u64>,
         ) {
             let job = Job {
                 batch_key,
                 ..Job::new(id, cost)
             };
-            self.admit_job(tenant, job, hint_seconds, Instant::now());
+            self.admit_job(tenant, job, Instant::now());
         }
 
         /// Admit a latency-class job with an explicit absolute deadline
@@ -705,7 +691,7 @@ pub(crate) mod testing {
                 deadline,
                 ..Job::new(id, cost)
             };
-            self.admit_job(tenant, job, None, Instant::now());
+            self.admit_job(tenant, job, Instant::now());
         }
 
         /// The model's predicted cost (in deficit units) for a plan key, if

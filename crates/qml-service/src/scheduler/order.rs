@@ -31,8 +31,7 @@ fn keeps_position(q: &Job, arriving: &Job) -> bool {
 
 impl FairScheduler {
     /// Insert a priced job into its tenant's queue in class, EDF and LPT
-    /// order, keeping the non-empty and queued-latency counters and the
-    /// quantum memo current.
+    /// order, keeping the non-empty and queued-latency counters current.
     pub(super) fn enqueue(&mut self, tenant: &Arc<str>, queued: QueuedJob) {
         let queue = &mut self
             .tenants
@@ -52,13 +51,6 @@ impl FairScheduler {
         // contend on.
         let at = queue.partition_point(|q| keeps_position(&q.job, &queued.job));
         queue.insert(at, queued);
-        // A non-head insertion cannot change any tenant's head, so the memo
-        // stays valid; a new head can raise *or lower* the max head cost
-        // (a cheap latency job now outranks an expensive throughput head),
-        // so it invalidates rather than adjusts in place.
-        if at == 0 {
-            self.cached_quantum = None;
-        }
     }
 }
 
@@ -73,9 +65,9 @@ mod tests {
     #[test]
     fn cost_ranked_within_a_tenant() {
         let (mut sched, names) = sched_with(&[("t", TenantPolicy::default())]);
-        sched.admit(&names[0], JobId(0), 1.0, None, None);
-        sched.admit(&names[0], JobId(1), 9.0, None, None);
-        sched.admit(&names[0], JobId(2), 4.0, None, None);
+        sched.admit(&names[0], JobId(0), 1.0, None);
+        sched.admit(&names[0], JobId(1), 9.0, None);
+        sched.admit(&names[0], JobId(2), 4.0, None);
         let now = Instant::now();
         let mut order = Vec::new();
         while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
@@ -93,9 +85,9 @@ mod tests {
         let (mut sched, names) = sched_with(&[("t", TenantPolicy::default())]);
         let t = &names[0];
         let base = Instant::now();
-        sched.admit(t, JobId(0), 1.0, None, None);
+        sched.admit(t, JobId(0), 1.0, None);
         sched.admit_latency(t, JobId(1), 0.1, Some(base + Duration::from_secs(5)));
-        sched.admit(t, JobId(2), 9.0, None, None);
+        sched.admit(t, JobId(2), 9.0, None);
         sched.admit_latency(t, JobId(3), 0.1, None);
         sched.admit_latency(t, JobId(4), 0.1, Some(base + Duration::from_secs(1)));
         sched.admit_latency(t, JobId(5), 0.1, Some(base + Duration::from_secs(5)));
@@ -116,7 +108,7 @@ mod tests {
         sched.admit_latency(&names[0], JobId(0), 1.0, None);
         sched.admit_latency(&names[0], JobId(1), 1.0, None);
         for i in 2..5 {
-            sched.admit(&names[0], JobId(i), 1.0, None, None);
+            sched.admit(&names[0], JobId(i), 1.0, None);
         }
         let stats = sched.class_snapshot();
         assert_eq!(stats["latency"].queued, 2);
@@ -159,7 +151,7 @@ mod tests {
                     sched.admit_latency(&names[0], JobId(i as u64), 1.0, None);
                 }
                 for i in 0..throughput_jobs {
-                    sched.admit(&names[1], JobId(1000 + i as u64), 1.0, None, None);
+                    sched.admit(&names[1], JobId(1000 + i as u64), 1.0, None);
                 }
                 let now = Instant::now();
                 let (mut lat, mut thr) = (0usize, 0usize);

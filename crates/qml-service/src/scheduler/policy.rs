@@ -226,7 +226,7 @@ mod tests {
             burst: 2.0,
         });
         for i in 0..5 {
-            sched.admit(&name, JobId(i), 1.0, None, None);
+            sched.admit(&name, JobId(i), 1.0, None);
         }
         let now = Instant::now();
         for _ in 0..2 {
@@ -255,7 +255,7 @@ mod tests {
             let limit = RateLimit::per_second(rate).with_burst(1.0);
             let name = sched.intern(name, &TenantPolicy::default().with_rate_limit(limit), t);
             for id in first..first + 2 {
-                sched.admit_job(&name, Job::new(JobId(id), 1.0), None, t);
+                sched.admit_job(&name, Job::new(JobId(id), 1.0), t);
             }
         }
         for _ in 0..2 {
@@ -283,8 +283,8 @@ mod tests {
             jobs_per_second: 0.0,
             burst: 1.0,
         });
-        sched.admit(&name, JobId(0), 1.0, None, None);
-        sched.admit(&name, JobId(1), 1.0, None, None);
+        sched.admit(&name, JobId(0), 1.0, None);
+        sched.admit(&name, JobId(1), 1.0, None);
         let SchedPoll::Dispatch(d) = sched.next_job(t) else {
             panic!("the burst token dispatches");
         };
@@ -309,7 +309,7 @@ mod tests {
             });
             let name = sched.intern("t", &policy, base);
             for i in 0..5 {
-                sched.admit_job(&name, Job::new(JobId(i), 1.0), None, base);
+                sched.admit_job(&name, Job::new(JobId(i), 1.0), base);
             }
             let later = base + Duration::from_secs(1);
             for _ in 0..3 {
@@ -337,7 +337,7 @@ mod tests {
             TenantPolicy::default().with_rate_limit(RateLimit::per_second(5.0).with_burst(1.0));
         let name = sched.intern("paced", &policy, base);
         for i in 0..200 {
-            sched.admit_job(&name, Job::new(JobId(i), 1.0), None, base);
+            sched.admit_job(&name, Job::new(JobId(i), 1.0), base);
         }
         let mut dispatched = 0;
         for tick in 0..=1000u64 {
@@ -360,7 +360,7 @@ mod tests {
             burst: 2.0,
         });
         for i in 0..8 {
-            sched.admit(&name, JobId(i), 1.0, None, None);
+            sched.admit(&name, JobId(i), 1.0, None);
         }
         let t0 = Instant::now();
         // Burst of 2, then one refilled token 2 ms later: 3 dispatches.
@@ -402,13 +402,13 @@ mod tests {
         });
         let now = Instant::now();
         // Spend the only token on a normal dispatch.
-        sched.admit(&name, JobId(0), 1.0, None, None);
+        sched.admit(&name, JobId(0), 1.0, None);
         let SchedPoll::Dispatch(paid) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
         sched.release(paid.id());
         // Bucket empty: a fresh submission throttles...
-        sched.admit(&name, JobId(1), 1.0, None, None);
+        sched.admit(&name, JobId(1), 1.0, None);
         assert!(matches!(sched.next_job(now), SchedPoll::Idle(_)));
         assert_eq!(sched.metrics.throttled, 1);
         // ...but a requeued job (higher cost, so it outranks the queued
@@ -417,7 +417,7 @@ mod tests {
             retry: true,
             ..Job::new(JobId(2), 2.0)
         };
-        sched.admit_job(&name, retry, None, now);
+        sched.admit_job(&name, retry, now);
         let tokens_before = sched.tokens_of(&name);
         let SchedPoll::Dispatch(retried) = sched.next_job(now) else {
             panic!("retry must bypass the empty bucket");
@@ -437,8 +437,8 @@ mod tests {
     fn in_flight_cap_blocks_further_dispatches() {
         let (mut sched, names) =
             sched_with(&[("capped", TenantPolicy::default().with_max_in_flight(1))]);
-        sched.admit(&names[0], JobId(0), 1.0, None, None);
-        sched.admit(&names[0], JobId(1), 1.0, None, None);
+        sched.admit(&names[0], JobId(0), 1.0, None);
+        sched.admit(&names[0], JobId(1), 1.0, None);
         let now = Instant::now();
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");

@@ -1,5 +1,5 @@
-//! Cost pricing and charge-back: what a job is charged at admission and at
-//! dispatch, and how its measured outcome corrects its tenant's deficit.
+//! One price per job, read in one place, and the charge-back that corrects
+//! a tenant's deficit once the job's busy-seconds are measured.
 
 use std::sync::Arc;
 
@@ -8,90 +8,59 @@ use qml_types::JobBundle;
 use super::{FairScheduler, Job};
 use crate::cost_model::{CostModel, CHARGE_BACK_CLAMP, COST_UNITS_PER_SECOND};
 
-/// Floor applied to every admitted job's cost estimate. A job whose
-/// descriptors carry no cost hints estimates 0.0 — and a zero-cost job spends **zero deficit**, so one tenant's
-/// hint-less queue would drain entirely in a single parked visit, the exact
-/// monopoly DRR exists to prevent. Flooring at the quantum's own base unit
-/// (1.0, see [`FairScheduler::quantum`]) makes a hint-less job cost exactly
-/// one visit's budget.
+/// Floor applied to every price. A job whose descriptors carry no cost
+/// hints estimates 0.0 — and a zero-cost job spends **zero deficit**, so one
+/// tenant's hint-less queue would drain entirely in a single parked visit,
+/// the exact monopoly DRR exists to prevent. Flooring at the quantum's own
+/// base unit (1.0, see [`FairScheduler::quantum`]) makes a hint-less job
+/// cost exactly one visit's budget.
 pub(super) const MIN_JOB_COST: f64 = 1.0;
 
-/// The cost a queued job is charged **now**: the cost model's current
-/// prediction for its plan key when one exists, else the cost fixed at
-/// admission. Jobs queue for whole rotations while measurements stream in;
-/// spending the *live* prediction (rather than the admission-time guess)
-/// keeps the quantum and every deficit debit in measured units as soon as a
-/// plan has history — without an O(queue) reprice pass per observation.
-pub(super) fn effective_cost(model: &CostModel, job: &Job) -> f64 {
+/// A job's price, in cost units: the cost model's measured EWMA for its
+/// plan key when the plan has one, else the job's prior (`job.cost`, see
+/// [`prior`]), floored at [`MIN_JOB_COST`]. Admission (the LPT rank), the
+/// DRR quantum, the head's deficit check and each dispatched member's debit
+/// all read it when they need it, so one measurement reprices every queued
+/// job of its plan at once: there is no reprice pass and nothing to
+/// invalidate.
+pub(super) fn price(model: &CostModel, job: &Job) -> f64 {
     job.batch_key
         .and_then(|key| model.predict_seconds(key))
-        .map(|seconds| (seconds * COST_UNITS_PER_SECOND).max(MIN_JOB_COST))
-        .unwrap_or(job.cost)
+        .map_or(job.cost, |seconds| seconds * COST_UNITS_PER_SECOND)
+        .max(MIN_JOB_COST)
 }
 
-/// The bundle's explicit wall-clock claim, if any: its operators' cost
-/// hints folded with [`CostHint::saturating_add`], whose duration survives
-/// only when **every** operator carries one — the aggregate never
-/// over-claims precision, so a lone hinted operator among unhinted ones
-/// cannot price (and seed the cost model for) the whole bundle. Each
-/// operator's duration is finite and non-negative (the seal checks it), but
-/// a sum of them can still overflow to infinity: such a claim is no claim.
+/// A job's prior, in cost units: the bundle's explicit wall-clock claim if
+/// it makes one, else the placement's `estimated_cost`. The claim is the
+/// operators' cost hints folded with [`CostHint::saturating_add`], whose
+/// duration survives only when **every** operator carries one — the
+/// aggregate never over-claims precision, so a lone hinted operator among
+/// unhinted ones cannot price the whole bundle. Each operator's duration is
+/// finite and non-negative (the seal checks it), but a sum of them can
+/// still overflow to infinity: such a claim is no claim.
 ///
 /// [`CostHint::saturating_add`]: qml_types::CostHint::saturating_add
-pub(super) fn hint_seconds(bundle: &JobBundle) -> Option<f64> {
+pub(super) fn prior(bundle: &JobBundle, estimated_cost: f64) -> f64 {
     let total = bundle
         .operators
         .iter()
         .map(|op| op.cost_hint.unwrap_or_default())
-        .reduce(|a, b| a.saturating_add(&b))?;
+        .reduce(|a, b| a.saturating_add(&b));
     total
-        .duration_us
+        .and_then(|hint| hint.duration_us)
         .filter(|us| us.is_finite())
-        .map(|us| us / 1e6)
+        .map_or(estimated_cost, |us| us / 1e6 * COST_UNITS_PER_SECOND)
 }
 
 impl FairScheduler {
-    /// The cost an admitted job is queued at, resolved in order of trust:
-    ///
-    /// 1. the **cost model's measured prediction** for the job's plan key —
-    ///    a plan with execution history admits at what it actually costs;
-    /// 2. an explicit **`duration_us` cost hint** (`hint_seconds`), which
-    ///    also seeds the model so the first measured outcome refines rather
-    ///    than replaces it;
-    /// 3. the static **placement estimate** (`job.cost`).
-    ///
-    /// Whatever wins is floored at [`MIN_JOB_COST`] so zero-cost estimates
-    /// (hint-less descriptors) still spend DRR deficit — a zero-cost queue
-    /// must not drain in a single parked visit.
-    pub(super) fn admission_cost(&mut self, job: &Job, hint_seconds: Option<f64>) -> f64 {
-        let model = &mut self.cost_model;
-        let mut seeded = false;
-        let seconds = job.batch_key.and_then(|key| {
-            model.predict_seconds(key).or_else(|| {
-                let hint = hint_seconds?;
-                model.seed(key, hint);
-                seeded = true;
-                Some(hint)
-            })
-        });
-        // A seed reprices every queued job of the plan, heads included, so
-        // the memoized quantum is stale: kept, it could sit below a head's
-        // cost and cap every deficit under it for good.
-        if seeded {
-            self.cached_quantum = None;
-        }
-        seconds
-            .map_or(job.cost, |seconds| seconds * COST_UNITS_PER_SECOND)
-            .max(MIN_JOB_COST)
-    }
-
     /// Reconcile a terminal outcome's **measured** busy-seconds against what
     /// its dispatch was charged (`job.cost`). Called by
     /// [`settle_outcome`](FairScheduler::settle_outcome); three things
     /// happen, in order:
     ///
-    /// * the measurement feeds the per-plan-key cost model, so future
-    ///   admissions of this plan are charged what it actually costs;
+    /// * the measurement feeds the per-plan-key cost model, so every queued
+    ///   and later job of this plan is priced at what it actually costs
+    ///   (see [`price`]);
     /// * the estimate-error gauges update
     ///   ([`SchedulerMetrics::cost_samples`](super::SchedulerMetrics) /
     ///   `estimate_error_units`, and the tenant's busy-seconds);
@@ -123,15 +92,10 @@ impl FairScheduler {
         if ok {
             if let Some(key) = job.batch_key {
                 self.cost_model.observe(key, seconds);
-                // The observation can reprice any queued head of this plan,
-                // so the memoized quantum is stale. Outcomes arrive at the
-                // same rate as dispatches, so this keeps the rescan
-                // amortized O(1) per job — idle polls still never rescan.
-                self.cached_quantum = None;
             }
         }
         // Floor the measured side at MIN_JOB_COST (expressed in seconds),
-        // exactly as admission floors every charge: without it, sub-floor
+        // exactly as `price` floors every charge: without it, sub-floor
         // jobs would be partially refunded and a fast queue could again
         // drain in one parked visit — the monopoly the floor exists to
         // prevent. The error is positive when the job cost more than it was
@@ -163,7 +127,8 @@ mod tests {
     use std::collections::VecDeque;
     use std::time::{Duration, Instant};
 
-    use qml_runtime::JobId;
+    use qml_runtime::{JobId, Placement};
+    use qml_types::SealedBundle;
 
     use super::super::testing::*;
     use super::super::{Mode, SchedPoll, TenantPolicy};
@@ -210,8 +175,8 @@ mod tests {
         // hint-less (floored at MIN_JOB_COST = 1.0, a 10× under-estimate);
         // `exact`'s are admitted at their true cost.
         for i in 0..400 {
-            sched.admit(&names[0], JobId(i), 0.0, None, None);
-            sched.admit(&names[1], JobId(1000 + i), 10.0, None, None);
+            sched.admit(&names[0], JobId(i), 0.0, None);
+            sched.admit(&names[1], JobId(1000 + i), 10.0, None);
         }
         sched
     }
@@ -248,7 +213,7 @@ mod tests {
     #[test]
     fn measured_outcomes_reprice_later_admissions() {
         let (mut sched, names) = sched_with(&[("t", TenantPolicy::default())]);
-        sched.admit(&names[0], JobId(0), 1.0, None, Some(5));
+        sched.admit(&names[0], JobId(0), 1.0, Some(5));
         let now = Instant::now();
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
@@ -257,10 +222,10 @@ mod tests {
         // The model learned 200 µs for plan key 5: the next admission of the
         // same plan is charged 20 cost units no matter what it estimates.
         assert_eq!(sched.predicted_cost(5), Some(20.0));
-        sched.admit(&names[0], JobId(1), 1.0, None, Some(5));
+        sched.admit(&names[0], JobId(1), 1.0, Some(5));
         assert_eq!(sched.head_cost_of(&names[0]), Some(20.0));
         // A different plan key is untouched.
-        sched.admit(&names[0], JobId(2), 3.0, None, Some(6));
+        sched.admit(&names[0], JobId(2), 3.0, Some(6));
         assert_eq!(sched.predicted_cost(6), None);
         assert_eq!(sched.metrics.cost_samples, 1);
         assert!(sched.metrics.estimate_error_units > 18.9);
@@ -279,8 +244,8 @@ mod tests {
         ]);
         // Both tenants run the *same* plan (one key), guessed at 80 units.
         for i in 0..4 {
-            sched.admit(&names[0], JobId(i), 80.0, None, Some(1));
-            sched.admit(&names[1], JobId(100 + i), 80.0, None, Some(1));
+            sched.admit(&names[0], JobId(i), 80.0, Some(1));
+            sched.admit(&names[1], JobId(100 + i), 80.0, Some(1));
         }
         assert_eq!(sched.quantum(), 80.0);
         let now = Instant::now();
@@ -312,49 +277,106 @@ mod tests {
     }
 
     #[test]
-    fn duration_hints_seed_the_model_and_price_admission() {
+    fn a_hint_is_the_prior_until_the_first_measurement_replaces_it() {
+        use qml_types::{CostHint, JobBundle, OperatorDescriptor, QuantumDataType, RepKind};
+
+        // One operator claims 50 µs: a 5-unit prior, whatever the placement
+        // estimates.
+        let qdt = QuantumDataType::ising_spins("s", "s", 2).unwrap();
+        let prep = OperatorDescriptor::builder("prep", RepKind::PrepUniform, "s")
+            .cost_hint(CostHint::unknown().with_duration_us(50.0))
+            .build()
+            .unwrap();
+        let bundle = SealedBundle::seal(JobBundle::new("hinted", vec![qdt], vec![prep])).unwrap();
+        let estimated = Placement {
+            estimated_cost: 80.0,
+            ..placement()
+        };
+        let hinted = |id| Job {
+            id: JobId(id),
+            batch_key: Some(9),
+            ..Job::placed(bundle.clone(), estimated.clone())
+        };
         let (mut sched, names) = sched_with(&[("t", TenantPolicy::default())]);
-        // An explicit 50 µs duration hint prices the job at 5 cost units and
-        // seeds the model (samples = 0: a prior, not a measurement).
-        sched.admit(&names[0], JobId(0), 80.0, Some(0.00005), Some(9));
-        assert_eq!(sched.head_cost_of(&names[0]), Some(5.0));
-        assert_eq!(sched.predicted_cost(9), Some(5.0));
-        // Once a real measurement lands it blends with (not replaces) the
-        // hinted prior, and later hints no longer matter.
         let now = Instant::now();
+        sched.admit_job(&names[0], hinted(0), now);
+        assert_eq!(
+            sched.head_cost_of(&names[0]),
+            Some(5.0),
+            "admitted at the hint"
+        );
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
         };
-        sched.settle_final(first.id(), 0.00015, true, now);
-        let repriced = sched.predicted_cost(9).expect("model has the key");
-        assert!(
-            repriced > 5.0 && repriced < 15.0,
-            "EWMA blends prior and measurement, got {repriced}"
+        assert_eq!(
+            sched.in_flight[&first.id()].job.cost,
+            5.0,
+            "charged the hint"
         );
-        sched.admit(&names[0], JobId(1), 80.0, Some(0.00005), Some(9));
-        assert_eq!(sched.head_cost_of(&names[0]), Some(repriced));
+        assert_eq!(sched.predicted_cost(9), None, "a hint is no measurement");
+        // The plan's first measurement, 150 µs, replaces the hint outright:
+        // the next hinted job is priced at 15 units, not a blend with 5.
+        sched.settle_final(first.id(), 0.00015, true, now);
+        sched.admit_job(&names[0], hinted(1), now);
+        let repriced = sched.head_cost_of(&names[0]).expect("queued");
+        assert!((repriced - 15.0).abs() < 1e-9, "priced at {repriced}");
     }
 
     #[test]
-    fn a_hint_seed_reprices_queued_heads_and_the_quantum() {
+    fn one_observation_reprices_a_queued_head_and_the_quantum_at_once() {
         let (mut sched, names) = sched_with(&[
             ("a", TenantPolicy::default()),
             ("b", TenantPolicy::default()),
         ]);
-        // b's head runs plan 7, priced at 1 unit; a's head is a latency job.
-        sched.admit(&names[1], JobId(0), 1.0, None, Some(7));
-        sched.admit_latency(&names[0], JobId(1), 1.0, None);
-        assert_eq!(sched.quantum(), 1.0);
-        // A hinted job of plan 7 queues behind a's head and seeds the model
-        // at 50 units, which reprices b's head: the quantum must follow, or
-        // it caps b's deficit below its head's cost for good.
-        sched.admit(&names[0], JobId(2), 1.0, Some(0.0005), Some(7));
-        assert_eq!(
-            sched.head_cost_of(&names[0]),
-            Some(1.0),
-            "a's head is unchanged"
+        // Both heads run plan 7 at a 1-unit prior; a's goes first.
+        sched.admit(&names[0], JobId(0), 1.0, Some(7));
+        sched.admit(&names[1], JobId(1), 1.0, Some(7));
+        let now = Instant::now();
+        let SchedPoll::Dispatch(first) = sched.next_job(now) else {
+            panic!("expected dispatch");
+        };
+        assert_eq!(first.id(), JobId(0));
+        // Measured at 500 µs, b's queued head is a 50-unit job. The very next
+        // call must grant b a 50-unit quantum and dispatch it: a quantum left
+        // at 1 would cap b's deficit at 2 units, below its head for good.
+        sched.settle_final(first.id(), 0.0005, true, now);
+        assert!((sched.quantum() - 50.0).abs() < 1e-9, "{}", sched.quantum());
+        let SchedPoll::Dispatch(next) = sched.next_job(now) else {
+            panic!("b's repriced head dispatches in the next call");
+        };
+        assert_eq!(next.id(), JobId(1));
+        let charged = sched.in_flight[&next.id()].job.cost;
+        assert!((charged - 50.0).abs() < 1e-9, "charged {charged}");
+    }
+
+    #[test]
+    fn model_priced_admissions_halve_the_estimate_error() {
+        // Round 1 admits 8 jobs of a plan never measured, at an 80-unit
+        // descriptor estimate; round 2 resubmits the plan once measured and
+        // is priced at its EWMA. Scripted seconds (100–150 µs) stand in for
+        // the clock, so host load cannot flip the claim.
+        let (mut sched, names) = sched_with(&[("opt", TenantPolicy::default())]);
+        let now = Instant::now();
+        let seconds = |id: u64| 0.0001 * (1.0 + (id % 3) as f64 * 0.25);
+        let round = |sched: &mut FairScheduler, base: u64| {
+            for i in 0..8 {
+                sched.admit(&names[0], JobId(base + i), 80.0, Some(3));
+            }
+            while let SchedPoll::Dispatch(dispatch) = sched.next_job(now) {
+                for id in dispatch.ids() {
+                    sched.settle_final(id, seconds(id.0), true, now);
+                }
+            }
+            sched.metrics.estimate_error_units
+        };
+        let round1 = round(&mut sched, 0);
+        let round2 = round(&mut sched, 100) - round1;
+        assert_eq!(sched.metrics.cost_samples, 16);
+        assert!(
+            round2 < round1 * 0.5,
+            "model-priced admissions must at least halve the estimate error \
+             (round 1 {round1:.3} units, round 2 {round2:.3})"
         );
-        assert_eq!(sched.quantum(), 50.0);
     }
 
     #[test]
@@ -365,8 +387,8 @@ mod tests {
         ]);
         // Keep "other" queued so the outlier tenant is contended (charge-back
         // only applies under contention).
-        sched.admit(&names[1], JobId(100), 1.0, None, None);
-        sched.admit(&names[0], JobId(0), 1.0, None, None);
+        sched.admit(&names[1], JobId(100), 1.0, None);
+        sched.admit(&names[0], JobId(0), 1.0, None);
         let now = Instant::now();
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
@@ -394,7 +416,7 @@ mod tests {
         // competitor (and under-estimated ones must not bank debt).
         let (mut sched, names) = sched_with(&[("solo", TenantPolicy::default())]);
         for i in 0..4 {
-            sched.admit(&names[0], JobId(i), 50.0, None, None);
+            sched.admit(&names[0], JobId(i), 50.0, None);
         }
         let now = Instant::now();
         for _ in 0..4 {
@@ -419,9 +441,9 @@ mod tests {
             ("debtor", TenantPolicy::default()),
             ("other", TenantPolicy::default()),
         ]);
-        sched.admit(&names[0], JobId(0), 1.0, None, None);
-        sched.admit(&names[1], JobId(100), 1.0, None, None);
-        sched.admit(&names[1], JobId(101), 1.0, None, None);
+        sched.admit(&names[0], JobId(0), 1.0, None);
+        sched.admit(&names[1], JobId(100), 1.0, None);
+        sched.admit(&names[1], JobId(101), 1.0, None);
         let now = Instant::now();
         // Dispatch the debtor's only job and measure it 10× its estimate:
         // the debtor now owes ~9 units.
@@ -451,8 +473,8 @@ mod tests {
             ("other", TenantPolicy::default()),
         ]);
         // Contention, so a refund would apply if failures earned one.
-        sched.admit(&names[1], JobId(100), 1.0, None, None);
-        sched.admit(&names[0], JobId(0), 50.0, None, Some(4));
+        sched.admit(&names[1], JobId(100), 1.0, None);
+        sched.admit(&names[0], JobId(0), 50.0, Some(4));
         let now = Instant::now();
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {
             panic!("expected dispatch");
@@ -492,7 +514,7 @@ mod tests {
             1.0,
             Some(now + Duration::from_secs(3600)),
         );
-        sched.admit(&names[0], JobId(2), 1.0, None, None);
+        sched.admit(&names[0], JobId(2), 1.0, None);
         // EDF: the already-expired deadline dispatches first, and settles
         // after it.
         let SchedPoll::Dispatch(first) = sched.next_job(now) else {

@@ -26,6 +26,16 @@ const SCHEDULER: &str = "crates/qml-service/src/scheduler";
 const FLEET: &str = "crates/qml-service/src/fleet.rs";
 const CORE: &str = "crates/qml-service/src/core.rs";
 const COST_MODEL: &str = "crates/qml-service/src/cost_model.rs";
+const PRICING: &str = "crates/qml-service/src/scheduler/pricing.rs";
+/// Every scheduler file but `pricing.rs`, and the service core.
+const UNPRICED: &[&str] = &[
+    "crates/qml-service/src/scheduler/mod.rs",
+    "crates/qml-service/src/scheduler/batch.rs",
+    "crates/qml-service/src/scheduler/drr.rs",
+    "crates/qml-service/src/scheduler/order.rs",
+    "crates/qml-service/src/scheduler/policy.rs",
+    CORE,
+];
 const EXECUTOR: &str = "crates/qml-runtime/src/executor.rs";
 
 const RULES: &[Rule] = &[
@@ -90,6 +100,30 @@ const RULES: &[Rule] = &[
         lines: 0,
         reason: "the core is sans-I/O: `service.rs` locks, waits and executes",
         mutant: "ready: std::sync::Condvar,",
+    },
+    Rule {
+        name: "a job is priced in one place",
+        files: &[PRICING],
+        patterns: &["predict_seconds("],
+        lines: 1,
+        reason: "`price` reads the model: a measured EWMA, else the job's prior",
+        mutant: "let seconds = self.cost_model.predict_seconds(key);",
+    },
+    Rule {
+        name: "a job is priced in one place (nowhere else)",
+        files: UNPRICED,
+        patterns: &["predict_seconds("],
+        lines: 0,
+        reason: "admission, the quantum and every debit call `pricing::price`",
+        mutant: "let seconds = self.cost_model.predict_seconds(key);",
+    },
+    Rule {
+        name: "a job is priced in one place (no cached quantum, no seeded prior)",
+        files: &[SERVICE],
+        patterns: &["cached_quantum", ".seed("],
+        lines: 0,
+        reason: "the quantum is folded per call; the model holds measurements only",
+        mutant: "cached_quantum: Option<f64>,",
     },
     Rule {
         name: "every crate forbids unsafe code",

@@ -441,9 +441,12 @@ fn in_flight_cap_is_never_exceeded() {
 
 #[test]
 fn weighted_tenants_split_throughput_unevenly() {
-    // Not a wall-clock assertion (single-CPU CI): check the *dispatch
-    // ordering* — among the first half of dispatches, the weight-3 tenant
-    // must own a clear majority.
+    // The 3:1 band (light completes at most 10 of 16 before heavy finishes)
+    // depends only on the scheduler, but here a busy host's job durations
+    // feed its prices and could move it: it is checked on scripted seconds by
+    // `scheduler::drr::tests::weighted_tenants_split_a_shared_plan_three_to_one`.
+    // Threaded, the run keeps what a race cannot break: every job completes
+    // and both tenants' outcomes reach the trace.
     let config = ServiceConfig::with_workers(1)
         .with_tracing(true)
         .with_tenant_policy("heavy", TenantPolicy::default().with_weight(3.0));
@@ -456,25 +459,11 @@ fn weighted_tenants_split_throughput_unevenly() {
     }
     service.submit_sweep("heavy", heavy).unwrap();
     service.submit_sweep("light", light).unwrap();
-
-    // A single worker: dispatch order == completion order, and the trace
-    // records the completions in that order.
     service.start().unwrap().drain();
-    let order = outcome_order(&service.trace_events());
-    let heavy_last = order
-        .iter()
-        .rposition(|tenant| tenant == "heavy")
-        .expect("heavy completed");
-    let light_done_when_heavy_finished = order[..heavy_last]
-        .iter()
-        .filter(|tenant| *tenant == "light")
-        .count();
-    // With 3:1 weights the heavy tenant finishes its 16 jobs after roughly
-    // 16/3 ≈ 5-6 light completions; equal weights would give ~16.
-    assert!(
-        light_done_when_heavy_finished <= 10,
-        "3:1 weighting not visible: light completed {light_done_when_heavy_finished} \
-         of 16 before heavy finished"
-    );
     assert_eq!(service.metrics().jobs_completed, 32);
+    let order = outcome_order(&service.trace_events());
+    for tenant in ["heavy", "light"] {
+        let outcomes = order.iter().filter(|t| *t == tenant).count();
+        assert_eq!(outcomes, 16, "{tenant}'s outcomes in the trace");
+    }
 }
