@@ -7,15 +7,13 @@
 //! annealer, and report the aggregated samples as counts over words in the
 //! same explicit result schema the gate path uses.
 
-use std::sync::Arc;
-
 use qml_anneal::{AnnealParams, SimulatedAnnealer};
 use qml_types::{AnnealConfig, ExecConfig, JobBundle, QmlError, Result, SealedBundle};
 
 use crate::cache::{AnnealPlan, AnnealPlanKey, TranspileCache};
 use crate::lowering::lower_to_bqm;
 use crate::results::{EnergyStats, ExecutionResult};
-use crate::traits::Backend;
+use crate::traits::{Backend, PlanFetch};
 
 /// Default engine identifier served by [`AnnealBackend`].
 pub const DEFAULT_ANNEAL_ENGINE: &str = "anneal.simulated_annealer";
@@ -184,43 +182,29 @@ impl Backend for AnnealBackend {
         DEFAULT_ANNEAL_ENGINE
     }
 
-    /// Device-level batching: group members by plan key (realized program ×
-    /// annealer-schedule fingerprint), lower each group's BQM **once**, then
-    /// sample per member under its own read policy. A shot ladder — one
-    /// problem resubmitted with varying `num_reads` — shares one BQM and one
-    /// schedule across the whole group even on a cold cache.
-    ///
-    /// Cache counters stay member-accurate (one lookup per member), so a
-    /// cold group of N reports exactly 1 miss and N−1 hits. Each member's
-    /// sampling wall-clock is measured individually (a 4096-read member
-    /// reports a correspondingly larger duration than a 16-read member of
-    /// the same group), and the group's one BQM lowering counts as shared
-    /// time.
-    fn execute_batch_timed(
+    /// Check the engine, fetch the lowered BQM — keyed on the realized
+    /// program and the annealer-schedule fingerprint, so a shot ladder shares
+    /// one plan — and sample it under the bundle's own read policy.
+    fn execute_sealed(
         &self,
-        bundles: &[SealedBundle],
+        bundle: &SealedBundle,
         cache: &TranspileCache,
-    ) -> (Vec<Result<ExecutionResult>>, crate::BatchTimings) {
-        crate::traits::execute_grouped(
-            bundles,
-            |bundle| {
-                let exec = self.prepare(bundle)?;
-                Ok((Self::plan_key(bundle, exec), exec))
-            },
-            |key, bundle, _exec, shared| match shared {
-                None => cache.anneal_plan_traced(key, || Self::build_plan(bundle)),
-                Some(plan) => {
-                    let reinsert = Arc::clone(plan);
-                    cache.anneal_plan_traced(key, move || Ok(reinsert.as_ref().clone()))
-                }
-            },
-            |bundle, exec, plan| self.run_plan(bundle, *exec, plan),
-        )
+    ) -> (Result<ExecutionResult>, Option<PlanFetch>) {
+        let fetched = self.prepare(bundle).and_then(|exec| {
+            let key = Self::plan_key(bundle, exec);
+            let build = || Self::build_plan(bundle);
+            let (plan, fetch) = PlanFetch::time(|| cache.anneal_plan_traced(key, build))?;
+            Ok((exec, plan, fetch))
+        });
+        match fetched {
+            Ok((exec, plan, fetch)) => (self.run_plan(bundle, exec, &plan), Some(fetch)),
+            Err(err) => (Err(err), None),
+        }
     }
 
-    /// Annealing bundles batch when they share a lowered BQM and an annealer
-    /// schedule: the batch key is exactly the plan-cache key. The read
-    /// policy (`num_reads`, seed) stays out, so shot ladders group.
+    /// Annealing bundles share a batch key when they share a lowered BQM and
+    /// an annealer schedule: the batch key is exactly the plan-cache key. The
+    /// read policy (`num_reads`, seed) stays out, so shot ladders share it.
     fn batch_key(&self, bundle: &SealedBundle) -> Option<u64> {
         let exec = self.prepare(bundle).ok()?;
         let key = Self::plan_key(bundle, exec);

@@ -11,7 +11,6 @@
 //! without changing the program's semantics.
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
 use qml_qec::QecService;
 use qml_sim::{Simulator, MAX_QUBITS};
@@ -23,7 +22,7 @@ use qml_types::{
 use crate::cache::{GatePlan, GatePlanKey, TranspileCache};
 use crate::lowering::lower_to_circuit;
 use crate::results::ExecutionResult;
-use crate::traits::Backend;
+use crate::traits::{Backend, PlanFetch};
 
 /// Default engine identifier served by [`GateBackend`].
 pub const DEFAULT_GATE_ENGINE: &str = "gate.statevector_simulator";
@@ -212,48 +211,30 @@ impl Backend for GateBackend {
         DEFAULT_GATE_ENGINE
     }
 
-    /// Device-level batching: group members by plan key (symbolic program ×
-    /// target × optimization level), realize each group's plan **once**, then
-    /// bind and sample per member. Keyed on the *symbolic* program hash, so
-    /// every binding set of a sweep — and any re-spelling of its symbols —
-    /// shares one parametric plan: N compatible jobs cost 1 transpilation
-    /// plus N cheap substitutions even on a cold cache, and the single
-    /// realization per group holds regardless of cache capacity (an
-    /// interleaved multi-plan batch cannot LRU-thrash itself the way
-    /// one-by-one execution can).
-    ///
-    /// Cache counters stay member-accurate: every member performs one
-    /// lookup, so a cold group of N reports exactly 1 miss and N−1 hits.
-    /// Per-member bind + sample wall-clock is measured individually, and
-    /// group plan realizations count as shared time — so a shot ladder's
-    /// members report honest, unequal durations instead of an even split of
-    /// the batch's wall-clock.
-    fn execute_batch_timed(
+    /// Prepare the exec policy, fetch the plan — keyed on the *symbolic*
+    /// program hash, so every binding set of a sweep and any re-spelling of
+    /// its symbols shares one parametric plan — and bind and sample it.
+    fn execute_sealed(
         &self,
-        bundles: &[SealedBundle],
+        bundle: &SealedBundle,
         cache: &TranspileCache,
-    ) -> (Vec<Result<ExecutionResult>>, crate::BatchTimings) {
-        crate::traits::execute_grouped(
-            bundles,
-            |bundle| {
-                let exec = self.prepare(bundle)?;
-                Ok((Self::plan_key(bundle, &exec), exec))
-            },
-            |key, bundle, exec, shared| match shared {
-                None => cache.gate_plan_traced(key, || Self::build_plan(bundle, exec)),
-                Some(plan) => {
-                    let reinsert = Arc::clone(plan);
-                    cache.gate_plan_traced(key, move || Ok(reinsert.as_ref().clone()))
-                }
-            },
-            |bundle, exec, plan| self.run_plan(bundle, exec, plan),
-        )
+    ) -> (Result<ExecutionResult>, Option<PlanFetch>) {
+        let fetched = self.prepare(bundle).and_then(|exec| {
+            let key = Self::plan_key(bundle, &exec);
+            let build = || Self::build_plan(bundle, &exec);
+            let (plan, fetch) = PlanFetch::time(|| cache.gate_plan_traced(key, build))?;
+            Ok((exec, plan, fetch))
+        });
+        match fetched {
+            Ok((exec, plan, fetch)) => (self.run_plan(bundle, &exec, &plan), Some(fetch)),
+            Err(err) => (Err(err), None),
+        }
     }
 
-    /// Gate bundles batch when they share a realized plan: the batch key is
-    /// exactly the plan-cache key (symbolic program × target fingerprint ×
-    /// optimization level). Bundles this backend cannot serve return `None`
-    /// and dispatch solo.
+    /// Gate bundles share a batch key when they share a realized plan: the
+    /// batch key is exactly the plan-cache key (symbolic program × target
+    /// fingerprint × optimization level). Bundles this backend cannot serve
+    /// return `None` and dispatch solo.
     fn batch_key(&self, bundle: &SealedBundle) -> Option<u64> {
         let exec = self.prepare(bundle).ok()?;
         let key = Self::plan_key(bundle, &exec);

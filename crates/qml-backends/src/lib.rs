@@ -30,4 +30,4 @@ pub use gate::{listing4_context, GateBackend, DEFAULT_GATE_ENGINE};
 pub use lowering::{lower_to_bqm, lower_to_circuit, LoweredBqm, LoweredCircuit};
 pub use results::{EnergyStats, ExecutionResult};
 pub use testing::{FaultPlan, FaultyBackend};
-pub use traits::{Backend, BatchTimings};
+pub use traits::{Backend, PlanFetch};

@@ -18,19 +18,18 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use qml_types::{JobBundle, QmlError, Result, SealedBundle};
 
 use crate::cache::TranspileCache;
 use crate::results::ExecutionResult;
-use crate::traits::{Backend, BatchTimings};
+use crate::traits::{Backend, PlanFetch};
 
 /// A deterministic fault schedule for a [`FaultyBackend`].
 ///
-/// Execution indices are 0-based and count every member execution the
-/// wrapper performs (batch members included, in submission order), so a
-/// schedule is reproducible run-to-run for a deterministic workload.
+/// Execution indices are 0-based and count every execution the wrapper
+/// performs, in call order, so a schedule is reproducible run-to-run for a
+/// deterministic workload.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Transient faults: execution indices that fail once each; the device
@@ -126,7 +125,7 @@ impl<B: Backend> FaultyBackend<B> {
         }
     }
 
-    /// Total member executions attempted so far (faulted ones included).
+    /// Total executions attempted so far (faulted ones included).
     pub fn executions(&self) -> u64 {
         self.executions.load(Ordering::Relaxed)
     }
@@ -169,38 +168,17 @@ impl<B: Backend> Backend for FaultyBackend<B> {
         self.inner.default_engine()
     }
 
-    /// Per-member sequential execution: claim the member's fault index, then
-    /// run it as a batch of one on the wrapped backend. The [`Backend`]
-    /// contract guarantees per-member results are bit-identical to solo
-    /// execution, so injecting at member granularity preserves result
-    /// fidelity while keeping fault indices aligned with submission order on
-    /// every entry point.
-    fn execute_batch_timed(
+    /// Claim the job's fault index, then run it on the wrapped backend
+    /// unless the plan faults it there.
+    fn execute_sealed(
         &self,
-        bundles: &[SealedBundle],
+        bundle: &SealedBundle,
         cache: &TranspileCache,
-    ) -> (Vec<Result<ExecutionResult>>, BatchTimings) {
-        let mut results = Vec::with_capacity(bundles.len());
-        let mut members = Vec::with_capacity(bundles.len());
-        for bundle in bundles {
-            let started = Instant::now();
-            results.push(match self.check(bundle) {
-                Some(fault) => Err(fault),
-                None => {
-                    let (mut solo, _) = self
-                        .inner
-                        .execute_batch_timed(std::slice::from_ref(bundle), cache);
-                    solo.pop().expect("a batch returns one result per bundle")
-                }
-            });
-            members.push(started.elapsed());
+    ) -> (Result<ExecutionResult>, Option<PlanFetch>) {
+        match self.check(bundle) {
+            Some(fault) => (Err(fault), None),
+            None => self.inner.execute_sealed(bundle, cache),
         }
-        let timings = BatchTimings {
-            shared: Duration::ZERO,
-            members,
-            plan_hits: vec![None; bundles.len()],
-        };
-        (results, timings)
     }
 
     fn batch_key(&self, bundle: &SealedBundle) -> Option<u64> {
@@ -280,15 +258,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_counts_members_in_submission_order() {
+    fn executions_are_counted_in_call_order() {
         let backend = FaultyBackend::new(GateBackend::new(), FaultPlan::none().with_fail_nth([1]));
         let cache = TranspileCache::new();
         let sealed = SealedBundle::seal(job()).unwrap();
-        let bundles = vec![sealed.clone(), sealed.clone(), sealed];
-        let (results, timings) = backend.execute_batch_timed(&bundles, &cache);
-        assert!(results[0].is_ok());
-        assert!(results[1].as_ref().unwrap_err().is_device_fault());
-        assert!(results[2].is_ok());
-        assert_eq!(timings.members.len(), 3);
+        let (first, fetch) = backend.execute_sealed(&sealed, &cache);
+        assert!(first.is_ok());
+        assert_eq!(
+            fetch.map(|f| f.hit),
+            Some(false),
+            "the inner fetch shows through"
+        );
+        let (second, fetch) = backend.execute_sealed(&sealed, &cache);
+        assert!(second.unwrap_err().is_device_fault());
+        assert_eq!(fetch, None, "a faulted job fetches no plan");
+        let (third, fetch) = backend.execute_sealed(&sealed, &cache);
+        assert!(third.is_ok());
+        assert_eq!(fetch.map(|f| f.hit), Some(true));
+        assert_eq!(backend.executions(), 3);
     }
 }

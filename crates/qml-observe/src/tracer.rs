@@ -12,8 +12,8 @@
 //! submitted → admitted → dispatched → [plan] → bound → executed → outcome
 //! ```
 //!
-//! (`plan` is present when the executing backend reports per-member plan
-//! attribution — the built-in batch paths do; opaque third-party backends
+//! (`plan` is present when the executing backend reports how it fetched
+//! the job's plan — the built-in backends do; opaque third-party backends
 //! may not.)
 //!
 //! [`RingTracer`] writers never contend on a global lock: a slot is reserved
@@ -63,8 +63,8 @@ pub enum Stage {
     Plan {
         /// True if the plan came from the transpilation/lowering cache.
         cache_hit: bool,
-        /// This job's attributed share of plan realization time, in
-        /// microseconds (≈ 0 on a cache hit).
+        /// This job's plan fetch time, the realization included on a miss,
+        /// in microseconds (≈ 0 on a cache hit).
         realize_us: u64,
     },
     /// The realized plan was bound to the job's late parameters/policy.

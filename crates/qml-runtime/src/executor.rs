@@ -4,13 +4,13 @@
 //! paper's workflow) through [`Runtime::submit`], tracks each submitted job's
 //! state behind a `parking_lot` mutex so callers can poll status from other
 //! threads, and executes jobs in exactly one routine —
-//! `Runtime::execute_claimed_batch`, a timed batch through the runtime's
-//! shared transpilation/lowering cache, on a placement its caller already
-//! chose. [`Runtime::run_job`] places a queued job and runs it as a batch of
-//! one; a [`WorkerPool`](crate::pool::WorkerPool) runs whatever its source
-//! dispatches, each dispatch carrying its placement. The job table belongs
-//! to `submit` and `run_job`: a pool's source owns the jobs it dispatches,
-//! and execution writes no table, so the two never overlap.
+//! `Runtime::execute_claimed`, one job through the runtime's shared
+//! transpilation/lowering cache, on a placement its caller already chose.
+//! [`Runtime::run_job`] places a queued job and runs it; a
+//! [`WorkerPool`](crate::pool::WorkerPool) runs each member of whatever its
+//! source dispatches, each dispatch carrying its placement. The job table
+//! belongs to `submit` and `run_job`: a pool's source owns the jobs it
+//! dispatches, and execution writes no table, so the two never overlap.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use qml_backends::{BatchTimings, ExecutionResult, TranspileCache};
+use qml_backends::{ExecutionResult, PlanFetch, TranspileCache};
 use qml_observe::{NoopTracer, Stage, Tracer};
 use qml_types::{JobBundle, QmlError, Result, SealedBundle};
 
@@ -70,8 +70,8 @@ pub struct JobOutcome {
     /// every dispatch of a fleet-routing source such as the serving tier,
     /// `None` from a source without a fleet.
     pub device: Option<Arc<str>>,
-    /// Execution time attributed to this job: its own bind + sample time
-    /// plus its share of the batch's plan realization.
+    /// Wall-clock of this job's backend call: its plan fetch (a realization
+    /// on a miss), bind and sample.
     pub duration: Duration,
     /// Index of the pool worker that executed the job.
     pub worker: usize,
@@ -117,10 +117,10 @@ impl Runtime {
     }
 
     /// Install a stage-event tracer (before the runtime is shared): the
-    /// batch execution path emits per-job `plan` (cache hit/miss, attributed
-    /// realization time) and `bound` events through it. Callers that also
-    /// trace submission/scheduling should pass the *same* tracer instance so
-    /// all timestamps share one epoch.
+    /// execution path emits per-job `plan` (cache hit/miss, plan fetch time)
+    /// and `bound` events through it. Callers that also trace
+    /// submission/scheduling should pass the *same* tracer instance so all
+    /// timestamps share one epoch.
     pub fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
         self.tracer = tracer;
     }
@@ -168,7 +168,7 @@ impl Runtime {
     }
 
     /// Execute one queued job synchronously: claim it (Queued → Running,
-    /// sharing its sealed bundle), place it, and run it as a batch of one.
+    /// sharing its sealed bundle), place it, and run it.
     /// A job that is not queued — already run, or claimed by a concurrent
     /// caller — is rejected, never run twice. A job no registered backend
     /// can take records `Failed` with the placement error, and no backend is
@@ -188,12 +188,10 @@ impl Runtime {
             job.status = JobStatus::Running;
             job.bundle.clone()
         };
-        let result = self.scheduler.place(&bundle).and_then(|placement| {
-            self.execute_claimed_batch(vec![(id, bundle)], placement)
-                .pop()
-                .expect("one outcome per claimed job")
-                .result
-        });
+        let result = self
+            .scheduler
+            .place(&bundle)
+            .and_then(|placement| self.execute_claimed(id, &bundle, &placement).result);
         let mut jobs = self.jobs.lock();
         let job = jobs.get_mut(&id).expect("claimed jobs stay in the table");
         match &result {
@@ -206,53 +204,42 @@ impl Runtime {
         result
     }
 
-    /// Execute claimed jobs as one timed batch on `placement`'s backend,
-    /// through the shared cache
-    /// ([`qml_backends::Backend::execute_batch_timed`]) — **the only routine
-    /// in the runtime that calls a backend**; a solo job is a batch of one.
-    /// It neither places nor writes a job table: whoever handed the jobs out
-    /// placed them and records their outcomes (`run_job` into the runtime's
-    /// table, a pool's sink into its source's). Outcomes are returned
-    /// in input order with an **honest per-member duration**: each member's
-    /// own bind + sample time plus a share of the group's one plan
-    /// realization proportional to that time — never an even split of the
-    /// batch's wall-clock, which is fiction whenever members differ (e.g. a
-    /// shot ladder). One failing member never poisons the rest. `device` and
-    /// `worker` are left for the worker loop to stamp.
-    ///
-    /// `claimed` is never empty, and all members share one placement — the
-    /// service's fair scheduler only coalesces jobs with one batch key, which
-    /// implies one backend.
+    /// Execute one claimed job on `placement`'s backend through the shared
+    /// cache ([`qml_backends::Backend::execute_sealed`]) — **the only routine
+    /// in the runtime that calls a backend**. It neither places nor writes a
+    /// job table: whoever handed the job out placed it and records its
+    /// outcome (`run_job` into the runtime's table, a pool's sink into its
+    /// source's). The outcome's duration is the wall-clock of the call.
+    /// `device` and `worker` are left for the worker loop to stamp.
     ///
     /// This is also the one job boundary for backend bugs: a panic inside
-    /// the backend call is caught, every member of the batch settles as an
-    /// ordinary failure (not a device fault, so nothing is requeued onto the
-    /// same bug), and the calling worker lives on to report it — its jobs
-    /// never strand in `Running`, its in-flight slots are released.
+    /// the backend call is caught and the job settles as an ordinary failure
+    /// (not a device fault, so nothing is requeued onto the same bug), and
+    /// the calling worker lives on to report it and run the next job — the
+    /// job never strands in `Running`, its in-flight slot is released.
     ///
-    /// The gate plane binds each member as a zero-copy overlay over the
-    /// shared plan circuit and samples through the worker thread's scratch
-    /// pool (`qml_sim::with_thread_scratch`): amplitude, CDF, and draw
-    /// buffers are reused across members, so a warm batch runs
-    /// allocation-free after its first member.
-    pub(crate) fn execute_claimed_batch(
+    /// The gate plane binds the job as a zero-copy overlay over the cached
+    /// plan circuit and samples through the worker thread's scratch pool
+    /// (`qml_sim::with_thread_scratch`): amplitude, CDF, and draw buffers are
+    /// reused across jobs, so a warm job runs allocation-free in the
+    /// simulator.
+    pub(crate) fn execute_claimed(
         &self,
-        claimed: Vec<(JobId, SealedBundle)>,
-        placement: Placement,
-    ) -> Vec<JobOutcome> {
-        let (ids, bundles): (Vec<JobId>, Vec<SealedBundle>) = claimed.into_iter().unzip();
-        let n = ids.len();
+        id: JobId,
+        bundle: &SealedBundle,
+        placement: &Placement,
+    ) -> JobOutcome {
         let started = Instant::now();
-        // Unwind-safe: the bundles are only read, and an unwinding plan build
+        // Unwind-safe: the bundle is only read, and an unwinding plan build
         // leaves its cache slot empty, like a failed one.
         let call = catch_unwind(AssertUnwindSafe(|| {
-            placement.backend.execute_batch_timed(&bundles, &self.cache)
+            placement.backend.execute_sealed(bundle, &self.cache)
         }));
-        let (results, durations) = match call {
-            Ok((results, timings)) => {
-                let durations = timings.attributed();
-                self.trace_members(&ids, &results, &timings, &durations);
-                (results, durations)
+        let duration = started.elapsed();
+        let result = match call {
+            Ok((result, fetch)) => {
+                self.trace(id, &result, fetch);
+                result
             }
             Err(panic) => {
                 let reason = panic
@@ -260,62 +247,37 @@ impl Runtime {
                     .map(|s| s.to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".into());
-                let err = QmlError::Unsupported(format!("backend panicked: {reason}"));
-                (vec![Err(err); n], vec![started.elapsed() / n as u32; n])
+                Err(QmlError::Unsupported(format!("backend panicked: {reason}")))
             }
         };
         // Attribute a job to its placed backend even when the execution
         // itself failed.
-        let backend = placement.backend.name();
-        ids.into_iter()
-            .zip(results.into_iter().zip(durations))
-            .map(|(id, (result, duration))| JobOutcome {
-                id,
-                result,
-                backend: backend.to_string(),
-                device: None,
-                duration,
-                worker: 0,
-            })
-            .collect()
+        JobOutcome {
+            id,
+            result,
+            backend: placement.backend.name().to_string(),
+            device: None,
+            duration,
+            worker: 0,
+        }
     }
 
-    /// Per-member `plan`/`bound` stage events of one resolved batch call.
-    /// Emitted in lifecycle order (`plan` then `bound`) once the call has
-    /// returned — that is when the per-member cache attribution and
-    /// realization share are known; the runtime is tenant-blind, so
-    /// attribution by job id is what it records.
-    fn trace_members(
-        &self,
-        ids: &[JobId],
-        results: &[Result<ExecutionResult>],
-        timings: &BatchTimings,
-        durations: &[Duration],
-    ) {
+    /// One job's `plan` and `bound` stage events, in lifecycle order, once
+    /// its call has returned; the runtime is tenant-blind, so attribution by
+    /// job id is what it records.
+    fn trace(&self, id: JobId, result: &Result<ExecutionResult>, fetch: Option<PlanFetch>) {
         if !self.tracer.enabled() {
             return;
         }
-        for (i, id) in ids.iter().enumerate() {
-            if let Some(cache_hit) = timings.plan_hit(i) {
-                let own = timings.members.get(i).copied().unwrap_or_default();
-                let realize = durations
-                    .get(i)
-                    .copied()
-                    .unwrap_or_default()
-                    .saturating_sub(own);
-                self.tracer.record(
-                    id.0,
-                    None,
-                    None,
-                    Stage::Plan {
-                        cache_hit,
-                        realize_us: realize.as_micros() as u64,
-                    },
-                );
-            }
-            if results.get(i).is_some_and(|r| r.is_ok()) {
-                self.tracer.record(id.0, None, None, Stage::Bound);
-            }
+        if let Some(fetch) = fetch {
+            let plan = Stage::Plan {
+                cache_hit: fetch.hit,
+                realize_us: fetch.elapsed.as_micros() as u64,
+            };
+            self.tracer.record(id.0, None, None, plan);
+        }
+        if result.is_ok() {
+            self.tracer.record(id.0, None, None, Stage::Bound);
         }
     }
 }
@@ -483,10 +445,19 @@ mod tests {
 
     #[test]
     fn failed_job_does_not_poison_the_batch() {
-        // One anneal batch whose middle member is a QAOA program forced onto
-        // the annealing engine: it fails at its own position, the others
-        // complete.
-        let runtime = Runtime::with_default_backends();
+        // One anneal dispatch of three whose middle member is a QAOA program
+        // forced onto the annealing engine: it fails at its own position,
+        // the others complete.
+        use crate::pool::{JobDispatch, JobSource, WorkerPool};
+
+        struct Once(Mutex<Option<JobDispatch>>);
+        impl JobSource for Once {
+            fn next_job(&self, _worker: usize) -> Option<JobDispatch> {
+                self.0.lock().take()
+            }
+        }
+
+        let runtime = Arc::new(Runtime::with_default_backends());
         let bad = qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))
             .unwrap()
             .with_context(ContextDescriptor::for_anneal(
@@ -498,13 +469,26 @@ mod tests {
             .enumerate()
             .map(|(i, bundle)| (JobId(i as u64), SealedBundle::seal(bundle).unwrap()))
             .collect();
-        let placement = runtime.scheduler().place(&members[0].1).unwrap();
-        let outcomes = runtime.execute_claimed_batch(members, placement);
-        assert_eq!(outcomes.len(), 3);
+        let dispatch = JobDispatch {
+            placement: runtime.scheduler().place(&members[0].1).unwrap(),
+            members,
+            device: None,
+            class: qml_types::ServiceClass::Throughput,
+        };
+        let outcomes = Arc::new(Mutex::new(Vec::new()));
+        let sink = {
+            let outcomes = Arc::clone(&outcomes);
+            Arc::new(move |outcome: JobOutcome| outcomes.lock().push(outcome))
+        };
+        let source = Arc::new(Once(Mutex::new(Some(dispatch))));
+        assert_eq!(WorkerPool::spawn(&runtime, 1, source, sink).join(), 3);
+        let outcomes = outcomes.lock();
+        let ids: Vec<u64> = outcomes.iter().map(|o| o.id.0).collect();
+        assert_eq!(ids, [0, 1, 2]);
         assert!(outcomes[0].result.is_ok(), "{:?}", outcomes[0].result);
         assert!(outcomes[1].result.is_err());
         assert!(outcomes[2].result.is_ok(), "{:?}", outcomes[2].result);
-        for outcome in &outcomes {
+        for outcome in outcomes.iter() {
             assert_eq!(outcome.backend, "qml-simulated-annealer");
         }
     }

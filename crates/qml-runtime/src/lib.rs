@@ -8,17 +8,17 @@
 //!   otherwise ranks family-compatible backends by descriptor cost hints —
 //!   the paper's HPC-scheduler analogy (§2).
 //! * [`Runtime`] — job submission, status tracking, and the one execution
-//!   routine: jobs run as a timed batch
-//!   ([`qml_backends::Backend::execute_batch_timed`]) on a placement chosen
+//!   routine: a job runs as one backend call
+//!   ([`qml_backends::Backend::execute_sealed`]) on a placement chosen
 //!   before the call, through one shared transpilation/lowering cache.
-//!   [`Runtime::run_job`] places one queued job and runs it as a batch of
-//!   one.
+//!   [`Runtime::run_job`] places one queued job and runs it.
 //! * [`pool`] — the one worker loop, fed by a [`JobSource`]: the
 //!   feed-while-running [`WorkerPool`] keeps it alive so long-lived services
 //!   accept and execute work continuously. A [`JobDispatch`] carries the
 //!   sealed bundles it runs and their placement, so a serving tier places
 //!   each job once and keeps its own job table; the runtime's serves only
-//!   [`Runtime::submit`] and `run_job`.
+//!   [`Runtime::submit`] and `run_job`. A worker runs a dispatch's members
+//!   one call each and reports each one as it finishes.
 //! * [`services`] — orthogonal context services (§4.3.1): a communication
 //!   estimator for partitioned (multi-QPU) execution.
 

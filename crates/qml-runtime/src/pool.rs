@@ -10,10 +10,11 @@
 //! (`qml-service`) feeds the pool from its fair scheduler.
 //!
 //! A dispatch carries the sealed bundles it runs and the placement it runs
-//! them on; a worker executes exactly that through the runtime's one
-//! execution routine (shared transpilation cache included) and reports each
-//! member to an outcome sink as it finishes, so callers can update metrics
-//! live rather than waiting for a drain to return.
+//! them on; a worker executes each member in turn through the runtime's one
+//! execution routine (shared transpilation cache included) and reports it
+//! to an outcome sink as it finishes, before the next member starts, so
+//! callers can update metrics live rather than waiting for a drain to
+//! return.
 
 use std::sync::Arc;
 use std::thread;
@@ -24,17 +25,18 @@ use crate::executor::{JobId, JobOutcome, Runtime};
 use crate::registry::Placement;
 
 /// One dispatched unit of work: a head job, optionally coalesced with
-/// further plan-compatible jobs (a **micro-batch**), plus the placement the
-/// source computed for it, so a worker never places a bundle.
+/// further plan-compatible jobs (a **micro-batch**, one scheduler
+/// round-trip), plus the placement the source computed for it, so a worker
+/// never places a bundle.
 #[derive(Debug, Clone)]
 pub struct JobDispatch {
     /// The jobs to execute, head first, each with its sealed bundle (a
     /// reference-count bump, not a copy). Never empty. All members share
-    /// the head's backend and realization-plan key, so the worker executes
-    /// them through one
-    /// [`Backend::execute_batch_timed`](qml_backends::Backend::execute_batch_timed)
-    /// call (a solo dispatch is the same call with one member); outcomes
-    /// reach the sink per member, in this order.
+    /// the head's backend and realization-plan key; the worker executes them
+    /// one by one, in this order, each through its own
+    /// [`Backend::execute_sealed`](qml_backends::Backend::execute_sealed)
+    /// call, and each outcome reaches the sink before the next member
+    /// starts.
     pub members: Vec<(JobId, SealedBundle)>,
     /// The placement every member executes on: the backend instance the
     /// worker calls, and the engine and cost estimate it was chosen by.
@@ -149,10 +151,10 @@ impl WorkerPool {
     }
 }
 
-/// The one job loop: ask `source` for work until it answers `None`,
-/// execute each dispatch on `runtime` — a solo dispatch or a micro-batch,
-/// one timed batch either way — and report every member to `sink` in
-/// dispatch order. Returns the number of jobs executed.
+/// The one job loop: ask `source` for work until it answers `None`, and
+/// execute each member of a dispatch on `runtime` as its own call, in
+/// dispatch order, reporting its outcome to `sink` before the next member
+/// starts. Returns the number of jobs executed.
 fn worker_loop(
     worker: usize,
     runtime: &Runtime,
@@ -161,7 +163,12 @@ fn worker_loop(
 ) -> usize {
     let mut executed = 0usize;
     while let Some(dispatch) = source.next_job(worker) {
-        for outcome in runtime.execute_claimed_batch(dispatch.members, dispatch.placement) {
+        for (id, bundle) in dispatch.members {
+            let outcome = runtime.execute_claimed(id, &bundle, &dispatch.placement);
+            // Release this worker's share of the bundle before the outcome
+            // settles: the source still holds one then, so the last share —
+            // and the free — stays with the source's thread.
+            drop(bundle);
             executed += 1;
             sink(JobOutcome {
                 device: dispatch.device.clone(),
@@ -347,9 +354,9 @@ mod tests {
 
         // A shot ladder: one Ising problem at 16 reads and at 4096 reads,
         // coalesced into a single micro-batch (one shared BQM lowering).
-        // Before per-member timing, both outcomes reported the same even
-        // split of the batch wall-clock — fiction, since the 4096-read
-        // member does ~256× the sampling work.
+        // Each member is timed around its own call, so the 4096-read member,
+        // which does ~256× the sampling work, reports the larger duration
+        // even though the 16-read member realized the shared plan.
         let runtime = Arc::new(Runtime::with_default_backends());
         let ladder = |reads: u64| {
             let bundle = maxcut_ising_program(&cycle(4)).unwrap().with_context(
@@ -388,27 +395,25 @@ mod tests {
     }
 
     #[test]
-    fn backend_panic_fails_the_whole_batch_and_keeps_the_worker() {
+    fn a_panicking_member_fails_alone_and_keeps_the_worker() {
         use crate::{BackendRegistry, Scheduler};
         use qml_backends::testing::{faulty, FaultPlan};
         use qml_backends::GateBackend;
 
-        // The second member of a three-job batch panics inside the backend:
-        // the call never returns, so all three members fail — reported by a
-        // worker that is still alive to be joined.
+        // The second member of a three-job dispatch panics inside the
+        // backend: it fails, its neighbours complete, and the worker is
+        // still alive to be joined.
         let mut registry = BackendRegistry::new();
         registry.register(faulty(
             GateBackend::new(),
             FaultPlan::none().with_panic_nth([1]),
         ));
         let runtime = Arc::new(Runtime::new(Scheduler::new(registry)));
-        let failures = Arc::new(Mutex::new(Vec::new()));
+        let outcomes = Arc::new(Mutex::new(Vec::new()));
         let sink = {
-            let failures = Arc::clone(&failures);
+            let outcomes = Arc::clone(&outcomes);
             Arc::new(move |outcome: JobOutcome| {
-                let err = outcome.result.unwrap_err();
-                assert!(!err.is_device_fault());
-                failures.lock().push(err.to_string());
+                outcomes.lock().push((outcome.id, outcome.result));
             })
         };
         let executed = WorkerPool::spawn(
@@ -419,11 +424,70 @@ mod tests {
         )
         .join();
         assert_eq!(executed, 3, "every member is reported, none stranded");
-        let failures = failures.lock();
-        assert_eq!(failures.len(), 3);
-        for msg in failures.iter() {
-            assert!(msg.contains("backend panicked"), "{msg}");
+        let outcomes = outcomes.lock();
+        let ids: Vec<JobId> = outcomes.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [JobId(0), JobId(1), JobId(2)]);
+        assert!(outcomes[0].1.is_ok(), "{:?}", outcomes[0].1);
+        let err = outcomes[1].1.as_ref().unwrap_err();
+        assert!(!err.is_device_fault());
+        assert!(err.to_string().contains("backend panicked"), "{err}");
+        assert!(outcomes[2].1.is_ok(), "{:?}", outcomes[2].1);
+    }
+
+    #[test]
+    fn a_dispatch_reports_each_member_before_the_next_starts() {
+        use crate::{BackendRegistry, Scheduler};
+        use qml_backends::{Backend, ExecutionResult, GateBackend, PlanFetch, TranspileCache};
+
+        /// The gate backend, logging `start <job>` as each execution begins.
+        struct Logged {
+            inner: GateBackend,
+            log: Arc<Mutex<Vec<String>>>,
         }
+
+        impl Backend for Logged {
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+            fn supports_engine(&self, engine: &str) -> bool {
+                self.inner.supports_engine(engine)
+            }
+            fn default_engine(&self) -> &str {
+                self.inner.default_engine()
+            }
+            fn execute_sealed(
+                &self,
+                bundle: &SealedBundle,
+                cache: &TranspileCache,
+            ) -> (qml_types::Result<ExecutionResult>, Option<PlanFetch>) {
+                let seed = bundle.context.as_ref().and_then(|c| c.exec.as_ref()?.seed);
+                self.log.lock().push(format!("start {}", seed.unwrap()));
+                self.inner.execute_sealed(bundle, cache)
+            }
+        }
+
+        // Member `i` is seeded `i`, so the backend can name it.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut registry = BackendRegistry::new();
+        registry.register(Arc::new(Logged {
+            inner: GateBackend::new(),
+            log: Arc::clone(&log),
+        }));
+        let runtime = Arc::new(Runtime::new(Scheduler::new(registry)));
+        let sink = {
+            let log = Arc::clone(&log);
+            Arc::new(move |outcome: JobOutcome| {
+                assert!(outcome.result.is_ok(), "{:?}", outcome.result);
+                log.lock().push(format!("sink {}", outcome.id.0));
+            })
+        };
+        let source = OneBatchSource::new(&runtime, gate_members(3));
+        assert_eq!(WorkerPool::spawn(&runtime, 1, source, sink).join(), 3);
+        assert_eq!(
+            *log.lock(),
+            ["start 0", "sink 0", "start 1", "sink 1", "start 2", "sink 2"],
+            "each outcome reaches the sink before the next member starts"
+        );
     }
 
     #[test]

@@ -275,15 +275,15 @@ mod tests {
             self.inner.default_engine()
         }
 
-        fn execute_batch_timed(
+        fn execute_sealed(
             &self,
-            bundles: &[qml_types::SealedBundle],
+            bundle: &qml_types::SealedBundle,
             cache: &qml_backends::TranspileCache,
         ) -> (
-            Vec<Result<qml_backends::ExecutionResult>>,
-            qml_backends::BatchTimings,
+            Result<qml_backends::ExecutionResult>,
+            Option<qml_backends::PlanFetch>,
         ) {
-            self.inner.execute_batch_timed(bundles, cache)
+            self.inner.execute_sealed(bundle, cache)
         }
 
         fn estimate_cost(&self, _bundle: &JobBundle) -> f64 {

@@ -14,12 +14,12 @@
 //!   worker pool that accepts `submit`/`submit_sweep` *while running* and is
 //!   shut down through its [`ServiceHandle`] — [`drain`](ServiceHandle::drain)
 //!   finishes admitted work, [`abort`](ServiceHandle::abort) stops at the next
-//!   job boundary. [`QmlService::run_pending`] is `start` followed at once
-//!   by `drain`. Every job reaches its backend the same way: a pool worker
-//!   executes the scheduler's dispatch as one
-//!   [`execute_batch_timed`](qml_backends::Backend::execute_batch_timed) call
-//!   through the shared cache, and a backend that panics fails that
-//!   dispatch's jobs instead of taking the worker down.
+//!   dispatch boundary. [`QmlService::run_pending`] is `start` followed at
+//!   once by `drain`. Every job reaches its backend the same way: a pool worker
+//!   executes each job of the scheduler's dispatch as its own
+//!   [`execute_sealed`](qml_backends::Backend::execute_sealed) call through
+//!   the shared cache, and a backend that panics fails that one job instead
+//!   of taking the worker down.
 //! * **Per-tenant fair scheduling** — deficit round robin over cost-ranked
 //!   per-tenant queues, with [`TenantPolicy`] weights, in-flight caps, and
 //!   token-bucket [`RateLimit`]s, so one tenant's thousand-point sweep cannot
@@ -33,10 +33,10 @@
 //!   under-estimated workload cannot hog device time. The scheduler reads
 //!   no clock: the service passes every policy decision its `now`.
 //! * **Micro-batched dispatch** — up to [`ServiceConfig::max_batch`]
-//!   plan-compatible jobs of one tenant coalesce into a single device-level
-//!   [`execute_batch_timed`](qml_backends::Backend::execute_batch_timed) call
-//!   (one transpilation/lowering per group even on a cold cache), with deficit,
-//!   tokens, and in-flight slots still spent per member so fairness
+//!   plan-compatible jobs of one tenant coalesce into one dispatch: one
+//!   scheduler round-trip, after which the worker runs each member as its
+//!   own backend call (the plan cache realizes the group's plan once), with
+//!   deficit, tokens, and in-flight slots still spent per member so fairness
 //!   accounting is unchanged.
 //! * **Service classes** — every job carries a
 //!   [`ServiceClass`](qml_types::ServiceClass) (`Latency`, optionally with a

@@ -45,8 +45,8 @@ impl FairScheduler {
     /// service class*. The head is member 0, and every member goes through
     /// [`dispatch_member`](FairScheduler::dispatch_member) — deficit, tokens
     /// and in-flight slots are spent per member, exactly as solo dispatches
-    /// would; the batch merely rides one worker round-trip and one
-    /// device-level `execute_batch_timed` call on `device`.
+    /// would; the batch merely rides one worker round-trip on `device`, and
+    /// the worker runs its members one backend call each.
     ///
     /// Under contention (any other tenant has queued work) a member is only
     /// taken while the tenant's remaining deficit covers its cost, so DRR

@@ -97,7 +97,7 @@ pub struct SchedulerMetrics {
     /// Scans that found nothing dispatchable (the caller then blocked).
     pub idle_polls: u64,
     /// Micro-batches formed: dispatches that coalesced ≥ 2 plan-compatible
-    /// jobs into one device-level `execute_batch_timed` call.
+    /// jobs into one worker round-trip.
     #[serde(default)]
     pub batches: u64,
     /// Jobs dispatched as members of a micro-batch (heads included).

@@ -227,10 +227,10 @@ impl JobSource for ServiceInner {
 ///
 /// **Micro-batching.** When the scheduler picks a tenant, it opportunistically
 /// coalesces up to [`ServiceConfig::max_batch`] queued jobs of that tenant
-/// that share a device-level batch key — same backend, same realization plan
-/// (see [`qml_backends::Backend::batch_key`]) — into one dispatch, executed
-/// through the backend's `execute_batch_timed`: one transpilation/lowering
-/// serves the whole group even on a cold cache. Fairness accounting is unchanged
+/// that share a batch key — same backend, same realization plan (see
+/// [`qml_backends::Backend::batch_key`]) — into one dispatch: one scheduler
+/// round-trip, after which the worker runs each member as its own backend
+/// call against the plan the cache holds. Fairness accounting is unchanged
 /// (deficit, rate-limit tokens, and in-flight slots are spent per member), so
 /// under contention batches stay within the tenant's DRR budget, while an
 /// uncontended tenant batches up to the cap. Formation counts surface in
@@ -545,10 +545,10 @@ impl ServiceHandle {
         self.shutdown(Mode::Draining)
     }
 
-    /// Hard stop: workers finish the job they are on and exit at the next
-    /// job boundary. Undispatched jobs stay queued and run on the next
-    /// [`QmlService::start`] or [`QmlService::run_pending`]. Returns the
-    /// summary of the run so far.
+    /// Hard stop: workers finish the dispatch they are on (every member of a
+    /// micro-batch) and exit at the next dispatch boundary. Undispatched
+    /// jobs stay queued and run on the next [`QmlService::start`] or
+    /// [`QmlService::run_pending`]. Returns the summary of the run so far.
     pub fn abort(mut self) -> RunSummary {
         self.shutdown(Mode::Aborting)
     }

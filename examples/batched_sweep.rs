@@ -1,6 +1,6 @@
-//! Device-level batched dispatch walkthrough: a single tenant's seeded
-//! restart sweep is coalesced into micro-batches by the fair scheduler, the
-//! whole sweep shares ONE transpiled plan even on a cold cache, and an
+//! Micro-batched dispatch walkthrough: a single tenant's seeded restart
+//! sweep is coalesced into micro-batches by the fair scheduler, the whole
+//! sweep shares ONE transpiled plan even on a cold cache, and an
 //! annealing shot ladder shares one lowered BQM the same way.
 //!
 //! Run with: `cargo run --release --example batched_sweep`
@@ -27,8 +27,9 @@ fn gate_context(seed: u64) -> ContextDescriptor {
 fn main() -> std::result::Result<(), QmlError> {
     let program = qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))?;
 
-    // max_batch 8: up to eight plan-compatible jobs ride one dispatch and
-    // one device-level `execute_batch_timed` call.
+    // max_batch 8: up to eight plan-compatible jobs ride one dispatch (one
+    // scheduler round-trip); the worker runs each as its own backend call,
+    // and the plan cache realizes their shared plan once.
     let service = QmlService::with_config(ServiceConfig::with_workers(2).with_max_batch(8));
 
     // One program, 16 seeded restarts: every job shares a gate-plan key, so

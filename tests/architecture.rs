@@ -126,6 +126,19 @@ const RULES: &[Rule] = &[
         mutant: "cached_quantum: Option<f64>,",
     },
     Rule {
+        name: "a backend runs one job",
+        files: &["crates"],
+        patterns: &[
+            "execute_grouped",
+            "BatchTimings",
+            "fn execute_batch",
+            "execute_claimed_batch",
+        ],
+        lines: 0,
+        reason: "`Backend::execute_sealed` takes one bundle; a worker calls it per member",
+        mutant: "fn execute_batch(&self, bundles: &[SealedBundle]) -> BatchTimings;",
+    },
+    Rule {
         name: "every crate forbids unsafe code",
         files: &["crates/*/src/lib.rs", "vendor/*/src/lib.rs"],
         patterns: &["#![forbid(unsafe_code)]"],

@@ -3,8 +3,8 @@
 //! `qml_sim::circuit_clone_count` is a process-global counter incremented by
 //! every `Circuit::clone`. This file holds exactly one test so the counter is
 //! not polluted by concurrent tests in the same process: after the plan is
-//! realized (cold), warm parametric executions — solo and batched — must not
-//! clone a single circuit.
+//! realized (cold), warm parametric executions — single bundles and the
+//! members of an expanded sweep — must not clone a single circuit.
 
 use std::collections::BTreeMap;
 
@@ -49,7 +49,7 @@ fn warm_parametric_execution_never_clones_a_circuit() {
             .unwrap();
     }
 
-    // One warm device-level batch (plan-compatible members).
+    // The 8 members of a warm sweep (one shared plan), one call each.
     let template = qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Symbolic { layers: 1 }).unwrap();
     let mut sweep = SweepRequest::new("batch", template).with_context(ContextDescriptor::for_gate(
         ExecConfig::new("gate.aer_simulator")
@@ -67,9 +67,10 @@ fn warm_parametric_execution_never_clones_a_circuit() {
         bindings.insert("beta_0".to_string(), ParamValue::Float(0.4));
         sweep = sweep.with_binding_set(bindings);
     }
-    let bundles = sweep.expand().unwrap();
-    let results = backend.execute_batch(&bundles, &cache);
-    assert!(results.iter().all(|r| r.is_ok()));
+    for bundle in sweep.expand().unwrap() {
+        backend.execute_cached(&bundle, &cache).unwrap();
+    }
+    assert_eq!(cache.gate_stats().misses, 1);
 
     let delta = circuit_clone_count() - before;
     assert_eq!(

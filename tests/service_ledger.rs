@@ -114,7 +114,7 @@ fn assert_conserves(service: &QmlService, at: &str) -> ServiceMetrics {
 fn the_ledger_conserves_through_faults_abort_and_restart() {
     // Two concurrency-1 devices on the gate plane. Each faults its first
     // execution (a failover requeue onto the sibling) and panics at its
-    // fourth (a terminal failure of that whole dispatch); 18 jobs guarantee
+    // fourth (a terminal failure of that one job); 18 jobs guarantee
     // at least one device reaches it.
     let faults = || FaultPlan::none().with_fail_nth([0]).with_panic_nth([3]);
     // Tenant beta is burst-only: two of its fresh jobs dispatch while the

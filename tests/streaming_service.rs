@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use qml_core::backends::{Backend, BatchTimings, ExecutionResult, GateBackend, TranspileCache};
+use qml_core::backends::{Backend, ExecutionResult, GateBackend, PlanFetch, TranspileCache};
 use qml_core::graph::cycle;
 use qml_core::prelude::*;
 use qml_core::runtime::JobStatus;
@@ -163,18 +163,18 @@ impl Backend for LatchedGate {
         self.inner.default_engine()
     }
 
-    fn execute_batch_timed(
+    fn execute_sealed(
         &self,
-        bundles: &[SealedBundle],
+        bundle: &SealedBundle,
         cache: &TranspileCache,
-    ) -> (Vec<Result<ExecutionResult>>, BatchTimings) {
+    ) -> (Result<ExecutionResult>, Option<PlanFetch>) {
         let spent = self
             .free
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
         if spent.is_err() {
             self.latch.wait();
         }
-        self.inner.execute_batch_timed(bundles, cache)
+        self.inner.execute_sealed(bundle, cache)
     }
 
     fn batch_key(&self, bundle: &SealedBundle) -> Option<u64> {
