@@ -314,7 +314,7 @@ mod tests {
         let bundle =
             qaoa_maxcut_program(&graph, &QaoaSchedule::Fixed(vec![RING_P1_ANGLES])).unwrap();
         // Every unitary operator carries a hint; only the measurement is free.
-        for op in &bundle.operators {
+        for op in bundle.operators.iter() {
             if op.rep_kind != RepKind::Measurement {
                 assert!(op.cost_hint.is_some(), "{} lacks a cost hint", op.name);
             }

@@ -176,7 +176,7 @@ pub fn lower_to_circuit(bundle: &JobBundle) -> Result<LoweredCircuit> {
     let mut circuit = Circuit::new(total_width);
     let mut readout: Option<(QuantumDataType, ResultSchema)> = None;
 
-    for op in &bundle.operators {
+    for op in bundle.operators.iter() {
         let register = bundle
             .find_qdt(&op.domain_qdt)
             .ok_or_else(|| QmlError::UnknownRegister(op.domain_qdt.clone()))?;
@@ -327,6 +327,7 @@ mod tests {
     use qml_graph::cycle;
     use qml_sim::Simulator;
     use qml_types::QuantumDataType;
+    use std::sync::Arc;
 
     #[test]
     fn qaoa_bundle_lowers_to_expected_gates() {
@@ -379,7 +380,7 @@ mod tests {
     fn symbolic_structural_params_fail_loudly() {
         // A symbolic QFT shape parameter must never silently default.
         let mut bundle = qft_program(4, QftParams::default()).unwrap();
-        bundle.operators[0]
+        Arc::make_mut(&mut bundle.operators)[0]
             .params
             .insert("approx_degree", ParamValue::symbol("d"));
         assert!(matches!(
@@ -391,7 +392,7 @@ mod tests {
         // must fail loudly too, not default to 1.0.
         let mut qaoa =
             qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES])).unwrap();
-        qaoa.operators[1].params.insert(
+        Arc::make_mut(&mut qaoa.operators)[1].params.insert(
             "weights",
             ParamValue::List(vec![
                 ParamValue::symbol("w0"),

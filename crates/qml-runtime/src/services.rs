@@ -42,7 +42,7 @@ pub fn estimate_communication(
     }
     let offsets = bundle.register_offsets();
     let mut crossings = 0u64;
-    for op in &bundle.operators {
+    for op in bundle.operators.iter() {
         let offset = offsets
             .get(&op.domain_qdt)
             .copied()

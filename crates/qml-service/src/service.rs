@@ -702,7 +702,7 @@ mod tests {
         let service = QmlService::with_config(ServiceConfig::with_workers(1).with_tracing(true));
         let mut bundle = gate_program().with_context(gate_context(1));
         assert!(bundle.operators.len() >= 2);
-        for op in &mut bundle.operators {
+        for op in Arc::make_mut(&mut bundle.operators) {
             op.cost_hint = Some(CostHint::unknown().with_duration_us(1e308));
         }
         let (_, job) = service.submit("alice", bundle).unwrap();

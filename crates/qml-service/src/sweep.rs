@@ -8,6 +8,12 @@
 //! split mirrors the paper's separation of intent (operators) from policy
 //! (context): bindings vary the intent's late-bound parameters, contexts vary
 //! the execution policy.
+//!
+//! The intent is stored once on the service side too: a [`JobBundle`]'s
+//! program is `Arc`-shared, so every member points at the base program's
+//! allocation (or, when a structural binding rewrites the operators, at its
+//! binding point's one new allocation), and each allocation is validated and
+//! hashed once.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -122,11 +128,13 @@ impl SweepRequest {
 
     /// [`SweepRequest::expand`] into sealed bundles, the form
     /// [`QmlService::submit_sweep`](crate::QmlService::submit_sweep)
-    /// submits. Each member is validated once, when it is sealed.
-    /// What depends only on the base program is derived once per sweep, not
-    /// per member: the angle-only symbol set, the unbound-symbol list, and —
-    /// shared through [`SealedBundle::seal_sharing`] — the program hashes, so
-    /// an N-point sweep hashes its program once.
+    /// submits. What depends only on the base program is derived once per
+    /// sweep, not per member: the angle-only symbol set and the
+    /// unbound-symbol list. The members share the base program's allocation
+    /// (a structural binding makes one new allocation for its binding
+    /// point), so [`SealedBundle::seal_sharing`] validates and hashes each
+    /// program allocation once and checks only each member's name, schema
+    /// and context.
     pub fn expand_sealed(&self) -> Result<Vec<SealedBundle>> {
         if self.name.trim().is_empty() {
             return Err(QmlError::Validation("sweep name must be non-empty".into()));
@@ -320,7 +328,7 @@ mod tests {
         // late binding only works for continuous angles.
         let mut base =
             qml_algorithms::qft_program(4, qml_algorithms::QftParams::default()).unwrap();
-        base.operators[0]
+        std::sync::Arc::make_mut(&mut base.operators)[0]
             .params
             .insert("approx_degree", ParamValue::symbol("d"));
         let mut binding = BTreeMap::new();

@@ -10,6 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::bindings::BindingSet;
 use crate::class::ServiceClass;
@@ -24,6 +25,13 @@ pub const JOB_SCHEMA: &str = "job.schema.json";
 
 /// A complete, submittable middle-layer job: typed registers, an operator
 /// descriptor sequence, and an optional execution context.
+///
+/// The program — the data types and the operators — is immutable and
+/// `Arc`-shared: cloning a bundle bumps two reference counts instead of
+/// copying its intent, so the members of a sweep point at one program
+/// allocation and differ only in name, context, bindings, class and
+/// metadata. To edit a program in place, use [`Arc::make_mut`], which copies
+/// it first if another bundle shares it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobBundle {
     /// JSON Schema identifier used to validate this artifact.
@@ -31,10 +39,10 @@ pub struct JobBundle {
     pub schema: String,
     /// Human-readable job name.
     pub name: String,
-    /// Declared quantum data types (registers).
-    pub data_types: Vec<QuantumDataType>,
-    /// Operator descriptor sequence, applied in order.
-    pub operators: Vec<OperatorDescriptor>,
+    /// Declared quantum data types (registers), shared by every clone.
+    pub data_types: Arc<[QuantumDataType]>,
+    /// Operator descriptor sequence, applied in order, shared by every clone.
+    pub operators: Arc<[OperatorDescriptor]>,
     /// Optional execution context (policy). Intent stays valid without it.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub context: Option<ContextDescriptor>,
@@ -94,8 +102,8 @@ impl JobBundle {
         JobBundle {
             schema: JOB_SCHEMA.to_string(),
             name: name.into(),
-            data_types,
-            operators,
+            data_types: data_types.into(),
+            operators: operators.into(),
             context: None,
             bindings: None,
             class: None,
@@ -154,7 +162,7 @@ impl JobBundle {
     pub fn register_offsets(&self) -> BTreeMap<String, usize> {
         let mut offsets = BTreeMap::new();
         let mut offset = 0usize;
-        for qdt in &self.data_types {
+        for qdt in self.data_types.iter() {
             offsets.insert(qdt.id.clone(), offset);
             offset += qdt.width;
         }
@@ -186,7 +194,7 @@ impl JobBundle {
     pub fn canonical_symbols(&self) -> Vec<String> {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
-        for op in &self.operators {
+        for op in self.operators.iter() {
             for value in op.params.entries.values() {
                 for symbol in value.symbols() {
                     if seen.insert(symbol.clone()) {
@@ -207,7 +215,7 @@ impl JobBundle {
     /// `false` and must be bound eagerly.
     pub fn symbol_is_angle_only(&self, name: &str) -> bool {
         let mut appears = false;
-        for op in &self.operators {
+        for op in self.operators.iter() {
             for (key, value) in &op.params.entries {
                 if value.symbols().iter().any(|s| s == name) {
                     if !op.rep_kind.is_angle_param(key) {
@@ -221,8 +229,9 @@ impl JobBundle {
     }
 
     /// Late binding: substitute symbolic parameters and return the bound
-    /// bundle. Unknown symbols are left in place (call
-    /// [`JobBundle::ensure_bound`] before submission).
+    /// bundle, with operators of its own and the data types still shared.
+    /// Unknown symbols are left in place (call [`JobBundle::ensure_bound`]
+    /// before submission).
     pub fn bind(&self, bindings: &BTreeMap<String, ParamValue>) -> JobBundle {
         JobBundle {
             operators: self.operators.iter().map(|op| op.bind(bindings)).collect(),
@@ -262,14 +271,24 @@ impl JobBundle {
 
     /// Full cross-descriptor validation:
     ///
-    /// 1. every individual descriptor is structurally valid,
-    /// 2. register ids are unique,
-    /// 3. every operator references declared registers,
-    /// 4. result schemas match the registers they read out,
-    /// 5. **non-interference**: once a register has been measured, no further
-    ///    operator may act on it (no hidden measurement/reset),
-    /// 6. the context (if present) is valid.
+    /// 1. the name is non-empty and the schema is [`JOB_SCHEMA`],
+    /// 2. the context (if present) is valid,
+    /// 3. every individual descriptor is structurally valid,
+    /// 4. register ids are unique,
+    /// 5. every operator references declared registers,
+    /// 6. result schemas match the registers they read out,
+    /// 7. **non-interference**: once a register has been measured, no further
+    ///    operator may act on it (no hidden measurement/reset).
+    ///
+    /// Checks 1–2 are the member-level half, 3–7 the program-level half.
     pub fn validate(&self) -> Result<()> {
+        self.validate_member()?;
+        self.validate_program()
+    }
+
+    /// The member-level half of [`JobBundle::validate`]: name, schema and
+    /// context.
+    pub(crate) fn validate_member(&self) -> Result<()> {
         if self.name.trim().is_empty() {
             return Err(QmlError::Validation("job name must be non-empty".into()));
         }
@@ -279,13 +298,22 @@ impl JobBundle {
                 self.schema
             )));
         }
+        if let Some(ctx) = &self.context {
+            ctx.validate()?;
+        }
+        Ok(())
+    }
+
+    /// The program-level half of [`JobBundle::validate`]: what depends only
+    /// on the data types and operators.
+    pub(crate) fn validate_program(&self) -> Result<()> {
         if self.data_types.is_empty() {
             return Err(QmlError::Validation(
                 "job bundle must declare at least one quantum data type".into(),
             ));
         }
         let mut ids = BTreeSet::new();
-        for qdt in &self.data_types {
+        for qdt in self.data_types.iter() {
             qdt.validate()?;
             if !ids.insert(qdt.id.as_str()) {
                 return Err(QmlError::Validation(format!(
@@ -296,7 +324,7 @@ impl JobBundle {
         }
 
         let mut measured: BTreeSet<&str> = BTreeSet::new();
-        for op in &self.operators {
+        for op in self.operators.iter() {
             op.validate()?;
             let domain = self
                 .find_qdt(&op.domain_qdt)
@@ -319,10 +347,6 @@ impl JobBundle {
                 measured.insert(op.codomain_qdt.as_str());
             }
         }
-
-        if let Some(ctx) = &self.context {
-            ctx.validate()?;
-        }
         Ok(())
     }
 
@@ -330,13 +354,13 @@ impl JobBundle {
     /// optional renaming applied to the operators' symbols.
     pub(crate) fn intent_hash(&self, rename: Option<&BTreeMap<String, ParamValue>>) -> u64 {
         let mut hash = fnv1a64_init();
-        for qdt in &self.data_types {
+        for qdt in self.data_types.iter() {
             let json = serde_json::to_string(qdt).unwrap_or_default();
             hash = fnv1a64_update(hash, json.as_bytes());
             hash = fnv1a64_update(hash, b"\x1f");
         }
         hash = fnv1a64_update(hash, b"\x1e");
-        for op in &self.operators {
+        for op in self.operators.iter() {
             let renamed;
             let op = match rename {
                 Some(map) => {

@@ -11,8 +11,9 @@
 //!
 //! Facts that depend only on the program (data types and operators, not the
 //! name, context, bindings, class or metadata) live in a table that bundles
-//! with the same program share: [`SealedBundle::seal_sharing`] seals the
-//! members of a sweep so that N points hash their program once between them.
+//! with the same program allocation share: [`SealedBundle::seal_sharing`]
+//! seals the members of a sweep so that N points validate and hash their
+//! program once between them.
 
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -73,20 +74,22 @@ impl SealedBundle {
     }
 
     /// Validate `bundle` and seal it, sharing `sibling`'s program facts when
-    /// both bundles declare the same data types and operators — the
-    /// members of a sweep, which differ only in name, context, bindings and
-    /// metadata, derive their program hashes once between them. A bundle
-    /// with another program gets facts of its own.
+    /// both bundles point at the same data-type and operator allocations —
+    /// the members of a sweep, which differ only in name, context, bindings
+    /// and metadata. Such a bundle runs only the member-level checks (name,
+    /// schema, context): its immutable program passed the program-level
+    /// checks when the sibling was sealed. A bundle with a program of its
+    /// own, even an equal one, is validated in full and gets facts of its
+    /// own, so a sealed hash is always one computed from the bundle's own
+    /// program.
     pub fn seal_sharing(bundle: JobBundle, sibling: &SealedBundle) -> Result<SealedBundle> {
-        bundle.validate()?;
-        let same_program =
-            bundle.data_types == sibling.data_types && bundle.operators == sibling.operators;
-        let program = if same_program {
-            Arc::clone(&sibling.0.program)
-        } else {
-            Arc::default()
-        };
-        Ok(SealedBundle::wrap(bundle, program))
+        let same_program = Arc::ptr_eq(&bundle.data_types, &sibling.data_types)
+            && Arc::ptr_eq(&bundle.operators, &sibling.operators);
+        if !same_program {
+            return SealedBundle::seal(bundle);
+        }
+        bundle.validate_member()?;
+        Ok(SealedBundle::wrap(bundle, Arc::clone(&sibling.0.program)))
     }
 
     fn wrap(bundle: JobBundle, program: Arc<ProgramFacts>) -> SealedBundle {
@@ -156,6 +159,7 @@ impl Deref for SealedBundle {
 mod tests {
     use super::*;
     use crate::bindings::BindingSet;
+    use crate::context::{ContextDescriptor, ExecConfig};
     use crate::params::ParamValue;
     use crate::qdt::QuantumDataType;
     use crate::qod::{OperatorDescriptor, RepKind};
@@ -184,16 +188,21 @@ mod tests {
 
     #[test]
     fn siblings_share_program_facts_only_with_the_same_program() {
+        let base = program("b");
         let first =
-            SealedBundle::seal(program("b").with_bindings(BindingSet::new().with("b", 0.1)))
+            SealedBundle::seal(base.clone().with_bindings(BindingSet::new().with("b", 0.1)))
                 .unwrap();
         let second = SealedBundle::seal_sharing(
-            program("b").with_bindings(BindingSet::new().with("b", 0.2)),
+            base.with_bindings(BindingSet::new().with("b", 0.2)),
             &first,
         )
         .unwrap();
         assert!(Arc::ptr_eq(&first.0.program, &second.0.program));
         assert_ne!(first.program_hash(), second.program_hash());
+
+        // An equal program in an allocation of its own gets its own facts.
+        let equal = SealedBundle::seal_sharing(program("b"), &first).unwrap();
+        assert!(!Arc::ptr_eq(&first.0.program, &equal.0.program));
 
         let renamed = SealedBundle::seal_sharing(program("c"), &first).unwrap();
         assert!(!Arc::ptr_eq(&first.0.program, &renamed.0.program));
@@ -202,6 +211,47 @@ mod tests {
             renamed.symbolic_program_hash(),
             first.symbolic_program_hash()
         );
+    }
+
+    #[test]
+    fn a_sibling_with_an_equal_program_keeps_its_own_hash() {
+        // `-0.0 == 0.0`, but the hash reads the JSON text, where they differ:
+        // equal programs can have different hashes.
+        let with_beta = |beta: f64| {
+            let qdt = QuantumDataType::ising_spins("s", "s", 3).unwrap();
+            let mixer = OperatorDescriptor::builder("mixer", RepKind::MixerRx, "s")
+                .param("beta", ParamValue::Float(beta))
+                .build()
+                .unwrap();
+            JobBundle::new("p", vec![qdt], vec![mixer])
+        };
+        let first = SealedBundle::seal(with_beta(0.0)).unwrap();
+        let negative = with_beta(-0.0);
+        assert_eq!(negative.operators, first.operators);
+        let second = SealedBundle::seal_sharing(negative.clone(), &first).unwrap();
+        assert_ne!(first.program_hash(), negative.program_hash());
+        assert_eq!(second.program_hash(), negative.program_hash());
+        assert_eq!(
+            second.symbolic_program_hash(),
+            negative.symbolic_program_hash()
+        );
+    }
+
+    #[test]
+    fn a_shared_program_runs_only_the_member_checks() {
+        let valid = SealedBundle::seal(program("b")).unwrap();
+        let mut renamed = valid.clone().into_bundle();
+        renamed.name = " ".into();
+        assert!(SealedBundle::seal_sharing(renamed, &valid).is_err());
+        let mut schema = valid.clone().into_bundle();
+        schema.schema = "other.schema.json".into();
+        assert!(SealedBundle::seal_sharing(schema, &valid).is_err());
+        let zero_shots = ExecConfig::new("gate.aer_simulator").with_samples(0);
+        let invalid_context = valid
+            .clone()
+            .into_bundle()
+            .with_context(ContextDescriptor::for_gate(zero_shots));
+        assert!(SealedBundle::seal_sharing(invalid_context, &valid).is_err());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --example fairness_busy_seconds`
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qml_core::graph::cycle;
@@ -32,7 +33,7 @@ fn main() -> std::result::Result<(), QmlError> {
     let graph = cycle(4);
     let hinted = qaoa_maxcut_program(&graph, &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))?;
     let mut hintless = hinted.clone();
-    for op in &mut hintless.operators {
+    for op in Arc::make_mut(&mut hintless.operators) {
         op.cost_hint = None;
     }
     let estimate = GateBackend::new().estimate_cost(&hinted);

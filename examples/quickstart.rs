@@ -18,7 +18,7 @@ fn main() -> Result<()> {
         bundle.data_types.len(),
         bundle.operators.len()
     );
-    for op in &bundle.operators {
+    for op in bundle.operators.iter() {
         println!("  - {:<14} on {}", op.rep_kind.to_string(), op.domain_qdt);
     }
 

@@ -255,7 +255,7 @@ fn a_job_being_failed_over_never_reads_failed() {
 fn run_mis_estimated_fleet(jobs: u64, sample_at: u64) -> ((f64, u64), (f64, u64)) {
     let hintless = {
         let mut bundle = fixed_qaoa();
-        for op in &mut bundle.operators {
+        for op in Arc::make_mut(&mut bundle.operators) {
             op.cost_hint = None;
         }
         bundle

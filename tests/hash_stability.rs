@@ -12,6 +12,7 @@
 //!   symbols.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use qml_core::graph::cycle;
@@ -154,7 +155,7 @@ proptest! {
         contexts in 0usize..3,
     ) {
         let mut base = qft_program(width, QftParams::default()).unwrap();
-        base.operators[0].params.insert("approx_degree", ParamValue::symbol("d"));
+        Arc::make_mut(&mut base.operators)[0].params.insert("approx_degree", ParamValue::symbol("d"));
         let mut sweep = SweepRequest::new("degrees", base);
         for degree in &degrees {
             let mut binding = BTreeMap::new();

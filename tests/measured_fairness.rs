@@ -3,6 +3,7 @@
 //! model), so weighted fairness holds in device time even when placement
 //! estimates are wildly wrong.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qml_core::graph::cycle;
@@ -29,7 +30,7 @@ fn fixed_qaoa() -> JobBundle {
 /// fairness loop exists to absorb.
 fn hintless_qaoa() -> JobBundle {
     let mut bundle = fixed_qaoa();
-    for op in &mut bundle.operators {
+    for op in Arc::make_mut(&mut bundle.operators) {
         op.cost_hint = None;
     }
     bundle

@@ -6,6 +6,7 @@
 //! serves every later job with no schema work, which the cache counters
 //! show.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use qml_core::backends::{AnnealBackend, Backend, GateBackend, TranspileCache};
@@ -51,8 +52,7 @@ fn anneal_job(seed: u64) -> JobBundle {
 /// AS_PHASE; the Ising register it reads declares no `phase_scale`.
 fn as_phase(mut bundle: JobBundle) -> JobBundle {
     let register = bundle.data_types[0].clone();
-    let op = bundle
-        .operators
+    let op = Arc::make_mut(&mut bundle.operators)
         .iter_mut()
         .find(|op| op.rep_kind.is_measurement() || op.rep_kind.is_problem())
         .unwrap();
