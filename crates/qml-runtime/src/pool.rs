@@ -187,7 +187,7 @@ mod tests {
     use qml_algorithms::{qaoa_maxcut_program, QaoaSchedule, RING_P1_ANGLES};
     use qml_graph::cycle;
     use qml_types::{ContextDescriptor, ExecConfig, JobBundle};
-    use std::collections::VecDeque;
+    use std::collections::{HashMap, VecDeque};
     use std::sync::Condvar;
 
     fn gate_bundle(seed: u64) -> JobBundle {
@@ -487,6 +487,41 @@ mod tests {
             *log.lock(),
             ["start 0", "sink 0", "start 1", "sink 1", "start 2", "sink 2"],
             "each outcome reaches the sink before the next member starts"
+        );
+    }
+
+    #[test]
+    fn a_worker_releases_its_bundle_before_the_sink_runs() {
+        // The source keeps its own share of every bundle it hands out, as
+        // the service's retired bundles do. The sink drops that share: if the
+        // worker has already released its own, the drop frees the bundle,
+        // on the sink's thread, and leaves the probe taken here as the only
+        // owner of its operators.
+        let runtime = Arc::new(Runtime::with_default_backends());
+        let members = gate_members(4);
+        let source = Arc::new(FifoSource::new(place_head(&runtime, &members)));
+        let shares: HashMap<JobId, SealedBundle> = members.iter().cloned().collect();
+        let shares = Arc::new(Mutex::new(shares));
+        let owners = Arc::new(Mutex::new(Vec::new()));
+        let sink = {
+            let (shares, owners) = (Arc::clone(&shares), Arc::clone(&owners));
+            Arc::new(move |outcome: JobOutcome| {
+                let share = shares.lock().remove(&outcome.id).unwrap();
+                let operators = Arc::clone(&share.operators);
+                drop(share);
+                owners.lock().push(Arc::strong_count(&operators));
+            })
+        };
+        let pool = WorkerPool::spawn(&runtime, 1, source.clone(), sink);
+        for member in members {
+            source.push(member);
+        }
+        source.stop();
+        assert_eq!(pool.join(), 4);
+        assert_eq!(
+            *owners.lock(),
+            [1, 1, 1, 1],
+            "the worker still held a bundle when its outcome settled"
         );
     }
 

@@ -7,46 +7,18 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::gate::Gate;
 
-/// Process-wide count of full [`Circuit`] clones (see
-/// [`circuit_clone_count`]).
-static CIRCUIT_CLONES: AtomicU64 = AtomicU64::new(0);
-
-/// Number of full `Circuit` clones (gate vector + measurement map copies)
-/// performed since process start. The per-job execute path is required to be
-/// clone-free — cached plans are shared behind `Arc` and bound through a
-/// [`crate::overlay::BoundCircuit`] overlay — so regression tests snapshot
-/// this counter around warm executions and assert a zero delta. Realization
-/// (transpilation) may clone freely.
-pub fn circuit_clone_count() -> u64 {
-    CIRCUIT_CLONES.load(Ordering::Relaxed)
-}
-
 /// An ordered list of gates on `num_qubits` qubits plus an explicit
 /// measurement map (qubit → classical bit position).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Circuit {
     num_qubits: usize,
     gates: Vec<Gate>,
     /// Qubits measured at the end of the circuit, in classical-bit order:
     /// `measured[j]` is the qubit whose outcome becomes classical bit `j`.
     measured: Vec<usize>,
-}
-
-impl Clone for Circuit {
-    /// A deep copy of the gate vector — deliberately *not* derived so every
-    /// full-circuit copy passes through the [`circuit_clone_count`] counter.
-    fn clone(&self) -> Self {
-        CIRCUIT_CLONES.fetch_add(1, Ordering::Relaxed);
-        Circuit {
-            num_qubits: self.num_qubits,
-            gates: self.gates.clone(),
-            measured: self.measured.clone(),
-        }
-    }
 }
 
 /// Read-only access to an executable circuit: exactly what the simulator

@@ -35,7 +35,7 @@ pub mod param;
 pub mod simulator;
 pub mod state;
 
-pub use circuit::{circuit_clone_count, qft_circuit, Circuit, CircuitView};
+pub use circuit::{qft_circuit, Circuit, CircuitView};
 pub use complex::Complex64;
 pub use fusion::fused_op_count;
 pub use gate::{is_unitary2, matmul2, Gate, Qubits};

@@ -22,20 +22,12 @@ pub struct SimScratch {
     amps: Vec<crate::complex::Complex64>,
     cdf: Vec<f64>,
     draws: Vec<f64>,
-    amp_allocations: u64,
 }
 
 impl SimScratch {
     /// Fresh, empty scratch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// How many times the amplitude buffer had to grow (i.e. actually
-    /// allocate) since this scratch was created. A batch of same-width
-    /// circuits should report exactly 1.
-    pub fn amp_allocations(&self) -> u64 {
-        self.amp_allocations
     }
 }
 
@@ -161,9 +153,6 @@ impl Simulator {
             !view.measurement_map().is_empty(),
             "circuit has no measurements; the middle layer forbids implicit measurement"
         );
-        if scratch.amps.capacity() < (1usize << view.width()) {
-            scratch.amp_allocations += 1;
-        }
         let mut sv = StateVector::zero_state_in(view.width(), std::mem::take(&mut scratch.amps));
         sv.apply_view(view);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -274,6 +263,7 @@ mod tests {
         let sim = Simulator::new();
         let mut scratch = SimScratch::new();
         let baseline = sim.run(&qc, 256, 5);
+        let mut buffer = None;
         for seed in 0..16u64 {
             let got = sim
                 .run_view_with_scratch(&qc, 256, seed, &mut scratch)
@@ -281,12 +271,13 @@ mod tests {
             if seed == 5 {
                 assert_eq!(got, baseline, "scratch path must match the plain path");
             }
+            let amps = (scratch.amps.as_ptr(), scratch.amps.capacity());
+            assert_eq!(
+                *buffer.get_or_insert(amps),
+                amps,
+                "a batch of same-width circuits reuses one amplitude buffer"
+            );
         }
-        assert_eq!(
-            scratch.amp_allocations(),
-            1,
-            "a 16-member batch of same-width circuits should allocate amplitudes once"
-        );
     }
 
     #[test]
@@ -303,13 +294,15 @@ mod tests {
             with_thread_scratch(|scratch| sim.run_view_with_scratch(qc, 64, seed, scratch)).unwrap()
         };
 
-        // A batch of 12-qubit members: one amplitude allocation, retained.
+        // A batch of 12-qubit members: one amplitude buffer, retained.
         let small = ghz(12);
+        let mut buffer = None;
         for seed in 0..8 {
             assert_eq!(run(&small, seed), sim.run(&small, 64, seed));
+            let amps = with_thread_scratch(|s| (s.amps.as_ptr(), s.amps.capacity()));
+            assert_eq!(*buffer.get_or_insert(amps), amps);
         }
         with_thread_scratch(|scratch| {
-            assert_eq!(scratch.amp_allocations(), 1);
             assert!(scratch.amps.capacity() >= 1 << 12);
             assert!(scratch.cdf.capacity() >= 1 << 12);
         });
@@ -319,7 +312,6 @@ mod tests {
         const { assert!(1usize << 15 > PARALLEL_THRESHOLD) };
         assert_eq!(run(&big, 3), sim.run(&big, 64, 3));
         with_thread_scratch(|scratch| {
-            assert_eq!(scratch.amp_allocations(), 2);
             assert_eq!(scratch.amps.capacity(), 0);
             assert_eq!(scratch.cdf.capacity(), 0);
             assert_eq!(scratch.draws.capacity(), 0);

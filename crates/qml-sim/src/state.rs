@@ -24,12 +24,13 @@
 //! | `h x y sx rx ry u` | all | dense 2×2 over the paired halves |
 //!
 //! No kernel builds an index list or tests a bit per amplitude, and
-//! [`StateVector::apply`] allocates nothing — `tests/apply_no_alloc.rs`
-//! counts. Per gate, and on the run path above the threshold, each amplitude
-//! gets the same arithmetic a full pass with bit tests would give it (a
-//! diagonal only drops the `+ 0·b` term), so amplitudes are equal under `==`
-//! to that naive formulation; the oracle proptest in this module's tests holds
-//! the kernels to it.
+//! [`StateVector::apply`] allocates nothing — the `tests/budget_table` row
+//! "applying a plan allocates nothing below the threshold" counts. Per gate,
+//! and on the run path above the threshold, each amplitude gets the same
+//! arithmetic a full pass with bit tests would give it (a diagonal only drops
+//! the `+ 0·b` term), so amplitudes are equal under `==` to that naive
+//! formulation; the oracle proptest in this module's tests holds the kernels
+//! to it.
 //!
 //! # Below the threshold: one fused program
 //!

@@ -139,6 +139,14 @@ const RULES: &[Rule] = &[
         mutant: "fn execute_batch(&self, bundles: &[SealedBundle]) -> BatchTimings;",
     },
     Rule {
+        name: "the simulator keeps no test counters",
+        files: &["crates/qml-sim/src"],
+        patterns: &["Atomic", "amp_allocations"],
+        lines: 0,
+        reason: "`tests/budget_table` counts clones and buffers with its allocator",
+        mutant: "static CIRCUIT_CLONES: AtomicU64 = AtomicU64::new(0);",
+    },
+    Rule {
         name: "every crate forbids unsafe code",
         files: &["crates/*/src/lib.rs", "vendor/*/src/lib.rs"],
         patterns: &["#![forbid(unsafe_code)]"],
