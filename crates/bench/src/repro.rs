@@ -48,7 +48,7 @@ pub fn repro(out: &mut impl Write) -> io::Result<()> {
         gate.probability("1010"),
         gate.probability("0101"),
     )?;
-    let mut ranked: Vec<(&str, u64)> = gate.counts.iter().map(|(w, &n)| (w.as_str(), n)).collect();
+    let mut ranked: Vec<(&str, u64)> = gate.counts.iter().map(|(w, &n)| (w, n)).collect();
     ranked.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
     assert_eq!(
         ranked[..2].iter().map(|&(w, _)| w).collect::<BTreeSet<_>>(),
@@ -218,7 +218,7 @@ pub fn repro(out: &mut impl Write) -> io::Result<()> {
     for (plane, result) in [("gate", &g), ("anneal", &a)] {
         for word in &optimal {
             assert!(
-                result.counts.contains_key(*word),
+                result.counts.contains_key(word),
                 "E6: the {plane} result never returned {word}"
             );
         }

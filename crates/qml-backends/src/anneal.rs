@@ -7,12 +7,12 @@
 //! annealer, and report the aggregated samples as counts over words in the
 //! same explicit result schema the gate path uses.
 
-use qml_anneal::{AnnealParams, SimulatedAnnealer};
+use qml_anneal::{AnnealParams, SampleSet, SimulatedAnnealer};
 use qml_types::{AnnealConfig, ExecConfig, JobBundle, QmlError, Result, SealedBundle};
 
 use crate::cache::{AnnealPlan, AnnealPlanKey, TranspileCache};
 use crate::lowering::lower_to_bqm;
-use crate::results::{EnergyStats, ExecutionResult};
+use crate::results::{Counts, EnergyStats, ExecutionResult};
 use crate::traits::{Backend, PlanFetch};
 
 /// Default engine identifier served by [`AnnealBackend`].
@@ -72,6 +72,21 @@ impl AnnealBackend {
         bundle.context.as_ref().and_then(|c| c.anneal.as_ref())
     }
 
+    /// Each record's spins read at `indices` (the schema's classical-bit
+    /// order) as one word, in the paper's convention (spin +1 ↦ '0', spin
+    /// −1 ↦ '1'), rendered straight into one arena; records that read the
+    /// same word merge.
+    fn read_counts(sample_set: &SampleSet, indices: &[usize]) -> Counts {
+        let records = &sample_set.records;
+        let mut words = String::with_capacity(indices.len() * records.len());
+        for record in records {
+            let bits = indices.iter().map(|&i| record.spins[i]);
+            words.extend(bits.map(|spin| if spin == 1 { '0' } else { '1' }));
+        }
+        let counts = records.iter().map(|r| r.num_occurrences).collect();
+        Counts::from_arena(indices.len(), words, counts)
+    }
+
     /// Sample a lowered plan under the bundle's annealer policy.
     fn run_plan(
         &self,
@@ -82,21 +97,7 @@ impl AnnealBackend {
         let params = Self::params(exec, Self::anneal_config(bundle), bundle.program_hash());
         let sample_set = SimulatedAnnealer::new().sample(&plan.bqm, &params);
 
-        // Read each sample's spins in the schema's classical-bit order, in
-        // the paper's convention (spin +1 ↦ '0', spin −1 ↦ '1').
-        let indices = plan.schema.wire_indices(&plan.register)?;
-        let counts: std::collections::BTreeMap<String, u64> = sample_set
-            .records
-            .iter()
-            .map(|record| {
-                let word: String = indices
-                    .iter()
-                    .map(|&i| if record.spins[i] == 1 { '0' } else { '1' })
-                    .collect();
-                (word, record.num_occurrences)
-            })
-            .collect();
-
+        let counts = Self::read_counts(&sample_set, &plan.schema.wire_indices(&plan.register)?);
         let energy_stats = sample_set.lowest().map(|best| EnergyStats {
             min_energy: best.energy,
             mean_energy: sample_set.mean_energy(),
@@ -221,6 +222,7 @@ mod tests {
     use qml_algorithms::{maxcut_ising_program, qaoa_maxcut_program, QaoaSchedule, RING_P1_ANGLES};
     use qml_graph::{cut_value_of_bitstring, cycle};
     use qml_types::ContextDescriptor;
+    use std::collections::BTreeMap;
 
     fn fig3_context() -> ContextDescriptor {
         ContextDescriptor::for_anneal("anneal.neal_simulator", AnnealConfig::with_reads(1000))
@@ -249,6 +251,48 @@ mod tests {
         let graph = cycle(4);
         let expected_cut = result.expectation(|word| cut_value_of_bitstring(&graph, word));
         assert!(expected_cut > 3.5, "expected cut {expected_cut}");
+    }
+
+    /// The counts the backend built before [`Counts`]: one rendered
+    /// `String` per record, collected into a map (a later record with the
+    /// same word replaces an earlier one).
+    fn map_of_records(set: &SampleSet, indices: &[usize]) -> BTreeMap<String, u64> {
+        set.records
+            .iter()
+            .map(|record| {
+                let word: String = indices
+                    .iter()
+                    .map(|&i| if record.spins[i] == 1 { '0' } else { '1' })
+                    .collect();
+                (word, record.num_occurrences)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn counts_are_the_map_the_records_made() {
+        let bqm = lower_to_bqm(&maxcut_ising_program(&cycle(10)).unwrap())
+            .unwrap()
+            .bqm;
+        let params = AnnealParams::with_reads(2000).with_sweeps(3).with_seed(11);
+        let set = SimulatedAnnealer::new().sample(&bqm, &params);
+        assert!(set.records.len() > 100, "too few records to tell");
+        // The whole register in order, and permuted: distinct records give
+        // distinct words, and the map the records made is the counts.
+        for indices in [
+            (0..10).collect::<Vec<_>>(),
+            vec![3, 9, 0, 4, 1, 8, 2, 7, 5, 6],
+        ] {
+            let counts = AnnealBackend::read_counts(&set, &indices);
+            assert_eq!(counts, map_of_records(&set, &indices), "{indices:?}");
+            assert_eq!(counts.values().sum::<u64>(), 2000);
+        }
+        // A readout of some wires: records that read the same word merge,
+        // where the map kept only the last of them.
+        let counts = AnnealBackend::read_counts(&set, &[7, 2]);
+        assert_eq!(counts.len(), 4);
+        assert_eq!(counts.values().sum::<u64>(), 2000);
+        assert!(map_of_records(&set, &[7, 2]).values().sum::<u64>() < 2000);
     }
 
     #[test]

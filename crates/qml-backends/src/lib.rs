@@ -28,6 +28,6 @@ pub use cache::{
 };
 pub use gate::{listing4_context, GateBackend, DEFAULT_GATE_ENGINE};
 pub use lowering::{lower_to_bqm, lower_to_circuit, LoweredBqm, LoweredCircuit};
-pub use results::{EnergyStats, ExecutionResult};
+pub use results::{Counts, EnergyStats, ExecutionResult};
 pub use testing::{FaultPlan, FaultyBackend};
 pub use traits::{Backend, PlanFetch};

@@ -3,14 +3,21 @@
 //! Both execution paths — gate simulation and annealing — report their
 //! samples in the same shape (counts over classical words), which is exactly
 //! what lets the paper's two workflows share downstream analysis. A result
-//! holds one counts map and no decoded copy: a caller that wants typed
-//! values decodes on demand through the explicit result schema, with
+//! holds its words once, as a [`Counts`]: one sorted byte arena of the
+//! distinct words and one `Vec<u64>` of their counts, so a held or cloned
+//! result is a few allocations however many words it observed. It iterates,
+//! compares and serializes like the `BTreeMap<String, u64>` it replaced.
+//! The gate backend builds it from the sampler's runs
+//! ([`qml_sim::StateVector::sample_with`]), the anneal backend from its
+//! sample set's records. There is no decoded copy: a caller that wants
+//! typed values decodes on demand through the explicit result schema, with
 //! [`DecodedCounts::decode`](qml_types::DecodedCounts::decode). The backends
 //! check that schema against the register and the measured width when they
 //! build a plan, so every word of a completed result decodes.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+
+pub use qml_sim::Counts;
 
 use qml_qec::ResourceEstimate;
 use qml_transpile::CircuitMetrics;
@@ -37,8 +44,9 @@ pub struct ExecutionResult {
     pub register: String,
     /// Number of samples (shots / reads).
     pub shots: u64,
-    /// Raw counts keyed by classical word (character j = classical bit j).
-    pub counts: BTreeMap<String, u64>,
+    /// Raw counts keyed by classical word (character j = classical bit j),
+    /// in ascending word order.
+    pub counts: Counts,
     /// Transpilation metrics (gate path only).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub gate_metrics: Option<CircuitMetrics>,
@@ -65,7 +73,7 @@ impl ExecutionResult {
         self.counts
             .iter()
             .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(w, &n)| (w.as_str(), n))
+            .map(|(w, &n)| (w, n))
     }
 
     /// Occurrence-weighted expectation of a word-level objective — the
@@ -83,13 +91,12 @@ impl ExecutionResult {
 
     /// The `k` most frequent words with their empirical probabilities.
     pub fn top_k(&self, k: usize) -> Vec<(String, f64)> {
-        let mut entries: Vec<(String, u64)> =
-            self.counts.iter().map(|(w, &n)| (w.clone(), n)).collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let mut entries: Vec<(&str, u64)> = self.counts.iter().map(|(w, &n)| (w, n)).collect();
+        entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         entries
             .into_iter()
             .take(k)
-            .map(|(w, n)| (w, n as f64 / self.shots.max(1) as f64))
+            .map(|(w, n)| (w.to_owned(), n as f64 / self.shots.max(1) as f64))
             .collect()
     }
 }
@@ -99,16 +106,13 @@ mod tests {
     use super::*;
 
     fn demo_result() -> ExecutionResult {
-        let mut counts = BTreeMap::new();
-        counts.insert("1010".to_string(), 500u64);
-        counts.insert("0101".to_string(), 400u64);
-        counts.insert("0000".to_string(), 100u64);
+        let counts = [("1010", 500), ("0101", 400), ("0000", 100)];
         ExecutionResult {
             backend: "test".into(),
             engine: "gate.test".into(),
             register: "ising_vars".into(),
             shots: 1000,
-            counts,
+            counts: counts.into_iter().collect(),
             gate_metrics: None,
             energy_stats: None,
             qec_estimate: None,

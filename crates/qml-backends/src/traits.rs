@@ -118,10 +118,10 @@ pub trait Backend: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::results::Counts;
     use qml_algorithms::{qaoa_maxcut_program, QaoaSchedule, RING_P1_ANGLES};
     use qml_graph::cycle;
     use qml_types::QmlError;
-    use std::collections::BTreeMap;
 
     /// A backend that implements only what the trait requires: a job
     /// answers with its bundle's name, and bundles named `bad*` fail.
@@ -150,7 +150,7 @@ mod tests {
                 engine: self.default_engine().into(),
                 register: bundle.name.clone(),
                 shots: 0,
-                counts: BTreeMap::new(),
+                counts: Counts::new(),
                 gate_metrics: None,
                 energy_stats: None,
                 qec_estimate: None,

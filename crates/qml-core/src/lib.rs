@@ -71,7 +71,7 @@ pub mod prelude {
         ising_register, maxcut_ising_program, qaoa_maxcut_program, qft_program, QaoaAngles,
         QaoaSchedule, QftParams, RING_P1_ANGLES,
     };
-    pub use qml_backends::{AnnealBackend, Backend, ExecutionResult, GateBackend};
+    pub use qml_backends::{AnnealBackend, Backend, Counts, ExecutionResult, GateBackend};
     pub use qml_runtime::{BackendRegistry, Runtime, Scheduler};
     pub use qml_service::{QmlService, SweepRequest};
     pub use qml_types::prelude::*;

@@ -359,7 +359,7 @@ mod tests {
                     engine: "gate.aer_simulator".into(),
                     register: "s".into(),
                     shots: 1,
-                    counts: BTreeMap::from([("0".to_string(), 1)]),
+                    counts: [("0", 1)].into_iter().collect(),
                     gate_metrics: None,
                     energy_stats: None,
                     qec_estimate: None,

@@ -18,6 +18,8 @@
 //! * [`BoundCircuit`] — zero-copy parameter binding: a shared plan circuit
 //!   plus a per-job overlay of bound sites, executed through [`CircuitView`]
 //!   without materializing a copied circuit.
+//! * [`Counts`] — counts over classical words as one sorted arena: what a
+//!   shot-sampled run returns, two allocations however many words.
 //! * [`Simulator`] — `run(circuit, shots, seed)` with reproducible counts;
 //!   the batch hot path reuses per-worker [`SimScratch`] buffers via
 //!   [`with_thread_scratch`].
@@ -28,6 +30,7 @@
 
 pub mod circuit;
 pub mod complex;
+pub mod counts;
 mod fusion;
 pub mod gate;
 pub mod overlay;
@@ -37,6 +40,7 @@ pub mod state;
 
 pub use circuit::{qft_circuit, Circuit, CircuitView};
 pub use complex::Complex64;
+pub use counts::Counts;
 pub use fusion::fused_op_count;
 pub use gate::{is_unitary2, matmul2, Gate, Qubits};
 pub use overlay::BoundCircuit;

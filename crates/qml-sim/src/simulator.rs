@@ -3,7 +3,8 @@
 //! The paper's gate path executes circuits on the Aer state-vector simulator
 //! with a shot count and seed (Listing 4: `samples = 4096`, `seed = 42`).
 //! [`Simulator`] reproduces exactly that contract: exact amplitudes, then
-//! multinomial shot sampling with a reproducible seed.
+//! multinomial shot sampling with a reproducible seed, returned as
+//! [`Counts`] over the measured words.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,10 +12,11 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::circuit::{Circuit, CircuitView};
+use crate::counts::Counts;
 use crate::state::{DegenerateStateError, StateVector, PARALLEL_THRESHOLD};
 
 /// Reusable per-worker simulation buffers: the 2ⁿ amplitude vector plus the
-/// sampling CDF and draw scratch. A worker draining a 16-member device
+/// sampling CDF, draw and run scratch. A worker draining a 16-member device
 /// micro-batch through [`Simulator::run_view_with_scratch`] grows these once
 /// and reuses them for every member.
 #[derive(Debug, Default)]
@@ -22,6 +24,7 @@ pub struct SimScratch {
     amps: Vec<crate::complex::Complex64>,
     cdf: Vec<f64>,
     draws: Vec<f64>,
+    runs: Vec<(u64, u64)>,
 }
 
 impl SimScratch {
@@ -50,6 +53,7 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
             scratch.amps = Vec::new();
             scratch.cdf = Vec::new();
             scratch.draws = Vec::new();
+            scratch.runs = Vec::new();
         }
         out
     })
@@ -59,7 +63,7 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// Observed bitstrings (character `j` = classical bit `j`) with counts.
-    pub counts: BTreeMap<String, u64>,
+    pub counts: Counts,
     /// Number of shots drawn.
     pub shots: u64,
     /// Seed used for sampling.
@@ -80,7 +84,7 @@ impl SimulationResult {
         self.counts
             .iter()
             .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(w, &n)| (w.as_str(), n))
+            .map(|(w, &n)| (w, n))
     }
 }
 
@@ -135,10 +139,11 @@ impl Simulator {
         self.run_view_with_scratch(view, shots, seed, &mut scratch)
     }
 
-    /// The allocation-free execute path: evolve the view's state into the
-    /// scratch amplitude buffer (reused across calls — one allocation per
-    /// worker per width, not one per job) and vector-sample its measured
-    /// qubits through the scratch CDF/draw buffers.
+    /// The job path: evolve the view's state into the scratch amplitude
+    /// buffer (reused across calls — one allocation per worker per width,
+    /// not one per job) and vector-sample its measured qubits through the
+    /// scratch CDF, draw and run buffers with [`StateVector::sample_with`].
+    /// A warm call allocates only the returned [`Counts`]' two blocks.
     ///
     /// # Panics
     /// Panics if the view declares no measurements.
@@ -156,12 +161,13 @@ impl Simulator {
         let mut sv = StateVector::zero_state_in(view.width(), std::mem::take(&mut scratch.amps));
         sv.apply_view(view);
         let mut rng = StdRng::seed_from_u64(seed);
-        let counts = sv.sample_counts_with(
+        let counts = sv.sample_with(
             view.measurement_map(),
             shots,
             &mut rng,
             &mut scratch.cdf,
             &mut scratch.draws,
+            &mut scratch.runs,
         );
         // Hand the amplitude buffer back before propagating any sampling
         // error, so the pool survives degenerate jobs too.

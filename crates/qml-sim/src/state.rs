@@ -63,6 +63,17 @@
 //! once per run, not once per gate, and every amplitude still receives the
 //! same arithmetic in the same order: runs, fan-out and serial execution are
 //! bit-identical (the run oracle in this module's tests compares with `==`).
+//!
+//! # Sampling
+//!
+//! Shots are drawn all at once, sorted, and resolved by one walk over the
+//! CDF of the basis states, which yields the shots as runs of equal basis
+//! states. [`StateVector::sample_with`], the job path's sampler, keeps each
+//! run as a `(word as an integer, n)` pair, then sorts and merges the pairs
+//! and renders each distinct word once into a [`Counts`]: its allocations
+//! do not grow with the number of words. [`StateVector::sample_counts_with`]
+//! walks the same runs into a `BTreeMap<String, u64>`, a `String` and a map
+//! entry per run, and is the reference the job path's sampler is held to.
 
 use std::sync::OnceLock;
 
@@ -71,6 +82,7 @@ use rayon::prelude::*;
 
 use crate::circuit::CircuitView;
 use crate::complex::Complex64;
+use crate::counts::Counts;
 use crate::fusion::{is_diagonal, Fusion, Op};
 use crate::gate::Gate;
 
@@ -318,19 +330,10 @@ impl StateVector {
         self.sample_counts_with(qubits, shots, rng, &mut Vec::new(), &mut Vec::new())
     }
 
-    /// Vectorized shot sampling into caller-provided scratch buffers.
-    ///
-    /// The CDF over full basis states is computed **once** into `cdf`, all
-    /// `shots` draws are taken up front into `draws` (one `rng` call per
-    /// shot, exactly like the scalar sampler consumed the stream), sorted,
-    /// and resolved by a single merge walk over the CDF — O(2ⁿ + S log S)
-    /// instead of a per-shot binary search's O(S log 2ⁿ). Counts accumulate
-    /// per basis-state *run*, so a bitstring key is rendered once per
-    /// distinct outcome, not once per shot.
-    ///
-    /// A draw resolves to the first basis state whose cumulative mass
-    /// strictly exceeds it (clamped to the last positive-probability state),
-    /// so zero-probability plateaus can never be sampled.
+    /// Shot sampling into caller-provided scratch buffers, as a
+    /// `BTreeMap`: the reference the job path's [`StateVector::sample_with`]
+    /// is held to with `==`. It walks the same runs and renders one `String`
+    /// key and one map entry per run.
     pub fn sample_counts_with<R: Rng>(
         &self,
         qubits: &[usize],
@@ -339,6 +342,77 @@ impl StateVector {
         cdf: &mut Vec<f64>,
         draws: &mut Vec<f64>,
     ) -> Result<std::collections::BTreeMap<String, u64>, DegenerateStateError> {
+        let render = |idx: usize| -> String {
+            qubits
+                .iter()
+                .map(|&q| if idx & (1 << q) != 0 { '1' } else { '0' })
+                .collect()
+        };
+        let mut counts = std::collections::BTreeMap::new();
+        // Distinct basis states can share a word when `qubits` is a subset,
+        // so runs merge through the map entry.
+        self.sample_runs(qubits, shots, rng, cdf, draws, |idx, n| {
+            *counts.entry(render(idx)).or_insert(0u64) += n;
+        })?;
+        Ok(counts)
+    }
+
+    /// The job path's shot sampler: the draws and walk of
+    /// [`StateVector::sample_counts_with`], returned as one sorted arena.
+    ///
+    /// Each run of equal basis states becomes one `(word, n)` pair in `runs`
+    /// (cleared first, reused across calls), its word an integer whose bit
+    /// `k−1−j` is the outcome of `qubits[j]` for `k = qubits.len()`, so
+    /// integer order is the words' string order. The pairs are then sorted
+    /// and merged (distinct basis states share a word when `qubits` is a
+    /// subset), and each distinct word is rendered once: the returned
+    /// counts are two allocations, however many words they hold.
+    ///
+    /// # Panics
+    /// Panics if more than 64 qubits are listed, or one is out of range.
+    pub fn sample_with<R: Rng>(
+        &self,
+        qubits: &[usize],
+        shots: u64,
+        rng: &mut R,
+        cdf: &mut Vec<f64>,
+        draws: &mut Vec<f64>,
+        runs: &mut Vec<(u64, u64)>,
+    ) -> Result<Counts, DegenerateStateError> {
+        assert!(qubits.len() <= 64, "a word of more than 64 bits");
+        let word = |idx: usize| -> u64 {
+            qubits
+                .iter()
+                .fold(0, |word, &q| (word << 1) | ((idx >> q) & 1) as u64)
+        };
+        runs.clear();
+        self.sample_runs(qubits, shots, rng, cdf, draws, |idx, n| {
+            runs.push((word(idx), n));
+        })?;
+        Ok(Counts::from_bit_runs(qubits.len(), runs))
+    }
+
+    /// Vectorized shot sampling: report each run of shots that landed on one
+    /// basis state as `run(index, shots)`, in ascending index order.
+    ///
+    /// The CDF over full basis states is computed **once** into `cdf`, all
+    /// `shots` draws are taken up front into `draws` (one `rng` call per
+    /// shot, exactly like the scalar sampler consumed the stream), sorted,
+    /// and resolved by a single merge walk over the CDF — O(2ⁿ + S log S)
+    /// instead of a per-shot binary search's O(S log 2ⁿ).
+    ///
+    /// A draw resolves to the first basis state whose cumulative mass
+    /// strictly exceeds it (clamped to the last positive-probability state),
+    /// so zero-probability plateaus can never be sampled.
+    fn sample_runs<R: Rng>(
+        &self,
+        qubits: &[usize],
+        shots: u64,
+        rng: &mut R,
+        cdf: &mut Vec<f64>,
+        draws: &mut Vec<f64>,
+        mut run: impl FnMut(usize, u64),
+    ) -> Result<(), DegenerateStateError> {
         for &q in qubits {
             assert!(q < self.num_qubits, "measured qubit {q} out of range");
         }
@@ -367,37 +441,28 @@ impl StateVector {
         }
         draws.sort_unstable_by(f64::total_cmp);
 
-        let render = |idx: usize| -> String {
-            qubits
-                .iter()
-                .map(|&q| if idx & (1 << q) != 0 { '1' } else { '0' })
-                .collect()
-        };
-        let mut counts = std::collections::BTreeMap::new();
         let mut idx = 0usize;
-        let mut run: Option<(usize, u64)> = None;
+        let mut current: Option<(usize, u64)> = None;
         for &r in draws.iter() {
             // Ascending draws ⇒ the walk pointer only moves forward; the
             // whole loop advances it at most 2ⁿ positions in total.
             while idx < last_positive && cdf[idx] <= r {
                 idx += 1;
             }
-            match run {
-                Some((current, ref mut n)) if current == idx => *n += 1,
+            match current {
+                Some((at, ref mut n)) if at == idx => *n += 1,
                 _ => {
-                    if let Some((current, n)) = run {
-                        *counts.entry(render(current)).or_insert(0u64) += n;
+                    if let Some((at, n)) = current {
+                        run(at, n);
                     }
-                    run = Some((idx, 1));
+                    current = Some((idx, 1));
                 }
             }
         }
-        if let Some((current, n)) = run {
-            // Distinct basis states can share a word when `qubits` is a
-            // subset, so runs merge through the map entry.
-            *counts.entry(render(current)).or_insert(0u64) += n;
+        if let Some((at, n)) = current {
+            run(at, n);
         }
-        Ok(counts)
+        Ok(())
     }
 
     /// Exact outcome distribution of the listed qubits (marginalized over the
@@ -1041,6 +1106,66 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(scalar, vectorized, "n = {n}, qubits {qubits:?}, {shots} shots");
+        }
+
+        /// The job path's sampler against its reference: the same seed
+        /// gives [`StateVector::sample_with`] the `Counts` that
+        /// [`StateVector::sample_counts_with`] gives as a map, entry for
+        /// entry and in the same order, on random states of up to 12 qubits
+        /// with a random subset measured in random order, so distinct basis
+        /// states share words and their runs must merge. The run buffer
+        /// starts dirty, as a reused one does.
+        #[test]
+        fn job_path_sampler_equals_the_map_sampler(
+            n in 1usize..=12,
+            shots in 1u64..=4096,
+            seed in proptest::prelude::any::<u64>(),
+            uniform in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let sv = if uniform {
+                let mut sv = StateVector::zero_state(n);
+                sv.apply_view(&crate::circuit::qft_circuit(n, 0, true, false));
+                sv
+            } else {
+                let raw: Vec<(f64, f64)> = (0..1usize << n)
+                    .map(|_| (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                    .collect();
+                normalized(n, &raw)
+            };
+            let mut qubits: Vec<usize> = (0..n).collect();
+            let k = rng.gen_range(1..=n);
+            for i in 0..k {
+                let j = rng.gen_range(i..n);
+                qubits.swap(i, j);
+            }
+            qubits.truncate(k);
+
+            let map = sv
+                .sample_counts_with(
+                    &qubits,
+                    shots,
+                    &mut StdRng::seed_from_u64(seed),
+                    &mut Vec::new(),
+                    &mut Vec::new(),
+                )
+                .unwrap();
+            let mut runs = vec![(u64::MAX, 7); 3];
+            let counts = sv
+                .sample_with(
+                    &qubits,
+                    shots,
+                    &mut StdRng::seed_from_u64(seed),
+                    &mut Vec::new(),
+                    &mut Vec::new(),
+                    &mut runs,
+                )
+                .unwrap();
+            let context = format!("n = {n}, qubits {qubits:?}, {shots} shots");
+            assert!(counts == map, "{context}: {counts:?} != {map:?}");
+            let in_order = map.iter().map(|(word, n)| (word.as_str(), n));
+            assert!(counts.iter().eq(in_order), "{context}: order differs");
         }
     }
 

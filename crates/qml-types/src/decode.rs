@@ -128,20 +128,29 @@ pub struct DecodedCounts {
 }
 
 impl DecodedCounts {
-    /// Decode a whole counts map.
-    pub fn decode(
-        counts: &BTreeMap<String, u64>,
+    /// Decode a whole readout: a `BTreeMap<String, u64>`, or anything else
+    /// that iterates `(word, &count)` pairs by reference, such as a result's
+    /// `Counts`.
+    pub fn decode<'a, C, W>(
+        counts: &'a C,
         schema: &ResultSchema,
         qdt: &QuantumDataType,
-    ) -> Result<Self> {
-        let mut decoded = BTreeMap::new();
+    ) -> Result<Self>
+    where
+        C: ?Sized,
+        &'a C: IntoIterator<Item = (W, &'a u64)>,
+        W: AsRef<str>,
+    {
+        let (mut words, mut decoded) = (BTreeMap::new(), BTreeMap::new());
         let mut total = 0u64;
         for (word, &n) in counts {
-            decoded.insert(word.clone(), decode_word(word, schema, qdt)?);
+            let word = word.as_ref();
+            decoded.insert(word.to_owned(), decode_word(word, schema, qdt)?);
+            words.insert(word.to_owned(), n);
             total += n;
         }
         Ok(DecodedCounts {
-            counts: counts.clone(),
+            counts: words,
             decoded,
             total,
         })
@@ -287,7 +296,8 @@ mod tests {
     fn empty_counts_edge_cases() {
         let qdt = QuantumDataType::ising_spins("ising_vars", "s", 4).unwrap();
         let schema = ResultSchema::for_register(&qdt);
-        let decoded = DecodedCounts::decode(&BTreeMap::new(), &schema, &qdt).unwrap();
+        let decoded =
+            DecodedCounts::decode(&BTreeMap::<String, u64>::new(), &schema, &qdt).unwrap();
         assert_eq!(decoded.total, 0);
         assert!(decoded.decoded.is_empty());
         assert_eq!(decoded.expectation(|_, _| 1.0), 0.0);

@@ -15,17 +15,21 @@
 //!
 //! Allocations are counted by the `#[global_allocator]` below. While a
 //! measurement is open it counts every `alloc`/`alloc_zeroed`/`realloc`, on
-//! any thread, and on their own the blocks of one watched size allocated and
-//! freed. So "no circuit clone" reads as "no block of
-//! `plan.len() × size_of::<Gate>()` bytes", and "one amplitude buffer" as
-//! "one block of 2ⁿ × 16 bytes". Every binary that includes this module
-//! holds one test, so no concurrent test disturbs a count.
+//! any thread, and on their own the blocks of one watched size allocated,
+//! freed on the measuring thread and freed on any other. So "no circuit
+//! clone" reads as "no block of `plan.len() × size_of::<Gate>()` bytes",
+//! "one amplitude buffer" as "one block of 2ⁿ × 16 bytes", and "no worker
+//! frees a bundle" as "no block of the bundles' name length freed off the
+//! measuring thread". Every binary that includes this module holds one
+//! test, so no concurrent test disturbs a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::BTreeSet;
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::catch_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,6 +38,7 @@ use qml_core::anneal::{AnnealParams, BinaryQuadraticModel, SimulatedAnnealer};
 use qml_core::backends::{lower_to_circuit, GatePlan, TranspileCache};
 use qml_core::graph::{cycle, random_gnp};
 use qml_core::prelude::*;
+use qml_core::runtime::{JobDispatch, JobId, JobOutcome, JobSource, Placement, WorkerPool};
 use qml_core::service::ServiceConfig;
 use qml_core::sim::{
     fused_op_count, BoundCircuit, Circuit, CircuitView, Complex64, Gate, SimScratch, Simulator,
@@ -49,6 +54,13 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static WATCH: AtomicUsize = AtomicUsize::new(0);
 static WATCHED: AtomicU64 = AtomicU64::new(0);
 static FREED: AtomicU64 = AtomicU64::new(0);
+static FREED_ELSEWHERE: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on the thread that opened the measurement. Constant-initialized
+    /// and without a destructor, so the allocator may read it at any time.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
 
 struct Counting;
 
@@ -79,7 +91,9 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         if COUNTING.load(Relaxed) && layout.size() == WATCH.load(Relaxed) {
-            FREED.fetch_add(1, Relaxed);
+            let here = MEASURING.try_with(Cell::get).unwrap_or(false);
+            let freed = if here { &FREED } else { &FREED_ELSEWHERE };
+            freed.fetch_add(1, Relaxed);
         }
         // SAFETY: the caller guarantees `ptr` came from this allocator with `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -90,16 +104,20 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Run `f` and count what it allocates, watching blocks of `watch` bytes:
-/// `[allocations, watched blocks allocated, watched blocks freed]`.
-fn tally<R>(watch: usize, f: impl FnOnce() -> R) -> (R, [u64; 3]) {
-    for counter in [&ALLOCS, &WATCHED, &FREED] {
+/// `[allocations, watched blocks allocated, watched blocks freed on this
+/// thread, watched blocks freed on other threads]`.
+fn tally<R>(watch: usize, f: impl FnOnce() -> R) -> (R, [u64; 4]) {
+    let counters = [&ALLOCS, &WATCHED, &FREED, &FREED_ELSEWHERE];
+    for counter in counters {
         counter.store(0, Relaxed);
     }
     WATCH.store(watch, Relaxed);
+    MEASURING.set(true);
     COUNTING.store(true, Relaxed);
     let out = f();
     COUNTING.store(false, Relaxed);
-    (out, [&ALLOCS, &WATCHED, &FREED].map(|c| c.load(Relaxed)))
+    MEASURING.set(false);
+    (out, counters.map(|c| c.load(Relaxed)))
 }
 
 /// Run `f` and count its allocations.
@@ -212,10 +230,11 @@ const BUDGETS: &[Budget] = &[
     },
     Budget {
         name: "a warm simulator run allocates only what sampling does",
-        counter: "allocations of a warm `run_view_with_scratch` less those of its sampling alone",
-        scenario: warm_run_beyond_sampling,
-        want: Want::Exact(&[0]),
-        reason: "state and sampling buffers come from the scratch; the result's map is sampling's",
+        counter: "allocations of a warm `run_view_with_scratch` on the sweep_warm plan, then of its sampling alone (`sample_with`)",
+        scenario: warm_run_and_sampling,
+        want: Want::Exact(&[2, 2]),
+        reason: "state, CDF, draw and run buffers come from the scratch; the returned `Counts` \
+                 is its word arena and its count vector",
         mutant: "`run_view_with_scratch` starts from a fresh `StateVector::zero_state`",
     },
     Budget {
@@ -260,29 +279,40 @@ const BUDGETS: &[Budget] = &[
         mutant: "the gate path binds with the materializing `GatePlan::bind`",
     },
     Budget {
-        name: "a warm sealed job allocates one entry per observed word",
-        counter: "allocations of `execute_sealed` less distinct words, state_serial seeds 1–4",
-        scenario: || state_serial_beyond_words(true),
-        want: Want::Each(0, 193),
-        reason: "~100 B-tree nodes and the result's strings: 114–119 (105–111 plus 82 when \
-                 bounded; 495–505 when the backend validated and hashed)",
-        mutant: "the plan key reads the bundle's unmemoized `symbolic_program_hash`",
+        name: "a warm sealed job allocates a pinned count, whatever its words",
+        counter: "allocations of `execute_sealed` on warm state_serial jobs, seeds 1–4 (782–818 words)",
+        scenario: || warm_state_serial(true),
+        want: Want::Exact(&[SEALED_JOB; 4]),
+        reason: "see `SEALED_JOB` (114–119 plus one per word before `Counts`; 495–505 plus one \
+                 per word when the backend validated and hashed)",
+        mutant: "the gate backend samples with the map-building `sample_counts_with` and \
+                 collects its map into `Counts`",
     },
     Budget {
-        name: "a warm execute_cached job allocates one entry per observed word",
-        counter: "allocations of `execute_cached` less distinct words, state_serial seeds 1–4",
-        scenario: || state_serial_beyond_words(false),
-        want: Want::Each(0, 451),
-        reason: "the sealed job plus a sealed copy, ~230 of it the plan-key hash: 364–369 \
-                 (352–362 plus 89 when bounded; decoding here cost two more per word)",
-        mutant: "`execute_cached` keeps a copy of the word map",
+        name: "a warm execute_cached job allocates a pinned count, whatever its words",
+        counter: "allocations of `execute_cached` on warm state_serial jobs, seeds 1–4 (782–818 words)",
+        scenario: || warm_state_serial(false),
+        want: Want::Exact(&[CACHED_JOB; 4]),
+        reason: "see `CACHED_JOB` (364–369 plus one per word before `Counts`; decoding here \
+                 once cost two more per word)",
+        mutant: "`execute_cached` keeps a copy of the result's counts",
     },
     Budget {
-        name: "a held result owns one word map",
-        counter: "allocations of cloning a result, per mille of its words: gate (10 qubits, 4 096 shots), anneal (C16, 2 000 reads)",
-        scenario: result_clone_per_mille,
-        want: Want::Each(1000, 1249),
-        reason: "a `String` per word, B-tree nodes and three names; a decoded copy adds one per word",
+        name: "a warm sweep_warm job allocates a pinned count",
+        counter: "allocations of `execute_sealed` on a warm sweep_warm member (8-qubit symbolic ring, 32 shots), points 1–4",
+        scenario: warm_sweep_member,
+        want: Want::Exact(&[SWEEP_JOB; 4]),
+        reason: "see `SWEEP_JOB`: the bound overlay's values and overrides, the result's names \
+                 and its `Counts`",
+        mutant: "`Counts` clones its arena for every word it renders",
+    },
+    Budget {
+        name: "a held result is a few allocations",
+        counter: "allocations of cloning a result: gate (10 qubits, 4 096 shots), anneal (C16, 2 000 reads)",
+        scenario: result_clones,
+        want: Want::Exact(&[5, 5]),
+        reason: "three names, the word arena and the count vector, however many words \
+                 (a `String` and B-tree nodes per word before `Counts`)",
         mutant: "`ExecutionResult` stores a second word map beside `counts`",
     },
     Budget {
@@ -345,6 +375,17 @@ const BUDGETS: &[Budget] = &[
         reason: "sealing the bundle, its job and batch entries and its place in the scheduler",
         mutant: "`submit` hashes the program before sealing it",
     },
+    Budget {
+        name: "no worker frees a sealed bundle",
+        counter: "blocks of the bundles' name length freed off the measuring thread while `run_pending` drains 12 compile_cold-shaped jobs, then while a worker pool drains them and its sink has each settled share freed on the measuring thread",
+        scenario: bundle_frees_on_workers,
+        want: Want::Exact(&[0, 0]),
+        reason: "a worker releases its share before its job settles, and the service retires \
+                 settled bundles for its next admission to free (freeing them on workers cost \
+                 compile_cold about a quarter of its throughput)",
+        mutant: "`worker_loop` releases its bundle share after the sink settles the job, or \
+                 `ServiceCore::settle` drops the bundle instead of retiring it",
+    },
 ];
 
 /// Run the rows named in `only`, or every row when it is `None`, and fail
@@ -364,6 +405,7 @@ pub fn check(only: Option<&[&str]>) {
     for row in rows {
         let outcome = catch_unwind(row.scenario);
         COUNTING.store(false, Relaxed);
+        MEASURING.set(false);
         let (name, counter, want) = (row.name, row.counter, &row.want);
         let (reason, mutant) = (row.reason, row.mutant);
         match outcome {
@@ -475,7 +517,7 @@ fn pass_allocations() -> Vec<u64> {
 
 fn plan_vector_frees() -> Vec<u64> {
     let plan = cold_plan(3).circuit;
-    let ((), [.., freed]) = tally(plan.len() * size_of::<Gate>(), || drop(plan));
+    let ((), [_, _, freed, _]) = tally(plan.len() * size_of::<Gate>(), || drop(plan));
     vec![freed]
 }
 
@@ -521,7 +563,7 @@ fn apply_allocations() -> Vec<u64> {
     vec![by_circuit, by_overlay]
 }
 
-fn warm_run_beyond_sampling() -> Vec<u64> {
+fn warm_run_and_sampling() -> Vec<u64> {
     let plan = BoundCircuit::concrete(Arc::new(sweep_warm().to_circuit()));
     let (sim, mut scratch, shots, seed) = (Simulator::new(), SimScratch::new(), 256, 11);
     let mut run = || {
@@ -533,23 +575,23 @@ fn warm_run_beyond_sampling() -> Vec<u64> {
     assert_eq!(again, warm);
     // Sampling alone, on the same state with warmed buffers.
     let state = sim.statevector_view(&plan);
-    let (mut cdf, mut draws) = (Vec::new(), Vec::new());
+    let (mut cdf, mut draws, mut runs) = (Vec::new(), Vec::new(), Vec::new());
     let mut sample = || {
         let mut rng = StdRng::seed_from_u64(seed);
         let map = plan.measurement_map();
         state
-            .sample_counts_with(map, shots, &mut rng, &mut cdf, &mut draws)
+            .sample_with(map, shots, &mut rng, &mut cdf, &mut draws, &mut runs)
             .unwrap()
     };
     sample();
     let (counts, sampling) = allocations(&mut sample);
     assert_eq!(counts, warm.counts);
-    vec![whole_run.abs_diff(sampling)]
+    vec![whole_run, sampling]
 }
 
 fn scratch_amplitude_blocks() -> Vec<u64> {
     let (plan, sim, mut scratch) = (sweep_warm(), Simulator::new(), SimScratch::new());
-    let ((), [_, watched, _]) = tally((1 << plan.width()) * size_of::<Complex64>(), || {
+    let ((), [_, watched, ..]) = tally((1 << plan.width()) * size_of::<Complex64>(), || {
         for seed in 0..8 {
             sim.run_view_with_scratch(&plan, 32, seed, &mut scratch)
                 .unwrap();
@@ -652,7 +694,7 @@ fn warm_circuit_blocks() -> Vec<u64> {
     // Cold execution realizes the plan (transpilation may copy freely).
     backend.execute_cached(&jobs[0], &cache).unwrap();
     let plan_bytes = ring_plan(8, &SYMBOLIC).circuit.len() * size_of::<Gate>();
-    let ((), [_, watched, _]) = tally(plan_bytes, || {
+    let ((), [_, watched, ..]) = tally(plan_bytes, || {
         for job in &jobs[1..] {
             backend.execute_cached(job, &cache).unwrap();
         }
@@ -661,11 +703,36 @@ fn warm_circuit_blocks() -> Vec<u64> {
     vec![watched]
 }
 
+/// Allocations of one warm state_serial job through `execute_sealed`, none
+/// of them per word:
+///
+/// - 5 for the plan key's transpile target: the basis-gate list copied (a
+///   `Vec` and three `String`s) and the coupling map;
+/// - 4 for the target's fingerprint, which sorts a copy of that list;
+/// - 3 for the result's backend, engine and register names;
+/// - 2 for the result's `Counts`: its word arena and its count vector.
+///
+/// Sealing memoized the hashes, and state, CDF, draw and run buffers come
+/// from the thread's scratch. Before `Counts` the same job made these 12
+/// plus one `String` and ~0.13 B-tree nodes per word: 114–119 beyond its
+/// 782–818 words. The earlier 105–111 was the same 12 on a program with
+/// β₁ = 0.3, whose 703–734 words needed 93–99 nodes, not 102–107.
+const SEALED_JOB: u64 = 14;
+
+/// Allocations of one warm state_serial job through `execute_cached`: the
+/// sealed job's [`SEALED_JOB`], 14 to copy the bundle, 5 to seal the copy
+/// and 231 to hash the copy's symbolic program for the plan key.
+const CACHED_JOB: u64 = 264;
+
+/// Allocations of one warm sweep_warm member through `execute_sealed`: the
+/// state_serial job's [`SEALED_JOB`] plus the binding values and the bound
+/// overlay's overrides.
+const SWEEP_JOB: u64 = 16;
+
 /// Allocations of four warm state_serial jobs (seeds 1–4, one shared
-/// program) beyond their distinct words, run through `execute_sealed` on
-/// bundles sealed next to the one that built the plan, as sweep members
-/// are, or through `execute_cached`.
-fn state_serial_beyond_words(sealed: bool) -> Vec<u64> {
+/// program), run through `execute_sealed` on bundles sealed next to the one
+/// that built the plan, as sweep members are, or through `execute_cached`.
+fn warm_state_serial(sealed: bool) -> Vec<u64> {
     let program = qaoa_maxcut_program(&cycle(12), &fixed()).unwrap();
     let job = |seed| program.clone().with_context(gate_context(12, 1024, seed));
     let (backend, cache) = (GateBackend::new(), TranspileCache::new());
@@ -681,13 +748,34 @@ fn state_serial_beyond_words(sealed: bool) -> Vec<u64> {
                 let bundle = job(seed);
                 allocations(|| backend.execute_cached(&bundle, &cache))
             };
-            let words = result.unwrap().counts.len() as u64;
-            assert!(words > 100, "too few words to tell");
-            n - words
+            let words = result.unwrap().counts.len();
+            assert!(
+                words > 700,
+                "{words} words: too few to tell a per-word cost"
+            );
+            n
         })
         .collect();
     let stats = cache.gate_stats();
     assert_eq!((stats.misses, stats.hits), (1, 4));
+    readings
+}
+
+fn warm_sweep_member() -> Vec<u64> {
+    let members = sweep(5).expand().unwrap();
+    let (backend, cache) = (GateBackend::new(), TranspileCache::new());
+    let first = SealedBundle::seal(members[0].clone()).unwrap();
+    backend.execute_sealed(&first, &cache).0.unwrap();
+    let readings = members[1..]
+        .iter()
+        .map(|member| {
+            let bundle = SealedBundle::seal_sharing(member.clone(), &first).unwrap();
+            let (result, n) = allocations(|| backend.execute_sealed(&bundle, &cache).0);
+            assert_eq!(result.unwrap().counts.values().sum::<u64>(), 32);
+            n
+        })
+        .collect();
+    assert_eq!(cache.gate_stats().misses, 1);
     readings
 }
 
@@ -701,7 +789,7 @@ fn anneal_context(reads: u64, sweeps: u64, seed: u64) -> ContextDescriptor {
     ContextDescriptor::for_anneal("anneal.neal_simulator", config)
 }
 
-fn result_clone_per_mille() -> Vec<u64> {
+fn result_clones() -> Vec<u64> {
     let gate = qaoa_maxcut_program(&cycle(10), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]));
     let gate = gate.unwrap().with_context(gate_context(10, 4096, 5));
     let anneal = maxcut_ising_program(&cycle(16)).unwrap();
@@ -710,14 +798,17 @@ fn result_clone_per_mille() -> Vec<u64> {
         GateBackend::new().execute(&gate).unwrap(),
         AnnealBackend::new().execute(&anneal).unwrap(),
     ];
-    let per_mille = |result: &ExecutionResult| {
-        let words = result.counts.len() as u64;
-        assert!(words > 200, "too few words to tell");
+    let clone = |result: &ExecutionResult| {
+        let words = result.counts.len();
+        assert!(
+            words > 200,
+            "{words} words: too few to tell a per-word cost"
+        );
         let (copy, n) = allocations(|| result.clone());
         assert_eq!(&copy, result);
-        1000 * n / words
+        n
     };
-    results.iter().map(per_mille).collect()
+    results.iter().map(clone).collect()
 }
 
 fn lru_cache_counters() -> Vec<u64> {
@@ -821,4 +912,84 @@ fn probe_submit_allocations() -> Vec<u64> {
     let readings = probes[1..].iter().map(submit).collect();
     assert_eq!(service.run_pending().completed, 3);
     readings
+}
+
+/// Length of the names of [`bundle_frees_on_workers`]' jobs: a block size no
+/// other allocation on the job path has, so a free of it is a bundle's.
+const NAME_BYTES: usize = 3001;
+
+/// A pool source that hands out sealed jobs and keeps its own share of each
+/// until the job settles, as the service's scheduler does.
+struct Handoff {
+    queue: Mutex<Vec<(JobId, SealedBundle, Placement)>>,
+    in_flight: Mutex<BTreeMap<JobId, SealedBundle>>,
+}
+
+impl JobSource for Handoff {
+    fn next_job(&self, _worker: usize) -> Option<JobDispatch> {
+        let (id, bundle, placement) = self.queue.lock().unwrap().pop()?;
+        self.in_flight.lock().unwrap().insert(id, bundle.clone());
+        Some(JobDispatch::new(id, bundle, placement))
+    }
+}
+
+fn bundle_frees_on_workers() -> Vec<u64> {
+    const JOBS: usize = 12;
+    let jobs = (0..JOBS as u64).map(|seed| {
+        let mut job = cold_job(4, seed);
+        job.name = format!("{seed:0>NAME_BYTES$}");
+        job.name.shrink_to_fit();
+        SealedBundle::seal(job).unwrap()
+    });
+    let jobs: Vec<SealedBundle> = jobs.collect();
+
+    // The service drains with `run_pending`; its settled bundles wait in
+    // `ServiceCore::retired` for the next admission, here the service's drop.
+    let service = QmlService::with_config(ServiceConfig::with_workers(2));
+    for job in &jobs {
+        service.submit("cold", JobBundle::clone(job)).unwrap();
+    }
+    let ((), [.., here, by_service]) = tally(NAME_BYTES, move || {
+        assert_eq!(service.run_pending().completed, JOBS);
+        drop(service);
+    });
+    assert_eq!(here + by_service, JOBS as u64, "every copy of a job freed");
+
+    // A worker pool alone, whose sink hands each settled job's source share
+    // to this thread and waits until it is dropped here: what a submission
+    // that empties `retired` between the sink and the worker's next step
+    // does in the service, made certain.
+    let runtime = Arc::new(Runtime::new(Scheduler::new(
+        BackendRegistry::with_default_backends(),
+    )));
+    let queue = jobs.into_iter().enumerate().map(|(i, bundle)| {
+        let placement = runtime.scheduler().place(&bundle).unwrap();
+        (JobId(i as u64), bundle, placement)
+    });
+    let source = Arc::new(Handoff {
+        queue: Mutex::new(queue.collect()),
+        in_flight: Mutex::default(),
+    });
+    let (settled, to_free) = sync_channel(0);
+    let (freed, acks) = sync_channel(0);
+    let acks = Mutex::new(acks);
+    let sink = {
+        let source = Arc::clone(&source);
+        move |outcome: JobOutcome| {
+            outcome.result.unwrap();
+            let share = source.in_flight.lock().unwrap().remove(&outcome.id);
+            settled.send(share.unwrap()).unwrap();
+            acks.lock().unwrap().recv().unwrap();
+        }
+    };
+    let ((), [.., here, by_pool]) = tally(NAME_BYTES, || {
+        let pool = WorkerPool::spawn(&runtime, 1, source, Arc::new(sink));
+        for share in to_free.iter().take(JOBS) {
+            drop(share);
+            freed.send(()).unwrap();
+        }
+        assert_eq!(pool.join(), JOBS);
+    });
+    assert_eq!(here + by_pool, JOBS as u64, "every job freed");
+    vec![by_service, by_pool]
 }

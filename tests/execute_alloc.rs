@@ -1,4 +1,5 @@
-//! A warm `execute_cached` job allocates about one entry per observed word.
+//! A warm `execute_cached` job allocates a pinned count, however many words
+//! it observes (the test's name is from when it allocated one per word).
 //!
 //! Runs these rows of the budgets table (`tests/budget_table/mod.rs`) in
 //! their own process; `tests/budgets.rs` runs the whole table.
@@ -8,6 +9,6 @@ mod budget_table;
 #[test]
 fn a_warm_job_allocates_about_one_entry_per_observed_word() {
     budget_table::check(Some(&[
-        "a warm execute_cached job allocates one entry per observed word",
+        "a warm execute_cached job allocates a pinned count, whatever its words",
     ]));
 }

@@ -10,6 +10,10 @@
 //!   members, reports exactly the hashes and canonical symbols a fresh
 //!   `JobBundle` computes: late and eager bindings, several contexts, renamed
 //!   symbols.
+//! * Golden values pin the JSON text of three seeded results (Fig. 2's
+//!   counts, Fig. 3's, and a 273-word anneal readout), so the wire form of
+//!   `ExecutionResult::counts` stays the object a `BTreeMap<String, u64>`
+//!   wrote, byte for byte.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -64,6 +68,64 @@ fn the_papers_programs_hash_to_their_golden_values() {
 }
 
 /// A symbolic ring QAOA whose symbols are renamed `{prefix}{slot}`.
+/// `(length, FNV-1a hash)` of each golden result's `serde_json` text.
+const FIG2_JSON: (usize, u64) = (386, 0xb5e8_c02c_ea91_373f);
+const FIG3_JSON: (usize, u64) = (224, 0x2992_eeea_9f17_7108);
+const C12_ANNEAL_JSON: (usize, u64) = (4848, 0xf3ad_af3d_f25f_cb33);
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn seeded_results_serialize_to_their_golden_json() {
+    let fig2 = qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))
+        .unwrap()
+        .with_context(qml_core::backends::listing4_context(Target::ring(4)));
+    let anneal = |nodes: usize, config: AnnealConfig| {
+        let context = ContextDescriptor::for_anneal("anneal.neal_simulator", config);
+        maxcut_ising_program(&cycle(nodes))
+            .unwrap()
+            .with_context(context)
+    };
+    let fig3 = anneal(4, AnnealConfig::with_reads(1000));
+    let c12 = anneal(
+        12,
+        AnnealConfig {
+            seed: Some(5),
+            num_sweeps: Some(2),
+            ..AnnealConfig::with_reads(500)
+        },
+    );
+    for (name, result, golden) in [
+        ("Fig. 2", GateBackend::new().execute(&fig2), FIG2_JSON),
+        ("Fig. 3", AnnealBackend::new().execute(&fig3), FIG3_JSON),
+        (
+            "C12 anneal",
+            AnnealBackend::new().execute(&c12),
+            C12_ANNEAL_JSON,
+        ),
+    ] {
+        let result = result.unwrap();
+        let json = serde_json::to_string(&result).unwrap();
+        assert_eq!(
+            (json.len(), fnv1a(json.as_bytes())),
+            golden,
+            "{name}: {json}"
+        );
+        let back: ExecutionResult = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, result, "{name} round-trips");
+        let as_map: BTreeMap<String, u64> =
+            serde_json::from_str(&serde_json::to_string(&result.counts).unwrap()).unwrap();
+        assert!(
+            as_map == result.counts,
+            "{name}: the counts read back as a map"
+        );
+    }
+}
+
 fn renamed_qaoa(nodes: usize, layers: usize, prefix: &str) -> JobBundle {
     let base = qaoa_maxcut_program(&cycle(nodes), &QaoaSchedule::Symbolic { layers }).unwrap();
     let rename: BTreeMap<String, ParamValue> = base

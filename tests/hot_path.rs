@@ -89,7 +89,7 @@ proptest! {
         let backend = GateBackend::new();
         let cache = TranspileCache::new();
         let readout = lower_to_circuit(&symbolic_qaoa()).unwrap();
-        let decode = |counts: &BTreeMap<String, u64>| {
+        let decode = |counts: &Counts| {
             DecodedCounts::decode(counts, &readout.schema, &readout.register)
         };
         for (i, shots) in [64u64, 256, 1024].into_iter().enumerate() {

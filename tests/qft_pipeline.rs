@@ -54,7 +54,7 @@ fn optimization_levels_never_change_the_distribution_shape() {
     // Exact distributions are equal; with a fixed seed the sampled counts are
     // equal only if the transpiled circuits are identical, so compare a
     // robust statistic instead: total variation between levels stays small.
-    let mut references: Vec<std::collections::BTreeMap<String, u64>> = Vec::new();
+    let mut references: Vec<Counts> = Vec::new();
     for level in [0u8, 2, 3] {
         let bundle = qft_program(6, QftParams::default()).unwrap().with_context(
             ContextDescriptor::for_gate(
@@ -67,13 +67,12 @@ fn optimization_levels_never_change_the_distribution_shape() {
         );
         references.push(GateBackend::new().execute(&bundle).unwrap().counts);
     }
-    let tv = |a: &std::collections::BTreeMap<String, u64>,
-              b: &std::collections::BTreeMap<String, u64>| {
-        let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+    let tv = |a: &Counts, b: &Counts| {
+        let keys: std::collections::BTreeSet<&str> = a.keys().chain(b.keys()).collect();
         keys.iter()
-            .map(|k| {
-                let pa = *a.get(*k).unwrap_or(&0) as f64 / 8000.0;
-                let pb = *b.get(*k).unwrap_or(&0) as f64 / 8000.0;
+            .map(|&k| {
+                let pa = *a.get(k).unwrap_or(&0) as f64 / 8000.0;
+                let pb = *b.get(k).unwrap_or(&0) as f64 / 8000.0;
                 (pa - pb).abs()
             })
             .sum::<f64>()

@@ -108,7 +108,7 @@ fn concurrent_execution_is_deterministic() {
     // The same sweep drained on pools of different widths must produce
     // bit-identical per-job results: seeded executions do not depend on
     // worker interleaving or steal order.
-    let run_with_workers = |workers: usize| -> Vec<(u64, std::collections::BTreeMap<String, u64>)> {
+    let run_with_workers = |workers: usize| -> Vec<(u64, Counts)> {
         let mut sweep = SweepRequest::new("det", fixed_qaoa());
         for seed in 0..6 {
             sweep = sweep.with_context(gate_context(seed, 256));
