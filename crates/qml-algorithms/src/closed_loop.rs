@@ -121,16 +121,19 @@ impl PatternSearch {
     ///
     /// Panics when no proposal is outstanding.
     pub fn observe(&mut self, value: f64) {
+        // A caller error, documented above: an observation with no
+        // outstanding proposal has no angles to belong to.
+        #[allow(clippy::expect_used)]
         let angles = self
             .outstanding
             .take()
             .expect("observe() without a preceding next_angles()");
         self.trajectory.push((angles, value));
-        if self.center_value.is_none() {
+        let Some(center_value) = self.center_value else {
             self.center_value = Some(value);
             self.refill();
             return;
-        }
+        };
         if self.best_probe.is_none_or(|(_, best)| value > best) {
             self.best_probe = Some((angles, value));
         }
@@ -141,7 +144,6 @@ impl PatternSearch {
         // otherwise halve the step (converging once it falls below the
         // threshold). NaN objectives never improve, so a broken evaluation
         // cannot drag the center off the best point seen.
-        let center_value = self.center_value.expect("center observed above");
         match self.best_probe.take() {
             Some((best, value)) if value > center_value => {
                 self.center = best;
@@ -202,11 +204,6 @@ impl PatternSearch {
     /// identical observations produce identical trajectories.
     pub fn trajectory(&self) -> &[(QaoaAngles, f64)] {
         &self.trajectory
-    }
-
-    /// The current probe step, in radians.
-    pub fn step(&self) -> f64 {
-        self.step
     }
 }
 

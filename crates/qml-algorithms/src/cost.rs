@@ -13,7 +13,7 @@ use qml_types::CostHint;
 /// ⌊n/2⌋ swaps; each controlled phase lowers to 2 CX and each swap to 3 CX on
 /// hardware, so the two-qubit estimate is `n(n−1) + 3⌊n/2⌋` when swaps are
 /// requested. Depth is estimated at roughly `2n + n²/4` after routing slack.
-pub fn qft_cost(width: usize, approx_degree: usize, do_swaps: bool) -> CostHint {
+pub(crate) fn qft_cost(width: usize, approx_degree: usize, do_swaps: bool) -> CostHint {
     let n = width as u64;
     let full_pairs = n.saturating_sub(1) * n / 2;
     // Approximation drops the smallest rotations: keep pairs with distance
@@ -33,38 +33,20 @@ pub fn qft_cost(width: usize, approx_degree: usize, do_swaps: bool) -> CostHint 
 
 /// Cost hint for one QAOA cost layer (phase separation) over `num_edges`
 /// couplings: each ZZ interaction lowers to 2 CX + 1 RZ.
-pub fn qaoa_cost_layer_cost(num_edges: usize) -> CostHint {
+pub(crate) fn qaoa_cost_layer_cost(num_edges: usize) -> CostHint {
     let e = num_edges as u64;
     CostHint::gates(2 * e, 3 * e.div_ceil(2).max(1)).with_oneq(e)
 }
 
 /// Cost hint for one QAOA mixer layer over `width` qubits: RX on every qubit,
 /// no entangling gates.
-pub fn qaoa_mixer_cost(width: usize) -> CostHint {
+pub(crate) fn qaoa_mixer_cost(width: usize) -> CostHint {
     CostHint::gates(0, 1).with_oneq(width as u64)
 }
 
 /// Cost hint for uniform-superposition preparation: one Hadamard per qubit.
-pub fn prep_uniform_cost(width: usize) -> CostHint {
+pub(crate) fn prep_uniform_cost(width: usize) -> CostHint {
     CostHint::gates(0, 1).with_oneq(width as u64)
-}
-
-/// Cost hint for a ripple-carry adder over two width-`n` registers
-/// (Cuccaro-style: ~2n CX + n Toffolis ≈ 6n CX equivalents each).
-pub fn adder_cost(width: usize) -> CostHint {
-    let n = width as u64;
-    CostHint::gates(8 * n, 10 * n)
-        .with_oneq(12 * n)
-        .with_ancillas(1)
-}
-
-/// Cost hint for a modular adder (roughly five plain adders plus comparisons,
-/// the Shor-algorithm primitive the paper names in §4.2).
-pub fn modular_adder_cost(width: usize) -> CostHint {
-    let base = adder_cost(width);
-    CostHint::gates(base.twoq.unwrap_or(0) * 5, base.depth.unwrap_or(0) * 5)
-        .with_oneq(base.oneq.unwrap_or(0) * 5)
-        .with_ancillas(2)
 }
 
 /// Total cost of a descriptor sequence (element-wise sum of the hints that
@@ -112,14 +94,6 @@ mod tests {
         assert_eq!(mixer.twoq, Some(0));
         assert_eq!(mixer.oneq, Some(4));
         assert_eq!(prep_uniform_cost(4).oneq, Some(4));
-    }
-
-    #[test]
-    fn arithmetic_costs_scale_linearly() {
-        let small = adder_cost(4);
-        let large = adder_cost(8);
-        assert_eq!(large.twoq.unwrap(), 2 * small.twoq.unwrap());
-        assert!(modular_adder_cost(4).twoq.unwrap() > adder_cost(4).twoq.unwrap());
     }
 
     #[test]

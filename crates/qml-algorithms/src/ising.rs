@@ -37,7 +37,7 @@ fn j_param(j: &[(usize, usize, f64)]) -> ParamValue {
 
 /// Build the `ISING_PROBLEM` descriptor for an Ising problem over a typed
 /// spin register.
-pub fn ising_problem_operator(
+pub(crate) fn ising_problem_operator(
     register: &QuantumDataType,
     problem: &IsingProblem,
 ) -> Result<OperatorDescriptor> {
@@ -70,7 +70,7 @@ pub fn ising_problem_operator(
 }
 
 /// Parse the `h` / `j` parameters back out of an `ISING_PROBLEM` descriptor —
-/// the inverse of [`ising_problem_operator`], used by annealing backends.
+/// the inverse of `ising_problem_operator`, used by annealing backends.
 pub fn parse_ising_operator(op: &OperatorDescriptor, width: usize) -> Result<IsingProblem> {
     if op.rep_kind != RepKind::IsingProblem {
         return Err(QmlError::Validation(format!(

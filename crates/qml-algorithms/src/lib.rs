@@ -10,8 +10,7 @@
 //! * [`qaoa`] — the QAOA descriptor stack of Fig. 2 (`PREP_UNIFORM`,
 //!   `ISING_COST_PHASE`, `MIXER_RX`, `MEASUREMENT`), with late-bound angles.
 //! * [`ising`] — the single `ISING_PROBLEM` descriptor of Fig. 3.
-//! * [`arithmetic`] — adders, modular adders (the Shor primitive), comparators.
-//! * [`stateprep`] — Hadamard layers, amplitude and angle encodings.
+//! * [`stateprep`] — Hadamard layers and angle encodings.
 //! * [`composition`] — composition, inversion, measurement and sequence
 //!   validation helpers.
 //! * [`cost`] — device-independent cost-hint estimators.
@@ -22,8 +21,16 @@
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
-pub mod arithmetic;
 pub mod closed_loop;
 pub mod composition;
 pub mod cost;
@@ -32,22 +39,20 @@ pub mod qaoa;
 pub mod qft;
 pub mod stateprep;
 
-pub use arithmetic::{adder, comparator, constant_adder, modular_adder};
 pub use closed_loop::PatternSearch;
 pub use composition::{
     compose, invert_operator, invert_sequence, validate_sequence, with_measurement,
 };
-pub use cost::{qaoa_cost_layer_cost, qaoa_mixer_cost, qft_cost, total_cost};
-pub use ising::{ising_problem_operator, maxcut_ising_program, parse_ising_operator};
-pub use qaoa::{
-    ising_register, qaoa_maxcut_program, qaoa_sequence, QaoaAngles, QaoaSchedule, RING_P1_ANGLES,
-};
+pub use cost::total_cost;
+pub use ising::{maxcut_ising_program, parse_ising_operator};
+pub use qaoa::{ising_register, qaoa_maxcut_program, QaoaAngles, QaoaSchedule, RING_P1_ANGLES};
 pub use qft::{qft_program, QftParams};
-pub use stateprep::{amplitude_encoding, angle_encoding, hadamard_layer};
+pub use stateprep::{angle_encoding, hadamard_layer};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::cost::qft_cost;
     use proptest::prelude::*;
     use qml_graph::random_gnp;
 

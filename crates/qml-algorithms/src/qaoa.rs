@@ -47,7 +47,7 @@ pub enum QaoaSchedule {
 
 impl QaoaSchedule {
     /// Number of layers.
-    pub fn layers(&self) -> usize {
+    pub(crate) fn layers(&self) -> usize {
         match self {
             QaoaSchedule::Fixed(angles) => angles.len(),
             QaoaSchedule::Symbolic { layers } => *layers,
@@ -112,7 +112,7 @@ pub fn ising_cost_phase(
 }
 
 /// One `MIXER_RX` layer with angle `beta`.
-pub fn mixer_rx(
+pub(crate) fn mixer_rx(
     register: &QuantumDataType,
     beta: impl Into<ParamValue>,
     layer: usize,
@@ -128,7 +128,7 @@ pub fn mixer_rx(
 }
 
 /// The closing `MEASUREMENT` descriptor with an explicit result schema.
-pub fn measurement(register: &QuantumDataType) -> Result<OperatorDescriptor> {
+pub(crate) fn measurement(register: &QuantumDataType) -> Result<OperatorDescriptor> {
     OperatorDescriptor::builder("measure", RepKind::Measurement, &register.id)
         .result_schema(ResultSchema::for_register(register))
         .build()
@@ -141,7 +141,7 @@ pub fn ising_register(width: usize) -> Result<QuantumDataType> {
 }
 
 /// Build the complete QAOA descriptor sequence for a Max-Cut instance.
-pub fn qaoa_sequence(
+pub(crate) fn qaoa_sequence(
     register: &QuantumDataType,
     graph: &Graph,
     schedule: &QaoaSchedule,

@@ -2,9 +2,9 @@
 //!
 //! The paper's §4.4 lists "quantum state preparation (Hadamard gates,
 //! amplitude encoding, angle encoding)" among the algorithmic-library
-//! transformations. These constructors emit the corresponding descriptors,
-//! validating the classical data against the typed register before anything
-//! is handed to a backend.
+//! transformations. These constructors emit the descriptors of the two that
+//! the gate backend lowers, validating the classical data against the typed
+//! register before anything is handed to a backend.
 
 use qml_types::{
     CostHint, EncodingKind, OperatorDescriptor, ParamValue, QmlError, QuantumDataType, RepKind,
@@ -15,37 +15,6 @@ use qml_types::{
 pub fn hadamard_layer(register: &QuantumDataType) -> Result<OperatorDescriptor> {
     OperatorDescriptor::builder("hadamard_layer", RepKind::HadamardLayer, &register.id)
         .cost_hint(CostHint::gates(0, 1).with_oneq(register.width as u64))
-        .build()
-}
-
-/// Amplitude encoding of a real vector of length 2^width (normalized by the
-/// backend at realization time).
-pub fn amplitude_encoding(
-    register: &QuantumDataType,
-    amplitudes: &[f64],
-) -> Result<OperatorDescriptor> {
-    let expected = 1usize << register.width;
-    if amplitudes.len() != expected {
-        return Err(QmlError::Validation(format!(
-            "amplitude encoding for a {}-carrier register needs {expected} amplitudes, got {}",
-            register.width,
-            amplitudes.len()
-        )));
-    }
-    let norm: f64 = amplitudes.iter().map(|a| a * a).sum();
-    if norm <= 0.0 {
-        return Err(QmlError::Validation(
-            "amplitude vector must not be identically zero".into(),
-        ));
-    }
-    // Generic state preparation costs O(2^n) CX gates.
-    let twoq = (expected.saturating_sub(register.width)) as u64 * 2;
-    OperatorDescriptor::builder("amplitude_encode", RepKind::AmplitudeEncoding, &register.id)
-        .param(
-            "amplitudes",
-            ParamValue::List(amplitudes.iter().map(|&a| ParamValue::Float(a)).collect()),
-        )
-        .cost_hint(CostHint::gates(twoq, expected as u64).with_oneq(expected as u64))
         .build()
 }
 
@@ -85,44 +54,11 @@ mod tests {
     }
 
     #[test]
-    fn amplitude_encoding_length_check() {
-        let reg = QuantumDataType::int_register("v", "v", 3).unwrap();
-        assert!(amplitude_encoding(&reg, &[1.0; 8]).is_ok());
-        assert!(amplitude_encoding(&reg, &[1.0; 7]).is_err());
-        assert!(amplitude_encoding(&reg, &[0.0; 8]).is_err());
-    }
-
-    #[test]
-    fn amplitude_encoding_preserves_data() {
-        let reg = QuantumDataType::int_register("v", "v", 2).unwrap();
-        let data = [0.5, 0.5, 0.5, 0.5];
-        let op = amplitude_encoding(&reg, &data).unwrap();
-        let stored = op.params.get("amplitudes").unwrap().as_list().unwrap();
-        assert_eq!(stored.len(), 4);
-        assert_eq!(stored[2].as_f64(), Some(0.5));
-    }
-
-    #[test]
     fn angle_encoding_validation() {
         let reg = QuantumDataType::int_register("f", "f", 3).unwrap();
         assert!(angle_encoding(&reg, &[0.1, 0.2, 0.3]).is_ok());
         assert!(angle_encoding(&reg, &[0.1, 0.2]).is_err());
         let phase = QuantumDataType::phase_register("p", "p", 3).unwrap();
         assert!(angle_encoding(&phase, &[0.1, 0.2, 0.3]).is_err());
-    }
-
-    #[test]
-    fn amplitude_cost_grows_exponentially() {
-        let small = QuantumDataType::int_register("a", "a", 2).unwrap();
-        let large = QuantumDataType::int_register("b", "b", 5).unwrap();
-        let c_small = amplitude_encoding(&small, &[1.0; 4])
-            .unwrap()
-            .cost_hint
-            .unwrap();
-        let c_large = amplitude_encoding(&large, &vec![1.0; 32])
-            .unwrap()
-            .cost_hint
-            .unwrap();
-        assert!(c_large.twoq.unwrap() > 4 * c_small.twoq.unwrap());
     }
 }

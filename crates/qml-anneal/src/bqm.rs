@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 /// Variable convention of a BQM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Vartype {
+pub(crate) enum Vartype {
     /// Ising spins s ∈ {−1, +1}.
     Spin,
     /// Binary variables x ∈ {0, 1}.
@@ -20,7 +20,7 @@ pub enum Vartype {
 }
 
 /// A binary quadratic model: `offset + Σ_i linear_i v_i + Σ_{i<j} q_ij v_i v_j`
-/// where `v` are SPIN or BINARY variables depending on [`Vartype`].
+/// where `v` are SPIN or BINARY variables depending on `Vartype`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BinaryQuadraticModel {
     vartype: Vartype,
@@ -32,7 +32,7 @@ pub struct BinaryQuadraticModel {
 
 impl BinaryQuadraticModel {
     /// An empty model over `num_variables` variables.
-    pub fn new(num_variables: usize, vartype: Vartype) -> Self {
+    pub(crate) fn new(num_variables: usize, vartype: Vartype) -> Self {
         BinaryQuadraticModel {
             vartype,
             linear: vec![0.0; num_variables],
@@ -54,7 +54,8 @@ impl BinaryQuadraticModel {
     }
 
     /// Build a QUBO from upper-triangular entries (diagonal = linear).
-    pub fn from_qubo(num_variables: usize, q: &[(usize, usize, f64)], offset: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_qubo(num_variables: usize, q: &[(usize, usize, f64)], offset: f64) -> Self {
         let mut bqm = BinaryQuadraticModel::new(num_variables, Vartype::Binary);
         bqm.offset = offset;
         for &(i, j, v) in q {
@@ -68,7 +69,7 @@ impl BinaryQuadraticModel {
     }
 
     /// Variable convention.
-    pub fn vartype(&self) -> Vartype {
+    pub(crate) fn vartype(&self) -> Vartype {
         self.vartype
     }
 
@@ -82,46 +83,30 @@ impl BinaryQuadraticModel {
         self.quadratic.len()
     }
 
-    /// Constant offset.
-    pub fn offset(&self) -> f64 {
-        self.offset
-    }
-
     /// Linear coefficient of variable `i`.
-    pub fn linear(&self, i: usize) -> f64 {
+    pub(crate) fn linear(&self, i: usize) -> f64 {
         self.linear[i]
     }
 
-    /// Quadratic coefficient of the pair (i, j) (0 if absent).
-    pub fn quadratic(&self, i: usize, j: usize) -> f64 {
-        let key = (i.min(j), i.max(j));
-        self.quadratic.get(&key).copied().unwrap_or(0.0)
-    }
-
     /// Iterate over quadratic terms as (i, j, value) with i < j.
-    pub fn interactions(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+    pub(crate) fn interactions(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         self.quadratic.iter().map(|(&(i, j), &v)| (i, j, v))
     }
 
     /// Add to the linear coefficient of variable `i`.
-    pub fn add_linear(&mut self, i: usize, value: f64) {
+    pub(crate) fn add_linear(&mut self, i: usize, value: f64) {
         assert!(i < self.linear.len(), "variable {i} out of range");
         self.linear[i] += value;
     }
 
     /// Add to the quadratic coefficient of the pair (i, j).
-    pub fn add_quadratic(&mut self, i: usize, j: usize, value: f64) {
+    pub(crate) fn add_quadratic(&mut self, i: usize, j: usize, value: f64) {
         assert!(i != j, "diagonal terms belong in the linear part");
         assert!(
             i < self.linear.len() && j < self.linear.len(),
             "interaction ({i},{j}) out of range"
         );
         *self.quadratic.entry((i.min(j), i.max(j))).or_insert(0.0) += value;
-    }
-
-    /// Add to the constant offset.
-    pub fn add_offset(&mut self, value: f64) {
-        self.offset += value;
     }
 
     /// Energy of a SPIN sample (entries ±1). The model is converted on the
@@ -170,7 +155,7 @@ impl BinaryQuadraticModel {
     }
 
     /// Convert to the SPIN convention (exact, adjusting offset/linear terms).
-    pub fn to_spin(&self) -> BinaryQuadraticModel {
+    pub(crate) fn to_spin(&self) -> BinaryQuadraticModel {
         match self.vartype {
             Vartype::Spin => self.clone(),
             Vartype::Binary => {
@@ -223,7 +208,8 @@ impl BinaryQuadraticModel {
     /// [`interactions`](Self::interactions) order. The annealer keeps its own
     /// flat copy of this layout; this nested form allocates one `Vec` per
     /// variable.
-    pub fn adjacency(&self) -> Vec<Vec<(usize, f64)>> {
+    #[cfg(test)]
+    pub(crate) fn adjacency(&self) -> Vec<Vec<(usize, f64)>> {
         let mut adj = vec![Vec::new(); self.num_variables()];
         for (&(i, j), &q) in &self.quadratic {
             adj[i].push((j, q));
@@ -250,7 +236,8 @@ impl BinaryQuadraticModel {
     }
 
     /// Exact ground-state energy by enumeration (≤ 24 variables).
-    pub fn brute_force_ground_energy(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn brute_force_ground_energy(&self) -> f64 {
         let n = self.num_variables();
         assert!(n <= 24, "brute force is limited to 24 variables");
         let spin_model = self.to_spin();
@@ -337,7 +324,7 @@ mod tests {
         bqm.add_quadratic(1, 0, 0.5);
         bqm.add_linear(0, 0.25);
         bqm.add_linear(0, 0.25);
-        assert_eq!(bqm.quadratic(0, 1), 1.5);
+        assert_eq!(bqm.quadratic[&(0, 1)], 1.5);
         assert_eq!(bqm.linear(0), 0.5);
         assert_eq!(bqm.num_interactions(), 1);
     }
@@ -378,7 +365,7 @@ mod tests {
     #[test]
     fn offset_propagates_through_conversions() {
         let mut bqm = c4_ising();
-        bqm.add_offset(2.5);
+        bqm.offset += 2.5;
         assert_eq!(bqm.energy_spin(&[1, -1, 1, -1]), -1.5);
         assert_eq!(
             bqm.to_binary().energy_binary(&[true, false, true, false]),

@@ -2,27 +2,36 @@
 //!
 //! The repository's substitute for the D-Wave Ocean stack used by the paper's
 //! annealing path (§5): `dimod`-style [`BinaryQuadraticModel`]s (SPIN/BINARY
-//! vartypes with exact conversions), annealing [`Schedule`]s, and a
+//! vartypes with exact conversions), geometric annealing schedules, and a
 //! `neal`-style Metropolis [`SimulatedAnnealer`] returning aggregated
 //! [`SampleSet`]s.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod bqm;
 pub mod sampler;
 pub mod sampleset;
 pub mod schedule;
 
-pub use bqm::{BinaryQuadraticModel, Vartype};
+pub use bqm::BinaryQuadraticModel;
 pub use sampler::{AnnealParams, SimulatedAnnealer};
 pub use sampleset::{SampleRecord, SampleSet};
-pub use schedule::{Schedule, ScheduleKind};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::bqm::Vartype;
     use proptest::prelude::*;
 
     fn arb_ising(max_n: usize) -> impl Strategy<Value = BinaryQuadraticModel> {

@@ -11,8 +11,8 @@
 //! # The sweep kernel
 //!
 //! **Cached ΔE.** The spin model's couplings are laid out once per call as
-//! compressed sparse rows (CSR), in [`BinaryQuadraticModel::adjacency`]
-//! order and pre-scaled by 4. A read keeps `de[i]`, the energy change of
+//! compressed sparse rows (CSR), each coupling under both of its variables
+//! in the model's interaction order, and pre-scaled by 4. A read keeps `de[i]`, the energy change of
 //! flipping spin `i`, and touches it only when a flip is accepted — the
 //! technique of `neal`'s own kernel (Isakov, Zintchenko, Rønnow & Troyer,
 //! "Optimised simulated annealing for Ising spin glasses", CPC 192, 2015).

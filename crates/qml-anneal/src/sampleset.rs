@@ -6,6 +6,7 @@
 //! cut over all returned samples).
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// One distinct sample with its energy and multiplicity.
@@ -40,7 +41,7 @@ pub struct SampleSet {
 impl SampleSet {
     /// Build a sample set from raw per-read assignments and their energies,
     /// aggregating identical assignments.
-    pub fn from_reads(reads: Vec<(Vec<i8>, f64)>) -> Self {
+    pub(crate) fn from_reads(reads: Vec<(Vec<i8>, f64)>) -> Self {
         let mut agg: BTreeMap<Vec<i8>, (f64, u64)> = BTreeMap::new();
         for (spins, energy) in reads {
             let entry = agg.entry(spins).or_insert((energy, 0));
@@ -54,10 +55,13 @@ impl SampleSet {
                 num_occurrences: n,
             })
             .collect();
+        // A NaN energy compares equal to every other energy, so its record
+        // sorts by spins alone instead of panicking. `total_cmp` would also
+        // order −0.0 before +0.0 and could reorder equal-energy records.
         records.sort_by(|a, b| {
             a.energy
                 .partial_cmp(&b.energy)
-                .unwrap()
+                .unwrap_or(Ordering::Equal)
                 .then_with(|| a.spins.cmp(&b.spins))
         });
         SampleSet { records }
@@ -68,18 +72,13 @@ impl SampleSet {
         self.records.iter().map(|r| r.num_occurrences).sum()
     }
 
-    /// Number of distinct assignments.
-    pub fn num_distinct(&self) -> usize {
-        self.records.len()
-    }
-
     /// The lowest-energy record, if any.
     pub fn lowest(&self) -> Option<&SampleRecord> {
         self.records.first()
     }
 
     /// All records whose energy is within `tol` of the minimum.
-    pub fn ground_records(&self, tol: f64) -> Vec<&SampleRecord> {
+    pub(crate) fn ground_records(&self, tol: f64) -> Vec<&SampleRecord> {
         match self.lowest() {
             Some(best) => self
                 .records
@@ -130,16 +129,6 @@ impl SampleSet {
             .sum();
         ground as f64 / total as f64
     }
-
-    /// Counts keyed by Boolean word (paper convention: spin −1 ↦ '1') — the
-    /// same shape the gate backend's shot counts use, so both paths decode
-    /// through the same result schema.
-    pub fn to_counts(&self) -> BTreeMap<String, u64> {
-        self.records
-            .iter()
-            .map(|r| (r.bitstring(), r.num_occurrences))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +149,7 @@ mod tests {
     fn aggregation_and_sorting() {
         let set = demo_set();
         assert_eq!(set.total_reads(), 5);
-        assert_eq!(set.num_distinct(), 4);
+        assert_eq!(set.records.len(), 4);
         // Sorted ascending by energy: the two ground states first.
         assert_eq!(set.records[0].energy, -4.0);
         assert_eq!(set.records[1].energy, -4.0);
@@ -205,16 +194,6 @@ mod tests {
         // Count +1 spins.
         let avg_up = set.expectation(|r| r.spins.iter().filter(|&&s| s == 1).count() as f64);
         assert!((avg_up - (2.0 * 3.0 + 4.0 + 2.0) / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counts_map_shape() {
-        let set = demo_set();
-        let counts = set.to_counts();
-        assert_eq!(counts["1010"], 2);
-        assert_eq!(counts["0101"], 1);
-        assert_eq!(counts["0000"], 1);
-        assert_eq!(counts.values().sum::<u64>(), 5);
     }
 
     #[test]

@@ -1,36 +1,23 @@
 //! Annealing schedules: how the inverse temperature β evolves over a read.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bqm::BinaryQuadraticModel;
 
-/// Interpolation used between β_min and β_max.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ScheduleKind {
-    /// Geometric (exponential) interpolation — the default used by Ocean's
-    /// `neal` sampler.
-    #[default]
-    Geometric,
-    /// Linear interpolation.
-    Linear,
-}
-
-/// An annealing schedule: a sequence of β values, one per sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Schedule {
+/// An annealing schedule: a sequence of β values, one per sweep, geometric
+/// (exponential) between β_min and β_max — the interpolation Ocean's `neal`
+/// sampler uses by default.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Schedule {
     /// Inverse temperature at the start (hot).
     pub beta_min: f64,
     /// Inverse temperature at the end (cold).
     pub beta_max: f64,
     /// Number of sweeps.
     pub num_sweeps: usize,
-    /// Interpolation kind.
-    pub kind: ScheduleKind,
 }
 
 impl Schedule {
     /// A geometric schedule over the given β range.
-    pub fn geometric(beta_min: f64, beta_max: f64, num_sweeps: usize) -> Self {
+    pub(crate) fn geometric(beta_min: f64, beta_max: f64, num_sweeps: usize) -> Self {
         assert!(
             beta_min > 0.0 && beta_max > beta_min,
             "need 0 < beta_min < beta_max"
@@ -40,15 +27,6 @@ impl Schedule {
             beta_min,
             beta_max,
             num_sweeps,
-            kind: ScheduleKind::Geometric,
-        }
-    }
-
-    /// A linear schedule over the given β range.
-    pub fn linear(beta_min: f64, beta_max: f64, num_sweeps: usize) -> Self {
-        Schedule {
-            kind: ScheduleKind::Linear,
-            ..Schedule::geometric(beta_min, beta_max, num_sweeps)
         }
     }
 
@@ -56,7 +34,7 @@ impl Schedule {
     /// Ocean's `neal`: start hot enough that the largest possible move is
     /// accepted with probability ½, end cold enough that a unit move is
     /// accepted with probability 1 %.
-    pub fn default_for(bqm: &BinaryQuadraticModel, num_sweeps: usize) -> Self {
+    pub(crate) fn default_for(bqm: &BinaryQuadraticModel, num_sweeps: usize) -> Self {
         let max_field = bqm.max_effective_field().max(1e-9);
         let beta_min = (2.0f64).ln() / (2.0 * max_field);
         let beta_max = (100.0f64).ln() / 1.0_f64.min(max_field).max(1e-3);
@@ -64,20 +42,17 @@ impl Schedule {
     }
 
     /// The β value used at sweep `i` (0-based).
-    pub fn beta_at(&self, i: usize) -> f64 {
+    pub(crate) fn beta_at(&self, i: usize) -> f64 {
         assert!(i < self.num_sweeps);
         if self.num_sweeps == 1 {
             return self.beta_max;
         }
         let t = i as f64 / (self.num_sweeps - 1) as f64;
-        match self.kind {
-            ScheduleKind::Linear => self.beta_min + t * (self.beta_max - self.beta_min),
-            ScheduleKind::Geometric => self.beta_min * (self.beta_max / self.beta_min).powf(t),
-        }
+        self.beta_min * (self.beta_max / self.beta_min).powf(t)
     }
 
     /// All β values in sweep order.
-    pub fn betas(&self) -> Vec<f64> {
+    pub(crate) fn betas(&self) -> Vec<f64> {
         (0..self.num_sweeps).map(|i| self.beta_at(i)).collect()
     }
 }
@@ -93,13 +68,6 @@ mod tests {
         assert!((betas[0] - 0.1).abs() < 1e-12);
         assert!((betas[49] - 10.0).abs() < 1e-9);
         assert!(betas.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn linear_schedule_is_evenly_spaced() {
-        let s = Schedule::linear(1.0, 5.0, 5);
-        let betas = s.betas();
-        assert_eq!(betas, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]

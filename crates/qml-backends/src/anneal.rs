@@ -16,7 +16,7 @@ use crate::results::{Counts, EnergyStats, ExecutionResult};
 use crate::traits::{Backend, PlanFetch};
 
 /// Default engine identifier served by [`AnnealBackend`].
-pub const DEFAULT_ANNEAL_ENGINE: &str = "anneal.simulated_annealer";
+pub(crate) const DEFAULT_ANNEAL_ENGINE: &str = "anneal.simulated_annealer";
 
 /// Default Metropolis sweeps per read when the context does not specify them.
 pub const DEFAULT_SWEEPS: u64 = 200;
@@ -221,7 +221,7 @@ mod tests {
     use super::*;
     use qml_algorithms::{maxcut_ising_program, qaoa_maxcut_program, QaoaSchedule, RING_P1_ANGLES};
     use qml_graph::{cut_value_of_bitstring, cycle};
-    use qml_types::ContextDescriptor;
+    use qml_types::{ContextDescriptor, ParamValue};
     use std::collections::BTreeMap;
 
     fn fig3_context() -> ContextDescriptor {
@@ -333,6 +333,52 @@ mod tests {
             AnnealBackend::new().execute(&bundle),
             Err(QmlError::Unsupported(_))
         ));
+    }
+
+    /// An Ising bundle with fields `h` and, if given, the one coupling `j`.
+    fn with_fields(
+        mut bundle: JobBundle,
+        h: [f64; 3],
+        j: Option<(usize, usize, f64)>,
+    ) -> JobBundle {
+        let op = &mut std::sync::Arc::make_mut(&mut bundle.operators)[0];
+        let h = h.iter().map(|&x| ParamValue::Float(x)).collect();
+        op.params.insert("h", ParamValue::List(h));
+        if let Some((a, b, w)) = j {
+            let coupling = vec![a.into(), b.into(), ParamValue::Float(w)];
+            op.params
+                .insert("j", ParamValue::List(vec![ParamValue::List(coupling)]));
+        }
+        bundle
+    }
+
+    /// A field that parses to infinity fails at the seal, and finite fields
+    /// whose sum overflows fail at lowering: both as validation errors, and
+    /// neither reaches the annealer's schedule, which asserts a finite range.
+    #[test]
+    fn non_finite_fields_are_validation_errors_not_panics() {
+        let base = maxcut_ising_program(&cycle(3)).unwrap();
+        let json = with_fields(base.clone(), [1.25, 0.0, 0.0], None)
+            .to_json()
+            .unwrap();
+        assert_eq!(json.matches("1.25").count(), 1, "{json}");
+        let parsed = JobBundle::from_json(&json.replace("1.25", "1e999"));
+        assert!(matches!(parsed, Err(QmlError::Validation(_))), "{parsed:?}");
+
+        let infinite = with_fields(base.clone(), [f64::INFINITY, 0.0, 0.0], None);
+        let overflowing = with_fields(base, [1e308, 0.0, 0.0], Some((0, 1, 1e308)));
+        assert!(
+            SealedBundle::seal(overflowing.clone()).is_ok(),
+            "finite: seals"
+        );
+        assert!(matches!(
+            lower_to_bqm(&overflowing),
+            Err(QmlError::Validation(_))
+        ));
+        for bundle in [infinite, overflowing] {
+            let run = std::panic::catch_unwind(|| AnnealBackend::new().execute(&bundle));
+            assert!(matches!(run, Ok(Err(QmlError::Validation(_)))), "{run:?}");
+        }
     }
 
     #[test]

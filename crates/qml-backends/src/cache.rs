@@ -452,7 +452,7 @@ impl TranspileCache {
 
     /// Like [`TranspileCache::gate_plan`], additionally reporting whether the
     /// lookup hit the cache — feeds the per-job `plan` trace events.
-    pub fn gate_plan_traced(
+    pub(crate) fn gate_plan_traced(
         &self,
         key: GatePlanKey,
         build: impl FnOnce() -> Result<GatePlan>,
@@ -462,7 +462,7 @@ impl TranspileCache {
 
     /// Like [`TranspileCache::anneal_plan`], additionally reporting whether
     /// the lookup hit the cache.
-    pub fn anneal_plan_traced(
+    pub(crate) fn anneal_plan_traced(
         &self,
         key: AnnealPlanKey,
         build: impl FnOnce() -> Result<AnnealPlan>,

@@ -25,7 +25,7 @@ use crate::results::ExecutionResult;
 use crate::traits::{Backend, PlanFetch};
 
 /// Default engine identifier served by [`GateBackend`].
-pub const DEFAULT_GATE_ENGINE: &str = "gate.statevector_simulator";
+pub(crate) const DEFAULT_GATE_ENGINE: &str = "gate.statevector_simulator";
 
 /// Execution defaults used when a bundle carries no context: an ideal
 /// all-to-all simulator with 1024 shots and seed 0.

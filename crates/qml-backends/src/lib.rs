@@ -12,6 +12,15 @@
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod anneal;
 pub mod cache;
@@ -21,12 +30,12 @@ pub mod results;
 pub mod testing;
 pub mod traits;
 
-pub use anneal::{AnnealBackend, DEFAULT_ANNEAL_ENGINE, DEFAULT_SWEEPS};
+pub use anneal::{AnnealBackend, DEFAULT_SWEEPS};
 pub use cache::{
     AnnealPlan, AnnealPlanKey, CacheStats, GatePlan, GatePlanKey, TranspileCache,
     DEFAULT_PLAN_CAPACITY,
 };
-pub use gate::{listing4_context, GateBackend, DEFAULT_GATE_ENGINE};
+pub use gate::{listing4_context, GateBackend};
 pub use lowering::{lower_to_bqm, lower_to_circuit, LoweredBqm, LoweredCircuit};
 pub use results::{Counts, EnergyStats, ExecutionResult};
 pub use testing::{FaultPlan, FaultyBackend};

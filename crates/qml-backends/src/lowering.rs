@@ -302,6 +302,19 @@ pub fn lower_to_bqm(bundle: &JobBundle) -> Result<LoweredBqm> {
         .find_qdt(&op.domain_qdt)
         .ok_or_else(|| QmlError::UnknownRegister(op.domain_qdt.clone()))?;
     let problem = parse_ising_operator(op, register.width)?;
+    // The annealer's default schedule divides by the largest field one
+    // variable feels, |h_i| + Σ_j |J_ij|. Each is a partial sum of this
+    // bound, so a bound below f64::MAX / 2 keeps every one finite.
+    let field_bound = problem.h.iter().map(|h| h.abs()).sum::<f64>()
+        + 2.0 * problem.j.iter().map(|&(_, _, j)| j.abs()).sum::<f64>();
+    if !field_bound.is_finite() || field_bound >= f64::MAX / 2.0 {
+        return Err(QmlError::Validation(format!(
+            "ISING_PROBLEM `{}` has fields summing to {field_bound:e}; \
+             the annealer needs them below {:e}",
+            op.name,
+            f64::MAX / 2.0
+        )));
+    }
     let bqm = BinaryQuadraticModel::from_ising(&problem.h, &problem.j);
     let schema = op
         .result_schema
@@ -429,6 +442,21 @@ mod tests {
     }
 
     #[test]
+    fn angle_encoding_lowers_to_one_ry_per_carrier() {
+        let register = QuantumDataType::bool_register("b", "b", 3).unwrap();
+        let encode = qml_algorithms::angle_encoding(&register, &[0.1, 0.2, 0.3]).unwrap();
+        let ops = qml_algorithms::with_measurement(vec![encode], &register).unwrap();
+        let lowered = lower_to_circuit(&JobBundle::new("enc", vec![register], ops)).unwrap();
+        let expected: Vec<Gate> = [0.1, 0.2, 0.3]
+            .iter()
+            .enumerate()
+            .map(|(i, &theta)| Gate::Ry(i, theta.into()))
+            .collect();
+        assert_eq!(lowered.circuit.gates(), &expected[..]);
+        assert_eq!(lowered.circuit.measured(), &[0, 1, 2]);
+    }
+
+    #[test]
     fn missing_measurement_rejected() {
         let register = qml_algorithms::ising_register(4).unwrap();
         let prep = qml_algorithms::qaoa::prep_uniform(&register).unwrap();
@@ -441,7 +469,11 @@ mod tests {
     fn unsupported_descriptor_rejected_by_gate_path() {
         let a = QuantumDataType::int_register("a", "a", 3).unwrap();
         let b = QuantumDataType::int_register("b", "b", 3).unwrap();
-        let add = qml_algorithms::adder(&a, &b).unwrap();
+        let add = qml_types::OperatorDescriptor::builder("add", RepKind::AdderTemplate, "a")
+            .codomain("b")
+            .param("width", 3usize)
+            .build()
+            .unwrap();
         let meas = qml_algorithms::with_measurement(vec![add], &b).unwrap();
         let bundle = JobBundle::new("adder", vec![a, b], meas);
         assert!(matches!(

@@ -68,14 +68,6 @@ impl ExecutionResult {
         *self.counts.get(word).unwrap_or(&0) as f64 / self.shots as f64
     }
 
-    /// The most frequent word (ties broken lexicographically).
-    pub fn most_frequent(&self) -> Option<(&str, u64)> {
-        self.counts
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(w, &n)| (w, n))
-    }
-
     /// Occurrence-weighted expectation of a word-level objective — the
     /// statistic behind the paper's "expected cut".
     pub fn expectation<F: Fn(&str) -> f64>(&self, objective: F) -> f64 {
@@ -124,7 +116,6 @@ mod tests {
         let r = demo_result();
         assert!((r.probability("1010") - 0.5).abs() < 1e-12);
         assert_eq!(r.probability("1111"), 0.0);
-        assert_eq!(r.most_frequent(), Some(("1010", 500)));
         let top = r.top_k(2);
         assert_eq!(top[0].0, "1010");
         assert_eq!(top[1].0, "0101");

@@ -5,9 +5,8 @@
 //! schedule*. [`FaultyBackend`] wraps any real [`Backend`] and injects
 //! [`QmlError::DeviceFault`] errors according to a scriptable [`FaultPlan`]:
 //! fail the nth execution (transient — the device recovers afterwards), fail
-//! every execution from an index onward (permanent — a dead device), fail
-//! every bundle with a given plan key (a poisoned plan class), or panic at
-//! the nth execution (a backend bug, not a device fault). Everything else
+//! every execution from an index onward (permanent — a dead device), or
+//! panic at the nth execution (a backend bug, not a device fault). Everything else
 //! delegates to the wrapped backend unchanged, so results on the
 //! non-faulting path stay bit-identical to the inner backend's.
 //!
@@ -38,9 +37,6 @@ pub struct FaultPlan {
     /// Permanent fault: every execution with index `>= fail_from` fails —
     /// the device is dead from that point on.
     pub fail_from: Option<u64>,
-    /// Fail every bundle whose plan key (per the inner backend's
-    /// [`Backend::batch_key`]) is in this set, regardless of index.
-    pub fail_plan_keys: BTreeSet<u64>,
     /// Execution indices at which the wrapper **panics** instead of
     /// returning an error — a bug inside a backend, which the runtime has to
     /// contain at its job boundary.
@@ -67,21 +63,14 @@ impl FaultPlan {
         self
     }
 
-    /// Fail every bundle with this plan key, builder-style.
-    pub fn with_fail_plan_key(mut self, key: u64) -> Self {
-        self.fail_plan_keys.insert(key);
-        self
-    }
-
     /// Panic at the executions with these 0-based indices, builder-style.
     pub fn with_panic_nth(mut self, indices: impl IntoIterator<Item = u64>) -> Self {
         self.panic_nth.extend(indices);
         self
     }
 
-    /// The fault scheduled for execution `index` of a bundle with the given
-    /// plan key, if any.
-    pub fn fault_for(&self, index: u64, plan_key: Option<u64>) -> Option<QmlError> {
+    /// The fault scheduled for execution `index`, if any.
+    fn fault_for(&self, index: u64) -> Option<QmlError> {
         if self.fail_from.is_some_and(|from| index >= from) {
             return Some(QmlError::DeviceFault(format!(
                 "injected permanent fault (execution #{index})"
@@ -91,13 +80,6 @@ impl FaultPlan {
             return Some(QmlError::DeviceFault(format!(
                 "injected transient fault (execution #{index})"
             )));
-        }
-        if let Some(key) = plan_key {
-            if self.fail_plan_keys.contains(&key) {
-                return Some(QmlError::DeviceFault(format!(
-                    "injected fault for plan key {key:016x} (execution #{index})"
-                )));
-            }
         }
         None
     }
@@ -111,7 +93,6 @@ pub struct FaultyBackend<B: Backend> {
     inner: B,
     plan: FaultPlan,
     executions: AtomicU64,
-    faults_injected: AtomicU64,
 }
 
 impl<B: Backend> FaultyBackend<B> {
@@ -121,37 +102,20 @@ impl<B: Backend> FaultyBackend<B> {
             inner,
             plan,
             executions: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
         }
-    }
-
-    /// Total executions attempted so far (faulted ones included).
-    pub fn executions(&self) -> u64 {
-        self.executions.load(Ordering::Relaxed)
-    }
-
-    /// How many faults the plan has injected so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
     }
 
     /// Claim the next execution index and return the scheduled fault for it,
     /// if any — or panic, if the plan schedules a panic there.
-    fn check(&self, bundle: &SealedBundle) -> Option<QmlError> {
+    // A scheduled panic is the backend bug under test; the runtime's job
+    // boundary contains it.
+    #[allow(clippy::panic)]
+    fn check(&self) -> Option<QmlError> {
         let index = self.executions.fetch_add(1, Ordering::Relaxed);
         if self.plan.panic_nth.contains(&index) {
             panic!("injected panic (execution #{index})");
         }
-        let fault = self.plan.fault_for(index, self.inner.batch_key(bundle));
-        if fault.is_some() {
-            self.faults_injected.fetch_add(1, Ordering::Relaxed);
-        }
-        fault
+        self.plan.fault_for(index)
     }
 }
 
@@ -175,7 +139,7 @@ impl<B: Backend> Backend for FaultyBackend<B> {
         bundle: &SealedBundle,
         cache: &TranspileCache,
     ) -> (Result<ExecutionResult>, Option<PlanFetch>) {
-        match self.check(bundle) {
+        match self.check() {
             Some(fault) => (Err(fault), None),
             None => self.inner.execute_sealed(bundle, cache),
         }
@@ -222,8 +186,6 @@ mod tests {
         let err = backend.execute(&bundle).unwrap_err();
         assert!(err.is_device_fault(), "scheduled index faults: {err}");
         assert!(backend.execute(&bundle).is_ok(), "transient: recovers");
-        assert_eq!(backend.executions(), 3);
-        assert_eq!(backend.faults_injected(), 1);
     }
 
     #[test]
@@ -235,17 +197,6 @@ mod tests {
         for _ in 0..3 {
             assert!(backend.execute(&bundle).unwrap_err().is_device_fault());
         }
-        assert_eq!(backend.faults_injected(), 3);
-    }
-
-    #[test]
-    fn plan_key_fault_targets_one_plan_class() {
-        let inner = GateBackend::new();
-        let bundle = job();
-        let sealed = SealedBundle::seal(bundle.clone()).unwrap();
-        let key = inner.batch_key(&sealed).expect("gate bundles have keys");
-        let backend = FaultyBackend::new(inner, FaultPlan::none().with_fail_plan_key(key));
-        assert!(backend.execute(&bundle).unwrap_err().is_device_fault());
     }
 
     #[test]
@@ -275,6 +226,5 @@ mod tests {
         let (third, fetch) = backend.execute_sealed(&sealed, &cache);
         assert!(third.is_ok());
         assert_eq!(fetch.map(|f| f.hit), Some(true));
-        assert_eq!(backend.executions(), 3);
     }
 }

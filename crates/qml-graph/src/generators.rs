@@ -69,7 +69,8 @@ pub fn random_gnp(n: usize, p: f64, seed: u64) -> Graph {
 }
 
 /// Erdős–Rényi G(n, p) with uniformly random weights in `[w_min, w_max]`.
-pub fn random_weighted_gnp(n: usize, p: f64, w_min: f64, w_max: f64, seed: u64) -> Graph {
+#[cfg(test)]
+pub(crate) fn random_weighted_gnp(n: usize, p: f64, w_min: f64, w_max: f64, seed: u64) -> Graph {
     assert!(w_min <= w_max, "weight range must be non-empty");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Graph::new(n);

@@ -2,7 +2,6 @@
 //! Max-Cut proof of concept (§5).
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// An undirected weighted graph G = (V, E, w) with vertices `0..num_nodes`.
 ///
@@ -24,7 +23,7 @@ impl Graph {
     }
 
     /// Build a graph from an edge list with uniform weight 1.
-    pub fn from_edges(num_nodes: usize, edges: &[(usize, usize)]) -> Self {
+    pub(crate) fn from_edges(num_nodes: usize, edges: &[(usize, usize)]) -> Self {
         let mut g = Graph::new(num_nodes);
         for &(u, v) in edges {
             g.add_edge(u, v, 1.0);
@@ -77,27 +76,20 @@ impl Graph {
     }
 
     /// Unweighted edge list (u, v) with u < v.
-    pub fn edge_list(&self) -> Vec<(usize, usize)> {
+    #[cfg(test)]
+    pub(crate) fn edge_list(&self) -> Vec<(usize, usize)> {
         self.edges.iter().map(|&(u, v, _)| (u, v)).collect()
     }
 
     /// Total edge weight Σ w_ij.
-    pub fn total_weight(&self) -> f64 {
+    pub(crate) fn total_weight(&self) -> f64 {
         self.edges.iter().map(|&(_, _, w)| w).sum()
     }
 
-    /// Weight of the edge (u, v) if present.
-    pub fn weight(&self, u: usize, v: usize) -> Option<f64> {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges
-            .iter()
-            .find(|&&(x, y, _)| x == a && y == b)
-            .map(|&(_, _, w)| w)
-    }
-
     /// Neighbors of vertex `v`.
-    pub fn neighbors(&self, v: usize) -> Vec<usize> {
-        let mut out: BTreeSet<usize> = BTreeSet::new();
+    #[cfg(test)]
+    pub(crate) fn neighbors(&self, v: usize) -> Vec<usize> {
+        let mut out = std::collections::BTreeSet::new();
         for &(a, b, _) in &self.edges {
             if a == v {
                 out.insert(b);
@@ -109,12 +101,14 @@ impl Graph {
     }
 
     /// Degree of vertex `v`.
-    pub fn degree(&self, v: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn degree(&self, v: usize) -> usize {
         self.neighbors(v).len()
     }
 
     /// Maximum degree over all vertices.
-    pub fn max_degree(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn max_degree(&self) -> usize {
         (0..self.num_nodes)
             .map(|v| self.degree(v))
             .max()
@@ -140,8 +134,8 @@ mod tests {
         assert_eq!(g.neighbors(0), vec![1, 3]);
         assert_eq!(g.degree(2), 2);
         assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.weight(3, 0), Some(1.0));
-        assert_eq!(g.weight(0, 2), None);
+        assert!(g.edges().contains(&(0, 3, 1.0)));
+        assert!(!g.edges().iter().any(|&(u, v, _)| (u, v) == (0, 2)));
     }
 
     #[test]
@@ -149,8 +143,6 @@ mod tests {
         let mut g = Graph::new(3);
         g.add_edge(2, 0, 1.5);
         assert_eq!(g.edges(), &[(0, 2, 1.5)]);
-        assert_eq!(g.weight(0, 2), Some(1.5));
-        assert_eq!(g.weight(2, 0), Some(1.5));
     }
 
     #[test]
@@ -158,8 +150,7 @@ mod tests {
         let mut g = Graph::new(2);
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 0, 2.0);
-        assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.weight(0, 1), Some(3.0));
+        assert_eq!(g.edges(), &[(0, 1, 3.0)]);
     }
 
     #[test]

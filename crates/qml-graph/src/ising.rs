@@ -89,12 +89,6 @@ pub fn spins_to_cut(graph: &Graph, spins: &[i8]) -> f64 {
     energy_to_cut(graph, ising.energy(spins))
 }
 
-/// Convert Boolean labels (the middle layer's AS_BOOL readout) to spins using
-/// the paper's convention 0 ↦ +1, 1 ↦ −1.
-pub fn bools_to_spins(bits: &[bool]) -> Vec<i8> {
-    bits.iter().map(|&b| if b { -1 } else { 1 }).collect()
-}
-
 /// A QUBO problem: minimize xᵀ Q x over x ∈ {0,1}ⁿ, with Q upper-triangular
 /// (diagonal = linear terms).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -178,6 +172,13 @@ pub fn ising_to_qubo(ising: &IsingProblem) -> QuboProblem {
         q,
         offset,
     }
+}
+
+/// Convert Boolean labels (the middle layer's AS_BOOL readout) to spins using
+/// the paper's convention 0 ↦ +1, 1 ↦ −1.
+#[cfg(test)]
+pub(crate) fn bools_to_spins(bits: &[bool]) -> Vec<i8> {
+    bits.iter().map(|&b| if b { -1 } else { 1 }).collect()
 }
 
 #[cfg(test)]

@@ -15,20 +15,22 @@ pub mod graph;
 pub mod ising;
 pub mod maxcut;
 
-pub use generators::{complete, cycle, grid, path, random_gnp, random_weighted_gnp};
+pub use generators::{complete, cycle, grid, path, random_gnp};
 pub use graph::Graph;
 pub use ising::{
-    bools_to_spins, energy_to_cut, ising_to_qubo, maxcut_to_ising, maxcut_to_qubo, spins_to_cut,
-    IsingProblem, QuboProblem,
+    energy_to_cut, ising_to_qubo, maxcut_to_ising, maxcut_to_qubo, spins_to_cut, IsingProblem,
+    QuboProblem,
 };
 pub use maxcut::{
-    all_optimal_bitstrings, brute_force, cut_value, cut_value_of_bitstring, greedy, local_search,
-    multi_start_local_search, random_baseline_expectation, CutSolution,
+    all_optimal_bitstrings, brute_force, cut_value_of_bitstring, greedy, multi_start_local_search,
+    random_baseline_expectation, CutSolution,
 };
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::ising::bools_to_spins;
+    use crate::maxcut::{cut_value, local_search};
     use proptest::prelude::*;
 
     proptest! {

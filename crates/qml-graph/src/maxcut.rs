@@ -13,7 +13,7 @@ use crate::graph::Graph;
 
 /// Weight of the cut induced by `assignment` (vertex i in S iff
 /// `assignment[i]`).
-pub fn cut_value(graph: &Graph, assignment: &[bool]) -> f64 {
+pub(crate) fn cut_value(graph: &Graph, assignment: &[bool]) -> f64 {
     assert_eq!(
         assignment.len(),
         graph.num_nodes(),
@@ -136,7 +136,7 @@ fn cut_value_prefix(graph: &Graph, assignment: &[bool], placed: usize) -> f64 {
 
 /// Single-flip local search from a random start: repeatedly flip the vertex
 /// that most improves the cut until no single flip improves it.
-pub fn local_search(graph: &Graph, seed: u64) -> CutSolution {
+pub(crate) fn local_search(graph: &Graph, seed: u64) -> CutSolution {
     let n = graph.num_nodes();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut assignment: Vec<bool> = (0..n).map(|_| rng.gen()).collect();

@@ -7,9 +7,9 @@
 //! width grows with magnitude, keeping *relative* error bounded across the
 //! whole `u64` range at a fixed, small memory cost.
 //!
-//! This implementation uses [`SUB_BUCKETS`] (8) sub-buckets per octave, so a
+//! This implementation uses `SUB_BUCKETS` (8) sub-buckets per octave, so a
 //! reported percentile overstates the true sample by at most `1/8 = 12.5 %`
-//! (values below [`LINEAR_MAX`] are exact). Counters saturate instead of
+//! (values below `LINEAR_MAX` are exact). Counters saturate instead of
 //! wrapping, histograms [`merge`](Histogram::merge) element-wise, and
 //! [`percentile`](Histogram::percentile) is nearest-rank over the cumulative
 //! counts — the bucket containing the rank-th smallest sample is found
@@ -25,10 +25,10 @@ const SUB_BITS: u32 = 3;
 
 /// Linear sub-buckets per octave: each bucket spans `1/SUB_BUCKETS` of its
 /// octave, bounding relative error at `1/SUB_BUCKETS`.
-pub const SUB_BUCKETS: u64 = 1 << SUB_BITS;
+pub(crate) const SUB_BUCKETS: u64 = 1 << SUB_BITS;
 
 /// Values below this are recorded exactly (one bucket per value).
-pub const LINEAR_MAX: u64 = SUB_BUCKETS * 2;
+pub(crate) const LINEAR_MAX: u64 = SUB_BUCKETS * 2;
 
 /// Total bucket count covering the whole `u64` range: `LINEAR_MAX` exact
 /// buckets plus `SUB_BUCKETS` per octave for octaves `SUB_BITS+1 ..= 63`.
@@ -96,21 +96,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Largest recorded sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     /// Mean of recorded samples (0.0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -122,7 +107,7 @@ impl Histogram {
 
     /// Nearest-rank percentile (`q` in `[0, 1]`): an upper bound for the
     /// `⌈q·count⌉`-th smallest sample, exact for values below
-    /// [`LINEAR_MAX`] and within `1/SUB_BUCKETS` relative error above it
+    /// `LINEAR_MAX` and within `1/SUB_BUCKETS` relative error above it
     /// (clamped to the observed maximum). Returns 0 on an empty histogram.
     pub fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -218,17 +203,6 @@ impl HistogramSet {
             .map(|(key, histogram)| (key.clone(), histogram.snapshot()))
             .collect()
     }
-
-    /// All keyed histograms merged into one (e.g. the all-tenants latency
-    /// distribution).
-    pub fn merged(&self) -> Histogram {
-        let inner = self.inner.lock();
-        let mut merged = Histogram::new();
-        for histogram in inner.values() {
-            merged.merge(histogram);
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -252,10 +226,10 @@ mod tests {
     #[test]
     fn empty_histogram_reports_zeros() {
         let histogram = Histogram::new();
-        assert!(histogram.is_empty());
+        assert_eq!(histogram.count, 0);
         assert_eq!(histogram.percentile(0.5), 0);
         assert_eq!(histogram.percentile(0.99), 0);
-        assert_eq!(histogram.max(), 0);
+        assert_eq!(histogram.max, 0);
         assert_eq!(histogram.mean(), 0.0);
         let snapshot = histogram.snapshot();
         assert_eq!(snapshot, HistogramSnapshot::default());
@@ -279,9 +253,9 @@ mod tests {
         histogram.record(u64::MAX);
         histogram.record(u64::MAX - 1);
         histogram.record(1);
-        assert_eq!(histogram.max(), u64::MAX);
+        assert_eq!(histogram.max, u64::MAX);
         assert_eq!(histogram.percentile(1.0), u64::MAX);
-        assert_eq!(histogram.count(), 3);
+        assert_eq!(histogram.count, 3);
     }
 
     #[test]
@@ -298,8 +272,8 @@ mod tests {
             combined.record(value);
         }
         a.merge(&b);
-        assert_eq!(a.count(), combined.count());
-        assert_eq!(a.max(), combined.max());
+        assert_eq!(a.count, combined.count);
+        assert_eq!(a.max, combined.max);
         for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
             assert_eq!(a.percentile(q), combined.percentile(q), "q={q}");
         }
@@ -315,7 +289,6 @@ mod tests {
         assert_eq!(snapshots.len(), 2);
         assert_eq!(snapshots["alice"].count, 2);
         assert_eq!(snapshots["bob"].count, 1);
-        assert_eq!(set.merged().count(), 3);
     }
 
     #[test]
@@ -364,8 +337,8 @@ mod tests {
             for &sample in &samples {
                 histogram.record(sample);
             }
-            prop_assert_eq!(histogram.max(), *samples.iter().max().unwrap());
-            prop_assert_eq!(histogram.percentile(1.0), histogram.max());
+            prop_assert_eq!(histogram.max, *samples.iter().max().unwrap());
+            prop_assert_eq!(histogram.percentile(1.0), histogram.max);
         }
     }
 }

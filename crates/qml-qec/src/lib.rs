@@ -24,8 +24,8 @@ pub mod service;
 pub mod surface;
 
 pub use repetition::RepetitionCode;
-pub use service::{CodeFamily, QecService, DEFAULT_PHYSICAL_ERROR_RATE};
-pub use surface::{ResourceEstimate, SurfaceCode, SURFACE_CODE_THRESHOLD};
+pub use service::{CodeFamily, QecService};
+pub use surface::{ResourceEstimate, SurfaceCode};
 
 #[cfg(test)]
 mod proptests {

@@ -30,22 +30,15 @@ impl RepetitionCode {
     }
 
     /// Encode a logical bit into `distance` physical bits.
-    pub fn encode(&self, logical: bool) -> Vec<bool> {
+    pub(crate) fn encode(&self, logical: bool) -> Vec<bool> {
         vec![logical; self.distance]
     }
 
     /// Majority-vote decoding of a physical word.
-    pub fn decode(&self, physical: &[bool]) -> bool {
+    pub(crate) fn decode(&self, physical: &[bool]) -> bool {
         assert_eq!(physical.len(), self.distance, "wrong codeword length");
         let ones = physical.iter().filter(|&&b| b).count();
         ones * 2 > self.distance
-    }
-
-    /// Syndrome of a physical word: pairwise parities of adjacent bits
-    /// (length d−1). All-zero syndrome means "no detected error".
-    pub fn syndrome(&self, physical: &[bool]) -> Vec<bool> {
-        assert_eq!(physical.len(), self.distance, "wrong codeword length");
-        physical.windows(2).map(|w| w[0] != w[1]).collect()
     }
 
     /// Exact logical error probability under i.i.d. bit-flip noise of
@@ -107,7 +100,6 @@ mod tests {
                 let word = code.encode(logical);
                 assert_eq!(word.len(), d);
                 assert_eq!(code.decode(&word), logical);
-                assert!(code.syndrome(&word).iter().all(|&s| !s));
             }
         }
     }
@@ -121,10 +113,6 @@ mod tests {
             assert!(
                 code.decode(&word),
                 "single flip at {flip} must be corrected"
-            );
-            assert!(
-                code.syndrome(&word).iter().any(|&s| s),
-                "error must be detected"
             );
         }
     }

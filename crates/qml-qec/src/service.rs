@@ -24,7 +24,7 @@ pub enum CodeFamily {
 }
 
 /// Default physical error rate assumed when the context does not specify one.
-pub const DEFAULT_PHYSICAL_ERROR_RATE: f64 = 1e-3;
+pub(crate) const DEFAULT_PHYSICAL_ERROR_RATE: f64 = 1e-3;
 
 /// The orthogonal QEC service: interprets a [`QecConfig`] and produces
 /// resource estimates for logical workloads.

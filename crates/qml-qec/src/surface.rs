@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Default threshold of the surface code under circuit-level noise.
-pub const SURFACE_CODE_THRESHOLD: f64 = 0.01;
+pub(crate) const SURFACE_CODE_THRESHOLD: f64 = 0.01;
 
 /// Resource model of a rotated surface code of a given distance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,7 +52,7 @@ impl SurfaceCode {
 
     /// Syndrome-extraction rounds needed per logical operation (one round per
     /// unit of code distance).
-    pub fn rounds_per_logical_op(&self) -> usize {
+    pub(crate) fn rounds_per_logical_op(&self) -> usize {
         self.distance
     }
 
@@ -61,16 +61,6 @@ impl SurfaceCode {
     pub fn logical_error_rate(&self) -> f64 {
         let ratio = self.physical_error_rate / self.threshold;
         0.1 * ratio.powf((self.distance as f64 + 1.0) / 2.0)
-    }
-
-    /// Error-suppression factor Λ = p_L(d) / p_L(d+2): how much the logical
-    /// error rate drops when the distance grows by two.
-    pub fn lambda(&self) -> f64 {
-        let next = SurfaceCode {
-            distance: self.distance + 2,
-            ..*self
-        };
-        self.logical_error_rate() / next.logical_error_rate()
     }
 
     /// Smallest odd distance whose logical error rate is below `target`
@@ -115,7 +105,7 @@ impl SurfaceCode {
     /// Estimate resources for a workload of `logical_qubits` qubits and
     /// `logical_ops` logical operations (circuit depth × width is a good
     /// proxy). A 50 % routing-space overhead is added for lattice surgery.
-    pub fn estimate(&self, logical_qubits: usize, logical_ops: usize) -> ResourceEstimate {
+    pub(crate) fn estimate(&self, logical_qubits: usize, logical_ops: usize) -> ResourceEstimate {
         let per_patch = self.physical_qubits_per_logical();
         let physical_qubits = (logical_qubits * per_patch * 3) / 2;
         let syndrome_rounds = logical_ops * self.rounds_per_logical_op();
@@ -154,8 +144,8 @@ mod tests {
             .collect();
         assert!(rates.windows(2).all(|w| w[1] < w[0]), "{rates:?}");
         // Below threshold, each +2 in distance suppresses by Λ = p_th/p = 10.
-        let code = SurfaceCode::new(7, p);
-        assert!((code.lambda() - 10.0).abs() < 1e-9);
+        let lambda = rates[2] / rates[3];
+        assert!((lambda - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -44,15 +44,13 @@ pub enum JobStatus {
     Failed(String),
 }
 
-/// A job submitted through [`Runtime::submit`]: the bundle, its status,
-/// and (eventually) its result.
+/// A job submitted through [`Runtime::submit`]: the bundle and its status.
 #[derive(Debug)]
 pub(crate) struct Job {
     /// The submitted bundle, sealed at submission: claiming the job shares
     /// it instead of copying it.
     bundle: SealedBundle,
     status: JobStatus,
-    result: Option<ExecutionResult>,
 }
 
 /// Everything the worker loop records about one executed job.
@@ -125,12 +123,6 @@ impl Runtime {
         self.tracer = tracer;
     }
 
-    /// The installed stage-event tracer ([`NoopTracer`] unless
-    /// [`Runtime::set_tracer`] replaced it).
-    pub fn tracer(&self) -> &Arc<dyn Tracer> {
-        &self.tracer
-    }
-
     /// A runtime with the built-in gate and annealing backends.
     pub fn with_default_backends() -> Self {
         Runtime::new(Scheduler::new(
@@ -151,7 +143,6 @@ impl Runtime {
         let job = Job {
             bundle,
             status: JobStatus::Queued,
-            result: None,
         };
         self.jobs.lock().insert(id, job);
         Ok(id)
@@ -160,11 +151,6 @@ impl Runtime {
     /// Status of a job.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
         self.jobs.lock().get(&id).map(|j| j.status.clone())
-    }
-
-    /// Result of a completed job.
-    pub fn result(&self, id: JobId) -> Option<ExecutionResult> {
-        self.jobs.lock().get(&id).and_then(|j| j.result.clone())
     }
 
     /// Execute one queued job synchronously: claim it (Queued → Running,
@@ -194,13 +180,10 @@ impl Runtime {
             .and_then(|placement| self.execute_claimed(id, &bundle, &placement).result);
         let mut jobs = self.jobs.lock();
         let job = jobs.get_mut(&id).expect("claimed jobs stay in the table");
-        match &result {
-            Ok(result) => {
-                job.status = JobStatus::Completed;
-                job.result = Some(result.clone());
-            }
-            Err(err) => job.status = JobStatus::Failed(err.to_string()),
-        }
+        job.status = match &result {
+            Ok(_) => JobStatus::Completed,
+            Err(err) => JobStatus::Failed(err.to_string()),
+        };
         result
     }
 
@@ -316,7 +299,6 @@ mod tests {
         let result = runtime.run_job(id).unwrap();
         assert_eq!(result.shots, 128);
         assert_eq!(runtime.status(id), Some(JobStatus::Completed));
-        assert_eq!(runtime.result(id).unwrap().shots, 128);
     }
 
     #[test]
@@ -366,7 +348,6 @@ mod tests {
         assert!(matches!(err, QmlError::Unsupported(_)), "{err}");
         assert!(err.to_string().contains("pulse.qblox_cluster"), "{err}");
         assert_eq!(runtime.status(id), Some(JobStatus::Failed(err.to_string())));
-        assert!(runtime.result(id).is_none());
         let stats = runtime.cache().stats();
         assert_eq!(
             (stats.hits, stats.misses),
@@ -533,7 +514,7 @@ mod tests {
     fn plan_and_bound(runtime: &Runtime) -> (Vec<(u64, bool)>, Vec<u64>) {
         let mut plans = Vec::new();
         let mut bounds = Vec::new();
-        for event in runtime.tracer().drain() {
+        for event in runtime.tracer.drain() {
             match event.stage {
                 Stage::Plan { cache_hit, .. } => plans.push((event.job, cache_hit)),
                 Stage::Bound => bounds.push(event.job),

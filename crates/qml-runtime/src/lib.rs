@@ -11,7 +11,8 @@
 //!   routine: a job runs as one backend call
 //!   ([`qml_backends::Backend::execute_sealed`]) on a placement chosen
 //!   before the call, through one shared transpilation/lowering cache.
-//!   [`Runtime::run_job`] places one queued job and runs it.
+//!   [`Runtime::run_job`] places one queued job, runs it and returns its
+//!   result; the job table keeps only each job's status.
 //! * [`pool`] — the one worker loop, fed by a [`JobSource`]: the
 //!   feed-while-running [`WorkerPool`] keeps it alive so long-lived services
 //!   accept and execute work continuously. A [`JobDispatch`] carries the
@@ -20,7 +21,8 @@
 //!   [`Runtime::submit`] and `run_job`. A worker runs a dispatch's members
 //!   one call each and reports each one as it finishes.
 //! * [`services`] — orthogonal context services (§4.3.1): a communication
-//!   estimator for partitioned (multi-QPU) execution.
+//!   estimator for partitioned (multi-QPU) execution. Nothing on the job
+//!   path calls it yet; `tests/runtime_scheduling.rs` is its caller.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
@@ -32,6 +34,6 @@ pub mod registry;
 pub mod services;
 
 pub use executor::{JobId, JobOutcome, JobStatus, Runtime};
-pub use pool::{JobDispatch, JobSource, OutcomeSink, WorkerPool};
+pub use pool::{JobDispatch, JobSource, WorkerPool};
 pub use registry::{BackendRegistry, Placement, Scheduler};
 pub use services::{estimate_communication, CommunicationEstimate};

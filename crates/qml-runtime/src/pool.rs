@@ -100,7 +100,7 @@ pub trait JobSource: Send + Sync {
 }
 
 /// The outcome sink a pool reports finished jobs to, in completion order.
-pub type OutcomeSink = dyn Fn(JobOutcome) + Send + Sync;
+pub(crate) type OutcomeSink = dyn Fn(JobOutcome) + Send + Sync;
 
 /// A long-lived pool of worker threads draining a shared [`JobSource`].
 ///

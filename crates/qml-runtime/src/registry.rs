@@ -47,17 +47,12 @@ impl BackendRegistry {
     }
 
     /// Names of all registered backends, in registration order.
-    pub fn names(&self) -> Vec<String> {
+    pub(crate) fn names(&self) -> Vec<String> {
         self.backends.iter().map(|b| b.name().to_string()).collect()
     }
 
-    /// Number of registered backends.
-    pub fn len(&self) -> usize {
-        self.backends.len()
-    }
-
     /// True if no backend is registered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.backends.is_empty()
     }
 
@@ -67,7 +62,7 @@ impl BackendRegistry {
     }
 
     /// The first backend that serves the given engine identifier.
-    pub fn find_for_engine(&self, engine: &str) -> Option<Arc<dyn Backend>> {
+    pub(crate) fn find_for_engine(&self, engine: &str) -> Option<Arc<dyn Backend>> {
         self.backends
             .iter()
             .find(|b| b.supports_engine(engine))
@@ -192,7 +187,7 @@ mod tests {
     #[test]
     fn registry_lists_default_backends() {
         let registry = BackendRegistry::with_default_backends();
-        assert_eq!(registry.len(), 2);
+        assert_eq!(registry.backends.len(), 2);
         assert!(registry.find_for_engine("gate.aer_simulator").is_some());
         assert!(registry.find_for_engine("anneal.neal_simulator").is_some());
         assert!(registry.find_for_engine("pulse.qblox").is_none());

@@ -33,17 +33,17 @@ pub const COST_UNITS_PER_SECOND: f64 = 100_000.0;
 /// EWMA smoothing factor: the weight of the newest observation. Large
 /// enough that a plan whose true cost shifts converges within a handful of
 /// outcomes, small enough that one outlier moves the estimate by under half.
-pub const COST_EWMA_ALPHA: f64 = 0.4;
+pub(crate) const COST_EWMA_ALPHA: f64 = 0.4;
 
 /// Per-job bound on the scheduler's deficit charge-back, as a multiple of
 /// the job's charged cost: generous enough that a genuine
 /// 10×-under-estimated job is charged back in full (a correction of
 /// ≤ 16 × the estimate covers it), tight enough that a 1000× outlier is
 /// amortized over the cost model instead of the deficit ledger.
-pub const CHARGE_BACK_CLAMP: f64 = 16.0;
+pub(crate) const CHARGE_BACK_CLAMP: f64 = 16.0;
 
 /// An EWMA-of-busy-seconds cost model keyed by realization-plan identity,
-/// smoothing with [`COST_EWMA_ALPHA`].
+/// smoothing with `COST_EWMA_ALPHA`.
 ///
 /// ```
 /// use qml_service::cost_model::CostModel;

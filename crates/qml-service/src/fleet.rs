@@ -19,7 +19,7 @@
 //!   of its tenant's queue until a slot frees;
 //! * observed [`DeviceFault`](qml_types::QmlError::DeviceFault) outcomes walk
 //!   a device down the [`HealthState`] ladder (healthy → degraded →
-//!   down at [`DOWN_THRESHOLD`] consecutive faults); any success — including a
+//!   down at `DOWN_THRESHOLD` consecutive faults); any success — including a
 //!   recovery probe, routed to a down device once per `probe_interval`
 //!   settled outcomes — restores it to healthy;
 //! * operators can [`cordon`](FleetRouter::cordon) a device for maintenance:
@@ -50,7 +50,7 @@ use qml_types::{CapabilityDescriptor, HealthState, JobRequirements};
 use crate::cost_model::CostModel;
 
 /// Consecutive device faults that take a device from degraded to down.
-pub const DOWN_THRESHOLD: u32 = 2;
+pub(crate) const DOWN_THRESHOLD: u32 = 2;
 
 /// Relative band around the cheapest capable device's predicted cost within
 /// which devices are considered tied (the least-loaded tied device wins).
@@ -206,7 +206,7 @@ pub struct FleetRouter {
 }
 
 impl FleetRouter {
-    /// A router over `specs`. [`DOWN_THRESHOLD`] consecutive faults take a
+    /// A router over `specs`. `DOWN_THRESHOLD` consecutive faults take a
     /// device down, and a down device receives one recovery probe every
     /// `probe_interval` settled outcomes (0 = never).
     pub fn new(specs: Vec<DeviceSpec>, probe_interval: u64) -> Self {

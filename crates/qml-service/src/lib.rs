@@ -26,10 +26,10 @@
 //!   starve another tenant's single job.
 //! * **Measured-cost fairness** — deficit is reconciled against *observed*
 //!   busy-seconds, not placement guesses: a job is priced at its plan's
-//!   measured EWMA in an online per-plan-key [`CostModel`] once the plan
+//!   measured EWMA in an online per-plan-key [`CostModel`](cost_model::CostModel) once the plan
 //!   has one, else at its own prior, and every recorded outcome charges the
 //!   estimate error, clamped per job, back to the tenant's deficit
-//!   ([`COST_EWMA_ALPHA`] / [`CHARGE_BACK_CLAMP`]), so a systematically
+//!   (`COST_EWMA_ALPHA` = 0.4, `CHARGE_BACK_CLAMP` = 16), so a systematically
 //!   under-estimated workload cannot hog device time. The scheduler reads
 //!   no clock: the service passes every policy decision its `now`.
 //! * **Micro-batched dispatch** — up to [`ServiceConfig::max_batch`]
@@ -69,7 +69,7 @@
 //!   per-backend queue-wait / execute-latency percentiles, and one
 //!   versioned [`ObservabilitySnapshot`] folding every metric surface
 //!   together — exported as JSON ([`QmlService::snapshot`] /
-//!   [`ServiceHandle::dump_jsonl`]) or greppable `key=value` text.
+//!   [`ObservabilitySnapshot::to_jsonl`]) or greppable `key=value` text.
 //!
 //! ## Example
 //!
@@ -114,13 +114,13 @@ pub mod scheduler;
 pub mod service;
 pub mod sweep;
 
-pub use cost_model::{CostModel, CHARGE_BACK_CLAMP, COST_EWMA_ALPHA, COST_UNITS_PER_SECOND};
-pub use fleet::{DeviceSpec, DeviceUtilization, FleetRouter, COST_TIE_BAND, DOWN_THRESHOLD};
+pub use cost_model::COST_UNITS_PER_SECOND;
+pub use fleet::{DeviceSpec, DeviceUtilization, FleetRouter, COST_TIE_BAND};
 pub use metrics::{
     BackendUtilization, CacheStats, ClassStats, RunSummary, SchedulerMetrics, ServiceMetrics,
     TenantStats,
 };
-pub use observe::{LatencyBreakdown, MetricsRegistry, ObservabilitySnapshot, SNAPSHOT_VERSION};
+pub use observe::{LatencyBreakdown, ObservabilitySnapshot, SNAPSHOT_VERSION};
 pub use scheduler::{RateLimit, TenantPolicy};
-pub use service::{BatchId, QmlService, ServiceConfig, ServiceHandle, DEFAULT_MAX_BATCH};
+pub use service::{BatchId, QmlService, ServiceConfig, ServiceHandle};
 pub use sweep::SweepRequest;

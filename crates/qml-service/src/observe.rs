@@ -4,18 +4,18 @@
 //! Before this module, the stack's health lived on three disconnected
 //! surfaces — [`ServiceMetrics`], [`SchedulerMetrics`](crate::SchedulerMetrics)
 //! and [`CacheStats`](crate::CacheStats) — with no latency percentiles and no
-//! way to follow one job through its life. [`MetricsRegistry`] is the single
+//! way to follow one job through its life. `MetricsRegistry` is the single
 //! sink the service, scheduler, and runtime report through:
 //!
 //! * a shared [`Tracer`] (one epoch for every layer's stage events), and
 //! * four [`HistogramSet`]s: queue-wait and execute latency, each keyed per
 //!   tenant and per backend.
 //!
-//! [`MetricsRegistry::snapshot`] folds all of it — the three legacy metric
+//! `MetricsRegistry::snapshot` folds all of it — the three legacy metric
 //! surfaces (the cost-model gauges live in the scheduler's), the latency
 //! percentiles, and the tracer's buffer health — into one versioned,
 //! serde-serializable [`ObservabilitySnapshot`], exportable as JSON
-//! ([`ObservabilitySnapshot::to_json`] / [`to_jsonl`](ObservabilitySnapshot::to_jsonl))
+//! ([`ObservabilitySnapshot::to_jsonl`])
 //! or as greppable `key=value` text ([`ObservabilitySnapshot::dump_kv`]) —
 //! the format a future fleet front-end will diff across PRs.
 
@@ -83,11 +83,6 @@ pub struct ObservabilitySnapshot {
 }
 
 impl ObservabilitySnapshot {
-    /// Pretty-printed JSON (multi-line, for humans).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_default()
-    }
-
     /// One JSON line (no interior newlines) — append to a `.jsonl` file to
     /// record a trajectory of snapshots across runs or PRs.
     pub fn to_jsonl(&self) -> String {
@@ -208,7 +203,7 @@ fn latency_kv(wait: &HistogramSnapshot, exec: &HistogramSnapshot) -> String {
 /// shared — behind one `Arc` — by the service core, the fair scheduler, and
 /// (tracer only) the runtime, so all timestamps share one epoch.
 #[derive(Debug)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     tracer: Arc<dyn Tracer>,
     tenant_wait: HistogramSet,
     tenant_exec: HistogramSet,
@@ -221,7 +216,7 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// A registry recording through `tracer` (pass [`NoopTracer`] for
     /// histogram-only observability).
-    pub fn new(tracer: Arc<dyn Tracer>) -> Self {
+    pub(crate) fn new(tracer: Arc<dyn Tracer>) -> Self {
         MetricsRegistry {
             tracer,
             tenant_wait: HistogramSet::new(),
@@ -234,18 +229,18 @@ impl MetricsRegistry {
     }
 
     /// The shared stage-event tracer.
-    pub fn tracer(&self) -> &Arc<dyn Tracer> {
+    pub(crate) fn tracer(&self) -> &Arc<dyn Tracer> {
         &self.tracer
     }
 
     /// True if stage events are retained (callers skip event preparation
     /// when false — the [`NoopTracer`] fast path).
-    pub fn tracing_enabled(&self) -> bool {
+    pub(crate) fn tracing_enabled(&self) -> bool {
         self.tracer.enabled()
     }
 
     /// Record one stage event for a service job.
-    pub fn trace(
+    pub(crate) fn trace(
         &self,
         job: JobId,
         tenant: Option<&Arc<str>>,
@@ -283,7 +278,7 @@ impl MetricsRegistry {
 
     /// Fold the given service surface, the latency histograms and the
     /// tracer health into one versioned snapshot.
-    pub fn snapshot(&self, service: ServiceMetrics) -> ObservabilitySnapshot {
+    pub(crate) fn snapshot(&self, service: ServiceMetrics) -> ObservabilitySnapshot {
         ObservabilitySnapshot {
             version: SNAPSHOT_VERSION,
             latency: LatencyBreakdown {

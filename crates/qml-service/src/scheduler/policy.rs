@@ -28,7 +28,8 @@ pub struct RateLimit {
 impl RateLimit {
     /// A limit of `jobs_per_second` with a burst allowance of the same size
     /// (at least one job).
-    pub fn per_second(jobs_per_second: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn per_second(jobs_per_second: f64) -> Self {
         RateLimit {
             jobs_per_second,
             burst: jobs_per_second.max(1.0),
@@ -36,7 +37,8 @@ impl RateLimit {
     }
 
     /// Replace the burst allowance, builder-style.
-    pub fn with_burst(mut self, burst: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_burst(mut self, burst: f64) -> Self {
         self.burst = burst;
         self
     }

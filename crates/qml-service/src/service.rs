@@ -27,9 +27,8 @@ pub struct BatchId(pub u64);
 /// scheduling policies the fair scheduler enforces.
 ///
 /// The measured-cost loop and the fleet's health ladder run at fixed
-/// constants, not knobs: [`COST_EWMA_ALPHA`](crate::COST_EWMA_ALPHA),
-/// [`CHARGE_BACK_CLAMP`](crate::CHARGE_BACK_CLAMP) and
-/// [`DOWN_THRESHOLD`](crate::DOWN_THRESHOLD).
+/// constants, not knobs: `COST_EWMA_ALPHA` (0.4), `CHARGE_BACK_CLAMP` (16)
+/// and `DOWN_THRESHOLD` (2).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads in the streaming pool (and in `run_pending` drains).
@@ -37,7 +36,7 @@ pub struct ServiceConfig {
     /// Largest number of plan-compatible throughput-class jobs the fair
     /// scheduler may coalesce into one device-level dispatch (see the
     /// micro-batching notes on [`QmlService`]). `1` disables batching; the
-    /// default is [`DEFAULT_MAX_BATCH`]. Latency-class dispatches
+    /// default is `DEFAULT_MAX_BATCH` (8). Latency-class dispatches
     /// ([`ServiceClass::Latency`](qml_types::ServiceClass)) are always capped
     /// at two members, whatever this says.
     pub max_batch: usize,
@@ -69,7 +68,7 @@ pub struct ServiceConfig {
 /// Default [`ServiceConfig::max_batch`]: large enough that sweep traffic
 /// amortizes dispatch and realization overhead, small enough that a batch
 /// does not serialize a whole sweep onto one worker of a small pool.
-pub const DEFAULT_MAX_BATCH: usize = 8;
+pub(crate) const DEFAULT_MAX_BATCH: usize = 8;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -139,7 +138,7 @@ impl ServiceConfig {
     }
 
     /// The policy governing `tenant`.
-    pub fn policy_for(&self, tenant: &str) -> &TenantPolicy {
+    pub(crate) fn policy_for(&self, tenant: &str) -> &TenantPolicy {
         self.tenant_policies
             .get(tenant)
             .unwrap_or(&self.default_policy)
@@ -472,7 +471,6 @@ impl QmlService {
     /// The unified observability snapshot: [`QmlService::metrics`] folded
     /// together with per-tenant / per-backend latency percentiles,
     /// cost-model gauges, and trace-buffer health. Serialize it with
-    /// [`ObservabilitySnapshot::to_json`] /
     /// [`to_jsonl`](ObservabilitySnapshot::to_jsonl), or grep it via
     /// [`dump_kv`](ObservabilitySnapshot::dump_kv).
     pub fn snapshot(&self) -> ObservabilitySnapshot {
@@ -551,19 +549,6 @@ impl ServiceHandle {
     /// [`QmlService::run_pending`]. Returns the summary of the run so far.
     pub fn abort(mut self) -> RunSummary {
         self.shutdown(Mode::Aborting)
-    }
-
-    /// The unified observability snapshot of the running service — same as
-    /// [`QmlService::snapshot`], offered on the handle so operators holding
-    /// only the handle can poll health mid-run.
-    pub fn snapshot(&self) -> ObservabilitySnapshot {
-        self.service.snapshot()
-    }
-
-    /// One JSON line of the current [`ObservabilitySnapshot`] — append to a
-    /// `.jsonl` log to record a performance trajectory over a run's life.
-    pub fn dump_jsonl(&self) -> String {
-        self.snapshot().to_jsonl()
     }
 
     /// Shut the pool down in `mode`: wake the workers to it, wait for them

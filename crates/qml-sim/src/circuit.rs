@@ -268,7 +268,7 @@ impl Circuit {
     /// The inverse circuit: gates reversed and individually inverted.
     /// Measurements are not carried over (the inverse of a measured circuit
     /// is only meaningful up to the measurement).
-    pub fn inverse(&self) -> Circuit {
+    pub(crate) fn inverse(&self) -> Circuit {
         Circuit {
             num_qubits: self.num_qubits,
             gates: self.gates.iter().rev().map(Gate::inverse).collect(),

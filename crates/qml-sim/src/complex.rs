@@ -24,20 +24,20 @@ impl Complex64 {
     /// The multiplicative identity 1.
     pub const ONE: Complex64 = Complex64 { re: 1.0, im: 0.0 };
     /// The imaginary unit i.
-    pub const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
+    pub(crate) const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
 
     /// Construct from real and imaginary parts.
-    pub const fn new(re: f64, im: f64) -> Self {
+    pub(crate) const fn new(re: f64, im: f64) -> Self {
         Complex64 { re, im }
     }
 
     /// A purely real value.
-    pub const fn real(re: f64) -> Self {
+    pub(crate) const fn real(re: f64) -> Self {
         Complex64 { re, im: 0.0 }
     }
 
     /// e^{iθ} = cos θ + i sin θ.
-    pub fn from_phase(theta: f64) -> Self {
+    pub(crate) fn from_phase(theta: f64) -> Self {
         Complex64 {
             re: theta.cos(),
             im: theta.sin(),
@@ -68,7 +68,7 @@ impl Complex64 {
     }
 
     /// Scale by a real factor.
-    pub fn scale(self, s: f64) -> Self {
+    pub(crate) fn scale(self, s: f64) -> Self {
         Complex64 {
             re: self.re * s,
             im: self.im * s,

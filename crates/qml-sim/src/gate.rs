@@ -144,7 +144,7 @@ impl Gate {
     }
 
     /// Substitute a slot-indexed value table into every symbolic angle.
-    pub fn bind(&self, values: &[f64]) -> Gate {
+    pub(crate) fn bind(&self, values: &[f64]) -> Gate {
         match *self {
             Gate::Rx(q, t) => Gate::Rx(q, t.bind(values)),
             Gate::Ry(q, t) => Gate::Ry(q, t.bind(values)),
@@ -384,23 +384,22 @@ pub fn matmul2(a: &[Complex64; 4], b: &[Complex64; 4]) -> [Complex64; 4] {
     ]
 }
 
-/// Check that a 2×2 matrix is unitary within `eps`.
-pub fn is_unitary2(m: &[Complex64; 4], eps: f64) -> bool {
-    // m† m = I
-    let dag = [m[0].conj(), m[2].conj(), m[1].conj(), m[3].conj()];
-    let p = matmul2(&dag, m);
-    p[0].approx_eq(Complex64::ONE, eps)
-        && p[3].approx_eq(Complex64::ONE, eps)
-        && p[1].approx_eq(Complex64::ZERO, eps)
-        && p[2].approx_eq(Complex64::ZERO, eps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::param::ParamExpr;
 
     const EPS: f64 = 1e-10;
+
+    /// Check that a 2×2 matrix is unitary within `eps`: m† m = I.
+    fn is_unitary2(m: &[Complex64; 4], eps: f64) -> bool {
+        let dag = [m[0].conj(), m[2].conj(), m[1].conj(), m[3].conj()];
+        let p = matmul2(&dag, m);
+        p[0].approx_eq(Complex64::ONE, eps)
+            && p[3].approx_eq(Complex64::ONE, eps)
+            && p[1].approx_eq(Complex64::ZERO, eps)
+            && p[2].approx_eq(Complex64::ZERO, eps)
+    }
 
     fn single_qubit_gates() -> Vec<Gate> {
         vec![

@@ -42,9 +42,9 @@ pub use circuit::{qft_circuit, Circuit, CircuitView};
 pub use complex::Complex64;
 pub use counts::Counts;
 pub use fusion::fused_op_count;
-pub use gate::{is_unitary2, matmul2, Gate, Qubits};
+pub use gate::{matmul2, Gate, Qubits};
 pub use overlay::BoundCircuit;
-pub use param::{ParamExpr, MAX_PARAM_TERMS};
+pub use param::ParamExpr;
 pub use simulator::{with_thread_scratch, SimScratch, SimulationResult, Simulator};
 pub use state::{DegenerateStateError, StateVector, MAX_QUBITS, PARALLEL_THRESHOLD};
 

@@ -64,7 +64,7 @@ impl BoundCircuit {
 
     /// Iterate the effective gates in application order: base gates with the
     /// overlay substituted at its sites — a merge walk, O(1) per gate.
-    pub fn gates(&self) -> impl Iterator<Item = &Gate> + '_ {
+    pub(crate) fn gates(&self) -> impl Iterator<Item = &Gate> + '_ {
         let overrides = &self.overrides;
         let mut next = 0usize;
         self.base.gates().iter().enumerate().map(move |(i, gate)| {

@@ -28,7 +28,7 @@ use std::fmt;
 /// Two terms cover every merge the built-in realization rules can produce
 /// (adjacent layers contribute at most one symbol each) while keeping
 /// `ParamExpr` — and therefore every `Gate` — small enough to copy freely.
-pub const MAX_PARAM_TERMS: usize = 2;
+pub(crate) const MAX_PARAM_TERMS: usize = 2;
 
 /// Sentinel slot marking an unused term entry.
 const NO_SYM: u32 = u32::MAX;
@@ -94,20 +94,15 @@ impl ParamExpr {
     }
 
     /// Active `(slot, coefficient)` terms.
-    pub fn terms(&self) -> &[(u32, f64)] {
+    pub(crate) fn terms(&self) -> &[(u32, f64)] {
         &self.terms[..self.num_terms()]
-    }
-
-    /// Slots of every unbound symbol referenced by the expression.
-    pub fn slots(&self) -> impl Iterator<Item = u32> + '_ {
-        self.terms().iter().map(|&(s, _)| s)
     }
 
     /// Evaluate against a slot-indexed value table.
     ///
     /// # Panics
     /// Panics if a referenced slot is outside `values`.
-    pub fn eval(&self, values: &[f64]) -> f64 {
+    pub(crate) fn eval(&self, values: &[f64]) -> f64 {
         let mut acc = self.offset;
         for &(slot, coeff) in self.terms() {
             let v = *values
@@ -119,7 +114,7 @@ impl ParamExpr {
     }
 
     /// Substitute the slot table, producing a constant expression.
-    pub fn bind(&self, values: &[f64]) -> ParamExpr {
+    pub(crate) fn bind(&self, values: &[f64]) -> ParamExpr {
         if self.is_symbolic() {
             ParamExpr::constant(self.eval(values))
         } else {
@@ -128,7 +123,7 @@ impl ParamExpr {
     }
 
     /// The negated expression (`-e`). Exact for both constants and symbols.
-    pub fn neg(&self) -> ParamExpr {
+    pub(crate) fn neg(&self) -> ParamExpr {
         self.scale(-1.0)
     }
 
@@ -154,7 +149,7 @@ impl ParamExpr {
     }
 
     /// Affine sum `self + other`, or `None` when the result would carry more
-    /// than [`MAX_PARAM_TERMS`] distinct symbols (the caller then keeps the
+    /// than `MAX_PARAM_TERMS` distinct symbols (the caller then keeps the
     /// operands separate instead of merging).
     pub fn try_add(&self, other: &ParamExpr) -> Option<ParamExpr> {
         // Up to `2 × MAX_PARAM_TERMS` merged terms, held inline.

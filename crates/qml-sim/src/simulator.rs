@@ -70,24 +70,6 @@ pub struct SimulationResult {
     pub seed: u64,
 }
 
-impl SimulationResult {
-    /// Empirical probability of a word.
-    pub fn probability(&self, word: &str) -> f64 {
-        if self.shots == 0 {
-            return 0.0;
-        }
-        *self.counts.get(word).unwrap_or(&0) as f64 / self.shots as f64
-    }
-
-    /// The most frequent word (ties broken lexicographically).
-    pub fn most_frequent(&self) -> Option<(&str, u64)> {
-        self.counts
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(w, &n)| (w, n))
-    }
-}
-
 /// An ideal (noise-free) state-vector simulator.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Simulator;
@@ -100,7 +82,7 @@ impl Simulator {
 
     /// Evolve |0...0⟩ through the circuit and return the final state vector
     /// (measurements are ignored — this is the exact, pre-measurement state).
-    pub fn statevector(&self, circuit: &Circuit) -> StateVector {
+    pub(crate) fn statevector(&self, circuit: &Circuit) -> StateVector {
         self.statevector_view(circuit)
     }
 
@@ -206,7 +188,7 @@ mod tests {
         assert_eq!(result.counts.len(), 2);
         assert!(result.counts.contains_key("00"));
         assert!(result.counts.contains_key("11"));
-        assert!((result.probability("00") - 0.5).abs() < 0.05);
+        assert!((result.counts.get("00").copied().unwrap_or(0) as f64 / 4096.0 - 0.5).abs() < 0.05);
     }
 
     #[test]
@@ -258,7 +240,7 @@ mod tests {
         qc.extend(&[Gate::X(2)]);
         qc.measure(&[2, 0]);
         let result = Simulator::new().run(&qc, 10, 3);
-        assert_eq!(result.most_frequent(), Some(("10", 10)));
+        assert_eq!(result.counts.get("10"), Some(&10));
     }
 
     #[test]

@@ -172,16 +172,6 @@ impl StateVector {
         sv
     }
 
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
-    }
-
-    /// Number of amplitudes (2ⁿ).
-    pub fn dim(&self) -> usize {
-        self.amps.len()
-    }
-
     /// Amplitude of basis state |index⟩.
     pub fn amplitude(&self, index: usize) -> Complex64 {
         self.amps[index]
@@ -193,22 +183,19 @@ impl StateVector {
     }
 
     /// Squared norm (should always be ≈ 1).
-    pub fn norm_sqr(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn norm_sqr(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
     }
 
     /// Probability of measuring basis state |index⟩.
-    pub fn probability(&self, index: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn probability(&self, index: usize) -> f64 {
         self.amps[index].norm_sqr()
     }
 
-    /// Full probability distribution over basis states.
-    pub fn probabilities(&self) -> Vec<f64> {
-        self.amps.iter().map(|a| a.norm_sqr()).collect()
-    }
-
     /// Inner product ⟨self|other⟩.
-    pub fn inner_product(&self, other: &StateVector) -> Complex64 {
+    pub(crate) fn inner_product(&self, other: &StateVector) -> Complex64 {
         assert_eq!(self.num_qubits, other.num_qubits);
         self.amps
             .iter()
@@ -219,42 +206,6 @@ impl StateVector {
     /// Fidelity |⟨self|other⟩|².
     pub fn fidelity(&self, other: &StateVector) -> f64 {
         self.inner_product(other).norm_sqr()
-    }
-
-    /// ⟨Z_q⟩ expectation value of qubit `q`.
-    pub fn expectation_z(&self, q: usize) -> f64 {
-        assert!(q < self.num_qubits);
-        let mask = 1usize << q;
-        self.amps
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let p = a.norm_sqr();
-                if i & mask == 0 {
-                    p
-                } else {
-                    -p
-                }
-            })
-            .sum()
-    }
-
-    /// ⟨Z_a Z_b⟩ two-point correlator.
-    pub fn expectation_zz(&self, a: usize, b: usize) -> f64 {
-        assert!(a < self.num_qubits && b < self.num_qubits);
-        let (ma, mb) = (1usize << a, 1usize << b);
-        self.amps
-            .iter()
-            .enumerate()
-            .map(|(i, amp)| {
-                let sign = if ((i & ma != 0) as u8) ^ ((i & mb != 0) as u8) == 0 {
-                    1.0
-                } else {
-                    -1.0
-                };
-                sign * amp.norm_sqr()
-            })
-            .sum()
     }
 
     /// Apply a gate in place. Allocates nothing: the gate's qubits are an
@@ -297,12 +248,6 @@ impl StateVector {
             let piece = piece_len(self.amps.len());
             apply_in_runs(&mut self.amps, piece, each);
         }
-    }
-
-    /// Apply an arbitrary 2×2 unitary to qubit `q`.
-    pub fn apply_single_qubit(&mut self, q: usize, m: &[Complex64; 4]) {
-        assert!(q < self.num_qubits, "qubit {q} out of range");
-        self.whole().dense(q, m);
     }
 
     /// The whole state as the target of one gate at a time: kernels fan out
@@ -467,7 +412,7 @@ impl StateVector {
 
     /// Exact outcome distribution of the listed qubits (marginalized over the
     /// rest), keyed by the same bitstring convention as [`StateVector::sample_counts`].
-    pub fn marginal_probabilities(
+    pub(crate) fn marginal_probabilities(
         &self,
         qubits: &[usize],
     ) -> std::collections::BTreeMap<String, f64> {
@@ -833,7 +778,7 @@ mod tests {
     #[test]
     fn zero_state_is_normalized() {
         let sv = StateVector::zero_state(3);
-        assert_eq!(sv.dim(), 8);
+        assert_eq!(sv.amps.len(), 8);
         assert!((sv.norm_sqr() - 1.0).abs() < EPS);
         assert!((sv.probability(0) - 1.0).abs() < EPS);
     }
@@ -844,7 +789,6 @@ mod tests {
         sv.apply(&Gate::H(0));
         assert!((sv.amplitude(0).re - FRAC_1_SQRT_2).abs() < EPS);
         assert!((sv.amplitude(1).re - FRAC_1_SQRT_2).abs() < EPS);
-        assert!((sv.expectation_z(0)).abs() < EPS);
     }
 
     #[test]
@@ -862,8 +806,6 @@ mod tests {
         assert!((sv.probability(0b11) - 0.5).abs() < EPS);
         assert!(sv.probability(0b01) < EPS);
         assert!(sv.probability(0b10) < EPS);
-        assert!((sv.expectation_zz(0, 1) - 1.0).abs() < EPS);
-        assert!(sv.expectation_z(0).abs() < EPS);
     }
 
     #[test]
@@ -948,14 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn expectation_z_on_basis_states() {
-        let sv = StateVector::basis_state(2, 0b01);
-        assert!((sv.expectation_z(0) + 1.0).abs() < EPS);
-        assert!((sv.expectation_z(1) - 1.0).abs() < EPS);
-        assert!((sv.expectation_zz(0, 1) + 1.0).abs() < EPS);
-    }
-
-    #[test]
     fn sampling_matches_probabilities() {
         let mut sv = StateVector::zero_state(2);
         sv.apply_all(&[Gate::H(0), Gate::Cx(0, 1)]);
@@ -1036,7 +970,7 @@ mod tests {
         rng: &mut StdRng,
     ) -> std::collections::BTreeMap<String, u64> {
         use rand::Rng;
-        let probs = sv.probabilities();
+        let probs: Vec<f64> = sv.amps.iter().map(|a| a.norm_sqr()).collect();
         let total: f64 = probs.iter().sum();
         let mut counts = std::collections::BTreeMap::new();
         for _ in 0..shots {
@@ -1297,7 +1231,7 @@ mod tests {
             assert!(
                 g == e,
                 "{gate:?} on {} qubits: amplitude {i} is {g:?}, reference {e:?}",
-                sv.num_qubits()
+                sv.num_qubits
             );
         }
     }
@@ -1414,7 +1348,7 @@ mod tests {
         assert!(via_slice.amplitudes() == expected, "apply_all differs");
         for pieces in [1, 2, 4, 16] {
             let mut got = start.clone();
-            let piece = got.dim() / pieces;
+            let piece = got.amps.len() / pieces;
             apply_in_runs(&mut got.amps, piece, |f| view.for_each_gate(f));
             assert!(
                 got.amplitudes() == expected,
@@ -1701,7 +1635,7 @@ mod tests {
     /// `apply_view` over the concrete circuit, and `apply_view` over a bound
     /// overlay — each paired with gate-by-gate application of what it walks.
     fn fused_and_by_gate(start: &StateVector, gates: &[Gate]) -> [(StateVector, StateVector); 3] {
-        let n = start.num_qubits();
+        let n = start.num_qubits;
         let mut circuit = crate::circuit::Circuit::new(n);
         circuit.extend(gates);
         let overlay = as_overlay(n, gates);

@@ -44,17 +44,17 @@ impl CouplingMap {
     }
 
     /// Number of qubits covered by the map.
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.num_qubits
     }
 
     /// True if qubits `a` and `b` are directly coupled.
-    pub fn are_adjacent(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn are_adjacent(&self, a: usize, b: usize) -> bool {
         self.edges.contains(&(a.min(b), a.max(b)))
     }
 
     /// Neighbors of a qubit.
-    pub fn neighbors(&self, q: usize) -> Vec<usize> {
+    pub(crate) fn neighbors(&self, q: usize) -> Vec<usize> {
         self.edges
             .iter()
             .filter_map(|&(a, b)| {
@@ -71,7 +71,7 @@ impl CouplingMap {
 
     /// Shortest path between two qubits (BFS), inclusive of both endpoints.
     /// Returns `None` if they are disconnected.
-    pub fn shortest_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
+    pub(crate) fn shortest_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
         if from == to {
             return Some(vec![from]);
         }
@@ -100,13 +100,8 @@ impl CouplingMap {
         None
     }
 
-    /// Hop distance between two qubits, or `None` if disconnected.
-    pub fn distance(&self, from: usize, to: usize) -> Option<usize> {
-        self.shortest_path(from, to).map(|p| p.len() - 1)
-    }
-
     /// All edges (normalized with a < b).
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.edges.iter().copied()
     }
 }
@@ -136,7 +131,8 @@ impl TranspileTarget {
     }
 
     /// The paper's hardware basis with all-to-all connectivity.
-    pub fn hardware_all_to_all() -> Self {
+    #[cfg(test)]
+    pub(crate) fn hardware_all_to_all() -> Self {
         TranspileTarget {
             basis_gates: vec!["sx".into(), "rz".into(), "cx".into()],
             coupling_map: None,
@@ -144,12 +140,12 @@ impl TranspileTarget {
     }
 
     /// True if no basis restriction applies.
-    pub fn any_basis(&self) -> bool {
+    pub(crate) fn any_basis(&self) -> bool {
         self.basis_gates.is_empty()
     }
 
     /// True if the named gate is allowed by the basis.
-    pub fn allows(&self, name: &str) -> bool {
+    pub(crate) fn allows(&self, name: &str) -> bool {
         self.any_basis() || self.basis_gates.iter().any(|b| b == name)
     }
 
@@ -192,13 +188,18 @@ impl TranspileTarget {
 mod tests {
     use super::*;
 
+    /// Hop distance between two qubits, or `None` if disconnected.
+    fn distance(cm: &CouplingMap, from: usize, to: usize) -> Option<usize> {
+        cm.shortest_path(from, to).map(|p| p.len() - 1)
+    }
+
     #[test]
     fn linear_map_adjacency_and_distance() {
         let cm = CouplingMap::linear(10);
         assert_eq!(cm.num_qubits(), 10);
         assert!(cm.are_adjacent(3, 4));
         assert!(!cm.are_adjacent(0, 9));
-        assert_eq!(cm.distance(0, 9), Some(9));
+        assert_eq!(distance(&cm, 0, 9), Some(9));
         assert_eq!(cm.shortest_path(2, 5).unwrap(), vec![2, 3, 4, 5]);
     }
 
@@ -206,15 +207,15 @@ mod tests {
     fn ring_map_wraps_around() {
         let cm = CouplingMap::ring(4);
         assert!(cm.are_adjacent(3, 0));
-        assert_eq!(cm.distance(0, 2), Some(2));
-        assert_eq!(cm.distance(1, 3), Some(2));
-        assert_eq!(cm.distance(0, 3), Some(1));
+        assert_eq!(distance(&cm, 0, 2), Some(2));
+        assert_eq!(distance(&cm, 1, 3), Some(2));
+        assert_eq!(distance(&cm, 0, 3), Some(1));
     }
 
     #[test]
     fn disconnected_qubits_have_no_path() {
         let cm = CouplingMap::new(&[(0, 1)], 4);
-        assert_eq!(cm.distance(0, 3), None);
+        assert_eq!(distance(&cm, 0, 3), None);
         assert_eq!(cm.shortest_path(2, 3), None);
     }
 
@@ -222,7 +223,7 @@ mod tests {
     fn path_to_self_is_trivial() {
         let cm = CouplingMap::linear(3);
         assert_eq!(cm.shortest_path(1, 1).unwrap(), vec![1]);
-        assert_eq!(cm.distance(1, 1), Some(0));
+        assert_eq!(distance(&cm, 1, 1), Some(0));
     }
 
     #[test]

@@ -56,19 +56,9 @@ impl BindingSet {
         self
     }
 
-    /// Insert (or replace) a binding in place.
-    pub fn insert(&mut self, name: impl Into<String>, value: f64) {
-        self.entries.insert(name.into(), value);
-    }
-
     /// Look up a binding by symbol name.
     pub fn get(&self, name: &str) -> Option<f64> {
         self.entries.get(name).copied()
-    }
-
-    /// Number of bindings.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// True if no binding is present.
@@ -79,11 +69,6 @@ impl BindingSet {
     /// True if the set binds the given symbol.
     pub fn binds(&self, name: &str) -> bool {
         self.entries.contains_key(name)
-    }
-
-    /// Iterate `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        self.entries.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Extract the numeric entries of a `ParamValue` binding map (the legacy
@@ -100,7 +85,7 @@ impl BindingSet {
 
     /// Convert to the `ParamValue` map accepted by
     /// [`JobBundle::bind`](crate::JobBundle::bind) (eager substitution).
-    pub fn to_param_values(&self) -> BTreeMap<String, ParamValue> {
+    pub(crate) fn to_param_values(&self) -> BTreeMap<String, ParamValue> {
         self.entries
             .iter()
             .map(|(k, &v)| (k.clone(), ParamValue::Float(v)))
@@ -149,7 +134,7 @@ mod tests {
     #[test]
     fn builder_and_lookup() {
         let b = BindingSet::new().with("gamma_0", 0.4).with("beta_0", 0.3);
-        assert_eq!(b.len(), 2);
+        assert_eq!(b.entries.len(), 2);
         assert_eq!(b.get("gamma_0"), Some(0.4));
         assert!(b.binds("beta_0"));
         assert!(!b.binds("delta"));
@@ -183,7 +168,7 @@ mod tests {
         raw.insert("layers".to_string(), ParamValue::Int(2));
         raw.insert("label".to_string(), ParamValue::Str("x".into()));
         let b = BindingSet::from_param_values(&raw);
-        assert_eq!(b.len(), 2);
+        assert_eq!(b.entries.len(), 2);
         assert_eq!(b.get("gamma"), Some(0.7));
         assert_eq!(b.get("layers"), Some(2.0));
         assert!(!b.binds("label"));

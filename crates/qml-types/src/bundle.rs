@@ -21,7 +21,7 @@ use crate::qdt::QuantumDataType;
 use crate::qod::OperatorDescriptor;
 
 /// Name of the JSON Schema governing job bundles.
-pub const JOB_SCHEMA: &str = "job.schema.json";
+pub(crate) const JOB_SCHEMA: &str = "job.schema.json";
 
 /// A complete, submittable middle-layer job: typed registers, an operator
 /// descriptor sequence, and an optional execution context.
@@ -208,7 +208,7 @@ impl JobBundle {
 
     /// True if the named symbol appears in this bundle's operators **only**
     /// in continuous-angle parameter positions
-    /// ([`RepKind::is_angle_param`](crate::RepKind::is_angle_param)) — i.e.
+    /// (`RepKind::is_angle_param`) — i.e.
     /// it can ride a [`BindingSet`] and be substituted into an
     /// already-transpiled parametric plan. A symbol used in any structural
     /// position (shape, edges, flags) — or not used at all — returns
@@ -271,7 +271,7 @@ impl JobBundle {
 
     /// Full cross-descriptor validation:
     ///
-    /// 1. the name is non-empty and the schema is [`JOB_SCHEMA`],
+    /// 1. the name is non-empty and the schema is `JOB_SCHEMA`,
     /// 2. the context (if present) is valid,
     /// 3. every individual descriptor is structurally valid,
     /// 4. register ids are unique,

@@ -14,7 +14,7 @@ use crate::error::{QmlError, Result};
 use crate::params::ParamValue;
 
 /// Name of the JSON Schema governing context descriptor artifacts.
-pub const CTX_SCHEMA: &str = "ctx.schema.json";
+pub(crate) const CTX_SCHEMA: &str = "ctx.schema.json";
 
 /// Compilation target constraints (the `target` block of Listing 4).
 ///
@@ -56,30 +56,9 @@ impl Target {
         }
     }
 
-    /// An ideal all-to-all target with no basis restriction.
-    pub fn all_to_all() -> Self {
-        Target::default()
-    }
-
-    /// True if no connectivity restriction applies.
-    pub fn is_all_to_all(&self) -> bool {
-        self.coupling_map.is_none()
-    }
-
-    /// Largest qubit index mentioned by the coupling map plus one, or
-    /// `num_qubits` if declared.
-    pub fn effective_width(&self) -> Option<usize> {
-        if let Some(n) = self.num_qubits {
-            return Some(n);
-        }
-        self.coupling_map
-            .as_ref()
-            .and_then(|edges| edges.iter().map(|&(a, b)| a.max(b) + 1).max())
-    }
-
     /// Validate internal consistency (coupling map indices within
     /// `num_qubits`, no self-loops).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if let Some(edges) = &self.coupling_map {
             for &(a, b) in edges {
                 if a == b {
@@ -188,14 +167,8 @@ impl ExecConfig {
         self
     }
 
-    /// The engine family — the part of the engine id before the first `.`
-    /// (e.g. `"gate"`, `"anneal"`, `"pulse"`, `"cv"`).
-    pub fn engine_family(&self) -> &str {
-        self.engine.split('.').next().unwrap_or(&self.engine)
-    }
-
     /// Validate the execution policy.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.engine.trim().is_empty() {
             return Err(QmlError::Validation("exec.engine must be non-empty".into()));
         }
@@ -335,7 +308,7 @@ impl AnnealConfig {
     }
 
     /// Validate the policy.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.num_reads == 0 {
             return Err(QmlError::Validation(
                 "anneal.num_reads must be positive".into(),
@@ -417,12 +390,6 @@ impl ContextDescriptor {
         self
     }
 
-    /// Attach an extension block, builder-style.
-    pub fn with_extension(mut self, key: impl Into<String>, value: impl Into<ParamValue>) -> Self {
-        self.extensions.insert(key.into(), value.into());
-        self
-    }
-
     /// The engine id requested by this context, if any.
     pub fn engine(&self) -> Option<&str> {
         self.exec.as_ref().map(|e| e.engine.as_str())
@@ -475,14 +442,12 @@ mod tests {
         ctx.validate().unwrap();
         let exec = ctx.exec.as_ref().unwrap();
         assert_eq!(exec.engine, "gate.aer_simulator");
-        assert_eq!(exec.engine_family(), "gate");
         assert_eq!(exec.samples, 4096);
         assert_eq!(exec.seed, Some(42));
         assert_eq!(exec.options.optimization_level, 2);
         let target = exec.target.as_ref().unwrap();
         assert_eq!(target.basis_gates, vec!["sx", "rz", "cx"]);
         assert_eq!(target.coupling_map.as_ref().unwrap().len(), 9);
-        assert_eq!(target.effective_width(), Some(10));
     }
 
     #[test]
@@ -524,7 +489,7 @@ mod tests {
         let ctx: ContextDescriptor = serde_json::from_str(json).unwrap();
         ctx.validate().unwrap();
         assert_eq!(ctx.anneal.as_ref().unwrap().num_reads, 1000);
-        assert_eq!(ctx.exec.as_ref().unwrap().engine_family(), "anneal");
+        assert_eq!(ctx.engine(), Some("anneal.neal_simulator"));
     }
 
     #[test]
@@ -533,13 +498,6 @@ mod tests {
         let edges = t.coupling_map.unwrap();
         assert!(edges.contains(&(3, 0)));
         assert_eq!(edges.len(), 4);
-    }
-
-    #[test]
-    fn all_to_all_has_no_coupling_map() {
-        let t = Target::all_to_all();
-        assert!(t.is_all_to_all());
-        assert_eq!(t.effective_width(), None);
     }
 
     #[test]
@@ -592,14 +550,15 @@ mod tests {
 
     #[test]
     fn context_round_trip_preserves_extensions() {
-        let ctx = ContextDescriptor::for_gate(
+        let mut ctx = ContextDescriptor::for_gate(
             ExecConfig::new("gate.aer_simulator")
                 .with_samples(4096)
                 .with_seed(42)
                 .with_target(Target::ring(4))
                 .with_optimization_level(2),
-        )
-        .with_extension("pulse", ParamValue::Map(Default::default()));
+        );
+        ctx.extensions
+            .insert("pulse".into(), ParamValue::Map(Default::default()));
         let json = serde_json::to_string_pretty(&ctx).unwrap();
         let back: ContextDescriptor = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ctx);

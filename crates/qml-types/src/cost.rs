@@ -55,11 +55,6 @@ impl CostHint {
     }
 
     /// Builder-style setter for the ancilla demand.
-    pub fn with_ancillas(mut self, ancillas: u64) -> Self {
-        self.ancillas = Some(ancillas);
-        self
-    }
-
     /// Builder-style setter for communication volume.
     pub fn with_communication(mut self, communication: u64) -> Self {
         self.communication = Some(communication);
@@ -108,16 +103,6 @@ impl CostHint {
         let comm = self.communication.unwrap_or(0) as f64;
         10.0 * twoq + oneq + 0.5 * depth + 50.0 * comm
     }
-
-    /// True if every field is unknown.
-    pub fn is_unknown(&self) -> bool {
-        self.twoq.is_none()
-            && self.oneq.is_none()
-            && self.depth.is_none()
-            && self.ancillas.is_none()
-            && self.communication.is_none()
-            && self.duration_us.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -133,11 +118,13 @@ mod tests {
 
     #[test]
     fn round_trip_full() {
-        let hint = CostHint::gates(45, 100)
-            .with_oneq(30)
-            .with_ancillas(2)
-            .with_communication(0)
-            .with_duration_us(12.5);
+        let hint = CostHint {
+            ancillas: Some(2),
+            ..CostHint::gates(45, 100)
+                .with_oneq(30)
+                .with_communication(0)
+                .with_duration_us(12.5)
+        };
         let json = serde_json::to_string(&hint).unwrap();
         let back: CostHint = serde_json::from_str(&json).unwrap();
         assert_eq!(back, hint);
@@ -180,8 +167,7 @@ mod tests {
 
     #[test]
     fn unknown_hint() {
-        assert!(CostHint::unknown().is_unknown());
-        assert!(!CostHint::gates(1, 1).is_unknown());
+        assert_eq!(CostHint::unknown(), CostHint::default());
         assert_eq!(CostHint::unknown().scheduling_weight(), 0.0);
     }
 }

@@ -79,7 +79,7 @@ fn word_to_index(bits: &[u8], order: BitOrder) -> u64 {
 
 /// Decode a single measured word according to a result schema and the data
 /// type of the register it reads out.
-pub fn decode_word(
+pub(crate) fn decode_word(
     word: &str,
     schema: &ResultSchema,
     qdt: &QuantumDataType,
@@ -154,20 +154,6 @@ impl DecodedCounts {
             decoded,
             total,
         })
-    }
-
-    /// Expected value of a user-supplied objective over the observed words,
-    /// weighted by how often each word was observed — the statistic the paper
-    /// calls the "expected cut".
-    pub fn expectation<F: Fn(&str, &DecodedValue) -> f64>(&self, objective: F) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.counts
-            .iter()
-            .map(|(word, &n)| objective(word, &self.decoded[word]) * n as f64)
-            .sum::<f64>()
-            / self.total as f64
     }
 }
 
@@ -283,13 +269,6 @@ mod tests {
             decoded.decoded["0101"],
             DecodedValue::Bool(vec![false, true, false, true])
         );
-
-        // Count the number of 1-labels as a toy objective.
-        let avg_ones = decoded.expectation(|_, value| match value {
-            DecodedValue::Bool(bits) => bits.iter().filter(|&&b| b).count() as f64,
-            other => panic!("AS_BOOL readout decoded to {other:?}"),
-        });
-        assert!((avg_ones - (0.6 * 2.0 + 0.3 * 2.0 + 0.1 * 0.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -300,7 +279,6 @@ mod tests {
             DecodedCounts::decode(&BTreeMap::<String, u64>::new(), &schema, &qdt).unwrap();
         assert_eq!(decoded.total, 0);
         assert!(decoded.decoded.is_empty());
-        assert_eq!(decoded.expectation(|_, _| 1.0), 0.0);
     }
 
     /// The per-bit `decode_word` this module used before words were parsed

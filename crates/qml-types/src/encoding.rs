@@ -43,19 +43,8 @@ pub enum EncodingKind {
 }
 
 impl EncodingKind {
-    /// All encodings known to this version of the middle layer.
-    pub const ALL: [EncodingKind; 7] = [
-        EncodingKind::IntRegister,
-        EncodingKind::SignedIntRegister,
-        EncodingKind::BoolRegister,
-        EncodingKind::PhaseRegister,
-        EncodingKind::IsingSpin,
-        EncodingKind::AmplitudeRegister,
-        EncodingKind::AngleRegister,
-    ];
-
     /// The measurement semantics that naturally pairs with this encoding.
-    pub fn default_semantics(self) -> MeasurementSemantics {
+    pub(crate) fn default_semantics(self) -> MeasurementSemantics {
         match self {
             EncodingKind::IntRegister | EncodingKind::SignedIntRegister => {
                 MeasurementSemantics::AsInt
@@ -70,7 +59,7 @@ impl EncodingKind {
     }
 
     /// Canonical SCREAMING_SNAKE_CASE name used in JSON artifacts.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             EncodingKind::IntRegister => "INT_REGISTER",
             EncodingKind::SignedIntRegister => "SIGNED_INT_REGISTER",
@@ -103,7 +92,7 @@ pub enum BitOrder {
 
 impl BitOrder {
     /// Canonical JSON name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             BitOrder::Lsb0 => "LSB_0",
             BitOrder::Msb0 => "MSB_0",
@@ -112,7 +101,7 @@ impl BitOrder {
 
     /// Weight (as a power-of-two exponent) of carrier `index` in a register of
     /// `width` carriers.
-    pub fn weight_exponent(self, index: usize, width: usize) -> usize {
+    pub(crate) fn weight_exponent(self, index: usize, width: usize) -> usize {
         match self {
             BitOrder::Lsb0 => index,
             BitOrder::Msb0 => width - 1 - index,
@@ -148,7 +137,7 @@ pub enum MeasurementSemantics {
 
 impl MeasurementSemantics {
     /// Canonical JSON name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             MeasurementSemantics::AsInt => "AS_INT",
             MeasurementSemantics::AsBool => "AS_BOOL",
@@ -177,7 +166,7 @@ pub struct PhaseScale {
 
 impl PhaseScale {
     /// Create a phase scale `num/den`. Fails if `den == 0`.
-    pub fn new(num: u64, den: u64) -> Result<Self> {
+    pub(crate) fn new(num: u64, den: u64) -> Result<Self> {
         if den == 0 {
             return Err(QmlError::Validation(
                 "phase_scale denominator must be non-zero".into(),
@@ -187,7 +176,7 @@ impl PhaseScale {
     }
 
     /// The natural scale for an `n`-carrier phase register: `1/2^n`.
-    pub fn for_width(width: usize) -> Result<Self> {
+    pub(crate) fn for_width(width: usize) -> Result<Self> {
         if width == 0 || width >= 64 {
             return Err(QmlError::Validation(format!(
                 "phase register width {width} out of range (1..=63)"
@@ -197,17 +186,12 @@ impl PhaseScale {
     }
 
     /// Phase fraction (in turns) of the observed integer `k`.
-    pub fn fraction(&self, k: u64) -> f64 {
+    pub(crate) fn fraction(&self, k: u64) -> f64 {
         (k as f64) * (self.num as f64) / (self.den as f64)
     }
 
-    /// Phase in radians of the observed integer `k`.
-    pub fn radians(&self, k: u64) -> f64 {
-        self.fraction(k) * std::f64::consts::TAU
-    }
-
     /// Parse the `"1/1024"` textual form used by the paper's JSON artifacts.
-    pub fn parse(text: &str) -> Result<Self> {
+    pub(crate) fn parse(text: &str) -> Result<Self> {
         let text = text.trim();
         if let Some((num, den)) = text.split_once('/') {
             let num: u64 = num.trim().parse().map_err(|_| {
@@ -256,7 +240,15 @@ mod tests {
 
     #[test]
     fn encoding_round_trip_json() {
-        for kind in EncodingKind::ALL {
+        for kind in [
+            EncodingKind::IntRegister,
+            EncodingKind::SignedIntRegister,
+            EncodingKind::BoolRegister,
+            EncodingKind::PhaseRegister,
+            EncodingKind::IsingSpin,
+            EncodingKind::AmplitudeRegister,
+            EncodingKind::AngleRegister,
+        ] {
             let json = serde_json::to_string(&kind).unwrap();
             assert_eq!(json, format!("\"{}\"", kind.as_str()));
             let back: EncodingKind = serde_json::from_str(&json).unwrap();
@@ -300,7 +292,7 @@ mod tests {
         assert_eq!(s.num, 1);
         assert_eq!(s.den, 1024);
         assert!((s.fraction(512) - 0.5).abs() < 1e-12);
-        assert!((s.radians(1024) - std::f64::consts::TAU).abs() < 1e-12);
+        assert!((s.fraction(1024) - 1.0).abs() < 1e-12);
     }
 
     #[test]

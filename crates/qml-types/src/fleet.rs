@@ -1,4 +1,4 @@
-//! Fleet vocabulary: device identities, capability descriptors, per-job
+//! Fleet vocabulary: capability descriptors, per-job
 //! requirements, and device health states.
 //!
 //! A production service does not run one monolithic backend per plane — it
@@ -6,7 +6,7 @@
 //! simulators of different widths, several annealers with different schedule
 //! support), and a scheduler must know which devices *can* serve a job
 //! before asking which one *should*. This module holds the shared
-//! vocabulary: a [`DeviceId`], a [`CapabilityDescriptor`] declaring what a
+//! vocabulary: a [`CapabilityDescriptor`] declaring what a
 //! device can realize, the [`JobRequirements`] a bundle derives for matching
 //! against it, and the [`HealthState`] ladder failure tracking moves devices
 //! along. The routing policy itself lives in the serving tier; these types
@@ -17,41 +17,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::bundle::JobBundle;
-
-/// Stable identifier of one device within a backend plane (e.g.
-/// `"gate-sim-a"`, `"qml-gate-simulator#0"`). Unique across the fleet.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct DeviceId(pub String);
-
-impl DeviceId {
-    /// A device id from anything string-like.
-    pub fn new(id: impl Into<String>) -> Self {
-        DeviceId(id.into())
-    }
-
-    /// The id as a borrowed string.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for DeviceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl From<&str> for DeviceId {
-    fn from(id: &str) -> Self {
-        DeviceId(id.to_string())
-    }
-}
-
-impl From<String> for DeviceId {
-    fn from(id: String) -> Self {
-        DeviceId(id)
-    }
-}
 
 /// What one device can realize. `None` fields are unconstrained — the
 /// default descriptor accepts every job its backend plane can realize.
@@ -75,13 +40,6 @@ impl CapabilityDescriptor {
     /// Cap the register width the device can hold, builder-style.
     pub fn with_max_qubits(mut self, max_qubits: usize) -> Self {
         self.max_qubits = Some(max_qubits);
-        self
-    }
-
-    /// Restrict the supported optimization levels / schedule classes,
-    /// builder-style.
-    pub fn with_opt_levels(mut self, levels: impl Into<Vec<u8>>) -> Self {
-        self.opt_levels = Some(levels.into());
         self
     }
 
@@ -189,9 +147,10 @@ mod tests {
 
     #[test]
     fn width_and_opt_level_caps_are_enforced() {
-        let caps = CapabilityDescriptor::unlimited()
-            .with_max_qubits(8)
-            .with_opt_levels([0, 1]);
+        let caps = CapabilityDescriptor {
+            opt_levels: Some(vec![0, 1]),
+            ..CapabilityDescriptor::unlimited().with_max_qubits(8)
+        };
         assert!(caps.supports(&JobRequirements {
             qubits: 8,
             opt_level: 1
@@ -241,8 +200,5 @@ mod tests {
         let json = serde_json::to_string(&caps).unwrap();
         let back: CapabilityDescriptor = serde_json::from_str(&json).unwrap();
         assert_eq!(back, caps);
-        let id = DeviceId::new("gate-sim-a");
-        let back: DeviceId = serde_json::from_str(&serde_json::to_string(&id).unwrap()).unwrap();
-        assert_eq!(back, id);
     }
 }

@@ -51,6 +51,15 @@
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod bindings;
 pub mod bundle;
@@ -68,19 +77,17 @@ pub mod result_schema;
 pub mod sealed;
 
 pub use bindings::BindingSet;
-pub use bundle::{JobBundle, JOB_SCHEMA};
+pub use bundle::JobBundle;
 pub use class::ServiceClass;
-pub use context::{
-    AnnealConfig, ContextDescriptor, ExecConfig, ExecOptions, QecConfig, Target, CTX_SCHEMA,
-};
+pub use context::{AnnealConfig, ContextDescriptor, ExecConfig, ExecOptions, QecConfig, Target};
 pub use cost::CostHint;
-pub use decode::{decode_word, DecodedCounts, DecodedValue};
+pub use decode::{DecodedCounts, DecodedValue};
 pub use encoding::{BitOrder, EncodingKind, MeasurementSemantics, PhaseScale};
 pub use error::{QmlError, Result};
-pub use fleet::{CapabilityDescriptor, DeviceId, HealthState, JobRequirements};
+pub use fleet::{CapabilityDescriptor, HealthState, JobRequirements};
 pub use params::{ParamValue, Params, SymbolRef};
-pub use qdt::{QdtBuilder, QuantumDataType, QDT_SCHEMA};
-pub use qod::{OperatorDescriptor, QodBuilder, RepKind, QOD_SCHEMA};
+pub use qdt::QuantumDataType;
+pub use qod::{OperatorDescriptor, QodBuilder, RepKind};
 pub use result_schema::{MeasurementBasis, ResultSchema};
 pub use sealed::SealedBundle;
 
@@ -91,10 +98,10 @@ pub mod prelude {
     pub use crate::class::ServiceClass;
     pub use crate::context::{AnnealConfig, ContextDescriptor, ExecConfig, QecConfig, Target};
     pub use crate::cost::CostHint;
-    pub use crate::decode::{decode_word, DecodedCounts, DecodedValue};
+    pub use crate::decode::{DecodedCounts, DecodedValue};
     pub use crate::encoding::{BitOrder, EncodingKind, MeasurementSemantics, PhaseScale};
     pub use crate::error::{QmlError, Result};
-    pub use crate::fleet::{CapabilityDescriptor, DeviceId, HealthState, JobRequirements};
+    pub use crate::fleet::{CapabilityDescriptor, HealthState, JobRequirements};
     pub use crate::params::{ParamValue, Params};
     pub use crate::qdt::QuantumDataType;
     pub use crate::qod::{OperatorDescriptor, RepKind};
@@ -105,6 +112,7 @@ pub mod prelude {
 #[cfg(test)]
 mod proptests {
     use super::prelude::*;
+    use crate::decode::decode_word;
     use proptest::prelude::*;
 
     fn arb_encoding() -> impl Strategy<Value = EncodingKind> {

@@ -4,7 +4,7 @@
 //! (§3): an operator descriptor may carry symbolic parameters (for instance
 //! the QAOA angles γ, β) which are bound only when the bundle is submitted to
 //! a backend. [`ParamValue::Symbol`] represents such an unbound parameter;
-//! [`Params::bind`] substitutes concrete values.
+//! `Params::bind` substitutes concrete values.
 
 use serde::de::Error as _;
 use serde::value::Value;
@@ -105,18 +105,8 @@ impl ParamValue {
         ParamValue::Symbol(SymbolRef { name: name.into() })
     }
 
-    /// True if this value is — or contains — an unbound symbol.
-    pub fn has_symbol(&self) -> bool {
-        match self {
-            ParamValue::Symbol(_) => true,
-            ParamValue::List(items) => items.iter().any(ParamValue::has_symbol),
-            ParamValue::Map(map) => map.values().any(ParamValue::has_symbol),
-            _ => false,
-        }
-    }
-
     /// Names of all unbound symbols contained in this value.
-    pub fn symbols(&self) -> Vec<String> {
+    pub(crate) fn symbols(&self) -> Vec<String> {
         let mut out = Vec::new();
         self.collect_symbols(&mut out);
         out
@@ -131,9 +121,24 @@ impl ParamValue {
         }
     }
 
+    /// The first non-finite float in this value, depth first, if any.
+    /// Scalars are checked in place, so only nested containers recurse.
+    pub(crate) fn first_non_finite(&self) -> Option<f64> {
+        let check = |value: &ParamValue| match value {
+            ParamValue::Float(x) => (!x.is_finite()).then_some(*x),
+            ParamValue::List(_) | ParamValue::Map(_) => value.first_non_finite(),
+            _ => None,
+        };
+        match self {
+            ParamValue::List(items) => items.iter().find_map(check),
+            ParamValue::Map(map) => map.values().find_map(check),
+            scalar => check(scalar),
+        }
+    }
+
     /// Replace every symbol found in `bindings` with its concrete value.
     /// Symbols without a binding are left in place.
-    pub fn bind(&self, bindings: &BTreeMap<String, ParamValue>) -> ParamValue {
+    pub(crate) fn bind(&self, bindings: &BTreeMap<String, ParamValue>) -> ParamValue {
         match self {
             ParamValue::Symbol(s) => bindings
                 .get(&s.name)
@@ -177,17 +182,9 @@ impl ParamValue {
     }
 
     /// Interpret the value as a `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             ParamValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Interpret the value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            ParamValue::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -196,14 +193,6 @@ impl ParamValue {
     pub fn as_list(&self) -> Option<&[ParamValue]> {
         match self {
             ParamValue::List(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Interpret the value as a map.
-    pub fn as_map(&self) -> Option<&BTreeMap<String, ParamValue>> {
-        match self {
-            ParamValue::Map(map) => Some(map),
             _ => None,
         }
     }
@@ -270,14 +259,8 @@ pub struct Params {
 
 impl Params {
     /// Empty parameter set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Params::default()
-    }
-
-    /// Insert (or replace) a parameter, builder-style.
-    pub fn with(mut self, key: impl Into<String>, value: impl Into<ParamValue>) -> Self {
-        self.entries.insert(key.into(), value.into());
-        self
     }
 
     /// Insert (or replace) a parameter in place.
@@ -326,25 +309,13 @@ impl Params {
             .unwrap_or(default)
     }
 
-    /// Optional `f64` parameter with a default.
-    pub fn f64_or(&self, key: &str, default: f64) -> f64 {
-        self.get(key)
-            .and_then(ParamValue::as_f64)
-            .unwrap_or(default)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True if there are no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Names of every unbound symbol across all entries.
-    pub fn unbound_symbols(&self) -> Vec<String> {
+    pub(crate) fn unbound_symbols(&self) -> Vec<String> {
         let mut out: Vec<String> = self.entries.values().flat_map(|v| v.symbols()).collect();
         out.sort();
         out.dedup();
@@ -352,7 +323,7 @@ impl Params {
     }
 
     /// Return a copy with every symbol found in `bindings` substituted.
-    pub fn bind(&self, bindings: &BTreeMap<String, ParamValue>) -> Params {
+    pub(crate) fn bind(&self, bindings: &BTreeMap<String, ParamValue>) -> Params {
         Params {
             entries: self
                 .entries
@@ -542,7 +513,7 @@ mod tests {
         assert_eq!(json, r#"{"$param":"gamma_0"}"#);
         let back: ParamValue = serde_json::from_str(&json).unwrap();
         assert_eq!(back, v);
-        assert!(back.has_symbol());
+        assert!(!back.symbols().is_empty());
     }
 
     #[test]
@@ -550,7 +521,7 @@ mod tests {
         let json = r#"{"edges": [[0,1],[1,2]], "weight": 1.0}"#;
         let v: ParamValue = serde_json::from_str(json).unwrap();
         assert!(matches!(v, ParamValue::Map(_)));
-        assert!(!v.has_symbol());
+        assert!(v.symbols().is_empty());
     }
 
     #[test]
@@ -573,23 +544,23 @@ mod tests {
         bindings.insert("beta_0".to_string(), ParamValue::Float(0.3));
         bindings.insert("gamma_0".to_string(), ParamValue::Float(0.7));
         let bound = v.bind(&bindings);
-        assert!(!bound.has_symbol());
+        assert!(bound.symbols().is_empty());
     }
 
     #[test]
     fn partial_binding_leaves_unknown_symbols() {
         let v = ParamValue::symbol("delta");
         let bound = v.bind(&BTreeMap::new());
-        assert!(bound.has_symbol());
+        assert!(!bound.symbols().is_empty());
     }
 
     #[test]
     fn params_builder_and_lookup() {
-        let p = Params::new()
-            .with("approx_degree", 0)
-            .with("do_swaps", true)
-            .with("inverse", false);
-        assert_eq!(p.len(), 3);
+        let mut p = Params::new();
+        p.insert("approx_degree", 0);
+        p.insert("do_swaps", true);
+        p.insert("inverse", false);
+        assert_eq!(p.entries.len(), 3);
         assert_eq!(p.require_u64("approx_degree").unwrap(), 0);
         assert!(p.bool_or("do_swaps", false));
         assert!(!p.bool_or("inverse", true));
@@ -598,7 +569,8 @@ mod tests {
 
     #[test]
     fn params_unbound_symbol_is_an_error() {
-        let p = Params::new().with("gamma", ParamValue::symbol("gamma_0"));
+        let mut p = Params::new();
+        p.insert("gamma", ParamValue::symbol("gamma_0"));
         assert_eq!(p.unbound_symbols(), vec!["gamma_0".to_string()]);
         assert!(matches!(
             p.require_f64("gamma"),
@@ -624,7 +596,9 @@ mod tests {
 
     #[test]
     fn params_transparent_serialization() {
-        let p = Params::new().with("samples", 4096).with("seed", 42);
+        let mut p = Params::new();
+        p.insert("samples", 4096);
+        p.insert("seed", 42);
         let json = serde_json::to_string(&p).unwrap();
         assert_eq!(json, r#"{"samples":4096,"seed":42}"#);
         let back: Params = serde_json::from_str(&json).unwrap();

@@ -15,7 +15,7 @@ use crate::params::ParamValue;
 
 /// Name of the JSON Schema governing quantum data type artifacts
 /// (the `$schema` value in the paper's Listing 2).
-pub const QDT_SCHEMA: &str = "qdt-core.schema.json";
+pub(crate) const QDT_SCHEMA: &str = "qdt-core.schema.json";
 
 /// A typed quantum register: the middle layer's answer to "what does this
 /// register mean?".
@@ -52,7 +52,8 @@ fn default_qdt_schema() -> String {
 
 impl QuantumDataType {
     /// Start building a register descriptor with the given id and width.
-    pub fn builder(id: impl Into<String>, width: usize) -> QdtBuilder {
+    #[cfg(test)]
+    pub(crate) fn builder(id: impl Into<String>, width: usize) -> QdtBuilder {
         QdtBuilder::new(id, width)
     }
 
@@ -161,7 +162,7 @@ impl QuantumDataType {
     /// Names of the logical carrier wires in classical-bit order, e.g.
     /// `reg_phase[0]`, `reg_phase[1]`, ... — the form used by the
     /// `clbit_order` array in result schemas.
-    pub fn wire_labels(&self) -> Vec<String> {
+    pub(crate) fn wire_labels(&self) -> Vec<String> {
         (0..self.width)
             .map(|i| format!("{}[{i}]", self.id))
             .collect()
@@ -170,7 +171,7 @@ impl QuantumDataType {
 
 /// Builder for [`QuantumDataType`] used by the algorithmic libraries.
 #[derive(Debug, Clone)]
-pub struct QdtBuilder {
+pub(crate) struct QdtBuilder {
     id: String,
     name: Option<String>,
     width: usize,
@@ -183,7 +184,7 @@ pub struct QdtBuilder {
 
 impl QdtBuilder {
     /// New builder for a register with the given id and width.
-    pub fn new(id: impl Into<String>, width: usize) -> Self {
+    pub(crate) fn new(id: impl Into<String>, width: usize) -> Self {
         QdtBuilder {
             id: id.into(),
             name: None,
@@ -197,43 +198,38 @@ impl QdtBuilder {
     }
 
     /// Human-readable register name (defaults to the id).
-    pub fn name(mut self, name: impl Into<String>) -> Self {
+    pub(crate) fn name(mut self, name: impl Into<String>) -> Self {
         self.name = Some(name.into());
         self
     }
 
     /// Encoding kind (defaults to `INT_REGISTER`).
-    pub fn encoding(mut self, encoding: EncodingKind) -> Self {
+    pub(crate) fn encoding(mut self, encoding: EncodingKind) -> Self {
         self.encoding = encoding;
         self
     }
 
     /// Bit significance order (defaults to `LSB_0`).
-    pub fn bit_order(mut self, bit_order: BitOrder) -> Self {
+    #[cfg(test)]
+    pub(crate) fn bit_order(mut self, bit_order: BitOrder) -> Self {
         self.bit_order = bit_order;
         self
     }
 
     /// Measurement semantics (defaults to the encoding's natural pairing).
-    pub fn measurement(mut self, semantics: MeasurementSemantics) -> Self {
+    pub(crate) fn measurement(mut self, semantics: MeasurementSemantics) -> Self {
         self.measurement = Some(semantics);
         self
     }
 
     /// Phase resolution (required for phase registers).
-    pub fn phase_scale(mut self, scale: PhaseScale) -> Self {
+    pub(crate) fn phase_scale(mut self, scale: PhaseScale) -> Self {
         self.phase_scale = Some(scale);
         self
     }
 
-    /// Attach a metadata entry.
-    pub fn metadata(mut self, key: impl Into<String>, value: impl Into<ParamValue>) -> Self {
-        self.metadata.insert(key.into(), value.into());
-        self
-    }
-
     /// Finish and validate the descriptor.
-    pub fn build(self) -> Result<QuantumDataType> {
+    pub(crate) fn build(self) -> Result<QuantumDataType> {
         let qdt = QuantumDataType {
             schema: QDT_SCHEMA.to_string(),
             name: self.name.unwrap_or_else(|| self.id.clone()),
@@ -361,11 +357,9 @@ mod tests {
 
     #[test]
     fn metadata_round_trips() {
-        let qdt = QdtBuilder::new("m", 3)
-            .metadata("provenance", "unit-test")
-            .metadata("version", 2)
-            .build()
-            .unwrap();
+        let mut qdt = QdtBuilder::new("m", 3).build().unwrap();
+        qdt.metadata.insert("provenance".into(), "unit-test".into());
+        qdt.metadata.insert("version".into(), 2.into());
         let json = serde_json::to_string(&qdt).unwrap();
         let back: QuantumDataType = serde_json::from_str(&json).unwrap();
         assert_eq!(back.metadata.len(), 2);

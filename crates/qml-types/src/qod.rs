@@ -18,7 +18,7 @@ use crate::qdt::QuantumDataType;
 use crate::result_schema::ResultSchema;
 
 /// Name of the JSON Schema governing operator descriptor artifacts.
-pub const QOD_SCHEMA: &str = "qod.schema.json";
+pub(crate) const QOD_SCHEMA: &str = "qod.schema.json";
 
 /// Identifies the logical transformation an operator descriptor requests.
 ///
@@ -65,7 +65,7 @@ pub enum RepKind {
 
 impl RepKind {
     /// Canonical string form (what appears in the JSON artifact).
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match self {
             RepKind::QftTemplate => "QFT_TEMPLATE",
             RepKind::PrepUniform => "PREP_UNIFORM",
@@ -88,7 +88,7 @@ impl RepKind {
 
     /// Parse from the canonical string form; unknown strings become
     /// [`RepKind::Custom`].
-    pub fn from_str_lossy(s: &str) -> Self {
+    pub(crate) fn from_str_lossy(s: &str) -> Self {
         match s {
             "QFT_TEMPLATE" => RepKind::QftTemplate,
             "PREP_UNIFORM" => RepKind::PrepUniform,
@@ -135,7 +135,7 @@ impl RepKind {
     /// `symbolic_angle_encoding_lowers_symbolically`,
     /// `symbolic_structural_params_fail_loudly`) — extend those alongside
     /// any new entry here.
-    pub fn is_angle_param(&self, key: &str) -> bool {
+    pub(crate) fn is_angle_param(&self, key: &str) -> bool {
         match self {
             RepKind::IsingCostPhase => key == "gamma",
             RepKind::MixerRx => key == "beta",
@@ -217,7 +217,6 @@ impl OperatorDescriptor {
             params: Params::new(),
             cost_hint: None,
             result_schema: None,
-            metadata: BTreeMap::new(),
         }
     }
 
@@ -238,6 +237,17 @@ impl OperatorDescriptor {
             return Err(QmlError::Validation(format!(
                 "operator `{}` references unknown schema `{}` (expected `{QOD_SCHEMA}`)",
                 self.name, self.schema
+            )));
+        }
+        let non_finite = self
+            .params
+            .entries
+            .iter()
+            .find_map(|(key, value)| value.first_non_finite().map(|x| (key, x)));
+        if let Some((key, x)) = non_finite {
+            return Err(QmlError::Validation(format!(
+                "operator `{}` parameter `{key}` holds {x}; descriptor numbers must be finite",
+                self.name
             )));
         }
         if let Some(us) = self.cost_hint.and_then(|hint| hint.duration_us) {
@@ -278,18 +288,13 @@ impl OperatorDescriptor {
         Ok(())
     }
 
-    /// True if the operator transforms a register in place.
-    pub fn is_in_place(&self) -> bool {
-        self.domain_qdt == self.codomain_qdt
-    }
-
     /// Names of unbound symbolic parameters.
-    pub fn unbound_symbols(&self) -> Vec<String> {
+    pub(crate) fn unbound_symbols(&self) -> Vec<String> {
         self.params.unbound_symbols()
     }
 
     /// Return a copy with symbolic parameters bound from `bindings`.
-    pub fn bind(&self, bindings: &BTreeMap<String, ParamValue>) -> OperatorDescriptor {
+    pub(crate) fn bind(&self, bindings: &BTreeMap<String, ParamValue>) -> OperatorDescriptor {
         OperatorDescriptor {
             params: self.params.bind(bindings),
             ..self.clone()
@@ -307,7 +312,6 @@ pub struct QodBuilder {
     params: Params,
     cost_hint: Option<CostHint>,
     result_schema: Option<ResultSchema>,
-    metadata: BTreeMap<String, ParamValue>,
 }
 
 impl QodBuilder {
@@ -323,12 +327,6 @@ impl QodBuilder {
         self
     }
 
-    /// Replace the whole parameter set.
-    pub fn params(mut self, params: Params) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Attach a cost hint.
     pub fn cost_hint(mut self, hint: CostHint) -> Self {
         self.cost_hint = Some(hint);
@@ -338,12 +336,6 @@ impl QodBuilder {
     /// Attach a result schema.
     pub fn result_schema(mut self, schema: ResultSchema) -> Self {
         self.result_schema = Some(schema);
-        self
-    }
-
-    /// Attach a metadata entry.
-    pub fn metadata(mut self, key: impl Into<String>, value: impl Into<ParamValue>) -> Self {
-        self.metadata.insert(key.into(), value.into());
         self
     }
 
@@ -358,7 +350,7 @@ impl QodBuilder {
             params: self.params,
             cost_hint: self.cost_hint,
             result_schema: self.result_schema,
-            metadata: self.metadata,
+            metadata: BTreeMap::new(),
         };
         qod.validate()?;
         Ok(qod)
@@ -399,7 +391,7 @@ mod tests {
         let qod: OperatorDescriptor = serde_json::from_str(LISTING_3).unwrap();
         assert_eq!(qod.name, "QFT");
         assert_eq!(qod.rep_kind, RepKind::QftTemplate);
-        assert!(qod.is_in_place());
+        assert_eq!(qod.domain_qdt, qod.codomain_qdt);
         assert_eq!(qod.params.require_u64("approx_degree").unwrap(), 0);
         assert!(qod.params.bool_or("do_swaps", false));
         assert!(!qod.params.bool_or("inverse", true));
@@ -532,11 +524,22 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_parameters_are_rejected() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let nested = ParamValue::List(vec![ParamValue::Int(0), ParamValue::Float(bad)]);
+            let qod = OperatorDescriptor::builder("ising", RepKind::IsingProblem, "s")
+                .param("h", nested)
+                .build();
+            assert!(matches!(qod, Err(QmlError::Validation(_))), "{bad}");
+        }
+    }
+
+    #[test]
     fn out_of_place_operator() {
         let qod = OperatorDescriptor::builder("copy_add", RepKind::AdderTemplate, "a")
             .codomain("b")
             .build()
             .unwrap();
-        assert!(!qod.is_in_place());
+        assert_ne!(qod.domain_qdt, qod.codomain_qdt);
     }
 }

@@ -26,17 +26,6 @@ pub enum MeasurementBasis {
     Y,
 }
 
-impl MeasurementBasis {
-    /// Canonical single-letter name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MeasurementBasis::Z => "Z",
-            MeasurementBasis::X => "X",
-            MeasurementBasis::Y => "Y",
-        }
-    }
-}
-
 /// Explicit decoding rules for the classical outcome of a measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResultSchema {

@@ -214,11 +214,13 @@ const BUDGETS: &[Budget] = &[
     },
     Budget {
         name: "the serial path fuses a plan to a quarter of its gates",
-        counter: "`fused_op_count` of the bound sweep_warm and state_serial plans",
+        counter: "`fused_op_count` of the bound sweep_warm and state_serial plans and the compile_cold plan",
         scenario: fused_ops,
-        want: Want::Exact(&[58, 90]),
-        reason: "one-qubit runs become one 2×2, `cx·D·cx` one phase pass, three `cx` one swap",
-        mutant: "fusion stops folding `cx(a,b)·D(b)·cx(a,b)` into one pass",
+        want: Want::Exact(&[58, 90, 251]),
+        reason: "one-qubit runs become one 2×2, `cx·D·cx` one phase pass, three `cx` one swap; \
+                 compile_cold's routed plan (745 gates, 133 swaps inserted) fuses to a third",
+        mutant: "fusion stops folding `cx(a,b)·D(b)·cx(a,b)` into one pass, or three `cx` into \
+                 one `swap` (that one reads [94, 150, 495])",
     },
     Budget {
         name: "applying a plan allocates nothing below the threshold",
@@ -538,7 +540,8 @@ fn amp_updates() -> Vec<u64> {
 }
 
 fn fused_ops() -> Vec<u64> {
-    [sweep_warm(), state_plan(12)]
+    let cold = BoundCircuit::concrete(Arc::new(cold_plan(1).circuit));
+    [sweep_warm(), state_plan(12), cold]
         .map(|p| fused_op_count(&p) as u64)
         .to_vec()
 }
