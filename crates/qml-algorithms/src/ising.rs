@@ -35,6 +35,22 @@ fn j_param(j: &[(usize, usize, f64)]) -> ParamValue {
     )
 }
 
+/// A coupling joins two distinct spins of the register: a self-coupling
+/// `s_i·s_i = 1` is a constant, not an interaction.
+fn check_coupling(i: usize, k: usize, width: usize) -> Result<()> {
+    if i >= width || k >= width {
+        return Err(QmlError::Validation(format!(
+            "coupling ({i},{k}) exceeds register width {width}"
+        )));
+    }
+    if i == k {
+        return Err(QmlError::Validation(format!(
+            "coupling ({i},{k}) joins spin {i} to itself"
+        )));
+    }
+    Ok(())
+}
+
 /// Build the `ISING_PROBLEM` descriptor for an Ising problem over a typed
 /// spin register.
 pub(crate) fn ising_problem_operator(
@@ -55,12 +71,7 @@ pub(crate) fn ising_problem_operator(
         });
     }
     for &(i, j, _) in &problem.j {
-        if i >= register.width || j >= register.width {
-            return Err(QmlError::Validation(format!(
-                "coupling ({i},{j}) exceeds register width {}",
-                register.width
-            )));
-        }
+        check_coupling(i, j, register.width)?;
     }
     OperatorDescriptor::builder("ising_problem", RepKind::IsingProblem, &register.id)
         .param("h", h_param(&problem.h))
@@ -118,11 +129,7 @@ pub fn parse_ising_operator(op: &OperatorDescriptor, width: usize) -> Result<Isi
                 let w = triple[2]
                     .as_f64()
                     .ok_or_else(|| QmlError::Validation("bad coupling weight".into()))?;
-                if i >= width || k >= width {
-                    return Err(QmlError::Validation(format!(
-                        "coupling ({i},{k}) exceeds register width {width}"
-                    )));
-                }
+                check_coupling(i, k, width)?;
                 Ok((i, k, w))
             })
             .collect::<Result<_>>()?,
@@ -236,6 +243,33 @@ mod tests {
             .params
             .insert("h", ParamValue::List(vec![ParamValue::Float(0.0); 2]));
         assert!(parse_ising_operator(&bad_h, 4).is_err());
+    }
+
+    #[test]
+    fn self_couplings_are_rejected_naming_the_coupling() {
+        let register = ising_register(3).unwrap();
+        let problem = IsingProblem {
+            h: vec![0.0; 3],
+            j: vec![(0, 1, 1.0), (1, 1, 1.0)],
+        };
+        let expected = "coupling (1,1) joins spin 1 to itself";
+        match ising_problem_operator(&register, &problem) {
+            Err(QmlError::Validation(message)) => assert_eq!(message, expected),
+            other => panic!("expected a validation error, got {other:?}"),
+        }
+        let mut op = ising_problem_operator(
+            &register,
+            &IsingProblem {
+                h: vec![0.0; 3],
+                j: vec![],
+            },
+        )
+        .unwrap();
+        op.params.insert("j", j_param(&problem.j));
+        match parse_ising_operator(&op, 3) {
+            Err(QmlError::Validation(message)) => assert_eq!(message, expected),
+            other => panic!("expected a validation error, got {other:?}"),
+        }
     }
 
     #[test]

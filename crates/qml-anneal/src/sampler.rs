@@ -10,9 +10,11 @@
 //!
 //! # The sweep kernel
 //!
-//! **Cached ΔE.** The spin model's couplings are laid out once per call as
-//! compressed sparse rows (CSR), each coupling under both of its variables
-//! in the model's interaction order, and pre-scaled by 4. A read keeps `de[i]`, the energy change of
+//! **Cached ΔE.** The kernel reads the model as it is stored: its couplings
+//! are compressed sparse rows (CSR), built once by
+//! [`BinaryQuadraticModel::from_ising`], each coupling under both of its
+//! variables in ascending neighbour order and pre-scaled by 4, so a call
+//! derives nothing from its model. A read keeps `de[i]`, the energy change of
 //! flipping spin `i`, and touches it only when a flip is accepted — the
 //! technique of `neal`'s own kernel (Isakov, Zintchenko, Rønnow & Troyer,
 //! "Optimised simulated annealing for Ising spin glasses", CPC 192, 2015).
@@ -55,7 +57,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::bqm::{BinaryQuadraticModel, Vartype};
+use crate::bqm::BinaryQuadraticModel;
 use crate::sampleset::SampleSet;
 use crate::schedule::Schedule;
 
@@ -120,81 +122,46 @@ thread_local! {
     static DELTAS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A spin model flattened for the sweep kernel.
-struct CsrModel {
-    /// `h_i`.
-    linear: Vec<f64>,
-    /// Row `i` is `entries[rows[i]..rows[i + 1]]`.
-    rows: Vec<usize>,
-    /// `(j, 4·J_ij)`, each row in [`BinaryQuadraticModel::adjacency`] order.
-    entries: Vec<(usize, f64)>,
-}
-
-impl CsrModel {
-    fn new(model: &BinaryQuadraticModel) -> Self {
-        let n = model.num_variables();
-        let mut rows = vec![0; n + 1];
-        for (i, j, _) in model.interactions() {
-            rows[i + 1] += 1;
-            rows[j + 1] += 1;
-        }
-        for i in 0..n {
-            rows[i + 1] += rows[i];
-        }
-        let mut next = rows.clone();
-        let mut entries = vec![(0, 0.0); rows[n]];
-        for (i, j, q) in model.interactions() {
-            entries[next[i]] = (j, 4.0 * q);
-            next[i] += 1;
-            entries[next[j]] = (i, 4.0 * q);
-            next[j] += 1;
-        }
-        CsrModel {
-            linear: (0..n).map(|i| model.linear(i)).collect(),
-            rows,
-            entries,
-        }
-    }
-
-    fn row(&self, i: usize) -> &[(usize, f64)] {
-        &self.entries[self.rows[i]..self.rows[i + 1]]
-    }
-
-    /// One read: sweep `spins` in place through the β schedule, with `de`
-    /// as the ΔE cache.
-    fn anneal(&self, betas: &[f64], rng: &mut StdRng, spins: &mut [i8], de: &mut Vec<f64>) {
-        de.clear();
-        de.extend(spins.iter().enumerate().map(|(i, &s)| {
-            // ΔE of flipping spin i: −2 s_i (h_i + Σ_j J_ij s_j).
-            let field: f64 = self.linear[i]
-                + self
-                    .row(i)
-                    .iter()
-                    .map(|&(j, w4)| 0.25 * w4 * f64::from(spins[j]))
-                    .sum::<f64>();
-            -2.0 * f64::from(s) * field
-        }));
-        for &beta in betas {
-            for i in 0..spins.len() {
-                let delta = de[i];
-                // Metropolis acceptance with a random tie-break on zero-cost
-                // moves: a deterministic scan order plus "always accept Δ=0"
-                // can lock the chain into a limit cycle on degenerate
-                // plateaus (e.g. even cycles).
-                let accept = if delta < 0.0 {
-                    true
-                } else if delta == 0.0 {
-                    rng.gen::<bool>()
-                } else {
-                    metropolis_accepts(rng.gen::<f64>(), beta * delta)
-                };
-                if accept {
-                    let s = spins[i];
-                    spins[i] = -s;
-                    de[i] = -delta;
-                    for &(j, w4) in self.row(i) {
-                        de[j] += w4 * f64::from(s * spins[j]);
-                    }
+/// One read: sweep `spins` in place through the β schedule, with `de` as
+/// the ΔE cache.
+fn anneal(
+    model: &BinaryQuadraticModel,
+    betas: &[f64],
+    rng: &mut StdRng,
+    spins: &mut [i8],
+    de: &mut Vec<f64>,
+) {
+    de.clear();
+    de.extend(spins.iter().enumerate().map(|(i, &s)| {
+        // ΔE of flipping spin i: −2 s_i (h_i + Σ_j J_ij s_j).
+        let field: f64 = model.linear(i)
+            + model
+                .row(i)
+                .iter()
+                .map(|&(j, w4)| 0.25 * w4 * f64::from(spins[j]))
+                .sum::<f64>();
+        -2.0 * f64::from(s) * field
+    }));
+    for &beta in betas {
+        for i in 0..spins.len() {
+            let delta = de[i];
+            // Metropolis acceptance with a random tie-break on zero-cost
+            // moves: a deterministic scan order plus "always accept Δ=0"
+            // can lock the chain into a limit cycle on degenerate
+            // plateaus (e.g. even cycles).
+            let accept = if delta < 0.0 {
+                true
+            } else if delta == 0.0 {
+                rng.gen::<bool>()
+            } else {
+                metropolis_accepts(rng.gen::<f64>(), beta * delta)
+            };
+            if accept {
+                let s = spins[i];
+                spins[i] = -s;
+                de[i] = -delta;
+                for &(j, w4) in model.row(i) {
+                    de[j] += w4 * f64::from(s * spins[j]);
                 }
             }
         }
@@ -224,26 +191,16 @@ impl SimulatedAnnealer {
         SimulatedAnnealer
     }
 
-    /// Sample the model. The result is reported in SPIN convention regardless
-    /// of the model's vartype (energies are computed on the original model).
+    /// Sample the model: `num_reads` independent anneals, aggregated.
     pub fn sample(&self, bqm: &BinaryQuadraticModel, params: &AnnealParams) -> SampleSet {
         assert!(params.num_reads > 0, "num_reads must be positive");
         assert!(params.num_sweeps > 0, "num_sweeps must be positive");
-        let converted;
-        let spin_model = match bqm.vartype() {
-            Vartype::Spin => bqm,
-            Vartype::Binary => {
-                converted = bqm.to_spin();
-                &converted
-            }
-        };
-        let n = spin_model.num_variables();
+        let n = bqm.num_variables();
         let schedule = match params.beta_range {
             Some((lo, hi)) => Schedule::geometric(lo, hi, params.num_sweeps),
-            None => Schedule::default_for(spin_model, params.num_sweeps),
+            None => Schedule::default_for(bqm.max_effective_field(), params.num_sweeps),
         };
         let betas = schedule.betas();
-        let model = CsrModel::new(spin_model);
 
         let reads: Vec<(Vec<i8>, f64)> = (0..params.num_reads)
             .into_par_iter()
@@ -254,7 +211,7 @@ impl SimulatedAnnealer {
                 let mut spins: Vec<i8> = (0..n)
                     .map(|_| if rng.gen::<bool>() { 1 } else { -1 })
                     .collect();
-                DELTAS.with(|de| model.anneal(&betas, &mut rng, &mut spins, &mut de.borrow_mut()));
+                DELTAS.with(|de| anneal(bqm, &betas, &mut rng, &mut spins, &mut de.borrow_mut()));
                 let energy = bqm.energy_spin(&spins);
                 (spins, energy)
             })
@@ -267,24 +224,30 @@ impl SimulatedAnnealer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ReferenceModel;
     use proptest::prelude::*;
 
+    /// Fields and couplings, the input of both model layouts.
+    type Ising = (Vec<f64>, Vec<(usize, usize, f64)>);
+
+    fn model((h, j): &Ising) -> BinaryQuadraticModel {
+        BinaryQuadraticModel::from_ising(h, j)
+    }
+
     /// The sampler as it was before the cached-ΔE kernel: the local field
-    /// recomputed from `adjacency()` on every proposal and `exp` on every
-    /// uphill one. The oracle the kernel is held `==` to.
-    fn reference_sample(bqm: &BinaryQuadraticModel, params: &AnnealParams) -> SampleSet {
-        let spin_model = match bqm.vartype() {
-            Vartype::Spin => bqm.clone(),
-            Vartype::Binary => bqm.to_spin(),
-        };
-        let n = spin_model.num_variables();
+    /// recomputed from the map model's adjacency on every proposal and `exp`
+    /// on every uphill one. The oracle the kernel is held `==` to; it reads
+    /// nothing of the stored model, not even its field.
+    fn reference_sample((h, j): &Ising, params: &AnnealParams) -> SampleSet {
+        let reference = ReferenceModel::from_ising(h, j);
+        let n = reference.num_variables();
         let schedule = match params.beta_range {
             Some((lo, hi)) => Schedule::geometric(lo, hi, params.num_sweeps),
-            None => Schedule::default_for(&spin_model, params.num_sweeps),
+            None => Schedule::default_for(reference.max_effective_field(), params.num_sweeps),
         };
         let betas = schedule.betas();
-        let adjacency = spin_model.adjacency();
-        let linear: Vec<f64> = (0..n).map(|i| spin_model.linear(i)).collect();
+        let adjacency = reference.adjacency();
+        let linear: Vec<f64> = (0..n).map(|i| reference.linear(i)).collect();
         let reads = (0..params.num_reads)
             .map(|read| {
                 let mut rng = StdRng::seed_from_u64(
@@ -313,42 +276,40 @@ mod tests {
                         }
                     }
                 }
-                let energy = bqm.energy_spin(&spins);
+                let energy = reference.energy_spin(&spins);
                 (spins, energy)
             })
             .collect();
         SampleSet::from_reads(reads)
     }
 
-    fn assert_matches_reference(bqm: &BinaryQuadraticModel, params: &AnnealParams) {
+    fn assert_matches_reference(ising: &Ising, params: &AnnealParams) {
         assert_eq!(
-            SimulatedAnnealer::new().sample(bqm, params),
-            reference_sample(bqm, params),
+            SimulatedAnnealer::new().sample(&model(ising), params),
+            reference_sample(ising, params),
             "{params:?}"
         );
     }
 
     /// The paper's Max-Cut C4 Ising model.
-    fn c4_ising() -> BinaryQuadraticModel {
-        BinaryQuadraticModel::from_ising(
-            &[0.0; 4],
-            &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)],
-        )
+    fn c4() -> Ising {
+        let j = vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)];
+        (vec![0.0; 4], j)
     }
 
     /// A slightly frustrated 8-spin ring with a defect coupling.
-    fn defect_ring() -> BinaryQuadraticModel {
+    fn defect_ring() -> Ising {
         let mut j = vec![];
         for i in 0..8usize {
             j.push((i, (i + 1) % 8, 1.0));
         }
         j.push((0, 4, 1.5));
-        BinaryQuadraticModel::from_ising(&[0.0; 8], &j)
+        (vec![0.0; 8], j)
     }
 
     /// The `anneal_sweep` benchmark's shape: a Max-Cut Ising model on 48
     /// nodes and 169 random edges of weight in [0.5, 1.5].
-    fn benchmark_shaped(seed: u64) -> BinaryQuadraticModel {
+    fn benchmark_shaped(seed: u64) -> Ising {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut pairs: Vec<(usize, usize)> = (0..48)
             .flat_map(|u| (u + 1..48).map(move |v| (u, v)))
@@ -361,28 +322,21 @@ mod tests {
                 (u, v, rng.gen_range(0.5..=1.5))
             })
             .collect();
-        BinaryQuadraticModel::from_ising(&[0.0; 48], &edges)
+        (vec![0.0; 48], edges)
     }
 
     /// A random model whose every coefficient is an integer in [−12, 12] or
     /// a multiple of 1/4 in [−3, 3], so all sampler arithmetic is exact.
-    fn arb_exact_bqm() -> impl Strategy<Value = BinaryQuadraticModel> {
-        (1usize..=12, any::<bool>(), any::<bool>()).prop_flat_map(|(n, binary, dyadic)| {
+    fn arb_exact_ising() -> impl Strategy<Value = Ising> {
+        (1usize..=12, any::<bool>()).prop_flat_map(|(n, dyadic)| {
             let scale = if dyadic { 0.25 } else { 1.0 };
             let coefficient = move || (-12i32..=12).prop_map(move |k| f64::from(k) * scale);
             let linear = proptest::collection::vec(coefficient(), n);
             let quadratic = proptest::collection::vec((0..n, 0..n, coefficient()), 0..(n * 3));
-            (linear, quadratic).prop_map(move |(h, q)| {
+            (linear, quadratic).prop_map(|(h, q)| {
                 let q: Vec<(usize, usize, f64)> =
                     q.into_iter().filter(|&(a, b, _)| a != b).collect();
-                if binary {
-                    let mut entries: Vec<(usize, usize, f64)> =
-                        h.iter().enumerate().map(|(i, &v)| (i, i, v)).collect();
-                    entries.extend(q);
-                    BinaryQuadraticModel::from_qubo(n, &entries, 0.5)
-                } else {
-                    BinaryQuadraticModel::from_ising(&h, &q)
-                }
+                (h, q)
             })
         })
     }
@@ -392,7 +346,7 @@ mod tests {
         // The paper's Fig. 3 path: 1000 reads on the C4 Ising problem must
         // return the optimal cut assignments 1010 and 0101.
         let set = SimulatedAnnealer::new().sample(
-            &c4_ising(),
+            &model(&c4()),
             &AnnealParams::with_reads(1000)
                 .with_sweeps(100)
                 .with_seed(42),
@@ -421,10 +375,10 @@ mod tests {
     fn results_are_deterministic_per_seed() {
         let sampler = SimulatedAnnealer::new();
         let params = AnnealParams::with_reads(50).with_sweeps(50).with_seed(7);
-        let a = sampler.sample(&c4_ising(), &params);
-        let b = sampler.sample(&c4_ising(), &params);
+        let a = sampler.sample(&model(&c4()), &params);
+        let b = sampler.sample(&model(&c4()), &params);
         assert_eq!(a, b);
-        let c = sampler.sample(&c4_ising(), &params.clone().with_seed(8));
+        let c = sampler.sample(&model(&c4()), &params.clone().with_seed(8));
         assert_ne!(a, c);
     }
 
@@ -461,23 +415,10 @@ mod tests {
     }
 
     #[test]
-    fn binary_vartype_models_are_handled() {
-        // QUBO: minimize x0 + x1 − 3 x0 x1 → ground state 11 with energy −1.
-        let bqm =
-            BinaryQuadraticModel::from_qubo(2, &[(0, 0, 1.0), (1, 1, 1.0), (0, 1, -3.0)], 0.0);
-        let set = SimulatedAnnealer::new().sample(
-            &bqm,
-            &AnnealParams::with_reads(100).with_sweeps(100).with_seed(5),
-        );
-        let best = set.lowest().unwrap();
-        assert_eq!(best.bitstring(), "11");
-        assert!((best.energy - (-1.0)).abs() < 1e-9);
-    }
-
-    #[test]
     fn more_sweeps_do_not_hurt_solution_quality() {
-        let bqm = defect_ring();
-        let exact = bqm.brute_force_ground_energy();
+        let (h, j) = defect_ring();
+        let bqm = BinaryQuadraticModel::from_ising(&h, &j);
+        let exact = ReferenceModel::from_ising(&h, &j).brute_force_ground_energy();
         let quick = SimulatedAnnealer::new().sample(
             &bqm,
             &AnnealParams::with_reads(50).with_sweeps(5).with_seed(11),
@@ -493,7 +434,7 @@ mod tests {
     #[test]
     fn explicit_beta_range_is_respected() {
         let set = SimulatedAnnealer::new().sample(
-            &c4_ising(),
+            &model(&c4()),
             &AnnealParams::with_reads(20)
                 .with_sweeps(20)
                 .with_seed(2)
@@ -506,7 +447,7 @@ mod tests {
     #[should_panic(expected = "num_reads")]
     fn zero_reads_panics() {
         SimulatedAnnealer::new().sample(
-            &c4_ising(),
+            &model(&c4()),
             &AnnealParams {
                 num_reads: 0,
                 ..AnnealParams::default()
@@ -521,14 +462,13 @@ mod tests {
                 let params = AnnealParams::with_reads(64)
                     .with_sweeps(sweeps)
                     .with_seed(seed);
-                assert_matches_reference(&c4_ising(), &params);
+                assert_matches_reference(&c4(), &params);
                 assert_matches_reference(&defect_ring(), &params);
-                assert_matches_reference(&c4_ising(), &params.with_beta_range(0.01, 20.0));
+                assert_matches_reference(&c4(), &params.with_beta_range(0.01, 20.0));
             }
         }
         let params = AnnealParams::with_reads(50).with_sweeps(500).with_seed(11);
         assert_matches_reference(&defect_ring(), &params);
-        assert_matches_reference(&defect_ring().to_binary(), &params);
     }
 
     #[test]
@@ -548,7 +488,7 @@ mod tests {
         /// ΔE, so every read takes the reference's path: `==`, not close.
         #[test]
         fn sampler_equals_the_reference_on_exact_weight_instances(
-            bqm in arb_exact_bqm(),
+            ising in arb_exact_ising(),
             reads in 1u64..24,
             sweeps in 1usize..80,
             seed in any::<u64>(),
@@ -559,8 +499,8 @@ mod tests {
                 params = params.with_beta_range(0.05, 12.0);
             }
             prop_assert_eq!(
-                SimulatedAnnealer::new().sample(&bqm, &params),
-                reference_sample(&bqm, &params)
+                SimulatedAnnealer::new().sample(&model(&ising), &params),
+                reference_sample(&ising, &params)
             );
         }
 

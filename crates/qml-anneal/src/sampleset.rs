@@ -2,8 +2,8 @@
 //!
 //! Mirrors the structure of D-Wave Ocean's `SampleSet`: a list of
 //! (assignment, energy, num_occurrences) records plus aggregation helpers —
-//! the statistics the paper's §5 reports (lowest-energy assignments, expected
-//! cut over all returned samples).
+//! the statistics the paper's §5 reports (lowest-energy assignments, mean
+//! energy, ground-state probability).
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -102,19 +102,6 @@ impl SampleSet {
             / total as f64
     }
 
-    /// Occurrence-weighted expectation of an arbitrary objective.
-    pub fn expectation<F: Fn(&SampleRecord) -> f64>(&self, objective: F) -> f64 {
-        let total = self.total_reads();
-        if total == 0 {
-            return 0.0;
-        }
-        self.records
-            .iter()
-            .map(|r| objective(r) * r.num_occurrences as f64)
-            .sum::<f64>()
-            / total as f64
-    }
-
     /// Fraction of reads that landed within `tol` of the minimum energy —
     /// the annealer's ground-state success probability.
     pub fn ground_state_probability(&self, tol: f64) -> f64 {
@@ -186,14 +173,6 @@ mod tests {
         let set = demo_set();
         let expected = (-4.0 * 3.0 + 4.0 + 0.0) / 5.0;
         assert!((set.mean_energy() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expectation_custom_objective() {
-        let set = demo_set();
-        // Count +1 spins.
-        let avg_up = set.expectation(|r| r.spins.iter().filter(|&&s| s == 1).count() as f64);
-        assert!((avg_up - (2.0 * 3.0 + 4.0 + 2.0) / 5.0).abs() < 1e-12);
     }
 
     #[test]

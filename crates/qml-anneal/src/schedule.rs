@@ -1,7 +1,5 @@
 //! Annealing schedules: how the inverse temperature β evolves over a read.
 
-use crate::bqm::BinaryQuadraticModel;
-
 /// An annealing schedule: a sequence of β values, one per sweep, geometric
 /// (exponential) between β_min and β_max — the interpolation Ocean's `neal`
 /// sampler uses by default.
@@ -30,12 +28,13 @@ impl Schedule {
         }
     }
 
-    /// A default β range derived from the problem, following the heuristic of
-    /// Ocean's `neal`: start hot enough that the largest possible move is
-    /// accepted with probability ½, end cold enough that a unit move is
-    /// accepted with probability 1 %.
-    pub(crate) fn default_for(bqm: &BinaryQuadraticModel, num_sweeps: usize) -> Self {
-        let max_field = bqm.max_effective_field().max(1e-9);
+    /// A default β range derived from the model's stored largest effective
+    /// field (`BinaryQuadraticModel::max_effective_field`), following the
+    /// heuristic of Ocean's `neal`: start hot enough that the largest
+    /// possible move is accepted with probability ½, end cold enough that a
+    /// unit move is accepted with probability 1 %.
+    pub(crate) fn default_for(max_effective_field: f64, num_sweeps: usize) -> Self {
+        let max_field = max_effective_field.max(1e-9);
         let beta_min = (2.0f64).ln() / (2.0 * max_field);
         let beta_max = (100.0f64).ln() / 1.0_f64.min(max_field).max(1e-3);
         Schedule::geometric(beta_min, beta_max.max(beta_min * 10.0), num_sweeps)
@@ -78,10 +77,8 @@ mod tests {
 
     #[test]
     fn default_schedule_scales_with_problem() {
-        let weak = BinaryQuadraticModel::from_ising(&[0.0, 0.0], &[(0, 1, 0.5)]);
-        let strong = BinaryQuadraticModel::from_ising(&[0.0, 0.0], &[(0, 1, 50.0)]);
-        let sw = Schedule::default_for(&weak, 10);
-        let ss = Schedule::default_for(&strong, 10);
+        let sw = Schedule::default_for(0.5, 10);
+        let ss = Schedule::default_for(50.0, 10);
         assert!(
             ss.beta_min < sw.beta_min,
             "stronger couplings need a hotter start"

@@ -381,6 +381,26 @@ mod tests {
         }
     }
 
+    /// A coupling of a spin to itself passes the seal, which does not parse
+    /// `j`, and fails at lowering as a validation error naming it, before
+    /// the model is built.
+    #[test]
+    fn self_couplings_are_validation_errors_not_panics() {
+        let bundle = with_fields(
+            maxcut_ising_program(&cycle(3)).unwrap(),
+            [0.0; 3],
+            Some((1, 1, 1.0)),
+        );
+        assert!(SealedBundle::seal(bundle.clone()).is_ok(), "seals");
+        let run = std::panic::catch_unwind(|| AnnealBackend::new().execute(&bundle));
+        match run {
+            Ok(Err(QmlError::Validation(message))) => {
+                assert_eq!(message, "coupling (1,1) joins spin 1 to itself")
+            }
+            other => panic!("expected a validation error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn qaoa_bundle_rejected() {
         let bundle = qaoa_maxcut_program(&cycle(4), &QaoaSchedule::Fixed(vec![RING_P1_ANGLES]))

@@ -4,7 +4,8 @@
 //! (paper §5): undirected weighted graphs, workload generators (the 4-node
 //! cycle of Figs. 2–3 and the larger families used in the ablation benches),
 //! the Max-Cut objective with exact and heuristic classical baselines, and the
-//! Ising/QUBO formulations consumed by the annealing path.
+//! Ising formulation (h, J) the annealing path's `ISING_PROBLEM` descriptor
+//! carries.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
@@ -17,10 +18,7 @@ pub mod maxcut;
 
 pub use generators::{complete, cycle, grid, path, random_gnp};
 pub use graph::Graph;
-pub use ising::{
-    energy_to_cut, ising_to_qubo, maxcut_to_ising, maxcut_to_qubo, spins_to_cut, IsingProblem,
-    QuboProblem,
-};
+pub use ising::{energy_to_cut, maxcut_to_ising, IsingProblem};
 pub use maxcut::{
     all_optimal_bitstrings, brute_force, cut_value_of_bitstring, greedy, multi_start_local_search,
     random_baseline_expectation, CutSolution,
@@ -29,7 +27,7 @@ pub use maxcut::{
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::ising::bools_to_spins;
+    use crate::ising::bools_as_spins;
     use crate::maxcut::{cut_value, local_search};
     use proptest::prelude::*;
 
@@ -53,7 +51,7 @@ mod proptests {
             let g = random_gnp(n, p, seed);
             let ising = maxcut_to_ising(&g);
             let bits: Vec<bool> = (0..n).map(|i| (mask >> i) & 1 == 1).collect();
-            let spins = bools_to_spins(&bits);
+            let spins = bools_as_spins(&bits);
             let via_energy = energy_to_cut(&g, ising.energy(&spins));
             prop_assert!((via_energy - cut_value(&g, &bits)).abs() < 1e-9);
         }

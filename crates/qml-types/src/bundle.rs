@@ -332,7 +332,7 @@ impl JobBundle {
             let codomain = self
                 .find_qdt(&op.codomain_qdt)
                 .ok_or_else(|| QmlError::UnknownRegister(op.codomain_qdt.clone()))?;
-            op.validate_against(domain, codomain)?;
+            op.check_registers(domain, codomain)?;
 
             for touched in [op.domain_qdt.as_str(), op.codomain_qdt.as_str()] {
                 if measured.contains(touched) {

@@ -276,6 +276,16 @@ impl OperatorDescriptor {
         codomain: &QuantumDataType,
     ) -> Result<()> {
         self.validate()?;
+        self.check_registers(domain, codomain)
+    }
+
+    /// The register half of [`validate_against`](Self::validate_against),
+    /// for a descriptor whose own [`validate`](Self::validate) has passed.
+    pub(crate) fn check_registers(
+        &self,
+        domain: &QuantumDataType,
+        codomain: &QuantumDataType,
+    ) -> Result<()> {
         if domain.id != self.domain_qdt {
             return Err(QmlError::UnknownRegister(self.domain_qdt.clone()));
         }

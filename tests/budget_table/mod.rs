@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qml_core::anneal::{AnnealParams, BinaryQuadraticModel, SimulatedAnnealer};
-use qml_core::backends::{lower_to_circuit, GatePlan, TranspileCache};
+use qml_core::backends::{lower_to_bqm, lower_to_circuit, GatePlan, TranspileCache};
 use qml_core::graph::{cycle, random_gnp};
 use qml_core::prelude::*;
 use qml_core::runtime::{JobDispatch, JobId, JobOutcome, JobSource, Placement, WorkerPool};
@@ -336,20 +336,32 @@ const BUDGETS: &[Budget] = &[
     // The annealer.
     Budget {
         name: "a model's energy is evaluated in place",
-        counter: "allocations of `energy_spin`, `energy_binary` on C4 as a spin and a binary model, then of `max_effective_field`",
+        counter: "allocations of `energy_spin` on C4, then of `max_effective_field`",
         scenario: model_allocations,
-        want: Want::Exact(&[0, 0, 0, 0, 1]),
-        reason: "energies fold over the terms in place; the field bound needs one accumulator",
-        mutant: "`energy_spin` on a binary model converts the sample into a `Vec<bool>`, or \
-                 `max_effective_field` builds per-variable adjacency lists",
+        want: Want::Exact(&[0, 0]),
+        reason: "energies fold over the rows in place; the field bound is stored by `from_ising`",
+        mutant: "`energy_spin` collects the sample's values into a `Vec<f64>`, or \
+                 `max_effective_field` recomputes the field with a per-variable accumulator",
     },
     Budget {
         name: "the annealer allocates only the spins it returns per read",
-        counter: "allocations of 1 100 reads less those of 100, on C4 as a spin and as a binary model",
+        counter: "allocations of 1 100 reads less those of 100, on C4",
         scenario: extra_read_allocations,
         want: Want::Each(1000, 1032),
         reason: "one returned spin vector per read plus the growth steps of the vector of reads",
         mutant: "each read allocates its own ΔE buffer instead of the per-thread scratch",
+    },
+    Budget {
+        name: "a sample call derives nothing from its model",
+        counter: "allocations of a warm 1-read `sample` of a lowered G(48, 0.15) Max-Cut model",
+        scenario: sample_call_allocations,
+        want: Want::Exact(&[8]),
+        reason: "the β schedule; the rayon stand-in's block list, its one block's output (run \
+                 inline on the calling thread), the list of outputs and their concatenation; \
+                 the read's spins; the sample set's map node and records. The model's rows \
+                 and field are built once, by `from_ising`",
+        mutant: "`sample` rebuilds the coupling rows per call, or the default schedule rescans \
+                 the couplings for the field",
     },
     // The service.
     Budget {
@@ -838,40 +850,41 @@ fn anneal_ladder_counters() -> Vec<u64> {
     vec![stats.misses, stats.hits]
 }
 
-/// C4 as a spin model and as a binary one.
-fn c4() -> [BinaryQuadraticModel; 2] {
+/// The paper's C4 Max-Cut model.
+fn c4() -> BinaryQuadraticModel {
     let edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)];
-    let spin = BinaryQuadraticModel::from_ising(&[0.0; 4], &edges);
-    let binary = spin.to_binary();
-    [spin, binary]
+    BinaryQuadraticModel::from_ising(&[0.0; 4], &edges)
 }
 
 fn model_allocations() -> Vec<u64> {
-    let mut readings = Vec::new();
-    for model in c4() {
-        let (spin, n) = allocations(|| model.energy_spin(&[1, -1, 1, -1]));
-        let (binary, m) = allocations(|| model.energy_binary(&[true, false, true, false]));
-        assert_eq!((spin, binary), (-4.0, -4.0));
-        readings.extend([n, m]);
-    }
-    let [spin, _] = c4();
-    let (field, n) = allocations(|| spin.max_effective_field());
-    assert_eq!(field, 2.0);
-    readings.push(n);
-    readings
+    let model = c4();
+    let (energy, n) = allocations(|| model.energy_spin(&[1, -1, 1, -1]));
+    let (field, m) = allocations(|| model.max_effective_field());
+    assert_eq!((energy, field), (-4.0, 2.0));
+    vec![n, m]
 }
 
 fn extra_read_allocations() -> Vec<u64> {
     let sampler = SimulatedAnnealer::new();
     let params = |reads| AnnealParams::with_reads(reads).with_sweeps(20).with_seed(3);
-    let extra = |model: &BinaryQuadraticModel| {
-        sampler.sample(model, &params(100));
-        let (_, few) = allocations(|| sampler.sample(model, &params(100)));
-        let (set, many) = allocations(|| sampler.sample(model, &params(1100)));
-        assert_eq!(set.total_reads(), 1100);
-        many - few
-    };
-    c4().iter().map(extra).collect()
+    let model = c4();
+    sampler.sample(&model, &params(100));
+    let (_, few) = allocations(|| sampler.sample(&model, &params(100)));
+    let (set, many) = allocations(|| sampler.sample(&model, &params(1100)));
+    assert_eq!(set.total_reads(), 1100);
+    vec![many - few]
+}
+
+fn sample_call_allocations() -> Vec<u64> {
+    let program = maxcut_ising_program(&random_gnp(48, 0.15, 1)).unwrap();
+    let model = lower_to_bqm(&program).unwrap().bqm;
+    let sampler = SimulatedAnnealer::new();
+    let params = AnnealParams::with_reads(1).with_sweeps(20).with_seed(3);
+    // Warm: the calling thread's ΔE scratch already holds 48 entries.
+    sampler.sample(&model, &params);
+    let (set, n) = allocations(|| sampler.sample(&model, &params));
+    assert_eq!((model.num_variables(), set.total_reads()), (48, 1));
+    vec![n]
 }
 
 fn sweep_program_allocations() -> Vec<u64> {

@@ -4,7 +4,8 @@
 //! service, never as a panic or a `Completed` job whose counts do not
 //! decode. Because the check lives on the plan-build path, a cached plan
 //! serves every later job with no schema work, which the cache counters
-//! show.
+//! show. A malformed Ising problem, a coupling of a spin to itself, fails
+//! on the same path.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,6 +124,23 @@ fn as_phase_without_phase_scale_fails_the_job_on_the_anneal_plane() {
         &AnnealBackend::new(),
         as_phase(anneal_job(1)),
         "no phase_scale",
+    );
+}
+
+#[test]
+fn a_self_coupling_fails_the_job_on_the_anneal_plane() {
+    let mut bundle = maxcut_ising_program(&cycle(3))
+        .unwrap()
+        .with_context(anneal_context(1));
+    let coupling = |i: usize, k: usize| ParamValue::List(vec![i.into(), k.into(), 1.0.into()]);
+    let op = &mut Arc::make_mut(&mut bundle.operators)[0];
+    op.params
+        .insert("j", ParamValue::List(vec![coupling(0, 1), coupling(1, 1)]));
+    bundle.validate().unwrap();
+    assert_rejected(
+        &AnnealBackend::new(),
+        bundle,
+        "coupling (1,1) joins spin 1 to itself",
     );
 }
 
