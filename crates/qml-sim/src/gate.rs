@@ -11,6 +11,15 @@
 //! bound parameters all the way through routing and optimization; only the
 //! matrix accessors require bound angles. Concrete angles convert implicitly
 //! via `From<f64>` (`Gate::Rz(0, theta.into())`).
+//!
+//! `U`'s three angles are plain `f64` constants. No descriptor lowers to a
+//! `U`: the transpiler builds one only from the angles of a bound 2×2
+//! matrix, to resynthesize a run of one-qubit gates. With three 32-byte
+//! `ParamExpr`s, `U` would be the largest variant and a `Gate` 112 bytes. As
+//! it is, the largest variants are `Cp` and `Rzz` (two indices and one
+//! `ParamExpr`), so a `Gate` is 56 bytes. Plans, transpiler buffers and fused
+//! ops hold gates by value, so this size is what a cached plan costs per
+//! gate.
 
 use serde::{Deserialize, Serialize};
 use std::f64::consts::{FRAC_PI_2, PI};
@@ -47,8 +56,8 @@ pub enum Gate {
     Rz(usize, ParamExpr),
     /// Phase gate P(λ) = diag(1, e^{iλ}).
     Phase(usize, ParamExpr),
-    /// Generic single-qubit U(θ, φ, λ).
-    U(usize, ParamExpr, ParamExpr, ParamExpr),
+    /// Generic single-qubit U(θ, φ, λ), with constant angles.
+    U(usize, f64, f64, f64),
     /// Controlled-X (control, target).
     Cx(usize, usize),
     /// Controlled-Z.
@@ -138,7 +147,6 @@ impl Gate {
             | Gate::Phase(_, t)
             | Gate::Cp(_, _, t)
             | Gate::Rzz(_, _, t) => t.is_symbolic(),
-            Gate::U(_, a, b, c) => a.is_symbolic() || b.is_symbolic() || c.is_symbolic(),
             _ => false,
         }
     }
@@ -150,7 +158,6 @@ impl Gate {
             Gate::Ry(q, t) => Gate::Ry(q, t.bind(values)),
             Gate::Rz(q, t) => Gate::Rz(q, t.bind(values)),
             Gate::Phase(q, t) => Gate::Phase(q, t.bind(values)),
-            Gate::U(q, a, b, c) => Gate::U(q, a.bind(values), b.bind(values), c.bind(values)),
             Gate::Cp(c, t, l) => Gate::Cp(c, t, l.bind(values)),
             Gate::Rzz(a, b, t) => Gate::Rzz(a, b, t.bind(values)),
             other => other,
@@ -174,7 +181,7 @@ impl Gate {
             Gate::Ry(q, t) => Gate::Ry(q, t.neg()),
             Gate::Rz(q, t) => Gate::Rz(q, t.neg()),
             Gate::Phase(q, t) => Gate::Phase(q, t.neg()),
-            Gate::U(q, theta, phi, lambda) => Gate::U(q, theta.neg(), lambda.neg(), phi.neg()),
+            Gate::U(q, theta, phi, lambda) => Gate::U(q, -theta, -lambda, -phi),
             Gate::Cx(c, t) => Gate::Cx(c, t),
             Gate::Cz(c, t) => Gate::Cz(c, t),
             Gate::Cp(c, t, l) => Gate::Cp(c, t, l.neg()),
@@ -309,7 +316,6 @@ impl Gate {
                 Complex64::from_phase(l.value()),
             ],
             Gate::U(_, theta, phi, lambda) => {
-                let (theta, phi, lambda) = (theta.value(), phi.value(), lambda.value());
                 let (c, s) = ((theta / 2.0).cos(), (theta / 2.0).sin());
                 [
                     Complex64::real(c),
@@ -416,7 +422,7 @@ mod tests {
             Gate::Ry(0, (-1.3).into()),
             Gate::Rz(0, 2.1.into()),
             Gate::Phase(0, 0.9.into()),
-            Gate::U(0, 1.0.into(), 0.5.into(), (-0.3).into()),
+            Gate::U(0, 1.0, 0.5, -0.3),
         ]
     }
 
@@ -469,7 +475,7 @@ mod tests {
     #[test]
     fn u_gate_specializations() {
         // U(π/2, 0, π) = H up to global phase; compare action structure.
-        let u = Gate::U(0, std::f64::consts::FRAC_PI_2.into(), 0.0.into(), PI.into())
+        let u = Gate::U(0, std::f64::consts::FRAC_PI_2, 0.0, PI)
             .single_qubit_matrix()
             .unwrap();
         let h = Gate::H(0).single_qubit_matrix().unwrap();

@@ -11,6 +11,13 @@
 //! symbolic circuits move through routing and optimization exactly like
 //! concrete ones.
 //!
+//! Storage: the offset, then the term slots and the term coefficients as two
+//! parallel arrays, `slots: [u32; 2]` and `coeffs: [f64; 2]`. That is 8 + 8 +
+//! 16 = 32 bytes with no padding; an array of `(u32, f64)` pairs pads each
+//! slot to 8 bytes and costs 40. Every rotation gate carries one
+//! `ParamExpr`, so this sets the size of [`Gate`](crate::Gate) (56 bytes),
+//! and with it of every cached plan.
+//!
 //! Symbol *slots* are small integers assigned by whoever lowers a program
 //! (the backend keeps the slot → name table); the simulator itself never
 //! interprets them — it only requires that every expression is bound to a
@@ -37,13 +44,14 @@ const NO_SYM: u32 = u32::MAX;
 ///
 /// Invariants (maintained by every constructor and operation):
 /// * active terms are sorted by slot, have non-zero coefficients, and are
-///   packed at the front of the term array;
-/// * unused entries are `(NO_SYM, 0.0)` — so derived equality is structural
-///   equality of the canonical form.
+///   packed at the front of `slots` and `coeffs`;
+/// * an unused entry is slot `NO_SYM` with coefficient `0.0` — so derived
+///   equality is structural equality of the canonical form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParamExpr {
     offset: f64,
-    terms: [(u32, f64); MAX_PARAM_TERMS],
+    slots: [u32; MAX_PARAM_TERMS],
+    coeffs: [f64; MAX_PARAM_TERMS],
 }
 
 impl ParamExpr {
@@ -51,26 +59,33 @@ impl ParamExpr {
     pub fn constant(value: f64) -> Self {
         ParamExpr {
             offset: value,
-            terms: [(NO_SYM, 0.0); MAX_PARAM_TERMS],
+            slots: [NO_SYM; MAX_PARAM_TERMS],
+            coeffs: [0.0; MAX_PARAM_TERMS],
         }
     }
 
     /// The bare symbol `sym(slot)` (coefficient 1, offset 0).
     pub fn symbol(slot: u32) -> Self {
         assert_ne!(slot, NO_SYM, "symbol slot {NO_SYM} is reserved");
-        let mut terms = [(NO_SYM, 0.0); MAX_PARAM_TERMS];
-        terms[0] = (slot, 1.0);
-        ParamExpr { offset: 0.0, terms }
+        let mut out = ParamExpr::constant(0.0);
+        out.push_term(0, (slot, 1.0));
+        out
     }
 
     /// Number of active symbol terms.
     fn num_terms(&self) -> usize {
-        self.terms.iter().take_while(|(s, _)| *s != NO_SYM).count()
+        self.slots.iter().take_while(|&&s| s != NO_SYM).count()
+    }
+
+    /// Write `term` as entry `n`.
+    fn push_term(&mut self, n: usize, (slot, coeff): (u32, f64)) {
+        self.slots[n] = slot;
+        self.coeffs[n] = coeff;
     }
 
     /// True if the expression references at least one symbol.
     pub fn is_symbolic(&self) -> bool {
-        self.terms[0].0 != NO_SYM
+        self.slots[0] != NO_SYM
     }
 
     /// The constant value, or `None` while any symbol is unbound.
@@ -93,9 +108,13 @@ impl ParamExpr {
             .expect("rotation angle still carries unbound symbolic parameters")
     }
 
-    /// Active `(slot, coefficient)` terms.
-    pub(crate) fn terms(&self) -> &[(u32, f64)] {
-        &self.terms[..self.num_terms()]
+    /// Active `(slot, coefficient)` terms, in slot order.
+    pub(crate) fn terms(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let n = self.num_terms();
+        self.slots[..n]
+            .iter()
+            .copied()
+            .zip(self.coeffs[..n].iter().copied())
     }
 
     /// Evaluate against a slot-indexed value table.
@@ -104,7 +123,7 @@ impl ParamExpr {
     /// Panics if a referenced slot is outside `values`.
     pub(crate) fn eval(&self, values: &[f64]) -> f64 {
         let mut acc = self.offset;
-        for &(slot, coeff) in self.terms() {
+        for (slot, coeff) in self.terms() {
             let v = *values
                 .get(slot as usize)
                 .unwrap_or_else(|| panic!("no binding for symbol slot {slot}"));
@@ -131,10 +150,10 @@ impl ParamExpr {
     pub fn scale(&self, k: f64) -> ParamExpr {
         let mut out = ParamExpr::constant(self.offset * k);
         let mut n = 0usize;
-        for &(slot, coeff) in self.terms() {
+        for (slot, coeff) in self.terms() {
             let c = coeff * k;
             if c != 0.0 {
-                out.terms[n] = (slot, c);
+                out.push_term(n, (slot, c));
                 n += 1;
             }
         }
@@ -159,23 +178,23 @@ impl ParamExpr {
             merged[len] = term;
             len += 1;
         };
-        let (a, b) = (self.terms(), other.terms());
+        let (na, nb) = (self.num_terms(), other.num_terms());
         let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() || j < b.len() {
-            let take_a = j >= b.len() || (i < a.len() && a[i].0 <= b[j].0);
-            let take_b = i >= a.len() || (j < b.len() && b[j].0 <= a[i].0);
+        while i < na || j < nb {
+            let take_a = j >= nb || (i < na && self.slots[i] <= other.slots[j]);
+            let take_b = i >= na || (j < nb && other.slots[j] <= self.slots[i]);
             if take_a && take_b {
-                let c = a[i].1 + b[j].1;
+                let c = self.coeffs[i] + other.coeffs[j];
                 if c != 0.0 {
-                    push((a[i].0, c));
+                    push((self.slots[i], c));
                 }
                 i += 1;
                 j += 1;
             } else if take_a {
-                push(a[i]);
+                push((self.slots[i], self.coeffs[i]));
                 i += 1;
             } else {
-                push(b[j]);
+                push((other.slots[j], other.coeffs[j]));
                 j += 1;
             }
         }
@@ -183,7 +202,9 @@ impl ParamExpr {
             return None;
         }
         let mut out = ParamExpr::constant(self.offset + other.offset);
-        out.terms[..len].copy_from_slice(&merged[..len]);
+        for (n, &term) in merged[..len].iter().enumerate() {
+            out.push_term(n, term);
+        }
         Some(out)
     }
 }
@@ -204,7 +225,7 @@ impl fmt::Display for ParamExpr {
             write!(f, "{}", self.offset)?;
             first = false;
         }
-        for &(slot, coeff) in self.terms() {
+        for (slot, coeff) in self.terms() {
             if !first {
                 f.write_str(" + ")?;
             }
@@ -232,8 +253,7 @@ impl Serialize for ParamExpr {
                     "terms".to_string(),
                     Value::Array(
                         self.terms()
-                            .iter()
-                            .map(|&(slot, coeff)| {
+                            .map(|(slot, coeff)| {
                                 Value::Array(vec![Value::U64(u64::from(slot)), Value::F64(coeff)])
                             })
                             .collect(),
@@ -290,7 +310,7 @@ impl<'de> Deserialize<'de> for ParamExpr {
             }
             last_slot = Some(slot);
             if coeff != 0.0 {
-                out.terms[n] = (slot, coeff);
+                out.push_term(n, (slot, coeff));
                 n += 1;
             }
         }
@@ -332,7 +352,7 @@ mod tests {
         let a = ParamExpr::symbol(0);
         let b = ParamExpr::symbol(1).scale(3.0);
         let sum = a.try_add(&b).unwrap();
-        assert_eq!(sum.terms(), &[(0, 1.0), (1, 3.0)]);
+        assert_eq!(sum.terms().collect::<Vec<_>>(), [(0, 1.0), (1, 3.0)]);
 
         // s − s cancels to a pure constant.
         let cancelled = a.shift(0.25).try_add(&a.neg()).unwrap();
@@ -345,7 +365,7 @@ mod tests {
         for slot in 1..MAX_PARAM_TERMS as u32 {
             acc = acc.try_add(&ParamExpr::symbol(slot)).unwrap();
         }
-        assert_eq!(acc.terms().len(), MAX_PARAM_TERMS);
+        assert_eq!(acc.terms().count(), MAX_PARAM_TERMS);
         assert!(acc
             .try_add(&ParamExpr::symbol(MAX_PARAM_TERMS as u32))
             .is_none());
@@ -386,6 +406,56 @@ mod tests {
         let back: ParamExpr = serde_json::from_str(&json).unwrap();
         assert_eq!(back, e);
         assert!(json.contains("terms"));
+    }
+
+    /// The JSON forms are a wire format, pinned byte for byte: how a
+    /// `ParamExpr` or a `U` stores its angles must not show in them.
+    #[test]
+    fn wire_forms_are_unchanged() {
+        use crate::{Circuit, Gate};
+        fn pinned<T>(value: &T, json: &str)
+        where
+            T: Serialize + for<'de> Deserialize<'de> + PartialEq + fmt::Debug,
+        {
+            assert_eq!(serde_json::to_string(value).unwrap(), json);
+            assert_eq!(&serde_json::from_str::<T>(json).unwrap(), value);
+        }
+        pinned(&ParamExpr::constant(-0.375), "-0.375");
+        let one = ParamExpr::symbol(3).scale(-2.5).shift(0.25);
+        pinned(&one, r#"{"offset":0.25,"terms":[[3,-2.5]]}"#);
+        let two = ParamExpr::symbol(1)
+            .scale(0.5)
+            .try_add(&ParamExpr::symbol(4).scale(-1.25))
+            .unwrap()
+            .shift(-0.125);
+        pinned(&two, r#"{"offset":-0.125,"terms":[[1,0.5],[4,-1.25]]}"#);
+        let mut qc = Circuit::new(2);
+        qc.push(Gate::U(0, 1.5, -0.25, 3.0));
+        qc.push(Gate::Cp(0, 1, ParamExpr::symbol(0)));
+        qc.measure_all();
+        pinned(
+            &qc,
+            r#"{"num_qubits":2,"gates":[{"U":[0,1.5,-0.25,3.0]},{"Cp":[0,1,{"offset":0.0,"terms":[[0,1.0]]}]}],"measured":[0,1]}"#,
+        );
+    }
+
+    #[test]
+    fn deserializer_rejects_non_canonical_terms() {
+        for (json, error) in [
+            (
+                r#"{"offset":0,"terms":[[0,1],[1,1],[2,1]]}"#,
+                "carries 3 terms",
+            ),
+            (r#"{"offset":0,"terms":[[4,1],[1,1]]}"#, "sorted by slot"),
+            (r#"{"offset":0,"terms":[[1,1],[1,2]]}"#, "sorted by slot"),
+            (
+                r#"{"offset":0,"terms":[[4294967295,1]]}"#,
+                "bad ParamExpr symbol slot",
+            ),
+        ] {
+            let err = serde_json::from_str::<ParamExpr>(json).unwrap_err();
+            assert!(err.to_string().contains(error), "{json}: {err}");
+        }
     }
 
     #[test]

@@ -620,7 +620,7 @@ impl Amps<'_> {
 }
 
 /// Most gates one parallel region carries; a longer run is cut here. 128
-/// gates are 17 KB of stack and hold every run of the 16-qubit benchmark
+/// gates are 7 KB of stack and hold every run of the 16-qubit benchmark
 /// plan but one.
 const RUN_CAPACITY: usize = 128;
 
@@ -1196,7 +1196,7 @@ mod tests {
             Gate::Ry(q, t[1].into()),
             Gate::Rz(q, t[2].into()),
             Gate::Phase(q, t[0].into()),
-            Gate::U(q, t[0].into(), t[1].into(), t[2].into()),
+            Gate::U(q, t[0], t[1], t[2]),
         ]
     }
 
@@ -1587,8 +1587,9 @@ mod tests {
     }
 
     /// `gates` as a symbolic circuit bound through a [`BoundCircuit`]
-    /// overlay: every third gate that carries an angle takes its first angle
-    /// from a slot, bound to the angle it had.
+    /// overlay: every third gate that carries a `ParamExpr` angle (all but
+    /// `U`, whose angles are constants) takes it from a slot, bound to the
+    /// angle it had.
     fn as_overlay(n: usize, gates: &[Gate]) -> crate::overlay::BoundCircuit {
         use crate::param::ParamExpr;
         let mut values = Vec::new();
@@ -1604,7 +1605,6 @@ mod tests {
                 Gate::Ry(q, t) => Gate::Ry(q, slot(t)),
                 Gate::Rz(q, t) => Gate::Rz(q, slot(t)),
                 Gate::Phase(q, t) => Gate::Phase(q, slot(t)),
-                Gate::U(q, theta, phi, lambda) => Gate::U(q, slot(theta), phi, lambda),
                 Gate::Cp(c, t, lambda) => Gate::Cp(c, t, slot(lambda)),
                 Gate::Rzz(a, b, theta) => Gate::Rzz(a, b, slot(theta)),
                 other => other,
@@ -1810,8 +1810,7 @@ mod tests {
             Gate::Rz(_, t) => [e(-half(t)), zero, zero, e(half(t))],
             Gate::Phase(_, lambda) => [one, zero, zero, e(lambda.value())],
             Gate::U(_, theta, phi, lambda) => {
-                let (cos, sin) = (half(theta).cos(), half(theta).sin());
-                let (phi, lambda) = (phi.value(), lambda.value());
+                let (cos, sin) = ((theta / 2.0).cos(), (theta / 2.0).sin());
                 [
                     c(cos, 0.0),
                     e(lambda) * c(-sin, 0.0),

@@ -100,7 +100,6 @@ pub(crate) fn decompose_1q(gate: &Gate) -> Seq {
             zsx_sequence(q, t, (-FRAC_PI_2).into(), FRAC_PI_2.into())
         }
         Gate::Ry(q, t) if t.is_symbolic() => zsx_sequence(q, t, 0.0.into(), 0.0.into()),
-        Gate::U(q, theta, phi, lambda) if gate.is_symbolic() => zsx_sequence(q, theta, phi, lambda),
         _ => match gate.single_qubit_matrix() {
             Some(m) => {
                 let (theta, phi, lambda) = u_angles_from_matrix(&m);
@@ -359,7 +358,7 @@ mod tests {
             Gate::Ry(0, (-2.2).into()),
             Gate::Rz(0, (1.9).into()),
             Gate::Phase(0, (0.55).into()),
-            Gate::U(0, 1.2.into(), 0.4.into(), (-0.9).into()),
+            Gate::U(0, 1.2, 0.4, -0.9),
         ]
     }
 
@@ -368,7 +367,7 @@ mod tests {
         for gate in all_1q_gates() {
             let m = gate.single_qubit_matrix().unwrap();
             let (theta, phi, lambda) = u_angles_from_matrix(&m);
-            let rebuilt = Gate::U(0, theta.into(), phi.into(), lambda.into())
+            let rebuilt = Gate::U(0, theta, phi, lambda)
                 .single_qubit_matrix()
                 .unwrap();
             assert!(
@@ -507,7 +506,7 @@ mod tests {
             Gate::Ry(0, 0.1.into()),
             Gate::Rz(0, 0.1.into()),
             Gate::Phase(0, 0.1.into()),
-            Gate::U(0, 0.1.into(), 0.2.into(), 0.3.into()),
+            Gate::U(0, 0.1, 0.2, 0.3),
             Gate::Cx(0, 1),
             Gate::Cz(0, 1),
             Gate::Cp(0, 1, 0.1.into()),

@@ -344,7 +344,7 @@ impl Window {
             let q = self.gates[pending.first].qubits()[0];
             let m = sequence_matrix(self.run_gates(pending));
             let (theta, phi, lambda) = u_angles_from_matrix(&m);
-            let resynth = decompose_1q(&Gate::U(q, theta.into(), phi.into(), lambda.into()));
+            let resynth = decompose_1q(&Gate::U(q, theta, phi, lambda));
             let shorter = resynth
                 .as_slice()
                 .iter()

@@ -59,7 +59,6 @@ pub fn decompose_1q_to_zsx(gate: &Gate) -> Vec<Gate> {
                 std::f64::consts::FRAC_PI_2.into(),
             ),
             Gate::Ry(_, t) => zsx_sequence(q, t, 0.0.into(), 0.0.into()),
-            Gate::U(_, theta, phi, lambda) => zsx_sequence(q, theta, phi, lambda),
             _ => unreachable!("only rotation gates carry symbolic angles"),
         };
     }
@@ -244,11 +243,10 @@ pub fn resynthesize_1q_runs(circuit: &Circuit) -> Circuit {
         let q = pending[0].qubits()[0];
         let m = sequence_matrix(pending.iter());
         let (theta, phi, lambda) = u_angles_from_matrix(&m);
-        let resynth: Vec<Gate> =
-            decompose_1q_to_zsx(&Gate::U(q, theta.into(), phi.into(), lambda.into()))
-                .into_iter()
-                .filter(|g| !matches!(g, Gate::Rz(_, t) if is_trivial_expr(t)))
-                .collect();
+        let resynth: Vec<Gate> = decompose_1q_to_zsx(&Gate::U(q, theta, phi, lambda))
+            .into_iter()
+            .filter(|g| !matches!(g, Gate::Rz(_, t) if is_trivial_expr(t)))
+            .collect();
         if resynth.len() < pending.len() {
             out.extend_from_slice(&resynth);
         } else {
@@ -316,16 +314,23 @@ pub(crate) mod tests {
     use rand::Rng;
     use std::f64::consts::TAU;
 
-    /// A rotation angle: a constant (often within a hair of a multiple of
-    /// 2π, or exactly one), a symbol, or a two-term affine expression.
+    /// A constant angle: for `pick` 0 or 1 any in (−7, 7), else within a
+    /// hair of a multiple of 2π, or exactly one.
+    fn constant(rng: &mut TestRng, pick: u32) -> f64 {
+        if pick < 2 {
+            rng.gen_range(-7.0f64..7.0)
+        } else {
+            let k = f64::from(rng.gen_range(-2i32..=2));
+            let hair: f64 = [0.0, 1e-13, -1e-13, 1e-11, -3e-12][rng.gen_range(0usize..5)];
+            k * TAU + hair
+        }
+    }
+
+    /// A rotation angle: a constant, a symbol, or a two-term affine
+    /// expression.
     fn angle(rng: &mut TestRng) -> ParamExpr {
         match rng.gen_range(0..6) {
-            0 | 1 => rng.gen_range(-7.0f64..7.0).into(),
-            2 => {
-                let k = f64::from(rng.gen_range(-2i32..=2));
-                let hair: f64 = [0.0, 1e-13, -1e-13, 1e-11, -3e-12][rng.gen_range(0usize..5)];
-                (k * TAU + hair).into()
-            }
+            pick @ 0..=2 => constant(rng, pick).into(),
             3 => ParamExpr::symbol(rng.gen_range(0..3)),
             4 => ParamExpr::symbol(rng.gen_range(0..3))
                 .scale(rng.gen_range(-2.0..2.0))
@@ -357,7 +362,13 @@ pub(crate) mod tests {
             10 => Gate::Ry(a, angle(rng)),
             11 => Gate::Rz(a, angle(rng)),
             12 => Gate::Phase(a, angle(rng)),
-            13 => Gate::U(a, angle(rng), angle(rng), angle(rng)),
+            13 => {
+                let u_angle = |rng: &mut TestRng| {
+                    let pick = rng.gen_range(0..3);
+                    constant(rng, pick)
+                };
+                Gate::U(a, u_angle(rng), u_angle(rng), u_angle(rng))
+            }
             14 => Gate::Cx(a, b),
             15 => Gate::Cz(a, b),
             16 => Gate::Cp(a, b, angle(rng)),

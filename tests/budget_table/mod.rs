@@ -41,8 +41,8 @@ use qml_core::prelude::*;
 use qml_core::runtime::{JobDispatch, JobId, JobOutcome, JobSource, Placement, WorkerPool};
 use qml_core::service::ServiceConfig;
 use qml_core::sim::{
-    fused_op_count, BoundCircuit, Circuit, CircuitView, Complex64, Gate, SimScratch, Simulator,
-    StateVector, PARALLEL_THRESHOLD,
+    fused_op_count, BoundCircuit, Circuit, CircuitView, Complex64, Gate, ParamExpr, SimScratch,
+    Simulator, StateVector, PARALLEL_THRESHOLD,
 };
 use qml_core::transpile::{
     decompose_to_basis, optimize, route, transpile, CouplingMap, TranspileResult, TranspileTarget,
@@ -205,6 +205,18 @@ const BUDGETS: &[Budget] = &[
     },
     // The simulator.
     Budget {
+        name: "a gate is 56 bytes",
+        counter: "`size_of::<Gate>()`, then `size_of::<ParamExpr>()`",
+        scenario: gate_sizes,
+        want: Want::Exact(&[56, 32]),
+        reason: "plans, transpiler buffers and fused ops hold gates by value, so this is a \
+                 cached plan's cost per gate: `Cp` and `Rzz` are the largest variants, two \
+                 indices and one `ParamExpr` of an offset, two slots and two coefficients \
+                 ([136, 40] when `U` took three `ParamExpr`s of `(slot, coeff)` pairs)",
+        mutant: "`U` keeps `ParamExpr` angles (reads [112, 32]), or `ParamExpr` keeps \
+                 `(u32, f64)` pairs (reads [64, 40])",
+    },
+    Budget {
         name: "the workload plans keep their gate counts",
         counter: "`sim.amp_updates` (`gate_count << width`) of the sweep_warm, state_serial, state_parallel and compile_cold plans",
         scenario: amp_updates,
@@ -347,19 +359,23 @@ const BUDGETS: &[Budget] = &[
         name: "the annealer allocates only the spins it returns per read",
         counter: "allocations of 1 100 reads less those of 100, on C4",
         scenario: extra_read_allocations,
-        want: Want::Each(1000, 1032),
-        reason: "one returned spin vector per read plus the growth steps of the vector of reads",
+        want: Want::Exact(&[1000]),
+        reason: "one returned spin vector per read: the rayon stand-in collects the reads \
+                 into one vector sized once (a band of 1 000..=1 032 while it flattened the \
+                 blocks' outputs into a vector grown step by step, whose growth steps follow \
+                 the thread count)",
         mutant: "each read allocates its own ΔE buffer instead of the per-thread scratch",
     },
     Budget {
         name: "a sample call derives nothing from its model",
         counter: "allocations of a warm 1-read `sample` of a lowered G(48, 0.15) Max-Cut model",
         scenario: sample_call_allocations,
-        want: Want::Exact(&[8]),
-        reason: "the β schedule; the rayon stand-in's block list, its one block's output (run \
-                 inline on the calling thread), the list of outputs and their concatenation; \
-                 the read's spins; the sample set's map node and records. The model's rows \
-                 and field are built once, by `from_ising`",
+        want: Want::Exact(&[5]),
+        reason: "the β schedule; the one block's output, run inline on the calling thread and \
+                 returned as it is by the rayon stand-in; the read's spins; the sample set's \
+                 map node and records (8 when the stand-in also built a block list, a list of \
+                 outputs and their concatenation). The model's rows and field are built \
+                 once, by `from_ising`",
         mutant: "`sample` rebuilds the coupling rows per call, or the default schedule rescans \
                  the couplings for the field",
     },
@@ -543,6 +559,10 @@ fn cold_plan_metrics() -> Vec<u64> {
 
 fn sweep_warm_param_sites() -> Vec<u64> {
     vec![ring_plan(8, &SYMBOLIC).param_site_count() as u64]
+}
+
+fn gate_sizes() -> Vec<u64> {
+    vec![size_of::<Gate>() as u64, size_of::<ParamExpr>() as u64]
 }
 
 fn amp_updates() -> Vec<u64> {
